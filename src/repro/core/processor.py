@@ -140,15 +140,25 @@ class WaveScalarProcessor:
                 faults=faults, trace=trace, sanitizer=sanitizer,
                 profile=profile,
             )
-        if self.backend == "batched" and self.last_backend_fallback is None:
-            from ..sim.batched import BatchedEngine
+        try:
+            if self.backend == "batched" \
+                    and self.last_backend_fallback is None:
+                from ..sim.batched import BatchedEngine
 
-            outcome = BatchedEngine([engine]).run(strict=strict)[0]
-            if not outcome.ok:
-                raise outcome.error
-            stats = outcome.stats
-        else:
-            stats = engine.run(strict=strict)
+                outcome = BatchedEngine([engine]).run(strict=strict)[0]
+                if not outcome.ok:
+                    raise outcome.error
+                stats = outcome.stats
+            else:
+                stats = engine.run(strict=strict)
+        finally:
+            # The engine is cyclic garbage from here on (its handler
+            # table and store-buffer callbacks are bound methods), and
+            # a process holding many compiled graphs rarely reaches a
+            # full collection: emptying it frees its tables now, by
+            # reference count, so peak memory does not grow with the
+            # number of cells run.
+            engine.__dict__.clear()
         return SimulationResult(
             program=graph.name,
             config=self.config,

@@ -53,12 +53,25 @@ class CellSpec:
             "faults": self.faults.to_dict() if self.faults else None,
         }
 
+    def _digest(self, memo: str, *dropped: str) -> str:
+        """The content hash of every field but ``dropped``, computed
+        once per instance (every field is frozen) and kept in
+        ``__dict__`` under ``memo`` -- not a dataclass field, so
+        ``==``, ``asdict`` and ``replace()`` never see it."""
+        digest = self.__dict__.get(memo)
+        if digest is None:
+            fields = self.as_dict()
+            for name in dropped:
+                del fields[name]
+            canonical = json.dumps(fields, sort_keys=True,
+                                   separators=(",", ":"))
+            digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+            object.__setattr__(self, memo, digest)
+        return digest
+
     def cell_hash(self) -> str:
         """Stable content hash over every field, budgets included."""
-        canonical = json.dumps(
-            self.as_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return self._digest("_cell_hash")
 
     def identity_hash(self) -> str:
         """Content hash of the cell's *identity* -- every field except
@@ -68,12 +81,7 @@ class CellSpec:
         per-cell circuit breaker key on: an injected fault or a crash
         streak follows the cell across escalated retries.
         """
-        fields = self.as_dict()
-        del fields["max_cycles"]
-        del fields["max_events"]
-        canonical = json.dumps(fields, sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return self._digest("_identity_hash", "max_cycles", "max_events")
 
     def escalated(self, factor: float) -> "CellSpec":
         """The same cell with both budgets scaled up (retry policy)."""

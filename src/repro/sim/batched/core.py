@@ -259,8 +259,7 @@ def _install_fast_route(engine: Engine) -> None:
         # All other levels leave the PE on its result bus
         # (inlined BandwidthLedger.reserve).
         ledger = pe_bus[src_pe]
-        floor = ledger._floor
-        t = cycle if cycle > floor else floor
+        t = cycle
         used = ledger._used
         get = used.get
         count = get(t, 0)
@@ -269,10 +268,6 @@ def _install_fast_route(engine: Engine) -> None:
             t += 1
             count = get(t, 0)
         used[t] = count + 1
-        if len(used) > 4096:
-            floor = min(used)
-            for k in [k for k in used if k < floor]:
-                del used[k]
         wait = t - cycle
 
         if level == "domain":
@@ -461,9 +456,7 @@ def _install_fast_dispatch(engine: Engine,
     advance_wave = engine._advance_wave
     # Engine builds every PE dispatch port and per-domain FPU as
     # ``BandwidthLedger(1)``; the inlined reserves below hard-code
-    # that width.  (The ledger's >4096 opportunistic cleanup is
-    # omitted from the FPU inline: it deletes keys below
-    # ``min(used)`` -- none -- so it never changes state.)
+    # that width (a slot is free exactly when its cycle is absent).
     assert all(ledger.per_cycle == 1 for ledger in dispatch_ports)
     assert all(ledger.per_cycle == 1 for ledger in fpu)
     # Instruction counters accumulate in closure cells and reach
@@ -480,25 +473,16 @@ def _install_fast_dispatch(engine: Engine,
          false_dests) = d_row[inst_id]
         # inlined BandwidthLedger.reserve on the (width-1) PE
         # dispatch port
-        ledger = dispatch_ports[pe]
-        floor = ledger._floor
-        granted = cycle if cycle > floor else floor
-        used = ledger._used
+        used = dispatch_ports[pe]._used
+        granted = cycle
         while granted in used:
             granted += 1
         used[granted] = 1
-        if len(used) > 4096:
-            floor = min(used)
-            for k in [k for k in used if k < floor]:
-                del used[k]
         exec_start = granted + 1
         if uses_fpu:
             # inlined BandwidthLedger.reserve on the (width-1)
             # domain FPU
-            fl = fpu[pe // pes_per_domain]
-            if exec_start < fl._floor:
-                exec_start = fl._floor
-            f_used = fl._used
+            f_used = fpu[pe // pes_per_domain]._used
             while exec_start in f_used:
                 exec_start += 1
             f_used[exec_start] = 1

@@ -19,9 +19,15 @@ bandwidth model:
 Bandwidth is modelled with per-resource reservation ledgers: a message
 reserves the earliest cycle with a free slot on every serialised
 resource on its path, which yields queueing delay under contention
-without simulating individual buffer slots.  The 8-entry output queues
-of the mesh are reflected in a cap on how far ahead reservations may
-run; beyond it the sender stalls (back-pressure).
+without simulating individual buffer slots.  Queue *depth* is not
+modelled: nothing caps how far ahead of the current cycle a
+reservation may land, and no sender stalls on a full queue.  The
+config's ``mesh_queue_entries`` (8) and ``output_queue_entries`` (4)
+record Table 1 and are read by no simulator code.
+
+A ledger keeps every reservation of the run (one dict entry per busy
+cycle, never retired), so a reservation costs the same at the start
+of a run and at the end.
 """
 
 from __future__ import annotations
@@ -35,18 +41,17 @@ from ..stats import SimStats
 class BandwidthLedger:
     """Tracks slot reservations for a resource serving N ops/cycle."""
 
-    __slots__ = ("per_cycle", "_used", "_floor")
+    __slots__ = ("per_cycle", "_used")
 
     def __init__(self, per_cycle: int) -> None:
         self.per_cycle = per_cycle
         self._used: dict[int, int] = {}
-        self._floor = 0
 
     def reserve(self, cycle: int) -> int:
         """Reserve the earliest slot at or after ``cycle``; returns the
-        cycle actually granted."""
-        floor = self._floor
-        t = cycle if cycle > floor else floor
+        cycle actually granted.  The cost does not depend on how many
+        reservations the ledger already holds."""
+        t = cycle
         used = self._used
         get = used.get
         count = get(t, 0)
@@ -55,20 +60,7 @@ class BandwidthLedger:
             t += 1
             count = get(t, 0)
         used[t] = count + 1
-        # Opportunistic cleanup: once a cycle saturates below the floor
-        # it can never be queried again.
-        if len(used) > 4096:
-            floor = min(used)
-            for key in [k for k in used if k < floor]:
-                del used[key]
         return t
-
-    def congestion(self, cycle: int) -> int:
-        """How many cycles a reservation at ``cycle`` would wait."""
-        t = max(cycle, self._floor)
-        while self._used.get(t, 0) >= self.per_cycle:
-            t += 1
-        return t - cycle
 
 
 @dataclass(frozen=True, slots=True)

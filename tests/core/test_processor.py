@@ -23,6 +23,27 @@ def test_run_simple_graph():
     assert result.program == graph.name
 
 
+@pytest.mark.parametrize("backend", ("plain", "batched"))
+def test_finished_engine_is_freed_without_the_cycle_collector(backend):
+    """Peak memory must not grow with the number of cells run: the
+    engine of a finished run is released by reference count."""
+    import gc
+
+    from repro.sim.engine import Engine
+
+    graph, expected = build_counted_sum(8, k=2)
+    proc = WaveScalarProcessor(BASELINE, backend=backend)
+    gc.collect()
+    gc.disable()
+    try:
+        result = proc.run(graph)
+        alive = [o for o in gc.get_objects() if isinstance(o, Engine)]
+    finally:
+        gc.enable()
+    assert alive == []
+    assert result.outputs() == [expected]
+
+
 def test_run_workload_checks_reference():
     proc = WaveScalarProcessor(BASELINE)
     result = proc.run_workload(get("mcf"), scale=Scale.TINY)

@@ -154,3 +154,32 @@ def test_cell_hash_covers_budgets_and_faults():
     assert base.cell_hash() == make_spec().cell_hash()
     # Round trip through the ledger representation.
     assert CellSpec.from_dict(base.as_dict()) == base
+
+
+def test_hashes_memoised_per_instance_only():
+    """The digests are cached on the instance, outside the dataclass
+    fields: equal specs agree, a derived spec hashes afresh, and the
+    memo is invisible to ``==`` and the ledger representation."""
+    import pickle
+    from dataclasses import asdict
+
+    spec, twin = make_spec(), make_spec()
+    cold_dict, cold_fields = spec.as_dict(), asdict(spec)
+    cell, identity = spec.cell_hash(), spec.identity_hash()
+    assert (spec.cell_hash(), spec.identity_hash()) == (cell, identity)
+    assert cell != identity
+    assert spec == twin and hash(spec) == hash(twin)
+    assert (twin.cell_hash(), twin.identity_hash()) == (cell, identity)
+    assert spec.as_dict() == cold_dict and asdict(spec) == cold_fields
+
+    bigger = spec.escalated(4.0)
+    assert bigger.cell_hash() != cell
+    assert bigger.cell_hash() == \
+        make_spec(max_cycles=bigger.max_cycles,
+                  max_events=bigger.max_events).cell_hash()
+    assert bigger.identity_hash() == identity
+
+    for original in (spec, make_spec()):  # memo warm, memo cold
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original
+        assert (copy.cell_hash(), copy.identity_hash()) == (cell, identity)

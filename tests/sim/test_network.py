@@ -1,5 +1,8 @@
 """Tests for the hierarchical interconnect model."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +44,44 @@ def test_ledger_never_overcommits(requests, width):
     assert max(per_cycle.values()) <= width
     for req, grant in zip(sorted(requests), grants):
         assert grant >= req
+
+
+class _NoScanDict(dict):
+    """A dict whose contents may be looked up but never walked."""
+
+    def __iter__(self):
+        raise AssertionError("reserve() iterated over its history")
+
+    keys = values = items = __iter__
+
+
+def test_reserve_never_scans_its_history():
+    """A reservation costs the same however many the ledger holds:
+    nothing in ``reserve`` may walk ``_used``."""
+    ledger = BandwidthLedger(2)
+    ledger._used = _NoScanDict()
+    grants = [ledger.reserve(i // 2) for i in range(10_000)]
+    assert grants == [i // 2 for i in range(10_000)]
+
+
+@pytest.mark.parametrize("width", (1, 2, 3, 4))
+def test_reserve_matches_brute_force_reference(width):
+    """Model-based: unsorted requests, far past 4096 entries, against
+    a scan for the earliest cycle with a free slot."""
+    rng = random.Random(width)
+    ledger = BandwidthLedger(width)
+    taken = [0] * 21_000
+    for _ in range(9_000):
+        request = rng.randrange(12_000)
+        expected = next(
+            t for t in range(request, len(taken)) if taken[t] < width
+        )
+        taken[expected] += 1
+        assert ledger.reserve(request) == expected
+    assert len(ledger._used) > 5_000
+    assert ledger._used == {
+        t: n for t, n in enumerate(taken) if n
+    }
 
 
 # ----------------------------------------------------------------------
@@ -135,17 +176,6 @@ def test_average_latency_statistics():
     net.route(0, 1, 0, "operand")
     net.route(0, 2, 0, "operand")
     assert stats.average_message_latency > 0
-
-
-def test_congestion_probe_matches_reserve():
-    from repro.sim.network.topology import BandwidthLedger
-
-    ledger = BandwidthLedger(1)
-    assert ledger.congestion(5) == 0
-    ledger.reserve(5)
-    assert ledger.congestion(5) == 1  # next reservation would wait
-    ledger.reserve(5)
-    assert ledger.congestion(5) == 2
 
 
 def test_mesh_routes_are_dimension_ordered():
