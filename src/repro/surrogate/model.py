@@ -88,27 +88,24 @@ class _Tree:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for i in range(X.shape[0]):
+    def predict_into(self, rows: list[list], out: list) -> None:
+        """Append each row's leaf value to ``out``; rows and tree are
+        plain lists, so a level costs one Python float compare."""
+        feature, threshold = self.feature, self.threshold
+        left, right, value = self.left, self.right, self.value
+        for x in rows:
             node = 0
-            while self.feature[node] >= 0:
-                if X[i, self.feature[node]] <= self.threshold[node]:
-                    node = self.left[node]
+            while (feat := feature[node]) >= 0:
+                if x[feat] <= threshold[node]:
+                    node = left[node]
                 else:
-                    node = self.right[node]
-            out[i] = self.value[node]
-        return out
+                    node = right[node]
+            out.append(value[node])
 
     def structure(self) -> list:
         """Canonical JSON-able form for hashing."""
-        return [
-            self.feature,
-            [float(t) for t in self.threshold],
-            self.left,
-            self.right,
-            [float(v) for v in self.value],
-        ]
+        return [self.feature, self.threshold, self.left, self.right,
+                self.value]
 
 
 def _best_split(
@@ -121,51 +118,46 @@ def _best_split(
     """Exact SSE-minimizing ``(feature, threshold)`` over the
     candidate features, or ``None`` when no legal split improves.
 
-    Ties break toward the lowest feature index, then the lowest
-    threshold (the candidate ``features`` arrive sorted), keeping the
-    fit bit-deterministic under a fixed seed.
+    All candidates are scored in one ``(rows, features)`` block whose
+    columns see exactly the 1-D arithmetic (DESIGN.md section 5k), so
+    a node costs the same numpy calls for any feature count.  Ties
+    break toward the lowest feature index, then the lowest threshold
+    (``features`` arrive sorted): bit-deterministic under a seed.
     """
-    best_gain = 0.0
-    best: Optional[tuple[int, float]] = None
     n = rows.shape[0]
+    if n < 2 * min_leaf:
+        return None
     y_node = y[rows]
     total = y_node.sum()
-    base = total * total / n
-    for feat in features:
-        order = np.argsort(X[rows, feat], kind="stable")
-        xs = X[rows[order], feat]
-        ys = y_node[order]
-        prefix = np.cumsum(ys)
-        counts = np.arange(1, n, dtype=np.float64)
-        left_sum = prefix[:-1]
-        right_sum = total - left_sum
-        # Split between positions i-1 and i is legal when the x
-        # values differ and both sides hold >= min_leaf rows.
-        gains = (
-            left_sum * left_sum / counts
-            + right_sum * right_sum / (n - counts)
-            - base
-        )
-        legal = xs[:-1] < xs[1:]
-        if min_leaf > 1:
-            legal = legal.copy()
-            legal[: min_leaf - 1] = False
-            if min_leaf - 1 > 0:
-                legal[n - min_leaf:] = False
-        gains = np.where(legal, gains, -np.inf)
-        if not gains.size:
-            continue
-        pos = int(np.argmax(gains))
-        gain = float(gains[pos])
-        # Strict > : equal-gain splits on a later feature never
-        # displace an earlier one.
+    block = X[rows][:, features]
+    order = block.argsort(axis=0, kind="stable")
+    columns = np.arange(features.shape[0])
+    xs = block[order, columns]
+    # A split after sorted position i is legal when x differs across
+    # it; only positions leaving >= min_leaf rows a side are scored.
+    lo, hi = min_leaf - 1, n - min_leaf
+    left_sum = y_node[order].cumsum(axis=0)[lo:hi]
+    right_sum = total - left_sum
+    counts = np.arange(lo + 1, hi + 1, dtype=np.float64)[:, None]
+    gains = np.where(
+        xs[lo:hi] < xs[lo + 1:hi + 1],
+        left_sum * left_sum / counts
+        + right_sum * right_sum / (n - counts)
+        - total * total / n,
+        -np.inf,
+    )
+    at = gains.argmax(axis=0)
+    best_gain, best = 0.0, None
+    # Strict > : equal-gain splits on a later feature never displace
+    # an earlier one.
+    for column, gain in enumerate(gains[at, columns].tolist()):
         if gain > best_gain + 1e-12:
-            best_gain = gain
-            best = (
-                int(feat),
-                float((xs[pos] + xs[pos + 1]) / 2.0),
-            )
-    return best
+            best_gain, best = gain, column
+    if best is None:
+        return None
+    pos = lo + int(at[best])
+    threshold = (xs[pos, best] + xs[pos + 1, best]) / 2.0
+    return int(features[best]), float(threshold)
 
 
 def _fit_tree(
@@ -186,9 +178,11 @@ def _fit_tree(
     while stack:
         node, node_rows, depth = stack.pop()
         y_node = y[node_rows]
-        tree.value[node] = float(y_node.mean())
-        if (depth >= max_depth or node_rows.shape[0] < 2 * min_leaf
-                or float(y_node.min()) == float(y_node.max())):
+        n = node_rows.shape[0]
+        # ``mean()``'s own sum and divide, minus its Python wrapper.
+        tree.value[node] = float(np.add.reduce(y_node) / n)
+        if (depth >= max_depth or n < 2 * min_leaf
+                or y_node.min() == y_node.max()):
             continue
         chosen = np.sort(rng.choice(
             n_features, size=min(n_sub, n_features), replace=False
@@ -349,7 +343,7 @@ class QuantileForest:
         # asymmetric error distribution (e.g. a workload whose
         # failures undershoot wildly but whose successes are
         # predictable) then only widens the side that actually errs.
-        preds = np.stack([t.predict(X) for t in self._trees])
+        preds = self._tree_preds(X)
         oob_mask = ~in_bag
         votes = oob_mask.sum(axis=0)
         signed: list[float] = []  # y - oob_pred: >0 means underpredict
@@ -382,14 +376,16 @@ class QuantileForest:
 
     # ------------------------------------------------------------------
     def _tree_preds(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[None, :]
-        return np.stack([t.predict(X) for t in self._trees])
+        """``(trees, rows)`` leaf values, C-contiguous."""
+        if not self.fitted:
+            raise RuntimeError("prediction before fit()")
+        rows = np.atleast_2d(np.asarray(X, dtype=np.float64)).tolist()
+        leaves: list[float] = []
+        for tree in self._trees:
+            tree.predict_into(rows, leaves)
+        return np.array(leaves).reshape(len(self._trees), len(rows))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            raise RuntimeError("predict() before fit()")
         return self._tree_preds(X).mean(axis=0)
 
     def predict_interval(
@@ -397,32 +393,38 @@ class QuantileForest:
         X: np.ndarray,
         groups: Optional[Sequence[str]] = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(lo, hi)`` arrays at the configured coverage.
+        """The ``(lo, hi)`` of :meth:`predict_with_interval`."""
+        return self.predict_with_interval(X, groups)[1:]
+
+    def predict_with_interval(
+        self,
+        X: np.ndarray,
+        groups: Optional[Sequence[str]] = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(mean, lo, hi)`` arrays from one walk of the trees, the
+        interval at the configured coverage.
 
         ``groups`` selects per-row Mondrian margins fitted for those
         labels; rows whose label has no fitted margin (or when
         ``groups`` is omitted) use the global margin.
         """
-        if not self.fitted:
-            raise RuntimeError("predict_interval() before fit()")
-        preds = self._tree_preds(X)
+        mean = self.predict(X)
         default = (self._margin_lo, self._margin_hi)
         if groups is None:
-            pairs = [default] * preds.shape[1]
+            pairs = [default] * mean.shape[0]
         else:
             pairs = [
                 self._group_margins.get(str(name), default)
                 for name in groups
             ]
-            if len(pairs) != preds.shape[1]:
+            if len(pairs) != mean.shape[0]:
                 raise ValueError(
                     f"groups length {len(pairs)} != rows "
-                    f"{preds.shape[1]}"
+                    f"{mean.shape[0]}"
                 )
         lo_m = np.asarray([p[0] for p in pairs])
         hi_m = np.asarray([p[1] for p in pairs])
-        mean = preds.mean(axis=0)
-        return np.maximum(mean - lo_m, 0.0), mean + hi_m
+        return mean, np.maximum(mean - lo_m, 0.0), mean + hi_m
 
     @property
     def conformal_margin(self) -> tuple[float, float]:

@@ -126,12 +126,10 @@ class SurrogateModel:
         x = np.asarray(
             [cell_features(spec, bound=bound)], dtype=np.float64
         )
-        mean = float(self._forest.predict(x)[0])
-        lo_arr, hi_arr = self._forest.predict_interval(
-            x, groups=[spec.workload]
+        mean, lo, hi = (
+            float(column[0]) for column in
+            self._forest.predict_with_interval(x, [spec.workload])
         )
-        lo = float(lo_arr[0])
-        hi = float(hi_arr[0])
         hi = min(hi, cap)
         lo = max(0.0, min(lo, hi))
         return CellPrediction(
@@ -238,8 +236,8 @@ def calibration_report(
     y_hold = training.y[hold]
     hold_groups = [groups[i] for i in hold] if groups else None
     caps = X_hold[:, _BOUND_COL]
-    mean = np.minimum(np.maximum(forest.predict(X_hold), 0.0), caps)
-    lo, hi = forest.predict_interval(X_hold, groups=hold_groups)
+    mean, lo, hi = forest.predict_with_interval(X_hold, hold_groups)
+    mean = np.minimum(np.maximum(mean, 0.0), caps)
     hi = np.minimum(hi, caps)
     lo = np.minimum(lo, hi)
     inside = (y_hold >= lo - 1e-9) & (y_hold <= hi + 1e-9)

@@ -8,6 +8,10 @@ without paying for simulation.  The composition tests at the bottom
 run short real simulations, mirroring the prune/batched suites.
 """
 
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
 
 from repro.design.pareto import pareto_front
@@ -16,6 +20,8 @@ from repro.harness.ledger import Ledger, summarize
 from repro.harness.supervisor import CellResult, RunSupervisor
 from repro.harness.sweep import design_space_sweep
 from repro.workloads.base import Scale
+
+FIXTURE = Path(__file__).with_name("surrogate_sweep_predicted.json")
 
 NAMES = ["gzip", "mcf", "twolf"]
 BASE_AIPC = {"gzip": 0.18, "mcf": 0.12, "twolf": 0.15}
@@ -127,6 +133,45 @@ def test_predicted_ledger_record_shape(designs, areas, tmp_path):
         assert record["spec"]["workload"] == record["workload"]
 
 
+def pinned_view(designs, tmp_path) -> dict:
+    """What the ledger and the report say the model decided: the
+    ``predicted`` records' model-derived fields and the report's
+    surrogate block.  Part of the determinism contract -- a resumed
+    campaign replays these bytes."""
+    areas = {d.config.describe(): d.area_mm2 for d in designs}
+    _, report, _ = run_sweep(
+        designs, areas, tmp_path, "pin.jsonl", surrogate=True
+    )
+    records = Ledger(tmp_path / "pin.jsonl").load().values()
+    block = report.metrics["surrogate"]
+    return {
+        "predicted": sorted(
+            (
+                {key: r[key] for key in (
+                    "hash", "aipc_predicted", "aipc_interval",
+                    "model_hash",
+                )}
+                for r in records if r["status"] == "predicted"
+            ),
+            key=lambda r: r["hash"],
+        ),
+        "surrogate": {key: block[key] for key in (
+            "refits", "train_rows", "model_hash",
+            "simulated_cells", "predicted_cells",
+        )},
+    }
+
+
+def test_predicted_records_match_fixture(designs, tmp_path):
+    """Recorded before the forest's split search and tree walk were
+    rewritten; re-record with
+    ``PYTHONPATH=src python tests/harness/test_surrogate_sweep.py``."""
+    want = json.loads(FIXTURE.read_text())
+    got = pinned_view(designs, tmp_path)
+    assert got["surrogate"] == want["surrogate"]
+    assert got["predicted"] == want["predicted"]
+
+
 # ----------------------------------------------------------------------
 # Resume: surrogate on replays skips; surrogate off re-simulates them
 # ----------------------------------------------------------------------
@@ -226,3 +271,11 @@ def test_surrogate_composes_with_batched_backend(tmp_path):
                 .load().values() if r["status"] == "ok"]
     assert measured
     assert all(r.get("backend") == "batched" for r in measured)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        FIXTURE.write_text(json.dumps(
+            pinned_view(viable_designs()[:8], Path(scratch)),
+            indent=1, sort_keys=True,
+        ) + "\n")

@@ -7,6 +7,7 @@ import pytest
 from repro.surrogate.model import (
     MIN_GROUP_RESIDUALS,
     QuantileForest,
+    _best_split,
 )
 
 
@@ -123,3 +124,112 @@ def test_input_validation():
         forest.predict(X)
     with pytest.raises(RuntimeError):
         forest.predict_interval(X)
+
+
+# ----------------------------------------------------------------------
+# The batched split search and the list-based tree walk against their
+# one-at-a-time forms
+# ----------------------------------------------------------------------
+def reference_best_split(X, y, rows, features, min_leaf):
+    """The split search one feature at a time, as it was before
+    ``_best_split`` searched all candidates in one block.  Kept here
+    as the reference; ``src/`` has only the batched form."""
+    best_gain = 0.0
+    best = None
+    n = rows.shape[0]
+    y_node = y[rows]
+    total = y_node.sum()
+    base = total * total / n
+    for feat in features:
+        order = np.argsort(X[rows, feat], kind="stable")
+        xs = X[rows[order], feat]
+        prefix = np.cumsum(y_node[order])
+        counts = np.arange(1, n, dtype=np.float64)
+        left_sum = prefix[:-1]
+        right_sum = total - left_sum
+        gains = (
+            left_sum * left_sum / counts
+            + right_sum * right_sum / (n - counts)
+            - base
+        )
+        legal = xs[:-1] < xs[1:]
+        if min_leaf > 1:
+            legal = legal.copy()
+            legal[: min_leaf - 1] = False
+            legal[n - min_leaf:] = False
+        gains = np.where(legal, gains, -np.inf)
+        if not gains.size:
+            continue
+        pos = int(np.argmax(gains))
+        gain = float(gains[pos])
+        if gain > best_gain + 1e-12:
+            best_gain = gain
+            best = (int(feat), float((xs[pos] + xs[pos + 1]) / 2.0))
+    return best
+
+
+def random_node(seed):
+    """One tree node's split problem, built to tie: few distinct x
+    values, a duplicated column (equal gains on two features), a
+    constant column, coarse targets, bootstrap rows with repeats."""
+    rng = np.random.default_rng(seed)
+    pool = int(rng.integers(2, 40))
+    X = rng.integers(0, 4, size=(pool, 8)).astype(np.float64)
+    X[:, 5] = X[:, 1]
+    X[:, 3] = 2.0
+    if seed % 3 == 0:
+        X[:, 6] = rng.uniform(0.0, 1.0, size=pool)
+    y = rng.uniform(0.0, 1.0, size=pool)
+    if seed % 2:
+        y = np.round(y, 1)
+    # n == 1, n == 2 and n < 2 * min_leaf all come up.
+    n = (1, 2, 3, 5)[seed % 4] if seed % 5 == 0 \
+        else int(rng.integers(2, 60))
+    rows = rng.integers(0, pool, size=n)
+    features = np.sort(rng.choice(
+        8, size=int(rng.integers(1, 9)), replace=False
+    ))
+    return X, y, rows, features, int(rng.integers(1, 5))
+
+
+def test_best_split_matches_per_feature_reference():
+    outcomes = {"split": 0, "none": 0, "too_small": 0, "tied": 0}
+    for seed in range(200):
+        X, y, rows, features, min_leaf = random_node(seed)
+        want = reference_best_split(X, y, rows, features, min_leaf)
+        got = _best_split(X, y, rows, features, min_leaf)
+        assert got == want, seed
+        outcomes["none" if want is None else "split"] += 1
+        outcomes["too_small"] += rows.shape[0] < 2 * min_leaf
+        outcomes["tied"] += (want is not None and want[0] == 1
+                             and 5 in features)
+    # The cases the generator exists for all occurred.
+    assert all(outcomes.values()), outcomes
+
+
+def test_single_row_predict_equals_batch_predict():
+    """Row by row, every tree reaches the leaf it reaches in one
+    call, bit for bit.  The forest mean over those leaves is only
+    equal to rounding: numpy sums a ``(trees, 1)`` block pairwise and
+    a ``(trees, rows)`` block tree by tree.  (Which is why the sweep,
+    whose ledger bytes are pinned, must keep asking one cell at a
+    time.)"""
+    X, y = synthetic(80, seed=12)
+    groups = ["a" if i % 3 else "b" for i in range(len(y))]
+    forest = QuantileForest(seed=3).fit(X, y, groups=groups)
+    Xq, _ = synthetic(25, seed=13)
+    query_groups = ["a", "b", "?"] * 8 + ["a"]
+    leaves = forest._tree_preds(Xq)
+    mean = forest.predict(Xq)
+    lo, hi = forest.predict_interval(Xq, groups=query_groups)
+    for i, label in enumerate(query_groups):
+        assert np.array_equal(
+            forest._tree_preds(Xq[i])[:, 0], leaves[:, i]
+        )
+        lo_i, hi_i = forest.predict_interval(
+            Xq[i:i + 1], groups=[label]
+        )
+        for one, batch in ((forest.predict(Xq[i]), mean),
+                           (lo_i, lo), (hi_i, hi)):
+            assert one.shape == (1,)
+            assert np.allclose(one, batch[i], rtol=1e-14, atol=0.0)
