@@ -139,9 +139,6 @@ class Interval:
         return f"[{self.lo},{hi}]"
 
 
-_ZERO = Interval(0, 0)
-
-
 @dataclass
 class TokenFlow:
     """Result of one fixed-point token-flow analysis."""
@@ -191,6 +188,77 @@ def _send_targets(inst) -> Iterator[tuple[int, int, bool]]:
         yield dest.inst, dest.port, True
 
 
+def _flatten(graph: DataflowGraph):
+    """The port table both fixed points run on: ``(base, entry,
+    feeders, consumers)``.
+
+    Ports are numbered densely in ``(inst, port)`` order: instruction
+    ``i`` owns slots ``base[i] .. base[i + 1] - 1``.  ``entry[slot]``
+    counts the port's entry tokens, ``feeders[slot]`` lists its
+    ``(src_inst, conditional)`` producers, and ``consumers[i]`` lists
+    the instructions ``i`` sends to (the ones to revisit when ``i``
+    changes).  Expects a graph that passes ``graph.validate()``.
+    """
+    base = [0]
+    for inst in graph.instructions:
+        base.append(base[-1] + inst.arity)
+    entry = [0] * base[-1]
+    for token in graph.entry_tokens:
+        entry[base[token.inst] + token.port] += 1
+    feeders: list[list[tuple[int, bool]]] = [[] for _ in entry]
+    consumers: list[list[int]] = [[] for _ in graph.instructions]
+    for inst in graph.instructions:
+        if inst.opcode in (Opcode.OUTPUT, Opcode.THREAD_HALT):
+            continue  # sinks: consume tokens, send nothing
+        for dst, port, conditional in _send_targets(inst):
+            feeders[base[dst] + port].append((inst.inst_id, conditional))
+            consumers[inst.inst_id].append(dst)
+    return base, entry, feeders, consumers
+
+
+#: What a transfer function reports about the instruction it just
+#: re-evaluated: nothing moved, only its own port state moved, or its
+#: output (what its consumers read) moved.
+_SAME, _MOVED, _FIRED = 0, 1, 2
+
+
+def _sweep(
+    consumers: list[list[int]],
+    evaluate: Callable[[int], int],
+    max_rounds: int,
+) -> tuple[int, bool]:
+    """Iterate ``evaluate`` to a fixed point; ``(rounds, converged)``.
+
+    The result is that of ``max_rounds`` passes over every instruction
+    in id order, stopping after the first pass in which nothing moved
+    -- but after round 1 a pass visits only the *dirty*: instructions
+    with a producer whose output moved since their last visit (with
+    unchanged inputs a transfer function returns :data:`_SAME`, so
+    the skipped visits are no-ops).  The scan runs in id order, so a
+    consumer marked ahead of it is met in the current round and one
+    marked behind it (a back edge, a self loop) in the next: what the
+    full pass would have let each see.  DESIGN.md §5h has the argument.
+    """
+    dirty = bytearray(b"\x01") * len(consumers)
+    rounds = 0
+    while rounds < max_rounds:
+        rounds += 1
+        moved = False
+        inst_id = dirty.find(1)
+        while inst_id >= 0:
+            dirty[inst_id] = 0
+            status = evaluate(inst_id)
+            if status != _SAME:
+                moved = True
+                if status == _FIRED:
+                    for dst in consumers[inst_id]:
+                        dirty[dst] = 1
+            inst_id = dirty.find(1, inst_id + 1)
+        if not moved:
+            return rounds, True
+    return rounds, False
+
+
 def analyze_tokens(
     graph: DataflowGraph,
     widen_after: int = WIDEN_AFTER,
@@ -203,101 +271,79 @@ def analyze_tokens(
     count and (after widening) ``hi`` never undercuts it.
     """
     n = len(graph)
-    entry = _entry_counts(graph)
-    # Producers per (inst, port): list of (src_inst, conditional).
-    feeders: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for inst in graph.instructions:
-        if inst.opcode in (Opcode.OUTPUT, Opcode.THREAD_HALT):
-            continue  # sinks: consume tokens, send nothing
-        for dst, port, conditional in _send_targets(inst):
-            feeders.setdefault((dst, port), []).append(
-                (inst.inst_id, conditional)
-            )
+    base, entry, feeders, consumers = _flatten(graph)
+    # Per-port arrival bounds and growth counts, per-instruction
+    # firing bounds; everything starts at bottom, [0, 0].
+    lo: list[int] = [0] * len(entry)
+    hi: list[float] = [0] * len(entry)
+    lo_bumps = [0] * len(entry)
+    hi_bumps = [0] * len(entry)
+    fire_lo: list[int] = [0] * n
+    fire_hi: list[float] = [0] * n
 
-    arrivals: dict[tuple[int, int], Interval] = {}
-    firings: list[Interval] = [_ZERO] * n
-    lo_bumps: dict[tuple[int, int], int] = {}
-    hi_bumps: dict[tuple[int, int], int] = {}
+    def evaluate(inst_id: int) -> int:
+        status = _SAME
+        new_fire_lo: float = INF
+        new_fire_hi: float = INF
+        for slot in range(base[inst_id], base[inst_id + 1]):
+            new_lo = new_hi = entry[slot]
+            for src, conditional in feeders[slot]:
+                if not conditional:
+                    new_lo += fire_lo[src]
+                new_hi += fire_hi[src]  # INF absorbs
+            # Freeze lo after widen_after increases: any ascending
+            # iterate is a sound lower bound, so stopping early only
+            # loses precision.
+            if new_lo > lo[slot]:
+                lo_bumps[slot] += 1
+                if lo_bumps[slot] <= widen_after:
+                    lo[slot] = new_lo
+                    status = _MOVED
+            # Widen hi to INF after widen_after increases: the real
+            # count may be unbounded, and INF is always an upper bound.
+            if new_hi > hi[slot]:
+                hi_bumps[slot] += 1
+                hi[slot] = (
+                    new_hi if hi_bumps[slot] <= widen_after else INF
+                )
+                status = _MOVED
+            if lo[slot] < new_fire_lo:
+                new_fire_lo = lo[slot]
+            if hi[slot] < new_fire_hi:
+                new_fire_hi = hi[slot]
+        if base[inst_id] == base[inst_id + 1]:
+            new_fire_lo = new_fire_hi = 0  # not expressible today
+        if new_fire_lo != fire_lo[inst_id] or \
+                new_fire_hi != fire_hi[inst_id]:
+            fire_lo[inst_id] = int(new_fire_lo)
+            fire_hi[inst_id] = new_fire_hi
+            status = _FIRED
+        return status
 
-    def port_interval(inst_id: int, port: int) -> Interval:
-        key = (inst_id, port)
-        lo = hi = entry.get(key, 0)
-        for src, conditional in feeders.get(key, ()):
-            fires = firings[src]
-            if not conditional:
-                lo += fires.lo
-            hi += fires.hi  # INF absorbs
-        return Interval(lo, hi)
+    rounds, converged = _sweep(consumers, evaluate, max_rounds)
 
-    converged = False
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        changed = False
-        for inst in graph.instructions:
-            inst_id = inst.inst_id
-            fire_lo: float = INF
-            fire_hi: float = INF
-            for port in range(inst.arity):
-                key = (inst_id, port)
-                new = port_interval(inst_id, port)
-                old = arrivals.get(key, _ZERO)
-                lo, hi = new.lo, new.hi
-                # Freeze lo after widen_after increases: any
-                # ascending iterate is a sound lower bound, so
-                # stopping early only loses precision.
-                if lo > old.lo:
-                    bumps = lo_bumps.get(key, 0) + 1
-                    lo_bumps[key] = bumps
-                    if bumps > widen_after:
-                        lo = old.lo
-                else:
-                    lo = old.lo
-                # Widen hi to INF after widen_after increases: the
-                # real count may be unbounded, and INF is always an
-                # upper bound.
-                if hi > old.hi:
-                    bumps = hi_bumps.get(key, 0) + 1
-                    hi_bumps[key] = bumps
-                    if bumps > widen_after:
-                        hi = INF
-                else:
-                    hi = old.hi
-                if lo != old.lo or hi != old.hi:
-                    arrivals[key] = Interval(lo, hi)
-                    changed = True
-                current = arrivals.get(key, _ZERO)
-                fire_lo = min(fire_lo, current.lo)
-                fire_hi = min(fire_hi, current.hi)
-            if inst.arity == 0:  # not expressible today; be safe
-                fire_lo = fire_hi = 0
-            new_f = Interval(int(fire_lo), fire_hi)
-            if new_f != firings[inst_id]:
-                firings[inst_id] = new_f
-                changed = True
-        if not changed:
-            converged = True
-            break
-
-    firings_map = {i: firings[i] for i in range(n)}
-    must = frozenset(i for i in range(n) if firings[i].lo >= 1)
-    never = frozenset(i for i in range(n) if firings[i].hi == 0)
+    # A port is recorded once its interval has left [0, 0].
+    arrivals = {
+        (inst_id, slot - base[inst_id]): Interval(lo[slot], hi[slot])
+        for inst_id in range(n)
+        for slot in range(base[inst_id], base[inst_id + 1])
+        if lo[slot] or hi[slot]
+    }
     deadlocks: list[tuple[int, int, int]] = []
-    for inst in graph.instructions:
-        if inst.arity < 2:
-            continue
-        ports = [
-            arrivals.get((inst.inst_id, p), _ZERO)
-            for p in range(inst.arity)
-        ]
-        starved = [p for p, iv in enumerate(ports) if iv.hi == 0]
-        fed = [p for p, iv in enumerate(ports) if iv.lo >= 1]
+    for inst_id in range(n):
+        first = base[inst_id]
+        ports = range(first, base[inst_id + 1])
+        starved = [slot - first for slot in ports if hi[slot] == 0]
+        fed = [slot - first for slot in ports if lo[slot] >= 1]
         if starved and fed:
-            deadlocks.append((inst.inst_id, starved[0], fed[0]))
+            deadlocks.append((inst_id, starved[0], fed[0]))
     return TokenFlow(
         arrivals=arrivals,
-        firings=firings_map,
-        must_fire=must,
-        never_fire=never,
+        firings={
+            i: Interval(fire_lo[i], fire_hi[i]) for i in range(n)
+        },
+        must_fire=frozenset(i for i in range(n) if fire_lo[i] >= 1),
+        never_fire=frozenset(i for i in range(n) if fire_hi[i] == 0),
         deadlocks=deadlocks,
         converged=converged,
         rounds=rounds,
@@ -332,41 +378,18 @@ def deadlock_proofs(
     return out
 
 
-@rule("A001", "statically proven true deadlock", TARGET_GRAPH)
-def _check_proven_deadlock(graph: DataflowGraph) -> list[Diagnostic]:
-    """Fixed-point promotion of the engine's dynamic quiescence check:
-    a diagnostic here is a *proof* that simulation will end in
-    ``TrueDeadlock``.  Starvation that is already structural -- the
-    port has no producer and no entry token -- is left to G001, which
-    carries the actionable fix; A001 reports only what a structural
-    scan cannot see (a wired port the token flow proves dry)."""
-    flow = analyze_tokens(graph)
-    wired = {key for key in _entry_counts(graph)}
-    for inst in graph.instructions:
-        for dst_inst, dst_port, _ in _send_targets(inst):
-            wired.add((dst_inst, dst_port))
-    proofs = deadlock_proofs(graph, flow)
-    return [
-        diag
-        for diag, (inst_id, starved, _) in zip(proofs, flow.deadlocks)
-        if (inst_id, starved) in wired
-    ]
-
-
-@rule("A002", "token-flow fixed point not reached", TARGET_GRAPH,
-      severity=Severity.WARNING)
-def _check_convergence(graph: DataflowGraph) -> list[Diagnostic]:
-    """The MAX_ROUNDS backstop firing means interval precision was
-    lost (bounds stay sound); real programs converge in tens of
-    rounds, so this flags pathological graph structure."""
-    flow = analyze_tokens(graph)
+def _backstop_warnings(
+    graph: DataflowGraph, flow: TokenFlow
+) -> list[Diagnostic]:
+    """The A002 diagnostic when ``flow`` stopped at its round limit
+    (``flow.rounds`` is then the ``max_rounds`` it was given)."""
     if flow.converged:
         return []
     return [Diagnostic(
         rule="A002",
         severity=Severity.WARNING,
         message=(
-            f"token-flow analysis hit the {MAX_ROUNDS}-round backstop "
+            f"token-flow analysis hit the {flow.rounds}-round backstop "
             "before the fixed point; interval bounds are sound but "
             "imprecise"
         ),
@@ -374,6 +397,37 @@ def _check_convergence(graph: DataflowGraph) -> list[Diagnostic]:
         hint="the graph likely has an unusually deep or dense "
              "cyclic region",
     )]
+
+
+@rule("A001", "statically proven true deadlock", TARGET_GRAPH,
+      shared=True)
+def _check_proven_deadlock(graph: DataflowGraph, facts) -> list[Diagnostic]:
+    """Fixed-point promotion of the engine's dynamic quiescence check:
+    a diagnostic here is a *proof* that simulation will end in
+    ``TrueDeadlock``.  Starvation that is already structural -- the
+    port has no producer and no entry token -- is left to G001, which
+    carries the actionable fix; A001 reports only what a structural
+    scan cannot see (a wired port the token flow proves dry)."""
+    if not facts.sound:
+        return []
+    flow = facts.flow
+    wired = facts.entry_ports | facts.feeders.keys()
+    return [
+        diag
+        for diag, (inst_id, starved, _) in zip(
+            deadlock_proofs(graph, flow), flow.deadlocks
+        )
+        if (inst_id, starved) in wired
+    ]
+
+
+@rule("A002", "token-flow fixed point not reached", TARGET_GRAPH,
+      severity=Severity.WARNING, shared=True)
+def _check_convergence(graph: DataflowGraph, facts) -> list[Diagnostic]:
+    """The MAX_ROUNDS backstop firing means interval precision was
+    lost (bounds stay sound); real programs converge in tens of
+    rounds, so this flags pathological graph structure."""
+    return _backstop_warnings(graph, facts.flow) if facts.sound else []
 
 
 # ----------------------------------------------------------------------
@@ -398,43 +452,33 @@ def critical_path_cycles(
     """
     if not must_fire:
         return 0
-    entry = _entry_counts(graph)
-    feeders: dict[tuple[int, int], list[int]] = {}
-    for inst in graph.instructions:
-        if inst.opcode in (Opcode.OUTPUT, Opcode.THREAD_HALT):
-            continue
-        for dst, port, _ in _send_targets(inst):
-            feeders.setdefault((dst, port), []).append(inst.inst_id)
+    base, entry, feeders, consumers = _flatten(graph)
     latency = [i.opcode.latency for i in graph.instructions]
     if edge_weight is None:
         def edge_weight(src: int, dst: int) -> int:  # noqa: ARG001
             return latency[src]
     first = [0] * len(graph)
-    for _ in range(max_rounds):
-        changed = False
-        for inst in graph.instructions:
-            inst_id = inst.inst_id
-            fire_at = 0
-            for port in range(inst.arity):
-                key = (inst_id, port)
-                # First arrival on this port: an entry token lands at
-                # cycle 0; otherwise the earliest producer delivery.
-                if key in entry:
-                    continue
-                sources = feeders.get(key)
-                if not sources:
-                    continue  # port never fed; handled by must_fire
-                arrive = min(
-                    first[src] + edge_weight(src, inst_id)
-                    for src in sources
-                )
-                if arrive > fire_at:
-                    fire_at = arrive
-            if fire_at > first[inst_id]:
-                first[inst_id] = fire_at
-                changed = True
-        if not changed:
-            break
+
+    def evaluate(inst_id: int) -> int:
+        fire_at = 0
+        for slot in range(base[inst_id], base[inst_id + 1]):
+            # First arrival on this port: an entry token lands at
+            # cycle 0; otherwise the earliest producer delivery.  A
+            # port never fed is handled by must_fire.
+            if entry[slot] or not feeders[slot]:
+                continue
+            arrive = min(
+                first[src] + edge_weight(src, inst_id)
+                for src, _ in feeders[slot]
+            )
+            if arrive > fire_at:
+                fire_at = arrive
+        if fire_at > first[inst_id]:
+            first[inst_id] = fire_at
+            return _FIRED
+        return _SAME
+
+    _sweep(consumers, evaluate, max_rounds)
     # The last must-fire instruction still executes after it fires.
     return max(first[i] + latency[i] for i in must_fire)
 
@@ -1040,6 +1084,5 @@ def analyze_dataflow(graph: DataflowGraph) -> Report:
     report = Report()
     flow = analyze_tokens(graph)
     report.extend(deadlock_proofs(graph, flow))
-    if not flow.converged:
-        report.extend(_check_convergence(graph))
+    report.extend(_backstop_warnings(graph, flow))
     return report

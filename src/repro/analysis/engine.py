@@ -19,11 +19,15 @@ Design points:
 * Third-party checks plug in by calling :func:`register` (or the
   decorator) with a fresh rule id; nothing else needs to change --
   ``repro lint`` and the sweep pre-validator pick them up.
+* What several graph rules need -- the structural scan, the feeder
+  map, the token flow -- is computed at most once per pass, in a
+  :class:`GraphFacts` that lives exactly as long as the pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional
 
 from .diagnostics import Diagnostic, Report, Severity
@@ -31,6 +35,51 @@ from .diagnostics import Diagnostic, Report, Severity
 #: Target kinds a rule may declare.
 TARGET_GRAPH = "graph"
 TARGET_CONFIG = "config"
+
+
+class GraphFacts:
+    """What more than one graph rule asks about the same graph, each
+    answer computed on first use.
+
+    One instance serves one rule pass and is dropped with it: graphs
+    are mutable, so no answer may outlive the call that asked.
+    """
+
+    def __init__(self, graph) -> None:
+        self.graph = graph
+
+    @cached_property
+    def structure_error(self) -> Optional[str]:
+        """``graph.validate()``'s complaint, or None for a sound graph."""
+        try:
+            self.graph.validate()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @property
+    def sound(self) -> bool:
+        return self.structure_error is None
+
+    @cached_property
+    def feeders(self) -> dict[tuple[int, int], list[int]]:
+        """(inst, port) -> producer instruction ids."""
+        fed: dict[tuple[int, int], list[int]] = {}
+        for src, dest in self.graph.edges():
+            fed.setdefault((dest.inst, dest.port), []).append(src)
+        return fed
+
+    @cached_property
+    def entry_ports(self) -> set[tuple[int, int]]:
+        return {(t.inst, t.port) for t in self.graph.entry_tokens}
+
+    @cached_property
+    def flow(self):
+        """The :class:`~repro.analysis.dataflow.TokenFlow` (sound
+        graphs only)."""
+        from .dataflow import analyze_tokens
+
+        return analyze_tokens(self.graph)
 
 
 @dataclass(frozen=True)
@@ -42,9 +91,14 @@ class Rule:
     target: str  # TARGET_GRAPH | TARGET_CONFIG
     check: Callable[..., Iterator[Diagnostic]]
     default_severity: Severity = Severity.ERROR
+    #: Graph rules only: ``check(graph, facts)`` also takes the pass's
+    #: :class:`GraphFacts` instead of recomputing what siblings share.
+    shared: bool = False
 
-    def __call__(self, subject) -> Iterator[Diagnostic]:
-        return self.check(subject)
+    def __call__(self, subject, facts=None) -> Iterator[Diagnostic]:
+        if not self.shared:
+            return self.check(subject)
+        return self.check(subject, facts or GraphFacts(subject))
 
 
 #: Ordered registries; insertion order is evaluation order.
@@ -71,13 +125,15 @@ def rule(
     title: str,
     target: str,
     severity: Severity = Severity.ERROR,
+    shared: bool = False,
 ) -> Callable:
-    """Decorator: register ``check(subject) -> Iterable[Diagnostic]``."""
+    """Decorator: register ``check(subject) -> Iterable[Diagnostic]``
+    (``check(graph, facts)`` when ``shared``, see :class:`Rule`)."""
 
     def decorate(check: Callable) -> Callable:
         register(Rule(
             rule_id=rule_id, title=title, target=target, check=check,
-            default_severity=severity,
+            default_severity=severity, shared=shared,
         ))
         return check
 
@@ -99,11 +155,13 @@ def _select(
     return [r for rid, r in registry.items() if rid not in ignored]
 
 
-def _run_rules(rules: list[Rule], subject, source: str) -> Report:
+def _run_rules(
+    rules: list[Rule], subject, source: str, facts=None
+) -> Report:
     report = Report()
     for rule_obj in rules:
         try:
-            report.extend(rule_obj.check(subject))
+            report.extend(rule_obj(subject, facts))
         except Exception as exc:  # noqa: BLE001 - isolate bad rules
             report.extend([Diagnostic(
                 rule="X000",
@@ -130,7 +188,9 @@ def analyze_graph(
     from . import dataflow, graph_rules  # noqa: F401 - rules register
 
     rules = _select(GRAPH_RULES, only, ignore)
-    return _run_rules(rules, graph, getattr(graph, "name", ""))
+    return _run_rules(
+        rules, graph, getattr(graph, "name", ""), GraphFacts(graph)
+    )
 
 
 def analyze_config(

@@ -20,7 +20,7 @@ from ..isa.graph import DataflowGraph
 from ..isa.opcodes import Opcode
 from ..isa.waves import UNKNOWN, WAVE_END, WAVE_START
 from .diagnostics import Diagnostic, Severity
-from .engine import TARGET_GRAPH, rule
+from .engine import TARGET_GRAPH, GraphFacts, rule
 
 # ----------------------------------------------------------------------
 # Shared helpers
@@ -47,37 +47,15 @@ _TRANSPARENT_OPCODES = frozenset({
 })
 
 
-def _feeders(graph: DataflowGraph) -> dict[tuple[int, int], list[int]]:
-    """(inst, port) -> producer instruction ids."""
-    fed: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for src, dest in graph.edges():
-        fed[(dest.inst, dest.port)].append(src)
-    return fed
-
-
-def _entry_ports(graph: DataflowGraph) -> set[tuple[int, int]]:
-    return {(t.inst, t.port) for t in graph.entry_tokens}
-
-
-def _structurally_sound(graph: DataflowGraph) -> bool:
-    try:
-        graph.validate()
-    except ValueError:
-        return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # G000: structural integrity (delegates to DataflowGraph.validate)
 # ----------------------------------------------------------------------
-@rule("G000", "structural integrity", TARGET_GRAPH)
-def check_structure(graph: DataflowGraph):
-    try:
-        graph.validate()
-    except ValueError as exc:
+@rule("G000", "structural integrity", TARGET_GRAPH, shared=True)
+def check_structure(graph: DataflowGraph, facts: GraphFacts):
+    if not facts.sound:
         yield Diagnostic(
-            rule="G000", severity=Severity.ERROR, message=str(exc),
-            source=graph.name,
+            rule="G000", severity=Severity.ERROR,
+            message=facts.structure_error, source=graph.name,
             hint="the toolchain emitted a corrupt binary; rebuild the "
                  "graph through GraphBuilder",
         )
@@ -86,13 +64,13 @@ def check_structure(graph: DataflowGraph):
 # ----------------------------------------------------------------------
 # G001: never-firing inputs
 # ----------------------------------------------------------------------
-@rule("G001", "never-firing input port", TARGET_GRAPH)
-def check_port_coverage(graph: DataflowGraph):
+@rule("G001", "never-firing input port", TARGET_GRAPH, shared=True)
+def check_port_coverage(graph: DataflowGraph, facts: GraphFacts):
     """Every input port needs a producer or an entry token; otherwise
     the instruction can never fire and the program deadlocks."""
-    if not _structurally_sound(graph):
+    if not facts.sound:
         return
-    fed = set(_feeders(graph)) | _entry_ports(graph)
+    fed = facts.feeders.keys() | facts.entry_ports
     for inst in graph.instructions:
         for port in range(inst.arity):
             if (inst.inst_id, port) not in fed:
@@ -112,12 +90,12 @@ def check_port_coverage(graph: DataflowGraph):
 # G002: unreachable instructions
 # ----------------------------------------------------------------------
 @rule("G002", "unreachable instruction", TARGET_GRAPH,
-      severity=Severity.WARNING)
-def check_reachability(graph: DataflowGraph):
+      severity=Severity.WARNING, shared=True)
+def check_reachability(graph: DataflowGraph, facts: GraphFacts):
     """Instructions no entry token can ever reach are dead code: they
     occupy instruction-store slots (hurting virtualization pressure)
     but can never fire."""
-    if not _structurally_sound(graph) or not graph.entry_tokens:
+    if not facts.sound or not graph.entry_tokens:
         return
     succ: dict[int, set[int]] = defaultdict(set)
     for src, dest in graph.edges():
@@ -153,13 +131,14 @@ def check_reachability(graph: DataflowGraph):
 # ----------------------------------------------------------------------
 # G003: dangling results
 # ----------------------------------------------------------------------
-@rule("G003", "dangling result", TARGET_GRAPH, severity=Severity.WARNING)
-def check_dangling_results(graph: DataflowGraph):
+@rule("G003", "dangling result", TARGET_GRAPH, severity=Severity.WARNING,
+      shared=True)
+def check_dangling_results(graph: DataflowGraph, facts: GraphFacts):
     """A value-producing instruction with no destinations computes a
     result nobody consumes -- almost always a toolchain slip.  NOPs
     are exempt: a destination-less NOP is the builder's deliberate
     discard sink (loop landing pads for unused exit values)."""
-    if not _structurally_sound(graph):
+    if not facts.sound:
         return
     for inst in graph.instructions:
         if inst.opcode in _SINK_OPCODES or inst.opcode is Opcode.NOP:
@@ -190,9 +169,9 @@ def _wave_regions(graph: DataflowGraph) -> dict[int, list]:
     return by_region
 
 
-@rule("G004", "duplicate wave sequence number", TARGET_GRAPH)
-def check_wave_duplicates(graph: DataflowGraph):
-    if not _structurally_sound(graph):
+@rule("G004", "duplicate wave sequence number", TARGET_GRAPH, shared=True)
+def check_wave_duplicates(graph: DataflowGraph, facts: GraphFacts):
+    if not facts.sound:
         return
     for region, anns in _wave_regions(graph).items():
         seen: dict[int, int] = {}
@@ -212,9 +191,9 @@ def check_wave_duplicates(graph: DataflowGraph):
                 seen[ann.this] = inst_id
 
 
-@rule("G005", "dangling wave-order link", TARGET_GRAPH)
-def check_wave_links(graph: DataflowGraph):
-    if not _structurally_sound(graph):
+@rule("G005", "dangling wave-order link", TARGET_GRAPH, shared=True)
+def check_wave_links(graph: DataflowGraph, facts: GraphFacts):
+    if not facts.sound:
         return
     for region, anns in _wave_regions(graph).items():
         valid = {ann.this for _, ann in anns}
@@ -245,12 +224,12 @@ def check_wave_links(graph: DataflowGraph):
                 )
 
 
-@rule("G006", "unorderable memory operation", TARGET_GRAPH)
-def check_wave_orderable(graph: DataflowGraph):
+@rule("G006", "unorderable memory operation", TARGET_GRAPH, shared=True)
+def check_wave_orderable(graph: DataflowGraph, facts: GraphFacts):
     """Each memory op must be orderable: either its predecessor is
     statically known, or another op names it in its ``next`` field
     (a ripple).  Otherwise wave ordering deadlocks at runtime."""
-    if not _structurally_sound(graph):
+    if not facts.sound:
         return
     for region, anns in _wave_regions(graph).items():
         rippled_to = {
@@ -272,9 +251,9 @@ def check_wave_orderable(graph: DataflowGraph):
                 )
 
 
-@rule("G007", "unterminable wave region", TARGET_GRAPH)
-def check_wave_terminable(graph: DataflowGraph):
-    if not _structurally_sound(graph):
+@rule("G007", "unterminable wave region", TARGET_GRAPH, shared=True)
+def check_wave_terminable(graph: DataflowGraph, facts: GraphFacts):
+    if not facts.sound:
         return
     for region, anns in _wave_regions(graph).items():
         if anns and not any(ann.next == WAVE_END for _, ann in anns):
@@ -335,21 +314,20 @@ def _predicate_origin_suspect(
 
 
 @rule("G008", "suspicious steer predicate", TARGET_GRAPH,
-      severity=Severity.WARNING)
-def check_steer_predicates(graph: DataflowGraph):
+      severity=Severity.WARNING, shared=True)
+def check_steer_predicates(graph: DataflowGraph, facts: GraphFacts):
     """STEER predicates should be 0/1 values.  An arithmetic result
     steering data is legal (nonzero = taken) but usually means the
     toolchain wired the wrong operand to the predicate port."""
-    if not _structurally_sound(graph):
+    if not facts.sound:
         return
-    feeders = _feeders(graph)
-    entries = _entry_ports(graph)
     for inst in graph.instructions:
         if inst.opcode not in (Opcode.STEER, Opcode.MERGE):
             continue
         pred_port = 1 if inst.opcode is Opcode.STEER else 2
         suspects = _predicate_origin_suspect(
-            graph, feeders, entries, inst.inst_id, pred_port
+            graph, facts.feeders, facts.entry_ports, inst.inst_id,
+            pred_port,
         )
         for producer in suspects[:4]:
             yield Diagnostic(
@@ -371,14 +349,14 @@ def check_steer_predicates(graph: DataflowGraph):
 # G009: fan-out exceeding PE output bandwidth
 # ----------------------------------------------------------------------
 @rule("G009", "fan-out exceeds output bandwidth", TARGET_GRAPH,
-      severity=Severity.WARNING)
-def check_fanout(graph: DataflowGraph):
+      severity=Severity.WARNING, shared=True)
+def check_fanout(graph: DataflowGraph, facts: GraphFacts):
     """The PE OUTPUT stage sends to at most MAX_FANOUT consumers per
     firing; the toolchain splits wider fan-out through NOP trees.  A
     hand-written binary exceeding the limit serialises its sends."""
     from ..lang.builder import MAX_FANOUT  # local: avoid import cycle
 
-    if not _structurally_sound(graph):
+    if not facts.sound:
         return
     for inst in graph.instructions:
         for kind, dests in (("taken", inst.dests),
@@ -407,14 +385,14 @@ RENDEZVOUS_SKEW_LIMIT = 24
 
 
 @rule("G010", "unbalanced operand rendezvous", TARGET_GRAPH,
-      severity=Severity.WARNING)
-def check_rendezvous_balance(graph: DataflowGraph):
+      severity=Severity.WARNING, shared=True)
+def check_rendezvous_balance(graph: DataflowGraph, facts: GraphFacts):
     """A multi-input instruction whose operands arrive over paths of
     grossly different depth holds a matching-table row for the whole
     skew -- a >2-input chain of such waits is how programs thrash an
     undersized matching table.  Depths are computed over the acyclic
     forward skeleton (loop back-edges ignored)."""
-    if not _structurally_sound(graph) or not graph.entry_tokens:
+    if not facts.sound or not graph.entry_tokens:
         return
     # Earliest arrival depth per (inst, port): BFS from entry tokens,
     # counting instructions on the path.  Each (inst, port) is visited
@@ -460,9 +438,9 @@ def check_rendezvous_balance(graph: DataflowGraph):
 # G011: observability
 # ----------------------------------------------------------------------
 @rule("G011", "no observable outputs", TARGET_GRAPH,
-      severity=Severity.WARNING)
-def check_outputs(graph: DataflowGraph):
-    if not _structurally_sound(graph):
+      severity=Severity.WARNING, shared=True)
+def check_outputs(graph: DataflowGraph, facts: GraphFacts):
+    if not facts.sound:
         return
     if graph.instructions and not graph.output_instruction_ids():
         yield Diagnostic(
