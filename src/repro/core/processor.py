@@ -34,15 +34,16 @@ from .results import SimulationResult
 class WaveScalarProcessor:
     """A configured WaveScalar processor that can execute programs.
 
-    ``backend`` selects the engine driving :meth:`run` (see
+    ``backend`` selects how :meth:`run` drives the engine (see
     :mod:`repro.sim.backends`): ``plain`` (default), ``profiled``
     (auto-attaches a :class:`~repro.obs.PhaseProfile` when the caller
-    did not pass one), or ``batched`` (the lockstep backend at width 1
-    -- single runs gain nothing from it, but the selection point keeps
-    all three engines interchangeable end to end).  Every backend is
-    bit-identical on simulated results; a cell the batched backend
-    cannot take (fault plan, trace, sanitizer, profile attached) falls
-    back to ``plain``, recorded on :attr:`last_backend_fallback`.
+    did not pass one), or ``batched`` (the lockstep scheduler at width
+    1 -- single runs gain nothing from it, but the selection point
+    keeps the three names interchangeable end to end).  All three run
+    the engine's one hot path, so simulated results are identical; a
+    cell with a fault plan, trace, sanitizer or profile attached is
+    run alone under ``batched`` too, the reason recorded on
+    :attr:`last_backend_fallback` as the sweep harness records it.
     """
 
     def __init__(
@@ -152,8 +153,8 @@ class WaveScalarProcessor:
             else:
                 stats = engine.run(strict=strict)
         finally:
-            # The engine is cyclic garbage from here on (its handler
-            # table and store-buffer callbacks are bound methods), and
+            # The engine is cyclic garbage from here on (its hot-path
+            # closures and store-buffer callbacks refer back to it), and
             # a process holding many compiled graphs rarely reaches a
             # full collection: emptying it frees its tables now, by
             # reference count, so peak memory does not grow with the

@@ -1,8 +1,8 @@
 """Fuzzer-driven differential testing.
 
-Five independent oracles ship with this repo -- the reference
-interpreter, the plain and batched engines, the static A-rule bound,
-and the graph linter.  This package generates seeded, reproducible
+Six oracles ship with this repo -- the reference interpreter, the
+engine, the frozen seed engine it was derived from, the lockstep
+scheduler, the static A-rule bound, and the graph linter.  This package generates seeded, reproducible
 programs and holds every oracle to agreement on each one; any
 disagreement is shrunk to a minimal repro and recorded.  See
 DESIGN.md §5j and ``repro fuzz --help``.

@@ -1,21 +1,26 @@
-"""Differential execution: one program, five oracles, zero tolerance.
+"""Differential execution: one program, six oracles, zero tolerance.
 
 For each fuzz program the harness runs
 
 * the reference interpreter (:mod:`repro.lang.interp`) -- golden
   outputs;
-* the plain engine on each probe config -- outputs and SimStats;
-* the batched backend on each probe config -- SimStats must equal the
-  plain engine's field for field;
+* the engine, serially, on each probe config -- outputs and SimStats;
+* the frozen seed engine (``repro.sim._legacy``, the one independent
+  SimStats implementation) on each probe config -- SimStats, or the
+  failure's class, message and diagnostics, must equal the engine's
+  field for field;
+* one lockstep batch over all probe configs of the program, with a
+  quantum small enough that ceilings interrupt every cell mid-run --
+  each cell's verdict must equal its serial one;
 * the A-rule static bound (:func:`repro.analysis.dataflow
   .graph_statics` + ``compute_bound``) -- measured AIPC must never
   exceed it;
 * the graph linter -- generated programs must be error-free.
 
 Any disagreement becomes a :class:`Divergence`.  Floating-point
-comparisons are exact (bit-identity is the contract between backends)
+comparisons are exact (bit-identity is the contract between engines)
 except that NaN is treated as equal to NaN: the generator can
-legitimately manufacture NaNs (inf - inf), and every backend must
+legitimately manufacture NaNs (inf - inf), and every engine must
 produce the *same* NaN-shaped result, which ``==`` alone cannot
 express.
 """
@@ -30,8 +35,10 @@ from ..analysis.lint import lint_graph
 from ..core.config import WaveScalarConfig
 from ..isa.graph import DataflowGraph
 from ..lang.interp import DeadlockError, interpret
+from ..place.snake import place
+from ..sim._legacy.engine import Engine as SeedEngine
 from ..sim.backends import batched_available
-from ..sim.engine import Engine, simulate
+from ..sim.engine import Engine
 from ..sim.failures import (
     CycleBudgetExhausted,
     EventBudgetExhausted,
@@ -51,6 +58,11 @@ PROBE_CONFIGS = (
 MAX_FIRINGS = 2_000_000
 MAX_CYCLES = 2_000_000
 MAX_EVENTS = 5_000_000
+
+#: Lockstep quantum of the batch oracle: recipe programs run for a few
+#: hundred to a few thousand cycles, so this cuts every cell into many
+#: ``_drain`` calls.
+LOCKSTEP_QUANTUM = 64
 
 #: A tiny slack on the bound comparison would hide real soundness
 #: bugs; the bound is computed in exact arithmetic, so none is given.
@@ -90,12 +102,12 @@ def values_equal(a: list, b: list) -> bool:
     return True
 
 
-def _stats_diff(plain: dict, batched: dict) -> Optional[str]:
+def _stats_diff(ours: dict, theirs: dict, other: str) -> Optional[str]:
     """First field where two SimStats dicts disagree, or None."""
-    for key in sorted(set(plain) | set(batched)):
-        x, y = plain.get(key), batched.get(key)
+    for key in sorted(set(ours) | set(theirs)):
+        x, y = ours.get(key), theirs.get(key)
         if x != y and not _nan_equal(x, y):
-            return f"{key}: plain={x!r} batched={y!r}"
+            return f"{key}: serial={x!r} {other}={y!r}"
     return None
 
 
@@ -111,16 +123,31 @@ def _nan_equal(x, y) -> bool:
     return x == y or (x != x and y != y)
 
 
-def _batched_stats(graph: DataflowGraph, config: WaveScalarConfig):
-    """Run one cell under the lockstep backend; returns (stats, error)."""
-    from ..place.snake import place
-    from ..sim.batched.core import BatchedEngine
+def _run(engine) -> tuple:
+    """One engine run as ``(stats, error)``, exactly one of them set."""
+    try:
+        return engine.run(strict=True), None
+    except Exception as exc:  # noqa: BLE001 - the failure is the data
+        return None, exc
 
-    placement = place(graph, config)
-    engine = Engine(graph, config, placement, max_cycles=MAX_CYCLES,
-                    max_events=MAX_EVENTS)
-    outcome = BatchedEngine([engine]).run(strict=True)[0]
-    return outcome.stats, outcome.error
+
+def _verdict_diff(serial: tuple, theirs: tuple, other: str
+                  ) -> Optional[str]:
+    """How ``other``'s ``(stats, error)`` differs from the serial
+    engine's, or None: SimStats field for field when both completed;
+    class, message and diagnostics when both failed."""
+    (stats, error), (their_stats, their_error) = serial, theirs
+    if error is None and their_error is None:
+        return _stats_diff(asdict(stats), asdict(their_stats), other)
+
+    def ending(e):
+        if e is None:
+            return "completed"
+        return (type(e).__name__, str(e), getattr(e, "diagnostics", None))
+    ours, their = ending(error), ending(their_error)
+    if ours != their:
+        return f"serial ended {ours!r} but {other} ended {their!r}"
+    return None
 
 
 def diff_graph(
@@ -132,7 +159,7 @@ def diff_graph(
 ) -> DiffReport:
     """Cross-check one graph against every oracle.
 
-    ``defect`` is a harness-boundary corruption applied to the plain
+    ``defect`` is a harness-boundary corruption applied to the serial
     engine's outputs (see :mod:`repro.fuzz.defects`) -- the seeded-bug
     mechanism that proves the harness and minimizer actually detect a
     broken engine.
@@ -161,36 +188,41 @@ def diff_graph(
     if check_bound and ref is not None:
         statics = graph_statics(graph, name=graph.name)
 
-    for i, config in enumerate(configs):
+    def engine(cls, config, placement):
+        return cls(graph, config, placement, max_cycles=MAX_CYCLES,
+                   max_events=MAX_EVENTS)
+
+    placements = [place(graph, config) for config in configs]
+    serial = []  # one (stats, error) per config
+    for i, (config, placement) in enumerate(zip(configs, placements)):
         label = config.describe()
-        try:
-            stats = simulate(graph, config, max_cycles=MAX_CYCLES,
-                             max_events=MAX_EVENTS)
-        except (CycleBudgetExhausted, EventBudgetExhausted) as exc:
+        verdict = _run(engine(Engine, config, placement))
+        serial.append(verdict)
+        delta = _verdict_diff(
+            verdict, _run(engine(SeedEngine, config, placement)),
+            "seed-engine",
+        )
+        if delta is not None:
+            report.divergences.append(Divergence(
+                "stats", f"serial/seed-engine verdicts differ -- {delta}",
+                config=label,
+            ))
+        stats, exc = verdict
+        if isinstance(exc, (CycleBudgetExhausted, EventBudgetExhausted)):
             # Starved probe configs (index > 0) can genuinely livelock
             # in matching-table thrash -- the paper's non-viable
-            # designs.  That is an explained outcome, but the batched
-            # backend must reproduce the identical failure.  The roomy
-            # primary config must always complete a recipe program.
+            # designs.  That is an explained outcome (the seed engine
+            # and the lockstep batch must reproduce the identical
+            # failure).  The roomy primary config must always complete
+            # a recipe program.
             if i == 0:
                 report.divergences.append(Divergence(
                     "budget",
                     f"primary config exhausted its budget: {exc}",
                     config=label,
                 ))
-            elif check_batched and batched_available():
-                bstats, berror = _batched_stats(graph, config)
-                if berror is None or type(berror) is not type(exc) or \
-                        str(berror) != str(exc):
-                    report.divergences.append(Divergence(
-                        "stats",
-                        f"plain thrashed ({type(exc).__name__}: {exc}) "
-                        f"but batched gave "
-                        f"{type(berror).__name__ if berror else 'stats'}"
-                        f": {berror}", config=label,
-                    ))
             continue
-        except SimulationDeadlock as exc:
+        if isinstance(exc, SimulationDeadlock):
             if ref is not None:
                 report.divergences.append(Divergence(
                     "deadlock",
@@ -198,10 +230,10 @@ def diff_graph(
                     config=label,
                 ))
             continue
-        except Exception as exc:  # engine crash is always reportable
+        if exc is not None:  # engine crash is always reportable
             report.divergences.append(Divergence(
-                "error", f"plain engine raised {type(exc).__name__}: "
-                         f"{exc}", config=label,
+                "error", f"engine raised {type(exc).__name__}: {exc}",
+                config=label,
             ))
             continue
         if ref is None:
@@ -233,19 +265,21 @@ def diff_graph(
                     config=label,
                 ))
 
-        if check_batched and batched_available():
-            bstats, berror = _batched_stats(graph, config)
-            if berror is not None:
+    if check_batched and batched_available():
+        from ..sim.batched import BatchedEngine
+
+        outcomes = BatchedEngine(
+            [engine(Engine, config, placement)
+             for config, placement in zip(configs, placements)],
+            quantum=LOCKSTEP_QUANTUM,
+        ).run(strict=True)
+        for config, verdict, outcome in zip(configs, serial, outcomes):
+            delta = _verdict_diff(
+                verdict, (outcome.stats, outcome.error), "lockstep"
+            )
+            if delta is not None:
                 report.divergences.append(Divergence(
-                    "stats",
-                    f"batched errored where plain completed: "
-                    f"{type(berror).__name__}: {berror}", config=label,
+                    "stats", f"serial/lockstep verdicts differ -- {delta}",
+                    config=config.describe(),
                 ))
-            else:
-                delta = _stats_diff(asdict(stats), asdict(bstats))
-                if delta is not None:
-                    report.divergences.append(Divergence(
-                        "stats", f"plain/batched SimStats differ -- "
-                                 f"{delta}", config=label,
-                    ))
     return report

@@ -1,20 +1,26 @@
 """The engine backend registry.
 
-Three interchangeable ways to drive the cycle-level simulator:
+Three names for driving the cycle-level simulator.  All three run the
+same code -- :class:`~repro.sim.engine.Engine` has one hot path
+(``_begin`` / ``_drain`` / ``_finish``), and hooks are ``is not None``
+tests inside it -- so the names select what is attached and how cells
+share a process, never a different loop:
 
 * ``plain`` -- the default: one :class:`~repro.sim.engine.Engine` per
-  run, the uninstrumented ``_run_plain`` hot loop.
-* ``profiled`` -- the same engine with the ``_run_profiled`` loop twin
-  and a :class:`~repro.obs.profile.PhaseProfile` attached, attributing
-  hot-loop time to pipeline phases.  Simulated results are bit-identical
-  to ``plain`` (the AST twin-sync test enforces it).
-* ``batched`` -- the lockstep multi-cell backend of
-  :mod:`repro.sim.batched`: many cells of the same workload graph run
-  in one process, interleaved cycle-major, with per-cell results
-  bit-identical to ``plain``.  Requires numpy; cells carrying a
-  feature the lockstep loop does not support (fault plans, traces,
-  sanitizers, profiles) fall back to ``plain`` per cell with a
-  recorded reason.
+  run, nothing attached unless the caller attaches it.
+* ``profiled`` -- the same engine with a
+  :class:`~repro.obs.profile.PhaseProfile` attached, attributing
+  hot-loop time to pipeline phases.
+* ``batched`` -- the lockstep scheduler of :mod:`repro.sim.batched`:
+  many cells of the same workload graph in one process (one fork, one
+  warm interpreter, one ledger append per group), interleaved
+  cycle-major, each cell draining the same hot path up to a shared
+  cycle ceiling.  Requires numpy.  The scheduler itself runs cells
+  with hooks attached; the sweep harness and
+  ``WaveScalarProcessor`` nevertheless keep such cells (fault plans,
+  traces, sanitizers, profiles) out of batch groups and record why
+  (:func:`batch_unsupported_reason`), so ledger records do not depend
+  on which cells happened to share a group.
 
 Every user-facing selection point (``WaveScalarProcessor(backend=)``,
 ``repro run --backend``, sweep ``--backend``) funnels through
@@ -89,8 +95,8 @@ def batch_unsupported_reason(
     sanitizer=None,
     profile=None,
 ) -> Optional[str]:
-    """The deterministic reason a cell cannot run under the batched
-    backend, or ``None`` when it can.
+    """The deterministic reason a cell is kept out of batch groups and
+    run alone, or ``None`` when it may join one.
 
     The reasons here depend only on the cell's own definition and the
     environment -- never on scheduling dynamics (batch width, worker

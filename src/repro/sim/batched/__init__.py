@@ -2,10 +2,10 @@
 
 Executes many cells of the same workload graph in one process,
 interleaved cycle-major over a shared frontier (see
-:mod:`repro.sim.batched.core`).  Per-cell simulated results are
-bit-identical to the serial ``plain`` backend; the golden suite in
-``tests/sim/test_batched_backend.py`` proves it for every workload
-against every grid configuration.
+:mod:`repro.sim.batched.core`).  It is a scheduler over the engine's
+one hot path, so per-cell simulated results are those of a serial
+run; ``tests/sim/test_batched_backend.py`` holds that for every
+workload, with quanta that interrupt each cell mid-run.
 """
 
 from .core import (

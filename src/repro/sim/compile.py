@@ -41,6 +41,7 @@ from typing import Optional
 
 from ..isa.graph import DataflowGraph
 from ..isa.opcodes import Opcode
+from ..isa.semantics import evaluator_for
 from ..workloads.base import Scale
 
 __all__ = [
@@ -115,6 +116,7 @@ class CompiledGraph:
         "false_dests",
         "immediate",
         "rows",
+        "evaluators",
     )
 
     def __init__(self, graph: DataflowGraph) -> None:
@@ -148,6 +150,12 @@ class CompiledGraph:
                 self.false_dests[n],
             )
             for n in range(len(insts))
+        )
+        # One resolved EXECUTE callable per instruction, so the
+        # opcode's semantics are looked up once per graph instead of
+        # once per dynamic instruction (or once per run).
+        self.evaluators = tuple(
+            evaluator_for(i.opcode, i.immediate) for i in insts
         )
 
     def __len__(self) -> int:

@@ -13,17 +13,31 @@ idle tiles of a 512-PE configuration cost nothing.  All latencies and
 bandwidths come from :class:`~repro.core.config.WaveScalarConfig`
 (paper Table 1).
 
-Hot-path engineering (the golden-stats suite proves every item below
-changes no simulated result):
+There is one hot path.  :meth:`Engine._drain` is the only event
+loop, with the token arrival + matching probe inlined in it once
+(serving single tokens, same-cycle token batches and the replay after
+an instruction fetch); :meth:`Engine._make_dispatch` and
+:meth:`Engine._make_deliver` build the run's DISPATCH/EXECUTE and
+OUTPUT stages as closures over state hoisted once per run.  Whatever
+the caller attached before ``run()`` -- trace, sanitizer, fault plan,
+:class:`~repro.obs.profile.PhaseProfile` -- is served from that same
+code through ``if hook is not None:`` tests on locals; nothing is
+installed, shadowed or selected.  The lockstep backend
+(:mod:`repro.sim.batched`) calls the same ``_begin`` / ``_drain`` /
+``_finish`` with a cycle ceiling.
 
-* Calendar entries carry the integer tags of :mod:`repro.sim.events`
-  and dispatch through ``self._handlers``, a bound-method table built
-  once in ``__init__`` -- one tuple index instead of a string-compare
-  chain per event.
+Hot-path engineering (the golden-stats suite proves against the frozen
+seed engine in ``repro.sim._legacy`` that none of it changes a
+simulated result):
+
+* Calendar entries carry the integer tags of :mod:`repro.sim.events`;
+  the loop handles token tags inline and dispatches the rest through
+  ``self._handlers``, a table built once per run.
 * Per-instruction decode comes from a :class:`~repro.sim.compile
-  .CompiledGraph` (flat tuples indexed by ``inst_id``), built on
-  demand or passed in pre-built so sweeps pay for decoding once per
-  workload instead of once per run.
+  .CompiledGraph` (flat tuples indexed by ``inst_id``, plus one
+  resolved evaluator per instruction), built on demand or passed in
+  pre-built so sweeps pay for decoding once per workload instead of
+  once per run.
 * Same-cycle token fan-outs post as one ``EV_TOKEN_BATCH`` calendar
   entry; the loop unpacks them token by token, charging the event
   budget per token, so heap traffic shrinks but ``events_processed``,
@@ -32,6 +46,10 @@ changes no simulated result):
   in a busy run), so ordering costs two dict/list operations per
   event plus one heap operation per *cycle*, not two heap operations
   per event.
+* The hottest counters live in locals and closure cells and reach
+  ``self.stats`` on every exit from ``_drain``; nothing reads them
+  mid-drain (failure diagnostics snapshot the horizon and queue
+  depths only).
 
 Architectural results (OUTPUT values, final memory) are bit-identical
 to the reference interpreter; the integration suite asserts this for
@@ -40,13 +58,13 @@ every workload.
 
 from __future__ import annotations
 
+import sys
 import time
 from heapq import heappop, heappush
 from typing import Optional
 
 from ..core.config import WaveScalarConfig
 from ..isa.graph import DataflowGraph
-from ..isa.semantics import evaluate, steer_taken
 from ..isa.token import Value
 from ..place.placement import Placement
 from .compile import (
@@ -80,9 +98,12 @@ from .failures import (
 from .memory.hierarchy import MemoryHierarchy
 from .network.topology import BandwidthLedger, Interconnect
 from .pe.istore import InstructionStore
-from .pe.matching import MatchingTable
+from .pe.matching import MatchRow, MatchingTable
 from .stats import SimStats
 from .storebuffer.storebuffer import MemOp, StoreBuffer
+
+#: ``_drain`` ceiling of a run that is not sharing the interpreter.
+NO_CEILING = sys.maxsize
 
 __all__ = [
     "Engine",
@@ -97,10 +118,6 @@ __all__ = [
 
 class Engine:
     """One simulation run; construct and call :meth:`run`."""
-
-    #: ALU/FPU evaluation, indirected so :meth:`_install_profile_hooks`
-    #: can shadow it per instance with an "execute"-phase wrapper.
-    _evaluate = staticmethod(evaluate)
 
     def __init__(
         self,
@@ -218,17 +235,7 @@ class Engine:
         # ever post at or after the cycle being processed, so draining
         # the earliest bucket in insertion order replays exactly the
         # (cycle, seq) order of a flat event heap -- at two dict/list
-        # ops per event instead of two O(log n) heap ops.  The loop
-        # dispatches through this bound-method table (EV_TOKEN_BATCH
-        # is unpacked inline).
-        self._handlers = (
-            self._on_token,
-            self._on_dispatch,
-            self._on_sbaddr,
-            self._on_sbdata,
-            self._on_ifetch,
-            self._on_retire,
-        )
+        # ops per event instead of two O(log n) heap ops.
         self._buckets: dict[int, list] = {}
         self._cycle_heap: list = []
         self._horizon = 0  # latest activity time seen
@@ -249,12 +256,9 @@ class Engine:
 
         #: Optional hot-loop profiler (repro.obs.profile.PhaseProfile);
         #: attach before run() for per-phase cycle attribution
-        #: (input/match/dispatch/execute/deliver/memory).  None runs
-        #: the uninstrumented loop twin (_run_plain) with the profiled
-        #: wrappers never installed, so the disabled path carries no
-        #: hook code at all (benchmark-enforced <2% overhead).
+        #: (input/match/dispatch/execute/deliver/memory).  None costs
+        #: one local ``is not None`` test per hook site.
         self.profile = None
-        self._prof = None
 
         #: Optional fault-injection plan (repro.harness.faults
         #: .FaultPlan, duck-typed so the simulator stays free of
@@ -339,8 +343,15 @@ class Engine:
     # Main loop
     # ==================================================================
     def run(self, strict: bool = True) -> SimStats:
+        self._begin()
+        return self._finish(self._drain(NO_CEILING, 0), strict)
+
+    def _begin(self) -> None:
+        """Start the run: apply the fault plan's budget clamps, seed
+        the calendar with the entry tokens, and build this run's
+        DISPATCH and OUTPUT stages around whatever hooks the caller
+        attached."""
         faults = self.faults
-        fault_sleep = 0.0
         if faults is not None:
             # Budget starvation: a fault plan may clamp the budgets to
             # force the exhaustion paths deterministically.
@@ -348,30 +359,32 @@ class Engine:
                 self.max_cycles = faults.max_cycles
             if faults.max_events is not None:
                 self.max_events = faults.max_events
-            fault_sleep = faults.wall_sleep_per_event_s
+        pe_of = self._pe_of
         for token in self.graph.entry_tokens:
-            pe = self.placement.pe_of[token.inst]
             self._post(
                 0, EV_TOKEN,
-                (pe, token.thread, token.wave, token.inst, token.port,
-                 token.value, False),
+                (pe_of[token.inst], token.thread, token.wave, token.inst,
+                 token.port, token.value, False),
             )
         if self.sanitizer is not None:
             self.sanitizer.note_entry(len(self.graph.entry_tokens))
-        buckets = self._buckets
-        max_events = self.max_events
-        prof = self._prof = self.profile
-        if prof is None:
-            processed = self._run_plain(buckets, max_events, fault_sleep)
-        else:
-            self._install_profile_hooks(prof)
-            try:
-                processed = self._run_profiled(
-                    buckets, max_events, fault_sleep, prof
-                )
-            finally:
-                self._uninstall_profile_hooks()
+        # DISPATCH calls OUTPUT, so delivery is built first.
+        self._deliver, flush_deliver = self._make_deliver()
+        on_dispatch, flush_dispatch = self._make_dispatch()
+        self._flushes = (flush_deliver, flush_dispatch)
+        # Indexed by event tag.  Token tags and EV_IFETCH (which
+        # replays parked tokens) are handled inline by _drain.
+        self._handlers = (
+            None,
+            on_dispatch,
+            self._on_sbaddr,
+            self._on_sbdata,
+            None,
+            self._on_retire,
+        )
 
+    def _finish(self, processed: int, strict: bool) -> SimStats:
+        """Final accounting once the calendar has drained."""
         self.stats.cycles = self._horizon
         self._events_processed = processed
         self.stats.events_processed = processed
@@ -387,187 +400,391 @@ class Engine:
         self.stats.events_processed = processed
         return self.failure_diagnostics()
 
-    def _run_plain(self, buckets, max_events: int,
-                   fault_sleep: float) -> int:
-        """The hot loop with zero instrumentation code.
+    def _events_exhausted(self, cycle: int, bucket: list, index: int,
+                          batch_index: int, processed: int,
+                          horizon: int) -> EventBudgetExhausted:
+        """The event-budget failure for the entry in flight, with the
+        bucket tail back on the calendar and ``horizon`` (the loop's
+        local running max) folded in so the diagnostics see it."""
+        self._note_time(horizon)
+        self._requeue_bucket(cycle, bucket, index, batch_index)
+        return EventBudgetExhausted(
+            f"{self.graph.name}: exceeded {self.max_events} events at "
+            f"cycle {cycle} (thrashing)",
+            self._budget_stop(processed),
+        )
 
-        :meth:`_run_profiled` is its twin with phase attribution; the
-        two must stay semantically identical --
-        ``tests/obs/test_profile.py`` asserts their ASTs match once
-        the profiling statements are stripped.
+    def _drain(self, ceiling: int, processed: int) -> int:
+        """The event loop: process calendar buckets through cycle
+        ``ceiling`` and return the updated event count (``processed``
+        is the count so far; a lockstep batch drains one quantum at a
+        time and passes it back in).
 
         Drains one cycle bucket at a time in insertion (= posting)
-        order, dispatching through the bound-method table by integer
-        tag; ``EV_TOKEN_BATCH`` entries unpack inline with the event
-        budget charged per token, exactly as if each token were its
-        own calendar entry.  Same-cycle events posted by a handler
-        land in a fresh bucket for this cycle and drain on the next
-        outer iteration -- after the current bucket, which is the
-        sequence order a flat heap would have given them.
-        """
-        max_cycles = self.max_cycles
-        handlers = self._handlers
-        cycle_heap = self._cycle_heap
-        heap_pop = heappop
-        token_batch = EV_TOKEN_BATCH
-        processed = 0
-        while cycle_heap:
-            cycle = heap_pop(cycle_heap)
-            bucket = buckets.pop(cycle)
-            if cycle > max_cycles:
-                self._requeue_bucket(cycle, bucket, 0, 0)
-                raise CycleBudgetExhausted(
-                    f"{self.graph.name}: exceeded {max_cycles} cycles",
-                    self._budget_stop(processed),
-                )
-            index = 0
-            for tag, payload in bucket:
-                if tag != token_batch:
-                    processed += 1
-                    if processed > max_events:
-                        self._requeue_bucket(cycle, bucket, index, 0)
-                        raise EventBudgetExhausted(
-                            f"{self.graph.name}: exceeded {max_events} "
-                            f"events at cycle {cycle} (thrashing)",
-                            self._budget_stop(processed),
-                        )
-                    if fault_sleep:
-                        time.sleep(fault_sleep)
-                    if cycle > self._horizon:
-                        self._horizon = cycle
-                    handlers[tag](cycle, payload)
-                else:
-                    on_token = handlers[0]
-                    batch_index = 0
-                    for item in payload:
-                        processed += 1
-                        if processed > max_events:
-                            self._requeue_bucket(
-                                cycle, bucket, index, batch_index
-                            )
-                            raise EventBudgetExhausted(
-                                f"{self.graph.name}: exceeded "
-                                f"{max_events} events at cycle {cycle} "
-                                "(thrashing)",
-                                self._budget_stop(processed),
-                            )
-                        if fault_sleep:
-                            time.sleep(fault_sleep)
-                        if cycle > self._horizon:
-                            self._horizon = cycle
-                        on_token(cycle, item)
-                        batch_index += 1
-                index += 1
-        return processed
+        order.  Same-cycle events posted meanwhile land in a fresh
+        bucket for this cycle and drain on the next outer iteration --
+        after the current bucket, which is the sequence order a flat
+        heap would have given them.
 
-    def _run_profiled(self, buckets, max_events: int, fault_sleep: float,
-                      prof) -> int:
-        """:meth:`_run_plain` with per-event phase attribution (the
-        finer match/execute/deliver spans come from the wrappers that
-        :meth:`_install_profile_hooks` shadowed in)."""
-        max_cycles = self.max_cycles
-        handlers = self._handlers
+        The INPUT and MATCH stages are inlined here, once: an
+        ``EV_TOKEN`` entry is a batch of one, an ``EV_TOKEN_BATCH``
+        entry unpacks with the event budget charged per token exactly
+        as if each token were its own calendar entry, and a completed
+        ``EV_IFETCH`` replays its parked tokens through the same body
+        uncharged (they were charged on arrival).  The matching probe
+        is :meth:`MatchingTable.insert` inlined -- every table of one
+        engine shares its hash geometry, hoisted below -- and must
+        stay semantically identical to it.
+        """
+        buckets = self._buckets
         cycle_heap = self._cycle_heap
+        max_cycles = self.max_cycles
+        max_events = self.max_events
+        handlers = self._handlers
         heap_pop = heappop
+        heap_push = heappush
+        ev_token = EV_TOKEN
         token_batch = EV_TOKEN_BATCH
-        processed = 0
-        while cycle_heap:
-            cycle = heap_pop(cycle_heap)
-            bucket = buckets.pop(cycle)
-            if cycle > max_cycles:
-                self._requeue_bucket(cycle, bucket, 0, 0)
-                raise CycleBudgetExhausted(
-                    f"{self.graph.name}: exceeded {max_cycles} cycles",
-                    self._budget_stop(processed),
-                )
-            index = 0
-            for tag, payload in bucket:
-                if tag != token_batch:
-                    processed += 1
-                    if processed > max_events:
-                        self._requeue_bucket(cycle, bucket, index, 0)
-                        raise EventBudgetExhausted(
-                            f"{self.graph.name}: exceeded {max_events} "
-                            f"events at cycle {cycle} (thrashing)",
-                            self._budget_stop(processed),
-                        )
-                    if fault_sleep:
-                        time.sleep(fault_sleep)
-                    if cycle > self._horizon:
-                        self._horizon = cycle
-                    prof.push(_TAG_PHASE[tag])
-                    handlers[tag](cycle, payload)
-                    prof.pop()
-                else:
-                    on_token = handlers[0]
-                    batch_index = 0
-                    for item in payload:
+        ev_dispatch = EV_DISPATCH
+        ev_ifetch = EV_IFETCH
+        tag_phase = _TAG_PHASE
+        match_row = MatchRow
+
+        # Whatever the caller attached; None for each that is absent.
+        trace = self.trace
+        sanitizer = self.sanitizer
+        prof = self.profile
+        fault_sleep = 0.0 if self.faults is None \
+            else self.faults.wall_sleep_per_event_s
+
+        stats = self.stats
+        istores = self.istores
+        matching = self.matching
+        ifetch = self._ifetch
+        post_tokens = self._post_tokens
+        d_is_store = self._d_is_store
+        d_arity = self._d_arity
+        d_slot = self._d_slot
+        match_delay = self._match_delay
+        spec_fire = self._spec_fire
+        overflow_penalty = self._overflow_penalty
+        istore_penalty = self._istore_penalty
+
+        # Matching-table hash geometry: identical for every PE's table
+        # (all are built from the one config), hoisted from table 0.
+        t0 = matching[0]
+        mt_k = t0.hash_k
+        mt_groups = t0._groups
+        mt_sets = t0.sets
+        mt_banks = t0.banks
+        mt_assoc = t0.associativity
+
+        # Per-PE over-subscription flags (fixed at construction) as one
+        # flat list: the common case skips the InstructionStore object
+        # entirely.
+        istore_over = [s.over_subscribed for s in istores]
+
+        # The activity horizon as a local running max.  Dispatch and
+        # memory handlers keep writing ``self._horizon`` directly; the
+        # true horizon is the max of both, restored on every exit and
+        # -- because ``_budget_stop`` reads it -- before each budget
+        # raise.
+        horizon = self._horizon
+
+        istore_hits = istore_misses = input_rejects = 0
+        matching_inserts = matching_misses = matching_evictions = 0
+        speculative_hits = 0
+
+        try:
+            while cycle_heap and cycle_heap[0] <= ceiling:
+                cycle = heap_pop(cycle_heap)
+                bucket = buckets.pop(cycle)
+                if cycle > max_cycles:
+                    self._note_time(horizon)
+                    self._requeue_bucket(cycle, bucket, 0, 0)
+                    raise CycleBudgetExhausted(
+                        f"{self.graph.name}: exceeded {max_cycles} cycles",
+                        self._budget_stop(processed),
+                    )
+                for index, (tag, payload) in enumerate(bucket):
+                    if tag == ev_token:
+                        tokens = (payload,)
+                    elif tag == token_batch:
+                        tokens = payload
+                    else:
                         processed += 1
                         if processed > max_events:
-                            self._requeue_bucket(
-                                cycle, bucket, index, batch_index
-                            )
-                            raise EventBudgetExhausted(
-                                f"{self.graph.name}: exceeded "
-                                f"{max_events} events at cycle {cycle} "
-                                "(thrashing)",
-                                self._budget_stop(processed),
+                            raise self._events_exhausted(
+                                cycle, bucket, index, 0, processed, horizon
                             )
                         if fault_sleep:
                             time.sleep(fault_sleep)
-                        if cycle > self._horizon:
-                            self._horizon = cycle
-                        prof.push(_TAG_PHASE[tag])
-                        on_token(cycle, item)
+                        if cycle > horizon:
+                            horizon = cycle
+                        if prof is not None:
+                            prof.push(tag_phase[tag])
+                        if tag != ev_ifetch:
+                            handlers[tag](cycle, payload)
+                            if prof is not None:
+                                prof.pop()
+                            continue
+                        # An instruction fetch completed: bind it and
+                        # replay the tokens that were waiting on it.
+                        # The instruction cannot be evicted before
+                        # they are processed: eviction only happens on
+                        # a fill, and fills happen in later events.
+                        pe, inst_id = payload
+                        istores[pe].fill(inst_id)
+                        if trace is not None:
+                            trace.emit(cycle, "ifetch", pe, inst_id, -1, -1)
+                        tokens = ifetch.pop(payload, ())
+                    charged = tag != ev_ifetch
+                    first = processed + 1
+                    for payload in tokens:
+                        if charged:
+                            # One "input" span per charged token: close
+                            # the previous token's, open this one's.
+                            if prof is not None and processed >= first:
+                                prof.pop()
+                            processed += 1
+                            if processed > max_events:
+                                raise self._events_exhausted(
+                                    cycle, bucket, index, processed - first,
+                                    processed, horizon,
+                                )
+                            if fault_sleep:
+                                time.sleep(fault_sleep)
+                            if cycle > horizon:
+                                horizon = cycle
+                            if prof is not None:
+                                prof.push("input")
+                        pe, thread, wave, inst_id, port, value, local = \
+                            payload
+                        # Instruction-store residency check
+                        # (re-binding on demand).
+                        if istore_over[pe]:
+                            if not istores[pe].hit(inst_id):
+                                key = (pe, inst_id)
+                                queue = ifetch.get(key)
+                                if queue is None:
+                                    # Start the fetch; tokens park
+                                    # until it completes.
+                                    ifetch[key] = [payload]
+                                    istore_misses += 1
+                                    at = cycle + istore_penalty
+                                    b = buckets.get(at)
+                                    if b is None:
+                                        buckets[at] = [(ev_ifetch, key)]
+                                        heap_push(cycle_heap, at)
+                                    else:
+                                        b.append((ev_ifetch, key))
+                                else:
+                                    queue.append(payload)
+                                continue
+                            istore_hits += 1
+
+                        # Store decoupling: STORE operands go
+                        # straight to DISPATCH, one message each,
+                        # no matching rendezvous (Section 3.3.1).
+                        if d_is_store[inst_id]:
+                            delay = 0 if (local and spec_fire) \
+                                else match_delay
+                            at = cycle + delay
+                            item = (ev_dispatch,
+                                    (pe, thread, wave, inst_id,
+                                     (port, value)))
+                            b = buckets.get(at)
+                            if b is None:
+                                buckets[at] = [item]
+                                heap_push(cycle_heap, at)
+                            else:
+                                b.append(item)
+                            continue
+
+                        # --- MatchingTable.insert, inlined ---
+                        if prof is not None:
+                            prof.push("match")
+                        table = matching[pe]
+                        slot = d_slot[inst_id]
+                        if mt_groups >= 1:
+                            set_idx = (slot % mt_groups) * mt_k \
+                                + (wave % mt_k)
+                        else:
+                            set_idx = (slot + wave) % mt_sets
+                        if cycle != table._bank_cycle:
+                            table._bank_cycle = cycle
+                            used = table._bank_used = {}
+                        else:
+                            used = table._bank_used
+                        bank = set_idx % mt_banks
+                        if bank in used:
+                            # Bank conflict: the sender retries
+                            # next cycle.
+                            if prof is not None:
+                                prof.pop()
+                            input_rejects += 1
+                            if trace is not None:
+                                trace.emit(cycle, "reject", pe,
+                                           inst_id, thread, wave)
+                            at = cycle + 1
+                            b = buckets.get(at)
+                            if b is None:
+                                buckets[at] = [(ev_token, payload)]
+                                heap_push(cycle_heap, at)
+                            else:
+                                b.append((ev_token, payload))
+                            continue
+                        used[bank] = 1
+                        matching_inserts += 1
+                        arity = d_arity[inst_id]
+                        tkey = (thread, wave, inst_id)
+                        rows = table._rows
+                        row = rows.get(tkey)
+                        if row is not None:
+                            ports = row.ports
+                            ports[port] = value
+                            row.last_use = cycle
+                            fired = len(ports) >= arity
+                            if fired:
+                                del rows[tkey]
+                                table._by_set[set_idx].remove(row)
+                        else:
+                            ways = table._by_set.setdefault(set_idx, [])
+                            if len(ways) >= mt_assoc:
+                                # Oldest-first priority under
+                                # thrashing: rank instances by
+                                # (wave, thread, inst); evict the
+                                # youngest resident row, or deflect
+                                # the incoming token if it is
+                                # itself the youngest.
+                                matching_misses += 1
+                                victim = ways[0]
+                                vk = victim.key
+                                vbest = (vk[1], vk[0], vk[2])
+                                for r in ways:
+                                    rk = r.key
+                                    rp = (rk[1], rk[0], rk[2])
+                                    if rp > vbest:
+                                        vbest = rp
+                                        victim = r
+                                if (wave, thread, inst_id) >= vbest:
+                                    # The token itself takes the
+                                    # overflow round trip.
+                                    if prof is not None:
+                                        prof.pop()
+                                    if trace is not None:
+                                        trace.emit(
+                                            cycle, "input", pe, inst_id,
+                                            thread, wave,
+                                            f"port {port} = {value!r}",
+                                        )
+                                        trace.emit(
+                                            cycle, "overflow", pe,
+                                            inst_id, thread, wave,
+                                            "deflected",
+                                        )
+                                    if sanitizer is not None:
+                                        sanitizer.note_table_size(
+                                            pe, len(rows), table.entries
+                                        )
+                                    at = cycle + overflow_penalty
+                                    item = (ev_token,
+                                            (pe, thread, wave, inst_id,
+                                             port, value, False))
+                                    b = buckets.get(at)
+                                    if b is None:
+                                        buckets[at] = [item]
+                                        heap_push(cycle_heap, at)
+                                    else:
+                                        b.append(item)
+                                    continue
+                                # Victim tokens take a round trip
+                                # through the in-memory overflow
+                                # table and re-arrive later (all
+                                # at the same cycle: one batch
+                                # entry).
+                                matching_evictions += 1
+                                vk = victim.key
+                                del rows[vk]
+                                ways.remove(victim)
+                                post_tokens(
+                                    cycle + overflow_penalty,
+                                    [
+                                        (pe, vk[0], vk[1], vk[2],
+                                         vport, vvalue, False)
+                                        for vport, vvalue in
+                                        victim.ports.items()
+                                    ],
+                                )
+                            fired = arity <= 1
+                            if fired:
+                                # Single-operand fire: the row
+                                # would be read once and discarded,
+                                # so skip constructing it.
+                                ports = {port: value}
+                            else:
+                                row = match_row(tkey, {port: value},
+                                                cycle)
+                                rows[tkey] = row
+                                ways.append(row)
+                        if prof is not None:
+                            prof.pop()
+                        # --- end of the inlined insert ---
+                        if trace is not None:
+                            trace.emit(cycle, "input", pe, inst_id,
+                                       thread, wave,
+                                       f"port {port} = {value!r}")
+                        if sanitizer is not None:
+                            sanitizer.note_table_size(
+                                pe, len(rows), table.entries
+                            )
+                        if not fired:
+                            continue
+
+                        # Arity-specialised operand gather (2 then
+                        # 1 cover all but the predicate-merge
+                        # cases).
+                        if arity == 2:
+                            operands = (ports[0], ports[1])
+                        elif arity == 1:
+                            operands = (ports[0],)
+                        else:
+                            operands = tuple(
+                                ports[p] for p in range(arity)
+                            )
+                        delay = 0 if (local and spec_fire) \
+                            else match_delay
+                        if delay == 0:
+                            speculative_hits += 1
+                        if trace is not None:
+                            trace.emit(
+                                cycle, "match", pe, inst_id, thread, wave,
+                                "speculative" if delay == 0 else "",
+                            )
+                        at = cycle + delay
+                        item = (ev_dispatch,
+                                (pe, thread, wave, inst_id, operands))
+                        b = buckets.get(at)
+                        if b is None:
+                            buckets[at] = [item]
+                            heap_push(cycle_heap, at)
+                        else:
+                            b.append(item)
+                    if prof is not None:
+                        # The last token's span, or the fetch event's.
                         prof.pop()
-                        batch_index += 1
-                index += 1
+        finally:
+            self._note_time(horizon)
+            stats.istore_hits += istore_hits
+            stats.istore_misses += istore_misses
+            stats.input_rejects += input_rejects
+            stats.matching_inserts += matching_inserts
+            stats.matching_misses += matching_misses
+            stats.matching_evictions += matching_evictions
+            stats.speculative_hits += speculative_hits
+            for flush in self._flushes:
+                flush()
         return processed
-
-    def _install_profile_hooks(self, prof) -> None:
-        """Shadow the hot-path callees with profiled wrappers.
-
-        The shadows are *instance* attributes (and, for the matching
-        tables, per-table attributes), so with profiling off the
-        handlers run the original methods with no hook code at all --
-        the <2% overhead contract of :mod:`repro.obs.profile` holds by
-        construction.
-        """
-        deliver = self._deliver
-
-        def profiled_deliver(*args, **kwargs):
-            prof.push("deliver")
-            try:
-                deliver(*args, **kwargs)
-            finally:
-                prof.pop()
-
-        self._deliver = profiled_deliver
-
-        def profiled_evaluate(opcode, operands, immediate):
-            prof.push("execute")
-            try:
-                return evaluate(opcode, operands, immediate)
-            finally:
-                prof.pop()
-
-        self._evaluate = profiled_evaluate
-
-        for table in self.matching:
-            def profiled_insert(*args, _insert=table.insert, **kwargs):
-                prof.push("match")
-                try:
-                    return _insert(*args, **kwargs)
-                finally:
-                    prof.pop()
-
-            table.insert = profiled_insert
-
-    def _uninstall_profile_hooks(self) -> None:
-        self.__dict__.pop("_deliver", None)
-        self.__dict__.pop("_evaluate", None)
-        for table in self.matching:
-            table.__dict__.pop("insert", None)
 
     def failure_diagnostics(self) -> FailureDiagnostics:
         """A structured snapshot of buffered work, attached to every
@@ -629,209 +846,272 @@ class Engine:
             )
 
     # ==================================================================
-    # Token arrival (INPUT + MATCH stages)
+    # DISPATCH + EXECUTE
     # ==================================================================
-    def _on_token(self, cycle: int, payload: tuple) -> None:
-        pe, thread, wave, inst_id, port, value, local = payload
+    def _make_dispatch(self):
+        """Build this run's ``EV_DISPATCH`` handler; returns it with
+        the function that flushes its counters into ``self.stats``."""
+        d_row = self._d_row
+        d_eval = self.decoded.evaluators
+        dispatch_ports = self._dispatch
+        fpu = self._fpu
+        pes_per_domain = self._pes_per_domain
         stats = self.stats
+        outputs = stats.outputs
+        deliver = self._deliver
+        send_memory = self._send_memory_request
+        advance_wave = self._advance_wave
         trace = self.trace
-        # Instruction-store residency check (re-binding on demand).
-        istore = self.istores[pe]
-        if istore.over_subscribed:
-            if not istore.hit(inst_id):
-                key = (pe, inst_id)
-                queue = self._ifetch.get(key)
-                if queue is None:
-                    # Start the fetch; tokens park until it completes.
-                    self._ifetch[key] = [payload]
-                    stats.istore_misses += 1
-                    self._post(
-                        cycle + self._istore_penalty, EV_IFETCH, key
-                    )
+        sanitizer = self.sanitizer
+        prof = self.profile
+        # Every PE dispatch port and per-domain FPU is a
+        # ``BandwidthLedger(1)``; the inlined reserves below hard-code
+        # that width (a slot is free exactly when its cycle is absent).
+        assert all(ledger.per_cycle == 1 for ledger in dispatch_ports)
+        assert all(ledger.per_cycle == 1 for ledger in fpu)
+        n_dispatches = 0
+        n_dynamic = 0
+        n_alpha = 0
+
+        def on_dispatch(cycle, payload):
+            nonlocal n_dispatches, n_dynamic, n_alpha
+            pe, thread, wave, inst_id, operands = payload
+            (opcode, kind, arity, latency, uses_fpu, alpha, imm, dests,
+             false_dests) = d_row[inst_id]
+            used = dispatch_ports[pe]._used
+            granted = cycle
+            while granted in used:
+                granted += 1
+            used[granted] = 1
+            exec_start = granted + 1
+            if uses_fpu:
+                f_used = fpu[pe // pes_per_domain]._used
+                while exec_start in f_used:
+                    exec_start += 1
+                f_used[exec_start] = 1
+            done = exec_start + latency
+            if done > self._horizon:
+                self._horizon = done
+            n_dispatches += 1
+            if sanitizer is not None:
+                # STORE halves dispatch decoupled, one operand each;
+                # every other opcode consumes its full matched operand
+                # set.
+                sanitizer.note_consumed(1 if kind == K_STORE else arity)
+            if trace is not None:
+                trace.emit(granted, "dispatch", pe, inst_id, thread, wave,
+                           opcode.name)
+                trace.emit(done, "execute", pe, inst_id, thread, wave)
+
+            # STORE: a decoupled half-operation
+            # (operands == (port, value)).
+            if kind == K_STORE:
+                port, value = operands
+                if port == 0:
+                    n_dynamic += 1
+                    n_alpha += 1
+                    send_memory(pe, thread, wave, inst_id, value, done,
+                                is_data=False)
                 else:
-                    queue.append(payload)
+                    send_memory(pe, thread, wave, inst_id, value, done,
+                                is_data=True)
                 return
-            stats.istore_hits += 1
 
-        # Store decoupling: STORE operands go straight to DISPATCH, one
-        # message each, no matching rendezvous (Section 3.3.1).
-        if self._d_is_store[inst_id]:
-            delay = 0 if (local and self._spec_fire) \
-                else self._match_delay
-            self._post(
-                cycle + delay, EV_DISPATCH,
-                (pe, thread, wave, inst_id, (port, value)),
-            )
-            return
+            n_dynamic += 1
+            if alpha:
+                n_alpha += 1
 
-        table = self.matching[pe]
-        arity = self._d_arity[inst_id]
-        result = table.insert(
-            (thread, wave, inst_id), port, value,
-            self._d_slot[inst_id], arity, cycle
-        )
-        if not result.accepted:
-            # Bank conflict: the sender retries next cycle.
-            stats.input_rejects += 1
-            if trace is not None:
-                trace.emit(cycle, "reject", pe, inst_id, thread, wave)
-            self._post(cycle + 1, EV_TOKEN, payload)
-            return
+            if kind == K_ALU:  # the hottest case: plain ALU evaluation
+                if prof is None:
+                    value = d_eval[inst_id](operands)
+                else:
+                    prof.push("execute")
+                    value = d_eval[inst_id](operands)
+                    prof.pop()
+                deliver(pe, dests, thread, wave, value, done,
+                        bypass_from=granted)
+                return
 
-        if trace is not None:
-            trace.emit(cycle, "input", pe, inst_id, thread, wave,
-                       f"port {port} = {value!r}")
-        stats.matching_inserts += 1
-        if self.sanitizer is not None:
-            self.sanitizer.note_table_size(pe, len(table), table.entries)
-        if result.miss:
-            stats.matching_misses += 1
-        if result.deflected:
-            # The token itself takes the overflow round trip.
-            if trace is not None:
-                trace.emit(cycle, "overflow", pe, inst_id, thread,
-                           wave, "deflected")
-            self._post(
-                cycle + self._overflow_penalty, EV_TOKEN,
-                (pe, thread, wave, inst_id, port, value, False),
-            )
-            return
-        if result.evicted is not None:
-            # Victim tokens take a round trip through the in-memory
-            # overflow table and re-arrive later (all at the same
-            # cycle: one batch entry).
-            stats.matching_evictions += 1
-            v = result.evicted
-            vkey = v.key
-            self._post_tokens(
-                cycle + self._overflow_penalty,
-                [
-                    (pe, vkey[0], vkey[1], vkey[2], vport, vvalue, False)
-                    for vport, vvalue in v.ports.items()
-                ],
-            )
-        row = result.fired
-        if row is not None:
-            ports = row.ports
-            # Arity-specialised operand gather (2 then 1 cover all but
-            # the predicate-merge cases).
-            if arity == 2:
-                operands = (ports[0], ports[1])
-            elif arity == 1:
-                operands = (ports[0],)
+            if kind == K_MEMORY:  # LOAD / MEMORY_NOP
+                send_memory(pe, thread, wave, inst_id, operands[0], done,
+                            is_data=False)
+                return
+
+            if kind == K_OUTPUT:
+                outputs.setdefault(inst_id, []).append(operands[0])
+                return
+
+            if kind == K_HALT:
+                return
+
+            if prof is None:
+                value = d_eval[inst_id](operands)
             else:
-                operands = tuple(ports[p] for p in range(arity))
-            delay = 0 if (local and self._spec_fire) \
-                else self._match_delay
-            if delay == 0:
-                stats.speculative_hits += 1
-            if trace is not None:
-                trace.emit(
-                    cycle, "match", pe, inst_id, thread, wave,
-                    "speculative" if delay == 0 else "",
-                )
-            self._post(
-                cycle + delay, EV_DISPATCH,
-                (pe, thread, wave, inst_id, operands),
-            )
+                prof.push("execute")
+                value = d_eval[inst_id](operands)
+                prof.pop()
 
-    def _on_ifetch(self, cycle: int, payload: tuple) -> None:
-        """An instruction fetch completed: bind it and replay the
-        tokens that were waiting on it."""
-        pe, inst_id = payload
-        self.istores[pe].fill(inst_id)
-        if self.trace is not None:
-            self.trace.emit(cycle, "ifetch", pe, inst_id, -1, -1)
-        queued = self._ifetch.pop(payload, [])
-        for queued_payload in queued:
-            # Replay through the normal path; the instruction is
-            # resident now (it cannot be evicted before these tokens
-            # are processed because eviction only happens on a fill,
-            # and fills happen in later events).
-            self._on_token(cycle, queued_payload)
+            if kind == K_STEER:
+                if not operands[1]:
+                    dests = false_dests
+                deliver(pe, dests, thread, wave, value, done,
+                        bypass_from=granted)
+                return
+
+            if kind == K_WAVE_ADVANCE:
+                advance_wave(pe, inst_id, thread, wave, value, done)
+                return
+
+            # K_SPAWN: retag into the thread named by the immediate.
+            assert imm is not None
+            deliver(pe, dests, int(imm), 0, value, done)
+
+        def flush():
+            nonlocal n_dispatches, n_dynamic, n_alpha
+            stats.dispatches += n_dispatches
+            stats.dynamic_instructions += n_dynamic
+            stats.alpha_instructions += n_alpha
+            n_dispatches = n_dynamic = n_alpha = 0
+
+        return on_dispatch, flush
 
     # ==================================================================
-    # DISPATCH + EXECUTE + OUTPUT
+    # OUTPUT: operand delivery
     # ==================================================================
-    def _on_dispatch(self, cycle: int, payload: tuple) -> None:
-        pe, thread, wave, inst_id, operands = payload
-        (opcode, kind, arity, latency, uses_fpu, alpha, imm, dests,
-         false_dests) = self._d_row[inst_id]
-        granted = self._dispatch[pe].reserve(cycle)
-        exec_start = granted + 1
-        if uses_fpu:
-            domain = pe // self._pes_per_domain
-            exec_start = self._fpu[domain].reserve(exec_start)
-        done = exec_start + latency
-        if done > self._horizon:
-            self._horizon = done
+    def _make_deliver(self):
+        """Build this run's operand delivery; returns it with the
+        function that flushes its counters into ``self.stats``."""
+        spec_fire = self._spec_fire
+        pe_of = self._pe_of
+        post_tokens = self._post_tokens
+        faults = self.faults
+        fault_drops = self._fault_drops
+        trace = self.trace
+        sanitizer = self.sanitizer
+        prof = self.profile
+        # Interconnect.route, inlined for the hottest caller (operand
+        # delivery) down to the cluster level: the level memo, the
+        # width-1 result-bus reserve and the message counters.  The
+        # grid level (mesh reservations) stays a call -- it is both
+        # the rarest and the most stateful.
+        net = self.network
+        level_cache = net._level_cache
+        classify = net._classify
+        total_pes = net._total_pes
+        pod_latency = net._pod_route.latency
+        pe_bus = net._pe_bus
+        assert all(ledger.per_cycle == 1 for ledger in pe_bus)
+        net_in = net._net_in
+        route_grid = net._route_grid
+        pes_per_domain = self._pes_per_domain
+        pes_per_cluster = self._pes_per_cluster
+        domain_latency = self._domain_latency
+        cluster_latency = self._cluster_latency
         stats = self.stats
-        stats.dispatches += 1
-        if self.sanitizer is not None:
-            # STORE halves dispatch decoupled, one operand each; every
-            # other opcode consumes its full matched operand set.
-            self.sanitizer.note_consumed(
-                1 if kind == K_STORE else arity
-            )
-        if self.trace is not None:
-            self.trace.emit(granted, "dispatch", pe, inst_id, thread,
-                            wave, opcode.name)
-            self.trace.emit(done, "execute", pe, inst_id, thread, wave)
+        operand_counts = stats.messages["operand"]
+        pod_messages = 0
 
-        # STORE: a decoupled half-operation (operands == (port, value)).
-        if kind == K_STORE:
-            port, value = operands
-            if port == 0:
-                stats.dynamic_instructions += 1
-                stats.alpha_instructions += 1
-                self._send_memory_request(
-                    pe, thread, wave, inst_id, value, done, is_data=False
-                )
-            else:
-                self._send_memory_request(
-                    pe, thread, wave, inst_id, value, done, is_data=True
-                )
-            return
+        def deliver(src_pe, dests, thread, wave, value, cycle,
+                    bypass_from=None):
+            """Route the result to its consumers.
 
-        stats.dynamic_instructions += 1
-        if alpha:
-            stats.alpha_instructions += 1
+            ``bypass_from`` is the producer's dispatch cycle.
+            Pod-local consumers snoop the bypass network: with
+            speculative fire the consumer dispatches one cycle behind
+            the producer and reads the result *during* its EXECUTE
+            stage (the appendix's Figure 9 timeline), so its token is
+            delivered a cycle before the result formally completes.
 
-        if kind == K_ALU:  # the hottest case: plain ALU evaluation
-            value = self._evaluate(opcode, operands, imm)
-            self._deliver(pe, dests, thread, wave, value, done,
-                          bypass_from=granted)
-            return
+            Consecutive deliveries landing on the same arrival cycle
+            fuse into one batch calendar entry (see
+            :meth:`_post_tokens`).
+            """
+            nonlocal pod_messages
+            if prof is not None:
+                prof.push("deliver")
+            spec_pod = bypass_from is not None and spec_fire
+            batch = None
+            batch_cycle = -1
+            for dest in dests:
+                dst_pe = pe_of[dest.inst]
+                if faults is not None and fault_drops(faults, dst_pe):
+                    if trace is not None:
+                        trace.emit(cycle, "fault_drop", src_pe, dest.inst,
+                                   thread, wave)
+                    if sanitizer is not None:
+                        sanitizer.note_dropped()
+                    continue
+                if sanitizer is not None:
+                    sanitizer.note_created()
+                key = src_pe * total_pes + dst_pe
+                level = level_cache.get(key)
+                if level is None:
+                    level = classify(src_pe, dst_pe)
+                    level_cache[key] = level
+                if level == "pod":
+                    pod_messages += 1
+                    pod_local = True
+                    if spec_pod:
+                        arrive = bypass_from + 1
+                        if cycle - 1 > arrive:
+                            arrive = cycle - 1
+                    else:
+                        arrive = cycle + pod_latency
+                else:
+                    pod_local = False
+                    # Every other level leaves the PE on its result
+                    # bus, one result per cycle.
+                    used = pe_bus[src_pe]._used
+                    bus_granted = cycle
+                    while bus_granted in used:
+                        bus_granted += 1
+                    used[bus_granted] = 1
+                    if level == "grid":  # counts its own message
+                        arrive = cycle + route_grid(
+                            src_pe, dst_pe, src_pe // pes_per_cluster,
+                            cycle, bus_granted, "operand",
+                        ).latency
+                    else:
+                        if level == "domain":
+                            arrive = bus_granted + domain_latency
+                        else:
+                            # Cluster: through the sender's NET
+                            # pseudo-PE and the point-to-point link
+                            # into the receiving domain's NET
+                            # pseudo-PE (1 op/cycle inject).
+                            arrive = net_in[
+                                dst_pe // pes_per_domain
+                            ].reserve(bus_granted + cluster_latency - 1) + 1
+                        operand_counts[level] += 1
+                        stats.message_count += 1
+                        stats.message_latency_sum += arrive - cycle
+                if trace is not None:
+                    trace.emit(
+                        cycle, "output", src_pe, dest.inst, thread, wave,
+                        f"{level} -> pe{dst_pe} (+{arrive - cycle})",
+                    )
+                token = (dst_pe, thread, wave, dest.inst, dest.port, value,
+                         pod_local)
+                if arrive == batch_cycle:
+                    batch.append(token)
+                else:
+                    if batch is not None:
+                        post_tokens(batch_cycle, batch)
+                    batch = [token]
+                    batch_cycle = arrive
+            if batch is not None:
+                post_tokens(batch_cycle, batch)
+            if prof is not None:
+                prof.pop()
 
-        if kind == K_MEMORY:  # LOAD / MEMORY_NOP
-            self._send_memory_request(
-                pe, thread, wave, inst_id, operands[0], done, is_data=False
-            )
-            return
+        def flush():
+            nonlocal pod_messages
+            operand_counts["pod"] += pod_messages
+            stats.message_count += pod_messages
+            stats.message_latency_sum += pod_messages * pod_latency
+            pod_messages = 0
 
-        if kind == K_OUTPUT:
-            stats.outputs.setdefault(inst_id, []).append(operands[0])
-            return
-
-        if kind == K_HALT:
-            return
-
-        value = self._evaluate(opcode, operands, imm)
-
-        if kind == K_STEER:
-            if not steer_taken(operands):
-                dests = false_dests
-            self._deliver(pe, dests, thread, wave, value, done,
-                          bypass_from=granted)
-            return
-
-        if kind == K_WAVE_ADVANCE:
-            self._advance_wave(pe, inst_id, thread, wave, value, done)
-            return
-
-        # K_SPAWN: retag into the thread named by the immediate.
-        assert imm is not None
-        self._deliver(pe, dests, int(imm), 0, value, done)
+        return deliver, flush
 
     # ==================================================================
     # Wave advance with k-loop bounding
@@ -879,69 +1159,6 @@ class Engine:
             else:
                 still.append(entry)
         self._kbound_stalls[thread] = still
-
-    # ==================================================================
-    # Operand delivery
-    # ==================================================================
-    def _deliver(
-        self, src_pe: int, dests, thread: int, wave: int, value: Value,
-        cycle: int, bypass_from: Optional[int] = None,
-    ) -> None:
-        """Route the result to its consumers.
-
-        ``bypass_from`` is the producer's dispatch cycle.  Pod-local
-        consumers snoop the bypass network: with speculative fire the
-        consumer dispatches one cycle behind the producer and reads the
-        result *during* its EXECUTE stage (the appendix's Figure 9
-        timeline), so its token is delivered a cycle before the result
-        formally completes.
-
-        Consecutive deliveries landing on the same arrival cycle fuse
-        into one batch calendar entry (see :meth:`_post_tokens`).
-        """
-        spec_pod = (
-            bypass_from is not None and self._spec_fire
-        )
-        faults = self.faults
-        trace = self.trace
-        sanitizer = self.sanitizer
-        pe_of = self._pe_of
-        route_of = self.network.route
-        batch: Optional[list] = None
-        batch_cycle = -1
-        for dest in dests:
-            dst_pe = pe_of[dest.inst]
-            if faults is not None and self._fault_drops(faults, dst_pe):
-                if trace is not None:
-                    trace.emit(cycle, "fault_drop", src_pe, dest.inst,
-                               thread, wave)
-                if sanitizer is not None:
-                    sanitizer.note_dropped()
-                continue
-            if sanitizer is not None:
-                sanitizer.note_created()
-            route = route_of(src_pe, dst_pe, cycle, "operand")
-            pod_local = route.level == "pod"
-            arrive = cycle + route.latency
-            if spec_pod and pod_local:
-                arrive = max(bypass_from + 1, cycle - 1)
-            if trace is not None:
-                trace.emit(
-                    cycle, "output", src_pe, dest.inst, thread, wave,
-                    f"{route.level} -> pe{dst_pe} "
-                    f"(+{arrive - cycle})",
-                )
-            token = (dst_pe, thread, wave, dest.inst, dest.port, value,
-                     pod_local)
-            if arrive == batch_cycle:
-                batch.append(token)
-            else:
-                if batch is not None:
-                    self._post_tokens(batch_cycle, batch)
-                batch = [token]
-                batch_cycle = arrive
-        if batch is not None:
-            self._post_tokens(batch_cycle, batch)
 
     def _fault_drops(self, faults, dst_pe: int) -> bool:
         """Deterministic fault-injection filter for operand delivery:

@@ -1,10 +1,11 @@
 """Integer event tags for the engine's event calendar.
 
-The hot loop dispatches calendar entries through a precomputed
-bound-method table indexed by these tags (an integer index beats the
-historical string-compare chain), so the tag values are *positional*:
-``Engine._handlers[tag]`` must line up with the constants below, and
-``TAG_NAMES``/``TAG_PHASES`` are parallel tuples.
+The event loop (``Engine._drain``) handles the token tags and
+``EV_IFETCH`` inline and dispatches the rest through a handler table
+built once per run and indexed by these tags (an integer index beats
+the historical string-compare chain), so the tag values are
+*positional*: ``Engine._handlers[tag]`` must line up with the
+constants below, and ``TAG_NAMES``/``TAG_PHASES`` are parallel tuples.
 
 ``EV_TOKEN_BATCH`` carries a tuple of same-cycle token payloads posted
 back-to-back by one delivery fan-out; the loop unpacks it token by
@@ -41,8 +42,8 @@ TAG_NAMES = (
 
 #: Profile phase charged per tag (repro.obs.profile.PHASES).  The
 #: finer stages (match, execute, deliver) are attributed by inner
-#: hooks inside the handlers; stack-based self-time accounting in
-#: PhaseProfile keeps the phases disjoint.
+#: push/pop sites on the hot path; stack-based self-time accounting
+#: in PhaseProfile keeps the phases disjoint.
 TAG_PHASES = (
     "input",    # token
     "dispatch",  # dispatch

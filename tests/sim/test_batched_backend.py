@@ -3,9 +3,12 @@
 The batched engine (``repro.sim.batched``) lockstep-executes many
 cells of the design space at once; its contract is that every cell's
 :class:`~repro.sim.stats.SimStats` -- and every *failure*, class and
-message -- is bit-identical to a serial run.  The oracle is twofold:
-the current plain :class:`~repro.sim.engine.Engine` and the frozen
-seed engine in ``repro.sim._legacy``.
+message -- is bit-identical to a serial run.  Both drive the engine's
+one hot path, so what these tests hold is the lockstep scheduler:
+quantum ceilings that interrupt a cell mid-run, per-cell failure
+isolation, and hooks attached to some cells of a batch and not
+others.  (The hot path itself is held to the frozen seed engine by
+``tests/sim/test_golden_stats.py`` on both configs below.)
 """
 
 from dataclasses import asdict
@@ -20,6 +23,7 @@ from repro.sim.backends import BACKENDS, batch_unsupported_reason
 from repro.sim.batched import BatchedEngine
 from repro.sim.compile import get_compiled
 from repro.sim.engine import Engine
+from repro.sim.failures import SimulationDeadlock
 from repro.workloads import Scale
 from repro.workloads.registry import all_names, get
 
@@ -36,6 +40,9 @@ STARVED = WaveScalarConfig(
 )
 CONFIGS = (GOLDEN, STARVED)
 MAX_CYCLES = 200_000
+#: Small against every run length here, so each cell is cut into
+#: many ``_drain`` calls.
+QUANTUM = 256
 
 
 def _compiled(name: str):
@@ -52,30 +59,31 @@ def _engine(compiled, config) -> Engine:
     )
 
 
-def _verdict(run):
-    """``("ok", stats-dict)`` or ``("fail", class, message)`` -- the
-    full comparable surface of one engine run."""
+def _verdict(stats, error):
+    """``("ok", stats-dict)`` or ``("fail", class, message,
+    diagnostics)`` -- the full comparable surface of one engine run."""
+    if error is None:
+        return ("ok", asdict(stats))
+    return ("fail", type(error).__name__, str(error),
+            error.diagnostics.to_dict())
+
+
+def _run(engine):
     try:
-        return ("ok", asdict(run()))
-    except Exception as exc:  # noqa: BLE001 - the failure IS the data
-        return ("fail", type(exc).__name__, str(exc))
+        return _verdict(engine.run(), None)
+    except SimulationDeadlock as exc:
+        return _verdict(None, exc)
 
 
 @pytest.mark.parametrize("name", all_names())
 def test_batched_bit_identical_to_plain_and_seed(name):
     compiled = _compiled(name)
-    plain = [
-        _verdict(_engine(compiled, config).run) for config in CONFIGS
-    ]
+    plain = [_run(_engine(compiled, config)) for config in CONFIGS]
     outcomes = BatchedEngine(
-        [_engine(compiled, config) for config in CONFIGS]
+        [_engine(compiled, config) for config in CONFIGS],
+        quantum=QUANTUM,
     ).run(strict=True)
-    batched = [
-        ("ok", asdict(o.stats)) if o.ok
-        else ("fail", type(o.error).__name__, str(o.error))
-        for o in outcomes
-    ]
-    assert batched == plain
+    assert [_verdict(o.stats, o.error) for o in outcomes] == plain
     # Seed-engine oracle on the golden config (the legacy engine has
     # no compiled-decode path, so it takes the graph directly).
     workload = get(name)
@@ -83,9 +91,8 @@ def test_batched_bit_identical_to_plain_and_seed(name):
     graph = workload.instantiate(scale=Scale.TINY, threads=threads,
                                  seed=0)
     placement = place(graph, GOLDEN)
-    legacy = _verdict(
-        LegacyEngine(graph, GOLDEN, placement,
-                     max_cycles=MAX_CYCLES).run
+    legacy = _run(
+        LegacyEngine(graph, GOLDEN, placement, max_cycles=MAX_CYCLES)
     )
     assert plain[0] == legacy
 
@@ -199,9 +206,66 @@ def test_unsupported_reasons_are_deterministic_and_named():
             == "profile-attached")
 
 
-def test_batched_engine_refuses_attached_instrumentation():
-    compiled = _compiled("fft")
-    engine = _engine(compiled, GOLDEN)
-    engine.profile = object()
-    with pytest.raises(ValueError):
-        BatchedEngine([engine])
+def _hooked_engines(compiled, plan):
+    """Three cells of one workload, each with other hooks attached:
+    trace + sanitizer on the starved design, ``plan`` and a profile on
+    the golden one."""
+    from repro.analysis import RuntimeSanitizer
+    from repro.obs import PhaseProfile
+    from repro.sim.trace import Trace
+
+    traced = _engine(compiled, STARVED)
+    traced.trace = Trace(limit=10_000_000)
+    traced.sanitizer = RuntimeSanitizer()
+    faulted = _engine(compiled, GOLDEN)
+    faulted.faults = plan
+    profiled = _engine(compiled, GOLDEN)
+    profiled.profile = PhaseProfile()
+    return [traced, faulted, profiled]
+
+
+def _observed(engines, verdicts):
+    """Everything the attached hooks and the runs let a caller see."""
+    traced, _, profiled = engines
+    return {
+        "verdicts": verdicts,
+        "trace": list(traced.trace.events),
+        "sanitizer": [str(d) for d in traced.sanitizer.report().diagnostics],
+        "profile_calls": dict(profiled.profile.calls),
+        "profile_stack": list(profiled.profile._stack),
+    }
+
+
+@pytest.mark.parametrize("plan_fields", [
+    {"drop_every_n": 7, "drop_after": 20},
+    {"max_events": 3000},
+], ids=["dropped-deliveries", "clamped-event-budget"])
+def test_hooks_compose_with_lockstep_execution(plan_fields):
+    """A batch whose cells carry a trace + sanitizer, a fault plan and
+    a profile gives, per cell, what three serial runs give: the same
+    SimStats or failure (with diagnostics), the same trace events, the
+    same sanitizer verdict, the same ``PhaseProfile.calls``."""
+    from repro.harness.faults import FaultPlan
+
+    # radix finishes on the starved design through every slow path:
+    # evictions, deflections, bank conflicts, instruction-fetch replays.
+    compiled = _compiled("radix")
+    serial_engines = _hooked_engines(compiled, FaultPlan(**plan_fields))
+    serial_verdicts = [_run(engine) for engine in serial_engines]
+    serial = _observed(serial_engines, serial_verdicts)
+
+    batch_engines = _hooked_engines(compiled, FaultPlan(**plan_fields))
+    batch = BatchedEngine(batch_engines, quantum=QUANTUM)
+    outcomes = batch.run(strict=True)
+    assert batch.rounds > 3  # the ceilings did interrupt the cells
+    batched = _observed(
+        batch_engines, [_verdict(o.stats, o.error) for o in outcomes]
+    )
+
+    assert batched == serial
+    # The plan bit, and its failure stayed inside its own cell.
+    assert serial_verdicts[1][0] == "fail"
+    assert serial_verdicts[2][0] == "ok"
+    assert len(serial["trace"]) > 1000
+    assert serial["profile_calls"]["match"] > 0
+    assert serial["profile_stack"] == []

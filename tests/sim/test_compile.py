@@ -92,6 +92,32 @@ def test_cached_simulation_matches_fresh(name):
     assert results[0] == results[1]
 
 
+def test_engines_share_the_compiled_evaluator_table():
+    """The per-instruction evaluators are resolved once per graph:
+    engines built on one decode index the same table object, and each
+    entry computes what ``evaluate`` computes."""
+    from repro.isa.semantics import evaluate
+
+    compiled = get_compiled("mcf", scale=Scale.TINY)
+    graph, decoded = compiled.graph, compiled.decoded
+    engines = [
+        Engine(graph, config, place(graph, config), compiled=decoded)
+        for config in (CONFIG, WaveScalarConfig(clusters=1))
+    ]
+    assert engines[0].decoded.evaluators is decoded.evaluators
+    assert engines[1].decoded.evaluators is decoded.evaluators
+    assert len(decoded.evaluators) == len(decoded)
+    checked = 0
+    for inst, evaluator in zip(graph.instructions, decoded.evaluators):
+        if inst.opcode.arity == 2 and inst.opcode.name in ("ADD", "SUB",
+                                                            "MUL"):
+            assert evaluator((6, 3)) == evaluate(
+                inst.opcode, (6, 3), inst.immediate
+            )
+            checked += 1
+    assert checked
+
+
 def test_cache_hit_returns_same_object():
     first = get_compiled("fft", scale=Scale.TINY, threads=4)
     second = get_compiled("fft", scale=Scale.TINY, threads=4)

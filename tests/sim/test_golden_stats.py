@@ -4,9 +4,12 @@ The seed engine (frozen verbatim in ``repro.sim._legacy``) is the
 oracle: for every workload in the registry the overhauled engine must
 produce a bit-identical :class:`~repro.sim.stats.SimStats` -- every
 counter, latency histogram, message tally, and the AIPC derived from
-them.  The sweep harness on top must likewise be invisible: the same
-campaign at ``jobs=1`` and ``jobs=4`` (and with the compile cache
-warm or cold) yields identical ledger records.
+them -- on the golden config and on a starved one that drives the
+eviction, deflection, bank-conflict and budget-exhaustion paths (there
+a cell that does not finish must fail with the seed engine's class,
+message and diagnostics).  The sweep harness on top must likewise be
+invisible: the same campaign at ``jobs=1`` and ``jobs=4`` (and with
+the compile cache warm or cold) yields identical ledger records.
 """
 
 from dataclasses import asdict
@@ -18,12 +21,20 @@ from repro.harness import CellSpec, RunSupervisor, sweep_cells
 from repro.place.snake import place
 from repro.sim._legacy.engine import Engine as LegacyEngine
 from repro.sim.engine import Engine
+from repro.sim.failures import SimulationDeadlock
 from repro.workloads import Scale
 from repro.workloads.registry import all_names, get
 
 CONFIG = WaveScalarConfig(
     clusters=4, virtualization=64, matching_entries=64, l2_mb=1
 )
+#: The starved geometry of ``tests/sim/test_batched_backend.py``: at
+#: this budget 13 of the 19 workloads end in ``CycleBudgetExhausted``.
+STARVED = WaveScalarConfig(
+    clusters=1, virtualization=16, matching_entries=16,
+    matching_banks=2, matching_associativity=2, l2_mb=0,
+)
+STARVED_MAX_CYCLES = 200_000
 
 
 def _stats_pair(name: str):
@@ -40,6 +51,30 @@ def _stats_pair(name: str):
 def test_stats_bit_identical_to_seed_engine(name):
     new, old = _stats_pair(name)
     assert asdict(new) == asdict(old)
+
+
+def _verdict(engine):
+    """``("ok", stats)`` or ``("fail", class, message, diagnostics)``:
+    everything one engine run lets a caller observe."""
+    try:
+        return ("ok", asdict(engine.run()))
+    except SimulationDeadlock as exc:
+        return ("fail", type(exc).__name__, str(exc),
+                exc.diagnostics.to_dict())
+
+
+@pytest.mark.parametrize("name", all_names())
+def test_starved_verdict_identical_to_seed_engine(name):
+    workload = get(name)
+    threads = 4 if workload.multithreaded else None
+    graph = workload.instantiate(scale=Scale.TINY, threads=threads, seed=0)
+    placement = place(graph, STARVED)
+    new, old = (
+        _verdict(cls(graph, STARVED, placement,
+                     max_cycles=STARVED_MAX_CYCLES))
+        for cls in (Engine, LegacyEngine)
+    )
+    assert new == old
 
 
 def test_aipc_identical_to_seed_engine():
