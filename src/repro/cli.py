@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 from .area import breakdown, timing_report
 from .core import WaveScalarConfig, WaveScalarProcessor
 from .sim.backends import BACKENDS, DEFAULT_BACKEND
+from .sim.failures import TRANSIENT_CLASSES
 from .harness.supervisor import DEFAULT_BATCH_WIDTH
 from .core.experiments import evaluate_design_space
 from .design import pareto_front, viable_designs
@@ -93,6 +94,15 @@ def cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _budget_failure(exc, fixed_point) -> int:
+    """Report a run that exhausted its budget -- and, when the engine
+    proved one, the cause no larger budget would cure."""
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    if fixed_point is not None:
+        print(fixed_point.describe(), file=sys.stderr)
+    return 1
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from(args)
     workload = get(args.workload)
@@ -116,11 +126,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         from .obs import PhaseProfile
 
         profile = PhaseProfile()
-    result = proc.run_workload(
-        workload, scale=Scale[args.scale.upper()], threads=threads,
-        k=args.k, seed=args.seed, sanitizer=sanitizer,
-        strict=not args.sanitize, trace=trace, profile=profile,
-    )
+    try:
+        result = proc.run_workload(
+            workload, scale=Scale[args.scale.upper()], threads=threads,
+            k=args.k, seed=args.seed, sanitizer=sanitizer,
+            strict=not args.sanitize, trace=trace, profile=profile,
+        )
+    except TRANSIENT_CLASSES as exc:
+        return _budget_failure(exc, proc.last_fixed_point)
     if proc.last_backend_fallback:
         print(f"note: batched backend fell back to plain "
               f"({proc.last_backend_fallback}); results are "
@@ -534,7 +547,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     engine.trace = Trace(
         limit=args.limit, policy=args.policy.replace("-", "_")
     )
-    engine.run()
+    code = 0
+    try:
+        engine.run()
+    except TRANSIENT_CLASSES as exc:  # the events so far still print
+        code = _budget_failure(exc, engine.fixed_point)
     trace = engine.trace
     events = list(trace.events)[: args.events]
     for e in events:
@@ -545,7 +562,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         written = trace.to_chrome(args.trace_out)
         print(f"chrome trace: {args.trace_out} ({written} trace "
               f"events; open in https://ui.perfetto.dev)")
-    return 0
+    return code
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

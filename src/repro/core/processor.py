@@ -26,6 +26,7 @@ from ..sim.backends import (
     validate_backend,
 )
 from ..sim.engine import Engine
+from ..sim.failures import FixedPoint
 from ..workloads.base import Scale, Workload
 from .config import WaveScalarConfig
 from .results import SimulationResult
@@ -60,6 +61,10 @@ class WaveScalarProcessor:
         #: Why the last :meth:`run` under ``backend="batched"`` fell
         #: back to the plain engine (``None``: no fallback happened).
         self.last_backend_fallback: Optional[str] = None
+        #: The :class:`~repro.sim.failures.FixedPoint` the last
+        #: :meth:`run` proved itself stuck in (``None``: it did not) --
+        #: the cause behind a budget failure no budget can cure.
+        self.last_fixed_point: Optional[FixedPoint] = None
         self._area = breakdown(config)
         self._timing = timing_report(config)
 
@@ -153,6 +158,7 @@ class WaveScalarProcessor:
             else:
                 stats = engine.run(strict=strict)
         finally:
+            self.last_fixed_point = engine.fixed_point
             # The engine is cyclic garbage from here on (its hot-path
             # closures and store-buffer callbacks refer back to it), and
             # a process holding many compiled graphs rarely reaches a

@@ -11,7 +11,13 @@ For each fuzz program the harness runs
   field for field;
 * one lockstep batch over all probe configs of the program, with a
   quantum small enough that ceilings interrupt every cell mid-run --
-  each cell's verdict must equal its serial one;
+  each cell's verdict must equal its serial one.  The quantum (64) is
+  also shorter than the two quiet periods the engine needs to prove a
+  deflection fixed point (``Engine._fixed_point``; its detection state
+  lives in ``_drain`` locals), so a stuck program is jumped over in the
+  serial run and interpreted bounce by bounce in the batch: for the
+  programs that exhaust a budget this comparison is a second
+  jump-vs-no-jump oracle beside the seed engine;
 * the A-rule static bound (:func:`repro.analysis.dataflow
   .graph_statics` + ``compute_bound``) -- measured AIPC must never
   exceed it;

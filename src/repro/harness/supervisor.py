@@ -40,8 +40,9 @@ DEFAULT_TIMEOUT_S = 300.0
 
 #: Default cells per lockstep batch group.  Past ~16 the amortized
 #: per-cell overhead flattens while a single slow cell holds ever
-#: more siblings at the lockstep ceiling; the acceptance benchmark
-#: (``benchmarks/test_batched_backend.py``) gates at width >= 8.
+#: more siblings at the lockstep ceiling.  No test gates the value:
+#: ``study_batched`` of ``bench/run.py`` measures the study at this
+#: width against ``study_exhaustive``.
 DEFAULT_BATCH_WIDTH = 16
 
 
@@ -433,7 +434,12 @@ class RunSupervisor:
                     attempts - injected <= self.max_retries:
                 # A bigger budget may complete; true deadlocks and
                 # watchdog kills are not retried (deterministic or
-                # already at the wall-clock limit).
+                # already at the wall-clock limit).  A cell the engine
+                # proved to be in a deflection fixed point cannot
+                # complete either, but is retried all the same: the
+                # engine jumps to the escalated budget in milliseconds,
+                # and records keep their attempts, retries and
+                # diagnostics byte for byte.
                 spec = spec.escalated(self.escalation)
                 continue
             return CellResult(

@@ -92,6 +92,7 @@ from .failures import (
     CycleBudgetExhausted,
     EventBudgetExhausted,
     FailureDiagnostics,
+    FixedPoint,
     SimulationDeadlock,
     TrueDeadlock,
 )
@@ -274,6 +275,10 @@ class Engine:
         self.sanitizer = None
         self._fault_deliveries = 0
         self._events_processed = 0
+
+        #: The deflection fixed point this run proved itself stuck in,
+        #: if it did (see :meth:`_fixed_point`).
+        self.fixed_point: Optional[FixedPoint] = None
 
     # ==================================================================
     # Event plumbing
@@ -495,6 +500,13 @@ class Engine:
         matching_inserts = matching_misses = matching_evictions = 0
         speculative_hits = 0
 
+        # Fixed-point detection, touched on the deflect branch only:
+        # charged deflections, the cycle of the next look, and the
+        # last look (see _fixed_point).
+        deflections = 0
+        fp_at = 0
+        fp_seen = (0, -1, None)
+
         try:
             while cycle_heap and cycle_heap[0] <= ceiling:
                 cycle = heap_pop(cycle_heap)
@@ -697,6 +709,19 @@ class Engine:
                                         heap_push(cycle_heap, at)
                                     else:
                                         b.append(item)
+                                    deflections += charged
+                                    if cycle >= fp_at and tag == ev_token \
+                                            and index + 1 == len(bucket):
+                                        # The bucket is spent, so the
+                                        # calendar is whole: look for
+                                        # the fixed point, once a period.
+                                        fp_seen, skipped = self._fixed_point(
+                                            cycle, processed, deflections,
+                                            fp_seen,
+                                        )
+                                        fp_at = fp_seen[0] + overflow_penalty
+                                        processed += skipped
+                                        deflections += skipped
                                     continue
                                 # Victim tokens take a round trip
                                 # through the in-memory overflow
@@ -785,6 +810,70 @@ class Engine:
             for flush in self._flushes:
                 flush()
         return processed
+
+    def _fixed_point(self, cycle: int, processed: int, deflections: int,
+                     seen: tuple) -> tuple:
+        """Prove the deflection fixed point and jump over it (the
+        argument is in DESIGN.md section 5).
+
+        ``seen`` is the previous look: (cycle, charged events that
+        were not deflections, calendar keyed by offset from that
+        cycle).  A deflection changes only counters, the horizon and
+        the token's own calendar slot, so if that count has not moved
+        and the whole calendar sits where it sat, the machine repeats
+        with that period for ever.  The cause goes on
+        :attr:`fixed_point`; unless a per-event observer is attached,
+        calendar, horizon and counters advance by every whole period
+        both budgets still hold, and the ordinary loop runs the rest
+        into the ordinary budget raise.  Returns this look and the
+        events jumped over.
+        """
+        buckets = self._buckets
+        quiet = processed - deflections
+        image = None
+        if quiet == seen[1]:
+            image = {at - cycle: b[:] for at, b in buckets.items()}
+        look = (cycle, quiet, image)
+        period = cycle - seen[0]
+        if image is None or image != seen[2] or not period:
+            return look, 0
+        tokens = [payload for b in buckets.values() for _, payload in b]
+        if self.fixed_point is None:
+            sets = {}
+            for pe, _, wave, inst_id, *_ in tokens:
+                table = self.matching[pe]
+                set_idx = table.set_index(self._d_slot[inst_id], wave)
+                sets[pe, set_idx] = tuple(
+                    (row.key, tuple(sorted(row.ports)))
+                    for row in table._by_set[set_idx]
+                )
+            self.fixed_point = FixedPoint(
+                seen[0], period,
+                tuple((pe, inst_id, thread, wave, port) for
+                      pe, thread, wave, inst_id, port, *_ in tokens),
+                sets,
+            )
+        periods = min((self.max_cycles - cycle) // period,
+                      (self.max_events - processed) // len(tokens))
+        if periods <= 0 or self.trace is not None \
+                or self.sanitizer is not None or self.faults is not None:
+            return look, 0
+        shift = periods * period
+        skipped = periods * len(tokens)
+        moved = {at + shift: b for at, b in buckets.items()}
+        buckets.clear()
+        buckets.update(moved)
+        # Adding a constant keeps the heap a heap.
+        self._cycle_heap[:] = [at + shift for at in self._cycle_heap]
+        self._note_time(cycle + shift)
+        stats = self.stats
+        stats.matching_inserts += skipped
+        stats.matching_misses += skipped
+        for pe, *_ in tokens:
+            if self.istores[pe].over_subscribed:
+                self.istores[pe].hits += periods
+                stats.istore_hits += periods
+        return (cycle + shift, quiet, image), skipped
 
     def failure_diagnostics(self) -> FailureDiagnostics:
         """A structured snapshot of buffered work, attached to every

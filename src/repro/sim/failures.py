@@ -44,6 +44,31 @@ class FailureDiagnostics:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
+@dataclass(frozen=True)
+class FixedPoint:
+    """A deflection fixed point the engine proved: every live token
+    bounces off a full matching-table set whose rows all outrank it,
+    once per ``period``, and nothing else is pending that could free a
+    row.  A capacity deadlock of the modelled machine -- no budget
+    finishes the cell.  Kept beside the failure, not in
+    :class:`FailureDiagnostics`, so ledger records are unchanged."""
+
+    cycle: int  # the machine state has repeated since here
+    period: int  # cycles per repeat (the overflow round trip)
+    #: The cycling tokens, ``(pe, inst, thread, wave, port)`` each.
+    tokens: tuple
+    #: The sets they bounce off: ``(pe, set)`` -> one ``((thread,
+    #: wave, inst), ports present)`` per resident row.
+    sets: dict
+
+    def describe(self) -> str:
+        n = len(self.tokens)
+        return (
+            f"deflection fixed point since cycle {self.cycle}: {n} "
+            f"token{'s' if n != 1 else ''}, no budget can finish this cell"
+        )
+
+
 class SimulationDeadlock(RuntimeError):
     """Base class for every abnormal simulation stop.
 

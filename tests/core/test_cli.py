@@ -34,6 +34,28 @@ def test_run_multithreaded(capsys):
     assert "AIPC" in out
 
 
+STUCK = ("-w", "djpeg", "--scale", "tiny", "-V", "16", "-M", "16")
+
+
+def test_run_names_the_fixed_point_behind_a_budget_failure(capsys):
+    code = main(["run", *STUCK])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "CycleBudgetExhausted: djpeg: exceeded 20000000 cycles" in err
+    assert ("deflection fixed point since cycle 406: 1 token, "
+            "no budget can finish this cell") in err
+
+
+def test_trace_names_the_fixed_point_and_still_prints_events(capsys):
+    # The trace sees every bounce (no jump), the cause is named anyway.
+    code = main(["trace", *STUCK, "--events", "2", "--limit", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "deflection fixed point since cycle 406" in captured.err
+    assert "showing 2 of 10 events" in captured.out
+    assert "events DROPPED" in captured.out
+
+
 def test_area(capsys):
     code, out = run_cli(capsys, "area", "--clusters", "4", "--l2-mb", "1")
     assert code == 0
