@@ -314,10 +314,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     designs = viable_designs()[:: args.sample]
     threaded = args.suite == "splash"
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    mode = ""
+    if jobs > 1:
+        # The skip loop measures one lane at a time whatever --jobs
+        # says; print the mode that will actually run.
+        mode = (", serial: skip decisions are sequential"
+                if args.prune or args.surrogate else f", {jobs} jobs")
     print(
         f"evaluating {len(designs)} designs on suite {args.suite!r} "
         f"({'best thread count' if threaded else 'single-threaded'}"
-        f"{f', {jobs} jobs' if jobs > 1 else ''}) ..."
+        f"{mode}) ..."
     )
     # Subprocess isolation (watchdog, kill protection) engages when a
     # ledger or timeout asks for a supervised campaign; plain sweeps

@@ -36,14 +36,13 @@ class WaveScalarProcessor:
     """A configured WaveScalar processor that can execute programs.
 
     ``backend`` selects how :meth:`run` drives the engine (see
-    :mod:`repro.sim.backends`): ``plain`` (default), ``profiled``
-    (auto-attaches a :class:`~repro.obs.PhaseProfile` when the caller
-    did not pass one), or ``batched`` (the lockstep scheduler at width
-    1 -- single runs gain nothing from it, but the selection point
-    keeps the three names interchangeable end to end).  All three run
-    the engine's one hot path, so simulated results are identical; a
-    cell with a fault plan, trace, sanitizer or profile attached is
-    run alone under ``batched`` too, the reason recorded on
+    :mod:`repro.sim.backends`): ``plain`` (default) or ``batched``
+    (the lockstep scheduler at width 1 -- single runs gain nothing
+    from it, but the selection point keeps the two names
+    interchangeable end to end).  Both run the engine's one hot
+    path, so simulated results are identical; a cell with a fault
+    plan, trace, sanitizer or profile attached is run alone under
+    ``batched`` too, the reason recorded on
     :attr:`last_backend_fallback` as the sweep harness records it.
     """
 
@@ -124,10 +123,6 @@ class WaveScalarProcessor:
             graph = set_k_bound(graph, k)
         if placement is None:
             placement = self.place(graph)
-        if self.backend == "profiled" and profile is None:
-            from ..obs import PhaseProfile
-
-            profile = PhaseProfile()
         engine = Engine(
             graph, self.config, placement, max_cycles=self.max_cycles,
             max_events=self.max_events, compiled=compiled,

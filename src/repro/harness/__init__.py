@@ -16,13 +16,17 @@ This package provides the pieces:
 * :class:`~repro.harness.ledger.Ledger` -- crash-safe JSONL
   checkpointing keyed by cell hash, with per-record checksums and
   ``verify``/``repair``/``compact`` self-healing, enabling ``resume``;
-* :mod:`repro.harness.scheduler` -- lane-based parallel execution:
-  independent ``(design, workload)`` lanes fan out across worker
-  processes (``jobs=N``) while the driver stays the single ledger
-  writer, with a per-cell circuit breaker, jittered worker-respawn
-  backoff, and a campaign failure-rate budget;
+* :mod:`repro.harness.scheduler` -- lane-based execution by one
+  driver: independent ``(design, workload)`` lanes are dispatched to
+  worker processes (``jobs=N``) or run by the driver itself
+  (``jobs=1``), one cell or one lockstep batch group at a time, while
+  the driver stays the single ledger writer, with a per-cell circuit
+  breaker, jittered crash-retry backoff, and a campaign failure-rate
+  budget;
 * :func:`~repro.harness.sweep.design_space_sweep` -- the resumable
-  Pareto-evaluation loop used by ``python -m repro sweep``;
+  Pareto-evaluation loop used by ``python -m repro sweep``: every
+  lane through the scheduler, or the one skip loop whose switch
+  positions are static pruning, the surrogate, and both;
 * :class:`~repro.harness.faults.FaultPlan` -- deterministic fault
   injection proving each failure class is caught and classified;
 * :mod:`repro.harness.chaos` -- seeded whole-runtime fault injection

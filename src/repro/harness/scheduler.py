@@ -1,34 +1,52 @@
-"""Lane-based parallel execution of sweep cells.
+"""Lane-based execution of sweep cells: one driver for every ``jobs``.
 
-The sweep's unit of parallelism is the *lane*: the ordered cells of
+The sweep's unit of scheduling is the *lane*: the ordered cells of
 one ``(design, workload)`` pair.  Within a lane, execution is strictly
 sequential -- thread-count escalation dispatches the next cell only
 after the previous verdict, and a failure stops the lane (more
 threads only add pressure on a design that already failed).  Lanes
-themselves are independent, so the scheduler fans them out across up
-to ``jobs`` long-lived worker processes.
+themselves are independent.
 
-Guarantees carried over from the serial path:
+There is one implementation of the lane protocol (resume hit ->
+duplicate park -> pre-validation -> dispatch -> circuit breaker ->
+account -> failure budget -> advance), :class:`_Driver`, and two
+things a campaign can vary about it:
+
+* ``jobs`` decides *where a dispatch runs*: in one of ``jobs``
+  long-lived worker processes, or -- ``jobs == 1`` -- in the driver's
+  own process, a single slot with no pool.  Both run the dispatch
+  through :func:`_run_dispatch` and commit its records through the
+  same ``_commit``.  The only scheduling difference is where a lane
+  with more cells to run re-enters the ready queue: at the back when
+  workers run cells (every lane gets a turn), at the front when the
+  driver does, which keeps ``jobs=1`` lane-major -- the ledger line
+  order of the historical serial loop.
+* ``width`` decides *how many cells a dispatch carries*: 1, or up to
+  ``batch_width`` cells sharing :func:`_batch_group_key` when the
+  supervisor's backend is ``batched``.
+
+Guarantees, for every ``jobs`` and ``width``:
 
 * **single-writer ledger** -- workers never open the ledger file.
   Verdicts travel back over a result queue and only the driver
   appends them (batched through :meth:`Ledger.append_many`, still
-  flushed + fsynced), so crash-safety and resume semantics are
-  unchanged: killing the driver loses at most the in-flight cells.
-* **per-lane policy unchanged** -- pre-validation (``invalid``
-  verdicts) runs driver-side before a cell is ever dispatched, and
-  the supervisor's watchdog / budget-escalating retries run inside
-  the worker exactly as they do inline.
+  flushed + fsynced), so killing the driver loses at most the
+  in-flight cells.
+* **per-lane policy** -- pre-validation (``invalid`` verdicts) runs
+  driver-side before a cell is ever dispatched, and the supervisor's
+  watchdog / budget-escalating retries run wherever the dispatch
+  does.
 * **order-independent aggregation** -- records are keyed by content
-  hash; callers aggregate in canonical lane order after the fan-out
-  completes, so results are bit-identical to ``jobs=1`` regardless of
-  completion order.
+  hash; callers aggregate in canonical lane order after execution
+  completes, so results are bit-identical regardless of completion
+  order.
 
 A worker that dies without reporting (OOM killer, external SIGKILL)
-is detected by the driver: its in-flight cell is recorded as a
-``WorkerCrash`` verdict, a replacement worker is spawned, and the
-campaign continues.  Orphaned workers (driver SIGKILLed) notice their
-parent changed and exit instead of leaking.
+is detected by the driver: its in-flight cells go through the circuit
+breaker like any returned ``WorkerCrash`` verdict, a replacement
+worker is spawned, and the campaign continues.  Orphaned workers
+(driver SIGKILLed) notice their parent changed and exit instead of
+leaking.
 """
 
 from __future__ import annotations
@@ -186,10 +204,12 @@ def _batch_group_key(spec: CellSpec) -> tuple:
             spec.faults is None)
 
 
-def _batching(supervisor) -> bool:
-    """Whether this campaign groups cells into lockstep batches."""
-    return (getattr(supervisor, "backend", None) == "batched"
-            and getattr(supervisor, "batch_width", 1) > 1)
+def _group_width(supervisor) -> int:
+    """Cells per dispatch: 1 unless this campaign groups cells into
+    lockstep batches."""
+    if getattr(supervisor, "backend", None) != "batched":
+        return 1
+    return getattr(supervisor, "batch_width", 1)
 
 
 @dataclass
@@ -226,12 +246,12 @@ class Lane:
 def _merge_scheduler_metrics(report, block: dict) -> None:
     """Fold one execution's scheduler block into ``report.metrics``.
 
-    The pruned and surrogate sweep drivers call :func:`execute_lanes`
-    once per lane; naively assigning the block would leave only the
-    *last* lane's counters in the report.  Counters accumulate,
-    high-water marks take the max, and utilization is recomputed from
-    the merged busy/wall totals.  Wall-clock derived throughout, so
-    (like the individual blocks) outside the determinism contract.
+    The sweep's skip loop calls :func:`execute_lanes` once per lane;
+    naively assigning the block would leave only the *last* lane's
+    counters in the report.  Counters accumulate, high-water marks
+    take the max, and utilization is recomputed from the merged
+    busy/wall totals.  Wall-clock derived throughout, so (like the
+    individual blocks) outside the determinism contract.
     """
     if not hasattr(report, "metrics"):
         return
@@ -260,7 +280,7 @@ def _merge_scheduler_metrics(report, block: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# Running a dispatch (worker process, or the driver itself at jobs=1)
 # ----------------------------------------------------------------------
 def _failed_result(spec: CellSpec, failure_class: str,
                    detail: str) -> CellResult:
@@ -270,17 +290,36 @@ def _failed_result(spec: CellSpec, failure_class: str,
     )
 
 
-def _worker_main(worker_id: int, inbox, results, supervisor) -> None:
-    """Long-lived worker loop: pull a list of specs (one cell, or one
-    lockstep batch group), run it through the supervisor's full
-    policy, ship the ledger records back in one put.
+def _run_dispatch(supervisor, specs: list[CellSpec]) -> list[dict]:
+    """One dispatch -- one cell, or one lockstep batch group --
+    through the supervisor's full policy, as ledger records.
 
-    The inbox protocol is uniformly ``list[CellSpec]``: a single-cell
-    list takes the historical :meth:`RunSupervisor.run` path, a longer
-    one goes through :meth:`RunSupervisor.run_batch`.  Results travel
-    as ``(worker_id, list[record])`` either way, so the driver's drain
-    loop never cares which path produced them.
+    A single-cell list takes :meth:`RunSupervisor.run`, a longer one
+    :meth:`RunSupervisor.run_batch`.  An exception out of the
+    supervisor is a verdict like any other: every cell of the dispatch
+    is recorded ``failed`` under the exception's class name, wherever
+    the dispatch ran.
     """
+    try:
+        if len(specs) == 1:
+            verdicts = [supervisor.run(specs[0])]
+        else:
+            verdicts = supervisor.run_batch(specs)
+    except Exception as exc:  # noqa: BLE001 - classify, keep going
+        verdicts = [
+            _failed_result(spec, type(exc).__name__,
+                           f"{type(exc).__name__}: {exc}")
+            for spec in specs
+        ]
+    return [
+        Ledger.record_for(spec, result)
+        for spec, result in zip(specs, verdicts)
+    ]
+
+
+def _worker_main(worker_id: int, inbox, results, supervisor) -> None:
+    """Long-lived worker loop: pull a dispatch (``list[CellSpec]``),
+    run it, ship ``(worker_id, list[record])`` back in one put."""
     driver_pid = os.getppid()
     while True:
         try:
@@ -291,25 +330,7 @@ def _worker_main(worker_id: int, inbox, results, supervisor) -> None:
             continue
         if specs is None:
             return
-        try:
-            if len(specs) == 1:
-                spec = specs[0]
-                result = supervisor.run(spec)
-                records = [Ledger.record_for(spec, result)]
-            else:
-                verdicts = supervisor.run_batch(specs)
-                records = [
-                    Ledger.record_for(spec, result)
-                    for spec, result in zip(specs, verdicts)
-                ]
-        except Exception as exc:  # noqa: BLE001 - classify, keep going
-            records = [
-                Ledger.record_for(spec, _failed_result(
-                    spec, type(exc).__name__,
-                    f"{type(exc).__name__}: {exc}",
-                ))
-                for spec in specs
-            ]
+        records = _run_dispatch(supervisor, specs)
         plan = getattr(supervisor, "chaos", None)
         if plan is not None and len(specs) == 1 and plan.selected(
                 "result_delay", specs[0].identity_hash()):
@@ -328,13 +349,18 @@ class _Worker:
     inbox: object
 
 
-class _ParallelDriver:
-    """Owns the worker pool and all mutable scheduling state."""
+class _Driver:
+    """Owns all mutable scheduling state -- ready queue, in-flight
+    cells, parked duplicates, circuit breaker -- and, with
+    ``jobs > 1``, the worker pool.  With ``jobs == 1`` there is no
+    pool: slot 0 is the driver's own process."""
 
     def __init__(self, lanes, jobs, supervisor, ledger, done, report,
                  progress, prevalidate, mp_context, poll_s,
                  chaos=None, failure_budget=None):
         self.jobs = jobs
+        self.pool_size = jobs if jobs > 1 else 0
+        self.width = _group_width(supervisor)
         self.supervisor = supervisor
         self.ledger = ledger
         self.done = done
@@ -348,26 +374,30 @@ class _ParallelDriver:
         self.breaker = CircuitBreaker()
         seed = chaos.plan.seed if chaos is not None else 0
         self.backoff = RespawnBackoff(seed)
-        if mp_context is None:
-            mp_context = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        self.ctx = multiprocessing.get_context(mp_context)
-        self.results = self.ctx.Queue()
         self.workers: dict[int, _Worker] = {}
         self.idle: deque[int] = deque()
-        # worker id -> cell hashes of its in-flight dispatch (one for
+        if self.pool_size:
+            if mp_context is None:
+                mp_context = (
+                    "fork"
+                    if "fork" in multiprocessing.get_all_start_methods()
+                    else "spawn"
+                )
+            self.ctx = multiprocessing.get_context(mp_context)
+            self.results = self.ctx.Queue()
+        else:
+            self.idle.append(0)
+        #: The dispatch slot 0 runs next on this process (jobs == 1).
+        self.local: Optional[list[CellSpec]] = None
+        # slot id -> cell hashes of its in-flight dispatch (one for
         # a plain cell, several for a lockstep batch group).
         self.assigned: dict[int, list[str]] = {}
         self.inflight: dict[str, tuple[Lane, CellSpec]] = {}
         self.waiting: dict[str, list[Lane]] = {}  # duplicate-cell parks
         self.ready: deque[Lane] = deque(lanes)
-        self.batching = _batching(supervisor)
         self._next_wid = 0
         # Scheduler observability (see repro.obs): dispatch counts and
-        # busy spans per worker, pool churn, and queue-depth high
+        # busy spans per slot, pool churn, and queue-depth high
         # water marks, folded into report.metrics["scheduler"].
         self._dispatched = 0
         self._batch_groups = 0
@@ -397,6 +427,8 @@ class _ParallelDriver:
         self._spawned += 1
 
     def _shutdown(self) -> None:
+        if not self.pool_size:
+            return
         for worker in self.workers.values():
             try:
                 worker.inbox.put(None)
@@ -415,10 +447,21 @@ class _ParallelDriver:
         self.workers.clear()
 
     # -- scheduling -----------------------------------------------------
+    def _requeue(self, lane: Lane) -> None:
+        """A lane with more to run re-enters the ready queue: at the
+        back when workers run cells, so every lane gets a turn; at the
+        front when the driver runs them itself, so ``jobs=1`` finishes
+        one lane before starting the next and the ledger stays
+        lane-major."""
+        if self.pool_size:
+            self.ready.append(lane)
+        else:
+            self.ready.appendleft(lane)
+
     def _next_dispatch(self, lane: Lane) -> Optional[tuple[str, CellSpec]]:
         """Advance ``lane`` through every cell the driver can resolve
         itself (resume hits, duplicates, pre-validation rejects);
-        return the first cell needing a worker, or ``None`` when the
+        return the first cell needing a dispatch, or ``None`` when the
         lane is exhausted or parked behind an in-flight duplicate."""
         while True:
             spec = lane.next_spec()
@@ -450,18 +493,18 @@ class _ParallelDriver:
             return cell, spec
 
     def _next_group(self) -> list[tuple[str, CellSpec]]:
-        """Pop ready lanes into one lockstep batch group: up to
-        ``batch_width`` cells sharing the compiled-workload group key.
-        A lane whose next cell does not match the group's key is
-        deferred back to the ready queue for a later group (appended
-        *after* the group is built, so a mixed ready queue can never
-        spin the pump).  Cells are staged into ``inflight`` as they
-        join, so a duplicate cell later in the same pump parks in
-        ``waiting`` exactly as it would serially."""
+        """Pop ready lanes into one dispatch: up to ``width`` cells
+        sharing the compiled-workload group key (at width 1, the next
+        dispatchable cell).  A lane whose next cell does not match the
+        group's key keeps its place in the ready queue for a later
+        group (put back *after* the group is built, so a mixed ready
+        queue can never spin the pump).  Cells are staged into
+        ``inflight`` as they join, so a duplicate cell later in the
+        same pump parks in ``waiting``."""
         group: list[tuple[str, CellSpec]] = []
         deferred: list[Lane] = []
         key = None
-        while self.ready and len(group) < self.supervisor.batch_width:
+        while self.ready and len(group) < self.width:
             lane = self.ready.popleft()
             dispatch = self._next_dispatch(lane)
             if dispatch is None:
@@ -475,36 +518,31 @@ class _ParallelDriver:
                 continue
             self.inflight[cell] = (lane, spec)
             group.append((cell, spec))
-        self.ready.extend(deferred)
+        self.ready.extendleft(reversed(deferred))
         return group
 
     def _pump(self) -> None:
-        """Keep every idle worker fed while ready lanes remain."""
+        """Keep every idle slot fed while ready lanes remain."""
         if len(self.ready) > self._max_ready:
             self._max_ready = len(self.ready)
         while self.idle and self.ready and not self.aborted:
-            if self.batching:
-                group = self._next_group()
-                if not group:
-                    continue
-            else:
-                lane = self.ready.popleft()
-                dispatch = self._next_dispatch(lane)
-                if dispatch is None:
-                    continue
-                cell, spec = dispatch
-                self.inflight[cell] = (lane, spec)
-                group = [(cell, spec)]
+            group = self._next_group()
+            if not group:
+                continue
             wid = self.idle.popleft()
             self.assigned[wid] = [cell for cell, _ in group]
-            self.workers[wid].inbox.put([spec for _, spec in group])
+            specs = [spec for _, spec in group]
             self._dispatched += len(group)
             if len(group) > 1:
                 self._batch_groups += 1
                 self._batched_cells += len(group)
             self._assigned_at[wid] = time.monotonic()
+            if not self.pool_size:
+                self.local = specs  # _drain runs it
+                continue
+            self.workers[wid].inbox.put(specs)
             if self.chaos is not None and \
-                    self.chaos.kill_worker(group[0][1].identity_hash()):
+                    self.chaos.kill_worker(specs[0].identity_hash()):
                 # Injected scheduler-worker death right after dispatch;
                 # _reap must turn this into a crash retry, not a hang.
                 self.workers[wid].process.kill()
@@ -512,6 +550,11 @@ class _ParallelDriver:
             self._max_inflight = len(self.inflight)
 
     def _drain(self, block: bool) -> list[tuple[int, list[dict]]]:
+        """Completed dispatches as ``(slot, records)``.  Without a
+        pool this is where the staged dispatch actually runs."""
+        if not self.pool_size:
+            specs, self.local = self.local, None
+            return [(0, _run_dispatch(self.supervisor, specs))]
         batch: list[tuple[int, list[dict]]] = []
         if block:
             try:
@@ -540,14 +583,14 @@ class _ParallelDriver:
             self.progress(spec, record)
         lane.advance(record)
         if not lane.exhausted:
-            self.ready.append(lane)
+            self._requeue(lane)
         for parked in self.waiting.pop(cell, ()):
             self.report.skipped += 1
             if self.progress is not None:
                 self.progress(parked.next_spec(), record)
             parked.advance(record)
             if not parked.exhausted:
-                self.ready.append(parked)
+                self._requeue(parked)
         abort = _over_budget(self.report, self.failure_budget)
         if abort is not None and not self.aborted:
             self.aborted = True
@@ -556,7 +599,8 @@ class _ParallelDriver:
 
     def _breaker_verdict(self, cell: str,
                          record: dict) -> tuple[dict, bool]:
-        """Route one worker verdict through the circuit breaker.
+        """Route one verdict -- returned by a dispatch, or made up by
+        :meth:`_reap` for a dead worker -- through the circuit breaker.
 
         Returns ``(record, retry)``.  A ``WorkerCrash`` below the
         breaker threshold is *intercepted*: the caller must requeue
@@ -569,6 +613,7 @@ class _ParallelDriver:
         if (record.get("status") == "ok"
                 or record.get("failure_class") != WorkerCrash.__name__):
             self.breaker.reset(spec.identity_hash())
+            self.backoff.reset()
             return record, False
         if self.breaker.record_crash(spec.identity_hash()):
             poisoned = Ledger.record_for(spec, _poisoned_result(
@@ -585,7 +630,7 @@ class _ParallelDriver:
             assigned_at = self._assigned_at.pop(wid, None)
             if assigned_at is not None:
                 self._busy_s += time.monotonic() - assigned_at
-            if wid in self.workers:
+            if wid in self.workers or not self.pool_size:
                 self.idle.append(wid)
             if cells is None:
                 continue  # late result from an already-reaped worker
@@ -599,11 +644,15 @@ class _ParallelDriver:
         durable = [record for _, record, retry in staged if not retry]
         if durable and self.ledger is not None:
             self.ledger.append_many(durable)
-        self.backoff.reset()
+        if len(durable) < len(staged):
+            # Decorrelated-jitter pause before crashed cells get a
+            # fresh dispatch: a crash loop (bad node, OOM storm) must
+            # not spin the driver into the breaker threshold.
+            self.backoff.sleep()
         for cell, record, retry in staged:
             if retry:
                 lane, _ = self.inflight.pop(cell)
-                self.ready.append(lane)  # same cell, fresh dispatch
+                self._requeue(lane)  # same cell, fresh dispatch
             else:
                 self._resolve(cell, record)
         if durable and self.chaos is not None:
@@ -612,10 +661,10 @@ class _ParallelDriver:
             self.chaos.driver_batch_gate()
 
     def _reap(self) -> None:
-        """Detect dead workers; their in-flight cell goes through the
-        circuit breaker (crash retry, or ``poisoned`` at the
-        threshold) and the pool is refilled after a jittered
-        backoff."""
+        """Detect dead workers; their in-flight cells are committed as
+        ``WorkerCrash`` verdicts (so: crash retry after a jittered
+        backoff, or ``poisoned`` at the threshold) and the pool is
+        refilled."""
         dead = [wid for wid, worker in self.workers.items()
                 if not worker.process.is_alive()]
         if not dead:
@@ -634,43 +683,30 @@ class _ParallelDriver:
                 self.idle.remove(wid)
             except ValueError:
                 pass
-            cells = self.assigned.pop(wid, None) or []
-            assigned_at = self._assigned_at.pop(wid, None)
-            if assigned_at is not None:
-                self._busy_s += time.monotonic() - assigned_at
-            for cell in cells:
+            crashed = []
+            for cell in self.assigned.get(wid, ()):
                 if cell not in self.inflight:
                     continue
-                lane, spec = self.inflight[cell]
-                record = Ledger.record_for(spec, _failed_result(
+                _, spec = self.inflight[cell]
+                crashed.append(Ledger.record_for(spec, _failed_result(
                     spec, WorkerCrash.__name__,
                     f"{spec.describe()}: scheduler worker {wid} (pid "
                     f"{worker.process.pid}) died with exit code "
                     f"{worker.process.exitcode}",
-                ))
-                record, retry = self._breaker_verdict(cell, record)
-                if retry:
-                    self.inflight.pop(cell)
-                    self.ready.append(lane)
-                else:
-                    if self.ledger is not None:
-                        self.ledger.append(record)
-                    self._resolve(cell, record)
-            # Decorrelated-jitter pause before respawning: a crash
-            # loop (bad node, OOM storm) must not spin the driver.
-            self.backoff.sleep()
+                )))
+            self._commit([(wid, crashed)])
             self._spawn()
         self._pump()
 
     def _metrics(self) -> dict:
-        """The scheduler's observability block: worker utilization,
+        """The scheduler's observability block: slot utilization,
         queue depths, pool churn.  Wall-clock derived, so explicitly
         outside the bit-identical-for-any-jobs contract (which covers
         the per-cell ``metrics`` blocks on ledger records)."""
         elapsed = time.monotonic() - self._started
         capacity = self.jobs * elapsed
         return {
-            "mode": "parallel",
+            "mode": "parallel" if self.pool_size else "serial",
             "workers": self.jobs,
             "workers_spawned": self._spawned,
             "workers_reaped": self._reaped,
@@ -681,7 +717,7 @@ class _ParallelDriver:
             if capacity > 0 else 0.0,
             "max_ready_lanes": self._max_ready,
             "max_inflight": self._max_inflight,
-            "worker_respawns": max(0, self._spawned - self.jobs),
+            "worker_respawns": max(0, self._spawned - self.pool_size),
             "worker_crash_retries": self.breaker.crash_retries,
             "breaker_trips": self.breaker.trips,
             "backoff_s": round(self.backoff.total_s, 3),
@@ -692,7 +728,7 @@ class _ParallelDriver:
     # -- main loop ------------------------------------------------------
     def run(self) -> None:
         try:
-            for _ in range(self.jobs):
+            for _ in range(self.pool_size):
                 self._spawn()
             self._pump()
             while self.inflight:
@@ -708,266 +744,8 @@ class _ParallelDriver:
 
 
 # ----------------------------------------------------------------------
-# Entry points
+# Entry point
 # ----------------------------------------------------------------------
-def _execute_serial(lanes, supervisor, ledger, done, report, progress,
-                    prevalidate, chaos=None,
-                    failure_budget=None) -> None:
-    """The historical one-cell-at-a-time loop (``jobs=1``), with the
-    same driver-side hardening as the parallel path: crash verdicts go
-    through the circuit breaker (retry with backoff, ``poisoned`` at
-    the threshold) and the failure-rate budget can abort early."""
-    started = time.monotonic()
-    busy_s = 0.0
-    dispatched = 0
-    breaker = CircuitBreaker()
-    backoff = RespawnBackoff(chaos.plan.seed if chaos is not None else 0)
-    aborted = False
-    for lane in lanes:
-        if aborted:
-            break
-        while not aborted:
-            spec = lane.next_spec()
-            if spec is None:
-                break
-            cell = spec.cell_hash()
-            record = done.get(cell)
-            if record is not None:
-                report.skipped += 1
-            else:
-                rejected = static_rejection(spec) if prevalidate else None
-                if rejected is not None:
-                    record = Ledger.record_invalid(spec, rejected)
-                    report.invalid += 1
-                else:
-                    dispatched += 1
-                    attempt_started = time.monotonic()
-                    while True:
-                        result = supervisor.run(spec)
-                        if (result.status == "failed"
-                                and result.failure_class
-                                == WorkerCrash.__name__):
-                            if breaker.record_crash(
-                                    spec.identity_hash()):
-                                result = _poisoned_result(
-                                    spec, breaker.threshold,
-                                    result.failure_detail or "",
-                                )
-                                break
-                            backoff.sleep()
-                            continue
-                        breaker.reset(spec.identity_hash())
-                        backoff.reset()
-                        break
-                    busy_s += time.monotonic() - attempt_started
-                    record = Ledger.record_for(spec, result)
-                    report.retried += result.retries
-                    if result.status == "ok":
-                        report.completed += 1
-                    elif result.status == "poisoned":
-                        report.poisoned += 1
-                    else:
-                        report.failed += 1
-                if ledger is not None:
-                    ledger.append(record)
-                    if chaos is not None:
-                        chaos.driver_batch_gate()
-                done[cell] = record
-                abort = _over_budget(report, failure_budget)
-                if abort is not None:
-                    report.aborted = abort
-                    aborted = True
-            if progress is not None:
-                progress(spec, record)
-            lane.advance(record)
-    elapsed = time.monotonic() - started
-    _merge_scheduler_metrics(report, {
-        "mode": "serial",
-        "workers": 1,
-        "workers_spawned": 0,
-        "workers_reaped": 0,
-        "dispatched": dispatched,
-        "busy_s": round(busy_s, 3),
-        "wall_s": round(elapsed, 3),
-        "utilization": round(busy_s / elapsed, 4)
-        if elapsed > 0 else 0.0,
-        "max_ready_lanes": len(lanes),
-        "max_inflight": 1 if dispatched else 0,
-        "worker_respawns": 0,
-        "worker_crash_retries": breaker.crash_retries,
-        "breaker_trips": breaker.trips,
-        "backoff_s": round(backoff.total_s, 3),
-        "batch_groups": 0,
-        "batched_cells": 0,
-    })
-
-
-def _crash_retry(supervisor, spec, result, breaker, backoff):
-    """The serial path's crash policy, applied to an initial verdict:
-    a ``WorkerCrash`` is retried (with jittered backoff) until it
-    stops crashing or the circuit breaker trips to ``poisoned`` --
-    exactly the loop :func:`_execute_serial` runs inline."""
-    while (result.status == "failed"
-            and result.failure_class == WorkerCrash.__name__):
-        if breaker.record_crash(spec.identity_hash()):
-            return _poisoned_result(
-                spec, breaker.threshold, result.failure_detail or "",
-            )
-        backoff.sleep()
-        result = supervisor.run(spec)
-    breaker.reset(spec.identity_hash())
-    backoff.reset()
-    return result
-
-
-def _execute_serial_batched(lanes, supervisor, ledger, done, report,
-                            progress, prevalidate,
-                            failure_budget=None) -> None:
-    """The ``jobs=1`` loop for the batched backend: each round pops
-    one dispatchable cell per active lane, groups them by compiled-
-    workload signature, chunks each group to ``batch_width``, and runs
-    every chunk through :meth:`RunSupervisor.run_batch`.
-
-    Driver-side policy matches :func:`_execute_serial` cell for cell:
-    resume hits and pre-validation rejects are resolved before a cell
-    joins a group, duplicate cells park behind the first lane claiming
-    them, crash verdicts go through the circuit breaker (retry with
-    backoff, ``poisoned`` at the threshold), and the failure-rate
-    budget can abort mid-campaign.  Chunk records land through
-    :meth:`Ledger.append_many`, one fsync per chunk.
-    """
-    started = time.monotonic()
-    busy_s = 0.0
-    dispatched = 0
-    batch_groups = 0
-    batched_cells = 0
-    breaker = CircuitBreaker()
-    backoff = RespawnBackoff(0)
-    aborted = False
-    active: deque[Lane] = deque(
-        lane for lane in lanes if not lane.exhausted
-    )
-    while active and not aborted:
-        round_lanes = list(active)
-        active.clear()
-        heads: list[tuple[str, CellSpec, Lane]] = []
-        claimed: set[str] = set()
-        parked: dict[str, list[Lane]] = {}
-        for lane in round_lanes:
-            # Resolve everything the driver can decide itself.
-            while True:
-                spec = lane.next_spec()
-                if spec is None:
-                    break
-                cell = spec.cell_hash()
-                record = done.get(cell)
-                if record is not None:
-                    report.skipped += 1
-                    if progress is not None:
-                        progress(spec, record)
-                    lane.advance(record)
-                    continue
-                rejected = (static_rejection(spec) if prevalidate
-                            else None)
-                if rejected is not None:
-                    record = Ledger.record_invalid(spec, rejected)
-                    report.invalid += 1
-                    if ledger is not None:
-                        ledger.append(record)
-                    done[cell] = record
-                    if progress is not None:
-                        progress(spec, record)
-                    lane.advance(record)
-                    continue
-                break
-            if spec is None:
-                continue  # lane exhausted driver-side
-            if cell in claimed:
-                parked.setdefault(cell, []).append(lane)
-                continue
-            claimed.add(cell)
-            heads.append((cell, spec, lane))
-        groups: dict[tuple, list[tuple[str, CellSpec, Lane]]] = {}
-        for head in heads:
-            groups.setdefault(_batch_group_key(head[1]), []).append(head)
-        for members in groups.values():
-            if aborted:
-                break
-            width = supervisor.batch_width
-            for start in range(0, len(members), width):
-                if aborted:
-                    break
-                chunk = members[start:start + width]
-                dispatched += len(chunk)
-                if len(chunk) > 1:
-                    batch_groups += 1
-                    batched_cells += len(chunk)
-                attempt_started = time.monotonic()
-                verdicts = supervisor.run_batch(
-                    [spec for _, spec, _ in chunk]
-                )
-                verdicts = [
-                    _crash_retry(supervisor, spec, verdict, breaker,
-                                 backoff)
-                    for (_, spec, _), verdict in zip(chunk, verdicts)
-                ]
-                busy_s += time.monotonic() - attempt_started
-                landed = []
-                for (cell, spec, lane), result in zip(chunk, verdicts):
-                    record = Ledger.record_for(spec, result)
-                    report.retried += result.retries
-                    if result.status == "ok":
-                        report.completed += 1
-                    elif result.status == "poisoned":
-                        report.poisoned += 1
-                    else:
-                        report.failed += 1
-                    landed.append((cell, spec, lane, record))
-                if ledger is not None:
-                    ledger.append_many(
-                        [record for _, _, _, record in landed]
-                    )
-                for cell, spec, lane, record in landed:
-                    done[cell] = record
-                    if progress is not None:
-                        progress(spec, record)
-                    lane.advance(record)
-                    for waiter in parked.pop(cell, ()):
-                        report.skipped += 1
-                        if progress is not None:
-                            progress(waiter.next_spec(), record)
-                        waiter.advance(record)
-                abort = _over_budget(report, failure_budget)
-                if abort is not None:
-                    report.aborted = abort
-                    aborted = True
-        active.extend(
-            lane for lane in round_lanes if not lane.exhausted
-        )
-        if aborted:
-            break
-    elapsed = time.monotonic() - started
-    _merge_scheduler_metrics(report, {
-        "mode": "serial",
-        "workers": 1,
-        "workers_spawned": 0,
-        "workers_reaped": 0,
-        "dispatched": dispatched,
-        "busy_s": round(busy_s, 3),
-        "wall_s": round(elapsed, 3),
-        "utilization": round(busy_s / elapsed, 4)
-        if elapsed > 0 else 0.0,
-        "max_ready_lanes": len(lanes),
-        "max_inflight": 1 if dispatched else 0,
-        "worker_respawns": 0,
-        "worker_crash_retries": breaker.crash_retries,
-        "breaker_trips": breaker.trips,
-        "backoff_s": round(backoff.total_s, 3),
-        "batch_groups": batch_groups,
-        "batched_cells": batched_cells,
-    })
-
-
 def execute_lanes(
     lanes: Iterable[Lane],
     *,
@@ -985,12 +763,11 @@ def execute_lanes(
 ) -> dict[str, dict]:
     """Run every lane to exhaustion; returns the records-by-hash map.
 
-    ``jobs=1`` executes lanes in order on the calling process --
-    byte-for-byte the behavior of the historical serial sweep.
-    ``jobs>1`` (or ``jobs=None``/``0`` for ``os.cpu_count()``) fans
-    lanes out across worker processes; completion order then varies
-    but the produced record set does not.  ``done`` (resumed records)
-    is updated in place and returned.
+    ``jobs=1`` runs every dispatch on the calling process, one lane
+    after the other.  ``jobs>1`` (or ``jobs=None``/``0`` for
+    ``os.cpu_count()``) fans lanes out across worker processes;
+    completion order then varies but the produced record set does
+    not.  ``done`` (resumed records) is updated in place and returned.
 
     ``chaos`` is a driver-side
     :class:`~repro.harness.chaos.ChaosController` (duck typed --
@@ -1009,26 +786,16 @@ def execute_lanes(
         report = SweepReport()
     if not jobs:
         jobs = os.cpu_count() or 1
-    jobs = min(jobs, len(lanes)) if lanes else 0
-    if _batching(supervisor) and chaos is not None:
+    jobs = max(1, min(jobs, len(lanes)))
+    if chaos is not None and _group_width(supervisor) > 1:
         # Mirrors the supervisor's own chaos x batched rejection: a
         # driver-side controller implies a chaos campaign, which must
         # run on the plain backend.
         raise ValueError(
             "chaos injection does not compose with the batched backend"
         )
-    if jobs <= 1:
-        if _batching(supervisor):
-            _execute_serial_batched(lanes, supervisor, ledger, done,
-                                    report, progress, prevalidate,
-                                    failure_budget)
-        else:
-            _execute_serial(lanes, supervisor, ledger, done, report,
-                            progress, prevalidate, chaos,
-                            failure_budget)
-    else:
-        _ParallelDriver(
-            lanes, jobs, supervisor, ledger, done, report, progress,
-            prevalidate, mp_context, poll_s, chaos, failure_budget,
-        ).run()
+    _Driver(
+        lanes, jobs, supervisor, ledger, done, report, progress,
+        prevalidate, mp_context, poll_s, chaos, failure_budget,
+    ).run()
     return done

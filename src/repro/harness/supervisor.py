@@ -56,23 +56,42 @@ def _cache_delta(before: dict, after: dict) -> dict:
     }
 
 
-def execute_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND) -> dict:
-    """Run one cell to completion in the current process.
+def _success_payload(result, wall_s: float, cache_delta: dict) -> dict:
+    """The flat, JSON-serialisable record of one completed cell.
 
-    Returns the flat, JSON-serialisable success payload; failures
-    propagate as taxonomy exceptions for the caller to classify.  The
-    payload's ``metrics`` block carries the cell's observability
-    series: wall time and event throughput (wall-clock, excluded from
+    The ``metrics`` block carries the cell's observability series:
+    wall time and event throughput (wall-clock, excluded from
     determinism guarantees) plus the deterministic simulation counters
     (events, cycles, dispatches, messages) that ``repro stats`` and
     :class:`~repro.harness.sweep.SweepReport` aggregate.
+    """
+    from ..obs.metrics import cell_metrics
+
+    metrics = cell_metrics(result.stats, wall_s)
+    metrics.update(cache_delta)
+    return {
+        "status": "ok",
+        "aipc": result.aipc,
+        "ipc": result.ipc,
+        "cycles": result.cycles,
+        "area_mm2": result.area_mm2,
+        "dynamic_instructions": result.stats.dynamic_instructions,
+        "alpha_instructions": result.stats.alpha_instructions,
+        "metrics": metrics,
+    }
+
+
+def execute_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND) -> dict:
+    """Run one cell to completion in the current process.
+
+    Returns the success payload (:func:`_success_payload`); failures
+    propagate as taxonomy exceptions for the caller to classify.
 
     ``backend`` selects the engine (see :mod:`repro.sim.backends`);
     every backend produces bit-identical simulated results, so the
     payload differs only in its wall-clock fields.
     """
     from ..core.processor import WaveScalarProcessor
-    from ..obs.metrics import cell_metrics
     from ..sim.compile import cache_info, get_compiled
     from ..workloads.registry import get
 
@@ -90,18 +109,9 @@ def execute_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND) -> dict:
     )
     result = proc.run_compiled(compiled, faults=spec.faults)
     wall_s = time.perf_counter() - started
-    metrics = cell_metrics(result.stats, wall_s)
-    metrics.update(_cache_delta(cache_before, cache_info()))
-    return {
-        "status": "ok",
-        "aipc": result.aipc,
-        "ipc": result.ipc,
-        "cycles": result.cycles,
-        "area_mm2": result.area_mm2,
-        "dynamic_instructions": result.stats.dynamic_instructions,
-        "alpha_instructions": result.stats.alpha_instructions,
-        "metrics": metrics,
-    }
+    return _success_payload(
+        result, wall_s, _cache_delta(cache_before, cache_info())
+    )
 
 
 def execute_batch(specs: list[CellSpec]) -> list[dict]:
@@ -112,13 +122,12 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
     compiled-workload signature ``(workload, scale, threads, k,
     seed)`` -- and carry no fault plan; the scheduler's grouping and
     :meth:`RunSupervisor.run_batch` guarantee both.  Per-cell payloads
-    are shaped exactly like :func:`execute_cell`'s (success) and
-    :func:`_child_main`'s (failure), so the demultiplexed records are
-    indistinguishable from serial ones apart from wall-clock fields.
+    are :func:`execute_cell`'s on success and :func:`_failure_payload`'s
+    on failure, so the demultiplexed records are indistinguishable
+    from serial ones apart from wall-clock fields.
     """
     from ..core.processor import WaveScalarProcessor
     from ..core.results import SimulationResult
-    from ..obs.metrics import cell_metrics
     from ..sim.batched import BatchedEngine
     from ..sim.compile import cache_info, get_compiled
     from ..sim.engine import Engine
@@ -185,23 +194,13 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
             )
             payloads.append(_failure_payload(error))
             continue
-        metrics = cell_metrics(result.stats, wall_s)
-        metrics.update(cache_delta)
-        payloads.append({
-            "status": "ok",
-            "aipc": result.aipc,
-            "ipc": result.ipc,
-            "cycles": result.cycles,
-            "area_mm2": result.area_mm2,
-            "dynamic_instructions": result.stats.dynamic_instructions,
-            "alpha_instructions": result.stats.alpha_instructions,
-            "metrics": metrics,
-        })
+        payloads.append(_success_payload(result, wall_s, cache_delta))
     return payloads
 
 
 def _failure_payload(exc: BaseException) -> dict:
-    """The failure dict :func:`_child_main` would ship for ``exc``."""
+    """The classified failure dict for ``exc``, whichever process and
+    isolation mode caught it."""
     if isinstance(exc, SimulationDeadlock):
         diagnostics = getattr(exc, "diagnostics", None)
         return {
@@ -218,9 +217,10 @@ def _failure_payload(exc: BaseException) -> dict:
     }
 
 
-def _child_main(spec: CellSpec, channel, sabotage=None,
-                backend: str = DEFAULT_BACKEND) -> None:
-    """Subprocess entry point: run the cell, ship back one dict.
+def _child_main(spec: CellSpec, sabotage, backend: str,
+                channel) -> None:
+    """Subprocess entry point: run the cell, ship back its payload
+    (as a list of one, the shape a batch group ships).
 
     ``sabotage`` is an optional chaos-layer
     :class:`~repro.harness.chaos.Sabotage` decided by the *parent*;
@@ -233,7 +233,7 @@ def _child_main(spec: CellSpec, channel, sabotage=None,
         payload = execute_cell(spec, backend=backend)
     except Exception as exc:  # noqa: BLE001 - classified either way
         payload = _failure_payload(exc)
-    channel.put(payload)
+    channel.put([payload])
 
 
 def _batch_child_main(specs: list[CellSpec], channel) -> None:
@@ -542,57 +542,15 @@ class RunSupervisor:
             pass
 
     def _attempt(self, spec: CellSpec, sabotage=None) -> dict:
+        """One attempt of one cell; the classified payload."""
         if self.isolation == "inline":
-            return self._attempt_inline(spec)
-        return self._attempt_process(spec, sabotage)
-
-    def _attempt_inline(self, spec: CellSpec) -> dict:
-        try:
-            return execute_cell(spec, backend=self.backend)
-        except SimulationDeadlock as exc:
-            diagnostics = getattr(exc, "diagnostics", None)
-            return {
-                "status": "failed",
-                "failure_class": type(exc).__name__,
-                "failure_detail":
-                    str(exc).splitlines()[0] if str(exc) else "",
-                "diagnostics":
-                    diagnostics.to_dict() if diagnostics else None,
-            }
-
-    def _attempt_process(self, spec: CellSpec, sabotage=None) -> dict:
-        channel = self._ctx.SimpleQueue()
-        worker = self._ctx.Process(
-            target=_child_main,
-            args=(spec, channel, sabotage, self.backend),
-            daemon=True,
-        )
-        worker.start()
-        worker.join(self.timeout_s)
-        try:
-            if worker.is_alive():
-                worker.kill()
-                worker.join()
-                return {
-                    "status": "failed",
-                    "failure_class": WatchdogTimeout.__name__,
-                    "failure_detail":
-                        f"{spec.describe()}: no result within "
-                        f"{self.timeout_s}s; worker killed",
-                    "diagnostics": None,
-                }
-            if channel.empty():
-                return {
-                    "status": "failed",
-                    "failure_class": WorkerCrash.__name__,
-                    "failure_detail":
-                        f"{spec.describe()}: worker exited "
-                        f"{worker.exitcode} without a result",
-                    "diagnostics": None,
-                }
-            return channel.get()
-        finally:
-            channel.close()
+            try:
+                return execute_cell(spec, backend=self.backend)
+            except Exception as exc:  # noqa: BLE001 - as _child_main
+                return _failure_payload(exc)
+        return self._attempt_process(
+            _child_main, (spec, sabotage, self.backend), [spec]
+        )[0]
 
     def _attempt_batch(self, specs: list[CellSpec]) -> list[dict]:
         """One lockstep attempt over a batch group; per-cell payloads.
@@ -607,12 +565,18 @@ class RunSupervisor:
                 return execute_batch(specs)
             except Exception as exc:  # noqa: BLE001 - group failure
                 return [dict(_failure_payload(exc)) for _ in specs]
-        return self._attempt_batch_process(specs)
+        return self._attempt_process(_batch_child_main, (specs,), specs)
 
-    def _attempt_batch_process(self, specs: list[CellSpec]) -> list[dict]:
+    def _attempt_process(self, child_main, args: tuple,
+                         specs: list[CellSpec]) -> list[dict]:
+        """Fork ``child_main(*args, channel)`` over ``specs`` (one
+        cell, or one batch group), join it under the watchdog, and
+        return one payload per cell: the child's own, or -- child hung
+        or died without reporting -- the same ``WatchdogTimeout`` /
+        ``WorkerCrash`` classification for each."""
         channel = self._ctx.SimpleQueue()
         worker = self._ctx.Process(
-            target=_batch_child_main, args=(specs, channel), daemon=True,
+            target=child_main, args=(*args, channel), daemon=True,
         )
         worker.start()
         # One process doing the work of len(specs) serial attempts gets
@@ -626,30 +590,22 @@ class RunSupervisor:
             if worker.is_alive():
                 worker.kill()
                 worker.join()
-                return [
-                    {
-                        "status": "failed",
-                        "failure_class": WatchdogTimeout.__name__,
-                        "failure_detail":
-                            f"{spec.describe()}: batch group of "
-                            f"{len(specs)} produced no result within "
-                            f"{deadline}s; worker killed",
-                        "diagnostics": None,
-                    }
-                    for spec in specs
-                ]
-            if channel.empty():
-                return [
-                    {
-                        "status": "failed",
-                        "failure_class": WorkerCrash.__name__,
-                        "failure_detail":
-                            f"{spec.describe()}: batch worker exited "
-                            f"{worker.exitcode} without a result",
-                        "diagnostics": None,
-                    }
-                    for spec in specs
-                ]
-            return channel.get()
+                failure = WatchdogTimeout
+                detail = f"no result within {deadline}s; worker killed"
+            elif channel.empty():
+                failure = WorkerCrash
+                detail = (f"worker exited {worker.exitcode} without a "
+                          f"result")
+            else:
+                return channel.get()
+            return [
+                {
+                    "status": "failed",
+                    "failure_class": failure.__name__,
+                    "failure_detail": f"{spec.describe()}: {detail}",
+                    "diagnostics": None,
+                }
+                for spec in specs
+            ]
         finally:
             channel.close()

@@ -21,12 +21,21 @@ Aggregation mirrors the paper's method (and the historical in-process
 code path): per workload the best-performing thread count wins, a
 failed workload scores zero AIPC, and a design's suite score is the
 mean over workloads.
+
+A sweep either runs every lane (one :func:`execute_lanes` call, any
+``jobs``) or skips what cannot matter.  There is one skip loop,
+:func:`_execute_skipping` -- skip scan, acquisition, one lane through
+:func:`execute_lanes`, retrain, exact-verify -- and one dominance
+test; ``prune``, ``surrogate`` and both together are its three switch
+positions: whether the surrogate model trains, and whether the
+untrained model's prior ``[0, static bound]`` may already skip.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ..design.pareto import ParetoPoint
 from ..design.space import DesignPoint
@@ -221,6 +230,38 @@ def _finish_backend_metrics(report: SweepReport, supervisor,
     }
 
 
+def _given(**kwargs) -> dict:
+    """The keyword arguments the caller actually passed (not ``None``),
+    so an omitted one keeps :class:`RunSupervisor`'s own default."""
+    return {key: value for key, value in kwargs.items()
+            if value is not None}
+
+
+def _open_campaign(ledger_path, resume: bool, chaos,
+                   surrogate: bool = False):
+    """What every sweep entry point starts from: the ledger (or
+    ``None``), the resumed records it may reuse, and a fresh report.
+
+    A ``predicted`` record is a surrogate annotation, not a
+    measurement: unless this campaign runs the surrogate, resumed
+    predicted cells are dropped here and re-simulated (the measurement
+    then supersedes the prediction by ``seq``).
+    """
+    ledger = Ledger(ledger_path) if ledger_path else None
+    done = ledger.load() if (ledger is not None and resume) else {}
+    if not surrogate:
+        done = {
+            cell: record for cell, record in done.items()
+            if record.get("status") != "predicted"
+        }
+    report = SweepReport()
+    if ledger is not None:
+        report.torn_lines = ledger.torn_lines
+        report.corrupt_lines = ledger.corrupt_lines
+        ledger.chaos = chaos
+    return ledger, done, report
+
+
 def sweep_cells(
     specs: Iterable[CellSpec],
     *,
@@ -245,28 +286,10 @@ def sweep_cells(
     """
     specs = list(specs)
     if supervisor is None:
-        kwargs: dict = {}
-        if backend is not None:
-            kwargs["backend"] = backend
-        if batch_width is not None:
-            kwargs["batch_width"] = batch_width
-        supervisor = RunSupervisor(**kwargs)
-    ledger = Ledger(ledger_path) if ledger_path else None
-    done = ledger.load() if (ledger is not None and resume) else {}
-    if done:
-        # A predicted record is a surrogate annotation, not a
-        # measurement; this entry point has no surrogate mode, so
-        # resumed predicted cells are re-simulated (the measurement
-        # then supersedes the prediction by seq).
-        done = {
-            cell: record for cell, record in done.items()
-            if record.get("status") != "predicted"
-        }
-    report = SweepReport()
-    if ledger is not None:
-        report.torn_lines = ledger.torn_lines
-        report.corrupt_lines = ledger.corrupt_lines
-        ledger.chaos = chaos
+        supervisor = RunSupervisor(
+            **_given(backend=backend, batch_width=batch_width)
+        )
+    ledger, done, report = _open_campaign(ledger_path, resume, chaos)
     lanes = [
         Lane(key=(index,), specs=[spec])
         for index, spec in enumerate(specs)
@@ -354,6 +377,49 @@ def _optimistic_score(record: dict) -> float:
     return float(record.get("aipc_bound", 0.0))
 
 
+class LaneScore(NamedTuple):
+    """What one lane's records say so far (see :func:`_lane_score`)."""
+
+    score: Optional[float]  # best AIPC over the scored cells
+    complete: bool  # the lane needs no further simulation
+    pruned: bool  # the score leans on a bound or a prediction
+    failure: Optional[tuple[CellSpec, dict]] = None  # what stopped it
+
+
+def _lane_score(lane: Lane, records: dict[str, dict]) -> LaneScore:
+    """Score one lane: the best-performing thread count wins, a failed
+    lane keeps what it scored before the failure (else zero).
+
+    ``complete`` means the lane needs no further simulation: every
+    cell has a record, or an early cell failed (the lane protocol
+    stops probing after a failure -- more threads only add pressure on
+    a design that already failed -- so the score stands).  ``pruned``
+    flags lanes carrying a ``pruned_static`` or ``predicted`` record:
+    such a cell contributes its optimistic score (static bound, or the
+    frozen surrogate upper interval -- see :func:`_optimistic_score`),
+    so the lane's score is an upper bound, not a measurement, and the
+    design is disqualified as a skip-test comparator.  The skip test
+    fires only when a design is dominated even at that optimistic
+    score, so the Pareto frontier is unchanged.
+    """
+    best: Optional[float] = None
+    pruned = False
+    for spec in lane.specs:
+        record = records.get(spec.cell_hash())
+        if record is None:
+            # Never ran (yet): nothing stopped the lane, it is open.
+            return LaneScore(best, False, pruned)
+        if record["status"] == "ok":
+            score = record.get("aipc", 0.0)
+        elif record["status"] in ("pruned_static", "predicted"):
+            pruned = True
+            score = _optimistic_score(record)
+        else:
+            return LaneScore(best or 0.0, True, pruned, (spec, record))
+        best = score if best is None else max(best, score)
+    return LaneScore(best or 0.0, True, pruned)
+
+
 def _aggregate(
     designs: Sequence[DesignPoint],
     names: Sequence[str],
@@ -374,35 +440,16 @@ def _aggregate(
         per_workload: list[float] = []
         for name_index, name in enumerate(names):
             lane = lanes[design_index * len(names) + name_index]
-            best: Optional[float] = None
-            for spec in lane.specs:
-                record = records.get(spec.cell_hash())
-                if record is None:
-                    break  # never ran: an earlier cell stopped the lane
-                if record["status"] == "ok":
-                    aipc = record.get("aipc", 0.0)
-                    best = aipc if best is None else max(best, aipc)
-                elif record["status"] in ("pruned_static", "predicted"):
-                    # A skipped cell contributes its optimistic score
-                    # (static bound, or the frozen surrogate upper
-                    # interval -- see _optimistic_score): the mixed
-                    # aggregate is then an upper bound on the true
-                    # one, and both skip tests fire only when the
-                    # design is dominated even at that optimistic
-                    # score, so the Pareto frontier is unchanged.
-                    score = _optimistic_score(record)
-                    best = score if best is None else max(best, score)
-                else:
-                    report.failures.append(CellFailure(
-                        config=config.describe(), workload=name,
-                        threads=spec.threads,
-                        failure_class=record.get("failure_class", "?"),
-                        detail=record.get("failure_detail") or "",
-                    ))
-                    # More threads only add pressure on a design that
-                    # already failed; the lane stopped probing here.
-                    break
-            per_workload.append(best or 0.0)
+            scored = _lane_score(lane, records)
+            if scored.failure is not None:
+                spec, record = scored.failure
+                report.failures.append(CellFailure(
+                    config=config.describe(), workload=name,
+                    threads=spec.threads,
+                    failure_class=record.get("failure_class", "?"),
+                    detail=record.get("failure_detail") or "",
+                ))
+            per_workload.append(scored.score or 0.0)
         aipc = sum(per_workload) / len(per_workload) if per_workload \
             else 0.0
         points.append(ParetoPoint(
@@ -412,204 +459,59 @@ def _aggregate(
     return points
 
 
-def _lane_score(
-    lane: Lane, records: dict[str, dict]
-) -> tuple[Optional[float], bool, bool]:
-    """``(score, complete, pruned)`` for one lane, mirroring the
-    :func:`_aggregate` scan exactly.
-
-    ``complete`` means the lane needs no further simulation: every
-    cell has a record, or an early cell failed (the lane protocol
-    stops probing after a failure, so the score stands).  ``pruned``
-    flags lanes carrying a ``pruned_static`` or ``predicted`` record
-    -- their score is an upper bound, not a measurement, so the design
-    is disqualified as a skip-test comparator.
-    """
-    best: Optional[float] = None
-    pruned = False
-    for spec in lane.specs:
-        record = records.get(spec.cell_hash())
-        if record is None:
-            return best, False, pruned
-        if record["status"] == "ok":
-            aipc = record.get("aipc", 0.0)
-            best = aipc if best is None else max(best, aipc)
-        elif record["status"] in ("pruned_static", "predicted"):
-            pruned = True
-            score = _optimistic_score(record)
-            best = score if best is None else max(best, score)
-        else:
-            return (best or 0.0), True, pruned
-    return (best or 0.0), True, pruned
-
-
-def _optimistic_aggregate(
-    dlanes: Sequence[Lane],
-    records: dict[str, dict],
-    lane_bounds: dict[tuple, float],
-) -> float:
-    """Upper bound on the design's final suite aggregate: measured
-    lanes contribute their score, unmeasured lanes their static AIPC
-    bound.  Sound because per-cell bounds dominate measurements and a
-    failed cell scores zero."""
-    total = 0.0
-    for lane in dlanes:
-        score, complete, _ = _lane_score(lane, records)
-        if complete:
-            total += score or 0.0
-        else:
-            total += max(score or 0.0, lane_bounds[lane.key])
-    return total / len(dlanes)
-
-
-def _execute_pruned(
+def _execute_skipping(
     designs: Sequence[DesignPoint],
     names: Sequence[str],
     lanes: Sequence[Lane],
+    execute: Callable[..., dict],
     *,
-    supervisor: RunSupervisor,
     ledger: Optional[Ledger],
     done: dict[str, dict],
     report: SweepReport,
     progress: Callable[[CellSpec, dict], None],
-    prevalidate: bool,
-    chaos,
-    failure_budget: Optional[float],
-) -> dict[str, dict]:
-    """Bound-driven sweep: skip cells that provably cannot move the
-    Pareto frontier.
-
-    Designs run serially in area order (the ``designs`` sequence is
-    already area-sorted).  Within a design, lanes run in *descending*
-    static-bound order, so the most optimistic terms of the design's
-    aggregate are replaced by measurements first and the optimistic
-    aggregate drops as fast as possible.  Before each lane, the
-    remaining cells are pruned when::
-
-        (sum of measured lane scores
-         + sum of unmeasured lane bounds) / len(names)
-            <= best aggregate of any fully-measured design so far
-
-    Every fully-measured design at this point has area <= the current
-    design's (area order), so a design pruned here is dominated on the
-    frontier whether its true aggregate is the mixed value or anything
-    below it -- the frontier is bit-identical to the unpruned sweep's
-    (proof in DESIGN.md section 5h).  Pruned cells get
-    ``pruned_static`` ledger records carrying their bound, so resumed
-    campaigns (pruned or not) replay the same decisions without
-    re-simulating.
-    """
-    from ..analysis.dataflow import bound_for_cell
-
-    n_names = len(names)
-    lane_bounds: dict[tuple, float] = {}
-    cell_bounds: dict[str, object] = {}
-    for lane in lanes:
-        best = 0.0
-        for spec in lane.specs:
-            bound = bound_for_cell(spec)
-            cell_bounds[spec.cell_hash()] = bound
-            best = max(best, bound.aipc_bound)
-        lane_bounds[lane.key] = best
-
-    frontier = 0.0  # best fully-measured aggregate at <= current area
-    for design_index in range(len(designs)):
-        if report.aborted:
-            break
-        dlanes = lanes[design_index * n_names:
-                       (design_index + 1) * n_names]
-        # Descending bound; lane key breaks float ties
-        # deterministically.
-        order = sorted(
-            dlanes, key=lambda lane: (-lane_bounds[lane.key], lane.key)
-        )
-        for lane in order:
-            _, complete, _ = _lane_score(lane, done)
-            if complete:
-                # Resumed from the ledger (measured or pruned in a
-                # prior run): same accounting as execute_lanes' skip.
-                report.skipped += sum(
-                    1 for spec in lane.specs
-                    if spec.cell_hash() in done
-                )
-                continue
-            if frontier > 0.0 and _optimistic_aggregate(
-                dlanes, done, lane_bounds
-            ) <= frontier:
-                # Dominated even if every unmeasured cell hit its
-                # bound: record the remainder of the design as pruned.
-                for victim in order:
-                    _, victim_done, _ = _lane_score(victim, done)
-                    if victim_done:
-                        continue
-                    for spec in victim.specs:
-                        if spec.cell_hash() in done:
-                            continue
-                        record = Ledger.record_pruned(
-                            spec, cell_bounds[spec.cell_hash()]
-                        )
-                        if ledger is not None:
-                            ledger.append(record)
-                        done[spec.cell_hash()] = record
-                        report.pruned_static += 1
-                        progress(spec, record)
-                break
-            execute_lanes(
-                [lane], jobs=1, supervisor=supervisor, ledger=ledger,
-                done=done, report=report, progress=progress,
-                prevalidate=prevalidate, chaos=chaos,
-                failure_budget=failure_budget,
-            )
-            if report.aborted:
-                break
-        scores = [_lane_score(lane, done) for lane in dlanes]
-        if (all(complete for _, complete, _ in scores)
-                and not any(pruned for _, _, pruned in scores)):
-            aggregate = sum(score or 0.0 for score, _, _ in scores) \
-                / n_names
-            frontier = max(frontier, aggregate)
-    return done
-
-
-def _execute_surrogate(
-    designs: Sequence[DesignPoint],
-    names: Sequence[str],
-    lanes: Sequence[Lane],
-    *,
-    supervisor: RunSupervisor,
-    ledger: Optional[Ledger],
-    done: dict[str, dict],
-    report: SweepReport,
-    progress: Callable[[CellSpec, dict], None],
-    prevalidate: bool,
-    chaos,
-    failure_budget: Optional[float],
-    prior_skips: bool = False,
-) -> dict[str, dict]:
-    """Active-learning sweep: a conformal surrogate orders the
-    measurements and skips designs that cannot reach the frontier.
+    train: bool,
+    prior_skips: bool,
+) -> None:
+    """The skip loop: measure one lane at a time, and skip designs that
+    cannot reach the frontier even at an optimistic score.
 
     Each round runs three steps (DESIGN.md section 5k):
 
     1. **Skip scan** -- a design is skipped when its *optimistic
        mixed aggregate* (measured lanes at their score, unmeasured
-       cells at the surrogate's conformal upper interval, clipped to
-       the sound static bound) is dominated by a fully-measured design
-       of no larger area.  Skipped cells get ``predicted`` ledger
-       records carrying the interval *frozen at skip time*; resume and
-       aggregation replay exactly that value.  Designs whose
-       unmeasured intervals are wider than
-       :data:`~repro.surrogate.UNCERTAINTY_THRESHOLD` are never
-       skipped -- a model that cannot commit must measure.
+       cells at the model's upper interval, which never exceeds the
+       sound static bound) is dominated by a fully-measured design
+       of no larger area.  Skipped cells get ledger records carrying
+       the value *frozen at skip time*; resume and aggregation replay
+       exactly that value.  Designs whose unmeasured intervals are
+       wider than :data:`~repro.surrogate.UNCERTAINTY_THRESHOLD` are
+       never skipped by a fitted model -- a model that cannot commit
+       must measure.
     2. **Acquisition** -- among unresolved designs, pick the one with
        the highest expected frontier improvement (mean-mixed aggregate
        minus the measured incumbent at <= its area; ties to the
        smaller area), then its widest-interval lane; measure that one
-       lane.  Before ``min_train`` measured rows exist the model is an
-       uninformative prior and designs are simply measured in
-       ascending area order to establish the incumbent.
+       lane through ``execute``.  While the model is still its prior
+       (``[0, bound]``, so "widest" means "highest bound": the most
+       optimistic term of the aggregate is replaced by a measurement
+       first) designs are simply measured in ascending order to
+       establish the incumbent.
     3. **Retrain** on every measured record (``ok`` at its AIPC,
        ``failed``/``poisoned`` at the zero the aggregation assigns).
+
+    The two switches select the three policies
+    :func:`design_space_sweep` offers:
+
+    * ``train=False, prior_skips=True`` (``prune``): the model never
+      trains, so every skip is the static-bound prune test; skipped
+      cells are recorded ``pruned_static`` with their bound (proof of
+      frontier identity in DESIGN.md section 5h).
+    * ``train=True, prior_skips=False`` (``surrogate``): a conformal
+      quantile forest replaces the prior after ``min_train`` measured
+      rows, and only the fitted model may skip; skipped cells are
+      recorded ``predicted`` with the frozen interval.
+    * both: the surrogate additionally skips while it is still the
+      prior (recorded ``predicted`` under model hash ``"prior"``).
 
     When every design is resolved, an **exact-verify** pass recomputes
     the frontier: any frontier design still carrying ``predicted``
@@ -620,14 +522,10 @@ def _execute_surrogate(
     is what *guarantees* the returned frontier is bit-identical to the
     exhaustive sweep's, independent of model quality.
 
-    ``prior_skips=True`` (the ``prune`` + ``surrogate`` composition)
-    additionally allows skips while the model is still the prior; the
-    prior's interval is ``[0, bound]``, so those skips are exactly the
-    static-bound prune test.
-
-    Execution is serial (``jobs`` is ignored): every decision depends
-    on the measurements before it, and determinism across ``--jobs``
-    values is part of the sweep contract.
+    Execution is serial (``execute`` is called with one lane and
+    ``jobs=1``): every decision depends on the measurements before it,
+    and determinism across ``--jobs`` values is part of the sweep
+    contract.
     """
     from ..analysis.dataflow import bound_for_cell
     from ..design.pareto import pareto_front
@@ -650,8 +548,7 @@ def _execute_surrogate(
     # execute_lanes, so count their resumed records here (partially
     # complete lanes are counted by execute_lanes when they run).
     for lane in lanes:
-        _, complete, _ = _lane_score(lane, done)
-        if complete:
+        if _lane_score(lane, done).complete:
             report.skipped += sum(
                 1 for spec in lane.specs if spec.cell_hash() in done
             )
@@ -671,6 +568,8 @@ def _execute_surrogate(
         return prediction
 
     def _retrain() -> None:
+        if not train:
+            return
         pairs = [
             (spec, done[spec.cell_hash()])
             for lane in lanes for spec in lane.specs
@@ -685,7 +584,7 @@ def _execute_surrogate(
 
     def _resolved(index: int) -> bool:
         return all(
-            _lane_score(lane, done)[1] for lane in _dlanes(index)
+            _lane_score(lane, done).complete for lane in _dlanes(index)
         )
 
     def _clean_aggregate(index: int) -> Optional[float]:
@@ -694,21 +593,21 @@ def _execute_surrogate(
         (such a design cannot serve as a skip-test comparator)."""
         total = 0.0
         for lane in _dlanes(index):
-            score, complete, pruned = _lane_score(lane, done)
-            if not complete or pruned:
+            scored = _lane_score(lane, done)
+            if not scored.complete or scored.pruned:
                 return None
-            total += score or 0.0
+            total += scored.score or 0.0
         return total / n_names
 
     def _mixed(index: int, optimistic: bool) -> float:
         """Suite aggregate with unmeasured cells filled in by the
-        surrogate: the conformal upper interval (``optimistic``, the
-        skip test) or the point estimate (the acquisition rank)."""
+        model: the upper interval (``optimistic``, the skip test) or
+        the point estimate (the acquisition rank)."""
         total = 0.0
         for lane in _dlanes(index):
-            score, complete, _ = _lane_score(lane, done)
-            if complete:
-                total += score or 0.0
+            scored = _lane_score(lane, done)
+            if scored.complete:
+                total += scored.score or 0.0
                 continue
             fill = 0.0
             for spec in lane.specs:
@@ -717,14 +616,13 @@ def _execute_surrogate(
                 prediction = _predict(spec)
                 fill = max(fill, prediction.hi if optimistic
                            else prediction.aipc)
-            total += max(score or 0.0, fill)
+            total += max(scored.score or 0.0, fill)
         return total / n_names
 
     def _max_width(index: int) -> float:
         width = 0.0
         for lane in _dlanes(index):
-            _, complete, _ = _lane_score(lane, done)
-            if complete:
+            if _lane_score(lane, done).complete:
                 continue
             for spec in lane.specs:
                 if spec.cell_hash() not in done:
@@ -733,11 +631,12 @@ def _execute_surrogate(
 
     def _dominated(index: int, aggregate: float) -> bool:
         """Whether a fully-measured design of no larger area already
-        beats ``aggregate``.  The equal-aggregate arm mirrors the
-        stable sort inside :func:`pareto_front`: at identical area and
-        performance the earlier (area-sorted, so cheaper-or-equal)
-        design takes the frontier slot, so an exact tie against an
-        earlier design still means dominated."""
+        beats ``aggregate`` -- the one dominance test; areas are
+        compared, not assumed sorted.  The equal-aggregate arm mirrors
+        the stable sort inside :func:`pareto_front`: at identical area
+        and performance the earlier design takes the frontier slot, so
+        an exact tie against an earlier design still means dominated.
+        """
         area = designs[index].area_mm2
         for other in range(n_designs):
             if other == index:
@@ -754,20 +653,25 @@ def _execute_surrogate(
 
     def _freeze(index: int) -> None:
         for lane in _dlanes(index):
-            _, complete, _ = _lane_score(lane, done)
-            if complete:
+            if _lane_score(lane, done).complete:
                 continue
             for spec in lane.specs:
                 cell = spec.cell_hash()
                 if cell in done:
                     continue
-                record = Ledger.record_predicted(
-                    spec, cell_bounds[cell], _predict(spec)
-                )
+                if train:
+                    record = Ledger.record_predicted(
+                        spec, cell_bounds[cell], _predict(spec)
+                    )
+                    report.predicted += 1
+                else:
+                    record = Ledger.record_pruned(
+                        spec, cell_bounds[cell]
+                    )
+                    report.pruned_static += 1
                 if ledger is not None:
                     ledger.append(record)
                 done[cell] = record
-                report.predicted += 1
                 progress(spec, record)
 
     def _incumbent(index: int) -> float:
@@ -787,14 +691,13 @@ def _execute_surrogate(
         points = []
         carries: dict[str, int] = {}
         for index, design in enumerate(designs):
-            scores = [
-                _lane_score(lane, done) for lane in _dlanes(index)
-            ]
             label = design.config.describe()
             points.append(ParetoPoint(
                 label=label, area=design.area_mm2,
-                performance=sum(s or 0.0 for s, _, _ in scores)
-                / n_names,
+                performance=sum(
+                    _lane_score(lane, done).score or 0.0
+                    for lane in _dlanes(index)
+                ) / n_names,
             ))
             if any(
                 done.get(spec.cell_hash(), {}).get("status")
@@ -845,7 +748,7 @@ def _execute_surrogate(
                             report.predicted -= 1
             continue
         if not model.fitted:
-            pick = remaining[0]  # ascending area: build the incumbent
+            pick = remaining[0]  # in order: build the incumbent
         else:
             pick = max(
                 remaining,
@@ -857,7 +760,7 @@ def _execute_surrogate(
             )
         open_lanes = [
             lane for lane in _dlanes(pick)
-            if not _lane_score(lane, done)[1]
+            if not _lane_score(lane, done).complete
         ]
 
         def _lane_width(lane: Lane) -> float:
@@ -875,27 +778,22 @@ def _execute_surrogate(
             key=lambda ln: (-_lane_width(ln), -lane_bounds[ln.key],
                             ln.key),
         )
-        execute_lanes(
-            [lane], jobs=1, supervisor=supervisor, ledger=ledger,
-            done=done, report=report, progress=progress,
-            prevalidate=prevalidate, chaos=chaos,
-            failure_budget=failure_budget,
-        )
+        execute([lane], jobs=1)
         _retrain()
-    report.metrics["surrogate"] = {
-        "model_hash": model.model_hash,
-        "refits": model.refits,
-        "train_rows": model.train_rows,
-        "predicted_cells": report.predicted,
-        "simulated_cells": (report.completed + report.failed
-                            + report.poisoned) - simulated_at_start,
-        "verified_designs": sorted(
-            designs[index].config.describe()
-            for index in must_measure
-        ),
-        "prior_skips": bool(prior_skips),
-    }
-    return done
+    if train:
+        report.metrics["surrogate"] = {
+            "model_hash": model.model_hash,
+            "refits": model.refits,
+            "train_rows": model.train_rows,
+            "predicted_cells": report.predicted,
+            "simulated_cells": (report.completed + report.failed
+                                + report.poisoned) - simulated_at_start,
+            "verified_designs": sorted(
+                designs[index].config.describe()
+                for index in must_measure
+            ),
+            "prior_skips": bool(prior_skips),
+        }
 
 
 def design_space_sweep(
@@ -934,88 +832,66 @@ def design_space_sweep(
 
     ``prune=True`` turns on static-bound pruning: cells whose AIPC
     upper bound cannot lift their design past an already-measured
-    cheaper design are skipped with ``pruned_static`` ledger records
-    (attempts=0, bound attached).  The returned Pareto *frontier* is
-    bit-identical to the unpruned sweep's; dominated (off-frontier)
-    points may report the optimistic mixed aggregate instead of the
-    measured one.  Prune mode executes serially (``jobs`` is ignored)
-    because each decision depends on the cells measured before it.
+    design of no larger area are skipped with ``pruned_static``
+    ledger records (attempts=0, bound attached).  The returned Pareto
+    *frontier* is bit-identical to the unpruned sweep's; dominated
+    (off-frontier) points may report the optimistic mixed aggregate
+    instead of the measured one.
 
-    ``surrogate=True`` turns on the active-learning sweep
-    (:func:`_execute_surrogate`): a conformal quantile-forest trained
-    on the measurements so far orders the remaining cells and skips
-    designs whose bound-clipped upper interval cannot reach the
-    frontier, recording them as ``predicted`` (point estimate,
-    interval, and model hash attached).  An exact-verify pass
-    re-measures any frontier design the model skipped, so the
-    returned frontier is bit-identical to the exhaustive sweep's.
-    Like prune mode it executes serially; combined with
-    ``prune=True`` the surrogate additionally skips on the
-    uninformative prior, which degenerates to the static-bound prune
-    test.  Resuming *without* ``surrogate`` drops predicted records
-    and re-simulates those cells.
+    ``surrogate=True`` turns on the active-learning sweep: a conformal
+    quantile-forest trained on the measurements so far orders the
+    remaining cells and skips designs whose bound-clipped upper
+    interval cannot reach the frontier, recording them as
+    ``predicted`` (point estimate, interval, and model hash
+    attached).  An exact-verify pass re-measures any frontier design
+    the model skipped, so the returned frontier is bit-identical to
+    the exhaustive sweep's.  Resuming *without* ``surrogate`` drops
+    predicted records and re-simulates those cells.
+
+    Both are the one skip loop (:func:`_execute_skipping`): ``prune``
+    alone is the surrogate whose model never trains, and the two
+    together let the surrogate skip while it is still its prior.  The
+    loop measures one lane at a time (``jobs`` is ignored) because
+    each decision depends on the cells measured before it.
 
     ``backend`` selects the engine for every cell (see
     :mod:`repro.sim.backends`); ``backend="batched"`` additionally
     groups same-workload cells into lockstep batch groups of up to
     ``batch_width``, composing with both ``jobs`` (each worker runs
-    whole groups) and ``prune`` (pruning dispatches lanes one at a
+    whole groups) and the skip loop (which dispatches lanes one at a
     time, so batched cells simply run at width 1).  Records are
     bit-identical across backends apart from wall-clock fields and the
     ``backend``/``backend_fallback`` annotations.
     """
     if supervisor is None:
-        kwargs = {} if timeout_s is None else {"timeout_s": timeout_s}
-        if backend is not None:
-            kwargs["backend"] = backend
-        if batch_width is not None:
-            kwargs["batch_width"] = batch_width
         supervisor = RunSupervisor(
             max_retries=max_retries, escalation=escalation,
-            isolation=isolation, **kwargs,
+            isolation=isolation,
+            **_given(timeout_s=timeout_s, backend=backend,
+                     batch_width=batch_width),
         )
-    ledger = Ledger(ledger_path) if ledger_path else None
-    done = ledger.load() if (ledger is not None and resume) else {}
-    if done and not surrogate:
-        # Predicted records are surrogate annotations, not
-        # measurements: resuming without --surrogate re-simulates
-        # them (the measurement then supersedes by seq).
-        done = {
-            cell: record for cell, record in done.items()
-            if record.get("status") != "predicted"
-        }
-    report = SweepReport()
-    if ledger is not None:
-        report.torn_lines = ledger.torn_lines
-        report.corrupt_lines = ledger.corrupt_lines
-        ledger.chaos = chaos
+    ledger, done, report = _open_campaign(
+        ledger_path, resume, chaos, surrogate
+    )
     lanes = build_lanes(
         designs, names, scale, threaded, candidates, max_cycles,
         max_events,
     )
     meter, noted = _metered(lanes, progress)
-    if surrogate:
-        records = _execute_surrogate(
-            designs, names, lanes, supervisor=supervisor,
-            ledger=ledger, done=done, report=report, progress=noted,
-            prevalidate=prevalidate, chaos=chaos,
-            failure_budget=failure_budget, prior_skips=prune,
-        )
-    elif prune:
-        records = _execute_pruned(
-            designs, names, lanes, supervisor=supervisor,
-            ledger=ledger, done=done, report=report, progress=noted,
-            prevalidate=prevalidate, chaos=chaos,
-            failure_budget=failure_budget,
+    execute = partial(
+        execute_lanes, supervisor=supervisor, ledger=ledger, done=done,
+        report=report, progress=noted, prevalidate=prevalidate,
+        chaos=chaos, failure_budget=failure_budget,
+    )
+    if prune or surrogate:
+        _execute_skipping(
+            designs, names, lanes, execute, ledger=ledger, done=done,
+            report=report, progress=noted, train=surrogate,
+            prior_skips=prune,
         )
     else:
-        records = execute_lanes(
-            lanes, jobs=jobs, supervisor=supervisor, ledger=ledger,
-            done=done, report=report, progress=noted,
-            prevalidate=prevalidate, chaos=chaos,
-            failure_budget=failure_budget,
-        )
+        execute(lanes, jobs=jobs)
     _finish_sweep_metrics(report, meter)
-    _finish_backend_metrics(report, supervisor, records)
-    points = _aggregate(designs, names, lanes, records, report)
+    _finish_backend_metrics(report, supervisor, done)
+    points = _aggregate(designs, names, lanes, done, report)
     return points, report

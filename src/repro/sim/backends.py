@@ -1,16 +1,15 @@
 """The engine backend registry.
 
-Three names for driving the cycle-level simulator.  All three run the
-same code -- :class:`~repro.sim.engine.Engine` has one hot path
+Two names for driving the cycle-level simulator.  Both run the same
+code -- :class:`~repro.sim.engine.Engine` has one hot path
 (``_begin`` / ``_drain`` / ``_finish``), and hooks are ``is not None``
-tests inside it -- so the names select what is attached and how cells
-share a process, never a different loop:
+tests inside it -- so the names select how cells share a process,
+never a different loop:
 
 * ``plain`` -- the default: one :class:`~repro.sim.engine.Engine` per
-  run, nothing attached unless the caller attaches it.
-* ``profiled`` -- the same engine with a
-  :class:`~repro.obs.profile.PhaseProfile` attached, attributing
-  hot-loop time to pipeline phases.
+  run, nothing attached unless the caller attaches it (a
+  :class:`~repro.obs.profile.PhaseProfile`, say: ``repro run
+  --profile``).
 * ``batched`` -- the lockstep scheduler of :mod:`repro.sim.batched`:
   many cells of the same workload graph in one process (one fork, one
   warm interpreter, one ledger append per group), interleaved
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 #: Every selectable backend, in documentation order.
-BACKENDS = ("plain", "profiled", "batched")
+BACKENDS = ("plain", "batched")
 
 DEFAULT_BACKEND = "plain"
 

@@ -184,6 +184,20 @@ def test_sweep_small_sample(capsys):
     assert "AIPC" in out
 
 
+def test_sweep_banner_says_what_runs(capsys):
+    """--prune/--surrogate measure one lane at a time whatever --jobs
+    says, so the banner must not promise a worker pool."""
+    code, out = run_cli(
+        capsys, "sweep", "--suite", "spec", "--sample", "40",
+        "--scale", "tiny", "--jobs", "4", "--prune",
+    )
+    assert code == 0
+    banner = out.splitlines()[0]
+    assert "serial: skip decisions are sequential" in banner
+    assert "4 jobs" not in banner
+    assert "scheduler: 1 worker(s)" in out
+
+
 def test_unknown_workload_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "-w", "doom"])

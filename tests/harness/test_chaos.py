@@ -267,14 +267,22 @@ def test_chaos_smoke_ledger_faults_recover(tmp_path):
     assert_all_held(report)
 
 
+#: The crash tests below run once with the driver executing cells
+#: itself and once with a worker pool: both are the same driver, and
+#: recovery must not depend on where a dispatch ran.
+EVERY_JOBS = (1, 2)
+
+
 def test_torn_line_and_driver_crash_resume(tmp_path):
     """A torn ledger write (driver dies mid-append) plus a seeded
     driver crash between batches; resume completes the campaign."""
-    report = campaign(("torn_line", "driver_crash"), tmp_path,
-                      crash_batch=1)
-    assert {"torn_line", "driver_crash"} <= fired(report)
-    assert report.passes >= 2  # at least one death, one resume
-    assert_all_held(report)
+    for jobs in EVERY_JOBS:
+        report = campaign(("torn_line", "driver_crash"),
+                          tmp_path / f"jobs{jobs}", jobs=jobs,
+                          crash_batch=1)
+        assert {"torn_line", "driver_crash"} <= fired(report)
+        assert report.passes >= 2  # at least one death, one resume
+        assert_all_held(report)
 
 
 def test_scheduler_kill_respawns_worker(tmp_path):
@@ -290,13 +298,16 @@ def test_worker_kill_is_retried_without_burning_budget(tmp_path):
     """SIGKILL the supervisor's child on attempt 1: the injected
     failure is retried and MUST NOT count against ``retries`` -- the
     healed records stay verdict-identical to the baseline."""
-    report = campaign(("worker_kill",), tmp_path, isolation="process",
-                      timeout_s=60.0)
-    assert fired(report) == {"worker_kill"}
-    assert_all_held(report)
-    healed = Ledger(tmp_path / "chaos.jsonl").load()
-    injected = [r for r in healed.values() if r.get("chaos_injected")]
-    assert injected and all(r["retries"] == 0 for r in injected)
+    for jobs in EVERY_JOBS:
+        workdir = tmp_path / f"jobs{jobs}"
+        report = campaign(("worker_kill",), workdir, jobs=jobs,
+                          isolation="process", timeout_s=60.0)
+        assert fired(report) == {"worker_kill"}
+        assert_all_held(report)
+        healed = Ledger(workdir / "chaos.jsonl").load()
+        injected = [r for r in healed.values()
+                    if r.get("chaos_injected")]
+        assert injected and all(r["retries"] == 0 for r in injected)
 
 
 def test_worker_stall_trips_watchdog_then_recovers(tmp_path):
@@ -313,18 +324,22 @@ def test_poison_trips_breaker_to_terminal_verdict(tmp_path):
     """A cell whose child dies on EVERY attempt: the circuit breaker
     must trip and record a terminal ``poisoned`` verdict instead of
     retrying forever."""
-    report = campaign(("poison",), tmp_path, isolation="process",
-                      designs=DESIGNS[:1], names=("mcf",),
-                      timeout_s=60.0)
-    assert fired(report) == {"poison"}
-    assert_all_held(report)
-    healed = Ledger(tmp_path / "chaos.jsonl").load()
-    poisoned = [r for r in healed.values()
-                if r["status"] == "poisoned"]
-    assert len(poisoned) == 1
-    (record,) = poisoned
-    assert record["failure_class"] == "PoisonedCell"
-    assert record["attempts"] == BREAKER_THRESHOLD
+    for jobs in EVERY_JOBS:
+        workdir = tmp_path / f"jobs{jobs}"
+        report = campaign(("poison",), workdir, jobs=jobs,
+                          isolation="process", designs=DESIGNS[:1],
+                          timeout_s=60.0)
+        assert fired(report) == {"poison"}
+        assert_all_held(report)
+        healed = Ledger(workdir / "chaos.jsonl").load()
+        assert len(healed) == len(NAMES)  # one lane per workload
+        for record in healed.values():
+            assert record["status"] == "poisoned"
+            assert record["failure_class"] == "PoisonedCell"
+            assert record["attempts"] == BREAKER_THRESHOLD
+        sched = report.sweep_report.metrics["scheduler"]
+        assert sched["mode"] == ("serial" if jobs == 1 else "parallel")
+        assert sched["breaker_trips"] == len(NAMES)
 
 
 def test_result_delay_changes_nothing(tmp_path):

@@ -34,6 +34,7 @@ from repro.harness import (
     sweep_cells,
 )
 from repro.harness import scheduler as scheduler_mod
+from repro.harness.supervisor import CellResult
 from repro.harness.sweep import SweepReport
 from repro.workloads import Scale
 
@@ -57,6 +58,19 @@ def verdicts(path) -> dict[str, tuple]:
         h: (r["status"], r.get("aipc"), r.get("failure_class"))
         for h, r in Ledger(path).load().items()
     }
+
+
+def stripped(record: dict) -> dict:
+    """A record minus what legitimately differs between runs: wall
+    clock, ledger sequencing, the requested-backend annotation."""
+    out = {k: v for k, v in record.items()
+           if k not in ("ts", "seq", "crc", "wall_s", "backend")}
+    out["metrics"] = {
+        k: v for k, v in record.get("metrics", {}).items()
+        if k not in ("wall_s", "events_per_s")
+        and not k.startswith("compile_cache_")
+    }
+    return out
 
 
 def run_sweep(jobs, ledger_path=None, **kw):
@@ -208,6 +222,197 @@ def test_parallel_matches_serial_observability(tmp_path):
         assert sweep_block["cells"] == 9
         assert sweep_block["cells_per_s"] > 0
         assert report.metrics_summary()  # renders non-empty
+
+
+# ----------------------------------------------------------------------
+# One driver: the lane protocol at every (jobs, width)
+# ----------------------------------------------------------------------
+DOOMED = WaveScalarConfig(matching_entries=256)  # breaks 20 FO4
+FAILS, CRASHES_ONCE = 3, 10
+
+
+def scripted_cell(tag: int, config=CONFIGS[0]) -> CellSpec:
+    """Distinct cells (the budget is part of the hash) that all share
+    one lockstep group key."""
+    return CellSpec(config=config, workload="mcf", scale="tiny",
+                    max_cycles=1000 + tag)
+
+
+class ScriptedSupervisor:
+    """No simulation: a cell's verdict is scripted by its tag.  Forks
+    into the pool's workers like the real one; the crash-once cell
+    keeps its state in a file, the only memory they share."""
+
+    chaos = None
+
+    def __init__(self, width: int, marker) -> None:
+        self.backend = "batched" if width > 1 else "plain"
+        self.batch_width = width
+        self.marker = str(marker)
+
+    def run(self, spec: CellSpec) -> CellResult:
+        tag = spec.max_cycles - 1000
+        if tag == FAILS:
+            return CellResult(
+                spec=spec, status="failed", attempts=2, retries=1,
+                failure_class="CycleBudgetExhausted",
+                failure_detail="scripted",
+            )
+        if tag == CRASHES_ONCE:
+            try:
+                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass  # second dispatch: the crash was environmental
+            else:
+                return CellResult(
+                    spec=spec, status="failed",
+                    failure_class="WorkerCrash",
+                    failure_detail="scripted",
+                )
+        return CellResult(
+            spec=spec, status="ok",
+            outcome={"status": "ok", "aipc": tag / 100.0},
+        )
+
+    def run_batch(self, specs):
+        return [self.run(spec) for spec in specs]
+
+
+def scripted_lanes() -> list[Lane]:
+    return [
+        # stopped by a failure: tag 4 must never run
+        Lane(key=(0,), specs=[scripted_cell(t) for t in (1, 2, 3, 4)]),
+        # the same cell in two lanes
+        Lane(key=(1,), specs=[scripted_cell(5)]),
+        Lane(key=(2,), specs=[scripted_cell(5), scripted_cell(6)]),
+        # a pre-validation reject retires its lane
+        Lane(key=(3,), specs=[scripted_cell(7, DOOMED),
+                              scripted_cell(7)]),
+        # a resumed record, then a fresh cell
+        Lane(key=(4,), specs=[scripted_cell(8), scripted_cell(9)]),
+        # a WorkerCrash verdict that succeeds on its second dispatch
+        Lane(key=(5,), specs=[scripted_cell(CRASHES_ONCE)]),
+    ]
+
+
+def run_scripted(tmp_path, jobs: int, width: int):
+    workdir = tmp_path / f"j{jobs}w{width}"
+    workdir.mkdir()
+    resumed = Ledger.record_for(scripted_cell(8), CellResult(
+        spec=scripted_cell(8), status="ok",
+        outcome={"status": "ok", "aipc": 0.08},
+    ))
+    report = SweepReport()
+    records = execute_lanes(
+        scripted_lanes(), jobs=jobs,
+        supervisor=ScriptedSupervisor(width, workdir / "crashed-once"),
+        ledger=Ledger(workdir / "runs.jsonl"),
+        done={resumed["hash"]: resumed}, report=report, poll_s=0.05,
+    )
+    records = {cell: stripped(r) for cell, r in records.items()}
+    counters = {
+        name: getattr(report, name)
+        for name in ("completed", "failed", "invalid", "poisoned",
+                     "retried", "skipped")
+    }
+    lines = [json.loads(line)
+             for line in (workdir / "runs.jsonl").read_text().splitlines()]
+    return records, counters, lines, report
+
+
+@pytest.mark.parametrize("jobs,width", [(1, 4), (3, 1), (3, 4)])
+def test_lane_protocol_identical_for_every_jobs_and_width(
+        tmp_path, jobs, width):
+    """``jobs`` changes where a dispatch runs and ``width`` how many
+    cells it carries -- never what is recorded or counted."""
+    want_records, want_counters, _, _ = run_scripted(tmp_path, 1, 1)
+    records, counters, lines, report = run_scripted(tmp_path, jobs, width)
+    assert records == want_records
+    assert counters == want_counters
+    # One line per cell that ran: the crash verdict never landed.
+    assert sorted(line["hash"] for line in lines) == \
+        sorted(set(records) - {scripted_cell(8).cell_hash()})
+    sched = report.metrics["scheduler"]
+    assert sched["mode"] == ("serial" if jobs == 1 else "parallel")
+    assert sched["worker_crash_retries"] == 1
+    assert sched["breaker_trips"] == 0
+    assert (sched["batch_groups"] > 0) == (width > 1)
+
+
+def test_serial_lane_protocol_accounting_and_line_order(tmp_path):
+    records, counters, lines, report = run_scripted(tmp_path, 1, 1)
+    assert counters == {
+        "completed": 6, "failed": 1, "invalid": 1, "poisoned": 0,
+        "retried": 1,
+        "skipped": 2,  # the resumed record and the duplicate cell
+    }
+    assert scripted_cell(4).cell_hash() not in records
+    assert scripted_cell(7).cell_hash() not in records
+    crashed = records[scripted_cell(CRASHES_ONCE).cell_hash()]
+    assert crashed["status"] == "ok"
+    # jobs=1 is lane-major: a continuing lane goes to the front of the
+    # ready queue, so lane 0 finishes before lane 1 starts.
+    tags = [
+        "invalid" if line["status"] == "invalid"
+        else line["spec"]["max_cycles"] - 1000
+        for line in lines
+    ]
+    assert tags == [1, 2, 3, 5, 6, "invalid", 9, 10]
+    assert report.metrics["scheduler"]["dispatched"] == 8  # 7 + retry
+
+
+@pytest.mark.slow
+def test_real_cells_identical_for_every_jobs_and_width(tmp_path):
+    """The same matrix with the real supervisor forking real cells
+    (some starved into budget failures): records differ only in wall
+    clock and the requested-backend annotation."""
+    def run(jobs: int, width: int):
+        path = tmp_path / f"j{jobs}w{width}.jsonl"
+        points, report = run_sweep(
+            jobs, path, max_cycles=5_000, prevalidate=False,
+            supervisor=RunSupervisor(
+                isolation="process", max_retries=1, timeout_s=120,
+                backend="batched" if width > 1 else "plain",
+                batch_width=width,
+            ),
+        )
+        records = {cell: stripped(r)
+                   for cell, r in Ledger(path).load().items()}
+        return points, records, (report.completed, report.failed,
+                                 report.retried, report.failures)
+
+    want = run(1, 1)
+    assert want[2][0] > 0 and want[2][1] > 0  # both outcomes present
+    for jobs, width in ((1, 4), (3, 1), (3, 4)):
+        assert run(jobs, width) == want, (jobs, width)
+
+
+def test_raising_cell_is_a_failed_record_at_any_jobs_and_isolation():
+    """A cell that raises (unknown workload: KeyError) ends in a named
+    outcome and the sweep moves on -- the same record pair whether the
+    exception surfaced in the driver, a pool worker or a forked
+    child."""
+    specs = [
+        CellSpec(config=CONFIGS[0], workload="nope", scale="tiny"),
+        CellSpec(config=CONFIGS[0], workload="fft", scale="tiny"),
+    ]
+    pairs = []
+    for isolation in ("inline", "process"):
+        for jobs in (1, 2):
+            records, report = sweep_cells(
+                specs, jobs=jobs, supervisor=RunSupervisor(
+                    isolation=isolation, max_retries=0, timeout_s=60,
+                ),
+            )
+            assert (report.failed, report.completed) == (1, 1)
+            pairs.append([
+                stripped(records[spec.cell_hash()]) for spec in specs
+            ])
+    raised, ran = pairs[0]
+    assert raised["status"] == "failed"
+    assert raised["failure_class"] == "KeyError"
+    assert ran["status"] == "ok"
+    assert all(pair == pairs[0] for pair in pairs[1:])
 
 
 # ----------------------------------------------------------------------

@@ -135,6 +135,31 @@ def test_unexpected_exception_classified_by_name():
     assert result.failure_class == "KeyError"
 
 
+def test_inline_attempt_classifies_like_the_forked_child():
+    """An exception out of an inline attempt is a verdict, not the end
+    of the sweep: the same class, detail and accounting the forked
+    child ships -- for a non-taxonomy error and for a failed reference
+    check alike."""
+    spec = make_spec(workload="no-such-workload")
+    inline = RunSupervisor(isolation="inline").run(spec)
+    forked = RunSupervisor(isolation="process", timeout_s=60).run(spec)
+    assert inline.failure_class == "KeyError"
+    for field in ("status", "failure_class", "failure_detail",
+                  "diagnostics", "attempts", "retries", "backend"):
+        assert getattr(inline, field) == getattr(forked, field), field
+
+
+def test_inline_reference_mismatch_is_a_failed_verdict(monkeypatch):
+    from repro.sim.compile import CompiledWorkload
+
+    monkeypatch.setattr(CompiledWorkload, "expected_outputs",
+                        lambda self: ["not what the program prints"])
+    result = RunSupervisor(isolation="inline").run(make_spec())
+    assert result.status == "failed"
+    assert result.failure_class == "AssertionError"
+    assert "!= reference" in result.failure_detail
+
+
 # ----------------------------------------------------------------------
 # Construction guards
 # ----------------------------------------------------------------------
