@@ -8,25 +8,18 @@ golden config.  All variants compute bit-identical checksums, so the
 sweep isolates the *structural* cost of a tiling choice -- exactly
 the trade-off knob the tensor suite exists to expose.
 
-Results land in ``BENCH_tensor.json`` (picked up by ``repro
-bench-summary`` and the CI artifact upload) and a readable table in
-``benchmarks/results/tensor_tiling.txt``; EXPERIMENTS.md discusses
-the regenerated numbers.
+Results land as a readable table in
+``benchmarks/results/tensor_tiling.txt``; EXPERIMENTS.md discusses the
+regenerated numbers.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.core.config import WaveScalarConfig
 from repro.sim.engine import simulate
 from repro.sim.failures import CycleBudgetExhausted
 from repro.workloads import Scale, get
 from repro.workloads.tensor import gemm
-
-BENCH_TENSOR_JSON = Path(__file__).resolve().parents[1] / \
-    "BENCH_tensor.json"
 
 #: (tile_m, tile_n, tile_k) geometries that divide the TINY 4x6x6
 #: problem: from fully fine-grained to whole-matrix tiles.
@@ -131,19 +124,6 @@ def test_tensor_tiling_sweep(record, benchmark):
     lines.append("(* = on the static-size/AIPC Pareto frontier; "
                  "DNF = deflection fixed point, no budget finishes)")
     record("tensor_tiling", "\n".join(lines))
-
-    payload = {
-        "workload": "gemm",
-        "scale": "tiny",
-        "k": K_UNROLL,
-        "points": points,
-        "pareto_frontier": [
-            {k: p[k] for k in ("dataflow", "tile_m", "tile_n", "tile_k",
-                               "static_instructions", "aipc")}
-            for p in frontier
-        ],
-    }
-    BENCH_TENSOR_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
     # Structural sanity the EXPERIMENTS.md narrative relies on.
     assert len(points) == len(gemm.DATAFLOWS) * len(GEOMETRIES)

@@ -35,7 +35,6 @@ from .core import WaveScalarConfig, WaveScalarProcessor
 from .sim.backends import BACKENDS, DEFAULT_BACKEND
 from .sim.failures import TRANSIENT_CLASSES
 from .harness.supervisor import DEFAULT_BATCH_WIDTH
-from .core.experiments import evaluate_design_space
 from .design import pareto_front, viable_designs
 from .report import scatter
 from .workloads import (
@@ -57,7 +56,22 @@ SUITES = {
 }
 
 
+def _int_at_least(low: int):
+    """argparse ``type=`` for an integer option no smaller than
+    ``low``; anything else is the parser's usual one-line error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse: "invalid int value: 'x'"
+    return parse
+
+
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(config_error=parser.error)
     parser.add_argument("--clusters", type=int, default=1)
     parser.add_argument("--domains", type=int, default=4,
                         help="domains per cluster")
@@ -71,15 +85,19 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> WaveScalarConfig:
-    return WaveScalarConfig(
-        clusters=args.clusters,
-        domains_per_cluster=args.domains,
-        pes_per_domain=args.pes,
-        virtualization=args.virtualization,
-        matching_entries=args.matching,
-        l1_kb=args.l1_kb,
-        l2_mb=args.l2_mb,
-    )
+    try:
+        return WaveScalarConfig(
+            clusters=args.clusters,
+            domains_per_cluster=args.domains,
+            pes_per_domain=args.pes,
+            virtualization=args.virtualization,
+            matching_entries=args.matching,
+            l1_kb=args.l1_kb,
+            l2_mb=args.l2_mb,
+        )
+    except ValueError as exc:  # a value the RTL rules out
+        args.config_error(str(exc))
+        raise  # not reached: parser.error exits 2
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -685,203 +703,6 @@ def cmd_surrogate(args: argparse.Namespace) -> int:
     return 0 if report.calibrated else 1
 
 
-#: Substrings classifying benchmark metrics for baseline comparison.
-#: A metric whose key matches neither list is informational only.
-_LOWER_BETTER = ("wall", "overhead", "error", "mae", "loss", "width",
-                 "miss", "torn", "corrupt", "fallback", "retried",
-                 "failed", "poisoned")
-_HIGHER_BETTER = ("speedup", "per_s", "aipc", "rate", "coverage",
-                  "reduction", "throughput", "hits", "pruned",
-                  "predicted")
-
-
-def _bench_scalars(doc, prefix: str = "") -> dict[str, float]:
-    """Flatten numeric scalars (one nesting level deep, matching
-    :func:`_bench_lines`) into ``dotted.key -> value``."""
-    out: dict[str, float] = {}
-    if not isinstance(doc, dict):
-        return out
-    for key, value in doc.items():
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            out[f"{prefix}{key}"] = float(value)
-        elif isinstance(value, dict) and not prefix:
-            out.update(_bench_scalars(value, prefix=f"{key}."))
-    return out
-
-
-def _bench_direction(key: str) -> int:
-    """``-1`` when lower is better, ``+1`` when higher is, ``0`` when
-    the key name decides neither (then drift is reported, not
-    judged).  The *last* path component decides, so
-    ``surrogate.coverage`` reads as a coverage."""
-    leaf = key.rsplit(".", 1)[-1]
-    lower = any(mark in leaf for mark in _LOWER_BETTER)
-    higher = any(mark in leaf for mark in _HIGHER_BETTER)
-    if lower == higher:
-        return 0
-    return -1 if lower else 1
-
-
-def _compare_benchmarks(
-    current: dict[str, dict], baseline_dir, tolerance: float,
-) -> tuple[list[str], int]:
-    """Compare current benchmark documents against ``baseline_dir``.
-
-    Returns display lines and the regression count.  A *regression* is
-    a judged metric moving in its bad direction by more than
-    ``tolerance`` (relative); improvements and unjudged drift are
-    reported but never counted.
-    """
-    import json
-    from pathlib import Path
-
-    lines: list[str] = []
-    regressions = 0
-    baseline_dir = Path(baseline_dir)
-    for name in sorted(current):
-        base_path = baseline_dir / name
-        if not base_path.exists():
-            lines.append(f"{name}: no baseline (new benchmark)")
-            continue
-        try:
-            base_doc = json.loads(base_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            lines.append(f"{name}: unreadable baseline ({exc})")
-            continue
-        now = _bench_scalars(current[name])
-        base = _bench_scalars(base_doc)
-        for key in sorted(set(now) & set(base)):
-            old, new = base[key], now[key]
-            if old == new:
-                continue
-            scale = max(abs(old), abs(new), 1e-12)
-            drift = (new - old) / scale
-            if abs(drift) <= tolerance:
-                continue
-            direction = _bench_direction(key)
-            if direction == 0:
-                lines.append(
-                    f"{name}: {key} drifted {old:.4g} -> {new:.4g}"
-                )
-            elif drift * direction < 0:
-                regressions += 1
-                lines.append(
-                    f"{name}: REGRESSION {key} {old:.4g} -> {new:.4g} "
-                    f"({drift:+.1%}, tolerance {tolerance:.0%})"
-                )
-            else:
-                lines.append(
-                    f"{name}: improved {key} {old:.4g} -> {new:.4g} "
-                    f"({drift:+.1%})"
-                )
-    return lines, regressions
-
-
-def _bench_lines(doc: dict) -> list[str]:
-    """Flatten one benchmark document into display lines: top-level
-    scalars as ``key = value``, nested dicts as one ``key: k=v, ...``
-    line each, lists by length only.  Benchmark schemas differ file to
-    file (that is the drift this command absorbs), so the rendering is
-    deliberately schema-agnostic."""
-    def fmt(value):
-        if isinstance(value, float):
-            return f"{value:.4g}"
-        return str(value)
-
-    lines = []
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            inner = ", ".join(
-                f"{k}={fmt(v)}" for k, v in value.items()
-                if isinstance(v, (int, float, str, bool))
-            )
-            if inner:
-                lines.append(f"{key}: {inner}")
-        elif isinstance(value, (int, float, str, bool)):
-            lines.append(f"{key} = {fmt(value)}")
-        elif isinstance(value, list):
-            lines.append(f"{key}: [{len(value)} item(s)]")
-    return lines
-
-
-def cmd_bench_summary(args: argparse.Namespace) -> int:
-    """One screen over every ``BENCH_*.json`` benchmark artifact.
-
-    Benchmarks historically scattered their JSON between the repo root
-    (``BENCH_engine.json``, ``BENCH_chaos.json``, ...) and
-    ``benchmarks/results/``; this scans both so nothing drifts out of
-    view, mirroring the CI upload glob.
-    """
-    import json
-    from pathlib import Path
-
-    root = Path(args.root)
-    paths = sorted(
-        set(root.glob("BENCH_*.json"))
-        | set((root / "benchmarks" / "results").glob("BENCH_*.json"))
-    )
-    if not paths:
-        print(f"no BENCH_*.json found under {root}", file=sys.stderr)
-        return 2
-    bad = 0
-    docs: dict[str, dict] = {}
-    for path in paths:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"{path}: unreadable ({exc})")
-            bad += 1
-            continue
-        if not text.strip():
-            print(f"{path}: empty file")
-            bad += 1
-            continue
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            print(f"{path}: malformed JSON ({exc})")
-            bad += 1
-            continue
-        print(f"{path}:")
-        if isinstance(doc, dict):
-            docs[path.name] = doc
-            for line in _bench_lines(doc):
-                print(f"  {line}")
-        elif isinstance(doc, list):
-            print(f"  [{len(doc)} top-level item(s)]")
-        else:
-            print(f"  [non-object document: {type(doc).__name__}]")
-            bad += 1
-    regressions = 0
-    if args.baseline:
-        from pathlib import Path as _Path
-
-        if not _Path(args.baseline).is_dir():
-            print(f"error: baseline dir {args.baseline} not found",
-                  file=sys.stderr)
-            return 2
-        lines, regressions = _compare_benchmarks(
-            docs, args.baseline, args.tolerance
-        )
-        print(f"\nbaseline comparison ({args.baseline}, tolerance "
-              f"{args.tolerance:.0%}):")
-        for line in lines:
-            print(f"  {line}")
-        if not lines:
-            print("  no drift beyond tolerance")
-        if regressions:
-            print(f"{regressions} regression(s) vs baseline",
-                  file=sys.stderr)
-    if bad:
-        print(f"warning: {bad} bad benchmark file(s) skipped",
-              file=sys.stderr)
-    if args.strict and (bad or regressions):
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -931,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="mini Pareto sweep")
     p_sweep.add_argument("--suite", default="spec", choices=sorted(SUITES))
-    p_sweep.add_argument("--sample", type=int, default=6,
+    p_sweep.add_argument("--sample", type=_int_at_least(1), default=6,
                          help="evaluate every Nth design")
     p_sweep.add_argument("--scale", default="tiny",
                          choices=[s.value for s in Scale])
@@ -949,7 +770,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--progress", action="store_true",
                          help="print one line per resolved cell with "
                               "running cells/s and ETA")
-    p_sweep.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    p_sweep.add_argument("--jobs", "-j", type=_int_at_least(0), default=1,
+                         metavar="N",
                          help="worker processes for the sweep (1 = "
                               "serial, 0 = one per core); lanes of "
                               "independent (design, workload) pairs "
@@ -983,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "executes groups of same-workload cells "
                               "for sweep-level throughput, with "
                               "records bit-identical to 'plain'")
-    p_sweep.add_argument("--batch-width", type=int,
+    p_sweep.add_argument("--batch-width", type=_int_at_least(1),
                          default=DEFAULT_BATCH_WIDTH,
                          dest="batch_width", metavar="N",
                          help="cells per lockstep batch group "
@@ -1063,7 +885,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument("--scale", default="tiny",
                           choices=[s.value for s in Scale])
-    p_report.add_argument("--sample", type=int, default=8,
+    p_report.add_argument("--sample", type=_int_at_least(1), default=8,
                           help="evaluate every Nth design")
     p_report.add_argument("--output", "-o", default=None)
     p_report.add_argument(
@@ -1128,11 +950,11 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N", help="workloads from the suite")
     p_chaos.add_argument("--designs", type=int, default=2, metavar="N",
                          help="designs from the viable set")
-    p_chaos.add_argument("--sample", type=int, default=8,
+    p_chaos.add_argument("--sample", type=_int_at_least(1), default=8,
                          help="take every Nth viable design")
     p_chaos.add_argument("--scale", default="tiny",
                          choices=[s.value for s in Scale])
-    p_chaos.add_argument("--jobs", "-j", type=int, default=2)
+    p_chaos.add_argument("--jobs", "-j", type=_int_at_least(0), default=2)
     p_chaos.add_argument("--isolation", default="process",
                          choices=("process", "inline"),
                          help="inline disables worker-side sabotage "
@@ -1190,29 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--json", action="store_true",
                         help="emit the campaign report as JSON")
 
-    p_bench = sub.add_parser(
-        "bench-summary",
-        help="one-screen summary of every BENCH_*.json benchmark "
-             "artifact (repo root and benchmarks/results)",
-    )
-    p_bench.add_argument("--root", default=".",
-                         help="directory to scan (default: cwd)")
-    p_bench.add_argument("--baseline", default=None, metavar="DIR",
-                         help="compare each BENCH_*.json against the "
-                              "same-named file in this directory; "
-                              "judged metrics moving the wrong way "
-                              "beyond --tolerance are flagged as "
-                              "regressions")
-    p_bench.add_argument("--tolerance", type=float, default=0.10,
-                         metavar="FRAC",
-                         help="relative drift allowed before a "
-                              "baseline metric is flagged "
-                              "(default 0.10)")
-    p_bench.add_argument("--strict", action="store_true",
-                         help="exit non-zero on any bad benchmark "
-                              "file or baseline regression (default: "
-                              "report and continue)")
-
     p_surr = sub.add_parser(
         "surrogate",
         help="surrogate model tooling: exact-vs-predicted calibration "
@@ -1250,7 +1049,6 @@ COMMANDS = {
     "chaos": cmd_chaos,
     "ledger": cmd_ledger,
     "fuzz": cmd_fuzz,
-    "bench-summary": cmd_bench_summary,
     "surrogate": cmd_surrogate,
 }
 

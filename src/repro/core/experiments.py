@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
-from ..design.pareto import ParetoPoint, frontier_rows, pareto_front
+from ..design.pareto import ParetoPoint, frontier_rows
 from ..design.scaling import ScalingStudy, run_scaling_study
 from ..design.space import DesignPoint, viable_designs
 from ..design.virtualization import (

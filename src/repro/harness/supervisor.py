@@ -369,20 +369,6 @@ class RunSupervisor:
         self.chaos = chaos
 
     # ------------------------------------------------------------------
-    def clone_kwargs(self) -> dict:
-        """Constructor kwargs reproducing this supervisor's policy
-        (for building an equivalent instance in a worker process)."""
-        return {
-            "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries,
-            "escalation": self.escalation,
-            "isolation": self.isolation,
-            "mp_context": self.mp_context,
-            "chaos": self.chaos,
-            "backend": self.backend,
-            "batch_width": self.batch_width,
-        }
-
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_ctx"]  # contexts don't pickle; rebuilt by name

@@ -9,7 +9,7 @@ and per-thread metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .instruction import Dest, Instruction
 from .opcodes import Opcode

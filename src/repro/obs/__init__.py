@@ -14,8 +14,8 @@ both live:
   :class:`~repro.sim.trace.Trace` (one track per PE; open the file in
   Perfetto or ``chrome://tracing``);
 * :mod:`repro.obs.profile` -- opt-in per-phase cycle attribution of
-  the engine hot loop (INPUT/MATCH/DISPATCH/EXECUTE/DELIVER), with a
-  benchmark-enforced <2% overhead when disabled.
+  the engine hot loop (INPUT/MATCH/DISPATCH/EXECUTE/DELIVER); a run
+  with no profile attached makes no call into it.
 """
 
 from .chrome import chrome_trace_events, write_chrome_trace

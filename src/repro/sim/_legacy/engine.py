@@ -2,13 +2,13 @@
 
 This is a verbatim snapshot of the engine as it stood before the
 hot-path overhaul (compiled workloads, integer-tag dispatch,
-matching-table fast paths).  It exists for exactly two consumers:
+matching-table fast paths).  It exists for two consumers:
 
 * ``tests/sim/test_golden_stats.py`` asserts the production engine's
   ``SimStats``/AIPC are bit-identical to this reference across the
   full workload suite (the determinism guarantee of the overhaul);
-* ``benchmarks/test_simulator_performance.py`` measures the
-  events-per-second speedup of the production engine against it.
+* ``repro.fuzz.differential`` runs every fuzzed program on it as
+  one of the oracles the production engine must agree with.
 
 Do not optimise or "fix" this module; it shares the unchanged
 memory/network/store-buffer models with the production engine and

@@ -69,41 +69,3 @@ def spawn_workers(
         result = worker(t, seed)
         results.append(b.end_thread(result))
     return results
-
-
-def fixed_loop(
-    b: GraphBuilder,
-    trigger: Node,
-    n: int,
-    body: Callable[..., list[Node]],
-    carried_init: Sequence[Node],
-    invariant_init: Sequence[Node] = (),
-    k: int | None = None,
-    label: str = "loop",
-) -> list[Node]:
-    """A counted loop ``for i in range(n)``.
-
-    ``body(i, *carried, *invariants)`` returns the next carried values.
-    Returns the exit values of the carried state (the counter is
-    managed internally and not exposed at exit).
-    """
-    lp = b.loop(
-        [b.const(0, trigger), *carried_init],
-        invariants=[b.const(n, trigger), *invariant_init],
-        k=k,
-        label=label,
-    )
-    i = lp.state[0]
-    carried = lp.state[1:]
-    limit = lp.invariants[0]
-    invariants = lp.invariants[1:]
-    next_carried = body(i, *carried, *invariants)
-    if len(next_carried) != len(carried):
-        raise ValueError(
-            f"{label}: body returned {len(next_carried)} values for "
-            f"{len(carried)} carried"
-        )
-    i2 = b.add(i, b.const(1, i))
-    lp.next_iteration(b.lt(i2, limit), [i2, *next_carried])
-    exits = lp.end()
-    return exits[1 : 1 + len(carried)]

@@ -7,9 +7,10 @@ guarantee) rests on.  The grid deliberately spans the geometry axes
 the placed roofs model: pod-enabled baseline, multi-cluster mesh, and
 a virtualization-starved design.
 
-The full-grid version of this gate runs in
-``benchmarks/test_static_prune.py`` over every cell of the default
-study; this tier-1 edition keeps a representative sample fast.
+The grid is a representative sample kept fast for tier 1; the
+differential fuzzer (``repro.fuzz``) holds every random program to
+its bound, and the frontier ``bench/expected.json`` pins for the
+pruned study would move if a bound that decided a skip were unsound.
 """
 
 import pytest

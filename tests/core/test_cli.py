@@ -208,6 +208,52 @@ def test_missing_command_rejected():
         build_parser().parse_args([])
 
 
+def assert_usage_error(capsys, argv, message):
+    """argparse rejects ``argv`` before anything runs: exit 2, and the
+    only ``error:`` line on stderr is the subcommand's ``message``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert errors == [f"repro {argv[0]}: error: {message}"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "report", "chaos"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_sample_stride_must_be_positive(capsys, command, value):
+    assert_usage_error(capsys, (command, "--sample", value),
+                       "argument --sample: must be >= 1")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("sweep", "--jobs", "-2"), "argument --jobs/-j: must be >= 0"),
+    (("chaos", "--jobs", "-2"), "argument --jobs/-j: must be >= 0"),
+    (("sweep", "--batch-width", "0"),
+     "argument --batch-width: must be >= 1"),
+    (("sweep", "--sample", "x"),
+     "argument --sample: invalid int value: 'x'"),
+])
+def test_out_of_range_counts_rejected(capsys, argv, message):
+    assert_usage_error(capsys, argv, message)
+
+
+def test_jobs_zero_still_means_one_per_core():
+    assert build_parser().parse_args(["sweep", "--jobs", "0"]).jobs == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("area",), ("run", "-w", "mcf"), ("trace", "-w", "mcf"),
+    ("analyze", "-w", "mcf"), ("lint", "mcf", "--check-config"),
+])
+@pytest.mark.parametrize("flag,message", [
+    ("--clusters", "need at least one cluster"),
+    ("--pes", "PEs per domain must be 1..8 (RTL limit)"),
+])
+def test_impossible_config_is_a_usage_error(capsys, argv, flag, message):
+    assert_usage_error(capsys, (*argv, flag, "0"), message)
+
+
 def test_characterize(capsys):
     code, out = run_cli(capsys, "characterize", "--suite", "media")
     assert code == 0
@@ -231,51 +277,6 @@ def test_sweep_save(capsys, tmp_path):
 
     points, meta = load_points(out_file)
     assert points and meta["suite"] == "spec"
-
-
-def _write_bench_files(root):
-    (root / "BENCH_good.json").write_text(
-        '{"engine": {"cells_per_s": 12.5}, "wall_s": 3.25}'
-    )
-    (root / "BENCH_empty.json").write_text("")
-    (root / "BENCH_mangled.json").write_text("{not json")
-    (root / "BENCH_scalar.json").write_text("42")
-
-
-def test_bench_summary_degrades_gracefully(capsys, tmp_path):
-    """Bad benchmark artifacts are reported and skipped; the good ones
-    still render, and the default exit stays zero."""
-    _write_bench_files(tmp_path)
-    code = main(["bench-summary", "--root", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "cells_per_s=12.5" in captured.out
-    assert "BENCH_empty.json: empty file" in captured.out
-    assert "BENCH_mangled.json: malformed JSON" in captured.out
-    assert "non-object document: int" in captured.out
-    assert "3 bad benchmark file(s) skipped" in captured.err
-
-
-def test_bench_summary_strict_fails_on_bad_files(capsys, tmp_path):
-    _write_bench_files(tmp_path)
-    code = main(["bench-summary", "--root", str(tmp_path), "--strict"])
-    capsys.readouterr()
-    assert code == 1
-
-
-def test_bench_summary_strict_passes_when_clean(capsys, tmp_path):
-    (tmp_path / "BENCH_good.json").write_text('{"wall_s": 1.0}')
-    code = main(["bench-summary", "--root", str(tmp_path), "--strict"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "wall_s = 1" in out
-
-
-def test_bench_summary_no_files_is_an_error(capsys, tmp_path):
-    code = main(["bench-summary", "--root", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "no BENCH_*.json" in captured.err
 
 
 def test_run_tensor_workload(capsys):
@@ -390,79 +391,6 @@ def test_surrogate_report_too_few_rows(capsys, tmp_path):
     path = tmp_path / "ledger.jsonl"
     _write_training_ledger(path, rows=3)
     code = main(["surrogate", "report", str(path)])
-    capsys.readouterr()
-    assert code == 2
-
-
-# ----------------------------------------------------------------------
-# bench-summary --baseline
-# ----------------------------------------------------------------------
-def _bench_dirs(tmp_path, current, baseline):
-    import json
-
-    cur = tmp_path / "cur"
-    base = tmp_path / "base"
-    cur.mkdir()
-    base.mkdir()
-    (cur / "BENCH_x.json").write_text(json.dumps(current))
-    (base / "BENCH_x.json").write_text(json.dumps(baseline))
-    return cur, base
-
-
-def test_bench_summary_flags_regression(capsys, tmp_path):
-    cur, base = _bench_dirs(
-        tmp_path,
-        {"wall_s": 20.0, "speedup": 3.0},
-        {"wall_s": 10.0, "speedup": 2.0},
-    )
-    code, out = run_cli(
-        capsys, "bench-summary", "--root", str(cur),
-        "--baseline", str(base),
-    )
-    assert code == 0  # report-only without --strict
-    assert "REGRESSION" in out and "wall_s" in out
-    assert "improved" in out and "speedup" in out
-
-
-def test_bench_summary_strict_exits_nonzero(capsys, tmp_path):
-    cur, base = _bench_dirs(
-        tmp_path, {"wall_s": 20.0}, {"wall_s": 10.0},
-    )
-    code, _ = run_cli(
-        capsys, "bench-summary", "--root", str(cur),
-        "--baseline", str(base), "--strict",
-    )
-    assert code == 1
-
-
-def test_bench_summary_tolerance_absorbs_drift(capsys, tmp_path):
-    cur, base = _bench_dirs(
-        tmp_path, {"wall_s": 10.5}, {"wall_s": 10.0},
-    )
-    code, out = run_cli(
-        capsys, "bench-summary", "--root", str(cur),
-        "--baseline", str(base), "--strict",
-    )
-    assert code == 0
-    assert "no drift beyond tolerance" in out
-
-
-def test_bench_summary_unjudged_metric_is_drift_only(capsys, tmp_path):
-    cur, base = _bench_dirs(
-        tmp_path, {"cells": 100}, {"cells": 50},
-    )
-    code, out = run_cli(
-        capsys, "bench-summary", "--root", str(cur),
-        "--baseline", str(base), "--strict",
-    )
-    assert code == 0
-    assert "drifted" in out
-
-
-def test_bench_summary_missing_baseline_dir(capsys, tmp_path):
-    cur, _ = _bench_dirs(tmp_path, {"wall_s": 1.0}, {"wall_s": 1.0})
-    code = main(["bench-summary", "--root", str(cur),
-                 "--baseline", str(tmp_path / "nope")])
     capsys.readouterr()
     assert code == 2
 

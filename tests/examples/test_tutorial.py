@@ -69,3 +69,35 @@ def test_tutorial_parallel():
     assert interpret(graph).output_values() == [EXPECTED]
     result = WaveScalarProcessor(BASELINE).run(graph)
     assert result.outputs() == [EXPECTED]
+
+
+def tutorial_block(containing):
+    """The one fenced python block of the tutorial holding a marker."""
+    import re
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[2] / "docs"
+            / "tutorial.md").read_text()
+    (block,) = [b for b in re.findall(r"```python\n(.*?)```", text, re.S)
+                if containing in b]
+    return block
+
+
+def test_tutorial_resumable_sweep(tmp_path, monkeypatch):
+    """Section 4's ledgered sweep, executed as printed; the names it
+    takes from the block above it are bound to a 2-design x 1-workload
+    study."""
+    from repro.design import viable_designs
+    from repro.workloads import Scale
+
+    monkeypatch.chdir(tmp_path)  # the snippet writes ./sweep.jsonl
+    scope = {
+        "designs": viable_designs()[:9],  # the snippet's [::8] keeps 2
+        "SPLASH_NAMES": ("fft",),
+        "Scale": Scale,
+    }
+    exec(tutorial_block('ledger_path="sweep.jsonl"'), scope)
+    report = scope["report"]
+    assert len(scope["points"]) == 2
+    assert report.completed == report.total > 0
+    assert (tmp_path / "sweep.jsonl").exists()

@@ -267,6 +267,15 @@ def test_chaos_smoke_ledger_faults_recover(tmp_path):
     assert_all_held(report)
 
 
+def test_armed_but_idle_plan_changes_nothing(tmp_path):
+    """A controller with every point disarmed runs each gate's
+    selection logic and must never fire: no injection, and the
+    campaign's ledger and points are the undisturbed baseline's."""
+    report = campaign((), tmp_path, rate=0.0)
+    assert report.injections == []
+    assert_all_held(report)
+
+
 #: The crash tests below run once with the driver executing cells
 #: itself and once with a worker pool: both are the same driver, and
 #: recovery must not depend on where a dispatch ran.

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.isa import Tag, Token, make_token
+from repro.isa import Tag, make_token
 
 
 def test_match_key_ignores_port():

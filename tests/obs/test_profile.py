@@ -1,5 +1,7 @@
 """Tests for the phase profiler."""
 
+import time
+
 import pytest
 
 from repro.core.config import BASELINE
@@ -47,10 +49,14 @@ def test_engine_attributes_hot_loop_phases():
     graph, _ = build_array_sum([1, 2, 3, 4], k=2)
     engine = Engine(graph, BASELINE, place(graph, BASELINE))
     engine.profile = PhaseProfile()
+    started = time.perf_counter_ns()
     stats = engine.run()
+    wall_ns = time.perf_counter_ns() - started
     prof = engine.profile
     assert prof._stack == []  # every push was popped
-    assert prof.total_ns > 0
+    # Self time never double counts: a nested phase's time is taken
+    # out of its parent's, so the total cannot exceed the run's wall.
+    assert 0 < prof.total_ns <= wall_ns
     # The pipeline phases the workload must exercise all got time.
     for phase in ("input", "match", "dispatch", "execute", "deliver",
                   "memory"):

@@ -5,15 +5,12 @@ program-order issue, ripple resolution across branches, wave
 sequencing, store decoupling and partial-store-queue capture.
 """
 
-import pytest
-
 from repro.core.config import WaveScalarConfig
 from repro.isa import (
     DataflowGraph,
     Instruction,
     Opcode,
     WaveAnnotation,
-    make_token,
 )
 from repro.isa.waves import UNKNOWN, WAVE_END, WAVE_START
 from repro.sim.memory.hierarchy import MemoryHierarchy
