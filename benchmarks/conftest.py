@@ -56,3 +56,18 @@ def record(results_dir):
 @pytest.fixture(scope="session")
 def scale() -> Scale:
     return bench_scale()
+
+
+@pytest.fixture(scope="session")
+def campaign(tmp_path_factory) -> dict:
+    """What every design-space study of the session passes to
+    ``evaluate_design_space`` / ``scaling_study``: one worker per core
+    and one ledger, so Figures 6 and 7 and Table 5 simulate the
+    Splash2 cells they share once.
+
+    The ledger is new every session: a cell hash covers the spec and
+    not the simulator, so a ledger kept across sessions would hide
+    exactly the drift these artifacts exist to show.
+    """
+    ledger = tmp_path_factory.mktemp("study") / "cells.jsonl"
+    return {"ledger_path": ledger, "resume": True, "jobs": None}

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from repro.core.config import WaveScalarConfig
 from repro.core.experiments import run_cached
-from repro.workloads import Scale, get
+from repro.workloads import get
 
 from .conftest import bench_scale
 

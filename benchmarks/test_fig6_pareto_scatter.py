@@ -42,25 +42,26 @@ def render(suite_name, points):
     return "\n".join(lines)
 
 
-def run_all():
-    # cache shared across benches: keys fully identify runs
+def run_all(campaign):
     designs = design_subset()
     scale = bench_scale()
     return {
-        "SpecINT": evaluate_design_space(designs, SPECINT, scale),
+        "SpecINT": evaluate_design_space(
+            designs, SPECINT, scale, **campaign
+        ),
         "SpecFP+Mediabench": evaluate_design_space(
-            designs, SPECFP_MEDIA, scale
+            designs, SPECFP_MEDIA, scale, **campaign
         ),
         "Splash2": evaluate_design_space(
-            designs, SPLASH_NAMES, scale, threaded=True
+            designs, SPLASH_NAMES, scale, threaded=True, **campaign
         ),
     }
 
 
-def test_fig6_scatter(record, benchmark):
+def test_fig6_scatter(record, benchmark, campaign):
     from repro.report import scatter
 
-    suites = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    suites = benchmark.pedantic(run_all, (campaign,), rounds=1, iterations=1)
     text = "\n\n".join(render(name, pts) for name, pts in suites.items())
     plots = "\n\n".join(
         scatter(pts, title=name) for name, pts in suites.items()

@@ -18,10 +18,7 @@ Checked shapes (Section 4.2):
   d -- "the optimal tile configuration varies with processor size".
 """
 
-from repro.core.experiments import (
-    evaluate_design_space,
-    scaling_study,
-)
+from repro.core.experiments import scaling_study
 from repro.design import viable_designs
 from repro.workloads import SPLASH_NAMES
 
@@ -40,15 +37,17 @@ def design_subset():
     return subset
 
 
-def run_study():
-    # cache shared across benches: keys fully identify runs
+def run_study(campaign):
     return scaling_study(
-        scale=bench_scale(), names=SPLASH_NAMES, designs=design_subset()
+        scale=bench_scale(), names=SPLASH_NAMES, designs=design_subset(),
+        **campaign,
     )
 
 
-def test_fig7_scaling(record, benchmark):
-    study, measured = benchmark.pedantic(run_study, rounds=1, iterations=1)
+def test_fig7_scaling(record, benchmark, campaign):
+    study, measured = benchmark.pedantic(
+        run_study, (campaign,), rounds=1, iterations=1
+    )
 
     def eff(aipc, area):
         return aipc / area * 1000

@@ -12,11 +12,7 @@ data ~80% of messages; inter-cluster share ~1.5%; message latency up
 """
 
 from repro.core import WaveScalarConfig
-from repro.core.experiments import (
-    best_threaded_result,
-    run_cached,
-    traffic_profile,
-)
+from repro.core.experiments import suite_results, traffic_profile
 from repro.workloads import MEDIA_NAMES, SPEC_NAMES, SPLASH_NAMES
 
 from .conftest import bench_scale
@@ -53,8 +49,9 @@ def latency_trend():
     out = {}
     for clusters, config in SPLASH_CONFIGS.items():
         total_lat, total_msg = 0.0, 0
-        for name in SPLASH_NAMES:
-            result = best_threaded_result(config, name, scale)
+        for result in suite_results(
+            config, SPLASH_NAMES, scale, threaded=True
+        ):
             total_lat += result.stats.message_latency_sum
             total_msg += result.stats.message_count
         out[clusters] = total_lat / total_msg

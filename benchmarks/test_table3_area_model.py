@@ -5,8 +5,6 @@ the independent bottom-up estimator (our RTL substitute), and sweeps
 the model over the full design space.
 """
 
-import pytest
-
 from repro.area import chip_area, estimate_constants
 from repro.area import model as m
 from repro.core.config import WaveScalarConfig

@@ -12,11 +12,9 @@ paper's structural findings:
   paper's configuration 4 nearly doubles configuration 1).
 """
 
-from repro.core.experiments import (
-    evaluate_design_space,
-    pareto_table,
-)
+from repro.core.experiments import evaluate_design_space
 from repro.design import pareto_front, viable_designs
+from repro.report import pareto_table
 from repro.workloads import SPLASH_NAMES
 
 from .conftest import bench_scale, full_sweep
@@ -34,18 +32,19 @@ def design_subset():
     return subset
 
 
-def run_table5():
-    # cache shared across benches: keys fully identify runs
+def run_table5(campaign):
     designs = design_subset()
     return designs, evaluate_design_space(
-        designs, SPLASH_NAMES, scale=bench_scale(), threaded=True
+        designs, SPLASH_NAMES, scale=bench_scale(), threaded=True, **campaign
     )
 
 
-def test_table5_pareto(record, benchmark, results_dir):
+def test_table5_pareto(record, benchmark, results_dir, campaign):
     from repro.design import dump_points
 
-    designs, points = benchmark.pedantic(run_table5, rounds=1, iterations=1)
+    designs, points = benchmark.pedantic(
+        run_table5, (campaign,), rounds=1, iterations=1
+    )
     text = (
         f"evaluated {len(points)} of {len(viable_designs())} viable "
         f"designs (REPRO_BENCH_FULL=1 for all), Splash2 suite, best "

@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.core.config import WaveScalarConfig
 from repro.sim.engine import simulate
 from repro.sim.failures import CycleBudgetExhausted
-from repro.workloads import Scale, get
+from repro.workloads import Scale
 from repro.workloads.tensor import gemm
 
 #: (tile_m, tile_n, tile_k) geometries that divide the TINY 4x6x6

@@ -6,8 +6,9 @@ frontier with Table 5-style increment columns.
 Run:  python examples/design_space_tour.py        (about a minute)
 """
 
-from repro.core.experiments import evaluate_design_space, pareto_table
+from repro.core.experiments import evaluate_design_space
 from repro.design import pareto_front, viable_designs
+from repro.report import pareto_table
 from repro.workloads import Scale
 
 

@@ -11,12 +11,11 @@ Most users need only::
 
 from .config import BASELINE, WaveScalarConfig
 from .processor import WaveScalarProcessor
-from .results import SimulationResult, SweepResult
+from .results import SimulationResult
 
 __all__ = [
     "BASELINE",
     "WaveScalarConfig",
     "WaveScalarProcessor",
     "SimulationResult",
-    "SweepResult",
 ]

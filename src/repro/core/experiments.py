@@ -2,49 +2,57 @@
 
 Each function here regenerates one piece of the evaluation (Section 4)
 and is called by the corresponding benchmark in ``benchmarks/`` and by
-the example scripts.  Results are memoised per process because the
-Pareto analysis and the scaling study share many (config, workload)
-evaluations.
+the example scripts.  Every design-space study is one campaign of the
+sweep harness (:mod:`repro.harness`) under the reproduction's fixed
+rule (see :func:`evaluate_design_space`); single cells a script looks
+at on their own are memoised per process by :func:`run_cached`.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
-from ..design.pareto import ParetoPoint, frontier_rows
+from ..area.model import chip_area
+from ..design.pareto import ParetoPoint
 from ..design.scaling import ScalingStudy, run_scaling_study
 from ..design.space import DesignPoint, viable_designs
-from ..design.virtualization import (
-    TuningResult,
-    tune_application,
+from ..design.virtualization import TuningResult, tune_application
+from ..harness.scheduler import execute_lanes
+from ..harness.spec import CellSpec
+from ..harness.supervisor import RunSupervisor, simulate_cell
+from ..harness.sweep import (
+    THREAD_CANDIDATES,
+    build_lanes,
+    design_space_sweep,
+    lane_winner,
 )
-from ..sim.failures import SimulationDeadlock
-from ..workloads.base import Scale, Workload
+from ..sim.failures import FAILURE_CLASSES, SimulationDeadlock
+from ..workloads.base import Scale
 from ..workloads.registry import SPLASH_NAMES, get
 from .config import WaveScalarConfig
-from .processor import WaveScalarProcessor
 from .results import SimulationResult
 
 logger = logging.getLogger("repro.harness")
 
-#: Thread counts tried for each Splash2 run; the best is reported
-#: (Section 4.2: "we ran each application with a range of thread
-#: counts ... and report results for the best-performing thread
-#: count").
-THREAD_CANDIDATES = (1, 2, 4, 8, 16, 32, 64)
+#: Budgets of a cell looked at on its own: the processor's defaults.
+RUN_MAX_CYCLES = 20_000_000
+RUN_MAX_EVENTS = 200_000_000
 
-#: Memoised verdicts: key -> (True, result) or (False, failure).  The
-#: key includes the cycle/event budgets -- a deadlock verdict (or a
+#: Memoised verdicts: cell -> (True, result) or (False, failure).  The
+#: cell includes the cycle/event budgets -- a deadlock verdict (or a
 #: completed run) observed under a small budget must never be reused
 #: for a request with a larger one -- and negative results are cached
 #: explicitly so a known-failing cell is not re-simulated either.
-_CACHE: dict[tuple, tuple[bool, object]] = {}
+_CACHE: dict[CellSpec, tuple[bool, object]] = {}
+#: The lane records :func:`suite_results` has seen, by cell hash.
+_RECORDS: dict[str, dict] = {}
 
 
 def clear_cache() -> None:
     _CACHE.clear()
+    _RECORDS.clear()
 
 
 def run_cached(
@@ -54,171 +62,35 @@ def run_cached(
     threads: Optional[int] = None,
     k: Optional[int] = None,
     seed: int = 0,
-    max_cycles: int = 20_000_000,
-    max_events: int = 200_000_000,
+    max_cycles: int = RUN_MAX_CYCLES,
+    max_events: int = RUN_MAX_EVENTS,
 ) -> SimulationResult:
-    """Memoised workload execution (architectural check included)."""
-    key = (config, workload_name, scale, threads, k, seed,
-           max_cycles, max_events)
-    hit = _CACHE.get(key)
+    """Memoised execution of one cell (architectural check included),
+    keeping the whole :class:`SimulationResult` where a ledger record
+    keeps a summary."""
+    spec = CellSpec(
+        config=config, workload=workload_name, scale=scale.value,
+        threads=threads, k=k, seed=seed, max_cycles=max_cycles,
+        max_events=max_events,
+    )
+    hit = _CACHE.get(spec)
     if hit is not None:
         ok, payload = hit
         if not ok:
             raise payload
         return payload
-    workload = get(workload_name)
-    proc = WaveScalarProcessor(
-        config, max_cycles=max_cycles, max_events=max_events
-    )
     try:
-        result = proc.run_workload(
-            workload, scale=scale, threads=threads, k=k, seed=seed
-        )
+        result = simulate_cell(spec)
     except SimulationDeadlock as exc:
-        _CACHE[key] = (False, exc)
+        _CACHE[spec] = (False, exc)
         raise
-    _CACHE[key] = (True, result)
+    _CACHE[spec] = (True, result)
     return result
-
-
-# ----------------------------------------------------------------------
-# Thread-count selection (Splash2)
-# ----------------------------------------------------------------------
-def feasible_thread_counts(
-    workload: Workload, scale: Scale,
-    candidates: Sequence[int] = THREAD_CANDIDATES,
-) -> list[int]:
-    """Thread counts the kernel's problem size admits."""
-    feasible = []
-    for threads in candidates:
-        try:
-            workload.instantiate(scale=scale, threads=threads)
-        except ValueError:
-            continue
-        feasible.append(threads)
-    return feasible
-
-
-def best_threaded_result(
-    config: WaveScalarConfig,
-    workload_name: str,
-    scale: Scale = Scale.SMALL,
-    candidates: Sequence[int] = THREAD_CANDIDATES,
-    max_cycles: int = 20_000_000,
-    max_events: int = 200_000_000,
-) -> SimulationResult:
-    """The best-AIPC thread count for one workload on one config."""
-    workload = get(workload_name)
-    best: SimulationResult | None = None
-    feasible = feasible_thread_counts(workload, scale, candidates)
-    for index, threads in enumerate(feasible):
-        try:
-            result = run_cached(
-                config, workload_name, scale, threads=threads,
-                max_cycles=max_cycles, max_events=max_events,
-            )
-        except SimulationDeadlock:
-            if best is None and index == len(feasible) - 1:
-                raise  # every thread count crawled; surface it
-            # More threads only add pressure on a configuration that
-            # is already over budget; stop probing upward.
-            break
-        if best is None or result.aipc > best.aipc:
-            best = result
-    if best is None:
-        raise SimulationDeadlock(
-            f"{workload_name}: every thread count exceeded the cycle "
-            f"budget on {config.describe()}"
-        )
-    return best
 
 
 # ----------------------------------------------------------------------
 # Suite-level evaluation (Figures 6 and 7 and Table 5)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkloadFailure:
-    """One workload that scored zero on one configuration, and why."""
-
-    workload: str
-    failure_class: str
-    max_cycles: int
-    max_events: int
-    detail: str = ""
-
-    def render(self) -> str:
-        return (
-            f"{self.workload}: {self.failure_class} under "
-            f"{self.max_cycles} cycles / {self.max_events} events"
-            + (f" -- {self.detail}" if self.detail else "")
-        )
-
-
-class SuiteMean(float):
-    """A mean-AIPC value that also carries per-workload failure
-    reports.  Behaves exactly like ``float`` in arithmetic and
-    comparisons, so existing callers are unaffected; auditing code
-    reads ``.failures`` to see which workloads scored zero and why."""
-
-    failures: tuple[WorkloadFailure, ...]
-
-    def __new__(cls, value: float, failures: Sequence[WorkloadFailure] = ()):
-        obj = super().__new__(cls, value)
-        obj.failures = tuple(failures)
-        return obj
-
-
-def suite_mean_aipc(
-    config: WaveScalarConfig,
-    names: Sequence[str],
-    scale: Scale = Scale.SMALL,
-    threaded: bool = False,
-    candidates: Sequence[int] = THREAD_CANDIDATES,
-    sweep_max_cycles: int = 5_000_000,
-    sweep_max_events: int = 1_000_000,
-) -> SuiteMean:
-    """Average AIPC of a workload group on one configuration.
-
-    A run that exceeds ``sweep_max_cycles`` (a pathologically starved
-    configuration crawling through matching-table thrash) scores 0 --
-    such designs are dominated by construction and the paper's
-    analysis would discard them the same way.  Unlike the old silent
-    ``pass``, every zero-scored workload is recorded on the returned
-    :class:`SuiteMean` and logged, so discarded designs stay auditable.
-    """
-    total = 0.0
-    failures: list[WorkloadFailure] = []
-    for name in names:
-        try:
-            if threaded:
-                result = best_threaded_result(
-                    config, name, scale, candidates,
-                    max_cycles=sweep_max_cycles,
-                    max_events=sweep_max_events,
-                )
-            else:
-                result = run_cached(
-                    config, name, scale, max_cycles=sweep_max_cycles,
-                    max_events=sweep_max_events,
-                )
-            total += result.aipc
-        except SimulationDeadlock as exc:
-            detail = str(exc).splitlines()[0] if str(exc) else ""
-            failure = WorkloadFailure(
-                workload=name,
-                failure_class=type(exc).__name__,
-                max_cycles=sweep_max_cycles,
-                max_events=sweep_max_events,
-                detail=detail,
-            )
-            failures.append(failure)
-            logger.warning(
-                "%s scored 0 on %s: %s", name, config.describe(),
-                failure.render(),
-            )
-    return SuiteMean(total / len(names), failures)
-
-
 def evaluate_design_space(
     designs: Iterable[DesignPoint],
     names: Sequence[str],
@@ -229,65 +101,44 @@ def evaluate_design_space(
     ledger_path=None,
     resume: bool = False,
     timeout_s: Optional[float] = None,
-    isolation: str = "process",
+    isolation: str = "inline",
     jobs: Optional[int] = 1,
 ) -> list[ParetoPoint]:
-    """AIPC-vs-area points for a suite over a set of designs.
+    """AIPC-vs-area points for a suite over a set of designs: one
+    :func:`~repro.harness.sweep.design_space_sweep` campaign under the
+    reproduction's rule, the same for every argument combination.
 
-    With ``ledger_path``/``resume`` -- or ``jobs`` other than 1 -- the
-    evaluation routes through the fault-tolerant harness
-    (:func:`repro.harness.sweep.design_space_sweep`): every cell runs
-    supervised, is checkpointed to the JSONL ledger, and an
-    interrupted campaign resumes without re-simulating finished
-    cells.  ``jobs=N`` fans independent ``(design, workload)`` lanes
-    out over N worker processes (``None``/``0`` = one per core); the
-    returned points are identical for every ``jobs`` value.  The
-    default path stays in-process and memoised.
+    A cell that exceeds the sweep budget (5 M cycles / 1 M events: a
+    starved configuration crawling through matching-table thrash)
+    scores zero and is not retried under a larger one -- such designs
+    are dominated by construction and the paper's analysis would
+    discard them the same way.  Every zero is logged with its cell.
+    Only a simulation that could not finish may score zero: a cell
+    that failed otherwise (a configuration the static rules reject, a
+    wrong answer) would put a wrong point in the figure, and raises.
+
+    ``jobs`` (``None`` = one worker per core) never changes the points;
+    ``isolation="process"`` adds the per-cell ``timeout_s`` watchdog.
     """
-    if ledger_path is not None or resume or jobs != 1:
-        from ..harness.sweep import design_space_sweep
-
-        points, _report = design_space_sweep(
-            list(designs), names, scale=scale, threaded=threaded,
-            candidates=candidates, ledger_path=ledger_path,
-            resume=resume, timeout_s=timeout_s, isolation=isolation,
-            jobs=jobs,
-        )
-        return points
-    points = []
-    for design in designs:
-        aipc = suite_mean_aipc(
-            design.config, names, scale, threaded, candidates
-        )
-        points.append(
-            ParetoPoint(
-                label=design.config.describe(),
-                area=design.area_mm2,
-                performance=float(aipc),
-                payload=design.config,
-            )
+    points, report = design_space_sweep(
+        list(designs), names, scale=scale, threaded=threaded,
+        candidates=candidates, ledger_path=ledger_path, resume=resume,
+        timeout_s=timeout_s, isolation=isolation, jobs=jobs,
+        max_retries=0,
+    )
+    for failure in report.failures:
+        logger.warning("%s", failure.render())
+    unmeasured = [
+        failure.render() for failure in report.failures
+        if failure.failure_class not in FAILURE_CLASSES
+    ]
+    if unmeasured:
+        raise RuntimeError(
+            f"{len(unmeasured)} cell(s) failed for a reason other than "
+            "the simulation budget; refusing to score them zero:\n  "
+            + "\n  ".join(unmeasured)
         )
     return points
-
-
-def pareto_table(
-    points: Sequence[ParetoPoint],
-) -> str:
-    """Render Table 5-style frontier rows as text."""
-    lines = [
-        f"{'id':>3} {'configuration':<42} {'area':>7} {'AIPC':>6} "
-        f"{'dA%':>6} {'dAIPC%':>7}"
-    ]
-    for i, row in enumerate(frontier_rows(points), start=1):
-        da = f"{row.area_increase * 100:.1f}%" if row.area_increase is not \
-            None else "na"
-        dp = f"{row.perf_increase * 100:.1f}%" if row.perf_increase is not \
-            None else "na"
-        lines.append(
-            f"{i:>3} {row.point.label:<42} {row.point.area:>7.0f} "
-            f"{row.point.performance:>6.2f} {da:>6} {dp:>7}"
-        )
-    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -330,7 +181,6 @@ def tune_workload(
     """One Table 4 row: sweep k against an (effectively) infinite
     matching table, then oversubscribe to find u_opt."""
     workload = get(workload_name)
-    kwargs = {"threads": threads} if workload.multithreaded else {}
     static_size = len(workload.instantiate(scale=scale, threads=threads))
     pes = -(-static_size // 256)  # smallest PE count that fits at V=256
     pes += pes % 2  # pods need pairs
@@ -339,8 +189,8 @@ def tune_workload(
         config = tuning_config(k, matching_entries, pes=pes)
         try:
             result = run_cached(
-                config, workload_name, scale, k=k, max_cycles=3_000_000,
-                max_events=5_000_000, **kwargs,
+                config, workload_name, scale, threads=threads, k=k,
+                max_cycles=3_000_000, max_events=5_000_000,
             )
         except SimulationDeadlock:
             # Pathological over-subscription thrashes so hard the run
@@ -366,25 +216,25 @@ def scaling_study(
 ) -> tuple[ScalingStudy, dict[str, float]]:
     """Reproduce the a/b/c/d/e analysis; returns the study plus the
     measured AIPC of each named design.  ``ledger_path``/``resume``
-    checkpoint the design-space pass through the sweep harness;
-    ``jobs`` parallelises it."""
+    checkpoint every cell, the replicated designs' included; ``jobs``
+    parallelises the lanes."""
     designs = list(designs) if designs is not None else viable_designs()
-    points = evaluate_design_space(
-        designs, names, scale, threaded=True,
-        ledger_path=ledger_path, resume=resume, jobs=jobs,
+    sweep = dict(scale=scale, threaded=True, ledger_path=ledger_path,
+                 resume=resume, jobs=jobs)
+    points = evaluate_design_space(designs, names, **sweep)
+    study = run_scaling_study(points)
+    b, d, e16 = evaluate_design_space(
+        [DesignPoint(config=scaled.config, area_mm2=scaled.area_mm2)
+         for scaled in (study.b, study.d, study.e16)],
+        names, **sweep,
     )
-
-    def perf_of(config: WaveScalarConfig) -> float:
-        return suite_mean_aipc(config, names, scale, threaded=True)
-
-    study = run_scaling_study(points, perf_of)
     measured = {
         "a": study.a.performance,
-        "b": perf_of(study.b.config),
+        "b": b.performance,
         "c": study.c.performance,
-        "d": perf_of(study.d.config),
+        "d": d.performance,
         "e": study.e.performance,
-        "e16": perf_of(study.e16.config),
+        "e16": e16.performance,
     }
     return study, measured
 
@@ -392,6 +242,43 @@ def scaling_study(
 # ----------------------------------------------------------------------
 # Figure 8: traffic distribution
 # ----------------------------------------------------------------------
+def suite_results(
+    config: WaveScalarConfig,
+    names: Sequence[str],
+    scale: Scale = Scale.SMALL,
+    threaded: bool = False,
+) -> list[SimulationResult]:
+    """The full result of each workload's best-performing run on one
+    configuration, in ``names`` order: the sweep's lanes, run here
+    against an in-memory record map.  A record keeps no per-level
+    traffic counters, so each lane's winning cell is re-opened with
+    :func:`run_cached`.
+    """
+    design = DesignPoint(config=config, area_mm2=chip_area(config))
+    lanes = build_lanes(
+        [design], names, scale, threaded, THREAD_CANDIDATES,
+        RUN_MAX_CYCLES, RUN_MAX_EVENTS,
+    )
+    # Unvalidated, like any single run: this measures a configuration,
+    # it does not admit it to a design space.
+    execute_lanes(
+        lanes, done=_RECORDS, prevalidate=False,
+        supervisor=RunSupervisor(isolation="inline", max_retries=0),
+    )
+    results = []
+    for lane in lanes:
+        spec, stopped = lane_winner(lane, _RECORDS)
+        if stopped and (spec is None or stopped[1]["failure_class"]
+                        not in FAILURE_CLASSES):
+            # Nothing measured, or stopped by more than a budget:
+            # re-opening the cell that stopped the lane raises it.
+            spec = stopped[0]
+        results.append(
+            run_cached(config, spec.workload, scale, threads=spec.threads)
+        )
+    return results
+
+
 def traffic_profile(
     config: WaveScalarConfig,
     names: Sequence[str],
@@ -402,11 +289,7 @@ def traffic_profile(
     totals = {"pod": 0, "domain": 0, "cluster": 0, "grid": 0,
               "operand": 0, "memory": 0}
     grand = 0
-    for name in names:
-        if threaded:
-            result = best_threaded_result(config, name, scale)
-        else:
-            result = run_cached(config, name, scale)
+    for result in suite_results(config, names, scale, threaded):
         for kind, per_level in result.stats.messages.items():
             for level, count in per_level.items():
                 totals[level] += count

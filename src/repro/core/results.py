@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..area.model import AreaBreakdown
@@ -63,30 +63,3 @@ class SimulationResult:
             f"{f' x{self.threads}thr' if self.threads else ''}: "
             f"{self.stats.summary()} area={self.area_mm2:.0f}mm2"
         )
-
-
-@dataclass
-class SweepResult:
-    """A (workload x configuration) result matrix from a sweep."""
-
-    results: list[SimulationResult] = field(default_factory=list)
-
-    def add(self, result: SimulationResult) -> None:
-        self.results.append(result)
-
-    def for_program(self, program: str) -> list[SimulationResult]:
-        return [r for r in self.results if r.program == program]
-
-    def for_config(self, config: WaveScalarConfig) -> list[SimulationResult]:
-        return [r for r in self.results if r.config == config]
-
-    def mean_aipc_by_config(self) -> dict[WaveScalarConfig, float]:
-        """Average AIPC per configuration over all programs (the
-        paper's per-suite 'Avg. AIPC')."""
-        groups: dict[WaveScalarConfig, list[float]] = {}
-        for r in self.results:
-            groups.setdefault(r.config, []).append(r.aipc)
-        return {c: sum(v) / len(v) for c, v in groups.items()}
-
-    def __len__(self) -> int:
-        return len(self.results)

@@ -6,7 +6,6 @@ from .pareto import (
     FrontierRow,
     ParetoPoint,
     best_performance_per_area,
-    evaluate_points,
     frontier_rows,
     is_dominated,
     pareto_front,
@@ -47,7 +46,6 @@ __all__ = [
     "load_points",
     "ParetoPoint",
     "best_performance_per_area",
-    "evaluate_points",
     "frontier_rows",
     "is_dominated",
     "pareto_front",

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -139,21 +137,3 @@ def best_performance_per_area(
     if not points:
         raise ValueError("no points")
     return max(points, key=lambda p: (p.performance / p.area, -p.area))
-
-
-def evaluate_points(
-    items: Sequence[T],
-    area_of: Callable[[T], float],
-    perf_of: Callable[[T], float],
-    label_of: Callable[[T], str],
-) -> list[ParetoPoint]:
-    """Adapter: evaluate arbitrary design objects into ParetoPoints."""
-    return [
-        ParetoPoint(
-            label=label_of(item),
-            area=area_of(item),
-            performance=perf_of(item),
-            payload=item,
-        )
-        for item in items
-    ]

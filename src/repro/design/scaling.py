@@ -15,7 +15,7 @@ true Pareto frontier.  The headline findings this module reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..area.model import chip_area
 from ..core.config import WaveScalarConfig
@@ -63,20 +63,12 @@ class ScalingStudy:
     e: ParetoPoint  # smallest Pareto-optimal 4-cluster design
     e16: ScaledDesign  # e's tile x4 (16 clusters total)
 
-    def efficiency(self, design: ScaledDesign, perf: float) -> float:
-        return perf / design.area_mm2
 
-
-def run_scaling_study(
-    evaluated: Sequence[ParetoPoint],
-    perf_of: Callable[[WaveScalarConfig], float],
-) -> ScalingStudy:
+def run_scaling_study(evaluated: Sequence[ParetoPoint]) -> ScalingStudy:
     """Identify a/c/e among ``evaluated`` one- and four-cluster points
-    and construct the replicated designs b/d/e16.
-
-    ``evaluated`` must be ParetoPoints whose payloads are
-    :class:`WaveScalarConfig`; ``perf_of`` evaluates a (possibly new)
-    configuration, used for the replicated designs.
+    and construct the replicated designs b/d/e16 (for the caller to
+    measure).  ``evaluated`` must be ParetoPoints whose payloads are
+    :class:`WaveScalarConfig`.
     """
     singles = [
         p for p in evaluated

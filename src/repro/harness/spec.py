@@ -18,9 +18,8 @@ from typing import Optional
 from ..core.config import WaveScalarConfig
 from .faults import FaultPlan
 
-#: Default sweep budgets, matching the historical
-#: ``suite_mean_aipc`` arguments (a starved configuration crawling
-#: through matching-table thrash scores zero rather than stalling the
+#: Default sweep budgets (a starved configuration crawling through
+#: matching-table thrash scores zero rather than stalling the
 #: campaign).
 SWEEP_MAX_CYCLES = 5_000_000
 SWEEP_MAX_EVENTS = 1_000_000

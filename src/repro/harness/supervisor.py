@@ -81,33 +81,47 @@ def _success_payload(result, wall_s: float, cache_delta: dict) -> dict:
     }
 
 
-def execute_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND) -> dict:
-    """Run one cell to completion in the current process.
-
-    Returns the success payload (:func:`_success_payload`); failures
-    propagate as taxonomy exceptions for the caller to classify.
-
-    ``backend`` selects the engine (see :mod:`repro.sim.backends`);
-    every backend produces bit-identical simulated results, so the
-    payload differs only in its wall-clock fields.
-    """
-    from ..core.processor import WaveScalarProcessor
-    from ..sim.compile import cache_info, get_compiled
+def _compiled(spec: CellSpec):
+    """The cell's program, from the per-process compile cache."""
+    from ..sim.compile import get_compiled
     from ..workloads.registry import get
 
-    workload = get(spec.workload)
-    threads = spec.threads if workload.multithreaded else None
+    threads = spec.threads if get(spec.workload).multithreaded else None
+    return get_compiled(
+        spec.workload, scale=spec.scale, threads=threads, k=spec.k,
+        seed=spec.seed,
+    )
+
+
+def simulate_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND):
+    """Run one cell to completion in the current process: the one
+    ``CellSpec -> SimulationResult`` function.  :func:`execute_cell`
+    flattens the result into a ledger payload; a caller that wants it
+    whole (the reproduction's single-cell memo) calls this directly.
+
+    The outputs are checked against the memoised reference; failures
+    propagate as taxonomy exceptions (``AssertionError`` for a wrong
+    answer) for the caller to classify.  Every ``backend`` (see
+    :mod:`repro.sim.backends`) simulates bit-identical results.
+    """
+    from ..core.processor import WaveScalarProcessor
+
     proc = WaveScalarProcessor(
         spec.config, max_cycles=spec.max_cycles,
         max_events=spec.max_events, backend=backend,
     )
+    return proc.run_compiled(_compiled(spec), faults=spec.faults)
+
+
+def execute_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND) -> dict:
+    """:func:`simulate_cell`, timed, as the success payload
+    (:func:`_success_payload`); the payload of two backends differs
+    only in its wall-clock fields."""
+    from ..sim.compile import cache_info
+
     started = time.perf_counter()
     cache_before = cache_info()
-    compiled = get_compiled(
-        spec.workload, scale=spec.scale, threads=threads, k=spec.k,
-        seed=spec.seed,
-    )
-    result = proc.run_compiled(compiled, faults=spec.faults)
+    result = simulate_cell(spec, backend)
     wall_s = time.perf_counter() - started
     return _success_payload(
         result, wall_s, _cache_delta(cache_before, cache_info())
@@ -129,9 +143,8 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
     from ..core.processor import WaveScalarProcessor
     from ..core.results import SimulationResult
     from ..sim.batched import BatchedEngine
-    from ..sim.compile import cache_info, get_compiled
+    from ..sim.compile import cache_info
     from ..sim.engine import Engine
-    from ..workloads.registry import get
 
     if not specs:
         return []
@@ -149,14 +162,9 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
                 f"{spec.describe()}: fault-plan cells cannot join a "
                 f"batch group (run them on the plain backend)"
             )
-    workload = get(first.workload)
-    threads = first.threads if workload.multithreaded else None
     started = time.perf_counter()
     cache_before = cache_info()
-    compiled = get_compiled(
-        first.workload, scale=first.scale, threads=threads, k=first.k,
-        seed=first.seed,
-    )
+    compiled = _compiled(first)
     procs = []
     engines = []
     for spec in specs:
@@ -183,7 +191,7 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
         result = SimulationResult(
             program=compiled.graph.name, config=spec.config,
             stats=outcome.stats, area=proc._area, timing=proc._timing,
-            threads=threads,
+            threads=compiled.threads,
         )
         got = result.outputs()
         if got != expected:
@@ -515,15 +523,7 @@ class RunSupervisor:
         will hit the same error and classify it properly.
         """
         try:
-            from ..sim.compile import get_compiled
-            from ..workloads.registry import get
-
-            workload = get(spec.workload)
-            threads = spec.threads if workload.multithreaded else None
-            get_compiled(
-                spec.workload, scale=spec.scale, threads=threads,
-                k=spec.k, seed=spec.seed,
-            )
+            _compiled(spec)
         except Exception:  # noqa: BLE001 - deferred to the attempt
             pass
 

@@ -17,10 +17,9 @@ the content-hash-keyed record map, so the returned
 :class:`~repro.design.pareto.ParetoPoint` list is identical for any
 ``jobs`` value and any completion order.
 
-Aggregation mirrors the paper's method (and the historical in-process
-code path): per workload the best-performing thread count wins, a
-failed workload scores zero AIPC, and a design's suite score is the
-mean over workloads.
+Aggregation is the paper's method (Section 4.2): per workload the
+best-performing thread count wins, a failed workload scores zero AIPC,
+and a design's suite score is the mean over workloads.
 
 A sweep either runs every lane (one :func:`execute_lanes` call, any
 ``jobs``) or skips what cannot matter.  There is one skip loop,
@@ -40,7 +39,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from ..design.pareto import ParetoPoint
 from ..design.space import DesignPoint
 from ..obs.metrics import ThroughputMeter
-from ..workloads.base import Scale
+from ..workloads.base import Scale, Workload
+from ..workloads.registry import get
 from .ledger import Ledger
 from .scheduler import Lane, execute_lanes, static_rejection
 from .spec import SWEEP_MAX_CYCLES, SWEEP_MAX_EVENTS, CellSpec
@@ -315,6 +315,28 @@ def sweep_cells(
 # ----------------------------------------------------------------------
 # The Figure 6/7 evaluation loop
 # ----------------------------------------------------------------------
+#: Thread counts tried for each multithreaded workload; the best is
+#: reported (Section 4.2: "we ran each application with a range of
+#: thread counts ... and report results for the best-performing thread
+#: count").
+THREAD_CANDIDATES = (1, 2, 4, 8, 16, 32, 64)
+
+
+def feasible_thread_counts(
+    workload: Workload, scale: Scale,
+    candidates: Sequence[int] = THREAD_CANDIDATES,
+) -> list[int]:
+    """Thread counts the kernel's problem size admits."""
+    feasible = []
+    for threads in candidates:
+        try:
+            workload.instantiate(scale=scale, threads=threads)
+        except ValueError:
+            continue
+        feasible.append(threads)
+    return feasible
+
+
 def build_lanes(
     designs: Sequence[DesignPoint],
     names: Sequence[str],
@@ -327,10 +349,8 @@ def build_lanes(
     """One lane per ``(design, workload)`` pair, in canonical
     design-major order.  A lane's cells are its thread-count
     escalation sequence; the lane protocol stops probing upward after
-    the first failure, exactly like the historical serial loop."""
-    from ..core.experiments import feasible_thread_counts
-    from ..workloads.registry import get
-
+    the first failure (more threads only add pressure on a design
+    that is already over budget)."""
     lanes: list[Lane] = []
     feasible_memo: dict[str, Sequence[Optional[int]]] = {}
     for design_index, design in enumerate(designs):
@@ -420,6 +440,28 @@ def _lane_score(lane: Lane, records: dict[str, dict]) -> LaneScore:
     return LaneScore(best or 0.0, True, pruned)
 
 
+def lane_winner(
+    lane: Lane, records: dict[str, dict],
+) -> tuple[Optional[CellSpec], Optional[tuple[CellSpec, dict]]]:
+    """``(winner, stopped)``: the cell whose ``ok`` record is the
+    lane's score (highest AIPC, the lowest thread count on a tie;
+    ``None`` when the lane measured nothing) and the non-``ok`` cell
+    that ended the lane with its record (``None`` when none did).  For
+    callers that re-open cells; :func:`_lane_score` only needs the
+    number, and is the one the skip loop calls."""
+    winner: Optional[CellSpec] = None
+    best = 0.0
+    for spec in lane.specs:
+        record = records.get(spec.cell_hash())
+        if record is None:
+            break
+        if record["status"] != "ok":
+            return winner, (spec, record)
+        if winner is None or record["aipc"] > best:
+            winner, best = spec, record["aipc"]
+    return winner, None
+
+
 def _aggregate(
     designs: Sequence[DesignPoint],
     names: Sequence[str],
@@ -431,8 +473,7 @@ def _aggregate(
 
     Pure function of (lanes, records): runs after all execution, so
     the result is independent of cell completion order.  Failures are
-    appended to ``report`` in canonical lane order -- the same order
-    the serial driver historically emitted them in.
+    appended to ``report`` in canonical lane order.
     """
     points: list[ParetoPoint] = []
     for design_index, design in enumerate(designs):
@@ -801,7 +842,7 @@ def design_space_sweep(
     names: Sequence[str],
     scale: Scale = Scale.SMALL,
     threaded: bool = False,
-    candidates: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
+    candidates: Sequence[int] = THREAD_CANDIDATES,
     *,
     ledger_path=None,
     resume: bool = False,
@@ -825,10 +866,9 @@ def design_space_sweep(
     """The fault-tolerant Figure 6/7 evaluation loop.
 
     Every ``(design, workload, threads)`` cell runs supervised; the
-    returned points are identical in shape to
-    ``repro.core.experiments.evaluate_design_space`` -- and identical
-    in value for every ``jobs`` setting (``1`` = serial in-process,
-    ``N>1`` = N worker processes, ``None``/``0`` = one per core).
+    returned points -- one per design, in order -- are identical for
+    every ``jobs`` setting (``1`` = serial in-process, ``N>1`` = N
+    worker processes, ``None``/``0`` = one per core).
 
     ``prune=True`` turns on static-bound pruning: cells whose AIPC
     upper bound cannot lift their design past an already-measured

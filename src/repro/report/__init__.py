@@ -2,11 +2,18 @@
 traffic bars, comparison tables)."""
 
 from .fullreport import generate_report
-from .plots import comparison_table, scatter, stacked_bar, traffic_chart
+from .plots import (
+    comparison_table,
+    pareto_table,
+    scatter,
+    stacked_bar,
+    traffic_chart,
+)
 
 __all__ = [
     "comparison_table",
     "generate_report",
+    "pareto_table",
     "scatter",
     "stacked_bar",
     "traffic_chart",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from ..design.pareto import ParetoPoint, pareto_front
+from ..design.pareto import ParetoPoint, frontier_rows, pareto_front
 
 
 def scatter(
@@ -100,6 +100,24 @@ def traffic_chart(
         grid_pct = profile.get("grid", 0.0)
         lines.append(
             f"{name:<{label_width}}|{bar}| grid {grid_pct:.1%}"
+        )
+    return "\n".join(lines)
+
+
+def pareto_table(points: Sequence[ParetoPoint]) -> str:
+    """Render Table 5-style frontier rows as text."""
+    lines = [
+        f"{'id':>3} {'configuration':<42} {'area':>7} {'AIPC':>6} "
+        f"{'dA%':>6} {'dAIPC%':>7}"
+    ]
+    for i, row in enumerate(frontier_rows(points), start=1):
+        da = f"{row.area_increase * 100:.1f}%" if row.area_increase is not \
+            None else "na"
+        dp = f"{row.perf_increase * 100:.1f}%" if row.perf_increase is not \
+            None else "na"
+        lines.append(
+            f"{i:>3} {row.point.label:<42} {row.point.area:>7.0f} "
+            f"{row.point.performance:>6.2f} {da:>6} {dp:>7}"
         )
     return "\n".join(lines)
 

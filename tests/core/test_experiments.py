@@ -1,25 +1,49 @@
 """Tests for the experiment drivers."""
 
+import logging
+from functools import partial
+
 import pytest
 
-from repro.core import WaveScalarConfig
+from repro.core import WaveScalarConfig, experiments
 from repro.core.experiments import (
-    THREAD_CANDIDATES,
-    best_threaded_result,
     clear_cache,
     evaluate_design_space,
-    feasible_thread_counts,
-    pareto_table,
     run_cached,
-    suite_mean_aipc,
+    scaling_study,
+    suite_results,
     traffic_profile,
     tuning_config,
 )
-from repro.design import DesignPoint, pareto_front
+from repro.design import DesignPoint, pareto_front, replicate
 from repro.area.model import chip_area
+from repro.harness import supervisor
+from repro.harness.spec import SWEEP_MAX_CYCLES, SWEEP_MAX_EVENTS
+from repro.harness.sweep import (
+    THREAD_CANDIDATES,
+    design_space_sweep,
+    feasible_thread_counts,
+)
+from repro.report import pareto_table
+from repro.sim.compile import CompiledWorkload
 from repro.workloads import Scale, get
 
 CFG = WaveScalarConfig(clusters=1, l2_mb=1)
+#: Starved enough that Splash2 lanes fail at different thread counts.
+STARVED = WaveScalarConfig(clusters=16, virtualization=16,
+                           matching_entries=16, l1_kb=16, l2_mb=1)
+
+
+def design_of(config):
+    return DesignPoint(config=config, area_mm2=chip_area(config))
+
+
+def sweep_cell(config, name, threads=None):
+    """One cell under the sweep budgets, by the single-cell path."""
+    return run_cached(
+        config, name, Scale.TINY, threads=threads,
+        max_cycles=SWEEP_MAX_CYCLES, max_events=SWEEP_MAX_EVENTS,
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -36,21 +60,108 @@ def test_feasible_thread_counts_respect_problem_size():
     assert max(counts) <= max(THREAD_CANDIDATES)
 
 
-def test_best_threaded_result_is_maximal():
-    results = {
-        t: run_cached(CFG, "radix", Scale.TINY, threads=t)
-        for t in (1, 4)
-    }
-    best = best_threaded_result(CFG, "radix", Scale.TINY,
-                                candidates=(1, 4))
-    assert best.aipc == max(r.aipc for r in results.values())
+def test_best_thread_count_wins():
+    aipcs = [sweep_cell(CFG, "radix", threads=t).aipc for t in (1, 4)]
+    (point,) = evaluate_design_space(
+        [design_of(CFG)], ("radix",), Scale.TINY, threaded=True,
+        candidates=(1, 4),
+    )
+    assert point.performance == max(aipcs)
 
 
-def test_suite_mean_aipc_is_mean():
-    a = run_cached(CFG, "mcf", Scale.TINY).aipc
-    b = run_cached(CFG, "gzip", Scale.TINY).aipc
-    mean = suite_mean_aipc(CFG, ("mcf", "gzip"), Scale.TINY)
-    assert mean == pytest.approx((a + b) / 2)
+def test_suite_score_is_mean_over_names():
+    a = sweep_cell(CFG, "mcf").aipc
+    b = sweep_cell(CFG, "gzip").aipc
+    (point,) = evaluate_design_space(
+        [design_of(CFG)], ("mcf", "gzip"), Scale.TINY
+    )
+    assert point.performance == pytest.approx((a + b) / 2)
+
+
+def test_threaded_study_scores_failing_lanes(caplog):
+    """A lane that fails at its first thread count scores zero; one
+    that fails later keeps the best it measured before the failure."""
+    from repro.sim.failures import (
+        CycleBudgetExhausted,
+        EventBudgetExhausted,
+    )
+
+    with pytest.raises(EventBudgetExhausted):
+        sweep_cell(STARVED, "lu", threads=1)
+    ocean = sweep_cell(STARVED, "ocean", threads=1).aipc
+    with pytest.raises(EventBudgetExhausted):
+        sweep_cell(STARVED, "ocean", threads=2)
+    fft = [sweep_cell(STARVED, "fft", threads=t).aipc
+           for t in (1, 2, 4, 8)]
+    with pytest.raises(CycleBudgetExhausted):
+        sweep_cell(STARVED, "fft", threads=16)
+
+    with caplog.at_level(logging.WARNING, logger="repro.harness"):
+        (point,) = evaluate_design_space(
+            [design_of(STARVED)], ("lu", "ocean", "fft"), Scale.TINY,
+            threaded=True,
+        )
+    assert point.performance == (0.0 + ocean + max(fft)) / 3
+    lines = [record.getMessage() for record in caplog.records]
+    assert len(lines) == 3
+    for line, cell in zip(lines, (
+        "lu x1thr on {}: EventBudgetExhausted",
+        "ocean x2thr on {}: EventBudgetExhausted",
+        "fft x16thr on {}: CycleBudgetExhausted",
+    )):
+        assert line.startswith(cell.format(STARVED.describe()))
+
+
+def test_zero_scored_cell_is_logged_with_its_class(caplog):
+    """The audit line names the recorded failure class and thread
+    count, not a generic deadlock."""
+    config = WaveScalarConfig(clusters=4, virtualization=32,
+                              matching_entries=32, l1_kb=8, l2_mb=0)
+    with caplog.at_level(logging.WARNING, logger="repro.harness"):
+        (point,) = evaluate_design_space(
+            [design_of(config)], ("lu",), Scale.TINY, threaded=True
+        )
+    assert point.performance == 0.0
+    (line,) = [r.getMessage() for r in caplog.records]
+    assert line.startswith(
+        "lu x1thr on C4xD4xP8 V32 M32 L1:8KB L2:0MB: EventBudgetExhausted"
+    )
+
+
+def test_wrong_answer_is_not_a_zero_score(monkeypatch):
+    """A failed reference check is a simulator bug, never a score: not
+    a zero, and not a lane that quietly keeps its earlier best."""
+    reference = CompiledWorkload.expected_outputs
+    monkeypatch.setattr(
+        CompiledWorkload, "expected_outputs",
+        lambda self: ["wrong"] if self.threads == 2 else reference(self),
+    )
+    with pytest.raises(RuntimeError, match="radix x2thr on .*AssertionError"):
+        evaluate_design_space(
+            [design_of(CFG)], ("radix",), Scale.TINY, threaded=True
+        )
+    with pytest.raises(AssertionError, match="radix: simulator output"):
+        suite_results(CFG, ("radix",), Scale.TINY, threaded=True)
+
+
+def test_rejected_configuration_is_not_a_zero_score():
+    sixteen = WaveScalarConfig(clusters=16, virtualization=64,
+                               matching_entries=64, l1_kb=8, l2_mb=1)
+    scaled = replicate(sixteen, 4)
+    with pytest.raises(RuntimeError, match="exceeds the 400 mm2 budget"):
+        evaluate_design_space(
+            [DesignPoint(config=scaled.config, area_mm2=scaled.area_mm2)],
+            ("radix",), Scale.TINY, threaded=True,
+        )
+
+
+def test_budget_failure_scores_zero(monkeypatch):
+    monkeypatch.setattr(
+        experiments, "design_space_sweep",
+        partial(design_space_sweep, max_cycles=50),
+    )
+    (point,) = evaluate_design_space([design_of(CFG)], ("mcf",), Scale.TINY)
+    assert point.performance == 0.0
 
 
 def test_evaluate_design_space_points():
@@ -118,7 +229,6 @@ def test_cache_distinguishes_budgets():
 def test_cache_stores_negative_results():
     """A known-failing cell re-raises from cache instead of
     re-simulating."""
-    from repro.core import experiments
     from repro.sim.failures import CycleBudgetExhausted
 
     with pytest.raises(CycleBudgetExhausted) as first:
@@ -131,46 +241,44 @@ def test_cache_stores_negative_results():
 
 
 def test_suite_mean_reports_failures():
-    """Zero-scored workloads are recorded on the returned value, not
-    silently swallowed."""
-    mean = suite_mean_aipc(
-        CFG, ("mcf",), Scale.TINY, sweep_max_cycles=50
+    """Zero-scored workloads are listed on the report with their
+    class, not silently swallowed."""
+    sweep = partial(
+        design_space_sweep, [design_of(CFG)], ("mcf",), Scale.TINY,
+        isolation="inline",
     )
-    assert float(mean) == 0.0
-    assert len(mean.failures) == 1
-    failure = mean.failures[0]
+    points, report = sweep(max_cycles=50, max_retries=0)
+    assert points[0].performance == 0.0
+    (failure,) = report.failures
     assert failure.workload == "mcf"
     assert failure.failure_class == "CycleBudgetExhausted"
-    assert failure.max_cycles == 50
-    assert "CycleBudgetExhausted" in failure.render()
-    # Successful suites carry an empty report and stay float-like.
-    ok = suite_mean_aipc(CFG, ("mcf",), Scale.TINY)
-    assert ok.failures == ()
-    assert ok > 0 and isinstance(ok, float)
+    assert "exceeded 50 cycles" in failure.render()
+    # A successful suite carries an empty list.
+    points, report = sweep()
+    assert report.failures == []
+    assert points[0].performance > 0
 
 
 def test_evaluate_design_space_with_ledger(tmp_path):
-    """The harness-backed path produces the same points as the
-    in-process path and resumes from its ledger."""
-    from repro.area.model import chip_area
-    from repro.harness import Ledger
-
-    designs = [DesignPoint(config=CFG, area_mm2=chip_area(CFG))]
-    baseline = evaluate_design_space(designs, ("mcf",), Scale.TINY)
+    """A ledgered study gives the points of an unledgered one, and a
+    resume serves every cell from the ledger."""
+    designs = [design_of(STARVED)]
+    names = ("ocean", "fft")
+    baseline = evaluate_design_space(
+        designs, names, Scale.TINY, threaded=True
+    )
     path = tmp_path / "runs.jsonl"
-    points = evaluate_design_space(
-        designs, ("mcf",), Scale.TINY,
-        ledger_path=path, isolation="inline",
+    assert evaluate_design_space(
+        designs, names, Scale.TINY, threaded=True, ledger_path=path
+    ) == baseline
+    points, report = design_space_sweep(
+        designs, names, Scale.TINY, threaded=True, ledger_path=path,
+        resume=True, isolation="inline", max_retries=0,
     )
-    assert points[0].performance == \
-        pytest.approx(baseline[0].performance)
-    assert len(Ledger(path).load()) == 1
-    resumed = evaluate_design_space(
-        designs, ("mcf",), Scale.TINY,
-        ledger_path=path, resume=True, isolation="inline",
-    )
-    assert resumed[0].performance == \
-        pytest.approx(baseline[0].performance)
+    assert points == baseline
+    # ocean x1 and x2 (fails), fft x1..x16 (fails): every line a cell.
+    assert len(path.read_text().splitlines()) == 7
+    assert report.skipped == report.total == 7
 
 
 def test_front_of_evaluated_points_is_consistent():
@@ -186,24 +294,29 @@ def test_front_of_evaluated_points_is_consistent():
     assert 1 <= len(front) <= 2
 
 
-def test_scaling_study_smoke():
-    """End-to-end a/b/c/d/e selection on a minimal design set."""
-    from repro.area.model import chip_area
-    from repro.core.experiments import scaling_study
-
-    designs = [
-        DesignPoint(config=c, area_mm2=chip_area(c))
-        for c in (
+def test_scaling_study_smoke(tmp_path, monkeypatch):
+    """End-to-end a/b/c/d/e selection on a minimal design set, and its
+    resume: the ledger covers the replicated b/d/e16 too."""
+    study = partial(
+        scaling_study, scale=Scale.TINY, names=("radix",),
+        ledger_path=tmp_path / "runs.jsonl",
+        designs=[design_of(config) for config in (
             WaveScalarConfig(clusters=1, l1_kb=8, l2_mb=0),
             WaveScalarConfig(clusters=1, l1_kb=8, l2_mb=1),
+            # No L2: replicated x4 with one, 'e16' is over the 400 mm2
+            # die limit, which the study refuses to score.
             WaveScalarConfig(clusters=4, virtualization=64,
-                             matching_entries=64, l1_kb=8, l2_mb=1),
-        )
-    ]
-    study, measured = scaling_study(
-        scale=Scale.TINY, names=("radix",), designs=designs
+                             matching_entries=64, l1_kb=8, l2_mb=0),
+        )],
     )
-    assert study.b.config.clusters == 4
-    assert study.e16.config.clusters == 16
+    named, measured = study()
+    assert named.b.config.clusters == 4
+    assert named.e16.config.clusters == 16
     for key in ("a", "b", "c", "d", "e", "e16"):
         assert measured[key] > 0
+
+    def no_simulation(spec, backend=None):
+        raise AssertionError(f"resume simulated {spec.describe()}")
+
+    monkeypatch.setattr(supervisor, "simulate_cell", no_simulation)
+    assert study(resume=True) == (named, measured)

@@ -98,11 +98,16 @@ def test_experiments_cache():
     assert r3.aipc == r1.aipc  # deterministic
 
 
-def test_best_threaded_result_picks_feasible_best():
-    from repro.core.experiments import best_threaded_result
+def test_threaded_suite_result_is_feasible_best():
+    from repro.core.experiments import run_cached, suite_results
+    from repro.harness.sweep import feasible_thread_counts
 
-    result = best_threaded_result(
-        WaveScalarConfig(clusters=4), "radix", Scale.TINY,
-        candidates=(1, 4),
+    config = WaveScalarConfig(clusters=4)
+    (result,) = suite_results(config, ("radix",), Scale.TINY,
+                              threaded=True)
+    assert result.threads in feasible_thread_counts(get("radix"),
+                                                    Scale.TINY)
+    assert result.aipc >= max(
+        run_cached(config, "radix", Scale.TINY, threads=t).aipc
+        for t in (1, 4)
     )
-    assert result.threads in (1, 4)

@@ -5,7 +5,7 @@ import pytest
 from repro.area.model import breakdown
 from repro.area.timing import timing_report
 from repro.core import BASELINE, WaveScalarConfig, WaveScalarProcessor
-from repro.core.results import SimulationResult, SweepResult
+from repro.core.results import SimulationResult
 from repro.sim.stats import SimStats
 
 
@@ -36,20 +36,6 @@ def test_summary_mentions_program_and_config():
     text = result.summary()
     assert "fft" in text
     assert "C1" in text
-
-
-def test_sweep_result_grouping():
-    quad = WaveScalarConfig(clusters=4)
-    sweep = SweepResult()
-    sweep.add(make_result("a", BASELINE, (100, 1000)))
-    sweep.add(make_result("b", BASELINE, (300, 1000)))
-    sweep.add(make_result("a", quad, (200, 1000)))
-    assert len(sweep) == 3
-    assert len(sweep.for_program("a")) == 2
-    assert len(sweep.for_config(BASELINE)) == 2
-    means = sweep.mean_aipc_by_config()
-    assert means[BASELINE] == pytest.approx(0.2)
-    assert means[quad] == pytest.approx(0.2)
 
 
 def test_result_outputs_ordered_by_instruction():

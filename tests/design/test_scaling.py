@@ -39,9 +39,7 @@ def test_run_scaling_study_selects_named_points():
         make_point(4, 64, 1, 4.9),    # smallest 4-cluster ('e')
         make_point(4, 128, 1, 7.8),
     ]
-    study = run_scaling_study(
-        singles + quads, perf_of=lambda config: 0.0
-    )
+    study = run_scaling_study(singles + quads)
     assert study.a.performance == 3.9
     assert study.c.performance == 3.5  # highest perf/area single
     assert study.e.payload.virtualization == 64
@@ -56,4 +54,4 @@ def test_run_scaling_study_selects_named_points():
 def test_run_scaling_study_requires_both_sizes():
     singles = [make_point(1, 128, 0, 1.0)]
     with pytest.raises(ValueError):
-        run_scaling_study(singles, perf_of=lambda c: 0.0)
+        run_scaling_study(singles)

@@ -35,7 +35,7 @@ from repro.harness import (
 )
 from repro.harness import scheduler as scheduler_mod
 from repro.harness.supervisor import CellResult
-from repro.harness.sweep import SweepReport
+from repro.harness.sweep import SweepReport, lane_winner
 from repro.workloads import Scale
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -139,6 +139,32 @@ def test_parallel_threaded_lane_stops_on_failure(tmp_path):
     assert len(par) == 1
     (record,) = par.values()
     assert record["threads"] == 1 and record["status"] == "failed"
+
+
+def test_lane_winner_is_best_ok_cell_before_first_failure():
+    specs = [
+        CellSpec(config=CONFIGS[0], workload="radix", scale="tiny",
+                 threads=t)
+        for t in (1, 2, 4, 8)
+    ]
+    lane = Lane(key=(0, "radix"), specs=specs)
+
+    def records(*outcomes):
+        return {
+            spec.cell_hash():
+                {"status": "ok", "aipc": outcome} if outcome is not None
+                else {"status": "failed"}
+            for spec, outcome in zip(specs, outcomes)
+        }
+
+    failed = {"status": "failed"}
+    assert lane_winner(lane, records(1.0, 3.0, 2.0, 2.5)) == \
+        (specs[1], None)
+    assert lane_winner(lane, records(1.0, 2.0, None)) == \
+        (specs[1], (specs[2], failed))
+    assert lane_winner(lane, records(2.0, 2.0))[0] is specs[0]  # first max
+    assert lane_winner(lane, records(None)) == (None, (specs[0], failed))
+    assert lane_winner(lane, {}) == (None, None)
 
 
 def test_parallel_resume_skips_finished_cells(tmp_path):

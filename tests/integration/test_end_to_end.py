@@ -73,14 +73,16 @@ def test_multithreaded_scaling_improves_with_clusters():
     """The paper's headline: multithreaded performance grows with area
     (Table 5).  Like the paper, each processor runs the thread count
     that suits it best -- bigger processors profit from more threads."""
-    from repro.core.experiments import best_threaded_result
+    from repro.core.experiments import suite_results
 
     small = WaveScalarConfig(clusters=1, l2_mb=1)
     large = WaveScalarConfig(
         clusters=4, virtualization=64, matching_entries=64, l2_mb=1
     )
-    r_small = best_threaded_result(small, "radix", Scale.SMALL)
-    r_large = best_threaded_result(large, "radix", Scale.SMALL)
+    (r_small,) = suite_results(small, ("radix",), Scale.SMALL,
+                               threaded=True)
+    (r_large,) = suite_results(large, ("radix",), Scale.SMALL,
+                               threaded=True)
     assert r_large.aipc > r_small.aipc
 
 
