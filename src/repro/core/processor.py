@@ -231,8 +231,8 @@ class WaveScalarProcessor:
 
         The graph and its flat decode come straight from ``compiled``,
         so repeat runs of the same cell -- budget-escalation retries,
-        sweep repetitions, forked attempt subprocesses -- skip the
-        instantiate/decode work entirely.  The thread count and k
+        sweep repetitions, attempts sent to one isolation child -- skip
+        the instantiate/decode work entirely.  The thread count and k
         bound are part of the compile key, already baked into the
         graph.  Output checking compares against the workload's
         memoised reference outputs, exactly as :meth:`run_workload`

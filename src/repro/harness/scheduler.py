@@ -69,7 +69,7 @@ from .supervisor import CellResult, RunSupervisor
 #: worker health, and how long a worker blocks on its inbox before
 #: checking whether its driver is still alive.
 POLL_S = 0.2
-_ORPHAN_POLL_S = 2.0
+_ORPHAN_POLL_S = 1.0
 
 #: Consecutive worker crashes on one cell before the circuit breaker
 #: quarantines it as ``poisoned``.
@@ -321,23 +321,27 @@ def _worker_main(worker_id: int, inbox, results, supervisor) -> None:
     """Long-lived worker loop: pull a dispatch (``list[CellSpec]``),
     run it, ship ``(worker_id, list[record])`` back in one put."""
     driver_pid = os.getppid()
-    while True:
-        try:
-            specs = inbox.get(timeout=_ORPHAN_POLL_S)
-        except queue.Empty:
-            if os.getppid() != driver_pid:
-                return  # driver died; don't leak
-            continue
-        if specs is None:
-            return
-        records = _run_dispatch(supervisor, specs)
-        plan = getattr(supervisor, "chaos", None)
-        if plan is not None and len(specs) == 1 and plan.selected(
-                "result_delay", specs[0].identity_hash()):
-            # Late verdict delivery: the driver must tolerate results
-            # arriving long after dispatch (and after reap checks).
-            time.sleep(plan.delay_s)
-        results.put((worker_id, records))
+    try:
+        while True:
+            try:
+                specs = inbox.get(timeout=_ORPHAN_POLL_S)
+            except queue.Empty:
+                if os.getppid() != driver_pid:
+                    return  # driver died; don't leak
+                continue
+            if specs is None:
+                return
+            records = _run_dispatch(supervisor, specs)
+            plan = getattr(supervisor, "chaos", None)
+            if plan is not None and len(specs) == 1 and plan.selected(
+                    "result_delay", specs[0].identity_hash()):
+                # Late verdict delivery: the driver must tolerate results
+                # arriving long after dispatch (and after reap checks).
+                time.sleep(plan.delay_s)
+            results.put((worker_id, records))
+    finally:
+        # A duck-typed supervisor need not keep a child to hang up on.
+        getattr(supervisor, "close", lambda: None)()
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Process-isolated, watchdogged execution of one sweep cell.
 
 The supervisor is what lets a 41-configuration Pareto campaign survive
-one pathological cell: each ``(config, workload, threads)`` runs in a
-subprocess with a wall-clock watchdog, failures come back classified
-(the :mod:`repro.sim.failures` taxonomy), and budget-exhaustion
-failures are retried a bounded number of times with escalated budgets
-before being recorded as failed.  A hung or crashed worker can never
-stall the driver: the watchdog kills it and the cell is recorded as
-:class:`~repro.sim.failures.WatchdogTimeout` /
+one pathological cell: each ``(config, workload, threads)`` runs in an
+isolation child under a wall-clock watchdog, failures come back
+classified (the :mod:`repro.sim.failures` taxonomy), and
+budget-exhaustion failures are retried a bounded number of times with
+escalated budgets before being recorded as failed.  A hung or crashed
+child can never stall the driver: the watchdog kills it and the cell is
+recorded as :class:`~repro.sim.failures.WatchdogTimeout` /
 :class:`~repro.sim.failures.WorkerCrash`.
+
+One supervisor owns one child, started at its first attempt and sent
+one attempt after the other down a pipe; a child is replaced only when
+the watchdog killed it or it died, so what starting one costs (the
+fork, copy-on-write faults, cold caches) is paid once per campaign.
 
 ``isolation="inline"`` runs cells in-process (no watchdog, no kill
 protection) for fast tests and interactive use.
@@ -16,7 +21,9 @@ protection) for fast tests and interactive use.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -225,10 +232,9 @@ def _failure_payload(exc: BaseException) -> dict:
     }
 
 
-def _child_main(spec: CellSpec, sabotage, backend: str,
-                channel) -> None:
-    """Subprocess entry point: run the cell, ship back its payload
-    (as a list of one, the shape a batch group ships).
+def _child_main(spec: CellSpec, sabotage, backend: str) -> list[dict]:
+    """One attempt of one cell, in-process or in the isolation child:
+    its payload (as a list of one, the shape a batch group returns).
 
     ``sabotage`` is an optional chaos-layer
     :class:`~repro.harness.chaos.Sabotage` decided by the *parent*;
@@ -238,32 +244,42 @@ def _child_main(spec: CellSpec, sabotage, backend: str,
     if sabotage is not None:
         sabotage.apply()
     try:
-        payload = execute_cell(spec, backend=backend)
+        return [execute_cell(spec, backend=backend)]
     except Exception as exc:  # noqa: BLE001 - classified either way
-        payload = _failure_payload(exc)
-    channel.put([payload])
+        return [_failure_payload(exc)]
 
 
-def _batch_child_main(specs: list[CellSpec], channel) -> None:
-    """Subprocess entry point for one batch group: run the lockstep
-    engine over every cell, ship back one payload list in one put.
+def _batch_child_main(specs: list[CellSpec]) -> list[dict]:
+    """One lockstep attempt over a batch group; per-cell payloads.
 
-    The child disables the cyclic GC: batch state is dropped wholesale
-    at process exit, and collection pauses in the middle of the
-    lockstep drain would only add jitter to every cell in the group.
     A group-level failure (a broken placement, a refused engine)
     produces the same failure payload for every cell; the parent's
     per-cell fallback then re-runs each one under the full serial
     policy, so a batch can degrade but never wedge.
     """
-    import gc
-
-    gc.disable()
     try:
-        payloads = execute_batch(specs)
+        return execute_batch(specs)
     except Exception as exc:  # noqa: BLE001 - group-level failure
-        payloads = [dict(_failure_payload(exc)) for _ in specs]
-    channel.put(payloads)
+        return [dict(_failure_payload(exc)) for _ in specs]
+
+
+def _serve(conn, drivers_end, keep: bool) -> None:
+    """The isolation child: answer each ``(child_main, args)`` job with
+    its payload list until the driver hangs up.  The driver's end of
+    the pipe came along through fork; with it closed here, ``recv``
+    reads end-of-file when the driver goes away, however it goes.
+    A child that serves one job (a batch group) disables the cyclic GC:
+    its state is dropped wholesale at process exit, and a collection
+    pause mid-drain would only add jitter to every cell of the group."""
+    drivers_end.close()
+    if not keep:
+        gc.disable()
+    try:
+        while (job := conn.recv()) is not None:
+            child_main, args = job
+            conn.send(child_main(*args))
+    except (EOFError, OSError):
+        pass  # nobody left to answer
 
 
 @dataclass
@@ -320,13 +336,13 @@ class CellResult:
 class RunSupervisor:
     """Executes cells with isolation, a watchdog, and retry policy.
 
-    Concurrency contract: a supervisor holds *no* per-run mutable
-    state -- :meth:`run` builds everything it needs per attempt -- so
-    one instance may execute cells concurrently from several threads,
-    or be shipped to the scheduler's worker processes and run one lane
-    each.  Instances pickle cleanly (the multiprocessing context is
-    rebuilt by name on unpickle), which is what lets the parallel
-    scheduler hand the *same* policy object to every worker.
+    The one piece of state is the handle on the isolation child, so
+    an instance runs one attempt at a time.  The handle belongs to the
+    process that started the child: a copy that wakes up elsewhere --
+    forked into a scheduler worker, or unpickled -- forgets it and
+    starts a child of its own, which is what lets the parallel
+    scheduler hand the *same* policy object to every worker.  Whoever
+    runs a campaign calls :meth:`close` when it ends.
     """
 
     def __init__(
@@ -369,6 +385,8 @@ class RunSupervisor:
             )
         self.mp_context = mp_context
         self._ctx = multiprocessing.get_context(mp_context)
+        #: ``(owner pid, process, connection)`` of the idle child.
+        self._child: Optional[tuple] = None
         #: Optional :class:`~repro.harness.chaos.ChaosPlan` (duck
         #: typed: anything with ``sabotage_for``/``selected``).  A
         #: frozen dataclass, so it pickles into scheduler workers with
@@ -378,9 +396,8 @@ class RunSupervisor:
 
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_ctx"]  # contexts don't pickle; rebuilt by name
-        return state
+        # Contexts are rebuilt by name; a child answers only its starter.
+        return dict(self.__dict__, _ctx=None, _child=None)
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -399,8 +416,6 @@ class RunSupervisor:
         chaos run's verdicts would diverge from a clean run's.
         """
         started = time.monotonic()
-        if self.isolation == "process" and self.mp_context == "fork":
-            self._warm_compile(spec)
         backend_fallback = None
         if self.backend == "batched":
             backend_fallback = batch_unsupported_reason(faults=spec.faults)
@@ -411,7 +426,8 @@ class RunSupervisor:
             sabotage = None
             if self.chaos is not None and self.isolation == "process":
                 sabotage = self.chaos.sabotage_for(spec, attempts)
-            payload = self._attempt(spec, sabotage)
+            job = (spec, sabotage, self.backend)
+            payload = self._dispatch(_child_main, job, [spec])[0]
             if payload["status"] == "ok":
                 return CellResult(
                     spec=spec, status="ok", attempts=attempts,
@@ -492,8 +508,11 @@ class RunSupervisor:
             if self.isolation == "process" and self.mp_context == "fork":
                 self._warm_compile(batchable[0][1])
             started = time.monotonic()
-            payloads = self._attempt_batch(
-                [spec for _, spec in batchable]
+            group = [spec for _, spec in batchable]
+            # The one dispatch whose child does not outlive it: sixteen
+            # engines are cyclic garbage nobody collects (see _serve).
+            payloads = self._dispatch(
+                _batch_child_main, (group,), group, keep=False
             )
             wall_s = (time.monotonic() - started) / len(batchable)
             for (index, spec), payload in zip(batchable, payloads):
@@ -514,84 +533,94 @@ class RunSupervisor:
     # ------------------------------------------------------------------
     @staticmethod
     def _warm_compile(spec: CellSpec) -> None:
-        """Pre-build the cell's compiled workload in *this* process so
-        that forked attempt subprocesses inherit the warm cache through
-        copy-on-write memory -- budget-escalation retries of the same
-        cell then never rebuild the program.  Escalation only changes
-        budgets, never the compile key, so one warm covers every
-        attempt.  Build failures are swallowed here: the attempt itself
-        will hit the same error and classify it properly.
-        """
+        """Pre-build a batch group's compiled workload in *this*
+        process: the child forked for the group, and for the workload's
+        next group, inherits it copy-on-write.  (A single cell's child
+        outlives it and keeps its own cache.)  Build failures are
+        swallowed here: the attempt itself will hit the same error and
+        classify it properly."""
         try:
             _compiled(spec)
         except Exception:  # noqa: BLE001 - deferred to the attempt
             pass
 
-    def _attempt(self, spec: CellSpec, sabotage=None) -> dict:
-        """One attempt of one cell; the classified payload."""
-        if self.isolation == "inline":
-            try:
-                return execute_cell(spec, backend=self.backend)
-            except Exception as exc:  # noqa: BLE001 - as _child_main
-                return _failure_payload(exc)
-        return self._attempt_process(
-            _child_main, (spec, sabotage, self.backend), [spec]
-        )[0]
-
-    def _attempt_batch(self, specs: list[CellSpec]) -> list[dict]:
-        """One lockstep attempt over a batch group; per-cell payloads.
-
-        Group-level problems (a crash taking the whole child, the group
-        watchdog firing) come back as identical failure payloads for
-        every cell -- :meth:`run_batch` then re-runs each one serially,
-        so a batch attempt can only ever cost time, never correctness.
-        """
-        if self.isolation == "inline":
-            try:
-                return execute_batch(specs)
-            except Exception as exc:  # noqa: BLE001 - group failure
-                return [dict(_failure_payload(exc)) for _ in specs]
-        return self._attempt_process(_batch_child_main, (specs,), specs)
-
-    def _attempt_process(self, child_main, args: tuple,
-                         specs: list[CellSpec]) -> list[dict]:
-        """Fork ``child_main(*args, channel)`` over ``specs`` (one
-        cell, or one batch group), join it under the watchdog, and
-        return one payload per cell: the child's own, or -- child hung
-        or died without reporting -- the same ``WatchdogTimeout`` /
-        ``WorkerCrash`` classification for each."""
-        channel = self._ctx.SimpleQueue()
-        worker = self._ctx.Process(
-            target=child_main, args=(*args, channel), daemon=True,
+    def _start_child(self, keep: bool) -> tuple:
+        ours, theirs = self._ctx.Pipe()
+        process = self._ctx.Process(
+            target=_serve, args=(theirs, ours, keep), daemon=True,
         )
-        worker.start()
-        # One process doing the work of len(specs) serial attempts gets
-        # the corresponding wall-clock allowance.
-        deadline = (
-            None if self.timeout_s is None
-            else self.timeout_s * len(specs)
-        )
-        worker.join(deadline)
+        process.start()
+        theirs.close()  # the child holds the last copy: its death is our EOF
+        return process, ours
+
+    def _own_child(self) -> Optional[tuple]:
+        """Take the idle child, if this process started it.  A handle
+        inherited through fork is dropped without touching the child."""
+        child, self._child = self._child, None
+        return child[1:] if child and child[0] == os.getpid() else None
+
+    @staticmethod
+    def _hang_up(process, conn) -> None:
+        """Dismiss a child (idle, dead or killed) and reap it."""
         try:
-            if worker.is_alive():
-                worker.kill()
-                worker.join()
-                failure = WatchdogTimeout
-                detail = f"no result within {deadline}s; worker killed"
-            elif channel.empty():
-                failure = WorkerCrash
-                detail = (f"worker exited {worker.exitcode} without a "
-                          f"result")
-            else:
-                return channel.get()
-            return [
-                {
-                    "status": "failed",
-                    "failure_class": failure.__name__,
-                    "failure_detail": f"{spec.describe()}: {detail}",
-                    "diagnostics": None,
-                }
-                for spec in specs
-            ]
-        finally:
-            channel.close()
+            conn.send(None)
+        except OSError:
+            pass  # already gone
+        conn.close()
+        process.join()
+
+    def close(self) -> None:
+        """Hang up on the idle child and reap it, inside the caller's
+        campaign so that the child's CPU time is counted with it.  The
+        supervisor stays usable: the next attempt starts a fresh one."""
+        child = self._own_child()
+        if child is not None:
+            self._hang_up(*child)
+
+    def _dispatch(self, child_main, args: tuple, specs: list[CellSpec],
+                  keep: bool = True) -> list[dict]:
+        """One attempt of ``child_main(*args)`` over ``specs`` (one
+        cell, or one batch group); one classified payload per cell.
+        Under process isolation the job goes down the pipe of an
+        isolation child -- the supervisor's own, left idle for the next
+        attempt (``keep``), or one that serves this job only -- and is
+        awaited under the watchdog: a silent child is killed
+        (``WatchdogTimeout`` for every cell), one that hangs up is
+        reaped (``WorkerCrash``), and neither is kept."""
+        if self.isolation == "inline":
+            return child_main(*args)
+        process, conn = \
+            (keep and self._own_child()) or self._start_child(keep)
+        try:
+            conn.send((child_main, args))
+        except OSError:
+            # It died idle.  A child that never took the job says
+            # nothing about the cell: replace it and send once more.
+            self._hang_up(process, conn)
+            process, conn = self._start_child(keep)
+            conn.send((child_main, args))
+        # None is no watchdog; a group gets len(specs) attempts' time.
+        deadline = self.timeout_s and self.timeout_s * len(specs)
+        try:
+            if conn.poll(deadline):
+                payloads = conn.recv()
+                if keep:
+                    self._child = (os.getpid(), process, conn)
+                else:
+                    self._hang_up(process, conn)
+                return payloads
+            process.kill()
+            failure = WatchdogTimeout
+        except (EOFError, OSError):  # hung up on us mid-attempt
+            failure = WorkerCrash
+        self._hang_up(process, conn)
+        if failure is WatchdogTimeout:
+            detail = f"no result within {deadline}s; worker killed"
+        else:
+            detail = f"worker exited {process.exitcode} without a result"
+        return [
+            {"status": "failed", "failure_class": failure.__name__,
+             "failure_detail": f"{spec.describe()}: {detail}",
+             "diagnostics": None}
+            for spec in specs
+        ]

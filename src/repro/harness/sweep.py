@@ -295,12 +295,15 @@ def sweep_cells(
         for index, spec in enumerate(specs)
     ]
     meter, noted = _metered(lanes, progress)
-    execute_lanes(
-        lanes, jobs=jobs, supervisor=supervisor, ledger=ledger,
-        done=done, report=report, progress=noted,
-        prevalidate=prevalidate, chaos=chaos,
-        failure_budget=failure_budget,
-    )
+    try:
+        execute_lanes(
+            lanes, jobs=jobs, supervisor=supervisor, ledger=ledger,
+            done=done, report=report, progress=noted,
+            prevalidate=prevalidate, chaos=chaos,
+            failure_budget=failure_budget,
+        )
+    finally:
+        getattr(supervisor, "close", lambda: None)()
     _finish_sweep_metrics(report, meter)
     # ``.get``: an aborted (failure-budget) run leaves later cells
     # without records; the partial map is the point.
@@ -923,14 +926,18 @@ def design_space_sweep(
         report=report, progress=noted, prevalidate=prevalidate,
         chaos=chaos, failure_budget=failure_budget,
     )
-    if prune or surrogate:
-        _execute_skipping(
-            designs, names, lanes, execute, ledger=ledger, done=done,
-            report=report, progress=noted, train=surrogate,
-            prior_skips=prune,
-        )
-    else:
-        execute(lanes, jobs=jobs)
+    try:
+        if prune or surrogate:
+            _execute_skipping(
+                designs, names, lanes, execute, ledger=ledger, done=done,
+                report=report, progress=noted, train=surrogate,
+                prior_skips=prune,
+            )
+        else:
+            execute(lanes, jobs=jobs)
+    finally:
+        # Once, around every execute_lanes call of the skip loop.
+        getattr(supervisor, "close", lambda: None)()
     _finish_sweep_metrics(report, meter)
     _finish_backend_metrics(report, supervisor, done)
     points = _aggregate(designs, names, lanes, done, report)

@@ -293,8 +293,10 @@ def aggregate_records(records: Iterable[dict]) -> MetricsRegistry:
             if key in metrics:
                 # Histograms, NOT counters: cache activity attributed
                 # to a cell depends on which worker process ran it and
-                # in what order, so folding these into the counter set
-                # would break the jobs-independence contract that
+                # in what order (the first cell of each workload in an
+                # isolation child records the miss), so folding these
+                # into the counter set would break the
+                # jobs-independence contract that
                 # deterministic_counters() asserts.
                 reg.histogram(key).observe(metrics[key])
     return reg
