@@ -1,7 +1,7 @@
 """Design-space enumeration and pruning (Section 4.2).
 
 The paper sweeps seven parameters (Table 3 ranges), yielding "over
-twenty-one thousand" raw configurations, then prunes:
+twenty-one thousand" raw configurations (our grids: 31,752), then prunes:
 
 1. die area bounded at 400 mm^2,
 2. balance rules -- "it makes no sense to have more than one domain if
@@ -13,7 +13,13 @@ twenty-one thousand" raw configurations, then prunes:
 4. at least 4K total instruction capacity.
 
 This module reproduces that funnel.  Discrete parameter grids are
-power-of-two steps over the published ranges.
+power-of-two steps over the published ranges.  Ours runs 31,752 ->
+1,534 balanced -> 68 viable against the paper's 21,000+ -> 344 -> 41:
+our grids have more L1/L2 steps, and only two of the balance rules are
+the paper's own (it does not name the rest).  The balance and ratio
+rules are functions of grid values, so :func:`viable_designs` builds
+only the points they admit; the tests hold it to
+``prune(enumerate_raw(), ...)``, the same funnel entered at the top.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ class DesignPoint:
 
 
 def enumerate_raw() -> Iterator[WaveScalarConfig]:
-    """The full cross product: "over twenty-one thousand" points."""
+    """The full cross product: 31,752 points (paper: "over 21,000")."""
     for c in CLUSTER_CHOICES:
         for d in DOMAIN_CHOICES:
             for p in PE_CHOICES:
@@ -99,22 +105,47 @@ def is_balanced(config: WaveScalarConfig) -> bool:
     * The L2 may not exceed 4 MB per cluster (a larger cache would
       dwarf the compute it serves).
     """
-    if config.pes_per_domain < 8 and config.domains_per_cluster > 1:
+    return _balanced(config.clusters, config.domains_per_cluster,
+                     config.pes_per_domain, config.l2_mb)
+
+
+def _balanced(clusters: int, domains: int, pes: int, l2_mb: int) -> bool:
+    """:func:`is_balanced` on grid values: the rules themselves."""
+    if pes < 8 and domains > 1:
         return False
-    if config.domains_per_cluster < 4 and config.clusters > 1:
+    if domains < 4 and clusters > 1:
         return False
-    if config.clusters > 1:
-        root = int(round(config.clusters ** 0.5))
-        if root * root != config.clusters:
+    if clusters > 1:
+        root = int(round(clusters ** 0.5))
+        if root * root != clusters:
             return False
-    if config.l2_mb > 4:
-        return False
-    return True
+    return l2_mb <= 4
 
 
 def matches_ratio(config: WaveScalarConfig, ratio: float) -> bool:
     """Whether M/V equals the chosen virtualization ratio."""
-    return config.matching_entries == int(config.virtualization * ratio)
+    return _at_ratio(config.virtualization, config.matching_entries, ratio)
+
+
+def _at_ratio(virtualization: int, matching: int, ratio: float) -> bool:
+    return matching == int(virtualization * ratio)
+
+
+def _admitted(ratio: float | None) -> Iterator[WaveScalarConfig]:
+    """The grid points the balance and ratio rules admit, decided on
+    grid values before a config exists (384 of 31,752 at ratio 1)."""
+    shapes = [(c, d, p, l2)
+              for c in CLUSTER_CHOICES for d in DOMAIN_CHOICES
+              for p in PE_CHOICES for l2 in L2_CHOICES
+              if _balanced(c, d, p, l2)]
+    tables = [(v, m) for v in VIRT_CHOICES for m in MATCHING_CHOICES
+              if ratio is None or _at_ratio(v, m, ratio)]
+    for c, d, p, l2 in shapes:
+        for v, m in tables:
+            for l1 in L1_CHOICES:
+                yield WaveScalarConfig(
+                    clusters=c, domains_per_cluster=d, pes_per_domain=p,
+                    virtualization=v, matching_entries=m, l1_kb=l1, l2_mb=l2)
 
 
 def prune(
@@ -127,13 +158,13 @@ def prune(
     """Apply the Section 4.2 funnel; returns surviving design points."""
     result = []
     for config in configs:
-        if require_clock and not meets_clock_target(config):
-            continue
         if not is_balanced(config):
             continue
         if ratio is not None and not matches_ratio(config, ratio):
             continue
         if config.total_instruction_capacity < min_capacity:
+            continue
+        if require_clock and not meets_clock_target(config):
             continue
         area = chip_area(config)
         if area > max_area:
@@ -144,13 +175,12 @@ def prune(
 
 
 def viable_designs(ratio: float = 1.0) -> list[DesignPoint]:
-    """The paper's final design list (41 points for ratio 1 in the
-    paper; the exact count depends on the unpublished balance rules --
-    see DESIGN.md)."""
-    return prune(enumerate_raw(), ratio=ratio)
+    """The final design list: 68 points at ratio 1 (the paper's 41; the
+    count depends on the unpublished balance rules -- see DESIGN.md)."""
+    return prune(_admitted(ratio), ratio=ratio)
 
 
 def balanced_designs() -> list[DesignPoint]:
-    """The intermediate set after area + balance rules only
-    (the paper's 344)."""
-    return prune(enumerate_raw(), ratio=None, min_capacity=0)
+    """The intermediate set after area + balance rules only: 1,534
+    points (the paper's 344; see the module docstring)."""
+    return prune(_admitted(None), ratio=None, min_capacity=0)

@@ -781,7 +781,8 @@ def execute_lanes(
     through a doomed campaign.
     """
     lanes = [lane for lane in lanes if not lane.exhausted]
-    supervisor = supervisor if supervisor is not None else RunSupervisor()
+    own_supervisor = supervisor is None  # a caller's is the caller's to close
+    supervisor = RunSupervisor() if own_supervisor else supervisor
     if done is None:
         done = {}
     if report is None:
@@ -798,8 +799,12 @@ def execute_lanes(
         raise ValueError(
             "chaos injection does not compose with the batched backend"
         )
-    _Driver(
-        lanes, jobs, supervisor, ledger, done, report, progress,
-        prevalidate, mp_context, poll_s, chaos, failure_budget,
-    ).run()
+    try:
+        _Driver(
+            lanes, jobs, supervisor, ledger, done, report, progress,
+            prevalidate, mp_context, poll_s, chaos, failure_budget,
+        ).run()
+    finally:
+        if own_supervisor:
+            supervisor.close()
     return done

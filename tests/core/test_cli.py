@@ -71,6 +71,12 @@ def test_designs(capsys):
     assert "C16" in out
 
 
+def test_designs_with_a_ratio_no_grid_point_has(capsys):
+    code, out = run_cli(capsys, "designs", "--ratio", "0.3")
+    assert code == 0
+    assert out == "0 viable designs (virtualization ratio 0.3):\n"
+
+
 def test_trace(capsys):
     code, out = run_cli(
         capsys, "trace", "-w", "gzip", "--scale", "tiny", "--events", "10"

@@ -1,5 +1,9 @@
 """Tests for design-space enumeration and pruning."""
 
+import random
+
+import pytest
+
 from repro.area.model import MAX_DIE_MM2, chip_area
 from repro.core.config import WaveScalarConfig
 from repro.design import (
@@ -11,6 +15,7 @@ from repro.design import (
     raw_design_count,
     viable_designs,
 )
+from repro.design import space
 from repro.design.space import enumerate_raw
 
 
@@ -51,10 +56,71 @@ def test_matches_ratio():
 def test_viable_designs_funnel():
     balanced = balanced_designs()
     viable = viable_designs()
-    assert len(viable) < len(balanced) < raw_design_count()
-    # Same ballpark as the paper's funnel (344 -> 41); our documented
-    # extra rules land at a few dozen viable designs.
-    assert 30 <= len(viable) <= 120
+    # Ours next to the paper's 21,000+ -> 344 -> 41 (see the module
+    # docstring); bench/expected.json depends on viable_designs()[::4]
+    # being exactly these designs.
+    assert raw_design_count() == 31752
+    assert len(balanced) == 1534
+    assert len(viable) == 68
+    assert len(viable_designs(0.5)) == 64
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.5, 0.25, 2.0])
+def test_viable_designs_are_the_funnel_over_the_raw_grid(ratio):
+    """Deciding the balance and ratio rules before a config exists
+    gives what pruning the whole cross product gives: same configs,
+    same area floats, same order."""
+    assert viable_designs(ratio) == prune(enumerate_raw(), ratio=ratio)
+
+
+def test_balanced_designs_are_the_funnel_over_the_raw_grid():
+    assert balanced_designs() == prune(
+        enumerate_raw(), ratio=None, min_capacity=0)
+
+
+def test_only_admitted_grid_points_are_built(monkeypatch):
+    built = []
+    post_init = WaveScalarConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(WaveScalarConfig, "__post_init__", counted)
+    viable_designs()
+    assert len(built) <= 384  # of 31,752
+    del built[:]
+    balanced_designs()
+    assert len(built) <= 2304
+
+
+def test_prune_does_not_depend_on_input_order():
+    configs = list(enumerate_raw())[::7]
+    shuffled = configs[:]
+    random.Random(7).shuffle(shuffled)
+    assert prune(shuffled) == prune(configs)
+    assert prune(iter(shuffled), ratio=0.5) == prune(configs, ratio=0.5)
+
+
+def test_prune_rejects_a_config_that_fails_only_the_clock_target():
+    slow = WaveScalarConfig(virtualization=512, matching_entries=512)
+    assert is_balanced(slow) and matches_ratio(slow, 1.0)
+    assert slow.total_instruction_capacity >= MIN_CAPACITY
+    assert chip_area(slow) <= MAX_DIE_MM2
+    assert prune([slow]) == []
+    assert [d.config for d in prune([slow], require_clock=False)] == [slow]
+
+
+def test_is_balanced_is_the_grid_value_rule():
+    """``analysis/config_rules.py`` imports ``is_balanced``; it and the
+    enumeration must be one rule, operand for operand."""
+    balanced = 0
+    for config in enumerate_raw():
+        assert is_balanced(config) == space._balanced(
+            clusters=config.clusters, domains=config.domains_per_cluster,
+            pes=config.pes_per_domain, l2_mb=config.l2_mb), config
+        balanced += is_balanced(config)
+    assert balanced == 2304  # of 31,752
 
 
 def test_viable_designs_all_satisfy_constraints():
