@@ -441,6 +441,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_ledger(args: argparse.Namespace) -> int:
     """Ledger maintenance: verify / repair / compact."""
     import json
+    from dataclasses import asdict
 
     from .harness.ledger import Ledger, summarize
 
@@ -451,13 +452,7 @@ def cmd_ledger(args: argparse.Namespace) -> int:
     if args.action == "verify":
         audit = ledger.verify()
         if args.json:
-            document = {
-                "lines": audit.lines, "ok": audit.ok,
-                "legacy": audit.legacy, "torn": audit.torn,
-                "corrupt_json": audit.corrupt_json,
-                "crc_mismatch": audit.crc_mismatch,
-                "records": audit.records,
-                "superseded": audit.superseded,
+            document = asdict(audit) | {
                 "clean": audit.clean,
                 "issues": [
                     {"line": i.line_no, "reason": i.reason}

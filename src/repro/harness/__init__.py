@@ -63,7 +63,6 @@ from .ledger import (
     Ledger,
     LedgerAudit,
     MaintenanceReport,
-    open_ledger,
     summarize,
 )
 from .scheduler import (
@@ -121,7 +120,6 @@ __all__ = [
     "execute_cell",
     "execute_lanes",
     "is_transient",
-    "open_ledger",
     "run_chaos_campaign",
     "static_rejection",
     "summarize",

@@ -16,13 +16,19 @@ quarantined by :meth:`repair` instead of being silently trusted.
 ``seq`` is what orders records: the wall-clock ``ts`` field is kept
 for humans only (see :meth:`record_for`).
 
+Reading: the file is read one way.  One line reader classifies every
+line and one winner rule picks the record per cell hash; ``load``,
+``iter_fields``, ``verify``, ``repair``/``compact`` and the first
+``append`` (which recovers the next ``seq``) are all consumers of it,
+so no two of them can disagree about what the ledger says.
+
 Maintenance: :meth:`verify` audits the file line by line,
 :meth:`repair` rewrites it with corrupt lines moved to a
 ``.quarantine`` sidecar (reason attached), and :meth:`compact`
-additionally collapses superseded records (same hash, lower ``seq``).
-Both rewrites go through an atomic temp-file rename, so a crash
-mid-maintenance leaves either the old file or the new one -- never a
-half-written ledger.
+additionally collapses superseded records (every record of a hash
+but its winner).  Both rewrites go through an atomic temp-file rename, so
+a crash mid-maintenance leaves either the old file or the new one --
+never a half-written ledger.
 
 Concurrency contract: the ledger has exactly ONE writer -- the sweep
 driver.  Parallel workers (see :mod:`repro.harness.scheduler`) never
@@ -44,7 +50,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .spec import CellSpec
 
@@ -88,6 +94,26 @@ def checksum_ok(record: dict) -> bool:
     if crc is None:
         return True
     return crc == record_checksum(record)
+
+
+def _record_header(spec: CellSpec, status: str, attempts: int = 0,
+                   retries: int = 0, wall_s: float = 0.0) -> dict:
+    """The fields every record builder starts from.  The defaults are
+    those of a cell no subprocess ever ran."""
+    return {
+        "version": LEDGER_VERSION,
+        "hash": spec.cell_hash(),
+        "status": status,
+        "workload": spec.workload,
+        "config": spec.config.describe(),
+        "threads": spec.threads,
+        "attempts": attempts,
+        "retries": retries,
+        "wall_s": wall_s,
+        # selflint: allow(D001) human-facing only, never compared
+        "ts": time.time(),
+        "spec": spec.as_dict(),
+    }
 
 
 @dataclass
@@ -163,16 +189,21 @@ class MaintenanceReport:
         return text
 
 
+#: One line as the reader yields it: ``(line_no, text, record,
+#: problem)``, see :meth:`Ledger._lines`.
+Line = tuple[int, str, Optional[dict], Optional[str]]
+
+
 class Ledger:
     """One results ledger file (created lazily on first append)."""
 
     def __init__(self, path) -> None:
         self.path = Path(path)
-        #: Torn (truncated / non-JSON) lines seen by the last
-        #: ``load()`` or ``__len__`` scan; a healthy ledger has zero.
+        #: Torn (truncated / non-JSON) lines seen by the last full
+        #: read of the file; a healthy ledger has zero.
         self.torn_lines = 0
         #: Parseable records that failed their checksum on the last
-        #: ``load()`` -- corruption, not a torn write.
+        #: full read -- corruption, not a torn write.
         self.corrupt_lines = 0
         #: Append batches re-written after an ``OSError`` (fsync
         #: failure / disk full); the retry is idempotent by hash.
@@ -181,89 +212,107 @@ class Ledger:
         #: set, appends pass through its mangle/fsync gates.  ``None``
         #: costs one attribute test per batch.
         self.chaos = None
-        # Incremental length accounting: byte offset of the last
-        # complete line scanned, the file's identity (inode), and the
-        # distinct hashes seen so far.
-        self._scanned_bytes = 0
-        self._scanned_ino: Optional[int] = None
-        self._hashes: set[str] = set()
-        # Monotonic sequence assignment (single-writer); initialised
-        # from the file's max seq on first append or load.
+        # Monotonic sequence assignment (single-writer); recovered
+        # from the file by the first full read (see ``_lines``).
         self._next_seq: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def load(self) -> dict[str, dict]:
-        """All records keyed by cell hash; the record with the highest
-        ``seq`` for a hash wins (file order for unsealed v1 records),
-        a torn trailing line (killed mid-write) is skipped, and a
-        record failing its checksum is skipped as corrupt.  Counts are
-        left on :attr:`torn_lines` / :attr:`corrupt_lines`."""
-        records: dict[str, dict] = {}
-        torn = 0
-        corrupt = 0
-        max_seq = -1
-        if not self.path.exists():
-            self.torn_lines = 0
-            self.corrupt_lines = 0
-            return records
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    torn += 1
-                    continue  # torn write at the kill point
-                if not isinstance(record, dict):
-                    torn += 1
-                    continue
-                if not checksum_ok(record):
-                    corrupt += 1
-                    continue
-                cell = record.get("hash")
-                if not cell:
-                    continue
-                seq = record.get("seq")
-                if seq is not None and seq > max_seq:
-                    max_seq = seq
-                previous = records.get(cell)
-                if previous is None:
-                    records[cell] = record
-                    continue
-                # Highest seq wins; unsealed records fall back to
-                # file order (later line wins), matching v1 behavior.
-                prev_seq = previous.get("seq")
-                if seq is None or prev_seq is None or seq >= prev_seq:
-                    records[cell] = record
-        self.torn_lines = torn
-        self.corrupt_lines = corrupt
-        if self._next_seq is None or max_seq + 1 > self._next_seq:
-            self._next_seq = max_seq + 1
-        return records
-
+    # The one reader and the one winner rule
     # ------------------------------------------------------------------
-    def _ensure_seq(self) -> None:
-        if self._next_seq is not None:
-            return
+    def _lines(self) -> Iterator[Line]:
+        """Stream the file and yield ``(line_no, text, record,
+        problem)`` for every non-empty line.
+
+        ``record`` is the parsed JSON object, ``None`` when the line is
+        not one.  ``problem`` is ``None`` for a usable line, otherwise
+        a :class:`LineIssue` reason: ``torn`` for an unterminated final
+        line that does not parse (killed mid-append), ``corrupt_json``
+        for any other line that does not parse to an object, then
+        ``crc_mismatch`` and ``no_hash``.  Bytes are decoded with
+        ``errors="replace"``, so rot that is not valid UTF-8 surfaces
+        as a checksum failure, never as an exception.
+
+        A complete pass also recovers the next ``seq``: one past the
+        highest ``seq`` on any line that parses as an object.
+        """
         max_seq = -1
         if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
+            with self.path.open("rb") as fh:
+                for line_no, raw in enumerate(fh, 1):
+                    text = raw.decode("utf-8", errors="replace").strip()
+                    if not text:
                         continue
                     try:
-                        record = json.loads(line)
+                        record = json.loads(text)
                     except json.JSONDecodeError:
+                        record = None
+                    if not isinstance(record, dict):
+                        problem = ("corrupt_json" if raw.endswith(b"\n")
+                                   else "torn")
+                        yield line_no, text, None, problem
                         continue
-                    if isinstance(record, dict):
-                        seq = record.get("seq")
-                        if seq is not None and seq > max_seq:
-                            max_seq = seq
-        self._next_seq = max_seq + 1
+                    seq = record.get("seq")
+                    if seq is not None and seq > max_seq:
+                        max_seq = seq
+                    if not checksum_ok(record):
+                        problem = "crc_mismatch"
+                    elif not record.get("hash"):
+                        problem = "no_hash"
+                    else:
+                        problem = None
+                    yield line_no, text, record, problem
+        if self._next_seq is None or max_seq >= self._next_seq:
+            self._next_seq = max_seq + 1
 
+    def _tally(
+        self, lines: Iterable[Line], pick: Callable[[int, dict], Any],
+    ) -> tuple[LedgerAudit, dict[str, Any]]:
+        """Audit reader output and pick the winner per cell hash.
+
+        Among usable lines the highest ``(seq, line_no)`` wins, an
+        unsealed record counting as seq -1: a sealed record beats
+        every v1 line, and v1 lines fall back to file order.  Returns
+        the audit and ``hash -> pick(line_no, record)`` of each winner
+        in first-seen hash order.  Leaves the line counts on
+        :attr:`torn_lines` / :attr:`corrupt_lines`.
+        """
+        audit = LedgerAudit()
+        keys: dict[str, tuple] = {}
+        winners: dict[str, Any] = {}
+        for line_no, text, record, problem in lines:
+            audit.lines += 1
+            if record is not None and problem != "crc_mismatch":
+                if "crc" in record:
+                    audit.ok += 1
+                else:
+                    audit.legacy += 1
+            if problem is not None:
+                setattr(audit, problem, getattr(audit, problem) + 1)
+                audit.issues.append(LineIssue(line_no, problem, text[:48]))
+                continue
+            assert record is not None
+            cell = record["hash"]
+            seq = record.get("seq")
+            key = (-1 if seq is None else seq, line_no)
+            if cell not in keys or key > keys[cell]:
+                keys[cell] = key
+                winners[cell] = pick(line_no, record)
+        audit.records = len(winners)
+        audit.superseded = (audit.ok + audit.legacy - audit.no_hash
+                            - audit.records)
+        self.torn_lines = audit.torn + audit.corrupt_json
+        self.corrupt_lines = audit.crc_mismatch
+        return audit, winners
+
+    # ------------------------------------------------------------------
+    def load(self) -> dict[str, dict]:
+        """All usable records keyed by cell hash, one winner per hash
+        (see :meth:`_tally`).  A torn or unparseable line counts on
+        :attr:`torn_lines`, a failed checksum on
+        :attr:`corrupt_lines`, and neither is returned."""
+        return self._tally(self._lines(), lambda _, record: record)[1]
+
+    # ------------------------------------------------------------------
     def _seal(self, record: dict) -> None:
         """Assign the next monotonic ``seq``, stamp the schema
         version, and attach the checksum.  Re-sealing an already
@@ -295,7 +344,9 @@ class Ledger:
         if not records:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._ensure_seq()
+        if self._next_seq is None:
+            for _ in self._lines():  # recovers the next seq
+                pass
         for record in records:
             self._seal(record)
         try:
@@ -320,55 +371,6 @@ class Ledger:
                 self.chaos.fsync_gate()  # may raise OSError (chaos)
             os.fsync(fh.fileno())
 
-    def __len__(self) -> int:
-        """Distinct cell hashes on disk.
-
-        Incremental: only bytes appended since the previous call are
-        parsed (a progress bar polling ``len(ledger)`` after every cell
-        used to re-read the whole campaign file each time, an O(n^2)
-        scan overall).  A trailing partial line is not counted until a
-        later call sees its terminating newline.  The scan restarts
-        from byte zero when the file shrank *or* its inode changed --
-        ``repair()``/``compact()`` replace the file via rename, which
-        can leave the size unchanged while the content differs.
-        """
-        try:
-            st = self.path.stat()
-        except OSError:
-            self._scanned_bytes = 0
-            self._scanned_ino = None
-            self._hashes.clear()
-            return 0
-        replaced = (
-            self._scanned_ino is not None
-            and st.st_ino != self._scanned_ino
-        )
-        if st.st_size < self._scanned_bytes or replaced:
-            self._scanned_bytes = 0
-            self._hashes.clear()
-        self._scanned_ino = st.st_ino
-        if st.st_size == self._scanned_bytes:
-            return len(self._hashes)
-        with self.path.open("rb") as fh:
-            fh.seek(self._scanned_bytes)
-            chunk = fh.read()
-        complete = chunk.rfind(b"\n") + 1
-        for raw in chunk[:complete].splitlines():
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                self.torn_lines += 1
-                continue
-            cell = record.get("hash") if isinstance(record, dict) \
-                else None
-            if cell:
-                self._hashes.add(cell)
-        self._scanned_bytes += complete
-        return len(self._hashes)
-
     # ------------------------------------------------------------------
     def iter_fields(self, *names: str):
         """Stream selected fields of every winning record as tuples.
@@ -383,52 +385,14 @@ class Ledger:
 
         Field ``names`` may be dotted paths (``"spec.config.clusters"``
         descends into nested dicts); a missing field yields ``None``.
-        Supersession and integrity rules match :meth:`load` exactly:
-        the highest ``seq`` per cell hash wins (file order for
-        unsealed v1 records), torn lines, checksum failures, and
-        hashless records are skipped and counted on
-        :attr:`torn_lines` / :attr:`corrupt_lines`.  Tuples come out
-        in first-seen hash order -- deterministic for a given file.
+        Winners, skipped lines and the counts they leave are those of
+        :meth:`load`.  Tuples come out in first-seen hash order --
+        deterministic for a given file.
         """
-        torn = 0
-        corrupt = 0
-        # hash -> [first-seen index, (seq, line_no) key, values tuple]
-        winners: dict[str, list] = {}
-        if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        torn += 1
-                        continue
-                    if not isinstance(record, dict):
-                        torn += 1
-                        continue
-                    if not checksum_ok(record):
-                        corrupt += 1
-                        continue
-                    cell = record.get("hash")
-                    if not cell:
-                        continue
-                    seq = record.get("seq")
-                    key = (seq if seq is not None else -1, line_no)
-                    values = tuple(
-                        _pluck(record, name) for name in names
-                    )
-                    entry = winners.get(cell)
-                    if entry is None:
-                        winners[cell] = [len(winners), key, values]
-                    elif key >= entry[1]:
-                        entry[1] = key
-                        entry[2] = values
-        self.torn_lines = torn
-        self.corrupt_lines = corrupt
-        for entry in sorted(winners.values(), key=lambda e: e[0]):
-            yield entry[2]
+        _, winners = self._tally(self._lines(), lambda _, record: tuple(
+            _pluck(record, name) for name in names
+        ))
+        yield from winners.values()
 
     # ------------------------------------------------------------------
     # Integrity: verify / repair / compact
@@ -436,127 +400,51 @@ class Ledger:
     def verify(self) -> LedgerAudit:
         """Audit every line: parseability, checksum, hash presence,
         and supersession.  Pure read -- the file is never modified."""
-        audit = LedgerAudit()
-        if not self.path.exists():
-            return audit
-        latest: dict[str, tuple] = {}  # hash -> (seq, line_no)
-        data = self.path.read_bytes()
-        raw_lines = data.split(b"\n")
-        trailing_newline = data.endswith(b"\n")
-        last_index = len(raw_lines) - 1
-        for index, raw in enumerate(raw_lines):
-            if not raw.strip():
-                continue
-            line_no = index + 1
-            audit.lines += 1
-            at_eof_unterminated = (
-                index == last_index and not trailing_newline
-            )
-            text = raw.decode("utf-8", errors="replace").strip()
-            preview = text[:48]
-            try:
-                record = json.loads(text)
-                if not isinstance(record, dict):
-                    raise json.JSONDecodeError("not an object", text, 0)
-            except json.JSONDecodeError:
-                if at_eof_unterminated:
-                    audit.torn += 1
-                    audit.issues.append(
-                        LineIssue(line_no, "torn", preview))
-                else:
-                    audit.corrupt_json += 1
-                    audit.issues.append(
-                        LineIssue(line_no, "corrupt_json", preview))
-                continue
-            if not checksum_ok(record):
-                audit.crc_mismatch += 1
-                audit.issues.append(
-                    LineIssue(line_no, "crc_mismatch", preview))
-                continue
-            if "crc" in record:
-                audit.ok += 1
-            else:
-                audit.legacy += 1
-            cell = record.get("hash")
-            if not cell:
-                audit.no_hash += 1
-                audit.issues.append(LineIssue(line_no, "no_hash",
-                                              preview))
-                continue
-            seq = record.get("seq")
-            key = (seq if seq is not None else -1, line_no)
-            previous = latest.get(cell)
-            if previous is None or key >= previous:
-                latest[cell] = key
-        audit.records = len(latest)
-        good = audit.ok + audit.legacy - audit.no_hash
-        audit.superseded = max(0, good - audit.records)
-        return audit
+        return self._tally(self._lines(), lambda *_: None)[0]
 
     def repair(self) -> MaintenanceReport:
-        """Quarantine every bad line (torn, corrupt, failed checksum)
-        into ``<path>.quarantine`` with its reason, and rewrite the
-        ledger with only verifiable lines -- atomically, via temp-file
-        rename.  A clean ledger is left untouched."""
+        """Quarantine every bad line (torn, corrupt, failed checksum,
+        hashless) into ``<path>.quarantine`` with its reason, and
+        rewrite the ledger with only verifiable lines -- atomically,
+        via temp-file rename.  A clean ledger is left untouched."""
         return self._rewrite(collapse=False)
 
     def compact(self) -> MaintenanceReport:
-        """Repair plus collapse: superseded records (same cell hash,
-        lower ``seq``; file order for unsealed records) are dropped,
-        leaving exactly one line per cell.  Crash-consistent: the new
-        file is written beside the old one, fsynced, and renamed over
-        it in one atomic step."""
+        """Repair plus collapse: every record but its hash's winner is
+        dropped, leaving exactly one line per cell -- the very record
+        :meth:`load` returned before.  Crash-consistent: the new file
+        is written beside the old one, fsynced, and renamed over it in
+        one atomic step."""
         return self._rewrite(collapse=True)
 
     def _rewrite(self, collapse: bool) -> MaintenanceReport:
-        action = "compact" if collapse else "repair"
-        report = MaintenanceReport(action=action)
-        audit = self.verify()
+        report = MaintenanceReport(
+            action="compact" if collapse else "repair")
+        lines = list(self._lines())
+        audit, winners = self._tally(lines, lambda line_no, _: line_no)
         if audit.clean and not (collapse and audit.superseded):
             report.kept = audit.lines
             return report
-        bad_lines = {issue.line_no for issue in audit.issues}
-        reasons = {issue.line_no: issue.reason for issue in audit.issues}
-        data = self.path.read_bytes()
-        raw_lines = data.split(b"\n")
-        # First pass: classify lines, find the winning line per hash.
-        good: list[tuple[int, str, Optional[str], tuple]] = []
-        winners: dict[str, tuple] = {}
-        quarantine: list[tuple[int, str, str]] = []
-        for index, raw in enumerate(raw_lines):
-            if not raw.strip():
-                continue
-            line_no = index + 1
-            text = raw.decode("utf-8", errors="replace").strip()
-            if line_no in bad_lines:
-                quarantine.append((line_no, reasons[line_no], text))
-                continue
-            record = json.loads(text)
-            cell = record.get("hash")
-            seq = record.get("seq")
-            key = (seq if seq is not None else -1, line_no)
-            good.append((line_no, text, cell, key))
-            if cell:
-                previous = winners.get(cell)
-                if previous is None or key >= previous:
-                    winners[cell] = key
-        kept: list[str] = []
-        for line_no, text, cell, key in good:
-            if collapse and cell and winners[cell] != key:
-                report.collapsed += 1
-                continue
-            kept.append(text)
+        winning = set(winners.values())
+        kept = [
+            text for line_no, text, _, problem in lines
+            if problem is None and (not collapse or line_no in winning)
+        ]
+        if collapse:
+            report.collapsed = audit.superseded
         # Quarantine sidecar first (so a crash between the two writes
         # can only duplicate evidence, never lose it), then the
         # atomic ledger rewrite.
-        if quarantine:
+        if audit.issues:
             sidecar = self.path.with_suffix(
                 self.path.suffix + ".quarantine"
             )
             with sidecar.open("a", encoding="utf-8") as fh:
-                for line_no, reason, text in quarantine:
+                for line_no, text, _, problem in lines:
+                    if problem is None:
+                        continue
                     fh.write(json.dumps({
-                        "reason": reason,
+                        "reason": problem,
                         "line_no": line_no,
                         # selflint: allow(D001) forensic stamp only
                         "quarantined_ts": time.time(),
@@ -565,7 +453,7 @@ class Ledger:
                 fh.flush()
                 os.fsync(fh.fileno())
             report.sidecar = str(sidecar)
-            report.quarantined = len(quarantine)
+            report.quarantined = len(audit.issues)
         fd, tmp_name = tempfile.mkstemp(
             dir=self.path.parent, prefix=self.path.name + ".",
             suffix=".tmp",
@@ -590,10 +478,6 @@ class Ledger:
             os.close(dir_fd)
         report.kept = len(kept)
         report.rewritten = True
-        # The file was replaced: restart incremental accounting.
-        self._scanned_bytes = 0
-        self._scanned_ino = None
-        self._hashes.clear()
         return report
 
     # ------------------------------------------------------------------
@@ -610,20 +494,10 @@ class Ledger:
         clock, immune to wall-clock adjustments; the two deliberately
         come from different clocks and cannot be compared.
         """
-        record = {
-            "version": LEDGER_VERSION,
-            "hash": spec.cell_hash(),
-            "status": result.status,
-            "workload": spec.workload,
-            "config": spec.config.describe(),
-            "threads": spec.threads,
-            "attempts": result.attempts,
-            "retries": result.retries,
-            "wall_s": round(result.wall_s, 3),
-            # selflint: allow(D001) human-facing only, never compared
-            "ts": time.time(),
-            "spec": spec.as_dict(),
-        }
+        record = _record_header(
+            spec, result.status, result.attempts, result.retries,
+            round(result.wall_s, 3),
+        )
         if result.status == "ok":
             record.update(result.outcome)
             record["status"] = "ok"  # outcome dict also carries status
@@ -664,19 +538,7 @@ class Ledger:
         ever ran (``attempts == 0``).  ``diagnostics`` is a list of
         :class:`~repro.analysis.Diagnostic` objects."""
         first = diagnostics[0] if diagnostics else None
-        return {
-            "version": LEDGER_VERSION,
-            "hash": spec.cell_hash(),
-            "status": "invalid",
-            "workload": spec.workload,
-            "config": spec.config.describe(),
-            "threads": spec.threads,
-            "attempts": 0,
-            "retries": 0,
-            "wall_s": 0.0,
-            # selflint: allow(D001) human-facing only, never compared
-            "ts": time.time(),
-            "spec": spec.as_dict(),
+        return _record_header(spec, "invalid") | {
             "failure_class": "ConfigRuleViolation",
             "failure_detail": first.message if first else "",
             "diagnostics": [d.to_dict() for d in diagnostics],
@@ -695,19 +557,7 @@ class Ledger:
         stays an upper bound on the true one, which is the pruning
         soundness argument -- see DESIGN.md section 5h).
         """
-        return {
-            "version": LEDGER_VERSION,
-            "hash": spec.cell_hash(),
-            "status": "pruned_static",
-            "workload": spec.workload,
-            "config": spec.config.describe(),
-            "threads": spec.threads,
-            "attempts": 0,
-            "retries": 0,
-            "wall_s": 0.0,
-            # selflint: allow(D001) human-facing only, never compared
-            "ts": time.time(),
-            "spec": spec.as_dict(),
+        return _record_header(spec, "pruned_static") | {
             "aipc_bound": round(bound.aipc_bound, 6),
             "cycles_lower_bound": bound.cycles_lower_bound,
             "binding_roof": bound.binding_roof,
@@ -716,7 +566,6 @@ class Ledger:
                 for name, value in sorted(bound.components.items())
             },
         }
-
 
     @staticmethod
     def record_predicted(spec: CellSpec, bound, prediction) -> dict:
@@ -742,19 +591,7 @@ class Ledger:
         ``--surrogate`` re-runs these cells (the superseding
         measurement wins by ``seq``).
         """
-        return {
-            "version": LEDGER_VERSION,
-            "hash": spec.cell_hash(),
-            "status": "predicted",
-            "workload": spec.workload,
-            "config": spec.config.describe(),
-            "threads": spec.threads,
-            "attempts": 0,
-            "retries": 0,
-            "wall_s": 0.0,
-            # selflint: allow(D001) human-facing only, never compared
-            "ts": time.time(),
-            "spec": spec.as_dict(),
+        return _record_header(spec, "predicted") | {
             "aipc_bound": round(bound.aipc_bound, 6),
             "cycles_lower_bound": bound.cycles_lower_bound,
             "binding_roof": bound.binding_roof,
@@ -787,9 +624,3 @@ def summarize(
     if corrupt_lines:
         counts["corrupt_lines"] = corrupt_lines
     return counts
-
-
-def open_ledger(path) -> Optional[Ledger]:
-    """``Ledger(path)`` or ``None`` for a falsy path -- callers can
-    thread an optional ledger argument straight through."""
-    return Ledger(path) if path else None

@@ -428,3 +428,23 @@ def test_stats_counts_predicted_separately(capsys, tmp_path):
     assert code == 0
     assert "cells_ok" in out and "2" in out
     assert "cells_predicted" in out
+
+
+def test_ledger_verify_json_reports_every_audit_field(capsys, tmp_path):
+    """``ledger verify --json`` carries every ``LedgerAudit`` field,
+    so a hashless line shows up as ``no_hash`` and fails the exit."""
+    import json
+    from dataclasses import fields
+
+    from repro.harness import Ledger, LedgerAudit
+
+    path = tmp_path / "ledger.jsonl"
+    ledger = Ledger(path)
+    ledger.append({"hash": "aaa", "status": "ok"})
+    ledger.append({"status": "ok"})  # hashless
+    code, out = run_cli(capsys, "ledger", "verify", str(path), "--json")
+    doc = json.loads(out)
+    assert code == 1
+    assert set(doc) == {f.name for f in fields(LedgerAudit)} | {"clean"}
+    assert doc["no_hash"] == 1 and doc["ok"] == 2 and not doc["clean"]
+    assert doc["issues"] == [{"line": 2, "reason": "no_hash"}]

@@ -45,7 +45,7 @@ def test_append_load_round_trip(tmp_path):
     assert set(records) == {"aaa", "bbb"}
     assert records["aaa"]["aipc"] == 1.5
     assert summarize(records) == {"ok": 1, "failed": 1}
-    assert len(ledger) == 2
+    assert len(ledger.load()) == 2
 
 
 def test_last_record_wins(tmp_path):
@@ -80,40 +80,7 @@ def test_append_many_batches_records(tmp_path):
     ledger.append_many([])  # no-op, must not create/extend the file
     records = ledger.load()
     assert set(records) == {f"h{i}" for i in range(5)}
-    assert len(ledger) == 5
-
-
-def test_len_is_incremental(tmp_path):
-    """__len__ parses only bytes appended since the previous call
-    (and still counts distinct hashes, last record winning)."""
-    path = tmp_path / "runs.jsonl"
-    ledger = Ledger(path)
-    assert len(ledger) == 0
-    ledger.append({"hash": "aaa", "status": "ok"})
-    ledger.append({"hash": "bbb", "status": "ok"})
-    assert len(ledger) == 2
-    scanned = ledger._scanned_bytes
-    ledger.append({"hash": "aaa", "status": "failed"})  # duplicate hash
-    ledger.append({"hash": "ccc", "status": "ok"})
-    assert len(ledger) == 3
-    assert ledger._scanned_bytes > scanned
-    # A trailing partial line is not counted until its newline lands.
-    with path.open("a") as fh:
-        fh.write('{"hash": "ddd", "status": "o')
-    assert len(ledger) == 3
-    with path.open("a") as fh:
-        fh.write('k"}\n')
-    assert len(ledger) == 4
-
-
-def test_len_rescans_truncated_file(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    ledger = Ledger(path)
-    for i in range(4):
-        ledger.append({"hash": f"h{i}", "status": "ok"})
-    assert len(ledger) == 4
-    path.write_text('{"hash": "only", "status": "ok"}\n')
-    assert len(ledger) == 1
+    assert len(ledger.load()) == 5
 
 
 def test_load_counts_torn_lines_for_summarize(tmp_path):

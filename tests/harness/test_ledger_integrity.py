@@ -2,13 +2,17 @@
 
 Covers the v2 record seal (monotonic ``seq`` + ``crc``), ``verify``'s
 line-by-line audit, ``repair``'s quarantine sidecar, ``compact``'s
-supersession collapse, the idempotent fsync-failure retry, and the
-``__len__`` rescan triggers (shrink and inode change).
+supersession collapse, the idempotent fsync-failure retry, and that
+every consumer of the one line reader (``load``, ``iter_fields``,
+``verify``, ``repair``/``compact``, seq recovery) reads a damaged file
+the same way.
 """
 
 import json
 import math
 import os
+
+import pytest
 
 from repro.harness import Ledger, summarize
 from repro.harness.ledger import (
@@ -215,45 +219,147 @@ def test_fsync_failure_retry_is_idempotent(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# __len__ rescan triggers (regression: repair/compact via rename)
+# One reader: every consumer sees the same file
 # ----------------------------------------------------------------------
-def test_len_rescans_when_file_shrinks(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    ledger = seeded_ledger(path)
-    assert len(ledger) == 3
-    lines = path.read_text().splitlines()
-    path.write_text(lines[0] + "\n")  # truncate to one record
-    assert len(ledger) == 1
+def sealed(seq, cell, status):
+    """One sealed line as the writer would produce it (``cell=None``
+    leaves the hash out)."""
+    record = {"status": status, "seq": seq, "version": LEDGER_VERSION}
+    if cell is not None:
+        record["hash"] = cell
+    record["crc"] = record_checksum(record)
+    return json.dumps(record, sort_keys=True).encode()
 
 
-def test_len_rescans_on_inode_change_same_size(tmp_path):
-    """``repair``/``compact`` swap the file via rename, which can
-    leave st_size identical while the content differs -- the cached
-    incremental scan must notice the new inode and restart."""
+def rot_non_utf8(line):
+    """Overwrite one byte inside the line's status string with 0xff."""
+    at = line.index(b'"status": "') + len(b'"status": "')
+    return line[:at] + b"\xff" + line[at + 1:]
+
+
+#: name -> (file lines, trailing newline?, winning status per hash)
+READER_CASES = {
+    "torn_tail": (
+        [sealed(0, "a", "ok"), sealed(1, "b", "ok"), b'{"hash": "c", "st'],
+        False, {"a": "ok", "b": "ok"},
+    ),
+    "mid_file_garbage": (
+        [sealed(0, "a", "ok"), b"NOT JSON AT ALL", b"[1, 2]",
+         sealed(1, "b", "ok")],
+        True, {"a": "ok", "b": "ok"},
+    ),
+    "crc_mismatch": (
+        [sealed(0, "a", "failed"),
+         sealed(1, "a", "ok").replace(b'"ok"', b'"OK"')],
+        True, {"a": "failed"},
+    ),
+    "non_utf8_rot": (
+        [sealed(0, "a", "failed"), rot_non_utf8(sealed(1, "a", "ok"))],
+        True, {"a": "failed"},
+    ),
+    "hashless": (
+        [b'{"status": "ok"}', sealed(0, None, "ok"), sealed(1, "a", "ok")],
+        True, {"a": "ok"},
+    ),
+    "duplicate_hash": (
+        [sealed(0, "a", "failed"), sealed(1, "b", "ok"),
+         sealed(2, "a", "ok"), sealed(1, "b", "ok")],
+        True, {"a": "ok", "b": "ok"},
+    ),
+    "v1_v2_mix": (
+        [b'{"hash": "a", "status": "failed"}',
+         b'{"hash": "a", "status": "ok"}',
+         sealed(0, "b", "ok"),
+         b'{"hash": "b", "status": "failed"}',
+         b'{"hash": "c", "status": "ok"}'],
+        True, {"a": "ok", "b": "ok", "c": "ok"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_every_consumer_reads_the_same_ledger(tmp_path, case):
+    lines, terminated, expected = READER_CASES[case]
     path = tmp_path / "runs.jsonl"
+    path.write_bytes(b"\n".join(lines) + (b"\n" if terminated else b""))
     ledger = Ledger(path)
-    ledger.append({"hash": "aaa", "status": "ok"})
-    assert len(ledger) == 1
-    original = path.read_text()
-    replacement = original.replace('"hash": "aaa"', '"hash": "zzz"')
-    assert len(replacement) == len(original)  # same size, new content
-    swap = tmp_path / "swap.jsonl"
-    swap.write_text(replacement)
-    os.replace(swap, path)  # new inode, identical st_size
-    assert len(ledger) == 1
-    assert ledger._hashes == {"zzz"}
 
+    loaded = ledger.load()
+    counts = (ledger.torn_lines, ledger.corrupt_lines)
+    assert {h: r["status"] for h, r in loaded.items()} == expected
+    assert list(ledger.iter_fields("hash", "status")) \
+        == [(h, r["status"]) for h, r in loaded.items()]
+    assert (ledger.torn_lines, ledger.corrupt_lines) == counts
+    audit = ledger.verify()
+    assert audit.records == len(loaded)
+    assert (audit.torn + audit.corrupt_json, audit.crc_mismatch) == counts
 
-def test_len_stays_fresh_across_maintenance(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    ledger = Ledger(path)
-    ledger.append({"hash": "aaa", "status": "failed"})
-    ledger.append({"hash": "aaa", "status": "ok"})
-    ledger.append({"hash": "bbb", "status": "ok"})
-    assert len(ledger) == 2
+    ledger.repair()
+    assert ledger.load() == loaded
     ledger.compact()
-    assert len(ledger) == 2
-    assert len(raw_lines(path)) == 2
+    assert ledger.load() == loaded
+    audit = ledger.verify()
+    assert audit.clean and audit.superseded == 0
+    assert audit.records == len(loaded)
+
+
+def test_sealed_record_beats_a_later_unsealed_line(tmp_path):
+    """An unsealed v1 line counts as seq -1, so it never supersedes a
+    sealed record -- and compaction keeps what resume saw."""
+    path = tmp_path / "runs.jsonl"
+    Ledger(path).append({"hash": "aaa", "status": "ok", "aipc": 1.0})
+    with path.open("a") as fh:
+        fh.write('{"hash": "aaa", "status": "failed"}\n')
+    ledger = Ledger(path)
+    assert ledger.load()["aaa"]["status"] == "ok"
+    assert list(ledger.iter_fields("status")) == [("ok",)]
+    assert ledger.verify().records == len(ledger.load()) == 1
+    assert ledger.compact().collapsed == 1
+    assert ledger.load()["aaa"]["status"] == "ok"
+
+
+def test_non_utf8_rot_is_a_checksum_failure(tmp_path):
+    """A rotted byte that is not valid UTF-8 is skipped and counted
+    like any other checksum failure, never raised."""
+    path = tmp_path / "runs.jsonl"
+    seeded_ledger(path)
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = rot_non_utf8(lines[1])
+    path.write_bytes(b"\n".join(lines))
+
+    ledger = Ledger(path)
+    assert set(ledger.load()) == {"cell0", "cell2"}
+    assert ledger.corrupt_lines == 1
+    ledger = Ledger(path)
+    assert list(ledger.iter_fields("aipc")) == [(0.0,), (2.0,)]
+    assert ledger.corrupt_lines == 1
+    Ledger(path).append({"hash": "cell3", "status": "ok"})
+    assert [i.reason for i in ledger.verify().issues] == ["crc_mismatch"]
+    report = ledger.repair()
+    assert report.quarantined == 1
+    (entry,) = [json.loads(line) for line in
+                (tmp_path / "runs.jsonl.quarantine").read_text()
+                .splitlines()]
+    assert entry["reason"] == "crc_mismatch" and entry["line_no"] == 2
+    assert ledger.verify().clean
+    assert set(ledger.load()) == {"cell0", "cell2", "cell3"}
+
+
+def test_seq_recovery_counts_every_parsed_line(tmp_path):
+    """The next seq is one past the highest seq on any line that
+    parses as an object -- a checksum-failed line included, whether
+    the first read was ``load()`` or the first ``append()``."""
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(b"\n".join([
+        sealed(0, "a", "ok"),
+        sealed(7, "b", "ok").replace(b'"ok"', b'"OK"'),
+    ]) + b"\n")
+    for first_read in ("load", "append"):
+        ledger = Ledger(path)
+        if first_read == "load":
+            ledger.load()
+        ledger.append({"hash": first_read, "status": "ok"})
+    assert [r["seq"] for r in raw_lines(path)] == [0, 7, 8, 9]
 
 
 # ----------------------------------------------------------------------
