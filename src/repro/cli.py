@@ -32,9 +32,8 @@ from typing import Optional, Sequence
 
 from .area import breakdown, timing_report
 from .core import WaveScalarConfig, WaveScalarProcessor
-from .sim.backends import BACKENDS, DEFAULT_BACKEND
 from .sim.failures import TRANSIENT_CLASSES
-from .harness.supervisor import DEFAULT_BATCH_WIDTH
+from .harness.supervisor import BACKENDS, DEFAULT_BATCH_WIDTH
 from .design import pareto_front, viable_designs
 from .report import scatter
 from .workloads import (
@@ -125,10 +124,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from(args)
     workload = get(args.workload)
     threads = args.threads if workload.multithreaded else None
-    proc = WaveScalarProcessor(config, backend=args.backend)
+    proc = WaveScalarProcessor(config)
     print(proc.describe())
-    if args.backend != "plain":
-        print(f"engine backend: {args.backend}")
     sanitizer = None
     if args.sanitize:
         from .analysis import RuntimeSanitizer
@@ -152,10 +149,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     except TRANSIENT_CLASSES as exc:
         return _budget_failure(exc, proc.last_fixed_point)
-    if proc.last_backend_fallback:
-        print(f"note: batched backend fell back to plain "
-              f"({proc.last_backend_fallback}); results are "
-              f"bit-identical either way")
     print(result.summary())
     fr = result.stats.traffic_fractions()
     print(
@@ -552,26 +545,20 @@ def _trace_capture_line(trace) -> str:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .place.snake import place
-    from .sim.engine import Engine
     from .sim.trace import Trace
 
-    config = _config_from(args)
+    proc = WaveScalarProcessor(_config_from(args))
     workload = get(args.workload)
     threads = args.threads if workload.multithreaded else None
     graph = workload.instantiate(
         scale=Scale[args.scale.upper()], threads=threads, seed=args.seed
     )
-    engine = Engine(graph, config, place(graph, config))
-    engine.trace = Trace(
-        limit=args.limit, policy=args.policy.replace("-", "_")
-    )
+    trace = Trace(limit=args.limit, policy=args.policy.replace("-", "_"))
     code = 0
     try:
-        engine.run()
+        proc.run(graph, trace=trace)
     except TRANSIENT_CLASSES as exc:  # the events so far still print
-        code = _budget_failure(exc, engine.fixed_point)
-    trace = engine.trace
+        code = _budget_failure(exc, proc.last_fixed_point)
     events = list(trace.events)[: args.events]
     for e in events:
         print(e.render())
@@ -730,12 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attribute hot-loop time to pipeline "
                             "phases (input/match/dispatch/execute/"
                             "deliver) and print the table")
-    p_run.add_argument("--backend", default=DEFAULT_BACKEND,
-                       choices=BACKENDS,
-                       help="engine backend (bit-identical results; "
-                            "'batched' pays off in sweeps, not single "
-                            "runs, and falls back to plain when a "
-                            "trace/sanitizer/profile is attached)")
 
     p_area = sub.add_parser("area", help="area/timing breakdown")
     _add_config_args(p_area)
@@ -794,8 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "interval + model hash; the frontier "
                               "itself is always measured exactly; "
                               "forces serial execution)")
-    p_sweep.add_argument("--backend", default=DEFAULT_BACKEND,
-                         choices=BACKENDS,
+    p_sweep.add_argument("--backend", default="plain", choices=BACKENDS,
                          help="engine backend; 'batched' lockstep-"
                               "executes groups of same-workload cells "
                               "for sweep-level throughput, with "

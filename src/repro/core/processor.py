@@ -20,11 +20,6 @@ from ..isa.graph import DataflowGraph
 from ..lang.kbound import set_k_bound
 from ..place.placement import Placement
 from ..place.snake import place
-from ..sim.backends import (
-    DEFAULT_BACKEND,
-    batch_unsupported_reason,
-    validate_backend,
-)
 from ..sim.engine import Engine
 from ..sim.failures import FixedPoint
 from ..workloads.base import Scale, Workload
@@ -32,34 +27,30 @@ from .config import WaveScalarConfig
 from .results import SimulationResult
 
 
-class WaveScalarProcessor:
-    """A configured WaveScalar processor that can execute programs.
+def check_outputs(name: str, result: SimulationResult, expected) -> None:
+    """Raise ``AssertionError`` when ``result``'s architectural outputs
+    differ from the reference ``expected`` -- a simulator correctness
+    bug, never a performance matter.  The message is what a sweep
+    ledger records as the cell's ``failure_detail``."""
+    got = result.outputs()
+    if got != expected:
+        raise AssertionError(
+            f"{name}: simulator output {got!r} != reference {expected!r}"
+        )
 
-    ``backend`` selects how :meth:`run` drives the engine (see
-    :mod:`repro.sim.backends`): ``plain`` (default) or ``batched``
-    (the lockstep scheduler at width 1 -- single runs gain nothing
-    from it, but the selection point keeps the two names
-    interchangeable end to end).  Both run the engine's one hot
-    path, so simulated results are identical; a cell with a fault
-    plan, trace, sanitizer or profile attached is run alone under
-    ``batched`` too, the reason recorded on
-    :attr:`last_backend_fallback` as the sweep harness records it.
-    """
+
+class WaveScalarProcessor:
+    """A configured WaveScalar processor that can execute programs."""
 
     def __init__(
         self,
         config: WaveScalarConfig,
         max_cycles: int = 20_000_000,
         max_events: int = 200_000_000,
-        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.config = config
         self.max_cycles = max_cycles
         self.max_events = max_events
-        self.backend = validate_backend(backend)
-        #: Why the last :meth:`run` under ``backend="batched"`` fell
-        #: back to the plain engine (``None``: no fallback happened).
-        self.last_backend_fallback: Optional[str] = None
         #: The :class:`~repro.sim.failures.FixedPoint` the last
         #: :meth:`run` proved itself stuck in (``None``: it did not) --
         #: the cause behind a budget failure no budget can cure.
@@ -135,23 +126,8 @@ class WaveScalarProcessor:
             engine.trace = trace
         if profile is not None:
             engine.profile = profile
-        self.last_backend_fallback = None
-        if self.backend == "batched":
-            self.last_backend_fallback = batch_unsupported_reason(
-                faults=faults, trace=trace, sanitizer=sanitizer,
-                profile=profile,
-            )
         try:
-            if self.backend == "batched" \
-                    and self.last_backend_fallback is None:
-                from ..sim.batched import BatchedEngine
-
-                outcome = BatchedEngine([engine]).run(strict=strict)[0]
-                if not outcome.ok:
-                    raise outcome.error
-                stats = outcome.stats
-            else:
-                stats = engine.run(strict=strict)
+            stats = engine.run(strict=strict)
         finally:
             self.last_fixed_point = engine.fixed_point
             # The engine is cyclic garbage from here on (its hot-path
@@ -201,18 +177,10 @@ class WaveScalarProcessor:
             graph, threads=threads, faults=faults, sanitizer=sanitizer,
             strict=strict, trace=trace, profile=profile,
         )
-        if faults is not None:
-            check = False
-        if check:
-            expected = workload.expected(
+        if check and faults is None:
+            check_outputs(workload.name, result, workload.expected(
                 scale=scale, threads=threads, seed=seed
-            )
-            got = result.outputs()
-            if got != expected:
-                raise AssertionError(
-                    f"{workload.name}: simulator output {got!r} != "
-                    f"reference {expected!r}"
-                )
+            ))
         return result
 
     def run_compiled(
@@ -243,14 +211,7 @@ class WaveScalarProcessor:
             sanitizer=sanitizer, strict=strict, trace=trace,
             profile=profile, compiled=compiled.decoded,
         )
-        if faults is not None:
-            check = False
-        if check:
-            expected = compiled.expected_outputs()
-            got = result.outputs()
-            if got != expected:
-                raise AssertionError(
-                    f"{compiled.name}: simulator output {got!r} != "
-                    f"reference {expected!r}"
-                )
+        if check and faults is None:
+            check_outputs(compiled.name, result,
+                          compiled.expected_outputs())
         return result

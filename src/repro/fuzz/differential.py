@@ -43,7 +43,6 @@ from ..isa.graph import DataflowGraph
 from ..lang.interp import DeadlockError, interpret
 from ..place.snake import place
 from ..sim._legacy.engine import Engine as SeedEngine
-from ..sim.backends import batched_available
 from ..sim.engine import Engine
 from ..sim.failures import (
     CycleBudgetExhausted,
@@ -271,7 +270,7 @@ def diff_graph(
                     config=label,
                 ))
 
-    if check_batched and batched_available():
+    if check_batched:
         from ..sim.batched import BatchedEngine
 
         outcomes = BatchedEngine(

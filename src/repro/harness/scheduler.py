@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Optional
 from ..sim.failures import PoisonedCell, WorkerCrash
 from .ledger import Ledger
 from .spec import CellSpec
-from .supervisor import CellResult, RunSupervisor
+from .supervisor import CellResult
 
 #: How long the driver blocks on the result queue before checking
 #: worker health, and how long a worker blocks on its inbox before
@@ -753,8 +753,8 @@ class _Driver:
 def execute_lanes(
     lanes: Iterable[Lane],
     *,
+    supervisor,
     jobs: Optional[int] = 1,
-    supervisor=None,
     ledger: Optional[Ledger] = None,
     done: Optional[dict[str, dict]] = None,
     report=None,
@@ -767,8 +767,11 @@ def execute_lanes(
 ) -> dict[str, dict]:
     """Run every lane to exhaustion; returns the records-by-hash map.
 
-    ``jobs=1`` runs every dispatch on the calling process, one lane
-    after the other.  ``jobs>1`` (or ``jobs=None``/``0`` for
+    ``supervisor`` (a :class:`~repro.harness.supervisor.RunSupervisor`,
+    or anything with its ``run``/``run_batch``) runs each dispatch and
+    stays the caller's to close.  ``jobs=1`` runs every dispatch on the
+    calling process, one lane after the other.  ``jobs>1`` (or
+    ``jobs=None``/``0`` for
     ``os.cpu_count()``) fans lanes out across worker processes;
     completion order then varies but the produced record set does
     not.  ``done`` (resumed records) is updated in place and returned.
@@ -781,8 +784,6 @@ def execute_lanes(
     through a doomed campaign.
     """
     lanes = [lane for lane in lanes if not lane.exhausted]
-    own_supervisor = supervisor is None  # a caller's is the caller's to close
-    supervisor = RunSupervisor() if own_supervisor else supervisor
     if done is None:
         done = {}
     if report is None:
@@ -799,12 +800,8 @@ def execute_lanes(
         raise ValueError(
             "chaos injection does not compose with the batched backend"
         )
-    try:
-        _Driver(
-            lanes, jobs, supervisor, ledger, done, report, progress,
-            prevalidate, mp_context, poll_s, chaos, failure_budget,
-        ).run()
-    finally:
-        if own_supervisor:
-            supervisor.close()
+    _Driver(
+        lanes, jobs, supervisor, ledger, done, report, progress,
+        prevalidate, mp_context, poll_s, chaos, failure_budget,
+    ).run()
     return done

@@ -28,11 +28,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sim.backends import (
-    DEFAULT_BACKEND,
-    batch_unsupported_reason,
-    validate_backend,
-)
 from ..sim.failures import (
     SimulationDeadlock,
     WatchdogTimeout,
@@ -44,6 +39,13 @@ from .spec import CellSpec
 #: Default wall-clock allowance per attempt, chosen far above any
 #: budgeted tiny/small-scale cell (seconds).
 DEFAULT_TIMEOUT_S = 300.0
+
+#: How a campaign runs its cells: ``plain`` runs each cell alone;
+#: ``batched`` runs cells of one compiled workload as a lockstep batch
+#: group (:mod:`repro.sim.batched`).  Records are identical either way
+#: apart from wall-clock fields and the ``backend``/``backend_fallback``
+#: annotations.
+BACKENDS = ("plain", "batched")
 
 #: Default cells per lockstep batch group.  Past ~16 the amortized
 #: per-cell overhead flattens while a single slow cell holds ever
@@ -100,7 +102,7 @@ def _compiled(spec: CellSpec):
     )
 
 
-def simulate_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND):
+def simulate_cell(spec: CellSpec):
     """Run one cell to completion in the current process: the one
     ``CellSpec -> SimulationResult`` function.  :func:`execute_cell`
     flattens the result into a ledger payload; a caller that wants it
@@ -108,27 +110,25 @@ def simulate_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND):
 
     The outputs are checked against the memoised reference; failures
     propagate as taxonomy exceptions (``AssertionError`` for a wrong
-    answer) for the caller to classify.  Every ``backend`` (see
-    :mod:`repro.sim.backends`) simulates bit-identical results.
+    answer) for the caller to classify.
     """
     from ..core.processor import WaveScalarProcessor
 
     proc = WaveScalarProcessor(
         spec.config, max_cycles=spec.max_cycles,
-        max_events=spec.max_events, backend=backend,
+        max_events=spec.max_events,
     )
     return proc.run_compiled(_compiled(spec), faults=spec.faults)
 
 
-def execute_cell(spec: CellSpec, backend: str = DEFAULT_BACKEND) -> dict:
+def execute_cell(spec: CellSpec) -> dict:
     """:func:`simulate_cell`, timed, as the success payload
-    (:func:`_success_payload`); the payload of two backends differs
-    only in its wall-clock fields."""
+    (:func:`_success_payload`)."""
     from ..sim.compile import cache_info
 
     started = time.perf_counter()
     cache_before = cache_info()
-    result = simulate_cell(spec, backend)
+    result = simulate_cell(spec)
     wall_s = time.perf_counter() - started
     return _success_payload(
         result, wall_s, _cache_delta(cache_before, cache_info())
@@ -147,7 +147,7 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
     on failure, so the demultiplexed records are indistinguishable
     from serial ones apart from wall-clock fields.
     """
-    from ..core.processor import WaveScalarProcessor
+    from ..core.processor import WaveScalarProcessor, check_outputs
     from ..core.results import SimulationResult
     from ..sim.batched import BatchedEngine
     from ..sim.compile import cache_info
@@ -200,13 +200,9 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
             stats=outcome.stats, area=proc._area, timing=proc._timing,
             threads=compiled.threads,
         )
-        got = result.outputs()
-        if got != expected:
-            # The exact AssertionError run_compiled would have raised.
-            error = AssertionError(
-                f"{compiled.name}: simulator output {got!r} != "
-                f"reference {expected!r}"
-            )
+        try:
+            check_outputs(compiled.name, result, expected)
+        except AssertionError as error:
             payloads.append(_failure_payload(error))
             continue
         payloads.append(_success_payload(result, wall_s, cache_delta))
@@ -232,7 +228,7 @@ def _failure_payload(exc: BaseException) -> dict:
     }
 
 
-def _child_main(spec: CellSpec, sabotage, backend: str) -> list[dict]:
+def _child_main(spec: CellSpec, sabotage) -> list[dict]:
     """One attempt of one cell, in-process or in the isolation child:
     its payload (as a list of one, the shape a batch group returns).
 
@@ -244,7 +240,7 @@ def _child_main(spec: CellSpec, sabotage, backend: str) -> list[dict]:
     if sabotage is not None:
         sabotage.apply()
     try:
-        return [execute_cell(spec, backend=backend)]
+        return [execute_cell(spec)]
     except Exception as exc:  # noqa: BLE001 - classified either way
         return [_failure_payload(exc)]
 
@@ -305,11 +301,10 @@ class CellResult:
     #: recorded value is then a pure function of the campaign
     #: arguments, identical for any jobs value or batch interleaving.
     backend: Optional[str] = None
-    #: Why a ``batched`` request ran this cell on the plain engine --
-    #: one of the deterministic per-cell reasons from
-    #: :func:`repro.sim.backends.batch_unsupported_reason` (never a
-    #: scheduling dynamic such as a batch crash or the achieved
-    #: width; those stay in wall-clock-exempt report metrics).
+    #: Why a ``batched`` request ran this cell alone: ``"fault-plan"``,
+    #: the one deterministic per-cell reason (never a scheduling
+    #: dynamic such as a batch crash or the achieved width; those stay
+    #: in wall-clock-exempt report metrics).
     backend_fallback: Optional[str] = None
 
     @property
@@ -353,16 +348,21 @@ class RunSupervisor:
         isolation: str = "process",
         mp_context: Optional[str] = None,
         chaos=None,
-        backend: str = DEFAULT_BACKEND,
+        backend: str = "plain",
         batch_width: int = DEFAULT_BATCH_WIDTH,
     ) -> None:
         if isolation not in ("process", "inline"):
             raise ValueError(f"unknown isolation {isolation!r}")
+        if backend not in BACKENDS:
+            raise ValueError(
+                f"unknown backend {backend!r}; valid backends: "
+                + ", ".join(BACKENDS)
+            )
         if escalation <= 1.0:
             raise ValueError("escalation factor must exceed 1")
         if batch_width < 1:
             raise ValueError("batch width must be at least 1")
-        self.backend = validate_backend(backend)
+        self.backend = backend
         if chaos is not None and self.backend == "batched":
             # A sabotage decided for one cell would disturb its whole
             # batch group -- the chaos invariants are per-cell, so the
@@ -417,8 +417,8 @@ class RunSupervisor:
         """
         started = time.monotonic()
         backend_fallback = None
-        if self.backend == "batched":
-            backend_fallback = batch_unsupported_reason(faults=spec.faults)
+        if self.backend == "batched" and spec.faults is not None:
+            backend_fallback = "fault-plan"
         attempts = 0
         injected = 0
         while True:
@@ -426,8 +426,9 @@ class RunSupervisor:
             sabotage = None
             if self.chaos is not None and self.isolation == "process":
                 sabotage = self.chaos.sabotage_for(spec, attempts)
-            job = (spec, sabotage, self.backend)
-            payload = self._dispatch(_child_main, job, [spec])[0]
+            payload = self._dispatch(
+                _child_main, (spec, sabotage), [spec]
+            )[0]
             if payload["status"] == "ok":
                 return CellResult(
                     spec=spec, status="ok", attempts=attempts,
@@ -469,9 +470,8 @@ class RunSupervisor:
 
         The contract mirrors :meth:`run` cell for cell:
 
-        * a cell the batched engine cannot take (fault plan attached,
-          numpy missing) runs the full serial policy instead, with the
-          deterministic reason on ``backend_fallback``;
+        * a cell with a fault plan attached runs the full serial
+          policy instead, with ``backend_fallback="fault-plan"``;
         * a cell whose *batch* attempt fails -- its own simulation
           failure, a group-level crash, or the group watchdog -- has
           that verdict discarded and re-runs under the full serial
@@ -496,11 +496,10 @@ class RunSupervisor:
         results: dict[int, CellResult] = {}
         batchable: list[tuple[int, CellSpec]] = []
         for index, spec in enumerate(specs):
-            reason = batch_unsupported_reason(faults=spec.faults)
-            if reason is not None:
+            if spec.faults is not None:
                 result = self.run(spec)
                 result.backend = "batched"
-                result.backend_fallback = reason
+                result.backend_fallback = "fault-plan"
                 results[index] = result
             else:
                 batchable.append((index, spec))

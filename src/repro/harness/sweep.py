@@ -273,22 +273,17 @@ def sweep_cells(
     jobs: Optional[int] = 1,
     chaos=None,
     failure_budget: Optional[float] = None,
-    backend: Optional[str] = None,
-    batch_width: Optional[int] = None,
 ) -> tuple[dict[str, dict], SweepReport]:
     """Run an explicit cell list; returns (records by hash, report).
 
     Cells here are mutually independent, so each becomes its own
     single-cell lane and ``jobs>1`` runs them fully concurrently.
-    ``backend``/``batch_width`` configure the default supervisor (see
-    :mod:`repro.sim.backends`); pass a prebuilt ``supervisor`` to
-    control everything else.
+    ``supervisor`` (default: a :class:`RunSupervisor` with its own
+    defaults) decides isolation, retries and the backend.
     """
     specs = list(specs)
     if supervisor is None:
-        supervisor = RunSupervisor(
-            **_given(backend=backend, batch_width=batch_width)
-        )
+        supervisor = RunSupervisor()
     ledger, done, report = _open_campaign(ledger_path, resume, chaos)
     lanes = [
         Lane(key=(index,), specs=[spec])
@@ -897,14 +892,13 @@ def design_space_sweep(
     loop measures one lane at a time (``jobs`` is ignored) because
     each decision depends on the cells measured before it.
 
-    ``backend`` selects the engine for every cell (see
-    :mod:`repro.sim.backends`); ``backend="batched"`` additionally
-    groups same-workload cells into lockstep batch groups of up to
-    ``batch_width``, composing with both ``jobs`` (each worker runs
-    whole groups) and the skip loop (which dispatches lanes one at a
-    time, so batched cells simply run at width 1).  Records are
-    bit-identical across backends apart from wall-clock fields and the
-    ``backend``/``backend_fallback`` annotations.
+    ``backend="batched"`` groups same-workload cells into lockstep
+    batch groups of up to ``batch_width`` (see
+    :data:`~repro.harness.supervisor.BACKENDS`), composing with both
+    ``jobs`` (each worker runs whole groups) and the skip loop (which
+    dispatches lanes one at a time, so each cell runs alone).
+    Records are bit-identical across backends apart from wall-clock
+    fields and the ``backend``/``backend_fallback`` annotations.
     """
     if supervisor is None:
         supervisor = RunSupervisor(

@@ -11,14 +11,6 @@ Abnormal stops raise the failure taxonomy of :mod:`repro.sim.failures`
 :class:`SimulationDeadlock`.
 """
 
-from .backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    UnknownBackendError,
-    batch_unsupported_reason,
-    batched_available,
-    validate_backend,
-)
 from .engine import Engine, simulate
 from .failures import (
     FAILURE_CLASSES,
@@ -37,12 +29,6 @@ from .stats import KINDS, LEVELS, SimStats
 from .trace import Trace, TraceEvent
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
-    "UnknownBackendError",
-    "batch_unsupported_reason",
-    "batched_available",
-    "validate_backend",
     "Engine",
     "Trace",
     "TraceEvent",

@@ -204,6 +204,25 @@ def test_sweep_banner_says_what_runs(capsys):
     assert "scheduler: 1 worker(s)" in out
 
 
+def test_run_has_no_backend_option(capsys):
+    """A single run has one engine; the backend is a sweep's choice."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "-w", "mcf", "--backend", "batched"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --backend batched" in \
+        capsys.readouterr().err
+
+
+def test_sweep_batched_backend(capsys):
+    code, out = run_cli(
+        capsys, "sweep", "--backend", "batched", "--batch-width", "2",
+        "--sample", "24", "--scale", "tiny",
+    )
+    assert code == 0
+    assert "Pareto frontier" in out
+    assert "batched: width 2" in out
+
+
 def test_unknown_workload_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "-w", "doom"])

@@ -315,7 +315,7 @@ def test_scaling_study_smoke(tmp_path, monkeypatch):
     for key in ("a", "b", "c", "d", "e", "e16"):
         assert measured[key] > 0
 
-    def no_simulation(spec, backend=None):
+    def no_simulation(spec):
         raise AssertionError(f"resume simulated {spec.describe()}")
 
     monkeypatch.setattr(supervisor, "simulate_cell", no_simulation)

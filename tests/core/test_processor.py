@@ -23,8 +23,7 @@ def test_run_simple_graph():
     assert result.program == graph.name
 
 
-@pytest.mark.parametrize("backend", ("plain", "batched"))
-def test_finished_engine_is_freed_without_the_cycle_collector(backend):
+def test_finished_engine_is_freed_without_the_cycle_collector():
     """Peak memory must not grow with the number of cells run: the
     engine of a finished run is released by reference count."""
     import gc
@@ -32,7 +31,7 @@ def test_finished_engine_is_freed_without_the_cycle_collector(backend):
     from repro.sim.engine import Engine
 
     graph, expected = build_counted_sum(8, k=2)
-    proc = WaveScalarProcessor(BASELINE, backend=backend)
+    proc = WaveScalarProcessor(BASELINE)
     gc.collect()
     gc.disable()
     try:

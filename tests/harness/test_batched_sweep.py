@@ -107,7 +107,7 @@ def test_process_batched_sweep_identical_across_jobs(tmp_path):
     def run(jobs: int, tag: str) -> dict[str, dict]:
         records, _ = sweep_cells(
             specs, ledger_path=tmp_path / f"{tag}.jsonl", jobs=jobs,
-            backend="batched", batch_width=4,
+            supervisor=RunSupervisor(backend="batched", batch_width=4),
         )
         return records
 

@@ -28,7 +28,6 @@ from repro.harness import (
     execute_lanes,
     sweep_cells,
 )
-from repro.harness import scheduler as scheduler_mod
 from repro.harness import supervisor as supervisor_mod
 from repro.harness.spec import SWEEP_MAX_EVENTS
 from repro.harness.sweep import build_lanes
@@ -125,7 +124,7 @@ def test_idle_death_is_not_a_cell_failure(supervisor, reaped):
 @needs_fork
 def test_death_mid_cell_is_a_crash_and_the_next_cell_gets_a_fresh_child(
         monkeypatch):
-    def die(spec, backend="plain"):
+    def die(spec):
         os._exit(17)
 
     sup = RunSupervisor(isolation="process", timeout_s=60,
@@ -307,7 +306,7 @@ def test_an_injected_kill_costs_one_more_child_and_no_retry(
 
 
 # ----------------------------------------------------------------------
-# A supervisor execute_lanes builds for itself is its own to close
+# A caller's supervisor is the caller's to close
 # ----------------------------------------------------------------------
 def two_lanes() -> list[Lane]:
     return [Lane(key=(i,), specs=[make_spec(workload=name)])
@@ -317,8 +316,7 @@ def two_lanes() -> list[Lane]:
 @pytest.fixture
 def closes(monkeypatch):
     """Logs ``("close", idle child or None)`` for every
-    ``RunSupervisor.close`` in this process; a test appends its own
-    pairs for what must come before."""
+    ``RunSupervisor.close`` in this process."""
     log = []
     close = RunSupervisor.close
 
@@ -330,33 +328,10 @@ def closes(monkeypatch):
     return log
 
 
-def test_execute_lanes_closes_the_supervisor_it_created(closes):
-    done = execute_lanes(
-        two_lanes(),
-        progress=lambda spec, record: closes.append(("record", spec)),
-    )
-    assert len(done) == 2
-    assert [what for what, _ in closes] == ["record", "record", "close"]
-    _, child = closes[-1]
-    assert child is not None  # one child ran both cells ...
-    assert child.exitcode == 0  # ... and was hung up on and joined
-
-
 def test_execute_lanes_leaves_a_callers_supervisor_open(closes, supervisor):
     execute_lanes(two_lanes(), supervisor=supervisor)
     assert closes == []
     assert child_of(supervisor).is_alive()
-
-
-def test_execute_lanes_closes_its_supervisor_when_the_driver_raises(
-        closes, monkeypatch):
-    def broken(self):
-        raise RuntimeError("driver broke")
-
-    monkeypatch.setattr(scheduler_mod._Driver, "run", broken)
-    with pytest.raises(RuntimeError, match="driver broke"):
-        execute_lanes(two_lanes())
-    assert [what for what, _ in closes] == ["close"]
 
 
 # ----------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_worker_crash_classified(monkeypatch):
 
     from repro.harness import supervisor as supervisor_mod
 
-    def die(spec, backend="plain"):
+    def die(spec):
         os._exit(17)
 
     monkeypatch.setattr(supervisor_mod, "execute_cell", die)

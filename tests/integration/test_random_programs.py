@@ -105,6 +105,7 @@ def realize(entry_value, heap_init, actions):
 @settings(
     max_examples=40,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(program=programs())
@@ -118,6 +119,7 @@ def test_simulator_matches_interpreter(program):
 @settings(
     max_examples=15,
     deadline=None,
+    derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(program=programs())

@@ -15,11 +15,9 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.core import WaveScalarConfig, WaveScalarProcessor
+from repro.core import WaveScalarConfig
 from repro.place.snake import place
-from repro.sim import UnknownBackendError, validate_backend
 from repro.sim._legacy.engine import Engine as LegacyEngine
-from repro.sim.backends import BACKENDS, batch_unsupported_reason
 from repro.sim.batched import BatchedEngine
 from repro.sim.compile import get_compiled
 from repro.sim.engine import Engine
@@ -105,68 +103,31 @@ def test_width_one_batch_matches_plain():
     assert asdict(outcome.stats) == asdict(plain)
 
 
-def test_processor_batched_backend_matches_plain():
-    workload = get("gzip")
-    plain = WaveScalarProcessor(GOLDEN).run_workload(
-        workload, scale=Scale.TINY
-    )
-    batched_proc = WaveScalarProcessor(GOLDEN, backend="batched")
-    batched = batched_proc.run_workload(workload, scale=Scale.TINY)
-    assert batched_proc.last_backend_fallback is None
-    assert asdict(batched.stats) == asdict(plain.stats)
-
-
-def test_processor_batched_falls_back_under_profile():
-    from repro.obs import PhaseProfile
-
-    workload = get("gzip")
-    proc = WaveScalarProcessor(GOLDEN, backend="batched")
-    profiled = proc.run_workload(
-        workload, scale=Scale.TINY, profile=PhaseProfile()
-    )
-    assert proc.last_backend_fallback == "profile-attached"
-    plain = WaveScalarProcessor(GOLDEN).run_workload(
-        workload, scale=Scale.TINY
-    )
-    assert asdict(profiled.stats) == asdict(plain.stats)
-
-
 # ----------------------------------------------------------------------
-# Backend registry edge cases
+# The campaign's backend name
 # ----------------------------------------------------------------------
-def test_unknown_backend_raises_listing_valid_set():
-    with pytest.raises(UnknownBackendError) as excinfo:
-        validate_backend("vectorised")
+def _backend_error(name) -> str:
+    from repro.harness import RunSupervisor
+
+    with pytest.raises(ValueError) as excinfo:
+        RunSupervisor(backend=name)
     message = str(excinfo.value)
-    assert "vectorised" in message
-    for name in BACKENDS:
-        assert name in message
+    for valid in ("plain", "batched"):
+        assert valid in message
+    return message
+
+
+def test_unknown_backend_raises_listing_valid_set():
+    assert "vectorised" in _backend_error("vectorised")
 
 
 @pytest.mark.parametrize("bad", [
     None, b"plain", 0, 1.5, ["plain"], ("plain",), object(),
 ])
 def test_non_string_backend_raises_unknown_not_typeerror(bad):
-    """Programmatic callers passing None/bytes/whatever must get the
-    same UnknownBackendError as a typo'd string, never a TypeError."""
-    with pytest.raises(UnknownBackendError) as excinfo:
-        validate_backend(bad)
-    for name in BACKENDS:
-        assert name in str(excinfo.value)
-
-
-def test_string_valued_enum_backend_accepted():
-    import enum
-
-    class Pick(enum.Enum):
-        PLAIN = "plain"
-        BATCHED = "batched"
-        BOGUS = "turbo"
-
-    assert validate_backend(Pick.PLAIN) == "plain"
-    assert validate_backend(Pick.BATCHED) == "batched"
-    with pytest.raises(UnknownBackendError):
-        validate_backend(Pick.BOGUS)
+    """Anything but one of the two names is the same ValueError as a
+    typo'd string, never a TypeError."""
+    _backend_error(bad)
 
 
 def test_int_valued_enum_backend_rejected():
@@ -175,35 +136,31 @@ def test_int_valued_enum_backend_rejected():
     class Pick(enum.Enum):
         PLAIN = 0
 
-    with pytest.raises(UnknownBackendError):
-        validate_backend(Pick.PLAIN)
-
-
-def test_backend_name_normalized_from_cli_noise():
-    assert validate_backend(" plain\n") == "plain"
-    assert validate_backend("Batched") == "batched"
-
-
-def test_processor_rejects_unknown_backend():
-    with pytest.raises(UnknownBackendError):
-        WaveScalarProcessor(GOLDEN, backend="nope")
+    _backend_error(Pick.PLAIN)
 
 
 def test_supervisor_rejects_unknown_backend():
-    from repro.harness import RunSupervisor
-
-    with pytest.raises(UnknownBackendError):
-        RunSupervisor(backend="nope")
+    assert "'nope'" in _backend_error("nope")
 
 
 def test_unsupported_reasons_are_deterministic_and_named():
-    assert batch_unsupported_reason() is None
-    assert batch_unsupported_reason(faults=object()) == "fault-plan"
-    assert batch_unsupported_reason(trace=object()) == "trace-attached"
-    assert (batch_unsupported_reason(sanitizer=object())
-            == "sanitizer-attached")
-    assert (batch_unsupported_reason(profile=object())
-            == "profile-attached")
+    """A fault plan is the one reason a batched campaign runs a cell
+    alone; the record names it, and only under ``batched``."""
+    from repro.harness import CellSpec, FaultPlan, RunSupervisor
+
+    faulty = CellSpec(config=GOLDEN, workload="mcf", scale="tiny",
+                      faults=FaultPlan(drop_every_n=3))
+    clean = CellSpec(config=GOLDEN, workload="mcf", scale="tiny")
+    fallbacks = {
+        backend: [
+            RunSupervisor(isolation="inline", max_retries=0,
+                          backend=backend).run(spec).backend_fallback
+            for spec in (faulty, clean)
+        ]
+        for backend in ("plain", "batched")
+    }
+    assert fallbacks == {"plain": [None, None],
+                         "batched": ["fault-plan", None]}
 
 
 def _hooked_engines(compiled, plan):

@@ -5,7 +5,9 @@ live network and memory models), so the seed-engine golden suite
 cannot witness a change to any of them.  This fixture can: it holds
 the full ``SimStats`` of the benchmark's six ``cells_long`` cells,
 recorded at the commit *before* the ledger's cleanup scan was deleted,
-and both backends must reproduce it field for field.
+and the engine must reproduce it field for field -- run alone, and
+driven by the lockstep scheduler (``repro.sim.batched``), whose ceilings
+cut each of these long cells into many drains.
 
 To re-record after an intended change to a simulated statistic::
 
@@ -19,7 +21,10 @@ from pathlib import Path
 import pytest
 
 from repro.core import WaveScalarConfig, WaveScalarProcessor
+from repro.place.snake import place
+from repro.sim.batched import BatchedEngine
 from repro.sim.compile import get_compiled
+from repro.sim.engine import Engine
 from repro.workloads import Scale
 from repro.workloads.registry import get
 
@@ -33,12 +38,19 @@ THREADS = 16
 CELLS = ("ammp", "mcf", "gzip", "gemm_os", "radix", "fft")
 
 
-def _stats(name: str, backend: str) -> dict:
+def _stats(name: str, driver: str = "plain") -> dict:
     threads = THREADS if get(name).multithreaded else None
     compiled = get_compiled(name, scale=Scale.MEDIUM, threads=threads)
-    processor = WaveScalarProcessor(CONFIG, backend=backend)
-    stats = processor.run_compiled(compiled).stats
-    assert processor.last_backend_fallback is None
+    if driver == "plain":
+        stats = WaveScalarProcessor(CONFIG).run_compiled(compiled).stats
+    else:
+        engine = Engine(
+            compiled.graph, CONFIG, place(compiled.graph, CONFIG),
+            compiled=compiled.decoded,
+        )
+        (outcome,) = BatchedEngine([engine]).run()
+        assert outcome.ok
+        stats = outcome.stats
     # Through JSON so the comparison sees what the fixture can hold
     # (``outputs`` is keyed by int instruction id).
     return json.loads(json.dumps(asdict(stats)))
@@ -49,10 +61,10 @@ def recorded() -> dict:
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("backend", ("plain", "batched"))
+@pytest.mark.parametrize("driver", ("plain", "batched"))
 @pytest.mark.parametrize("name", CELLS)
-def test_medium_stats_match_fixture(recorded, name, backend):
-    got = _stats(name, backend)
+def test_medium_stats_match_fixture(recorded, name, driver):
+    got = _stats(name, driver)
     want = recorded[name]
     assert got.keys() == want.keys()
     for field in want:
@@ -61,6 +73,6 @@ def test_medium_stats_match_fixture(recorded, name, backend):
 
 if __name__ == "__main__":
     FIXTURE.write_text(json.dumps(
-        {name: _stats(name, "plain") for name in CELLS},
+        {name: _stats(name) for name in CELLS},
         indent=1, sort_keys=True,
     ) + "\n")
