@@ -23,24 +23,38 @@ def test_run_simple_graph():
     assert result.program == graph.name
 
 
-def test_finished_engine_is_freed_without_the_cycle_collector():
+def _run_plain():
+    graph, expected = build_counted_sum(8, k=2)
+    result = WaveScalarProcessor(BASELINE).run(graph)
+    assert result.outputs() == [expected]
+
+
+def _run_batched():
+    from repro.harness.supervisor import CellSpec, execute_batch
+
+    spec = CellSpec(config=BASELINE, workload="mcf", scale="tiny")
+    payloads = execute_batch([spec, spec])
+    assert [p["status"] for p in payloads] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("backend", ("plain", "batched"))
+def test_finished_engine_is_freed_without_the_cycle_collector(backend):
     """Peak memory must not grow with the number of cells run: the
-    engine of a finished run is released by reference count."""
+    engine of a finished run -- a single run, or every cell of a
+    lockstep batch group -- is released by reference count."""
     import gc
 
     from repro.sim.engine import Engine
 
-    graph, expected = build_counted_sum(8, k=2)
-    proc = WaveScalarProcessor(BASELINE)
+    run = {"plain": _run_plain, "batched": _run_batched}[backend]
     gc.collect()
     gc.disable()
     try:
-        result = proc.run(graph)
+        run()
         alive = [o for o in gc.get_objects() if isinstance(o, Engine)]
     finally:
         gc.enable()
     assert alive == []
-    assert result.outputs() == [expected]
 
 
 def test_run_workload_checks_reference():
