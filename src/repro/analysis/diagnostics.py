@@ -44,7 +44,7 @@ class Diagnostic:
     ----------
     rule:
         Stable rule id (``G001`` graph rules, ``C001`` config rules,
-        ``S001`` runtime sanitizer checks, ``X000`` engine internals).
+        ``S002`` runtime sanitizer checks, ``X000`` engine internals).
     severity:
         :class:`Severity` of the finding.
     message:

@@ -5,12 +5,12 @@ actually running.  Attach a :class:`RuntimeSanitizer` to an engine
 (``engine.sanitizer = RuntimeSanitizer()``, or ``sanitizer=`` through
 :class:`~repro.core.processor.WaveScalarProcessor`) and it audits the
 machine through cheap hooks on the engine's hot paths -- the same
-duck-typed pattern as tracing and fault injection, so the simulator
-core stays free of analysis imports:
+duck-typed pattern as tracing, so the simulator core stays free of
+analysis imports:
 
 * **token conservation** -- every operand delivered into the fabric is
-  eventually consumed by a dispatch; dropped deliveries (a fault, or a
-  routing bug) and leftover operands are violations,
+  eventually consumed by a dispatch; leftover operands and an
+  unbalanced token ledger are violations,
 * **matching-table leaks** -- partially filled rows surviving
   quiescence mean some token waited for a partner that never came,
 * **queue bounds** -- physical structures (matching tables) must never
@@ -20,8 +20,9 @@ core stays free of analysis imports:
 
 Violations are reported as the same
 :class:`~repro.analysis.diagnostics.Diagnostic` type the static rules
-emit (``S001``-``S005``), via :meth:`RuntimeSanitizer.report`.  Run
-the engine with ``strict=False`` to get the report instead of a
+emit (``S002``-``S005``; ``S001`` is retired), via
+:meth:`RuntimeSanitizer.report`.  Run the engine with
+``strict=False`` to get the report instead of a
 :class:`~repro.sim.failures.TrueDeadlock` exception.
 """
 
@@ -43,7 +44,6 @@ class RuntimeSanitizer:
         self.entry_tokens = 0
         self.tokens_created = 0  # operands delivered into the fabric
         self.tokens_consumed = 0  # operands consumed by dispatches
-        self.tokens_dropped = 0  # deliveries swallowed in flight
         # Structure-bound violations observed while running.
         self.table_overflows: list[tuple[int, int, int]] = []
         # Peak pressure (informational).
@@ -65,9 +65,6 @@ class RuntimeSanitizer:
     def note_consumed(self, count: int) -> None:
         self.tokens_consumed += count
 
-    def note_dropped(self, count: int = 1) -> None:
-        self.tokens_dropped += count
-
     def note_table_size(self, pe: int, size: int, entries: int) -> None:
         if size > self.peak_matching_rows:
             self.peak_matching_rows = size
@@ -84,19 +81,6 @@ class RuntimeSanitizer:
         self._source = engine.graph.name
         diags = self._diagnostics
         source = self._source
-
-        # S001: dropped deliveries are conservation violations.
-        if self.tokens_dropped:
-            diags.append(Diagnostic(
-                rule="S001", severity=Severity.ERROR,
-                message=(
-                    f"token conservation violated: {self.tokens_dropped} "
-                    "operand deliveries vanished in flight"
-                ),
-                source=source, location="network",
-                hint="a fault plan or a routing bug is destroying "
-                     "tokens; their rendezvous partners leak",
-            ))
 
         # S002: matching-table leaks.
         leaked_rows = 0
@@ -185,16 +169,14 @@ class RuntimeSanitizer:
                     f"leaked + {ifetch_parked} parked)"
                 ),
                 source=source, location="ledger",
-                hint="engine bug: a token was double-counted or lost "
-                     "outside the fault path",
+                hint="engine bug: a token was double-counted or lost",
             ))
         diags.append(Diagnostic(
             rule="S005", severity=Severity.INFO,
             message=(
                 f"token ledger: {self.entry_tokens} entry + "
                 f"{self.tokens_created} delivered, "
-                f"{self.tokens_consumed} consumed, "
-                f"{self.tokens_dropped} dropped; peak matching "
+                f"{self.tokens_consumed} consumed; peak matching "
                 f"occupancy {self.peak_matching_rows} rows"
             ),
             source=source,

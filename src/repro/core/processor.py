@@ -85,7 +85,6 @@ class WaveScalarProcessor:
         k: Optional[int] = None,
         strict: bool = True,
         threads: Optional[int] = None,
-        faults=None,
         sanitizer=None,
         trace=None,
         profile=None,
@@ -95,9 +94,7 @@ class WaveScalarProcessor:
 
         ``k`` rebinds every loop's k-loop bound before execution
         (Table 4 tuning); ``strict`` raises on deadlock rather than
-        returning a partial result; ``faults`` attaches a
-        :class:`~repro.harness.faults.FaultPlan` for deterministic
-        fault injection (harness testing); ``sanitizer`` attaches a
+        returning a partial result; ``sanitizer`` attaches a
         :class:`~repro.analysis.RuntimeSanitizer` that audits token
         conservation, matching-table leaks, and queue bounds (query it
         after the run -- pair with ``strict=False`` to collect
@@ -118,8 +115,6 @@ class WaveScalarProcessor:
             graph, self.config, placement, max_cycles=self.max_cycles,
             max_events=self.max_events, compiled=compiled,
         )
-        if faults is not None:
-            engine.faults = faults
         if sanitizer is not None:
             engine.sanitizer = sanitizer
         if trace is not None:
@@ -154,7 +149,6 @@ class WaveScalarProcessor:
         k: Optional[int] = None,
         seed: int = 0,
         check: bool = True,
-        faults=None,
         sanitizer=None,
         strict: bool = True,
         trace=None,
@@ -165,19 +159,17 @@ class WaveScalarProcessor:
         With ``check`` (default) the architectural outputs are compared
         against the workload's pure-Python reference; a mismatch raises
         ``AssertionError`` -- a simulator correctness bug, never a
-        performance matter.  An active ``faults`` plan skips the check:
-        injected faults corrupt outputs by design.  ``sanitizer``,
-        ``strict``, ``trace``, and ``profile`` pass through to
-        :meth:`run`.
+        performance matter.  ``sanitizer``, ``strict``, ``trace``, and
+        ``profile`` pass through to :meth:`run`.
         """
         graph = workload.instantiate(
             scale=scale, threads=threads, k=k, seed=seed
         )
         result = self.run(
-            graph, threads=threads, faults=faults, sanitizer=sanitizer,
-            strict=strict, trace=trace, profile=profile,
+            graph, threads=threads, sanitizer=sanitizer, strict=strict,
+            trace=trace, profile=profile,
         )
-        if check and faults is None:
+        if check:
             check_outputs(workload.name, result, workload.expected(
                 scale=scale, threads=threads, seed=seed
             ))
@@ -187,7 +179,6 @@ class WaveScalarProcessor:
         self,
         compiled,
         check: bool = True,
-        faults=None,
         sanitizer=None,
         strict: bool = True,
         trace=None,
@@ -204,14 +195,14 @@ class WaveScalarProcessor:
         bound are part of the compile key, already baked into the
         graph.  Output checking compares against the workload's
         memoised reference outputs, exactly as :meth:`run_workload`
-        does (and is likewise skipped under an active fault plan).
+        does.
         """
         result = self.run(
-            compiled.graph, threads=compiled.threads, faults=faults,
-            sanitizer=sanitizer, strict=strict, trace=trace,
-            profile=profile, compiled=compiled.decoded,
+            compiled.graph, threads=compiled.threads, sanitizer=sanitizer,
+            strict=strict, trace=trace, profile=profile,
+            compiled=compiled.decoded,
         )
-        if check and faults is None:
+        if check:
             check_outputs(compiled.name, result,
                           compiled.expected_outputs())
         return result

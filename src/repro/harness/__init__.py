@@ -27,11 +27,10 @@ This package provides the pieces:
   Pareto-evaluation loop used by ``python -m repro sweep``: every
   lane through the scheduler, or the one skip loop whose switch
   positions are static pruning, the surrogate, and both;
-* :class:`~repro.harness.faults.FaultPlan` -- deterministic fault
-  injection proving each failure class is caught and classified;
-* :mod:`repro.harness.chaos` -- seeded whole-runtime fault injection
-  (worker kills, driver crashes, torn/corrupt ledger lines, fsync
-  failures) plus :class:`~repro.harness.chaos.ChaosInvariants`, the
+* :mod:`repro.harness.chaos` -- seeded whole-runtime fault injection,
+  the one injection layer (the simulator itself carries none): worker
+  kills, driver crashes, torn/corrupt ledger lines, fsync
+  failures; plus :class:`~repro.harness.chaos.ChaosInvariants`, the
   oracle proving recovery is bit-identical to an undisturbed run.
 """
 
@@ -58,7 +57,6 @@ from .chaos import (
     ChaosPlan,
     run_chaos_campaign,
 )
-from .faults import FaultPlan
 from .ledger import (
     Ledger,
     LedgerAudit,
@@ -99,7 +97,6 @@ __all__ = [
     "EventBudgetExhausted",
     "FAILURE_CLASSES",
     "FailureDiagnostics",
-    "FaultPlan",
     "Ledger",
     "LedgerAudit",
     "MaintenanceReport",

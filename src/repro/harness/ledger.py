@@ -512,16 +512,11 @@ class Ledger:
             record["chaos_injected"] = result.injected
         backend = getattr(result, "backend", None)
         if backend is not None:
-            # The backend *requested* for the campaign, plus the
-            # deterministic per-cell fallback reason when a batched
-            # request ran this cell on the plain engine.  Both are pure
-            # functions of the campaign arguments -- never a scheduling
+            # The backend *requested* for the campaign: a pure
+            # function of the campaign arguments -- never a scheduling
             # dynamic -- so records stay identical across jobs values
             # and batch interleavings.
             record["backend"] = backend
-            fallback = getattr(result, "backend_fallback", None)
-            if fallback is not None:
-                record["backend_fallback"] = fallback
         # Every record carries a metrics block (see repro.obs.metrics):
         # successful cells get theirs from the outcome payload; failed
         # cells still record the wall time they burned, so campaign

@@ -197,11 +197,8 @@ def _batch_group_key(spec: CellSpec) -> tuple:
     """The lockstep grouping key: cells sharing it are built from the
     same compiled workload ``(workload, scale, threads, k, seed)``, so
     one batch group compiles once and lockstep-executes many
-    configurations.  Fault-plan cells are segregated by the trailing
-    flag (``run_batch`` routes each of them down its serial fallback
-    path individually)."""
-    return (spec.workload, spec.scale, spec.threads, spec.k, spec.seed,
-            spec.faults is None)
+    configurations."""
+    return (spec.workload, spec.scale, spec.threads, spec.k, spec.seed)
 
 
 def _group_width(supervisor) -> int:

@@ -1,11 +1,11 @@
 """Cell specifications: the unit of work a sweep schedules.
 
 One *cell* is one ``(config, workload, threads)`` simulation with all
-parameters pinned -- scale, k-bound, seed, cycle/event budgets, and
-any fault plan.  Its :meth:`~CellSpec.cell_hash` is a content hash of
-the *complete* spec, so a results ledger keyed by it can never confuse
-a low-budget verdict with a high-budget request (the bug the old
-memoisation key had), and any change to the cell re-runs it on resume.
+parameters pinned -- scale, k-bound, seed and cycle/event budgets.
+Its :meth:`~CellSpec.cell_hash` is a content hash of the *complete*
+spec, so a results ledger keyed by it can never confuse a low-budget
+verdict with a high-budget request (the bug the old memoisation key
+had), and any change to the cell re-runs it on resume.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 from ..core.config import WaveScalarConfig
-from .faults import FaultPlan
 
 #: Default sweep budgets (a starved configuration crawling through
 #: matching-table thrash scores zero rather than stalling the
@@ -37,7 +36,6 @@ class CellSpec:
     seed: int = 0
     max_cycles: int = SWEEP_MAX_CYCLES
     max_events: int = SWEEP_MAX_EVENTS
-    faults: Optional[FaultPlan] = None
 
     def as_dict(self) -> dict:
         return {
@@ -49,7 +47,7 @@ class CellSpec:
             "seed": self.seed,
             "max_cycles": self.max_cycles,
             "max_events": self.max_events,
-            "faults": self.faults.to_dict() if self.faults else None,
+            "faults": None,  # hash and ledger format: keeps every cell hash
         }
 
     def _digest(self, memo: str, *dropped: str) -> str:
@@ -97,8 +95,7 @@ class CellSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CellSpec":
-        faults = data.get("faults")
-        return cls(
+        spec = cls(
             config=WaveScalarConfig(**data["config"]),
             workload=data["workload"],
             scale=data.get("scale", "small"),
@@ -107,5 +104,11 @@ class CellSpec:
             seed=data.get("seed", 0),
             max_cycles=data.get("max_cycles", SWEEP_MAX_CYCLES),
             max_events=data.get("max_events", SWEEP_MAX_EVENTS),
-            faults=FaultPlan.from_dict(faults) if faults else None,
         )
+        faults = data.get("faults")
+        if faults is not None:
+            raise ValueError(
+                f"{spec.describe()}: record carries a fault plan "
+                f"{faults!r}; the simulator takes none"
+            )
+        return spec

@@ -43,8 +43,7 @@ DEFAULT_TIMEOUT_S = 300.0
 #: How a campaign runs its cells: ``plain`` runs each cell alone;
 #: ``batched`` runs cells of one compiled workload as a lockstep batch
 #: group (:mod:`repro.sim.batched`).  Records are identical either way
-#: apart from wall-clock fields and the ``backend``/``backend_fallback``
-#: annotations.
+#: apart from wall-clock fields and the ``backend`` annotation.
 BACKENDS = ("plain", "batched")
 
 #: Default cells per lockstep batch group.  Past ~16 the amortized
@@ -118,7 +117,7 @@ def simulate_cell(spec: CellSpec):
         spec.config, max_cycles=spec.max_cycles,
         max_events=spec.max_events,
     )
-    return proc.run_compiled(_compiled(spec), faults=spec.faults)
+    return proc.run_compiled(_compiled(spec))
 
 
 def execute_cell(spec: CellSpec) -> dict:
@@ -141,8 +140,7 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
 
     Every spec must share the batched backend's *group key* -- the
     compiled-workload signature ``(workload, scale, threads, k,
-    seed)`` -- and carry no fault plan; the scheduler's grouping and
-    :meth:`RunSupervisor.run_batch` guarantee both.  Per-cell payloads
+    seed)``; the scheduler's grouping guarantees it.  Per-cell payloads
     are :func:`execute_cell`'s on success and :func:`_failure_payload`'s
     on failure, so the demultiplexed records are indistinguishable
     from serial ones apart from wall-clock fields.
@@ -163,11 +161,6 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
             raise ValueError(
                 f"batch group mixes workload signatures: "
                 f"{spec.describe()} vs {first.describe()}"
-            )
-        if spec.faults is not None:
-            raise ValueError(
-                f"{spec.describe()}: fault-plan cells cannot join a "
-                f"batch group (run them on the plain backend)"
             )
     started = time.perf_counter()
     cache_before = cache_info()
@@ -307,11 +300,6 @@ class CellResult:
     #: recorded value is then a pure function of the campaign
     #: arguments, identical for any jobs value or batch interleaving.
     backend: Optional[str] = None
-    #: Why a ``batched`` request ran this cell alone: ``"fault-plan"``,
-    #: the one deterministic per-cell reason (never a scheduling
-    #: dynamic such as a batch crash or the achieved width; those stay
-    #: in wall-clock-exempt report metrics).
-    backend_fallback: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -422,9 +410,6 @@ class RunSupervisor:
         chaos run's verdicts would diverge from a clean run's.
         """
         started = time.monotonic()
-        backend_fallback = None
-        if self.backend == "batched" and spec.faults is not None:
-            backend_fallback = "fault-plan"
         attempts = 0
         injected = 0
         while True:
@@ -441,7 +426,6 @@ class RunSupervisor:
                     retries=attempts - 1 - injected,
                     wall_s=time.monotonic() - started, outcome=payload,
                     injected=injected, backend=self.backend,
-                    backend_fallback=backend_fallback,
                 )
             if sabotage is not None and sabotage.retryable:
                 injected += 1
@@ -467,25 +451,20 @@ class RunSupervisor:
                 failure_detail=payload.get("failure_detail"),
                 diagnostics=payload.get("diagnostics"),
                 injected=injected, backend=self.backend,
-                backend_fallback=backend_fallback,
             )
 
     def run_batch(self, specs: list[CellSpec]) -> list[CellResult]:
         """One batch group of cells through the lockstep backend,
         returning per-cell verdicts in order.
 
-        The contract mirrors :meth:`run` cell for cell:
-
-        * a cell with a fault plan attached runs the full serial
-          policy instead, with ``backend_fallback="fault-plan"``;
-        * a cell whose *batch* attempt fails -- its own simulation
-          failure, a group-level crash, or the group watchdog -- has
-          that verdict discarded and re-runs under the full serial
-          policy (watchdog, budget escalation, retry accounting), so
-          its final record is bit-identical to the plain backend's.
-          The discarded batch attempt is a scheduling dynamic: it is
-          never counted in ``attempts``/``retries`` and never recorded
-          in the ledger.
+        The contract mirrors :meth:`run` cell for cell: a cell whose
+        *batch* attempt fails -- its own simulation failure, a
+        group-level crash, or the group watchdog -- has that verdict
+        discarded and re-runs under the full serial policy (watchdog,
+        budget escalation, retry accounting), so its final record is
+        bit-identical to the plain backend's.  The discarded batch
+        attempt is a scheduling dynamic: it is never counted in
+        ``attempts``/``retries`` and never recorded in the ledger.
 
         The batch group's wall-clock allowance is ``timeout_s`` x
         the group width (a batch is one process doing the work of
@@ -499,41 +478,29 @@ class RunSupervisor:
         specs = list(specs)
         if not specs:
             return []
-        results: dict[int, CellResult] = {}
-        batchable: list[tuple[int, CellSpec]] = []
-        for index, spec in enumerate(specs):
-            if spec.faults is not None:
+        if self.isolation == "process" and self.mp_context == "fork":
+            self._warm_compile(specs[0])
+        started = time.monotonic()
+        # The one dispatch whose child does not outlive it: sixteen
+        # engines are cyclic garbage nobody collects (see _serve).
+        payloads = self._dispatch(
+            _batch_child_main, (specs,), specs, keep=False
+        )
+        wall_s = (time.monotonic() - started) / len(specs)
+        results = []
+        for spec, payload in zip(specs, payloads):
+            if payload.get("status") == "ok":
+                results.append(CellResult(
+                    spec=spec, status="ok", attempts=1, retries=0,
+                    wall_s=wall_s, outcome=payload, backend="batched",
+                ))
+            else:
+                # Per-cell degradation: the serial policy decides, so
+                # the verdict matches a plain-backend run.
                 result = self.run(spec)
                 result.backend = "batched"
-                result.backend_fallback = "fault-plan"
-                results[index] = result
-            else:
-                batchable.append((index, spec))
-        if batchable:
-            if self.isolation == "process" and self.mp_context == "fork":
-                self._warm_compile(batchable[0][1])
-            started = time.monotonic()
-            group = [spec for _, spec in batchable]
-            # The one dispatch whose child does not outlive it: sixteen
-            # engines are cyclic garbage nobody collects (see _serve).
-            payloads = self._dispatch(
-                _batch_child_main, (group,), group, keep=False
-            )
-            wall_s = (time.monotonic() - started) / len(batchable)
-            for (index, spec), payload in zip(batchable, payloads):
-                if payload.get("status") == "ok":
-                    results[index] = CellResult(
-                        spec=spec, status="ok", attempts=1, retries=0,
-                        wall_s=wall_s, outcome=payload,
-                        backend="batched", backend_fallback=None,
-                    )
-                else:
-                    # Per-cell degradation: the serial policy decides,
-                    # so the verdict matches a plain-backend run.
-                    result = self.run(spec)
-                    result.backend = "batched"
-                    results[index] = result
-        return [results[index] for index in range(len(specs))]
+                results.append(result)
+        return results
 
     # ------------------------------------------------------------------
     @staticmethod

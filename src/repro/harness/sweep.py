@@ -155,8 +155,7 @@ class SweepReport:
             lines.append(
                 f"batched: width {batched['batch_width']}, "
                 f"{batched['batch_groups']} group(s) covering "
-                f"{batched['batched_cells']} cell(s), "
-                f"{batched['fallback_cells']} fallback(s)"
+                f"{batched['batched_cells']} cell(s)"
             )
         cache = self.metrics.get("compile_cache")
         if cache:
@@ -204,11 +203,10 @@ def _finish_sweep_metrics(report: SweepReport,
     }
 
 
-def _finish_backend_metrics(report: SweepReport, supervisor,
-                            records: dict[str, dict]) -> None:
+def _finish_backend_metrics(report: SweepReport, supervisor) -> None:
     """Driver-side observability for the engine backend: the compile
     cache's cumulative counters, and -- for the batched backend -- the
-    achieved grouping and per-cell fallbacks.  All wall-clock-adjacent
+    achieved grouping.  All wall-clock-adjacent
     scheduling dynamics, deliberately kept out of the ledger records
     (which must stay identical across jobs values and interleavings).
     """
@@ -223,10 +221,6 @@ def _finish_backend_metrics(report: SweepReport, supervisor,
         "batch_width": supervisor.batch_width,
         "batch_groups": sched.get("batch_groups", 0),
         "batched_cells": sched.get("batched_cells", 0),
-        "fallback_cells": sum(
-            1 for record in records.values()
-            if record.get("backend_fallback")
-        ),
     }
 
 
@@ -306,7 +300,7 @@ def sweep_cells(
         spec.cell_hash(): done[spec.cell_hash()]
         for spec in specs if spec.cell_hash() in done
     }
-    _finish_backend_metrics(report, supervisor, records)
+    _finish_backend_metrics(report, supervisor)
     return records, report
 
 
@@ -898,7 +892,7 @@ def design_space_sweep(
     ``jobs`` (each worker runs whole groups) and the skip loop (which
     dispatches lanes one at a time, so each cell runs alone).
     Records are bit-identical across backends apart from wall-clock
-    fields and the ``backend``/``backend_fallback`` annotations.
+    fields and the ``backend`` annotation.
     """
     if supervisor is None:
         supervisor = RunSupervisor(
@@ -933,6 +927,6 @@ def design_space_sweep(
         # Once, around every execute_lanes call of the skip loop.
         getattr(supervisor, "close", lambda: None)()
     _finish_sweep_metrics(report, meter)
-    _finish_backend_metrics(report, supervisor, done)
+    _finish_backend_metrics(report, supervisor)
     points = _aggregate(designs, names, lanes, done, report)
     return points, report

@@ -11,7 +11,7 @@ in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``:
   one *complete* slice (``ph: "X"``) spanning DISPATCH through the
   end of EXECUTE -- the Figure 9 pipeline walk-through, zoomable;
 * every other event (``input``, ``match``, ``output``, ``mem_req``,
-  ``fault_drop``, ...) becomes an *instant* event (``ph: "i"``);
+  ...) becomes an *instant* event (``ph: "i"``);
 * one simulated cycle maps to one microsecond of trace time (the
   format's native unit), so the Perfetto ruler reads directly in
   cycles.

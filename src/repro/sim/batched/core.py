@@ -13,7 +13,7 @@ where the serial engine would have.
 This module is only that scheduler.  Every cell runs the engine's one
 hot path -- :meth:`Engine._begin`, :meth:`Engine._drain` with the
 round's cycle ceiling, :meth:`Engine._finish` -- so whatever a cell's
-engine has attached (trace, sanitizer, fault plan, profile) behaves
+engine has attached (trace, sanitizer, profile) behaves
 exactly as in a serial run, and per-event speed is the same as
 ``Engine.run``'s.  What a batch still adds, and why a sweep group is
 faster than one fork per cell:

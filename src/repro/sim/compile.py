@@ -171,9 +171,9 @@ class CompiledWorkload:
     """One workload instantiation, compiled and ready to simulate.
 
     Bundles the graph, its flat decode, and the build signature; the
-    reference outputs are computed on first use and memoised (a fault
-    run never asks for them, so it never pays for them).  Immutable
-    apart from that memo -- instances are shared across attempts and
+    reference outputs are computed on first use and memoised (an
+    unchecked run never asks for them, so it never pays for them).
+    Immutable apart from that memo -- instances are shared across attempts and
     across forked attempt subprocesses.
     """
 

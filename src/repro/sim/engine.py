@@ -19,7 +19,7 @@ loop, with the token arrival + matching probe inlined in it once
 an instruction fetch); :meth:`Engine._make_dispatch` and
 :meth:`Engine._make_deliver` build the run's DISPATCH/EXECUTE and
 OUTPUT stages as closures over state hoisted once per run.  Whatever
-the caller attached before ``run()`` -- trace, sanitizer, fault plan,
+the caller attached before ``run()`` -- trace, sanitizer,
 :class:`~repro.obs.profile.PhaseProfile` -- is served from that same
 code through ``if hook is not None:`` tests on locals; nothing is
 installed, shadowed or selected.  The lockstep backend
@@ -59,7 +59,6 @@ every workload.
 from __future__ import annotations
 
 import sys
-import time
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -261,19 +260,12 @@ class Engine:
         #: one local ``is not None`` test per hook site.
         self.profile = None
 
-        #: Optional fault-injection plan (repro.harness.faults
-        #: .FaultPlan, duck-typed so the simulator stays free of
-        #: harness imports); attach before run().  None keeps the hot
-        #: path branch-cheap.
-        self.faults = None
-
         #: Optional runtime sanitizer (repro.analysis.sanitize
-        #: .RuntimeSanitizer, duck-typed like trace/faults); attach
-        #: before run().  When set, the engine reports token
+        #: .RuntimeSanitizer, duck-typed like trace); attach before
+        #: run().  When set, the engine reports token
         #: creation/consumption and structure occupancy through its
         #: hooks and hands it the drained machine for a final audit.
         self.sanitizer = None
-        self._fault_deliveries = 0
         self._events_processed = 0
 
         #: The deflection fixed point this run proved itself stuck in,
@@ -352,18 +344,9 @@ class Engine:
         return self._finish(self._drain(NO_CEILING, 0), strict)
 
     def _begin(self) -> None:
-        """Start the run: apply the fault plan's budget clamps, seed
-        the calendar with the entry tokens, and build this run's
-        DISPATCH and OUTPUT stages around whatever hooks the caller
-        attached."""
-        faults = self.faults
-        if faults is not None:
-            # Budget starvation: a fault plan may clamp the budgets to
-            # force the exhaustion paths deterministically.
-            if faults.max_cycles is not None:
-                self.max_cycles = faults.max_cycles
-            if faults.max_events is not None:
-                self.max_events = faults.max_events
+        """Start the run: seed the calendar with the entry tokens, and
+        build this run's DISPATCH and OUTPUT stages around whatever
+        hooks the caller attached."""
         pe_of = self._pe_of
         for token in self.graph.entry_tokens:
             self._post(
@@ -459,8 +442,6 @@ class Engine:
         trace = self.trace
         sanitizer = self.sanitizer
         prof = self.profile
-        fault_sleep = 0.0 if self.faults is None \
-            else self.faults.wall_sleep_per_event_s
 
         stats = self.stats
         istores = self.istores
@@ -529,8 +510,6 @@ class Engine:
                             raise self._events_exhausted(
                                 cycle, bucket, index, 0, processed, horizon
                             )
-                        if fault_sleep:
-                            time.sleep(fault_sleep)
                         if cycle > horizon:
                             horizon = cycle
                         if prof is not None:
@@ -564,8 +543,6 @@ class Engine:
                                     cycle, bucket, index, processed - first,
                                     processed, horizon,
                                 )
-                            if fault_sleep:
-                                time.sleep(fault_sleep)
                             if cycle > horizon:
                                 horizon = cycle
                             if prof is not None:
@@ -856,7 +833,7 @@ class Engine:
         periods = min((self.max_cycles - cycle) // period,
                       (self.max_events - processed) // len(tokens))
         if periods <= 0 or self.trace is not None \
-                or self.sanitizer is not None or self.faults is not None:
+                or self.sanitizer is not None:
             return look, 0
         shift = periods * period
         skipped = periods * len(tokens)
@@ -1073,8 +1050,6 @@ class Engine:
         spec_fire = self._spec_fire
         pe_of = self._pe_of
         post_tokens = self._post_tokens
-        faults = self.faults
-        fault_drops = self._fault_drops
         trace = self.trace
         sanitizer = self.sanitizer
         prof = self.profile
@@ -1123,13 +1098,6 @@ class Engine:
             batch_cycle = -1
             for dest in dests:
                 dst_pe = pe_of[dest.inst]
-                if faults is not None and fault_drops(faults, dst_pe):
-                    if trace is not None:
-                        trace.emit(cycle, "fault_drop", src_pe, dest.inst,
-                                   thread, wave)
-                    if sanitizer is not None:
-                        sanitizer.note_dropped()
-                    continue
                 if sanitizer is not None:
                     sanitizer.note_created()
                 key = src_pe * total_pes + dst_pe
@@ -1248,20 +1216,6 @@ class Engine:
             else:
                 still.append(entry)
         self._kbound_stalls[thread] = still
-
-    def _fault_drops(self, faults, dst_pe: int) -> bool:
-        """Deterministic fault-injection filter for operand delivery:
-        swallow tokens bound for a stalled PE, and every Nth delivery
-        once ``drop_after`` deliveries have passed."""
-        if faults.stall_pe is not None and dst_pe == faults.stall_pe:
-            return True
-        if faults.drop_every_n is not None:
-            self._fault_deliveries += 1
-            count = self._fault_deliveries
-            if count > faults.drop_after and \
-                    count % faults.drop_every_n == 0:
-                return True
-        return False
 
     # ==================================================================
     # Memory interface (MEM pseudo-PE <-> store buffer)

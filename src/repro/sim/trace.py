@@ -31,7 +31,6 @@ KINDS = (
     "dispatch",    # instruction dispatched
     "execute",     # result computed
     "output",      # operand sent toward a consumer
-    "fault_drop",  # fault injection swallowed a delivery
     "mem_req",     # request sent to a store buffer
     "mem_done",    # memory operation completed
     "overflow",    # matching-table miss (token deflected/evicted)

@@ -1,13 +1,14 @@
-"""Runtime sanitizer: clean runs audit clean, faulted runs are caught."""
+"""Runtime sanitizer: clean runs audit clean, leaking runs are caught."""
 
 import pytest
 
 from repro.analysis import RuntimeSanitizer
 from repro.core.config import WaveScalarConfig
 from repro.core.processor import WaveScalarProcessor
-from repro.harness.faults import FaultPlan
 from repro.workloads.base import Scale
 from repro.workloads.registry import all_names, get
+
+from ..conftest import build_dangling_graph
 
 
 @pytest.fixture(scope="module")
@@ -32,30 +33,20 @@ def test_clean_run_reports_token_ledger(proc):
                for d in infos)
 
 
-def test_fault_injected_run_is_rejected(proc):
+def test_leaking_run_is_rejected(proc):
     sanitizer = RuntimeSanitizer()
-    plan = FaultPlan(drop_every_n=50, drop_after=100)
-    proc.run_workload(
-        get("gzip"), scale=Scale.TINY, faults=plan,
-        sanitizer=sanitizer, strict=False,
-    )
+    proc.run(build_dangling_graph(), sanitizer=sanitizer, strict=False)
     assert not sanitizer.ok
-    rules = {d.rule for d in sanitizer.violations}
-    # Dropped deliveries violate conservation (S001) and strand their
-    # rendezvous partners in the matching tables (S002).
-    assert "S001" in rules
-    assert "S002" in rules
+    # The unfed port strands its one operand in a matching table
+    # (S002); the token ledger still balances (S005 stays info).
+    assert {d.rule for d in sanitizer.violations} == {"S002"}
 
 
 def test_sanitizer_is_reusable_across_checks(proc):
     # Two independent sanitizers on the same processor do not share
     # state: the second starts balanced.
     first = RuntimeSanitizer()
-    proc.run_workload(
-        get("gzip"), scale=Scale.TINY,
-        faults=FaultPlan(drop_every_n=50, drop_after=100),
-        sanitizer=first, strict=False,
-    )
+    proc.run(build_dangling_graph(), sanitizer=first, strict=False)
     assert not first.ok
     second = RuntimeSanitizer()
     proc.run_workload(get("gzip"), scale=Scale.TINY, sanitizer=second)

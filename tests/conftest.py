@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.lang import GraphBuilder
@@ -23,6 +25,19 @@ def build_counted_sum(n: int = 8, k: int | None = None):
     exits = lp.end()
     b.output(exits[1])
     return b.finalize(), sum(range(n))
+
+
+def build_dangling_graph():
+    """An ADD with only one producer: buffered work forever."""
+    from repro.isa import Opcode
+
+    b = GraphBuilder("halffed")
+    t = b.entry(1)
+    dangling = b._emit(
+        Opcode.ADD, [t], check_inputs=False, allow_underfed=True
+    )
+    b.output(dangling)
+    return b.finalize(verify=False)
 
 
 def build_array_sum(values, k: int | None = None):
@@ -88,6 +103,47 @@ def build_threaded_sums(n_threads: int = 4, n: int = 6):
     b.output(total)
     expected = sum(tid + sum(range(n)) for tid in range(1, n_threads + 1))
     return b.finalize(), expected
+
+
+@pytest.fixture
+def halffed(monkeypatch):
+    """The dangling graph registered as workload ``halffed`` for one
+    test: a cell whose every attempt ends in a true deadlock.  Forked
+    isolation children inherit the registration."""
+    from repro.workloads.base import Suite, Workload
+    from repro.workloads.registry import WORKLOADS
+
+    monkeypatch.setitem(WORKLOADS, "halffed", Workload(
+        name="halffed", suite=Suite.SPEC,
+        build=lambda **_: build_dangling_graph(),
+        reference=lambda **_: [],
+    ))
+    return "halffed"
+
+
+@pytest.fixture
+def hang_cell(monkeypatch):
+    """Install an ``execute_cell`` that hangs on the cells
+    ``chosen(spec)`` picks (every cell by default) and runs the rest:
+    a wedged attempt for the watchdog to kill.  Workers and isolation
+    children forked after the call inherit it."""
+    import multiprocessing
+
+    from repro.harness import supervisor as supervisor_mod
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork to inherit the monkeypatched worker")
+    real = supervisor_mod.execute_cell
+
+    def install(chosen=lambda spec: True) -> None:
+        def execute_cell(spec):
+            if chosen(spec):
+                time.sleep(3600)
+            return real(spec)
+
+        monkeypatch.setattr(supervisor_mod, "execute_cell", execute_cell)
+
+    return install
 
 
 @pytest.fixture

@@ -1,18 +1,17 @@
-"""The batched backend through the harness: grouping, fallback,
-crash recovery, and ledger bit-identity against the plain backend.
+"""The batched backend through the harness: grouping, crash
+recovery, and ledger bit-identity against the plain backend.
 
 The contract under test: apart from wall-clock fields and the
-``backend``/``backend_fallback`` annotations, a batched sweep's
-ledger records are byte-for-byte the plain sweep's -- for any
-``jobs`` value, with fault-plan cells falling back per cell, and
-with a crashed batch replayed under the full per-cell retry policy.
+``backend`` annotation, a batched sweep's ledger records are
+byte-for-byte the plain sweep's -- for any ``jobs`` value, and with a
+crashed batch replayed under the full per-cell retry policy.
 """
 
 import pytest
 
 from repro.core import WaveScalarConfig
 from repro.design.space import viable_designs
-from repro.harness import CellSpec, FaultPlan, Lane, RunSupervisor
+from repro.harness import CellSpec, Lane, RunSupervisor
 from repro.harness import supervisor as supervisor_mod
 from repro.harness.scheduler import execute_lanes
 from repro.harness.sweep import design_space_sweep, sweep_cells
@@ -30,11 +29,9 @@ FAILING = WaveScalarConfig(clusters=1, virtualization=16,
                            matching_associativity=2, l2_mb=0)
 
 #: Fields whose values legitimately differ between backends or runs:
-#: wall clock, ledger sequencing, and the backend annotations
-#: themselves.
+#: wall clock, ledger sequencing, and the backend annotation itself.
 _VOLATILE_RECORD_KEYS = frozenset(
-    {"wall_s", "ts", "seq", "crc", "version", "backend",
-     "backend_fallback"}
+    {"wall_s", "ts", "seq", "crc", "version", "backend"}
 )
 _VOLATILE_METRIC_KEYS = frozenset({"wall_s", "events_per_s"})
 
@@ -92,7 +89,6 @@ def test_inline_batched_sweep_matches_plain():
     block = batched_report.metrics["batched"]
     assert block["batch_width"] == 4
     assert block["batched_cells"] > 0
-    assert block["fallback_cells"] == 0
 
 
 @pytest.mark.slow
@@ -114,30 +110,6 @@ def test_process_batched_sweep_identical_across_jobs(tmp_path):
     serial = run(1, "serial")
     parallel = run(4, "parallel")
     assert _stripped_map(parallel) == _stripped_map(serial)
-
-
-# ----------------------------------------------------------------------
-# Per-cell fallback: fault-plan cells run plain, annotated in the ledger
-# ----------------------------------------------------------------------
-def test_fault_cell_falls_back_with_reason_in_ledger(tmp_path):
-    faulty = CellSpec(
-        config=GOOD, workload="mcf", scale="tiny",
-        faults=FaultPlan(drop_every_n=3), max_cycles=200_000,
-    )
-    clean = CellSpec(config=GOOD, workload="mcf", scale="tiny",
-                     max_cycles=200_000)
-    records, _ = sweep_cells(
-        [faulty, clean], ledger_path=tmp_path / "fallback.jsonl",
-        supervisor=RunSupervisor(isolation="inline", max_retries=1,
-                                 backend="batched", batch_width=2),
-    )
-    fault_record = records[faulty.cell_hash()]
-    assert fault_record["backend"] == "batched"
-    assert fault_record["backend_fallback"] == "fault-plan"
-    assert fault_record["failure_class"] == "TrueDeadlock"
-    clean_record = records[clean.cell_hash()]
-    assert clean_record["backend"] == "batched"
-    assert "backend_fallback" not in clean_record
 
 
 # ----------------------------------------------------------------------

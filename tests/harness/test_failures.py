@@ -4,7 +4,6 @@ carries structured diagnostics."""
 import pytest
 
 from repro.core.config import BASELINE
-from repro.lang import GraphBuilder
 from repro.sim import simulate
 from repro.sim.failures import (
     FAILURE_CLASSES,
@@ -19,20 +18,7 @@ from repro.sim.failures import (
     is_transient,
 )
 
-from ..conftest import build_counted_sum
-
-
-def build_dangling_graph():
-    """An ADD with only one producer: buffered work forever."""
-    from repro.isa import Opcode
-
-    b = GraphBuilder("halffed")
-    t = b.entry(1)
-    dangling = b._emit(
-        Opcode.ADD, [t], check_inputs=False, allow_underfed=True
-    )
-    b.output(dangling)
-    return b.finalize(verify=False)
+from ..conftest import build_counted_sum, build_dangling_graph
 
 
 def test_cycle_budget_exhaustion_class():

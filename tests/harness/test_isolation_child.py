@@ -20,7 +20,6 @@ from repro.design import viable_designs
 from repro.harness import (
     CellSpec,
     ChaosPlan,
-    FaultPlan,
     Lane,
     Ledger,
     RunSupervisor,
@@ -142,14 +141,14 @@ def test_death_mid_cell_is_a_crash_and_the_next_cell_gets_a_fresh_child(
         sup.close()
 
 
-def test_watchdog_kill_is_followed_by_a_fresh_child():
+def test_watchdog_kill_is_followed_by_a_fresh_child(hang_cell):
+    chosen = make_spec(seed=1)
+    hang_cell(lambda spec: spec == chosen)
     sup = RunSupervisor(isolation="process", timeout_s=1.0)
     try:
         assert sup.run(make_spec()).ok
         before = child_of(sup)
-        hung = sup.run(
-            make_spec(faults=FaultPlan(wall_sleep_per_event_s=0.25))
-        )
+        hung = sup.run(chosen)
         assert hung.failure_class == "WatchdogTimeout"
         assert before.exitcode == -signal.SIGKILL
         assert sup.run(make_spec()).ok
@@ -350,10 +349,11 @@ def rss_mb(pid: int) -> float:
 def test_child_memory_stays_flat_over_many_cells(supervisor):
     """Forty cells through one child, every other one failing (that
     path leaves traceback <-> frame cycles to the collector)."""
-    cells = [make_spec(), make_spec(faults=FaultPlan(max_cycles=50))] * 20
+    starved = make_spec(max_cycles=50)
+    cells = [make_spec(), starved] * 20
     readings = {}
     for count, spec in enumerate(cells, start=1):
-        assert supervisor.run(spec).ok == (spec.faults is None)
+        assert supervisor.run(spec).ok == (spec != starved)
         if count in (4, 40):
             readings[count] = rss_mb(child_of(supervisor).pid)
     assert abs(readings[40] - readings[4]) < 2.0, readings

@@ -15,7 +15,6 @@ from repro.core import WaveScalarConfig
 from repro.design import DesignPoint
 from repro.harness import (
     CellSpec,
-    FaultPlan,
     Ledger,
     RunSupervisor,
     design_space_sweep,
@@ -123,10 +122,8 @@ def test_sweep_cells_checkpoints_and_resumes(tmp_path):
 
 def test_failed_cells_are_checkpointed_too(tmp_path):
     path = tmp_path / "runs.jsonl"
-    spec = CellSpec(
-        config=CFG, workload="mcf", scale="tiny",
-        faults=FaultPlan(drop_every_n=3),
-    )
+    # Starved: 50 cycles, escalated twice to 800, for a ~8k-cycle cell.
+    spec = CellSpec(config=CFG, workload="mcf", scale="tiny", max_cycles=50)
     supervisor = RunSupervisor(isolation="inline")
     _, report = sweep_cells(
         [spec], ledger_path=path, supervisor=supervisor
@@ -134,8 +131,9 @@ def test_failed_cells_are_checkpointed_too(tmp_path):
     assert report.failed == 1
     record = Ledger(path).load()[spec.cell_hash()]
     assert record["status"] == "failed"
-    assert record["failure_class"] == "TrueDeadlock"
-    assert record["diagnostics"]["tokens_in_flight"] >= 1
+    assert record["failure_class"] == "CycleBudgetExhausted"
+    assert record["attempts"] == 3
+    assert record["diagnostics"]["max_cycles"] == 800
     # A known-failing cell is not re-run on resume either.
     _, resumed = sweep_cells(
         [spec], ledger_path=path, resume=True, supervisor=supervisor

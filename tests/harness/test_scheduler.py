@@ -25,7 +25,6 @@ from repro.core import WaveScalarConfig
 from repro.design import DesignPoint
 from repro.harness import (
     CellSpec,
-    FaultPlan,
     Lane,
     Ledger,
     RunSupervisor,
@@ -444,15 +443,15 @@ def test_raising_cell_is_a_failed_record_at_any_jobs_and_isolation():
 # ----------------------------------------------------------------------
 # Failure semantics under concurrency
 # ----------------------------------------------------------------------
-def test_supervisor_policy_runs_inside_workers(tmp_path):
+def test_supervisor_policy_runs_inside_workers(tmp_path, hang_cell):
     """Watchdog + retry policy execute per-lane inside the worker
     exactly as they do serially: a hung cell is killed and recorded
     while other lanes complete."""
     specs = [
-        CellSpec(config=CONFIGS[0], workload="mcf", scale="tiny",
-                 faults=FaultPlan(wall_sleep_per_event_s=0.25)),
+        CellSpec(config=CONFIGS[0], workload="mcf", scale="tiny"),
         CellSpec(config=CONFIGS[0], workload="gzip", scale="tiny"),
     ]
+    hang_cell(lambda spec: spec.workload == "mcf")
     records, report = sweep_cells(
         specs, ledger_path=tmp_path / "runs.jsonl",
         supervisor=RunSupervisor(isolation="process", timeout_s=1.0),

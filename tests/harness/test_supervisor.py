@@ -5,7 +5,6 @@ import pytest
 from repro.core import WaveScalarConfig
 from repro.harness import (
     CellSpec,
-    FaultPlan,
     RunSupervisor,
     execute_cell,
 )
@@ -62,28 +61,35 @@ def test_budget_failure_retries_with_escalation(reference_outcome):
 
 
 def test_persistent_starvation_exhausts_retries():
-    """A fault-clamped budget cannot be escalated away: the
-    supervisor retries its bounded number of times, then records."""
-    spec = make_spec(faults=FaultPlan(max_cycles=50))
-    result = RunSupervisor(isolation="inline", max_retries=2).run(spec)
+    """A budget too small even after escalation: the supervisor
+    retries its bounded number of times, then records the verdict of
+    the last, escalated attempt."""
+    spec = make_spec(max_cycles=50)  # the cell needs ~8k cycles
+    result = RunSupervisor(
+        isolation="inline", max_retries=2, escalation=4.0
+    ).run(spec)
     assert not result.ok
     assert result.failure_class == "CycleBudgetExhausted"
     assert result.attempts == 3  # initial + 2 retries
-    assert result.diagnostics["max_cycles"] == 50
+    assert result.spec.max_cycles == 800  # 50 x 4 x 4
+    assert result.diagnostics["max_cycles"] == 800
 
 
 def test_event_starvation_classified():
-    spec = make_spec(faults=FaultPlan(max_events=25))
-    result = RunSupervisor(isolation="inline", max_retries=1).run(spec)
+    spec = make_spec(max_events=25)
+    result = RunSupervisor(
+        isolation="inline", max_retries=1, escalation=4.0
+    ).run(spec)
     assert not result.ok
     assert result.failure_class == "EventBudgetExhausted"
     assert result.attempts == 2
+    assert result.diagnostics["max_events"] == 100
 
 
-def test_true_deadlock_not_retried():
+def test_true_deadlock_not_retried(halffed):
     """Deterministic failures are recorded immediately -- retrying a
     deadlock only burns time."""
-    spec = make_spec(faults=FaultPlan(drop_every_n=3))
+    spec = make_spec(workload=halffed)
     result = RunSupervisor(isolation="inline", max_retries=5).run(spec)
     assert not result.ok
     assert result.failure_class == "TrueDeadlock"
@@ -94,11 +100,11 @@ def test_true_deadlock_not_retried():
 # ----------------------------------------------------------------------
 # Watchdog + crash handling (subprocess isolation)
 # ----------------------------------------------------------------------
-def test_watchdog_kills_hung_worker():
-    spec = make_spec(faults=FaultPlan(wall_sleep_per_event_s=0.25))
+def test_watchdog_kills_hung_worker(hang_cell):
+    hang_cell()
     result = RunSupervisor(
         isolation="process", timeout_s=1.0, max_retries=3
-    ).run(spec)
+    ).run(make_spec())
     assert not result.ok
     assert result.failure_class == "WatchdogTimeout"
     assert result.attempts == 1  # timeouts are not retried
@@ -135,18 +141,25 @@ def test_unexpected_exception_classified_by_name():
     assert result.failure_class == "KeyError"
 
 
-def test_inline_attempt_classifies_like_the_forked_child():
+def test_inline_attempt_classifies_like_the_forked_child(halffed):
     """An exception out of an inline attempt is a verdict, not the end
-    of the sweep: the same class, detail and accounting the forked
-    child ships -- for a non-taxonomy error and for a failed reference
-    check alike."""
-    spec = make_spec(workload="no-such-workload")
-    inline = RunSupervisor(isolation="inline").run(spec)
-    forked = RunSupervisor(isolation="process", timeout_s=60).run(spec)
-    assert inline.failure_class == "KeyError"
-    for field in ("status", "failure_class", "failure_detail",
-                  "diagnostics", "attempts", "retries", "backend"):
-        assert getattr(inline, field) == getattr(forked, field), field
+    of the sweep: the same class, detail, diagnostics and accounting
+    the forked child ships -- for a non-taxonomy error and for a true
+    deadlock alike."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork to inherit the registered workload")
+    for workload, failure_class in (("no-such-workload", "KeyError"),
+                                    (halffed, "TrueDeadlock")):
+        spec = make_spec(workload=workload)
+        inline = RunSupervisor(isolation="inline").run(spec)
+        forked = RunSupervisor(isolation="process", timeout_s=60).run(spec)
+        assert inline.failure_class == failure_class
+        for field in ("status", "failure_class", "failure_detail",
+                      "diagnostics", "attempts", "retries", "backend"):
+            assert getattr(inline, field) == getattr(forked, field), \
+                (workload, field)
 
 
 def test_inline_reference_mismatch_is_a_failed_verdict(monkeypatch):
@@ -174,11 +187,16 @@ def test_cell_hash_covers_budgets_and_faults():
     base = make_spec()
     assert base.cell_hash() != make_spec(max_cycles=1).cell_hash()
     assert base.cell_hash() != make_spec(max_events=1).cell_hash()
-    assert base.cell_hash() != \
-        make_spec(faults=FaultPlan(drop_every_n=2)).cell_hash()
     assert base.cell_hash() == make_spec().cell_hash()
     # Round trip through the ledger representation.
     assert CellSpec.from_dict(base.as_dict()) == base
+    # Faults: the record keeps a constant null so every hash stays
+    # valid, and a record carrying a plan is refused, not run as
+    # another cell.
+    assert base.as_dict()["faults"] is None
+    faulted = dict(base.as_dict(), faults={"drop_every_n": 2})
+    with pytest.raises(ValueError, match="mcf@tiny"):
+        CellSpec.from_dict(faulted)
 
 
 def test_hashes_memoised_per_instance_only():

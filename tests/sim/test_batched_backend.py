@@ -49,11 +49,11 @@ def _compiled(name: str):
     return get_compiled(name, scale=Scale.TINY, threads=threads)
 
 
-def _engine(compiled, config) -> Engine:
+def _engine(compiled, config, max_cycles=MAX_CYCLES, **budgets) -> Engine:
     placement = place(compiled.graph, config)
     return Engine(
-        compiled.graph, config, placement, max_cycles=MAX_CYCLES,
-        compiled=compiled.decoded,
+        compiled.graph, config, placement, max_cycles=max_cycles,
+        compiled=compiled.decoded, **budgets,
     )
 
 
@@ -143,30 +143,10 @@ def test_supervisor_rejects_unknown_backend():
     assert "'nope'" in _backend_error("nope")
 
 
-def test_unsupported_reasons_are_deterministic_and_named():
-    """A fault plan is the one reason a batched campaign runs a cell
-    alone; the record names it, and only under ``batched``."""
-    from repro.harness import CellSpec, FaultPlan, RunSupervisor
-
-    faulty = CellSpec(config=GOLDEN, workload="mcf", scale="tiny",
-                      faults=FaultPlan(drop_every_n=3))
-    clean = CellSpec(config=GOLDEN, workload="mcf", scale="tiny")
-    fallbacks = {
-        backend: [
-            RunSupervisor(isolation="inline", max_retries=0,
-                          backend=backend).run(spec).backend_fallback
-            for spec in (faulty, clean)
-        ]
-        for backend in ("plain", "batched")
-    }
-    assert fallbacks == {"plain": [None, None],
-                         "batched": ["fault-plan", None]}
-
-
-def _hooked_engines(compiled, plan):
-    """Three cells of one workload, each with other hooks attached:
-    trace + sanitizer on the starved design, ``plan`` and a profile on
-    the golden one."""
+def _hooked_engines(compiled, budgets):
+    """Three cells of one workload: trace + sanitizer on the starved
+    design; the golden one once under ``budgets`` with nothing
+    attached, once with a profile."""
     from repro.analysis import RuntimeSanitizer
     from repro.obs import PhaseProfile
     from repro.sim.trace import Trace
@@ -174,11 +154,10 @@ def _hooked_engines(compiled, plan):
     traced = _engine(compiled, STARVED)
     traced.trace = Trace(limit=10_000_000)
     traced.sanitizer = RuntimeSanitizer()
-    faulted = _engine(compiled, GOLDEN)
-    faulted.faults = plan
+    starved = _engine(compiled, GOLDEN, **budgets)
     profiled = _engine(compiled, GOLDEN)
     profiled.profile = PhaseProfile()
-    return [traced, faulted, profiled]
+    return [traced, starved, profiled]
 
 
 def _observed(engines, verdicts):
@@ -193,25 +172,25 @@ def _observed(engines, verdicts):
     }
 
 
-@pytest.mark.parametrize("plan_fields", [
-    {"drop_every_n": 7, "drop_after": 20},
+@pytest.mark.parametrize("budgets", [
     {"max_events": 3000},
-], ids=["dropped-deliveries", "clamped-event-budget"])
-def test_hooks_compose_with_lockstep_execution(plan_fields):
-    """A batch whose cells carry a trace + sanitizer, a fault plan and
-    a profile gives, per cell, what three serial runs give: the same
-    SimStats or failure (with diagnostics), the same trace events, the
-    same sanitizer verdict, the same ``PhaseProfile.calls``."""
-    from repro.harness.faults import FaultPlan
-
+    {"max_cycles": 1500},
+], ids=["clamped-event-budget", "clamped-cycle-budget"])
+def test_hooks_compose_with_lockstep_execution(budgets):
+    """A batch whose cells carry a trace + sanitizer, a budget too
+    small to finish and a profile gives, per cell, what three serial
+    runs give: the same SimStats or failure (with diagnostics), the
+    same trace events, the same sanitizer verdict, the same
+    ``PhaseProfile.calls``."""
     # radix finishes on the starved design through every slow path:
     # evictions, deflections, bank conflicts, instruction-fetch replays.
+    # It needs ~32k events and ~2.9k cycles on the golden one.
     compiled = _compiled("radix")
-    serial_engines = _hooked_engines(compiled, FaultPlan(**plan_fields))
+    serial_engines = _hooked_engines(compiled, budgets)
     serial_verdicts = [_run(engine) for engine in serial_engines]
     serial = _observed(serial_engines, serial_verdicts)
 
-    batch_engines = _hooked_engines(compiled, FaultPlan(**plan_fields))
+    batch_engines = _hooked_engines(compiled, budgets)
     batch = BatchedEngine(batch_engines, quantum=QUANTUM)
     outcomes = batch.run(strict=True)
     assert batch.rounds > 3  # the ceilings did interrupt the cells
@@ -220,7 +199,7 @@ def test_hooks_compose_with_lockstep_execution(plan_fields):
     )
 
     assert batched == serial
-    # The plan bit, and its failure stayed inside its own cell.
+    # The budget bit, and its failure stayed inside its own cell.
     assert serial_verdicts[1][0] == "fail"
     assert serial_verdicts[2][0] == "ok"
     assert len(serial["trace"]) > 1000

@@ -14,7 +14,6 @@ Everything up to the composition tests is an identity at an engine
 that does not jump, and was green there before the jump was written.
 """
 
-import time
 from dataclasses import asdict
 
 import pytest
@@ -22,7 +21,6 @@ import pytest
 from repro.analysis import RuntimeSanitizer
 from repro.core import WaveScalarConfig
 from repro.design import viable_designs
-from repro.harness.faults import FaultPlan
 from repro.obs import PhaseProfile
 from repro.place.snake import place
 from repro.sim._legacy.engine import Engine as LegacyEngine
@@ -205,35 +203,29 @@ class CountingSanitizer(RuntimeSanitizer):
         super().note_table_size(pe, size, entries)
 
 
-def _hooked(cls, hook, monkeypatch):
+def _hooked(cls, hook):
     """One stuck run of ``cls`` with ``hook`` attached: what the run
     let a caller see, what the hook recorded, and how many events it
     was shown (``watched``)."""
     engine = cls(*_cell("equake", STARVED), max_cycles=STUCK_CYCLES)
-    sleeps = []
     if hook == "trace":
         engine.trace = Trace(limit=10_000_000)
-    elif hook == "sanitizer":
-        engine.sanitizer = CountingSanitizer()
     else:
-        engine.faults = FaultPlan(wall_sleep_per_event_s=1e-9)
-        monkeypatch.setattr(time, "sleep", sleeps.append)
+        engine.sanitizer = CountingSanitizer()
     seen = _observed(engine)
     if hook == "trace":
         seen["trace"] = list(engine.trace.events)
         seen["watched"] = len(seen["trace"])
-    elif hook == "sanitizer":
+    else:
         seen["peak_rows"] = engine.sanitizer.peak_matching_rows
         seen["watched"] = engine.sanitizer.table_notes
-    else:
-        seen["watched"] = len(sleeps)
     return seen
 
 
-@pytest.mark.parametrize("hook", ["trace", "sanitizer", "faults"])
-def test_per_event_observers_see_every_event(hook, monkeypatch):
-    new = _hooked(Engine, hook, monkeypatch)
-    old = _hooked(LegacyEngine, hook, monkeypatch)
+@pytest.mark.parametrize("hook", ["trace", "sanitizer"])
+def test_per_event_observers_see_every_event(hook):
+    new = _hooked(Engine, hook)
+    old = _hooked(LegacyEngine, hook)
     assert new == old
     # The hook did watch the bounces: 4 tokens a period throughout.
     assert new["watched"] > 4 * (STUCK_CYCLES // PERIOD)

@@ -126,35 +126,18 @@ def test_kinds_registry_round_trips_with_engine():
         "KINDS registers kinds the engine never emits"
 
 
-def test_fault_drop_events_are_traced():
-    """fault_drop is emitted under fault injection and is a registered
-    kind (it was missing from KINDS before the reconciliation)."""
-    from repro.harness.faults import FaultPlan
-
-    assert "fault_drop" in KINDS
-    graph = chain_graph(6)
-    engine = Engine(graph, BASELINE, place(graph, BASELINE))
-    engine.trace = Trace()
-    engine.faults = FaultPlan(drop_every_n=1)
-    try:
-        engine.run()
-    except Exception:  # swallowed deliveries usually deadlock the run
-        pass
-    assert len(engine.trace.filter(kind="fault_drop")) > 0
-
-
 def test_same_cycle_events_sort_in_pipeline_order():
-    """Regression for the incomplete sort map: fault_drop (and every
-    other registered kind) has a stable pipeline position, so
-    same-cycle events never shuffle by emission order."""
+    """Regression for the incomplete sort map: every registered kind
+    has a stable pipeline position, so same-cycle events never shuffle
+    by emission order."""
     trace = Trace()
     # Emitted deliberately out of pipeline order, all on cycle 7.
-    trace.emit(7, "fault_drop", 0, 1, 0, 0)
+    trace.emit(7, "mem_req", 0, 1, 0, 0)
     trace.emit(7, "output", 0, 2, 0, 0)
     trace.emit(7, "mem_done", -1, 3, 0, 0)
     trace.emit(7, "dispatch", 0, 4, 0, 0)
     assert [e.kind for e in trace.filter()] == [
-        "dispatch", "output", "fault_drop", "mem_done",
+        "dispatch", "output", "mem_req", "mem_done",
     ]
 
 
