@@ -119,10 +119,11 @@ INF = math.inf
 #: faster, larger proves tighter finite bounds on deep acyclic chains.
 WIDEN_AFTER = 8
 
-#: Fixed-point iteration cap (rounds over the whole instruction
-#: array).  Widening guarantees convergence well before this; the cap
-#: is a backstop so a pathological graph degrades to a sound partial
-#: result instead of spinning.
+#: Fixed-point iteration cap: passes over any one recurrence (strongly
+#: connected component); an instruction on no cycle is evaluated once.
+#: Widening guarantees convergence well before this; the cap is a
+#: backstop so a pathological graph degrades to a sound partial result
+#: instead of spinning.
 MAX_ROUNDS = 512
 
 
@@ -153,12 +154,14 @@ class TokenFlow:
     never_fire: frozenset[int]
     #: ``(inst, starved_port, fed_port)`` for every proven deadlock:
     #: ``fed_port`` provably receives a token, ``starved_port``
-    #: provably never does, so the match can never complete.
+    #: provably never does, so the match can never complete.  Empty
+    #: unless ``converged``: a cut-off iterate proves nothing dry.
     deadlocks: list[tuple[int, int, int]]
     #: Whether iteration reached the fixed point (False only if the
     #: MAX_ROUNDS backstop fired; bounds remain sound either way).
     converged: bool
-    #: Fixed-point rounds actually used.
+    #: The most passes any one strongly connected component took (1
+    #: on an acyclic graph; ``max_rounds`` when the backstop fired).
     rounds: int
 
     @property
@@ -216,6 +219,56 @@ def _flatten(graph: DataflowGraph):
     return base, entry, feeders, consumers
 
 
+def _scc_partition(adj: list[list[int]]) -> list[int]:
+    """Iterative Tarjan over nodes ``0 .. len(adj) - 1``: the strongly
+    connected component number of every node.
+
+    Roots are taken in id order and successors in list order.
+    Components are numbered in the order Tarjan closes them, so every
+    edge ``u -> v`` between two components has ``comp[u] > comp[v]``:
+    descending numbers are a topological order of the condensation.
+    """
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = closed = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if index[nxt] < 0:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    work.append((nxt, iter(adj[nxt])))
+                    break
+                # Visited and not yet closed means on the stack.
+                if comp[nxt] < 0 and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                if low[node] == index[node]:
+                    while True:
+                        member = stack.pop()
+                        comp[member] = closed
+                        if member == node:
+                            break
+                    closed += 1
+    return comp
+
+
 #: What a transfer function reports about the instruction it just
 #: re-evaluated: nothing moved, only its own port state moved, or its
 #: output (what its consumers read) moved.
@@ -229,34 +282,71 @@ def _sweep(
 ) -> tuple[int, bool]:
     """Iterate ``evaluate`` to a fixed point; ``(rounds, converged)``.
 
-    The result is that of ``max_rounds`` passes over every instruction
-    in id order, stopping after the first pass in which nothing moved
-    -- but after round 1 a pass visits only the *dirty*: instructions
-    with a producer whose output moved since their last visit (with
-    unchanged inputs a transfer function returns :data:`_SAME`, so
-    the skipped visits are no-ops).  The scan runs in id order, so a
-    consumer marked ahead of it is met in the current round and one
-    marked behind it (a back edge, a self loop) in the next: what the
-    full pass would have let each see.  DESIGN.md §5h has the argument.
+    Walks the strongly connected components of ``consumers`` in
+    topological order, so every producer outside a component is final
+    before the component is evaluated.  An instruction on no cycle is
+    evaluated exactly once.  A recurrence (a component with an internal
+    edge) iterates alone, in passes over its members in id order,
+    stopping after the first pass in which nothing moved or after
+    ``max_rounds`` passes; after its first pass a pass visits only the
+    *dirty*: members with an in-component producer whose output moved
+    since their last visit (with unchanged inputs a transfer function
+    returns :data:`_SAME`, so the skipped visits are no-ops).  A
+    consumer marked ahead of the scan is met in the current pass, one
+    behind it (a back edge, a self loop) in the next.  ``rounds`` is
+    the most passes any one component took; ``converged`` is False if
+    any component was cut off.  DESIGN.md §5h has the argument.
     """
-    dirty = bytearray(b"\x01") * len(consumers)
-    rounds = 0
-    while rounds < max_rounds:
-        rounds += 1
-        moved = False
-        inst_id = dirty.find(1)
-        while inst_id >= 0:
-            dirty[inst_id] = 0
-            status = evaluate(inst_id)
-            if status != _SAME:
-                moved = True
-                if status == _FIRED:
-                    for dst in consumers[inst_id]:
-                        dirty[dst] = 1
-            inst_id = dirty.find(1, inst_id + 1)
-        if not moved:
-            return rounds, True
-    return rounds, False
+    n = len(consumers)
+    if max_rounds < 1:
+        return 0, not n
+    comp = _scc_partition(consumers)
+    size = [0] * (max(comp, default=-1) + 1)
+    for c in comp:
+        size[c] += 1
+    # Descending component number is a topological order; the sort is
+    # stable, so each component's members stay in id order.
+    order = sorted(range(n), key=comp.__getitem__, reverse=True)
+    dirty = bytearray(n)
+    rounds = 1 if n else 0  # every component takes at least one pass
+    converged = True
+    at = 0
+    while at < n:
+        first = order[at]
+        c = comp[first]
+        if size[c] == 1 and first not in consumers[first]:
+            evaluate(first)
+            at += 1
+            continue
+        members = order[at:at + size[c]]
+        at += size[c]
+        end = members[-1] + 1
+        for inst_id in members:
+            dirty[inst_id] = 1
+        passes = 0
+        while passes < max_rounds:
+            passes += 1
+            moved = False
+            inst_id = dirty.find(1, first, end)
+            while inst_id >= 0:
+                dirty[inst_id] = 0
+                status = evaluate(inst_id)
+                if status != _SAME:
+                    moved = True
+                    if status == _FIRED:
+                        for dst in consumers[inst_id]:
+                            if comp[dst] == c:
+                                dirty[dst] = 1
+                inst_id = dirty.find(1, inst_id + 1, end)
+            if not moved:
+                break
+        else:
+            converged = False
+            for inst_id in members:
+                dirty[inst_id] = 0
+        if passes > rounds:
+            rounds = passes
+    return rounds, converged
 
 
 def analyze_tokens(
@@ -329,8 +419,10 @@ def analyze_tokens(
         for slot in range(base[inst_id], base[inst_id + 1])
         if lo[slot] or hi[slot]
     }
+    # A proof needs the fixed point: a truncated iterate has dry ports
+    # that a few more passes would still fill.
     deadlocks: list[tuple[int, int, int]] = []
-    for inst_id in range(n):
+    for inst_id in range(n if converged else 0):
         first = base[inst_id]
         ports = range(first, base[inst_id + 1])
         starved = [slot - first for slot in ports if hi[slot] == 0]
@@ -494,55 +586,6 @@ CYCLE_BUDGET = 100_000
 CYCLE_MAX_LEN = 64
 
 
-def _scc_partition(adj: dict[int, list[int]],
-                   nodes: list[int]) -> list[list[int]]:
-    """Iterative Tarjan strongly-connected components (sorted ids)."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
-
-
 #: Most dependence cycles kept per workload for per-config re-scoring
 #: (the stored set is re-weighted with placed edge delays by
 #: :func:`compute_bound`; dropping cycles only weakens the bound).
@@ -589,10 +632,13 @@ def find_recurrence_cycles(
         key = (src, dst)
         if key not in edge or slack < edge[key]:
             edge[key] = slack
-    adj: dict[int, list[int]] = {}
+    adj: list[list[int]] = [[] for _ in graph.instructions]
     for (src, dst) in sorted(edge):
-        adj.setdefault(src, []).append(dst)
-    nodes = sorted({u for u, _ in edge} | {v for _, v in edge})
+        adj[src].append(dst)
+    comp_of = _scc_partition(adj)
+    comps: list[list[int]] = [[] for _ in range(max(comp_of, default=-1) + 1)]
+    for node, c in enumerate(comp_of):
+        comps[c].append(node)
 
     found: list[tuple[tuple[int, ...], int, int]] = []
     steps = 0
@@ -603,7 +649,7 @@ def find_recurrence_cycles(
         peak = max(fired[v] for v in path)
         found.append((tuple(path), slack, peak))
 
-    for comp in _scc_partition(adj, nodes):
+    for comp in comps:
         members = set(comp)
         if len(comp) == 1:
             node = comp[0]
@@ -617,7 +663,7 @@ def find_recurrence_cycles(
                 break
             path = [start]
             on_path = {start}
-            frames = [iter(adj.get(start, ()))]
+            frames = [iter(adj[start])]
             slacks = [0]
             while frames:
                 if steps >= budget:
@@ -636,7 +682,7 @@ def find_recurrence_cycles(
                     path.append(nxt)
                     on_path.add(nxt)
                     slacks.append(slacks[-1] + edge[(here, nxt)])
-                    frames.append(iter(adj.get(nxt, ())))
+                    frames.append(iter(adj[nxt]))
                     advanced = True
                     break
                 if not advanced:

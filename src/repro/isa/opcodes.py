@@ -169,39 +169,41 @@ class Opcode(enum.Enum):
     OUTPUT = OpInfo("OUTPUT", OpClass.MISC, 1, alpha_equivalent=False)
 
     # ------------------------------------------------------------------
-    # Convenience accessors
+    # Convenience accessors.  They read ``_value_``, a plain instance
+    # attribute: ``self.value`` goes through enum's descriptor, and a
+    # graph build asks these hundreds of thousands of times.
     # ------------------------------------------------------------------
     @property
     def info(self) -> OpInfo:
-        return self.value
+        return self._value_
 
     @property
     def arity(self) -> int:
-        return self.value.arity
+        return self._value_.arity
 
     @property
     def latency(self) -> int:
-        return self.value.latency
+        return self._value_.latency
 
     @property
     def alpha_equivalent(self) -> bool:
-        return self.value.alpha_equivalent
+        return self._value_.alpha_equivalent
 
     @property
     def is_memory(self) -> bool:
-        return self.value.is_memory
+        return self._value_.is_memory
 
     @property
     def is_store(self) -> bool:
-        return self.value.is_store
+        return self._value_.is_store
 
     @property
     def is_load(self) -> bool:
-        return self.value.is_load
+        return self._value_.is_load
 
     @property
     def uses_fpu(self) -> bool:
-        return self.value.uses_fpu
+        return self._value_.uses_fpu
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Opcode.{self.name}"

@@ -1,17 +1,26 @@
 """Token-flow fixed point, deadlock proofs, and the AIPC bound model."""
 
 import math
+from collections import Counter
+from functools import partial
 
 from repro.analysis import (
     BoundReport,
     Interval,
+    analyze_graph,
     analyze_tokens,
     bound_for_cell,
     compute_bound,
+    dataflow,
     workload_statics,
 )
 from repro.analysis.dataflow import (
+    _FIRED,
+    _SAME,
     INF,
+    MAX_ROUNDS,
+    _flatten,
+    _sweep,
     critical_path_cycles,
     deadlock_proofs,
     find_recurrence_cycles,
@@ -28,8 +37,14 @@ from repro.isa import (
     WaveAnnotation,
     make_token,
 )
+from repro.fuzz import random_graph
 from repro.isa.waves import WAVE_END, WAVE_START
 from repro.place.snake import place
+from repro.workloads import WORKLOADS, Scale
+
+
+def rule_ids(report):
+    return sorted({d.rule for d in report.diagnostics})
 
 
 def chain_graph():
@@ -123,6 +138,105 @@ def test_fixed_point_is_monotone_in_rounds():
             assert interval.hi >= prev_hi.get(key, 0)
             prev_lo[key] = interval.lo
             prev_hi[key] = interval.hi
+
+
+def test_truncated_flow_proves_no_deadlock(monkeypatch):
+    """A dry port in a cut-off iterate may still fill: only a
+    converged flow proves deadlock, so A001 and the statics stay
+    silent and A002 alone reports the cut."""
+    graph = WORKLOADS["gzip"].instantiate(scale=Scale.TINY)
+    cut = analyze_tokens(graph, max_rounds=1)
+    assert not cut.converged  # gzip's loops need more than one pass
+    # The iterate has a fed port next to a dry one: what a proof
+    # would read if it did not check convergence.
+    assert any(
+        cut.arrivals.get((inst.inst_id, a), Interval()).lo >= 1
+        and cut.arrivals.get((inst.inst_id, b), Interval()).hi == 0
+        for inst in graph.instructions
+        for a in range(inst.arity) for b in range(inst.arity)
+    )
+    assert cut.deadlocks == [] and not cut.proven_deadlock
+    assert deadlock_proofs(graph, cut) == []
+    assert analyze_tokens(graph).converged
+    monkeypatch.setattr(dataflow, "analyze_tokens",
+                        partial(analyze_tokens, max_rounds=1))
+    assert rule_ids(analyze_graph(graph)) == ["A002"]
+    assert not dataflow.graph_statics(graph).proven_deadlock
+
+
+# ----------------------------------------------------------------------
+# The component-ordered sweep
+# ----------------------------------------------------------------------
+def sweep_counting(consumers, moves=None, max_rounds=MAX_ROUNDS):
+    """Run ``_sweep`` with a transfer function that counts its visits
+    and reports its output moved on the first ``moves[i]`` visits of
+    instruction ``i`` (default 1)."""
+    visits = Counter()
+
+    def evaluate(inst_id):
+        visits[inst_id] += 1
+        limit = (moves or {}).get(inst_id, 1)
+        return _FIRED if visits[inst_id] <= limit else _SAME
+
+    rounds, converged = _sweep(consumers, evaluate, max_rounds)
+    return visits, rounds, converged
+
+
+def test_acyclic_graph_is_visited_once_per_instruction():
+    for seed in range(5):
+        _, _, _, consumers = _flatten(random_graph(seed))
+        visits, rounds, converged = sweep_counting(consumers)
+        assert visits == Counter(range(len(consumers)))
+        assert (rounds, converged) == (1, True)
+
+
+def test_long_chain_needs_no_recursion():
+    # Ids run against the edges: the order is topological, not by id.
+    n = 20_000
+    consumers = [[i - 1] if i else [] for i in range(n)]
+    visits, rounds, converged = sweep_counting(consumers)
+    assert visits == Counter(range(n))
+    assert (rounds, converged) == (1, True)
+
+
+def test_self_loop_iterates_alone():
+    # 0 -> 1 -> 1 (self loop) -> 2 -> 3: i1 moves on five visits, so it
+    # takes six passes; everything around it is visited once.
+    consumers = [[1], [1, 2], [3], []]
+    visits, rounds, converged = sweep_counting(consumers, {1: 5})
+    assert visits == Counter({0: 1, 1: 6, 2: 1, 3: 1})
+    assert (rounds, converged) == (6, True)
+    # Cut off after three passes: the downstream still runs once.
+    visits, rounds, converged = sweep_counting(consumers, {1: 5}, 3)
+    assert visits == Counter({0: 1, 1: 3, 2: 1, 3: 1})
+    assert (rounds, converged) == (3, False)
+
+
+def test_cold_build_graphs_take_few_visits(monkeypatch):
+    """The 19 registry workloads at small scale (15,375 instructions)
+    took 156,623 visits under the whole-graph sweep."""
+    graphs = [
+        workload.instantiate(
+            scale=Scale.SMALL, threads=16 if workload.multithreaded else None
+        )
+        for workload in WORKLOADS.values()
+    ]
+    visits = 0
+    sweep = dataflow._sweep
+
+    def counting(consumers, evaluate, max_rounds):
+        def counted(inst_id):
+            nonlocal visits
+            visits += 1
+            return evaluate(inst_id)
+        return sweep(consumers, counted, max_rounds)
+
+    monkeypatch.setattr(dataflow, "_sweep", counting)
+    for graph in graphs:
+        visits_before = visits
+        assert analyze_tokens(graph).converged
+        assert visits - visits_before >= len(graph)
+    assert visits <= 45_000
 
 
 # ----------------------------------------------------------------------

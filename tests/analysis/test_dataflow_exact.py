@@ -1,14 +1,20 @@
-"""Exactness oracle for the dirty-set fixed points.
+"""Exactness oracle for the component-ordered fixed points.
 
-``analyze_tokens`` and ``critical_path_cycles`` visit an instruction
-only when a producer's output moved since its last visit.  The
+``analyze_tokens`` and ``critical_path_cycles`` walk the graph's
+strongly connected components in topological order: an instruction on
+no cycle is evaluated once, a recurrence iterates alone.  The
 round-robin loops they replaced -- every instruction, every round --
-are kept here verbatim as the reference, and every field the sweep
-returns must equal what the reference returns: ``arrivals`` including
-its key set, ``firings``, ``must_fire``, ``never_fire``, ``deadlocks``,
-``converged`` and ``rounds``, for every round limit and widening
-threshold.  Every static bound, prune decision and bench pin
-downstream rests on that equality.
+are kept here verbatim as the reference.  Once both have converged,
+every field the sweep returns must equal what the reference returns:
+``arrivals`` including its key set, ``firings``, ``must_fire``,
+``never_fire``, ``deadlocks`` and ``converged`` -- all but ``rounds``,
+which now counts passes of one component.  Every static bound, prune
+decision and bench pin downstream rests on that equality.
+
+A truncated run cannot match the reference: widening counts growth
+steps, and the two schedules take different steps to the same fixed
+point.  What holds for it is the contract of any ascending iteration:
+each partial iterate lies below the next and below the converged one.
 """
 
 from __future__ import annotations
@@ -36,10 +42,11 @@ from repro.isa.opcodes import Opcode
 from repro.place.snake import place
 from repro.workloads import WORKLOADS, Scale
 
-#: ``(widen_after, max_rounds)``: the defaults, limits that cut the
-#: iteration short at every stage, and thresholds that freeze/widen at
-#: once or early.
-SETTINGS = [(8, 512), (8, 1), (8, 3), (8, 7), (2, 512), (0, 512), (1, 5)]
+#: ``(widen_after, max_rounds)`` that converge: the defaults and
+#: thresholds that freeze/widen at once or early.
+CONVERGED = [(8, 512), (2, 512), (0, 512)]
+#: Limits that cut the iteration short at every stage.
+TRUNCATED = [(8, 1), (8, 3), (8, 7), (1, 5)]
 
 #: A roomy design and a cramped one, so placed edge delays span
 #: pod-local, domain, cluster and mesh hops.
@@ -233,9 +240,12 @@ def reference_critical_path(
 # Comparison
 # ----------------------------------------------------------------------
 def assert_same_flow(graph, widen_after, max_rounds):
+    """Every field but ``rounds`` equals the reference's."""
     want = reference_tokens(graph, widen_after, max_rounds)
     got = analyze_tokens(graph, widen_after, max_rounds)
     for field in dataclasses.fields(TokenFlow):
+        if field.name == "rounds":
+            continue
         assert getattr(got, field.name) == getattr(want, field.name), (
             f"{graph.name} widen_after={widen_after} "
             f"max_rounds={max_rounds}: {field.name} differs"
@@ -243,10 +253,43 @@ def assert_same_flow(graph, widen_after, max_rounds):
     return got
 
 
+def assert_below(low: TokenFlow, high: TokenFlow, what: str) -> None:
+    """``low`` is an earlier iterate of the chain ``high`` continues:
+    pointwise no larger, arrivals and firings alike."""
+    for key, interval in low.arrivals.items():
+        top = high.arrivals.get(key)
+        assert top is not None, f"{what}: arrival {key} vanished"
+        assert interval.lo <= top.lo and interval.hi <= top.hi, (
+            f"{what}: arrival {key} {interval} above {top}"
+        )
+    for inst_id, interval in low.firings.items():
+        top = high.firings[inst_id]
+        assert interval.lo <= top.lo and interval.hi <= top.hi, (
+            f"{what}: firing i{inst_id} {interval} above {top}"
+        )
+
+
+def assert_truncated_ascend(graph):
+    """For each threshold, the runs cut off at increasing limits form
+    an ascending chain that ends at the converged flow."""
+    for widen_after in sorted({w for w, _ in TRUNCATED}):
+        limits = sorted(r for w, r in TRUNCATED if w == widen_after)
+        chain = [analyze_tokens(graph, widen_after, r) for r in limits]
+        chain.append(analyze_tokens(graph, widen_after, MAX_ROUNDS))
+        assert chain[-1].converged
+        for r, low, high in zip(limits, chain, chain[1:]):
+            what = f"{graph.name} widen_after={widen_after} max_rounds={r}"
+            assert_below(low, high, what)
+            if not low.converged:
+                assert low.rounds == r and not low.deadlocks, what
+
+
 def assert_same_critical_path(graph, must_fire):
-    for max_rounds in (MAX_ROUNDS, 1, 3):
-        assert critical_path_cycles(graph, must_fire, max_rounds) == \
-            reference_critical_path(graph, must_fire, max_rounds)
+    converged = critical_path_cycles(graph, must_fire)
+    assert converged == reference_critical_path(graph, must_fire)
+    for max_rounds in (1, 3):  # truncated: still below the fixed point
+        assert critical_path_cycles(graph, must_fire, max_rounds) <= \
+            converged
     for config in CONFIGS:
         weight = placed_edge_weight(graph, config, place(graph, config))
         assert critical_path_cycles(
@@ -261,7 +304,8 @@ def test_registry_workloads_match_round_robin(name, scale):
     workload = WORKLOADS[name]
     threads = 16 if workload.multithreaded else None
     graph = workload.instantiate(scale=scale, threads=threads)
-    flows = [assert_same_flow(graph, *setting) for setting in SETTINGS]
+    flows = [assert_same_flow(graph, *setting) for setting in CONVERGED]
+    assert_truncated_ascend(graph)
     assert_same_critical_path(graph, flows[0].must_fire)
     assert_same_critical_path(graph, frozenset(range(len(graph))))
 
@@ -271,26 +315,39 @@ def test_fuzz_graphs_match_round_robin(seed):
     # Forward-edge token graphs (with STEER starvation) and structured
     # programs with loops and branches.
     for graph in (random_graph(seed), build_graph(random_recipe(seed))):
-        flows = [assert_same_flow(graph, *setting) for setting in SETTINGS]
+        flows = [assert_same_flow(graph, *setting) for setting in CONVERGED]
+        assert_truncated_ascend(graph)
         assert_same_critical_path(graph, flows[0].must_fire)
 
 
 def test_degenerate_limits():
     graph = random_graph(0)
-    assert_same_flow(graph, WIDEN_AFTER, 0)  # no round at all
+    flow = assert_same_flow(graph, WIDEN_AFTER, 0)  # no pass at all
+    assert (flow.rounds, flow.converged) == (0, False)
+    assert not flow.arrivals
+    # No component at all: converged at once, after no pass.
     empty = dataclasses.replace(graph, instructions=[], entry_tokens=[])
-    assert assert_same_flow(empty, WIDEN_AFTER, MAX_ROUNDS).rounds == 1
+    assert assert_same_flow(empty, WIDEN_AFTER, MAX_ROUNDS).rounds == 0
+
+
+def assert_inside(got: TokenFlow, want: TokenFlow) -> None:
+    """Same ports, each of ``got``'s intervals within ``want``'s."""
+    assert got.arrivals.keys() == want.arrivals.keys()
+    for key, interval in got.arrivals.items():
+        outer = want.arrivals[key]
+        assert outer.lo <= interval.lo and interval.hi <= outer.hi, key
 
 
 def test_round_that_moves_only_an_arrival_still_counts():
-    # i1 never fires (port 1 is dry), so what reaches its port 0 moves
-    # no firing -- yet each such round must be followed by one more.
-    # Back edges delay the arrivals: i1's hi widens in round 2 (two
-    # conditional feeders, widen_after=1) and its lo moves alone in
-    # round 3, once i3 has seen i4.
     def entry(inst, port):
         return make_token(0, 0, inst, port, 1)
 
+    # i1 never fires (port 1 is dry), so what reaches its port 0 moves
+    # no firing.  The graph is acyclic but its ids run against the
+    # edges: the reference meets i1 before i3 and i4 and sees its three
+    # feeders arrive over three rounds, so with widen_after=1 it widens
+    # i1's hi to inf.  Topological order evaluates i1 once, after every
+    # feeder is final: one growth step, and the exact bound [1, 3].
     graph = DataflowGraph(
         instructions=[
             Instruction(0, Opcode.STEER, dests=(Dest(1, 0),)),
@@ -303,12 +360,17 @@ def test_round_that_moves_only_an_arrival_still_counts():
                       entry(4, 0)],
         name="arrival-only",
     )
-    flow = assert_same_flow(graph, 1, MAX_ROUNDS)
-    assert (flow.rounds, flow.converged) == (4, True)
-    assert flow.arrivals[(1, 0)] == Interval(1, INF)
-    for setting in SETTINGS:
-        assert_same_flow(graph, *setting)
-    # And a round in which only a hi moves: the steer behind i0.
+    flow = analyze_tokens(graph, 1, MAX_ROUNDS)
+    assert (flow.rounds, flow.converged) == (1, True)
+    assert flow.arrivals[(1, 0)] == Interval(1, 3)
+    want = reference_tokens(graph, 1, MAX_ROUNDS)
+    assert (want.rounds, want.converged) == (4, True)
+    assert want.arrivals[(1, 0)] == Interval(1, INF)
+    for widen_after, max_rounds in [*CONVERGED, *TRUNCATED]:
+        flow = analyze_tokens(graph, widen_after, max_rounds)
+        assert flow.converged  # one pass finishes an acyclic graph
+        assert_inside(flow, reference_tokens(graph, widen_after))
+    # And a hi that moves on a back edge: the steer behind i0.
     graph = DataflowGraph(
         instructions=[
             Instruction(0, Opcode.ADD),
@@ -318,5 +380,20 @@ def test_round_that_moves_only_an_arrival_still_counts():
         name="hi-only",
     )
     flow = assert_same_flow(graph, WIDEN_AFTER, MAX_ROUNDS)
-    assert (flow.rounds, flow.converged) == (3, True)
+    assert (flow.rounds, flow.converged) == (1, True)
     assert flow.arrivals[(0, 0)] == Interval(1, 2)
+    # Inside a recurrence the pass rule is the reference's: i1 never
+    # fires, so the arrival pass 1 gives its port 0 dirties nothing,
+    # yet it is followed by one more, empty pass.
+    graph = DataflowGraph(
+        instructions=[
+            Instruction(0, Opcode.NOP, dests=(Dest(1, 0),)),
+            Instruction(1, Opcode.ADD, dests=(Dest(0, 0),)),
+        ],
+        entry_tokens=[entry(0, 0)],
+        name="arrival-only-loop",
+    )
+    flow = assert_same_flow(graph, WIDEN_AFTER, MAX_ROUNDS)
+    assert (flow.rounds, flow.converged) == (2, True)
+    assert flow.arrivals[(1, 0)] == Interval(1, 1)
+    assert analyze_tokens(graph, WIDEN_AFTER, 1).converged is False
