@@ -125,13 +125,6 @@ class WaveScalarProcessor:
             stats = engine.run(strict=strict)
         finally:
             self.last_fixed_point = engine.fixed_point
-            # The engine is cyclic garbage from here on (its hot-path
-            # closures and store-buffer callbacks refer back to it), and
-            # a process holding many compiled graphs rarely reaches a
-            # full collection: emptying it frees its tables now, by
-            # reference count, so peak memory does not grow with the
-            # number of cells run.
-            engine.__dict__.clear()
         return SimulationResult(
             program=graph.name,
             config=self.config,

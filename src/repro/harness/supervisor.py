@@ -179,13 +179,7 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
             compiled=compiled.decoded,
         ))
         procs.append(proc)
-    try:
-        outcomes = BatchedEngine(engines).run(strict=True)
-    finally:
-        # Free each finished engine by reference count, as
-        # WaveScalarProcessor.run does: the engines are cyclic garbage.
-        for engine in engines:
-            engine.__dict__.clear()
+    outcomes = BatchedEngine(engines).run(strict=True)
     wall_s = (time.perf_counter() - started) / len(specs)
     cache_delta = _cache_delta(cache_before, cache_info())
     expected = compiled.expected_outputs()

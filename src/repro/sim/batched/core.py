@@ -12,10 +12,10 @@ where the serial engine would have.
 
 This module is only that scheduler.  Every cell runs the engine's one
 hot path -- :meth:`Engine._begin`, :meth:`Engine._drain` with the
-round's cycle ceiling, :meth:`Engine._finish` -- so whatever a cell's
-engine has attached (trace, sanitizer, profile) behaves
-exactly as in a serial run, and per-event speed is the same as
-``Engine.run``'s.  What a batch still adds, and why a sweep group is
+round's cycle ceiling, :meth:`Engine._finish`, :meth:`Engine._end` --
+so whatever a cell's engine has attached (trace, sanitizer, profile)
+behaves exactly as in a serial run, and per-event speed is the same
+as ``Engine.run``'s.  What a batch still adds, and why a sweep group is
 faster than one fork per cell:
 
 * **decode** -- every cell of a group indexes the same
@@ -128,7 +128,11 @@ class BatchedEngine:
                         continue
                     outcomes[i].stats = engine._finish(count, strict)
                 except Exception as exc:  # noqa: BLE001 - per-cell verdict
-                    outcomes[i].error = exc
+                    # Kept without its traceback: the frames would tie
+                    # this one's ``outcomes`` -- and every engine --
+                    # into a reference cycle.
+                    outcomes[i].error = exc.with_traceback(None)
+                engine._end()
                 active[i] = False
                 frontier[i] = _IDLE
             self.rounds += 1

@@ -16,15 +16,17 @@ bandwidths come from :class:`~repro.core.config.WaveScalarConfig`
 There is one hot path.  :meth:`Engine._drain` is the only event
 loop, with the token arrival + matching probe inlined in it once
 (serving single tokens, same-cycle token batches and the replay after
-an instruction fetch); :meth:`Engine._make_dispatch` and
-:meth:`Engine._make_deliver` build the run's DISPATCH/EXECUTE and
-OUTPUT stages as closures over state hoisted once per run.  Whatever
-the caller attached before ``run()`` -- trace, sanitizer,
-:class:`~repro.obs.profile.PhaseProfile` -- is served from that same
-code through ``if hook is not None:`` tests on locals; nothing is
-installed, shadowed or selected.  The lockstep backend
-(:mod:`repro.sim.batched`) calls the same ``_begin`` / ``_drain`` /
-``_finish`` with a cycle ceiling.
+an instruction fetch); :meth:`Engine._make_dispatch`,
+:meth:`Engine._make_deliver` and :meth:`Engine._make_memory` build the
+run's DISPATCH/EXECUTE, OUTPUT and memory-interface stages as closures
+over state hoisted once per run, and :meth:`Engine._end` drops them
+when the run returns or raises, so a finished engine is freed by
+reference count.  Whatever the caller attached before ``run()`` --
+trace, sanitizer, :class:`~repro.obs.profile.PhaseProfile` -- is
+served from that same code through ``if hook is not None:`` tests on
+locals; nothing is installed, shadowed or selected.  The lockstep
+backend (:mod:`repro.sim.batched`) calls the same ``_begin`` /
+``_drain`` / ``_finish`` / ``_end`` with a cycle ceiling.
 
 Hot-path engineering (the golden-stats suite proves against the frozen
 seed engine in ``repro.sim._legacy`` that none of it changes a
@@ -42,6 +44,20 @@ simulated result):
   entry; the loop unpacks them token by token, charging the event
   budget per token, so heap traffic shrinks but ``events_processed``,
   budget-raise points, and failure diagnostics stay bit-identical.
+* Routes are resolved once per run, not per token.  A consumer's PE
+  and the network level to it are fixed by the placement, so OUTPUT
+  reads a route table (:class:`_RouteTable`).  For each instruction,
+  and in a second table for a STEER's false arm, it holds
+  ``(dst_pe, dst_inst, port, level)`` tuples, with the level a small
+  int.  A row is filled on the instruction's first delivery.  OUTPUT
+  makes the result-bus reservation inline and posts its calendar
+  batches inline.  DISPATCH reads each PE's dispatch-port and FPU
+  reservation dicts from lists built once per run.
+* The memory interface is two closures that count their messages
+  inline.  ``send_memory`` is a MEM pseudo-PE's request to its
+  thread's home store buffer, posted inline.  ``memory_complete`` is
+  the store buffers' completion callback; it reads the same route
+  table.
 * The calendar is bucketed by cycle (dozens of events share a cycle
   in a busy run), so ordering costs two dict/list operations per
   event plus one heap operation per *cycle*, not two heap operations
@@ -99,8 +115,8 @@ from .memory.hierarchy import MemoryHierarchy
 from .network.topology import BandwidthLedger, Interconnect
 from .pe.istore import InstructionStore
 from .pe.matching import MatchRow, MatchingTable
-from .stats import SimStats
-from .storebuffer.storebuffer import MemOp, StoreBuffer
+from .stats import LEVELS, SimStats
+from .storebuffer.storebuffer import StoreBuffer
 
 #: ``_drain`` ceiling of a run that is not sharing the interpreter.
 NO_CEILING = sys.maxsize
@@ -171,8 +187,6 @@ class Engine:
                 graph=graph,
                 memory=self.memory,
                 stats=self.stats,
-                complete_callback=self._memory_complete,
-                retire_callback=self._wave_retired,
             )
             for c in range(config.clusters)
         ]
@@ -341,12 +355,15 @@ class Engine:
     # ==================================================================
     def run(self, strict: bool = True) -> SimStats:
         self._begin()
-        return self._finish(self._drain(NO_CEILING, 0), strict)
+        try:
+            return self._finish(self._drain(NO_CEILING, 0), strict)
+        finally:
+            self._end()
 
     def _begin(self) -> None:
         """Start the run: seed the calendar with the entry tokens, and
-        build this run's DISPATCH and OUTPUT stages around whatever
-        hooks the caller attached."""
+        build this run's route tables and its DISPATCH, OUTPUT and
+        memory stages around whatever hooks the caller attached."""
         pe_of = self._pe_of
         for token in self.graph.entry_tokens:
             self._post(
@@ -356,10 +373,20 @@ class Engine:
             )
         if self.sanitizer is not None:
             self.sanitizer.note_entry(len(self.graph.entry_tokens))
-        # DISPATCH calls OUTPUT, so delivery is built first.
+        level_between = self.network.level_between
+        self._routes = _RouteTable(self._d_dests, pe_of, level_between)
+        self._false_routes = _RouteTable(
+            self._d_false_dests, pe_of, level_between
+        )
+        # DISPATCH calls OUTPUT and the memory interface, so those are
+        # built first.
         self._deliver, flush_deliver = self._make_deliver()
-        on_dispatch, flush_dispatch = self._make_dispatch()
-        self._flushes = (flush_deliver, flush_dispatch)
+        send_memory, memory_complete, flush_memory = self._make_memory()
+        on_dispatch, flush_dispatch = self._make_dispatch(send_memory)
+        self._flushes = (flush_deliver, flush_memory, flush_dispatch)
+        for sb in self.storebuffers:
+            sb._complete = memory_complete
+            sb._retire = self._wave_retired
         # Indexed by event tag.  Token tags and EV_IFETCH (which
         # replays parked tokens) are handled inline by _drain.
         self._handlers = (
@@ -370,6 +397,17 @@ class Engine:
             None,
             self._on_retire,
         )
+
+    def _end(self) -> None:
+        """Close the run, returned or raised: drop what ``_begin``
+        made refer back to the engine -- the handler table, the stage
+        closures, the store buffers' callbacks -- so a finished engine
+        is freed by reference count instead of waiting for the cycle
+        collector.  ``stats``, ``fixed_point`` and
+        :meth:`failure_diagnostics` stay readable."""
+        self._handlers = self._flushes = self._deliver = None
+        for sb in self.storebuffers:
+            sb._complete = sb._retire = None
 
     def _finish(self, processed: int, strict: bool) -> SimStats:
         """Final accounting once the calendar has drained."""
@@ -914,27 +952,35 @@ class Engine:
     # ==================================================================
     # DISPATCH + EXECUTE
     # ==================================================================
-    def _make_dispatch(self):
-        """Build this run's ``EV_DISPATCH`` handler; returns it with
-        the function that flushes its counters into ``self.stats``."""
+    def _make_dispatch(self, send_memory):
+        """Build this run's ``EV_DISPATCH`` handler around the memory
+        interface's request sender; returns it with the function that
+        flushes its counters into ``self.stats``."""
         d_row = self._d_row
         d_eval = self.decoded.evaluators
-        dispatch_ports = self._dispatch
-        fpu = self._fpu
         pes_per_domain = self._pes_per_domain
         stats = self.stats
         outputs = stats.outputs
         deliver = self._deliver
-        send_memory = self._send_memory_request
+        routes = self._routes
+        false_routes = self._false_routes
         advance_wave = self._advance_wave
+        ev_sbaddr = EV_SBADDR
+        ev_sbdata = EV_SBDATA
         trace = self.trace
         sanitizer = self.sanitizer
         prof = self.profile
         # Every PE dispatch port and per-domain FPU is a
         # ``BandwidthLedger(1)``; the inlined reserves below hard-code
-        # that width (a slot is free exactly when its cycle is absent).
-        assert all(ledger.per_cycle == 1 for ledger in dispatch_ports)
-        assert all(ledger.per_cycle == 1 for ledger in fpu)
+        # that width (a slot is free exactly when its cycle is absent)
+        # and read each PE's two reservation dicts straight from lists.
+        assert all(ledger.per_cycle == 1 for ledger in self._dispatch)
+        assert all(ledger.per_cycle == 1 for ledger in self._fpu)
+        dispatch_used = [ledger._used for ledger in self._dispatch]
+        fpu_used = [
+            self._fpu[pe // pes_per_domain]._used
+            for pe in range(len(dispatch_used))
+        ]
         n_dispatches = 0
         n_dynamic = 0
         n_alpha = 0
@@ -942,16 +988,16 @@ class Engine:
         def on_dispatch(cycle, payload):
             nonlocal n_dispatches, n_dynamic, n_alpha
             pe, thread, wave, inst_id, operands = payload
-            (opcode, kind, arity, latency, uses_fpu, alpha, imm, dests,
-             false_dests) = d_row[inst_id]
-            used = dispatch_ports[pe]._used
+            (opcode, kind, arity, latency, uses_fpu, alpha, imm, _,
+             _) = d_row[inst_id]
+            used = dispatch_used[pe]
             granted = cycle
             while granted in used:
                 granted += 1
             used[granted] = 1
             exec_start = granted + 1
             if uses_fpu:
-                f_used = fpu[pe // pes_per_domain]._used
+                f_used = fpu_used[pe]
                 while exec_start in f_used:
                     exec_start += 1
                 f_used[exec_start] = 1
@@ -977,10 +1023,10 @@ class Engine:
                     n_dynamic += 1
                     n_alpha += 1
                     send_memory(pe, thread, wave, inst_id, value, done,
-                                is_data=False)
+                                ev_sbaddr)
                 else:
                     send_memory(pe, thread, wave, inst_id, value, done,
-                                is_data=True)
+                                ev_sbdata)
                 return
 
             n_dynamic += 1
@@ -994,13 +1040,13 @@ class Engine:
                     prof.push("execute")
                     value = d_eval[inst_id](operands)
                     prof.pop()
-                deliver(pe, dests, thread, wave, value, done,
-                        bypass_from=granted)
+                deliver(pe, routes[inst_id], thread, wave, value, done,
+                        granted)
                 return
 
             if kind == K_MEMORY:  # LOAD / MEMORY_NOP
                 send_memory(pe, thread, wave, inst_id, operands[0], done,
-                            is_data=False)
+                            ev_sbaddr)
                 return
 
             if kind == K_OUTPUT:
@@ -1018,10 +1064,9 @@ class Engine:
                 prof.pop()
 
             if kind == K_STEER:
-                if not operands[1]:
-                    dests = false_dests
-                deliver(pe, dests, thread, wave, value, done,
-                        bypass_from=granted)
+                arm = routes if operands[1] else false_routes
+                deliver(pe, arm[inst_id], thread, wave, value, done,
+                        granted)
                 return
 
             if kind == K_WAVE_ADVANCE:
@@ -1030,7 +1075,7 @@ class Engine:
 
             # K_SPAWN: retag into the thread named by the immediate.
             assert imm is not None
-            deliver(pe, dests, int(imm), 0, value, done)
+            deliver(pe, routes[inst_id], int(imm), 0, value, done)
 
         def flush():
             nonlocal n_dispatches, n_dynamic, n_alpha
@@ -1048,23 +1093,23 @@ class Engine:
         """Build this run's operand delivery; returns it with the
         function that flushes its counters into ``self.stats``."""
         spec_fire = self._spec_fire
-        pe_of = self._pe_of
-        post_tokens = self._post_tokens
+        buckets = self._buckets
+        cycle_heap = self._cycle_heap
+        heap_push = heappush
+        ev_token = EV_TOKEN
+        token_batch = EV_TOKEN_BATCH
         trace = self.trace
         sanitizer = self.sanitizer
         prof = self.profile
         # Interconnect.route, inlined for the hottest caller (operand
-        # delivery) down to the cluster level: the level memo, the
-        # width-1 result-bus reserve and the message counters.  The
-        # grid level (mesh reservations) stays a call -- it is both
-        # the rarest and the most stateful.
+        # delivery) down to the cluster level: the width-1 result-bus
+        # reserve and the message counters.  The level comes from the
+        # route table.  The grid level (mesh reservations) stays a
+        # call -- it is both the rarest and the most stateful.
         net = self.network
-        level_cache = net._level_cache
-        classify = net._classify
-        total_pes = net._total_pes
         pod_latency = net._pod_route.latency
-        pe_bus = net._pe_bus
-        assert all(ledger.per_cycle == 1 for ledger in pe_bus)
+        assert all(ledger.per_cycle == 1 for ledger in net._pe_bus)
+        bus_used = [ledger._used for ledger in net._pe_bus]
         net_in = net._net_in
         route_grid = net._route_grid
         pes_per_domain = self._pes_per_domain
@@ -1073,11 +1118,16 @@ class Engine:
         cluster_latency = self._cluster_latency
         stats = self.stats
         operand_counts = stats.messages["operand"]
-        pod_messages = 0
+        # Operand messages by level (a grid message counts itself in
+        # route_grid) and the latency sum of the domain and cluster
+        # ones; a pod message always books the pod latency.
+        pod_messages = domain_messages = cluster_messages = 0
+        latency_sum = 0
 
-        def deliver(src_pe, dests, thread, wave, value, cycle,
+        def deliver(src_pe, route, thread, wave, value, cycle,
                     bypass_from=None):
-            """Route the result to its consumers.
+            """Route the result to its consumers, ``route`` being the
+            producer's row of a route table.
 
             ``bypass_from`` is the producer's dispatch cycle.
             Pod-local consumers snoop the bypass network: with
@@ -1087,25 +1137,19 @@ class Engine:
             delivered a cycle before the result formally completes.
 
             Consecutive deliveries landing on the same arrival cycle
-            fuse into one batch calendar entry (see
-            :meth:`_post_tokens`).
+            fuse into one calendar entry, as in :meth:`_post_tokens`.
             """
-            nonlocal pod_messages
+            nonlocal pod_messages, domain_messages, cluster_messages
+            nonlocal latency_sum
             if prof is not None:
                 prof.push("deliver")
             spec_pod = bypass_from is not None and spec_fire
             batch = None
             batch_cycle = -1
-            for dest in dests:
-                dst_pe = pe_of[dest.inst]
+            for dst_pe, dst_inst, port, level in route:
                 if sanitizer is not None:
                     sanitizer.note_created()
-                key = src_pe * total_pes + dst_pe
-                level = level_cache.get(key)
-                if level is None:
-                    level = classify(src_pe, dst_pe)
-                    level_cache[key] = level
-                if level == "pod":
+                if not level:  # pod
                     pod_messages += 1
                     pod_local = True
                     if spec_pod:
@@ -1118,55 +1162,76 @@ class Engine:
                     pod_local = False
                     # Every other level leaves the PE on its result
                     # bus, one result per cycle.
-                    used = pe_bus[src_pe]._used
+                    used = bus_used[src_pe]
                     bus_granted = cycle
                     while bus_granted in used:
                         bus_granted += 1
                     used[bus_granted] = 1
-                    if level == "grid":  # counts its own message
+                    if level == 3:  # grid: counts its own message
                         arrive = cycle + route_grid(
                             src_pe, dst_pe, src_pe // pes_per_cluster,
                             cycle, bus_granted, "operand",
                         ).latency
                     else:
-                        if level == "domain":
+                        if level == 1:  # domain
+                            domain_messages += 1
                             arrive = bus_granted + domain_latency
                         else:
                             # Cluster: through the sender's NET
                             # pseudo-PE and the point-to-point link
                             # into the receiving domain's NET
                             # pseudo-PE (1 op/cycle inject).
+                            cluster_messages += 1
                             arrive = net_in[
                                 dst_pe // pes_per_domain
                             ].reserve(bus_granted + cluster_latency - 1) + 1
-                        operand_counts[level] += 1
-                        stats.message_count += 1
-                        stats.message_latency_sum += arrive - cycle
+                        latency_sum += arrive - cycle
                 if trace is not None:
                     trace.emit(
-                        cycle, "output", src_pe, dest.inst, thread, wave,
-                        f"{level} -> pe{dst_pe} (+{arrive - cycle})",
+                        cycle, "output", src_pe, dst_inst, thread, wave,
+                        f"{LEVELS[level]} -> pe{dst_pe} "
+                        f"(+{arrive - cycle})",
                     )
-                token = (dst_pe, thread, wave, dest.inst, dest.port, value,
+                token = (dst_pe, thread, wave, dst_inst, port, value,
                          pod_local)
                 if arrive == batch_cycle:
                     batch.append(token)
-                else:
-                    if batch is not None:
-                        post_tokens(batch_cycle, batch)
-                    batch = [token]
-                    batch_cycle = arrive
+                    continue
+                if batch is not None:
+                    entry = (ev_token, batch[0]) if len(batch) == 1 \
+                        else (token_batch, tuple(batch))
+                    b = buckets.get(batch_cycle)
+                    if b is None:
+                        buckets[batch_cycle] = [entry]
+                        heap_push(cycle_heap, batch_cycle)
+                    else:
+                        b.append(entry)
+                batch = [token]
+                batch_cycle = arrive
             if batch is not None:
-                post_tokens(batch_cycle, batch)
+                entry = (ev_token, batch[0]) if len(batch) == 1 \
+                    else (token_batch, tuple(batch))
+                b = buckets.get(batch_cycle)
+                if b is None:
+                    buckets[batch_cycle] = [entry]
+                    heap_push(cycle_heap, batch_cycle)
+                else:
+                    b.append(entry)
             if prof is not None:
                 prof.pop()
 
         def flush():
-            nonlocal pod_messages
+            nonlocal pod_messages, domain_messages, cluster_messages
+            nonlocal latency_sum
             operand_counts["pod"] += pod_messages
-            stats.message_count += pod_messages
-            stats.message_latency_sum += pod_messages * pod_latency
-            pod_messages = 0
+            operand_counts["domain"] += domain_messages
+            operand_counts["cluster"] += cluster_messages
+            stats.message_count += \
+                pod_messages + domain_messages + cluster_messages
+            stats.message_latency_sum += \
+                pod_messages * pod_latency + latency_sum
+            pod_messages = domain_messages = cluster_messages = 0
+            latency_sum = 0
 
         return deliver, flush
 
@@ -1188,7 +1253,7 @@ class Engine:
                 )
                 return
         self._deliver(
-            pe, self._d_dests[inst_id], thread, out_wave, value, done
+            pe, self._routes[inst_id], thread, out_wave, value, done
         )
 
     def _wave_retired(self, thread: int, wave: int, cycle: int) -> None:
@@ -1210,7 +1275,7 @@ class Engine:
             needed, pe, inst_id, th, out_wave, value, done = entry
             if self._retired[thread] >= needed:
                 self._deliver(
-                    pe, self._d_dests[inst_id], th, out_wave, value,
+                    pe, self._routes[inst_id], th, out_wave, value,
                     max(done, cycle + 1),
                 )
             else:
@@ -1220,10 +1285,6 @@ class Engine:
     # ==================================================================
     # Memory interface (MEM pseudo-PE <-> store buffer)
     # ==================================================================
-    def _home_storebuffer(self, thread: int) -> StoreBuffer:
-        cluster = self.placement.thread_home.get(thread, 0)
-        return self.storebuffers[cluster]
-
     def _on_sbaddr(self, cycle: int, payload: tuple) -> None:
         sb, inst_id, thread, wave, value = payload
         sb.submit_address(inst_id, thread, wave, value, cycle)
@@ -1232,70 +1293,138 @@ class Engine:
         sb, inst_id, thread, wave, value = payload
         sb.submit_data(inst_id, thread, wave, value, cycle)
 
-    def _send_memory_request(
-        self,
-        pe: int,
-        thread: int,
-        wave: int,
-        inst_id: int,
-        value: Value,
-        cycle: int,
-        is_data: bool,
-    ) -> None:
-        sb = self._home_storebuffer(thread)
-        src_cluster = pe // self._pes_per_cluster
-        if src_cluster == sb.cluster:
-            latency = self._cluster_latency
-            self.stats.record_message("memory", "cluster", latency)
-        else:
-            latency = self._domain_latency + \
-                self.network.route_clusters(src_cluster, sb.cluster, cycle)
-        arrive = cycle + latency
-        self._note_time(arrive)
-        if self.trace is not None:
-            self.trace.emit(
-                cycle, "mem_req", pe, inst_id, thread, wave,
-                f"{'data' if is_data else 'addr'} -> sb{sb.cluster}",
-            )
-        tag = EV_SBDATA if is_data else EV_SBADDR
-        self._post(arrive, tag, (sb, inst_id, thread, wave, value))
+    def _make_memory(self):
+        """Build this run's memory interface: ``send_memory``, the
+        request a MEM pseudo-PE sends its thread's home store buffer,
+        and ``memory_complete``, the store buffers' completion
+        callback, which delivers a result to its consumers.  Returns
+        both with the function that flushes their counters into
+        ``self.stats``.  A message between two clusters is a mesh
+        route (``Interconnect.route_clusters``, which counts it); one
+        inside a cluster is counted here.  A completion's consumers
+        come from the run's route table; same-cycle arrivals fuse as
+        in :meth:`_post_tokens`."""
+        buckets = self._buckets
+        cycle_heap = self._cycle_heap
+        heap_push = heappush
+        post_tokens = self._post_tokens
+        ev_sbdata = EV_SBDATA
+        thread_home = self.placement.thread_home
+        storebuffers = self.storebuffers
+        routes = self._routes
+        route_clusters = self.network.route_clusters
+        pes_per_cluster = self._pes_per_cluster
+        cluster_latency = self._cluster_latency
+        domain_latency = self._domain_latency
+        stats = self.stats
+        memory_counts = stats.messages["memory"]
+        trace = self.trace
+        sanitizer = self.sanitizer
+        # Cluster-local memory messages; each books the cluster latency.
+        local_messages = 0
 
-    def _memory_complete(self, op: MemOp, value: Value, cycle: int) -> None:
-        """Store-buffer completion: deliver the result to consumers."""
-        self._note_time(cycle)
-        inst_id = op.inst_id
-        if self.trace is not None:
-            self.trace.emit(
-                cycle, "mem_done", -1, inst_id, op.thread, op.wave,
-                f"= {value!r}",
-            )
-        sb_cluster = self.placement.thread_home.get(op.thread, 0)
-        batch: Optional[list] = None
-        batch_cycle = -1
-        for dest in self._d_dests[inst_id]:
-            if self.sanitizer is not None:
-                self.sanitizer.note_created()
-            dst_pe = self._pe_of[dest.inst]
-            dst_cluster = dst_pe // self._pes_per_cluster
-            if dst_cluster == sb_cluster:
-                latency = self._cluster_latency
-                self.stats.record_message("memory", "cluster", latency)
+        def send_memory(pe, thread, wave, inst_id, value, cycle, tag):
+            nonlocal local_messages
+            home = thread_home.get(thread, 0)
+            src_cluster = pe // pes_per_cluster
+            if src_cluster == home:
+                local_messages += 1
+                arrive = cycle + cluster_latency
             else:
-                latency = self.network.route_clusters(
-                    sb_cluster, dst_cluster, cycle
-                ) + self._domain_latency
-            token = (dst_pe, op.thread, op.wave, dest.inst, dest.port,
-                     value, False)
-            arrive = cycle + latency
-            if arrive == batch_cycle:
-                batch.append(token)
+                arrive = cycle + domain_latency \
+                    + route_clusters(src_cluster, home, cycle)
+            if arrive > self._horizon:
+                self._horizon = arrive
+            if trace is not None:
+                trace.emit(
+                    cycle, "mem_req", pe, inst_id, thread, wave,
+                    f"{'data' if tag == ev_sbdata else 'addr'} -> "
+                    f"sb{home}",
+                )
+            item = (tag, (storebuffers[home], inst_id, thread, wave, value))
+            b = buckets.get(arrive)
+            if b is None:
+                buckets[arrive] = [item]
+                heap_push(cycle_heap, arrive)
             else:
-                if batch is not None:
-                    self._post_tokens(batch_cycle, batch)
-                batch = [token]
-                batch_cycle = arrive
-        if batch is not None:
-            self._post_tokens(batch_cycle, batch)
+                b.append(item)
+
+        def memory_complete(op, value, cycle):
+            nonlocal local_messages
+            if cycle > self._horizon:
+                self._horizon = cycle
+            inst_id = op.inst_id
+            thread = op.thread
+            wave = op.wave
+            if trace is not None:
+                trace.emit(cycle, "mem_done", -1, inst_id, thread, wave,
+                           f"= {value!r}")
+            home = thread_home.get(thread, 0)
+            batch = None
+            batch_cycle = -1
+            for dst_pe, dst_inst, port, _ in routes[inst_id]:
+                if sanitizer is not None:
+                    sanitizer.note_created()
+                dst_cluster = dst_pe // pes_per_cluster
+                if dst_cluster == home:
+                    local_messages += 1
+                    arrive = cycle + cluster_latency
+                else:
+                    arrive = cycle + route_clusters(
+                        home, dst_cluster, cycle
+                    ) + domain_latency
+                token = (dst_pe, thread, wave, dst_inst, port, value, False)
+                if arrive == batch_cycle:
+                    batch.append(token)
+                else:
+                    if batch is not None:
+                        post_tokens(batch_cycle, batch)
+                    batch = [token]
+                    batch_cycle = arrive
+            if batch is not None:
+                post_tokens(batch_cycle, batch)
+
+        def flush():
+            nonlocal local_messages
+            memory_counts["cluster"] += local_messages
+            stats.message_count += local_messages
+            stats.message_latency_sum += local_messages * cluster_latency
+            local_messages = 0
+
+        return send_memory, memory_complete, flush
+
+
+class _RouteTable(dict):
+    """One run's routed destinations: ``inst_id`` -> a tuple of
+    ``(dst_pe, dst_inst, port, level)``, ``level`` indexing
+    :data:`~repro.sim.stats.LEVELS` (0 pod, 1 domain, 2 cluster,
+    3 grid).
+
+    A consumer's PE and the network level between it and its producer
+    are fixed once the instructions are placed, and an instruction
+    always fires on its own PE, so delivery reads both here instead of
+    re-deriving them per token.  A row is filled on the instruction's
+    first delivery -- an instruction that never delivers costs
+    nothing -- and is a plain dict hit after that."""
+
+    __slots__ = ("_dests", "_pe_of", "_level_between")
+
+    def __init__(self, dests, pe_of: dict, level_between) -> None:
+        super().__init__()
+        self._dests = dests
+        self._pe_of = pe_of
+        self._level_between = level_between
+
+    def __missing__(self, inst_id: int) -> tuple:
+        pe_of = self._pe_of
+        src_pe = pe_of[inst_id]
+        row = []
+        for dest in self._dests[inst_id]:
+            dst_pe = pe_of[dest.inst]
+            level = self._level_between(src_pe, dst_pe)
+            row.append((dst_pe, dest.inst, dest.port, LEVELS.index(level)))
+        row = self[inst_id] = tuple(row)
+        return row
 
 
 def simulate(

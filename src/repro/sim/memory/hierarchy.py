@@ -118,8 +118,10 @@ class MemoryHierarchy:
         self._line_busy: dict[int, int] = {}
         # Physical geometry: L2 banks sit on the perimeter of the
         # cluster array; their access latency is distance-dependent
-        # (Section 3.3.2's 20-30 cycle band).
+        # (Section 3.3.2's 20-30 cycle band), a pure function of
+        # (cluster, bank) that each miss would otherwise recompute.
         self.floorplan = Floorplan(config)
+        self._l2_latencies: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Addressing
@@ -284,6 +286,13 @@ class MemoryHierarchy:
         return cycle + route
 
     def _l2_latency(self, cluster: int, line: int) -> int:
-        """Distance-dependent bank access (floorplan geometry)."""
-        bank = line % self.floorplan.n_banks
-        return self.floorplan.l2_latency(cluster, bank)
+        """Distance-dependent bank access (floorplan geometry),
+        memoised per (cluster, bank)."""
+        n_banks = self.floorplan.n_banks
+        bank = line % n_banks
+        key = cluster * n_banks + bank
+        latency = self._l2_latencies.get(key)
+        if latency is None:
+            latency = self._l2_latencies[key] = \
+                self.floorplan.l2_latency(cluster, bank)
+        return latency

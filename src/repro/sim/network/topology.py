@@ -28,6 +28,15 @@ record Table 1 and are read by no simulator code.
 A ledger keeps every reservation of the run (one dict entry per busy
 cycle, never retired), so a reservation costs the same at the start
 of a run and at the end.
+
+The engine does not call :meth:`Interconnect.route` per token.  The
+level between two PEs is fixed once the instructions are placed, so
+the engine asks :meth:`Interconnect.level_between` once per producer
+and consumer pair, when it fills its route table, and then makes the
+reservations inline.  Those are the PE result bus and the NET inject;
+a grid message goes through ``_route_grid``.  ``route`` itself now
+serves only the frozen seed engine in ``repro.sim._legacy`` and the
+unit tests.
 """
 
 from __future__ import annotations
@@ -81,8 +90,10 @@ class Interconnect:
     base latencies -- and a *dynamic* part, the bandwidth-ledger
     reservations.  The static part is pure topology math, identical
     for every message between the same endpoints, so it is memoised
-    per ``(src, dst)`` pair: the per-token hot path reduces to a dict
-    hit plus the reservations that actually depend on ``cycle``.
+    per ``(src, dst)`` pair.  The level memo is a build-time helper:
+    the engine reads it once per pair while filling its route table,
+    and its per-token path holds only the reservations that depend on
+    ``cycle``.  The mesh-path memo still serves every grid message.
     """
 
     def __init__(self, config: WaveScalarConfig, stats: SimStats) -> None:
@@ -203,6 +214,8 @@ class Interconnect:
         ``cycle``; returns level/latency/hops.
 
         The caller delivers the message at ``cycle + route.latency``.
+        The engine inlines this per token; the frozen seed engine in
+        ``repro.sim._legacy`` is the one caller left.
         """
         cfg = self.config
         level = self.level_between(src_pe, dst_pe)

@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 from ...core.config import WaveScalarConfig
 from ...isa.graph import DataflowGraph
-from ...isa.opcodes import Opcode
 from ...isa.token import Value
 from ...isa.waves import UNKNOWN, WAVE_END, WAVE_START
 from ..memory.hierarchy import MemoryHierarchy
@@ -97,12 +96,16 @@ class StoreBuffer:
         graph: DataflowGraph,
         memory: MemoryHierarchy,
         stats: SimStats,
-        complete_callback: Callable[[MemOp, Value, int], None],
-        retire_callback: Callable[[int, int, int], None],
+        complete_callback: Optional[
+            Callable[[MemOp, Value, int], None]] = None,
+        retire_callback: Optional[Callable[[int, int, int], None]] = None,
     ) -> None:
         """``complete_callback(op, value, cycle)`` delivers a finished
         operation's result; ``retire_callback(thread, wave, cycle)``
-        announces wave retirement (used for k-loop bounding)."""
+        announces wave retirement (used for k-loop bounding).  The
+        engine leaves both unset here and wires them for the length of
+        one run, so a finished engine holds no cycle through its store
+        buffers."""
         self.cluster = cluster
         self.config = config
         self.graph = graph
@@ -110,6 +113,7 @@ class StoreBuffer:
         self.stats = stats
         self._complete = complete_callback
         self._retire = retire_callback
+        self._latency = config.storebuffer_latency
         self._contexts: dict[tuple[int, int], _WaveContext] = {}
         self._expected_wave: dict[int, int] = {}
         self._psqs: list[_PartialStoreQueue] = []
@@ -374,26 +378,27 @@ class StoreBuffer:
     def _perform(self, op: MemOp, cycle: int) -> int:
         """Issue one ordered operation to the cache hierarchy;
         returns its completion cycle."""
-        sb_done = cycle + self.config.storebuffer_latency
-        inst = self.graph[op.inst_id]
-        if inst.opcode is Opcode.MEMORY_NOP:
-            self._complete(op, op.addr if op.addr is not None else 0,
-                           sb_done)
-            done = sb_done
-        elif op.is_store:
+        sb_done = cycle + self._latency
+        if op.is_store:
             assert op.addr is not None and op.data is not None
             done = self.memory.access(
                 self.cluster, op.addr, is_store=True, cycle=sb_done
             )
             self.memory.write_word(op.addr, op.data)
             self._complete(op, op.data, done)
-        else:
+        elif op.is_load:
             assert op.addr is not None
             done = self.memory.access(
                 self.cluster, op.addr, is_store=False, cycle=sb_done
             )
             value = self.memory.read_word(op.addr)
             self._complete(op, value, done)
+        else:
+            # MEMORY_NOP, the one memory op that neither loads nor
+            # stores: it completes with its trigger value.
+            self._complete(op, op.addr if op.addr is not None else 0,
+                           sb_done)
+            done = sb_done
         ctx = self._contexts.get((op.thread, op.wave))
         if ctx is not None and done > ctx.max_done:
             ctx.max_done = done

@@ -10,6 +10,7 @@ from repro.sim import SimulationDeadlock, simulate
 from ..conftest import (
     build_array_sum,
     build_counted_sum,
+    build_dangling_graph,
     build_store_loop,
     build_threaded_sums,
 )
@@ -172,3 +173,118 @@ def test_stats_traffic_fractions_sum_to_one():
     st = simulate(graph, WaveScalarConfig(clusters=4))
     assert abs(sum(st.traffic_fractions().values()) - 1.0) < 1e-9
     assert abs(sum(st.kind_fractions().values()) - 1.0) < 1e-9
+
+
+ROUTE_CONFIGS = {
+    "C1": WaveScalarConfig(clusters=1),
+    "C4": WaveScalarConfig(clusters=4),
+    "C16": WaveScalarConfig(clusters=16),
+    "C4-nopods": WaveScalarConfig(clusters=4, pods_enabled=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_CONFIGS))
+def test_route_tables_match_placement_and_topology(name):
+    """Every routed entry -- true arm and STEER false arm -- is what
+    delivery would derive per token: the consumer's PE, its instruction
+    and port, and the level an unwarmed interconnect classifies."""
+    from repro.place.snake import place
+    from repro.sim.engine import Engine
+    from repro.sim.network.topology import Interconnect
+    from repro.sim.stats import LEVELS, SimStats
+
+    config = ROUTE_CONFIGS[name]
+    graph, _ = build_threaded_sums(16, 4)
+    placement = place(graph, config)
+    engine = Engine(graph, config, placement)
+    engine.run()
+    net = Interconnect(config, SimStats())
+    pe_of = placement.pe_of
+    levels = set()
+    false_arms = 0
+    for table, field in ((engine._routes, "dests"),
+                         (engine._false_routes, "false_dests")):
+        for inst in graph.instructions:
+            src = pe_of[inst.inst_id]
+            expected = tuple(
+                (pe_of[d.inst], d.inst, d.port,
+                 LEVELS.index(net.level_between(src, pe_of[d.inst])))
+                for d in getattr(inst, field)
+            )
+            assert table[inst.inst_id] == expected
+            levels.update(LEVELS[entry[3]] for entry in expected)
+            false_arms += field == "false_dests" and bool(expected)
+    assert false_arms > 0
+    assert ("grid" in levels) == (config.clusters > 1)
+
+
+def _engine_for(outcome: str):
+    """An engine whose run finishes, exhausts its cycle budget (twolf
+    on a starved 16-cluster design proves a deflection fixed point, in
+    milliseconds) or deadlocks."""
+    from repro.place.snake import place
+    from repro.sim.engine import Engine
+    from repro.workloads import Scale
+    from repro.workloads.registry import get
+
+    if outcome == "budget":
+        config = WaveScalarConfig(clusters=16, virtualization=16,
+                                  matching_entries=16)
+        graph = get("twolf").instantiate(scale=Scale.TINY, seed=0)
+    else:
+        config = BASELINE
+        graph = build_counted_sum(8)[0] if outcome == "finished" \
+            else build_dangling_graph()
+    return Engine(graph, config, place(graph, config))
+
+
+@pytest.mark.parametrize("outcome", ("finished", "budget", "deadlock"))
+def test_engine_is_freed_by_reference_count(outcome):
+    """A run that returns or raises leaves no cycle through the engine:
+    ``del`` frees it with the cycle collector off, and what a caller
+    reads after the run is still there."""
+    import gc
+    import weakref
+
+    gc.collect()
+    gc.disable()
+    try:
+        engine = _engine_for(outcome)
+        try:
+            engine.run()
+            failure = None
+        except SimulationDeadlock as exc:
+            failure = type(exc).__name__
+        assert failure == {"finished": None,
+                           "budget": "CycleBudgetExhausted",
+                           "deadlock": "TrueDeadlock"}[outcome]
+        assert engine.stats.events_processed > 0
+        assert (engine.fixed_point is not None) == (outcome == "budget")
+        assert engine.failure_diagnostics().events_processed \
+            == engine.stats.events_processed
+        freed = weakref.ref(engine)
+        del engine
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_lockstep_engines_are_freed_by_reference_count():
+    """The same for every cell of a lockstep batch, failed ones
+    included, once the batch and its outcomes are dropped."""
+    import gc
+    import weakref
+
+    from repro.sim.batched import BatchedEngine
+
+    gc.collect()
+    gc.disable()
+    try:
+        engines = [_engine_for(o) for o in ("finished", "budget")]
+        outcomes = BatchedEngine(engines).run()
+        assert [o.ok for o in outcomes] == [True, False]
+        freed = [weakref.ref(e) for e in engines]
+        del engines, outcomes
+        assert [ref() for ref in freed] == [None, None]
+    finally:
+        gc.enable()

@@ -35,6 +35,13 @@ STARVED = WaveScalarConfig(
     matching_banks=2, matching_associativity=2, l2_mb=0,
 )
 STARVED_MAX_CYCLES = 200_000
+#: Sixteen clusters (C16xD4xP8): memory traffic over the mesh and
+#: coherence among 16 L1s; the multithreaded workloads, one thread per
+#: cluster, add grid-level operand delivery.
+C16 = WaveScalarConfig(
+    clusters=16, domains_per_cluster=4, pes_per_domain=8,
+    virtualization=64, matching_entries=64, l2_mb=1,
+)
 
 
 def _stats_pair(name: str):
@@ -75,6 +82,23 @@ def test_starved_verdict_identical_to_seed_engine(name):
         for cls in (Engine, LegacyEngine)
     )
     assert new == old
+
+
+@pytest.mark.parametrize("name", (
+    "ammp", "art", "equake", "gzip", "mcf", "twolf",  # spec
+    "fft", "lu", "ocean", "radix", "raytrace", "water",  # splash, threaded
+))
+def test_sixteen_cluster_stats_identical_to_seed_engine(name):
+    workload = get(name)
+    threads = 16 if workload.multithreaded else None
+    graph = workload.instantiate(scale=Scale.TINY, threads=threads, seed=0)
+    placement = place(graph, C16)
+    new = Engine(graph, C16, placement).run()
+    old = LegacyEngine(graph, C16, placement).run()
+    assert asdict(new) == asdict(old)
+    assert new.messages["memory"]["grid"] > 0
+    if threads:
+        assert new.messages["operand"]["grid"] > 0
 
 
 def test_aipc_identical_to_seed_engine():
