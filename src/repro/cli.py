@@ -15,7 +15,6 @@ Usage::
     python -m repro trace --workload mcf --trace-out trace.json
     python -m repro run --workload fft --profile
     python -m repro stats sweep.jsonl
-    python -m repro chaos --seed 7 --json-out invariants.json
     python -m repro ledger verify sweep.jsonl
     python -m repro ledger repair sweep.jsonl
     python -m repro ledger compact sweep.jsonl
@@ -388,47 +387,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if metrics:
         print(metrics)
     return 3 if report.aborted else 0
-
-
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Run a seeded chaos campaign and report which injections fired
-    and which invariants held (exit non-zero on violation)."""
-    import tempfile
-    from pathlib import Path
-
-    from .harness.chaos import dump_report, plan_for_seed, run_chaos_campaign
-
-    overrides = {"rate": args.rate, "poison_rate": args.poison_rate}
-    if args.points:
-        overrides["points"] = tuple(args.points.split(","))
-    if args.stall_s is not None:
-        overrides["stall_s"] = args.stall_s
-    plan = plan_for_seed(args.seed, **overrides)
-    designs = viable_designs()[:: args.sample][: args.designs]
-    names = SUITES[args.suite][: args.workloads]
-    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
-    print(
-        f"chaos campaign: seed {args.seed}, {len(designs)} design(s) x "
-        f"{len(names)} workload(s), {len(plan.points)} injection "
-        f"point(s) armed (workdir {workdir})"
-    )
-    report = run_chaos_campaign(
-        designs, names, plan=plan, workdir=workdir,
-        scale=Scale[args.scale.upper()], jobs=args.jobs,
-        isolation=args.isolation, timeout_s=args.timeout_s,
-        failure_budget=args.failure_budget,
-    )
-    print(report.render())
-    if args.json_out:
-        dump_report(report, args.json_out)
-        print(f"invariant report written to {args.json_out}")
-    if args.workdir:
-        print(f"ledgers kept in {Path(workdir)}")
-    else:
-        import shutil
-
-        shutil.rmtree(workdir, ignore_errors=True)
-    return 0 if report.ok else 1
 
 
 def cmd_ledger(args: argparse.Namespace) -> int:
@@ -901,56 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--json", action="store_true",
                          help="emit the aggregated registry as JSON")
 
-    p_chaos = sub.add_parser(
-        "chaos", help="seeded fault-injection campaign: inject "
-                      "worker/driver/ledger faults, recover, and "
-                      "prove the invariants held"
-    )
-    p_chaos.add_argument("--seed", type=int, default=0,
-                         help="chaos seed; the same seed fires the "
-                              "same faults at the same cells")
-    p_chaos.add_argument("--rate", type=float, default=0.25,
-                         help="per-(point, cell) injection probability")
-    p_chaos.add_argument("--poison-rate", type=float, default=0.2,
-                         dest="poison_rate",
-                         help="probability a cell crashes its worker "
-                              "on every attempt (circuit-breaker "
-                              "quarantine path)")
-    p_chaos.add_argument("--points", default=None,
-                         help="comma-separated injection points "
-                              "(default: the full catalogue)")
-    p_chaos.add_argument("--suite", default="spec",
-                         choices=sorted(SUITES))
-    p_chaos.add_argument("--workloads", type=int, default=2,
-                         metavar="N", help="workloads from the suite")
-    p_chaos.add_argument("--designs", type=int, default=2, metavar="N",
-                         help="designs from the viable set")
-    p_chaos.add_argument("--sample", type=_int_at_least(1), default=8,
-                         help="take every Nth viable design")
-    p_chaos.add_argument("--scale", default="tiny",
-                         choices=[s.value for s in Scale])
-    p_chaos.add_argument("--jobs", "-j", type=_int_at_least(0), default=2)
-    p_chaos.add_argument("--isolation", default="process",
-                         choices=("process", "inline"),
-                         help="inline disables worker-side sabotage "
-                              "(kill/stall/poison) but keeps ledger "
-                              "and driver faults")
-    p_chaos.add_argument("--timeout-s", type=float, default=60.0,
-                         dest="timeout_s")
-    p_chaos.add_argument("--stall-s", type=float, default=None,
-                         dest="stall_s",
-                         help="injected stall duration (default: "
-                              "plan default; must exceed --timeout-s "
-                              "for the watchdog to fire)")
-    p_chaos.add_argument("--failure-budget", type=float, default=None,
-                         dest="failure_budget")
-    p_chaos.add_argument("--workdir", default=None,
-                         help="keep the campaign ledgers here "
-                              "(default: temp dir, removed)")
-    p_chaos.add_argument("--json-out", default=None, dest="json_out",
-                         metavar="PATH",
-                         help="write the invariant report as JSON")
-
     p_ledger = sub.add_parser(
         "ledger", help="ledger maintenance: verify integrity, repair "
                        "(quarantine bad lines), compact (collapse "
@@ -1021,7 +929,6 @@ COMMANDS = {
     "report": cmd_report,
     "characterize": cmd_characterize,
     "tune": cmd_tune,
-    "chaos": cmd_chaos,
     "ledger": cmd_ledger,
     "fuzz": cmd_fuzz,
     "surrogate": cmd_surrogate,

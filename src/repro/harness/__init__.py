@@ -26,12 +26,11 @@ This package provides the pieces:
 * :func:`~repro.harness.sweep.design_space_sweep` -- the resumable
   Pareto-evaluation loop used by ``python -m repro sweep``: every
   lane through the scheduler, or the one skip loop whose switch
-  positions are static pruning, the surrogate, and both;
-* :mod:`repro.harness.chaos` -- seeded whole-runtime fault injection,
-  the one injection layer (the simulator itself carries none): worker
-  kills, driver crashes, torn/corrupt ledger lines, fsync
-  failures; plus :class:`~repro.harness.chaos.ChaosInvariants`, the
-  oracle proving recovery is bit-identical to an undisturbed run.
+  positions are static pruning, the surrogate, and both.
+
+Nothing here injects faults: crash recovery is tested from real causes
+(SIGKILLed processes, damaged ledger bytes, a failing ``fsync``) in
+``tests/harness/test_crash_recovery.py``.
 """
 
 from ..sim.failures import (
@@ -47,15 +46,6 @@ from ..sim.failures import (
     WorkerCrash,
     classify,
     is_transient,
-)
-from .chaos import (
-    POINTS,
-    ChaosCampaignReport,
-    ChaosController,
-    ChaosDriverCrash,
-    ChaosInvariants,
-    ChaosPlan,
-    run_chaos_campaign,
 )
 from .ledger import (
     Ledger,
@@ -85,11 +75,6 @@ __all__ = [
     "CellFailure",
     "CellResult",
     "CellSpec",
-    "ChaosCampaignReport",
-    "ChaosController",
-    "ChaosDriverCrash",
-    "ChaosInvariants",
-    "ChaosPlan",
     "CircuitBreaker",
     "Lane",
     "CycleBudgetExhausted",
@@ -100,7 +85,6 @@ __all__ = [
     "Ledger",
     "LedgerAudit",
     "MaintenanceReport",
-    "POINTS",
     "PoisonedCell",
     "RespawnBackoff",
     "RunSupervisor",
@@ -117,7 +101,6 @@ __all__ = [
     "execute_cell",
     "execute_lanes",
     "is_transient",
-    "run_chaos_campaign",
     "static_rejection",
     "summarize",
     "sweep_cells",

@@ -208,10 +208,6 @@ class Ledger:
         #: Append batches re-written after an ``OSError`` (fsync
         #: failure / disk full); the retry is idempotent by hash.
         self.append_retries = 0
-        #: Optional chaos controller (``repro.harness.chaos``): when
-        #: set, appends pass through its mangle/fsync gates.  ``None``
-        #: costs one attribute test per batch.
-        self.chaos = None
         # Monotonic sequence assignment (single-writer); recovered
         # from the file by the first full read (see ``_lines``).
         self._next_seq: Optional[int] = None
@@ -356,19 +352,12 @@ class Ledger:
             self._write_batch(records)
 
     def _write_batch(self, records: list[dict]) -> None:
-        pairs = [
-            (record, json.dumps(record, sort_keys=True) + "\n")
-            for record in records
-        ]
-        if self.chaos is not None:
-            lines = self.chaos.mangle_lines(pairs)
-        else:
-            lines = [line for _, line in pairs]
         with self.path.open("a", encoding="utf-8") as fh:
-            fh.write("".join(lines))
+            fh.write("".join(
+                json.dumps(record, sort_keys=True) + "\n"
+                for record in records
+            ))
             fh.flush()
-            if self.chaos is not None:
-                self.chaos.fsync_gate()  # may raise OSError (chaos)
             os.fsync(fh.fileno())
 
     # ------------------------------------------------------------------
@@ -506,10 +495,6 @@ class Ledger:
             record["failure_detail"] = result.failure_detail
             if result.diagnostics is not None:
                 record["diagnostics"] = result.diagnostics
-        if getattr(result, "injected", 0):
-            # Chaos-injected attempts, excluded from ``retries`` so a
-            # chaos campaign aggregates bit-identically to a clean one.
-            record["chaos_injected"] = result.injected
         backend = getattr(result, "backend", None)
         if backend is not None:
             # The backend *requested* for the campaign: a pure

@@ -121,15 +121,15 @@ class RespawnBackoff:
     ``sleep()`` waits ``uniform(base, prev * 3)`` capped at ``cap`` --
     the decorrelated-jitter scheme, which avoids both the thundering
     herd of fixed exponential backoff and the lockstep of full jitter.
-    Seeded, so chaos runs back off identically run to run.  ``reset()``
-    on any successful result drain returns to the base delay.
+    The jitter stream has a fixed seed, so a campaign backs off the
+    same way run to run.  ``reset()`` on any successful result drain
+    returns to the base delay.
     """
 
-    def __init__(self, seed: int = 0, base: float = 0.05,
-                 cap: float = 1.0) -> None:
+    def __init__(self, base: float = 0.05, cap: float = 1.0) -> None:
         self.base = base
         self.cap = cap
-        self._rng = random.Random(seed)
+        self._rng = random.Random(0)
         self._prev = base
         self.total_s = 0.0
 
@@ -328,14 +328,7 @@ def _worker_main(worker_id: int, inbox, results, supervisor) -> None:
                 continue
             if specs is None:
                 return
-            records = _run_dispatch(supervisor, specs)
-            plan = getattr(supervisor, "chaos", None)
-            if plan is not None and len(specs) == 1 and plan.selected(
-                    "result_delay", specs[0].identity_hash()):
-                # Late verdict delivery: the driver must tolerate results
-                # arriving long after dispatch (and after reap checks).
-                time.sleep(plan.delay_s)
-            results.put((worker_id, records))
+            results.put((worker_id, _run_dispatch(supervisor, specs)))
     finally:
         # A duck-typed supervisor need not keep a child to hang up on.
         getattr(supervisor, "close", lambda: None)()
@@ -358,7 +351,7 @@ class _Driver:
 
     def __init__(self, lanes, jobs, supervisor, ledger, done, report,
                  progress, prevalidate, mp_context, poll_s,
-                 chaos=None, failure_budget=None):
+                 failure_budget=None):
         self.jobs = jobs
         self.pool_size = jobs if jobs > 1 else 0
         self.width = _group_width(supervisor)
@@ -369,12 +362,10 @@ class _Driver:
         self.progress = progress
         self.prevalidate = prevalidate
         self.poll_s = poll_s
-        self.chaos = chaos  # driver-side ChaosController (or None)
         self.failure_budget = failure_budget
         self.aborted = False
         self.breaker = CircuitBreaker()
-        seed = chaos.plan.seed if chaos is not None else 0
-        self.backoff = RespawnBackoff(seed)
+        self.backoff = RespawnBackoff()
         self.workers: dict[int, _Worker] = {}
         self.idle: deque[int] = deque()
         if self.pool_size:
@@ -542,11 +533,6 @@ class _Driver:
                 self.local = specs  # _drain runs it
                 continue
             self.workers[wid].inbox.put(specs)
-            if self.chaos is not None and \
-                    self.chaos.kill_worker(specs[0].identity_hash()):
-                # Injected scheduler-worker death right after dispatch;
-                # _reap must turn this into a crash retry, not a hang.
-                self.workers[wid].process.kill()
         if len(self.inflight) > self._max_inflight:
             self._max_inflight = len(self.inflight)
 
@@ -656,10 +642,6 @@ class _Driver:
                 self._requeue(lane)  # same cell, fresh dispatch
             else:
                 self._resolve(cell, record)
-        if durable and self.chaos is not None:
-            # Records above are durable; everything in driver memory
-            # is what an injected crash here loses -- resume recovers.
-            self.chaos.driver_batch_gate()
 
     def _reap(self) -> None:
         """Detect dead workers; their in-flight cells are committed as
@@ -759,7 +741,6 @@ def execute_lanes(
     prevalidate: bool = True,
     mp_context: Optional[str] = None,
     poll_s: float = POLL_S,
-    chaos=None,
     failure_budget: Optional[float] = None,
 ) -> dict[str, dict]:
     """Run every lane to exhaustion; returns the records-by-hash map.
@@ -773,12 +754,9 @@ def execute_lanes(
     completion order then varies but the produced record set does
     not.  ``done`` (resumed records) is updated in place and returned.
 
-    ``chaos`` is a driver-side
-    :class:`~repro.harness.chaos.ChaosController` (duck typed --
-    this module never imports the chaos layer); ``failure_budget`` is
-    the campaign failure-rate ceiling (e.g. ``0.5``) past which the
-    run aborts with ``report.aborted`` set instead of grinding
-    through a doomed campaign.
+    ``failure_budget`` is the campaign failure-rate ceiling (e.g.
+    ``0.5``) past which the run aborts with ``report.aborted`` set
+    instead of grinding through a doomed campaign.
     """
     lanes = [lane for lane in lanes if not lane.exhausted]
     if done is None:
@@ -790,15 +768,8 @@ def execute_lanes(
     if not jobs:
         jobs = os.cpu_count() or 1
     jobs = max(1, min(jobs, len(lanes)))
-    if chaos is not None and _group_width(supervisor) > 1:
-        # Mirrors the supervisor's own chaos x batched rejection: a
-        # driver-side controller implies a chaos campaign, which must
-        # run on the plain backend.
-        raise ValueError(
-            "chaos injection does not compose with the batched backend"
-        )
     _Driver(
         lanes, jobs, supervisor, ledger, done, report, progress,
-        prevalidate, mp_context, poll_s, chaos, failure_budget,
+        prevalidate, mp_context, poll_s, failure_budget,
     ).run()
     return done

@@ -74,9 +74,9 @@ class CellSpec:
         """Content hash of the cell's *identity* -- every field except
         the cycle/event budgets.  Budget escalation produces a new
         :meth:`cell_hash` (a bigger budget is a different request) but
-        the same identity, which is what the chaos layer and the
-        per-cell circuit breaker key on: an injected fault or a crash
-        streak follows the cell across escalated retries.
+        the same identity, which is what the per-cell circuit breaker
+        keys on: a crash streak follows the cell across escalated
+        retries.
         """
         return self._digest("_identity_hash", "max_cycles", "max_events")
 

@@ -221,17 +221,9 @@ def _failure_payload(exc: BaseException) -> dict:
     }
 
 
-def _child_main(spec: CellSpec, sabotage) -> list[dict]:
+def _child_main(spec: CellSpec) -> list[dict]:
     """One attempt of one cell, in-process or in the isolation child:
-    its payload (as a list of one, the shape a batch group returns).
-
-    ``sabotage`` is an optional chaos-layer
-    :class:`~repro.harness.chaos.Sabotage` decided by the *parent*;
-    the child applies it blindly (sleep, die) so no chaos logic or
-    RNG state ever runs worker-side.
-    """
-    if sabotage is not None:
-        sabotage.apply()
+    its payload (as a list of one, the shape a batch group returns)."""
     try:
         return [execute_cell(spec)]
     except Exception as exc:  # noqa: BLE001 - classified either way
@@ -284,10 +276,6 @@ class CellResult:
     failure_class: Optional[str] = None
     failure_detail: Optional[str] = None
     diagnostics: Optional[dict] = None
-    #: Attempts lost to chaos-injected faults.  Excluded from
-    #: ``retries`` so a chaos campaign's retry accounting aggregates
-    #: bit-identically to an undisturbed run.
-    injected: int = 0
     #: The engine backend *requested* for this cell (``None`` on
     #: results built before the registry existed).  Deliberately the
     #: requested backend, not the one that happened to execute: the
@@ -335,7 +323,6 @@ class RunSupervisor:
         escalation: float = 4.0,
         isolation: str = "process",
         mp_context: Optional[str] = None,
-        chaos=None,
         backend: str = "plain",
         batch_width: int = DEFAULT_BATCH_WIDTH,
     ) -> None:
@@ -351,14 +338,6 @@ class RunSupervisor:
         if batch_width < 1:
             raise ValueError("batch width must be at least 1")
         self.backend = backend
-        if chaos is not None and self.backend == "batched":
-            # A sabotage decided for one cell would disturb its whole
-            # batch group -- the chaos invariants are per-cell, so the
-            # two layers do not compose.
-            raise ValueError(
-                "chaos injection does not compose with the batched "
-                "backend; run chaos campaigns on the plain backend"
-            )
         self.batch_width = batch_width
         self.timeout_s = timeout_s
         self.max_retries = max_retries
@@ -375,12 +354,6 @@ class RunSupervisor:
         self._ctx = multiprocessing.get_context(mp_context)
         #: ``(owner pid, process, connection)`` of the idle child.
         self._child: Optional[tuple] = None
-        #: Optional :class:`~repro.harness.chaos.ChaosPlan` (duck
-        #: typed: anything with ``sabotage_for``/``selected``).  A
-        #: frozen dataclass, so it pickles into scheduler workers with
-        #: the supervisor.  Sabotage only engages under process
-        #: isolation -- an inline SIGKILL would kill the driver.
-        self.chaos = chaos
 
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
@@ -394,39 +367,22 @@ class RunSupervisor:
     # ------------------------------------------------------------------
     def run(self, spec: CellSpec) -> CellResult:
         """One cell through the full policy: attempt, classify, and
-        retry transient budget failures with escalated budgets.
-
-        With a chaos plan attached, each attempt may carry an injected
-        sabotage.  A *retryable* injected failure (one-shot kill or
-        stall) is retried immediately on the same spec and counted in
-        ``injected`` rather than ``retries`` -- the injection must
-        never consume the real retry budget or escalate budgets, or a
-        chaos run's verdicts would diverge from a clean run's.
-        """
+        retry transient budget failures with escalated budgets."""
         started = time.monotonic()
         attempts = 0
-        injected = 0
         while True:
             attempts += 1
-            sabotage = None
-            if self.chaos is not None and self.isolation == "process":
-                sabotage = self.chaos.sabotage_for(spec, attempts)
-            payload = self._dispatch(
-                _child_main, (spec, sabotage), [spec]
-            )[0]
+            payload = self._dispatch(_child_main, (spec,), [spec])[0]
             if payload["status"] == "ok":
                 return CellResult(
                     spec=spec, status="ok", attempts=attempts,
-                    retries=attempts - 1 - injected,
+                    retries=attempts - 1,
                     wall_s=time.monotonic() - started, outcome=payload,
-                    injected=injected, backend=self.backend,
+                    backend=self.backend,
                 )
-            if sabotage is not None and sabotage.retryable:
-                injected += 1
-                continue
             failure_class = payload.get("failure_class", "WorkerCrash")
             if is_transient(failure_class) and \
-                    attempts - injected <= self.max_retries:
+                    attempts <= self.max_retries:
                 # A bigger budget may complete; true deadlocks and
                 # watchdog kills are not retried (deterministic or
                 # already at the wall-clock limit).  A cell the engine
@@ -439,12 +395,12 @@ class RunSupervisor:
                 continue
             return CellResult(
                 spec=spec, status="failed", attempts=attempts,
-                retries=attempts - 1 - injected,
+                retries=attempts - 1,
                 wall_s=time.monotonic() - started,
                 failure_class=failure_class,
                 failure_detail=payload.get("failure_detail"),
                 diagnostics=payload.get("diagnostics"),
-                injected=injected, backend=self.backend,
+                backend=self.backend,
             )
 
     def run_batch(self, specs: list[CellSpec]) -> list[CellResult]:
@@ -465,10 +421,6 @@ class RunSupervisor:
         width serial attempts); a hung group is killed and every cell
         degrades to the per-cell path.
         """
-        if self.chaos is not None:
-            raise ValueError(
-                "chaos injection does not compose with run_batch"
-            )
         specs = list(specs)
         if not specs:
             return []

@@ -231,8 +231,7 @@ def _given(**kwargs) -> dict:
             if value is not None}
 
 
-def _open_campaign(ledger_path, resume: bool, chaos,
-                   surrogate: bool = False):
+def _open_campaign(ledger_path, resume: bool, surrogate: bool = False):
     """What every sweep entry point starts from: the ledger (or
     ``None``), the resumed records it may reuse, and a fresh report.
 
@@ -252,7 +251,6 @@ def _open_campaign(ledger_path, resume: bool, chaos,
     if ledger is not None:
         report.torn_lines = ledger.torn_lines
         report.corrupt_lines = ledger.corrupt_lines
-        ledger.chaos = chaos
     return ledger, done, report
 
 
@@ -265,7 +263,6 @@ def sweep_cells(
     progress: Optional[Callable[[CellSpec, dict], None]] = None,
     prevalidate: bool = True,
     jobs: Optional[int] = 1,
-    chaos=None,
     failure_budget: Optional[float] = None,
 ) -> tuple[dict[str, dict], SweepReport]:
     """Run an explicit cell list; returns (records by hash, report).
@@ -278,7 +275,7 @@ def sweep_cells(
     specs = list(specs)
     if supervisor is None:
         supervisor = RunSupervisor()
-    ledger, done, report = _open_campaign(ledger_path, resume, chaos)
+    ledger, done, report = _open_campaign(ledger_path, resume)
     lanes = [
         Lane(key=(index,), specs=[spec])
         for index, spec in enumerate(specs)
@@ -288,8 +285,7 @@ def sweep_cells(
         execute_lanes(
             lanes, jobs=jobs, supervisor=supervisor, ledger=ledger,
             done=done, report=report, progress=noted,
-            prevalidate=prevalidate, chaos=chaos,
-            failure_budget=failure_budget,
+            prevalidate=prevalidate, failure_budget=failure_budget,
         )
     finally:
         getattr(supervisor, "close", lambda: None)()
@@ -848,7 +844,6 @@ def design_space_sweep(
     progress: Optional[Callable[[CellSpec, dict], None]] = None,
     prevalidate: bool = True,
     jobs: Optional[int] = 1,
-    chaos=None,
     failure_budget: Optional[float] = None,
     prune: bool = False,
     surrogate: bool = False,
@@ -901,9 +896,7 @@ def design_space_sweep(
             **_given(timeout_s=timeout_s, backend=backend,
                      batch_width=batch_width),
         )
-    ledger, done, report = _open_campaign(
-        ledger_path, resume, chaos, surrogate
-    )
+    ledger, done, report = _open_campaign(ledger_path, resume, surrogate)
     lanes = build_lanes(
         designs, names, scale, threaded, candidates, max_cycles,
         max_events,
@@ -912,7 +905,7 @@ def design_space_sweep(
     execute = partial(
         execute_lanes, supervisor=supervisor, ledger=ledger, done=done,
         report=report, progress=noted, prevalidate=prevalidate,
-        chaos=chaos, failure_budget=failure_budget,
+        failure_budget=failure_budget,
     )
     try:
         if prune or surrogate:

@@ -4,10 +4,9 @@ The :mod:`repro.isa` package defines the program representation shared
 by the toolchain (:mod:`repro.lang`), the placement phase
 (:mod:`repro.place`) and the cycle-level simulator (:mod:`repro.sim`):
 tagged tokens, opcodes, static instructions with wave-ordered memory
-annotations, and the dataflow-graph binary format.
+annotations, and the dataflow graph.
 """
 
-from .encoding import EncodingError, decode, encode
 from .graph import DataflowGraph, ThreadInfo
 from .instruction import Dest, Instruction
 from .opcodes import OpClass, Opcode, OpInfo, OPCODES_BY_NAME
@@ -23,9 +22,6 @@ from .waves import (
 
 __all__ = [
     "DataflowGraph",
-    "EncodingError",
-    "decode",
-    "encode",
     "ThreadInfo",
     "Dest",
     "Instruction",

@@ -8,7 +8,6 @@ k-loop bounded, and handed to placement and the simulator.
 from .assembler import AssemblerError, assemble
 from .builder import MAX_FANOUT, BuildError, GraphBuilder, IfElse, Loop, Node
 from .disasm import disassemble
-from .dot import to_dot
 from .kbound import backedge_ids, k_bound_of, set_k_bound
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "Loop",
     "Node",
     "disassemble",
-    "to_dot",
     "backedge_ids",
     "k_bound_of",
     "set_k_bound",

@@ -34,26 +34,10 @@ DETERMINISTIC_CELL_COUNTERS = (
     "messages",
 )
 
-#: The chaos/recovery counter catalogue (see
-#: :mod:`repro.harness.chaos`).  One ``chaos_<point>`` counter per
-#: injection point in ``repro.harness.chaos.POINTS`` -- the registry
-#: sync is asserted by ``tests/harness/test_chaos.py`` -- plus the
-#: recovery-machinery counters.  All ``chaos_``-prefixed names are
-#: excluded from invariant comparisons by convention: they describe
-#: the disturbance, not the result.
-CHAOS_COUNTERS = (
-    "chaos_injections_total",
-    "chaos_worker_kill",
-    "chaos_worker_stall",
-    "chaos_poison",
-    "chaos_scheduler_kill",
-    "chaos_driver_crash",
-    "chaos_torn_line",
-    "chaos_corrupt_line",
-    "chaos_dup_line",
-    "chaos_fsync_error",
-    "chaos_result_delay",
-    "chaos_injections_recorded",  # from ledger records, not hooks
+#: The crash-recovery counter catalogue: what the production recovery
+#: machinery (ledger repair/compaction, the fsync retry, worker
+#: respawn, the circuit breaker) did to finish a campaign.
+RECOVERY_COUNTERS = (
     "ledger_lines_quarantined",
     "ledger_repairs",
     "ledger_compactions",
@@ -275,9 +259,6 @@ def aggregate_records(records: Iterable[dict]) -> MetricsRegistry:
         failure = record.get("failure_class")
         if failure:
             reg.counter(f"failures_{failure}").inc()
-        injected = int(record.get("chaos_injected", 0) or 0)
-        if injected:
-            reg.counter("chaos_injections_recorded").inc(injected)
         metrics = record.get("metrics") or {}
         for key in DETERMINISTIC_CELL_COUNTERS:
             if key in metrics:

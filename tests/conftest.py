@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -121,12 +124,44 @@ def halffed(monkeypatch):
     return "halffed"
 
 
+#: Deaths the ``crasher`` workload allows before it raises instead.
+CRASHER_PATIENCE = 20
+
+
+@pytest.fixture
+def crasher(monkeypatch, tmp_path):
+    """Workload ``crasher``: building it ends the process that builds
+    it (``os._exit``), so under process isolation every attempt of one
+    of its cells kills the isolation child.  Deaths are tallied in a
+    file; past :data:`CRASHER_PATIENCE` of them the build raises
+    instead, so a circuit breaker that never trips fails the test
+    rather than hanging it.  Never run it inline."""
+    from repro.workloads.base import Suite, Workload
+    from repro.workloads.registry import WORKLOADS
+
+    deaths = tmp_path / "crasher-deaths"
+
+    def build(**_):
+        with deaths.open("a") as fh:
+            fh.write("x")
+        if deaths.stat().st_size > CRASHER_PATIENCE:
+            raise RuntimeError("crasher was never quarantined")
+        os._exit(86)
+
+    monkeypatch.setitem(WORKLOADS, "crasher", Workload(
+        name="crasher", suite=Suite.SPEC, build=build,
+        reference=lambda **_: [],
+    ))
+    return "crasher"
+
+
 @pytest.fixture
 def hang_cell(monkeypatch):
-    """Install an ``execute_cell`` that hangs on the cells
-    ``chosen(spec)`` picks (every cell by default) and runs the rest:
-    a wedged attempt for the watchdog to kill.  Workers and isolation
-    children forked after the call inherit it."""
+    """Install an ``execute_cell`` that sleeps ``sleep_s`` (an hour by
+    default) on the cells ``chosen(spec)`` picks (every cell by
+    default) and then runs them: a wedged attempt for the watchdog to
+    kill or, with a short sleep, a verdict that arrives late.  Workers
+    and isolation children forked after the call inherit it."""
     import multiprocessing
 
     from repro.harness import supervisor as supervisor_mod
@@ -135,15 +170,83 @@ def hang_cell(monkeypatch):
         pytest.skip("needs fork to inherit the monkeypatched worker")
     real = supervisor_mod.execute_cell
 
-    def install(chosen=lambda spec: True) -> None:
+    def install(chosen=lambda spec: True, sleep_s: float = 3600) -> None:
         def execute_cell(spec):
             if chosen(spec):
-                time.sleep(3600)
+                time.sleep(sleep_s)
             return real(spec)
 
         monkeypatch.setattr(supervisor_mod, "execute_cell", execute_cell)
 
     return install
+
+
+#: Run by :func:`kill_mid_cell`: waits for the marker's ``"pid ppid"``
+#: line and SIGKILLs one of the two.
+KILLER = """
+import os, signal, sys, time
+marker, which = sys.argv[1], int(sys.argv[2])
+deadline = time.monotonic() + 60
+while time.monotonic() < deadline:
+    try:
+        with open(marker) as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        text = ""
+    if text.endswith("\\n"):
+        os.kill(int(text.split()[which]), signal.SIGKILL)
+        sys.exit(0)
+    time.sleep(0.01)
+sys.exit(1)
+"""
+
+
+@pytest.fixture
+def kill_mid_cell(monkeypatch, tmp_path):
+    """``install(chosen, which)`` holds the first attempt of the first
+    cell ``chosen(spec)`` picks in the process running it, and starts a
+    process that SIGKILLs the held process (``which=0``: the isolation
+    child, or a worker running cells inline) or its parent
+    (``which=1``: the scheduler worker above an isolation child).
+    Returns that process; it exits 0 once it has sent the signal.
+    Workers and isolation children forked after the call inherit the
+    hold; later attempts of the cell run normally."""
+    import multiprocessing
+
+    from repro.harness import supervisor as supervisor_mod
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork to inherit the monkeypatched worker")
+    marker = tmp_path / "held-cell"
+    real = supervisor_mod.execute_cell
+    killers = []
+
+    def install(chosen, which: int = 0):
+        def execute_cell(spec):
+            if not chosen(spec):
+                return real(spec)
+            try:
+                fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                return real(spec)  # held and killed once already
+            parent = os.getppid()
+            os.write(fd, f"{os.getpid()} {parent}\n".encode())
+            os.close(fd)
+            deadline = time.monotonic() + 60
+            while os.getppid() == parent and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os._exit(0)  # orphaned: the signal went to the parent
+
+        monkeypatch.setattr(supervisor_mod, "execute_cell", execute_cell)
+        killers.append(subprocess.Popen(
+            [sys.executable, "-c", KILLER, str(marker), str(which)]))
+        return killers[-1]
+
+    yield install
+    for killer in killers:
+        if killer.poll() is None:
+            killer.kill()
+            killer.wait(10)
 
 
 @pytest.fixture

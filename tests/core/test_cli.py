@@ -244,7 +244,7 @@ def assert_usage_error(capsys, argv, message):
     assert errors == [f"repro {argv[0]}: error: {message}"]
 
 
-@pytest.mark.parametrize("command", ["sweep", "report", "chaos"])
+@pytest.mark.parametrize("command", ["sweep", "report"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_sample_stride_must_be_positive(capsys, command, value):
     assert_usage_error(capsys, (command, "--sample", value),
@@ -253,7 +253,7 @@ def test_sample_stride_must_be_positive(capsys, command, value):
 
 @pytest.mark.parametrize("argv,message", [
     (("sweep", "--jobs", "-2"), "argument --jobs/-j: must be >= 0"),
-    (("chaos", "--jobs", "-2"), "argument --jobs/-j: must be >= 0"),
+    (("sweep", "-j", "-2"), "argument --jobs/-j: must be >= 0"),
     (("sweep", "--batch-width", "0"),
      "argument --batch-width: must be >= 1"),
     (("sweep", "--sample", "x"),

@@ -11,9 +11,8 @@ import pytest
 
 from repro.core import WaveScalarConfig
 from repro.design.space import viable_designs
-from repro.harness import CellSpec, Lane, RunSupervisor
+from repro.harness import CellSpec, RunSupervisor
 from repro.harness import supervisor as supervisor_mod
-from repro.harness.scheduler import execute_lanes
 from repro.harness.sweep import design_space_sweep, sweep_cells
 from repro.sim.compile import clear_cache
 from repro.workloads.base import Scale
@@ -140,22 +139,8 @@ def test_batch_crash_replays_cells_under_plain_policy(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Composition guards
+# Argument checks and composition
 # ----------------------------------------------------------------------
-def test_chaos_does_not_compose_with_batched():
-    with pytest.raises(ValueError, match="chaos"):
-        RunSupervisor(backend="batched", chaos=object())
-    lanes = [Lane(key=(0,), specs=[
-        CellSpec(config=GOOD, workload="fft", scale="tiny")
-    ])]
-    with pytest.raises(ValueError, match="chaos"):
-        execute_lanes(
-            lanes,
-            supervisor=RunSupervisor(backend="batched", batch_width=2),
-            chaos=object(),
-        )
-
-
 def test_batch_width_must_be_positive():
     with pytest.raises(ValueError):
         RunSupervisor(backend="batched", batch_width=0)

@@ -3,7 +3,7 @@ not, who owns it, and that a record does not depend on what the child
 ran before.
 
 The policy tests (classification, retries, watchdog) live in
-``test_supervisor.py`` and ``test_chaos.py`` and hold for any way of
+``test_supervisor.py`` and ``test_crash_recovery.py`` and hold for any way of
 starting children; these cover the lifetime of the child itself.
 """
 
@@ -19,7 +19,6 @@ from repro.core import WaveScalarConfig
 from repro.design import viable_designs
 from repro.harness import (
     CellSpec,
-    ChaosPlan,
     Lane,
     Ledger,
     RunSupervisor,
@@ -116,7 +115,7 @@ def test_idle_death_is_not_a_cell_failure(supervisor, reaped):
         assert idle.exitcode == -signal.SIGKILL
     result = supervisor.run(make_spec(workload="gzip"))
     assert result.ok
-    assert (result.attempts, result.retries, result.injected) == (1, 0, 0)
+    assert (result.attempts, result.retries) == (1, 0)
     assert child_of(supervisor).pid != idle.pid
 
 
@@ -273,35 +272,19 @@ def test_one_child_per_campaign_and_records_do_not_depend_on_its_past(
     assert {cell: stripped(r) for cell, r in backwards.items()} == forked
 
 
-def test_an_injected_kill_costs_one_more_child_and_no_retry(
-        tmp_path, starts):
-    designs, names = smoke_study()
+def test_a_sigkill_mid_cell_costs_one_more_child_and_no_retry(
+        tmp_path, starts, kill_mid_cell):
+    """The campaign's child is SIGKILLed in the middle of its first
+    cell: the circuit breaker sends the cell out again, a second child
+    runs it, and no record -- ``attempts`` and ``retries`` included --
+    differs from the clean run's."""
     clean = run_study(tmp_path / "clean.jsonl", "process")
-    specs = [CellSpec.from_dict(r["spec"]) for r in clean.values()]
-    seed = next(
-        seed for seed in range(1000) if sum(
-            ChaosPlan(seed=seed, points=("worker_kill",)).selected(
-                "worker_kill", spec.identity_hash())
-            for spec in specs) == 1
-    )
     del starts[:]
-    design_space_sweep(
-        designs, names, Scale.TINY, False, jobs=1,
-        ledger_path=tmp_path / "chaos.jsonl",
-        supervisor=RunSupervisor(
-            isolation="process", max_retries=STUDY["max_retries"],
-            chaos=ChaosPlan(seed=seed, points=("worker_kill",)),
-        ), max_cycles=STUDY["max_cycles"],
-    )
+    killer = kill_mid_cell(lambda spec: spec.workload == "gzip")
+    killed = run_study(tmp_path / "killed.jsonl", "process")
+    assert killer.wait(60) == 0
     assert len(starts) == 2  # the campaign's child, and its successor
-    chaos = Ledger(tmp_path / "chaos.jsonl").load()
-    assert sum(r.get("chaos_injected", 0) for r in chaos.values()) == 1
-    for cell, record in chaos.items():
-        record = stripped(record)
-        if record.pop("chaos_injected", 0):
-            # The killed attempt is counted, but not as a retry.
-            record["attempts"] -= 1
-        assert record == clean[cell]
+    assert killed == clean
 
 
 # ----------------------------------------------------------------------

@@ -25,8 +25,10 @@ from repro.core import WaveScalarConfig
 from repro.design import DesignPoint
 from repro.harness import (
     CellSpec,
+    CircuitBreaker,
     Lane,
     Ledger,
+    RespawnBackoff,
     RunSupervisor,
     design_space_sweep,
     execute_lanes,
@@ -268,8 +270,6 @@ class ScriptedSupervisor:
     into the pool's workers like the real one; the crash-once cell
     keeps its state in a file, the only memory they share."""
 
-    chaos = None
-
     def __init__(self, width: int, marker) -> None:
         self.backend = "batched" if width > 1 else "plain"
         self.batch_width = width
@@ -505,6 +505,52 @@ def test_dead_worker_is_reaped_and_replaced(monkeypatch, tmp_path):
     assert sched["worker_respawns"] >= 2
     assert sched["backoff_s"] > 0
     assert len(ledger.load()) == 2
+
+
+# ----------------------------------------------------------------------
+# The recovery primitives: circuit breaker, respawn backoff, budget
+# ----------------------------------------------------------------------
+def test_circuit_breaker_trips_at_threshold():
+    breaker = CircuitBreaker(threshold=3)
+    assert not breaker.record_crash("cell")
+    assert not breaker.record_crash("cell")
+    assert breaker.record_crash("cell")  # third consecutive -> trip
+    assert breaker.trips == 1 and breaker.crash_retries == 2
+    # The streak was consumed by the trip; the cell starts fresh.
+    assert not breaker.record_crash("cell")
+    breaker.reset("cell")
+    assert not breaker.record_crash("cell")
+
+
+def test_respawn_backoff_is_seeded_and_bounded():
+    a = RespawnBackoff(base=0.05, cap=1.0)
+    b = RespawnBackoff(base=0.05, cap=1.0)
+    delays = [a.next_delay() for _ in range(8)]
+    assert delays == [b.next_delay() for _ in range(8)]
+    assert all(0.05 <= d <= 1.0 for d in delays)
+    a.reset()
+    assert a.next_delay() <= 0.05 * 3  # decorrelated restart
+
+
+def test_failure_budget_aborts_doomed_campaign(tmp_path):
+    """A campaign where every cell fails must abort once the failure
+    rate blows the budget, with a partial report -- not grind through
+    every remaining cell."""
+    specs = [
+        CellSpec(config=CONFIGS[2], workload="mcf", scale="tiny",
+                 seed=i, max_cycles=10, max_events=10)
+        for i in range(8)
+    ]
+    records, report = sweep_cells(
+        specs,
+        ledger_path=tmp_path / "doomed.jsonl",
+        supervisor=RunSupervisor(isolation="inline", max_retries=0),
+        failure_budget=0.25,
+    )
+    assert report.aborted and "exceeds budget" in report.aborted
+    assert report.failed >= 5  # the minimum sample before aborting
+    assert len(records) < len(specs)  # later cells were skipped
+    assert "ABORTED" in report.summary()
 
 
 # ----------------------------------------------------------------------
