@@ -90,8 +90,7 @@ def resolve_targets(
     threads: Optional[int] = None,
 ) -> list[LintResult]:
     """Lint every named target; unknown names become error results."""
-    from ..cli import SUITES
-    from ..workloads import WORKLOADS
+    from ..workloads import SUITES, WORKLOADS
 
     results: list[LintResult] = []
     for name in names:

@@ -35,23 +35,7 @@ from .sim.failures import TRANSIENT_CLASSES
 from .harness.supervisor import BACKENDS, DEFAULT_BATCH_WIDTH
 from .design import pareto_front, viable_designs
 from .report import scatter
-from .workloads import (
-    MEDIA_NAMES,
-    SPEC_NAMES,
-    SPLASH_NAMES,
-    TENSOR_NAMES,
-    WORKLOADS,
-    Scale,
-    get,
-)
-
-SUITES = {
-    "spec": SPEC_NAMES,
-    "media": MEDIA_NAMES,
-    "splash": SPLASH_NAMES,
-    "tensor": TENSOR_NAMES,
-    "all": tuple(sorted(WORKLOADS)),
-}
+from .workloads import SUITES, WORKLOADS, Scale, get
 
 
 def _int_at_least(low: int):
@@ -568,13 +552,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     linter); divergences are minimized and written to the corpus."""
     import json
 
-    from .fuzz import get_defect, run_campaign
-
-    try:
-        defect = get_defect(args.defect)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    from .fuzz import run_campaign
 
     def progress(seed, result):
         if not args.json and (seed + 1 - args.start) % 50 == 0:
@@ -582,13 +560,10 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                   f"{len(result.cases)} divergence(s)")
 
     if not args.json:
-        print(f"fuzzing seeds {args.start}..{args.start + args.seeds - 1}"
-              + (f" with seeded defect {args.defect!r}" if args.defect
-                 else ""))
+        print(f"fuzzing seeds {args.start}..{args.start + args.seeds - 1}")
     result = run_campaign(
         seeds=args.seeds, start=args.start, corpus_dir=args.corpus,
-        minimize=args.minimize, defect=defect, defect_name=args.defect,
-        progress=progress,
+        minimize=args.minimize, progress=progress,
     )
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -887,11 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=True,
                         help="delta-debug divergent programs to "
                              "minimal repros (default: on)")
-    p_fuzz.add_argument("--defect", default=None,
-                        help="seed an intentional harness-boundary "
-                             "engine defect (off-by-one, "
-                             "dropped-output, sign-flip) to prove the "
-                             "harness catches it")
     p_fuzz.add_argument("--json", action="store_true",
                         help="emit the campaign report as JSON")
 

@@ -1,15 +1,17 @@
 """Fuzzer-driven differential testing.
 
 Six oracles ship with this repo -- the reference interpreter, the
-engine, the frozen seed engine it was derived from, the lockstep
-scheduler, the static A-rule bound, and the graph linter.  This package generates seeded, reproducible
-programs and holds every oracle to agreement on each one; any
-disagreement is shrunk to a minimal repro and recorded.  See
-DESIGN.md §5j and ``repro fuzz --help``.
+engine, the seed engine it was derived from, the lockstep scheduler,
+the static A-rule bound, and the graph linter.  This package
+generates seeded, reproducible programs and holds every oracle to
+agreement on each one; any disagreement is shrunk to a minimal repro
+and recorded.  Nothing here can break an engine on purpose: the tests
+prove detection by putting a broken ``Engine`` subclass in place of
+``repro.fuzz.differential.Engine`` (the ``broken_engine`` fixture in
+``tests/conftest.py``).  See DESIGN.md §5j and ``repro fuzz --help``.
 """
 
 from .corpus import CorpusCase, load_corpus, save_case
-from .defects import DEFECTS, get_defect
 from .differential import (
     PROBE_CONFIGS,
     DiffReport,
@@ -31,7 +33,6 @@ __all__ = [
     "BranchSpec",
     "CampaignResult",
     "CorpusCase",
-    "DEFECTS",
     "DiffReport",
     "Divergence",
     "LoopSpec",
@@ -42,7 +43,6 @@ __all__ = [
     "diff_graph",
     "diff_recipe",
     "divergence_persists",
-    "get_defect",
     "graph_size",
     "load_corpus",
     "minimize_recipe",

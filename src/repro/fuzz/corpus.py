@@ -27,7 +27,6 @@ class CorpusCase:
     kind: str
     detail: str
     config: str = ""
-    defect: Optional[str] = None
     recipe: dict = field(default_factory=dict)
     minimized: Optional[dict] = None
     graph_len: int = 0
@@ -40,7 +39,6 @@ class CorpusCase:
             "kind": self.kind,
             "detail": self.detail,
             "config": self.config,
-            "defect": self.defect,
             "recipe": self.recipe,
             "minimized": self.minimized,
             "graph_len": self.graph_len,
@@ -52,7 +50,7 @@ class CorpusCase:
         return cls(
             seed=doc["seed"], kind=doc["kind"],
             detail=doc.get("detail", ""), config=doc.get("config", ""),
-            defect=doc.get("defect"), recipe=doc.get("recipe", {}),
+            recipe=doc.get("recipe", {}),
             minimized=doc.get("minimized"),
             graph_len=doc.get("graph_len", 0),
             minimized_len=doc.get("minimized_len"),
@@ -62,13 +60,11 @@ class CorpusCase:
         """The smallest recorded repro (minimized when present)."""
         return Recipe.from_dict(self.minimized or self.recipe)
 
-    def replay(self, with_defect: bool = True):
+    def replay(self):
         """Re-run the differential harness on the stored repro."""
-        from .defects import get_defect
         from .differential import diff_graph
 
-        defect = get_defect(self.defect) if with_defect else None
-        return diff_graph(build_graph(self.best_recipe()), defect=defect)
+        return diff_graph(build_graph(self.best_recipe()))
 
 
 def case_filename(case: CorpusCase) -> str:

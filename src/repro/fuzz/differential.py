@@ -34,7 +34,7 @@ express.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..analysis.dataflow import compute_bound, graph_statics
 from ..analysis.lint import lint_graph
@@ -43,6 +43,7 @@ from ..isa.graph import DataflowGraph
 from ..lang.interp import DeadlockError, interpret
 from ..place.snake import place
 from ..sim._legacy.engine import Engine as SeedEngine
+from ..sim.batched import BatchedEngine
 from ..sim.engine import Engine
 from ..sim.failures import (
     CycleBudgetExhausted,
@@ -155,20 +156,12 @@ def _verdict_diff(serial: tuple, theirs: tuple, other: str
     return None
 
 
-def diff_graph(
-    graph: DataflowGraph,
-    configs=PROBE_CONFIGS,
-    defect: Optional[Callable[[list], list]] = None,
-    check_batched: bool = True,
-    check_bound: bool = True,
-) -> DiffReport:
+def diff_graph(graph: DataflowGraph, configs=PROBE_CONFIGS) -> DiffReport:
     """Cross-check one graph against every oracle.
 
-    ``defect`` is a harness-boundary corruption applied to the serial
-    engine's outputs (see :mod:`repro.fuzz.defects`) -- the seeded-bug
-    mechanism that proves the harness and minimizer actually detect a
-    broken engine.
-    """
+    The serial runs and the lockstep batch use the module's ``Engine``,
+    looked up per call: a test proves detection by putting a broken
+    subclass there."""
     report = DiffReport(name=graph.name, graph_len=len(graph))
 
     lint = lint_graph(graph)
@@ -188,9 +181,6 @@ def diff_graph(
     if ref is not None:
         report.dynamic_instructions = ref.dynamic_instructions
         ref_outputs = ref.output_values()
-
-    statics = None
-    if check_bound and ref is not None:
         statics = graph_statics(graph, name=graph.name)
 
     def engine(cls, config, placement):
@@ -250,8 +240,6 @@ def diff_graph(
             continue
 
         outputs = stats.output_values()
-        if defect is not None:
-            outputs = defect(list(outputs))
         if not values_equal(outputs, ref_outputs):
             report.divergences.append(Divergence(
                 "output",
@@ -259,32 +247,28 @@ def diff_graph(
                 config=label,
             ))
 
-        if statics is not None:
-            bound = compute_bound(statics, config)
-            if stats.aipc > bound.aipc_bound + BOUND_EPS:
-                report.divergences.append(Divergence(
-                    "bound",
-                    f"measured AIPC {stats.aipc:.6f} exceeds static "
-                    f"bound {bound.aipc_bound:.6f} "
-                    f"(roof {bound.binding_roof})",
-                    config=label,
-                ))
+        bound = compute_bound(statics, config)
+        if stats.aipc > bound.aipc_bound + BOUND_EPS:
+            report.divergences.append(Divergence(
+                "bound",
+                f"measured AIPC {stats.aipc:.6f} exceeds static "
+                f"bound {bound.aipc_bound:.6f} "
+                f"(roof {bound.binding_roof})",
+                config=label,
+            ))
 
-    if check_batched:
-        from ..sim.batched import BatchedEngine
-
-        outcomes = BatchedEngine(
-            [engine(Engine, config, placement)
-             for config, placement in zip(configs, placements)],
-            quantum=LOCKSTEP_QUANTUM,
-        ).run(strict=True)
-        for config, verdict, outcome in zip(configs, serial, outcomes):
-            delta = _verdict_diff(
-                verdict, (outcome.stats, outcome.error), "lockstep"
-            )
-            if delta is not None:
-                report.divergences.append(Divergence(
-                    "stats", f"serial/lockstep verdicts differ -- {delta}",
-                    config=config.describe(),
-                ))
+    outcomes = BatchedEngine(
+        [engine(Engine, config, placement)
+         for config, placement in zip(configs, placements)],
+        quantum=LOCKSTEP_QUANTUM,
+    ).run(strict=True)
+    for config, verdict, outcome in zip(configs, serial, outcomes):
+        delta = _verdict_diff(
+            verdict, (outcome.stats, outcome.error), "lockstep"
+        )
+        if delta is not None:
+            report.divergences.append(Divergence(
+                "stats", f"serial/lockstep verdicts differ -- {delta}",
+                config=config.describe(),
+            ))
     return report

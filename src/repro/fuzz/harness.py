@@ -4,8 +4,7 @@
 graph, and a differential report.  Divergent programs are shrunk by
 the minimizer (optional) and recorded as :class:`CorpusCase` objects,
 written to the corpus directory when one is given.  The whole
-pipeline is deterministic: same seed range, same defect, same
-results."""
+pipeline is deterministic: same seed range, same results."""
 
 from __future__ import annotations
 
@@ -44,19 +43,15 @@ class CampaignResult:
         }
 
 
-def diff_recipe(recipe: Recipe,
-                defect: Optional[Callable[[list], list]] = None,
-                **kwargs):
+def diff_recipe(recipe: Recipe):
     """Build and differentially execute one recipe."""
-    return diff_graph(build_graph(recipe), defect=defect, **kwargs)
+    return diff_graph(build_graph(recipe))
 
 
-def divergence_persists(recipe: Recipe, kind: str,
-                        defect: Optional[Callable[[list], list]] = None,
-                        ) -> bool:
+def divergence_persists(recipe: Recipe, kind: str) -> bool:
     """The minimizer's interestingness predicate: does shrinking this
     recipe still reproduce a divergence of ``kind``?"""
-    report = diff_recipe(recipe, defect=defect)
+    report = diff_recipe(recipe)
     return any(d.kind == kind for d in report.divergences)
 
 
@@ -65,15 +60,13 @@ def run_campaign(
     start: int = 0,
     corpus_dir=None,
     minimize: bool = True,
-    defect: Optional[Callable[[list], list]] = None,
-    defect_name: Optional[str] = None,
     progress: Optional[Callable[[int, "CampaignResult"], None]] = None,
 ) -> CampaignResult:
     """Fuzz seeds ``start .. start + seeds - 1``."""
     result = CampaignResult()
     for seed in range(start, start + seeds):
         recipe = random_recipe(seed)
-        report = diff_recipe(recipe, defect=defect)
+        report = diff_recipe(recipe)
         result.seeds_run += 1
         result.total_static += report.graph_len
         result.total_dynamic += report.dynamic_instructions
@@ -83,14 +76,13 @@ def run_campaign(
             first = report.divergences[0]
             case = CorpusCase(
                 seed=seed, kind=first.kind, detail=first.detail,
-                config=first.config, defect=defect_name,
+                config=first.config,
                 recipe=recipe.to_dict(), graph_len=report.graph_len,
             )
             if minimize:
                 minimized = minimize_recipe(
                     recipe,
-                    lambda r: divergence_persists(r, first.kind,
-                                                  defect=defect),
+                    lambda r: divergence_persists(r, first.kind),
                 )
                 case.minimized = minimized.to_dict()
                 case.minimized_len = graph_size(minimized)

@@ -1,8 +1,11 @@
 """Frozen pre-overhaul reference engine (regression oracle).
 
-This is a verbatim snapshot of the engine as it stood before the
-hot-path overhaul (compiled workloads, integer-tag dispatch,
-matching-table fast paths).  It exists for two consumers:
+This is the engine as it stood before the hot-path overhaul
+(compiled workloads, integer-tag dispatch, matching-table fast
+paths).  Its reachable code is frozen: every line a comparison runs
+is as it was.  The dead hooks (a fault-injection filter and an
+instrumented twin of the event loop, switched on by attributes that
+nothing sets) are gone.  It exists for two consumers:
 
 * ``tests/sim/test_golden_stats.py`` asserts the production engine's
   ``SimStats``/AIPC are bit-identical to this reference across the
@@ -38,7 +41,6 @@ every workload.
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Optional
 
 from ...core.config import WaveScalarConfig
@@ -61,19 +63,6 @@ from .matching import MatchingTable
 from ..stats import SimStats
 from ..storebuffer.storebuffer import MemOp, StoreBuffer
 
-#: Event-calendar tag -> profile phase (repro.obs.profile.PHASES).
-#: The finer stages (match, execute, deliver) are attributed by inner
-#: hooks inside the handlers; stack-based self-time accounting in
-#: PhaseProfile keeps the phases disjoint.
-_TAG_PHASE = {
-    "token": "input",
-    "dispatch": "dispatch",
-    "sbaddr": "memory",
-    "sbdata": "memory",
-    "ifetch": "other",
-    "retire": "other",
-}
-
 __all__ = [
     "Engine",
     "SimulationDeadlock",
@@ -88,8 +77,8 @@ __all__ = [
 class Engine:
     """One simulation run; construct and call :meth:`run`."""
 
-    #: ALU/FPU evaluation, indirected so :meth:`_install_profile_hooks`
-    #: can shadow it per instance with an "execute"-phase wrapper.
+    #: ALU/FPU evaluation, still read through the class so the
+    #: frozen handlers stay as they were.
     _evaluate = staticmethod(evaluate)
 
     def __init__(
@@ -192,28 +181,12 @@ class Engine:
         #: before run().  None keeps the hot path branch-cheap.
         self.trace = None
 
-        #: Optional hot-loop profiler (repro.obs.profile.PhaseProfile);
-        #: attach before run() for per-phase cycle attribution
-        #: (input/match/dispatch/execute/deliver/memory).  None runs
-        #: the uninstrumented loop twin (_run_plain) with the profiled
-        #: wrappers never installed, so the disabled path carries no
-        #: hook code at all (benchmark-enforced <2% overhead).
-        self.profile = None
-        self._prof = None
-
-        #: Optional fault-injection plan (repro.harness.faults
-        #: .FaultPlan, duck-typed so the simulator stays free of
-        #: harness imports); attach before run().  None keeps the hot
-        #: path branch-cheap.
-        self.faults = None
-
         #: Optional runtime sanitizer (repro.analysis.sanitize
-        #: .RuntimeSanitizer, duck-typed like trace/faults); attach
+        #: .RuntimeSanitizer, duck-typed like trace); attach
         #: before run().  When set, the engine reports token
         #: creation/consumption and structure occupancy through its
         #: hooks and hands it the drained machine for a final audit.
         self.sanitizer = None
-        self._fault_deliveries = 0
         self._events_processed = 0
 
     # ==================================================================
@@ -231,16 +204,6 @@ class Engine:
     # Main loop
     # ==================================================================
     def run(self, strict: bool = True) -> SimStats:
-        faults = self.faults
-        fault_sleep = 0.0
-        if faults is not None:
-            # Budget starvation: a fault plan may clamp the budgets to
-            # force the exhaustion paths deterministically.
-            if faults.max_cycles is not None:
-                self.max_cycles = faults.max_cycles
-            if faults.max_events is not None:
-                self.max_events = faults.max_events
-            fault_sleep = faults.wall_sleep_per_event_s
         for token in self.graph.entry_tokens:
             pe = self.placement.pe_of[token.inst]
             self._post(
@@ -252,18 +215,39 @@ class Engine:
             self.sanitizer.note_entry(len(self.graph.entry_tokens))
         events = self._events
         max_events = self.max_events
-        prof = self._prof = self.profile
-        if prof is None:
-            processed = self._run_plain(events, max_events, fault_sleep)
-        else:
-            self._install_profile_hooks(prof)
-            try:
-                processed = self._run_profiled(
-                    events, max_events, fault_sleep, prof
+        max_cycles = self.max_cycles
+        processed = 0
+        while events:
+            cycle, _, tag, payload = heapq.heappop(events)
+            if cycle > max_cycles:
+                raise CycleBudgetExhausted(
+                    f"{self.graph.name}: exceeded {max_cycles} cycles",
+                    self._budget_stop(processed),
                 )
-            finally:
-                self._uninstall_profile_hooks()
-
+            processed += 1
+            if processed > max_events:
+                raise EventBudgetExhausted(
+                    f"{self.graph.name}: exceeded {max_events} events at "
+                    f"cycle {cycle} (thrashing)",
+                    self._budget_stop(processed),
+                )
+            self._note_time(cycle)
+            if tag == "token":
+                self._on_token(cycle, *payload)
+            elif tag == "dispatch":
+                self._on_dispatch(cycle, *payload)
+            elif tag == "sbaddr":
+                sb, inst_id, thread, wave, value = payload
+                sb.submit_address(inst_id, thread, wave, value, cycle)
+            elif tag == "sbdata":
+                sb, inst_id, thread, wave, value = payload
+                sb.submit_data(inst_id, thread, wave, value, cycle)
+            elif tag == "ifetch":
+                self._on_ifetch(cycle, *payload)
+            elif tag == "retire":
+                self._on_retire(cycle, *payload)
+            else:  # pragma: no cover - defensive
+                raise AssertionError(f"unknown event {tag}")
         self.stats.cycles = self._horizon
         self._events_processed = processed
         self.stats.events_processed = processed
@@ -278,141 +262,6 @@ class Engine:
         self._events_processed = processed
         self.stats.events_processed = processed
         return self.failure_diagnostics()
-
-    def _run_plain(self, events, max_events: int,
-                   fault_sleep: float) -> int:
-        """The hot loop with zero instrumentation code.
-
-        :meth:`_run_profiled` is its twin with phase attribution; the
-        two must stay semantically identical --
-        ``tests/obs/test_profile.py`` asserts their ASTs match once
-        the profiling statements are stripped.
-        """
-        max_cycles = self.max_cycles
-        processed = 0
-        while events:
-            cycle, _, tag, payload = heapq.heappop(events)
-            if cycle > max_cycles:
-                raise CycleBudgetExhausted(
-                    f"{self.graph.name}: exceeded {max_cycles} cycles",
-                    self._budget_stop(processed),
-                )
-            processed += 1
-            if processed > max_events:
-                raise EventBudgetExhausted(
-                    f"{self.graph.name}: exceeded {max_events} events at "
-                    f"cycle {cycle} (thrashing)",
-                    self._budget_stop(processed),
-                )
-            if fault_sleep:
-                time.sleep(fault_sleep)
-            self._note_time(cycle)
-            if tag == "token":
-                self._on_token(cycle, *payload)
-            elif tag == "dispatch":
-                self._on_dispatch(cycle, *payload)
-            elif tag == "sbaddr":
-                sb, inst_id, thread, wave, value = payload
-                sb.submit_address(inst_id, thread, wave, value, cycle)
-            elif tag == "sbdata":
-                sb, inst_id, thread, wave, value = payload
-                sb.submit_data(inst_id, thread, wave, value, cycle)
-            elif tag == "ifetch":
-                self._on_ifetch(cycle, *payload)
-            elif tag == "retire":
-                self._on_retire(cycle, *payload)
-            else:  # pragma: no cover - defensive
-                raise AssertionError(f"unknown event {tag}")
-        return processed
-
-    def _run_profiled(self, events, max_events: int, fault_sleep: float,
-                      prof) -> int:
-        """:meth:`_run_plain` with per-event phase attribution (the
-        finer match/execute/deliver spans come from the wrappers that
-        :meth:`_install_profile_hooks` shadowed in)."""
-        max_cycles = self.max_cycles
-        processed = 0
-        while events:
-            cycle, _, tag, payload = heapq.heappop(events)
-            if cycle > max_cycles:
-                raise CycleBudgetExhausted(
-                    f"{self.graph.name}: exceeded {max_cycles} cycles",
-                    self._budget_stop(processed),
-                )
-            processed += 1
-            if processed > max_events:
-                raise EventBudgetExhausted(
-                    f"{self.graph.name}: exceeded {max_events} events at "
-                    f"cycle {cycle} (thrashing)",
-                    self._budget_stop(processed),
-                )
-            if fault_sleep:
-                time.sleep(fault_sleep)
-            self._note_time(cycle)
-            prof.push(_TAG_PHASE.get(tag, "other"))
-            if tag == "token":
-                self._on_token(cycle, *payload)
-            elif tag == "dispatch":
-                self._on_dispatch(cycle, *payload)
-            elif tag == "sbaddr":
-                sb, inst_id, thread, wave, value = payload
-                sb.submit_address(inst_id, thread, wave, value, cycle)
-            elif tag == "sbdata":
-                sb, inst_id, thread, wave, value = payload
-                sb.submit_data(inst_id, thread, wave, value, cycle)
-            elif tag == "ifetch":
-                self._on_ifetch(cycle, *payload)
-            elif tag == "retire":
-                self._on_retire(cycle, *payload)
-            else:  # pragma: no cover - defensive
-                raise AssertionError(f"unknown event {tag}")
-            prof.pop()
-        return processed
-
-    def _install_profile_hooks(self, prof) -> None:
-        """Shadow the hot-path callees with profiled wrappers.
-
-        The shadows are *instance* attributes (and, for the matching
-        tables, per-table attributes), so with profiling off the
-        handlers run the original methods with no hook code at all --
-        the <2% overhead contract of :mod:`repro.obs.profile` holds by
-        construction.
-        """
-        deliver = self._deliver
-
-        def profiled_deliver(*args, **kwargs):
-            prof.push("deliver")
-            try:
-                deliver(*args, **kwargs)
-            finally:
-                prof.pop()
-
-        self._deliver = profiled_deliver
-
-        def profiled_evaluate(opcode, operands, immediate):
-            prof.push("execute")
-            try:
-                return evaluate(opcode, operands, immediate)
-            finally:
-                prof.pop()
-
-        self._evaluate = profiled_evaluate
-
-        for table in self.matching:
-            def profiled_insert(*args, _insert=table.insert, **kwargs):
-                prof.push("match")
-                try:
-                    return _insert(*args, **kwargs)
-                finally:
-                    prof.pop()
-
-            table.insert = profiled_insert
-
-    def _uninstall_profile_hooks(self) -> None:
-        self.__dict__.pop("_deliver", None)
-        self.__dict__.pop("_evaluate", None)
-        for table in self.matching:
-            table.__dict__.pop("insert", None)
 
     def failure_diagnostics(self) -> FailureDiagnostics:
         """A structured snapshot of buffered work, attached to every
@@ -738,16 +587,8 @@ class Engine:
         spec_pod = (
             bypass_from is not None and self.config.speculative_fire
         )
-        faults = self.faults
         for dest in dests:
             dst_pe = self.placement.pe_of[dest.inst]
-            if faults is not None and self._fault_drops(faults, dst_pe):
-                if self.trace is not None:
-                    self.trace.emit(cycle, "fault_drop", src_pe, dest.inst,
-                                    thread, wave)
-                if self.sanitizer is not None:
-                    self.sanitizer.note_dropped()
-                continue
             if self.sanitizer is not None:
                 self.sanitizer.note_created()
             route = self.network.route(src_pe, dst_pe, cycle, "operand")
@@ -765,20 +606,6 @@ class Engine:
                 (dst_pe, thread, wave, dest.inst, dest.port, value,
                  route.level == "pod"),
             )
-
-    def _fault_drops(self, faults, dst_pe: int) -> bool:
-        """Deterministic fault-injection filter for operand delivery:
-        swallow tokens bound for a stalled PE, and every Nth delivery
-        once ``drop_after`` deliveries have passed."""
-        if faults.stall_pe is not None and dst_pe == faults.stall_pe:
-            return True
-        if faults.drop_every_n is not None:
-            self._fault_deliveries += 1
-            count = self._fault_deliveries
-            if count > faults.drop_after and \
-                    count % faults.drop_every_n == 0:
-                return True
-        return False
 
     # ==================================================================
     # Memory interface (MEM pseudo-PE <-> store buffer)

@@ -407,9 +407,6 @@ class StoreBuffer:
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
-    def pending_count(self) -> int:
-        return sum(len(ctx.pending) for ctx in self._contexts.values())
-
     def stuck_report(self) -> str:
         lines = []
         for (thread, wave), ctx in sorted(self._contexts.items()):

@@ -49,14 +49,6 @@ class CellPrediction:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def to_record_fields(self) -> dict:
-        """The fields a ``predicted`` ledger record carries."""
-        return {
-            "aipc_predicted": round(self.aipc, 6),
-            "aipc_interval": [round(self.lo, 6), round(self.hi, 6)],
-            "model_hash": self.model_hash,
-        }
-
 
 class SurrogateModel:
     """Bound-clipped forest with a prior fallback (see module doc)."""

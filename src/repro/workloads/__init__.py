@@ -11,6 +11,7 @@ from .registry import (
     MEDIA_NAMES,
     SPEC_NAMES,
     SPLASH_NAMES,
+    SUITES,
     TENSOR_NAMES,
     WORKLOADS,
     all_names,
@@ -31,6 +32,7 @@ __all__ = [
     "MEDIA_NAMES",
     "SPEC_NAMES",
     "SPLASH_NAMES",
+    "SUITES",
     "TENSOR_NAMES",
     "WORKLOADS",
     "all_names",

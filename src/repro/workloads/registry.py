@@ -168,3 +168,13 @@ SPEC_NAMES = tuple(sorted(w.name for w in by_suite(Suite.SPEC)))
 MEDIA_NAMES = tuple(sorted(w.name for w in by_suite(Suite.MEDIA)))
 SPLASH_NAMES = tuple(sorted(w.name for w in by_suite(Suite.SPLASH)))
 TENSOR_NAMES = tuple(sorted(w.name for w in by_suite(Suite.TENSOR)))
+
+#: Suite name -> its workload names, as ``repro`` commands and
+#: ``repro lint`` accept them.
+SUITES = {
+    "spec": SPEC_NAMES,
+    "media": MEDIA_NAMES,
+    "splash": SPLASH_NAMES,
+    "tensor": TENSOR_NAMES,
+    "all": tuple(sorted(WORKLOADS)),
+}

@@ -1,11 +1,15 @@
 """The ``repro lint`` and ``repro run --sanitize`` commands."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.cli import main
 
-EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
+REPO_ROOT = Path(__file__).resolve().parents[2]
+EXAMPLES_DIR = REPO_ROOT / "examples"
 
 
 def run_cli(capsys, *argv):
@@ -83,3 +87,24 @@ def test_run_with_sanitizer(capsys):
     )
     assert code == 0
     assert "token ledger" in out
+
+
+def test_resolving_a_suite_does_not_import_the_cli():
+    """The library names its suites itself: linting one must not pull
+    in the command-line layer (checked in a fresh interpreter, since
+    this module imports the CLI)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    probe = (
+        "import sys\n"
+        "from repro.analysis.lint import resolve_targets\n"
+        "assert len(resolve_targets(['spec'])) == 6\n"
+        "print('repro.cli' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, cwd=REPO_ROOT,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -181,6 +181,66 @@ def hang_cell(monkeypatch):
     return install
 
 
+def _off_by_one(value):
+    """Every integer output arrives one too large."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value + 1
+    return value
+
+
+def _sign_flip(value):
+    """Every nonzero output arrives with its sign flipped."""
+    if isinstance(value, (int, float)) and value:
+        return -value
+    return value
+
+
+#: ``broken_engine`` breakages: what an OUTPUT instruction records in
+#: place of the value it dispatched (``None``: the token is lost and
+#: the instruction never fires).
+BREAKAGES = {
+    "off-by-one": _off_by_one,
+    "dropped-output": lambda value: None,
+    "sign-flip": _sign_flip,
+}
+
+
+@pytest.fixture
+def broken_engine(monkeypatch):
+    """``install(name)`` puts an ``Engine`` subclass with the OUTPUT-stage
+    bug :data:`BREAKAGES` names in place of the engine the differential
+    fuzzer runs (``repro.fuzz.differential.Engine``): every serial
+    probe and the lockstep batch run it, while the reference
+    interpreter and the seed engine stay correct."""
+    from repro.fuzz import differential
+    from repro.sim.compile import K_OUTPUT
+    from repro.sim.engine import Engine
+
+    def install(name: str) -> None:
+        corrupt = BREAKAGES[name]
+
+        class BrokenEngine(Engine):
+            def _make_dispatch(self, send_memory):
+                on_dispatch, flush = super()._make_dispatch(send_memory)
+                d_row = self._d_row
+
+                def broken(cycle, payload):
+                    pe, thread, wave, inst_id, operands = payload
+                    if d_row[inst_id][1] == K_OUTPUT:
+                        value = corrupt(operands[0])
+                        if value is None:
+                            return
+                        payload = (pe, thread, wave, inst_id,
+                                   (value, *operands[1:]))
+                    on_dispatch(cycle, payload)
+
+                return broken, flush
+
+        monkeypatch.setattr(differential, "Engine", BrokenEngine)
+
+    return install
+
+
 #: Run by :func:`kill_mid_cell`: waits for the marker's ``"pid ppid"``
 #: line and SIGKILLs one of the two.
 KILLER = """

@@ -1,12 +1,15 @@
 """Corpus round-trips and the checked-in regression cases.
 
 Every JSON file under ``tests/fuzz/corpus/`` is a minimized repro
-recorded by a fuzz campaign.  Replaying one must (a) still reproduce
-its divergence when its recorded seeded defect is applied -- the
-detect pipeline never rots -- and (b) be completely clean against the
-real engines, proving the real backends still agree on the exact
-program that once exposed a (seeded) bug."""
+recorded by a fuzz campaign against a broken engine, named by the
+file's ``"defect"`` key (a ``broken_engine`` breakage; the loader
+ignores the key).  Replaying one must (a) still reproduce its
+divergence on that broken engine -- the detect pipeline never rots
+-- and (b) be completely clean against the real engines, proving the
+real backends still agree on the exact program that once exposed a
+bug."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -25,8 +28,10 @@ def test_corpus_is_not_empty():
 @pytest.mark.parametrize(
     "case", CASES, ids=[case_filename(c) for c in CASES]
 )
-def test_corpus_case_reproduces_with_its_defect(case):
-    report = case.replay(with_defect=True)
+def test_corpus_case_reproduces_with_its_defect(case, broken_engine):
+    raw = json.loads((CORPUS_DIR / case_filename(case)).read_text())
+    broken_engine(raw["defect"])
+    report = case.replay()
     assert any(d.kind == case.kind for d in report.divergences), (
         f"seed {case.seed}: recorded {case.kind} divergence no longer "
         "reproduces"
@@ -37,7 +42,7 @@ def test_corpus_case_reproduces_with_its_defect(case):
     "case", CASES, ids=[case_filename(c) for c in CASES]
 )
 def test_corpus_case_clean_on_real_engines(case):
-    report = case.replay(with_defect=False)
+    report = case.replay()
     assert report.clean, [
         (d.kind, d.detail) for d in report.divergences
     ]

@@ -43,27 +43,41 @@ def test_both_probe_configs_are_exercised():
         PROBE_CONFIGS[0].matching_entries
 
 
-def test_defect_is_detected():
-    from repro.fuzz import get_defect
-
-    report = diff_recipe(random_recipe(0), defect=get_defect("off-by-one"))
-    assert any(d.kind == "output" for d in report.divergences)
-
-
-def test_dropped_output_defect_is_detected():
-    from repro.fuzz import get_defect
-
-    report = diff_recipe(
-        random_recipe(0), defect=get_defect("dropped-output")
-    )
-    assert any(d.kind == "output" for d in report.divergences)
+def _assert_caught(report):
+    """A broken engine must be caught twice: its outputs disagree with
+    the reference interpreter, and its SimStats with the seed
+    engine's."""
+    kinds = {d.kind for d in report.divergences}
+    assert {"output", "stats"} <= kinds, report.divergences
+    assert any("seed-engine" in d.detail for d in report.divergences
+               if d.kind == "stats")
 
 
-def test_unknown_defect_rejected():
-    from repro.fuzz import get_defect
+def test_defect_is_detected(broken_engine):
+    broken_engine("off-by-one")
+    _assert_caught(diff_recipe(random_recipe(0)))
 
-    with pytest.raises(ValueError, match="unknown defect"):
-        get_defect("heisenbug")
+
+def test_dropped_output_defect_is_detected(broken_engine):
+    broken_engine("dropped-output")
+    _assert_caught(diff_recipe(random_recipe(0)))
+
+
+def test_sign_flip_defect_is_detected(broken_engine):
+    broken_engine("sign-flip")
+    _assert_caught(diff_recipe(random_recipe(0)))
+
+
+def test_unknown_defect_rejected(capsys):
+    """There is no switch that corrupts the engine's outputs: breakage
+    lives in the tests, and ``repro fuzz --defect`` is an argparse
+    error."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["fuzz", "--seeds", "1", "--defect", "off-by-one"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --defect" in capsys.readouterr().err
 
 
 def test_bound_check_runs_on_fuzzed_graphs():
@@ -95,11 +109,16 @@ def test_raw_random_graph_generator_still_available():
     assert graph.entry_tokens
 
 
-def test_diff_graph_flags_engine_interpreter_split(monkeypatch):
-    """If the engine's outputs really did differ from the reference,
-    the harness must say so (guards against a harness that compares
-    nothing)."""
-    graph = build_graph(random_recipe(2))
-    report = diff_graph(graph, defect=lambda outs: outs + [999])
-    kinds = {d.kind for d in report.divergences}
-    assert "output" in kinds
+def test_diff_graph_flags_engine_interpreter_split(broken_engine):
+    """A planted engine runs every serial probe and the lockstep batch
+    (guards against a harness that compares nothing): each probe
+    config reports exactly one output and one seed-engine divergence,
+    and the batch, running the same broken engine, agrees with the
+    serial runs."""
+    broken_engine("off-by-one")
+    report = diff_graph(build_graph(random_recipe(2)))
+    for config in PROBE_CONFIGS:
+        kinds = sorted(d.kind for d in report.divergences
+                       if d.config == config.describe())
+        assert kinds == ["output", "stats"], report.divergences
+    assert not any("lockstep" in d.detail for d in report.divergences)

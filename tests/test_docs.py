@@ -17,7 +17,8 @@ import pytest
 from repro.cli import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-DOCS = ("README.md", "docs/tutorial.md", ".claude/skills/verify/SKILL.md")
+DOCS = ("README.md", "docs/tutorial.md", "DESIGN.md",
+        ".claude/skills/verify/SKILL.md")
 
 FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
 MODULE = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
