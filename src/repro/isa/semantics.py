@@ -13,75 +13,93 @@ workload corner case.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .opcodes import Opcode
 from .token import Value
 
 
-def _idiv(a: Value, b: Value) -> int:
+def _idiv(operands: Sequence[Value]) -> int:
+    a, b = operands
     if b == 0:
         return 0
     return int(a) // int(b) if (a >= 0) == (b >= 0) else -(int(abs(a)) // int(abs(b)))
 
 
-def _imod(a: Value, b: Value) -> int:
+def _imod(operands: Sequence[Value]) -> int:
+    a, b = operands
     if b == 0:
         return 0
-    return int(a) - _idiv(a, b) * int(b)
+    return int(a) - _idiv(operands) * int(b)
 
 
-def _fdiv(a: Value, b: Value) -> float:
+def _fdiv(operands: Sequence[Value]) -> float:
+    a, b = operands
     if b == 0:
         return 0.0
     return float(a) / float(b)
 
 
-def _fsqrt(a: Value) -> float:
+def _fsqrt(operands: Sequence[Value]) -> float:
+    a = operands[0]
     return math.sqrt(a) if a >= 0 else 0.0
 
 
-_EVALUATORS: dict[Opcode, Callable[..., Value]] = {
-    Opcode.ADD: lambda a, b: int(a) + int(b),
-    Opcode.SUB: lambda a, b: int(a) - int(b),
-    Opcode.MUL: lambda a, b: int(a) * int(b),
+#: The data value an opcode forwards unchanged: operand 0, or a STORE's
+#: data operand.
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+#: Every opcode's semantics but CONST's (which reads the immediate),
+#: each taking the operand tuple.  STEER, LOAD and STORE return the
+#: forwarded data value; the caller makes the routing decision or the
+#: memory access.
+_EVALUATORS: dict[Opcode, Callable[[Sequence[Value]], Value]] = {
+    Opcode.ADD: lambda o: int(o[0]) + int(o[1]),
+    Opcode.SUB: lambda o: int(o[0]) - int(o[1]),
+    Opcode.MUL: lambda o: int(o[0]) * int(o[1]),
     Opcode.DIV: _idiv,
     Opcode.MOD: _imod,
-    Opcode.AND: lambda a, b: int(a) & int(b),
-    Opcode.OR: lambda a, b: int(a) | int(b),
-    Opcode.XOR: lambda a, b: int(a) ^ int(b),
-    Opcode.NOT: lambda a: ~int(a),
-    Opcode.SHL: lambda a, b: int(a) << max(0, min(63, int(b))),
-    Opcode.SHR: lambda a, b: (int(a) % (1 << 64)) >> max(0, min(63, int(b))),
-    Opcode.SAR: lambda a, b: int(a) >> max(0, min(63, int(b))),
-    Opcode.NEG: lambda a: -int(a),
-    Opcode.ABS: lambda a: abs(int(a)),
-    Opcode.MIN: lambda a, b: min(int(a), int(b)),
-    Opcode.MAX: lambda a, b: max(int(a), int(b)),
-    Opcode.EQ: lambda a, b: int(a == b),
-    Opcode.NE: lambda a, b: int(a != b),
-    Opcode.LT: lambda a, b: int(a < b),
-    Opcode.LE: lambda a, b: int(a <= b),
-    Opcode.GT: lambda a, b: int(a > b),
-    Opcode.GE: lambda a, b: int(a >= b),
-    Opcode.FADD: lambda a, b: float(a) + float(b),
-    Opcode.FSUB: lambda a, b: float(a) - float(b),
-    Opcode.FMUL: lambda a, b: float(a) * float(b),
+    Opcode.AND: lambda o: int(o[0]) & int(o[1]),
+    Opcode.OR: lambda o: int(o[0]) | int(o[1]),
+    Opcode.XOR: lambda o: int(o[0]) ^ int(o[1]),
+    Opcode.NOT: lambda o: ~int(o[0]),
+    Opcode.SHL: lambda o: int(o[0]) << max(0, min(63, int(o[1]))),
+    Opcode.SHR: lambda o: (int(o[0]) % (1 << 64)) >> max(0, min(63, int(o[1]))),
+    Opcode.SAR: lambda o: int(o[0]) >> max(0, min(63, int(o[1]))),
+    Opcode.NEG: lambda o: -int(o[0]),
+    Opcode.ABS: lambda o: abs(int(o[0])),
+    Opcode.MIN: lambda o: min(int(o[0]), int(o[1])),
+    Opcode.MAX: lambda o: max(int(o[0]), int(o[1])),
+    Opcode.EQ: lambda o: int(o[0] == o[1]),
+    Opcode.NE: lambda o: int(o[0] != o[1]),
+    Opcode.LT: lambda o: int(o[0] < o[1]),
+    Opcode.LE: lambda o: int(o[0] <= o[1]),
+    Opcode.GT: lambda o: int(o[0] > o[1]),
+    Opcode.GE: lambda o: int(o[0] >= o[1]),
+    Opcode.FADD: lambda o: float(o[0]) + float(o[1]),
+    Opcode.FSUB: lambda o: float(o[0]) - float(o[1]),
+    Opcode.FMUL: lambda o: float(o[0]) * float(o[1]),
     Opcode.FDIV: _fdiv,
     Opcode.FSQRT: _fsqrt,
-    Opcode.FNEG: lambda a: -float(a),
-    Opcode.FABS: lambda a: abs(float(a)),
-    Opcode.FLT: lambda a, b: int(float(a) < float(b)),
-    Opcode.FLE: lambda a, b: int(float(a) <= float(b)),
-    Opcode.FEQ: lambda a, b: int(float(a) == float(b)),
-    Opcode.I2F: lambda a: float(int(a)),
-    Opcode.F2I: lambda a: int(a),
-    Opcode.NOP: lambda a: a,
-    Opcode.WAVE_ADVANCE: lambda a: a,
-    Opcode.THREAD_SPAWN: lambda a: a,
-    Opcode.THREAD_HALT: lambda a: a,
-    Opcode.OUTPUT: lambda a: a,
-    Opcode.MEMORY_NOP: lambda a: a,
+    Opcode.FNEG: lambda o: -float(o[0]),
+    Opcode.FABS: lambda o: abs(float(o[0])),
+    Opcode.FLT: lambda o: int(float(o[0]) < float(o[1])),
+    Opcode.FLE: lambda o: int(float(o[0]) <= float(o[1])),
+    Opcode.FEQ: lambda o: int(float(o[0]) == float(o[1])),
+    Opcode.I2F: lambda o: float(int(o[0])),
+    Opcode.F2I: lambda o: int(o[0]),
+    Opcode.STEER: _first,
+    Opcode.MERGE: lambda o: o[0] if o[2] else o[1],
+    Opcode.LOAD: _first,
+    Opcode.STORE: _second,
+    Opcode.NOP: _first,
+    Opcode.WAVE_ADVANCE: _first,
+    Opcode.THREAD_SPAWN: _first,
+    Opcode.THREAD_HALT: _first,
+    Opcode.OUTPUT: _first,
+    Opcode.MEMORY_NOP: _first,
 }
 
 
@@ -106,33 +124,26 @@ def evaluate(
         if immediate is None:
             raise ValueError("CONST requires an immediate")
         return immediate
-    if opcode is Opcode.STEER:
-        return operands[0]
-    if opcode is Opcode.MERGE:
-        return operands[0] if operands[2] else operands[1]
-    if opcode is Opcode.LOAD:
-        return operands[0]
-    if opcode is Opcode.STORE:
-        return operands[1]
     evaluator = _EVALUATORS.get(opcode)
     if evaluator is None:
         raise ValueError(f"no semantics for {opcode.name}")
-    return evaluator(*operands)
+    return evaluator(operands)
 
 
 def evaluator_for(
     opcode: Opcode,
     immediate: Optional[Value] = None,
 ) -> Callable[[Sequence[Value]], Value]:
-    """A specialised single-argument callable equivalent to
-    ``lambda operands: evaluate(opcode, operands, immediate)``.
+    """A callable equivalent to ``lambda operands: evaluate(opcode,
+    operands, immediate)``: the opcode's :data:`_EVALUATORS` entry
+    itself, or for CONST a closure over the immediate.
 
     The opcode's identity tests and evaluator lookup are resolved
     once, here, instead of on every dynamic instruction -- the
-    per-instruction fast path of the batched backend, which
-    precomputes one evaluator per decoded instruction.  Error
-    behaviour matches :func:`evaluate` exactly (the failures surface
-    at call time, as the engine would see them).
+    compiled decode holds one evaluator per instruction, so EXECUTE
+    is a single call.  Error behaviour matches :func:`evaluate`
+    exactly (the failures surface at call time, as the engine would
+    see them).
     """
     if opcode is Opcode.CONST:
         if immediate is None:
@@ -140,20 +151,12 @@ def evaluator_for(
                 raise ValueError("CONST requires an immediate")
             return _const_missing
         return lambda operands: immediate
-    if opcode is Opcode.STEER:
-        return lambda operands: operands[0]
-    if opcode is Opcode.MERGE:
-        return lambda operands: operands[0] if operands[2] else operands[1]
-    if opcode is Opcode.LOAD:
-        return lambda operands: operands[0]
-    if opcode is Opcode.STORE:
-        return lambda operands: operands[1]
     evaluator = _EVALUATORS.get(opcode)
     if evaluator is None:
         def _no_semantics(operands: Sequence[Value]) -> Value:
             raise ValueError(f"no semantics for {opcode.name}")
         return _no_semantics
-    return lambda operands: evaluator(*operands)
+    return evaluator
 
 
 def steer_taken(operands: Sequence[Value]) -> bool:

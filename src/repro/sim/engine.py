@@ -39,7 +39,15 @@ simulated result):
   .CompiledGraph` (flat tuples indexed by ``inst_id``, plus one
   resolved evaluator per instruction), built on demand or passed in
   pre-built so sweeps pay for decoding once per workload instead of
-  once per run.
+  once per run.  The evaluator is the semantics table entry itself,
+  called on the operand tuple: EXECUTE is one call.
+* The matching probe reads each table's ``key -> ports`` dict and its
+  per-set key lists; no row record is built per token.  A token's set
+  is its instruction's precomputed set base plus its wave.  Bank
+  claims live in one dict per ``_drain`` call, keyed ``pe * banks +
+  bank`` and cleared when the cycle moves, so a rejected token touches
+  no table.  A single-operand instruction never holds a row, so its
+  token skips the row key and the probe.
 * Same-cycle token fan-outs post as one ``EV_TOKEN_BATCH`` calendar
   entry; the loop unpacks them token by token, charging the event
   budget per token, so heap traffic shrinks but ``events_processed``,
@@ -114,7 +122,7 @@ from .failures import (
 from .memory.hierarchy import MemoryHierarchy
 from .network.topology import BandwidthLedger, Interconnect
 from .pe.istore import InstructionStore
-from .pe.matching import MatchRow, MatchingTable
+from .pe.matching import MatchingTable
 from .stats import LEVELS, SimStats
 from .storebuffer.storebuffer import StoreBuffer
 
@@ -229,6 +237,16 @@ class Engine:
         slot_of = placement.slot_of
         self._d_slot = [
             slot_of.get(inst.inst_id, 0) for inst in graph.instructions
+        ]
+        # The slot's part of each instruction's matching-table set
+        # (MatchingTable.set_index): ``(slot % groups) * k``, to which
+        # a token adds ``wave % k`` -- or, in a table smaller than one
+        # group, the slot itself, to which it adds the wave mod sets.
+        # Every PE's table has the one config's geometry.
+        t0 = self.matching[0]
+        self._d_set_base = [
+            (slot % t0._groups) * t0.hash_k if t0._groups >= 1 else slot
+            for slot in self._d_slot
         ]
 
         # Config scalars the per-token path reads, hoisted out of the
@@ -459,8 +477,9 @@ class Engine:
         ``EV_IFETCH`` replays its parked tokens through the same body
         uncharged (they were charged on arrival).  The matching probe
         is :meth:`MatchingTable.insert` inlined -- every table of one
-        engine shares its hash geometry, hoisted below -- and must
-        stay semantically identical to it.
+        engine shares its hash geometry, hoisted below, and the bank
+        claims of all of them are one dict here -- and must stay
+        semantically identical to it.
         """
         buckets = self._buckets
         cycle_heap = self._cycle_heap
@@ -474,7 +493,6 @@ class Engine:
         ev_dispatch = EV_DISPATCH
         ev_ifetch = EV_IFETCH
         tag_phase = _TAG_PHASE
-        match_row = MatchRow
 
         # Whatever the caller attached; None for each that is absent.
         trace = self.trace
@@ -488,20 +506,29 @@ class Engine:
         post_tokens = self._post_tokens
         d_is_store = self._d_is_store
         d_arity = self._d_arity
-        d_slot = self._d_slot
+        set_base = self._d_set_base
         match_delay = self._match_delay
         spec_fire = self._spec_fire
         overflow_penalty = self._overflow_penalty
         istore_penalty = self._istore_penalty
 
-        # Matching-table hash geometry: identical for every PE's table
-        # (all are built from the one config), hoisted from table 0.
+        # Matching-table geometry: identical for every PE's table (all
+        # are built from the one config), hoisted from table 0.
         t0 = matching[0]
         mt_k = t0.hash_k
         mt_groups = t0._groups
         mt_sets = t0.sets
         mt_banks = t0.banks
         mt_assoc = t0.associativity
+        mt_entries = t0.entries
+        # Each PE's rows (key -> ports) and sets (set -> resident keys).
+        pe_rows = [t._rows for t in matching]
+        pe_sets = [t._by_set for t in matching]
+        # The banks claimed this cycle, keyed ``pe * banks + bank``.
+        # Cycles never decrease and no cycle spans two calls, so the
+        # claims start empty here and are cleared when the cycle moves.
+        claims: dict[int, int] = {}
+        claims_cycle = -1
 
         # Per-PE over-subscription flags (fixed at construction) as one
         # flat list: the common case skips the InstructionStore object
@@ -530,6 +557,9 @@ class Engine:
             while cycle_heap and cycle_heap[0] <= ceiling:
                 cycle = heap_pop(cycle_heap)
                 bucket = buckets.pop(cycle)
+                if cycle != claims_cycle:
+                    claims_cycle = cycle
+                    claims.clear()
                 if cycle > max_cycles:
                     self._note_time(horizon)
                     self._requeue_bucket(cycle, bucket, 0, 0)
@@ -631,20 +661,12 @@ class Engine:
                         # --- MatchingTable.insert, inlined ---
                         if prof is not None:
                             prof.push("match")
-                        table = matching[pe]
-                        slot = d_slot[inst_id]
                         if mt_groups >= 1:
-                            set_idx = (slot % mt_groups) * mt_k \
-                                + (wave % mt_k)
+                            set_idx = set_base[inst_id] + wave % mt_k
                         else:
-                            set_idx = (slot + wave) % mt_sets
-                        if cycle != table._bank_cycle:
-                            table._bank_cycle = cycle
-                            used = table._bank_used = {}
-                        else:
-                            used = table._bank_used
-                        bank = set_idx % mt_banks
-                        if bank in used:
+                            set_idx = (set_base[inst_id] + wave) % mt_sets
+                        claim = pe * mt_banks + set_idx % mt_banks
+                        if claim in claims:
                             # Bank conflict: the sender retries
                             # next cycle.
                             if prof is not None:
@@ -661,23 +683,33 @@ class Engine:
                             else:
                                 b.append((ev_token, payload))
                             continue
-                        used[bank] = 1
+                        claims[claim] = 1
                         matching_inserts += 1
+                        rows = pe_rows[pe]
                         arity = d_arity[inst_id]
-                        tkey = (thread, wave, inst_id)
-                        rows = table._rows
-                        row = rows.get(tkey)
-                        if row is not None:
-                            ports = row.ports
+                        # A single-operand instruction never holds a
+                        # row, so only wider ones probe for one.
+                        if arity > 1:
+                            tkey = (thread, wave, inst_id)
+                            ports = rows.get(tkey)
+                        else:
+                            ports = None
+                        if ports is not None:
                             ports[port] = value
-                            row.last_use = cycle
                             fired = len(ports) >= arity
                             if fired:
                                 del rows[tkey]
-                                table._by_set[set_idx].remove(row)
+                                pe_sets[pe][set_idx].remove(tkey)
+                                if arity == 2:
+                                    operands = (ports[0], ports[1])
+                                else:
+                                    operands = tuple(
+                                        ports[p] for p in range(arity)
+                                    )
                         else:
-                            ways = table._by_set.setdefault(set_idx, [])
-                            if len(ways) >= mt_assoc:
+                            sets = pe_sets[pe]
+                            ways = sets.get(set_idx)
+                            if ways is not None and len(ways) >= mt_assoc:
                                 # Oldest-first priority under
                                 # thrashing: rank instances by
                                 # (wave, thread, inst); evict the
@@ -686,14 +718,12 @@ class Engine:
                                 # itself the youngest.
                                 matching_misses += 1
                                 victim = ways[0]
-                                vk = victim.key
-                                vbest = (vk[1], vk[0], vk[2])
-                                for r in ways:
-                                    rk = r.key
+                                vbest = (victim[1], victim[0], victim[2])
+                                for rk in ways:
                                     rp = (rk[1], rk[0], rk[2])
                                     if rp > vbest:
                                         vbest = rp
-                                        victim = r
+                                        victim = rk
                                 if (wave, thread, inst_id) >= vbest:
                                     # The token itself takes the
                                     # overflow round trip.
@@ -712,7 +742,7 @@ class Engine:
                                         )
                                     if sanitizer is not None:
                                         sanitizer.note_table_size(
-                                            pe, len(rows), table.entries
+                                            pe, len(rows), mt_entries
                                         )
                                     at = cycle + overflow_penalty
                                     item = (ev_token,
@@ -744,29 +774,25 @@ class Engine:
                                 # at the same cycle: one batch
                                 # entry).
                                 matching_evictions += 1
-                                vk = victim.key
-                                del rows[vk]
                                 ways.remove(victim)
                                 post_tokens(
                                     cycle + overflow_penalty,
                                     [
-                                        (pe, vk[0], vk[1], vk[2],
-                                         vport, vvalue, False)
+                                        (pe, victim[0], victim[1],
+                                         victim[2], vport, vvalue, False)
                                         for vport, vvalue in
-                                        victim.ports.items()
+                                        rows.pop(victim).items()
                                     ],
                                 )
                             fired = arity <= 1
                             if fired:
-                                # Single-operand fire: the row
-                                # would be read once and discarded,
-                                # so skip constructing it.
-                                ports = {port: value}
+                                operands = (value,)
                             else:
-                                row = match_row(tkey, {port: value},
-                                                cycle)
-                                rows[tkey] = row
-                                ways.append(row)
+                                rows[tkey] = {port: value}
+                                if ways is None:
+                                    sets[set_idx] = [tkey]
+                                else:
+                                    ways.append(tkey)
                         if prof is not None:
                             prof.pop()
                         # --- end of the inlined insert ---
@@ -776,22 +802,11 @@ class Engine:
                                        f"port {port} = {value!r}")
                         if sanitizer is not None:
                             sanitizer.note_table_size(
-                                pe, len(rows), table.entries
+                                pe, len(rows), mt_entries
                             )
                         if not fired:
                             continue
 
-                        # Arity-specialised operand gather (2 then
-                        # 1 cover all but the predicate-merge
-                        # cases).
-                        if arity == 2:
-                            operands = (ports[0], ports[1])
-                        elif arity == 1:
-                            operands = (ports[0],)
-                        else:
-                            operands = tuple(
-                                ports[p] for p in range(arity)
-                            )
                         delay = 0 if (local and spec_fire) \
                             else match_delay
                         if delay == 0:
@@ -859,8 +874,8 @@ class Engine:
                 table = self.matching[pe]
                 set_idx = table.set_index(self._d_slot[inst_id], wave)
                 sets[pe, set_idx] = tuple(
-                    (row.key, tuple(sorted(row.ports)))
-                    for row in table._by_set[set_idx]
+                    (key, tuple(sorted(table._rows[key])))
+                    for key in table._by_set[set_idx]
                 )
             self.fixed_point = FixedPoint(
                 seen[0], period,

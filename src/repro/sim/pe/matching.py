@@ -12,12 +12,17 @@ small physical structure:
   token's wave (Section 4.2's *matching table equation* machinery).
 * Four banks accept up to four incoming operands per cycle; bank
   conflicts force retries (the INPUT stage "reject" of Section 3.2).
-* When no way is free for an incoming token, the LRU victim row is
-  evicted to the in-memory overflow table and its tokens return after a
-  memory round trip -- a *matching-table miss*.
+* When no way is free for an incoming token, the youngest row of the
+  set by ``(wave, thread, inst)`` is evicted to the in-memory overflow
+  table and its tokens return after a memory round trip -- a
+  *matching-table miss*.  If the incoming token is itself younger than
+  every resident row, it is deflected to the overflow table instead.
 
-The tracker board (which operands are present per row) is the ``ports``
-dict of each row.
+The tracker board (which operands are present per row) is the
+``key -> ports`` dict of the table; each set holds the keys of its
+resident rows.  :class:`MatchRow` records are built only for callers
+that take rows out of the table (completed and evicted rows of
+:meth:`MatchingTable.insert`, diagnostics).
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ class MatchRow:
 
     key: tuple[int, int, int]  # (thread, wave, inst)
     ports: dict[int, Value] = field(default_factory=dict)
-    last_use: int = 0
 
 
 @dataclass(slots=True)
@@ -52,11 +56,16 @@ class InsertResult:
 
 
 #: Shared immutable-in-practice results for the outcomes that carry no
-#: row, so the single-probe hit path (the all-ports-rendezvous common
-#: case) allocates nothing.  Callers treat results as read-only.
+#: row.  Callers treat results as read-only.
 _REJECTED = InsertResult(accepted=False)
 _ACCEPTED = InsertResult(accepted=True)
 _DEFLECTED = InsertResult(accepted=True, miss=True, deflected=True)
+
+
+def _priority(key: tuple[int, int, int]) -> tuple[int, int, int]:
+    """A row's rank under thrashing: ``(wave, thread, inst)``, larger
+    is younger."""
+    return (key[1], key[0], key[2])
 
 
 class MatchingTable:
@@ -79,8 +88,10 @@ class MatchingTable:
         #: Instruction groups of the tuned hash (see :meth:`set_index`),
         #: precomputed once instead of divided on every insert.
         self._groups = self.sets // self.hash_k
-        self._rows: dict[tuple[int, int, int], MatchRow] = {}
-        self._by_set: dict[int, list[MatchRow]] = {}
+        #: Resident rows: ``(thread, wave, inst)`` -> ``{port: value}``.
+        self._rows: dict[tuple[int, int, int], dict[int, Value]] = {}
+        #: Set index -> keys of its resident rows, oldest first.
+        self._by_set: dict[int, list[tuple[int, int, int]]] = {}
         self._bank_cycle = -1
         self._bank_used: dict[int, int] = {}
 
@@ -108,7 +119,8 @@ class MatchingTable:
         return (slot + wave) % self.sets
 
     def lookup(self, key: tuple[int, int, int]) -> Optional[MatchRow]:
-        return self._rows.get(key)
+        ports = self._rows.get(key)
+        return None if ports is None else MatchRow(key, ports)
 
     # ------------------------------------------------------------------
     def insert(
@@ -124,73 +136,54 @@ class MatchingTable:
 
         Enforces the 4-arrivals-per-cycle bank limit; on success either
         records the operand, completes the row (``fired``), or evicts a
-        victim to the overflow table (``miss``).
-
-        The common all-ports-rendezvous case -- the row exists and this
-        operand lands in it, possibly completing it -- runs a single
-        dict probe with the hash and bank claim inlined, and returns a
-        shared allocation-free result unless a row must travel with it.
+        victim to the overflow table (``miss``).  A single-operand
+        instruction fires without taking a way, but still needs one
+        free (or evicts for it).
         """
-        k = self.hash_k
-        groups = self._groups
-        if groups >= 1:
-            set_idx = (slot % groups) * k + (key[1] % k)
-        else:
-            set_idx = (slot + key[1]) % self.sets
+        set_idx = self.set_index(slot, key[1])
         if cycle != self._bank_cycle:
             self._bank_cycle = cycle
             self._bank_used = {}
         bank = set_idx % self.banks
-        used = self._bank_used
-        if bank in used:
+        if bank in self._bank_used:
             return _REJECTED
-        used[bank] = 1
+        self._bank_used[bank] = 1
 
-        row = self._rows.get(key)
-        if row is not None:
-            ports = row.ports
+        rows = self._rows
+        ports = rows.get(key)
+        if ports is not None:
             ports[port] = value
-            row.last_use = cycle
             if len(ports) >= arity:
-                del self._rows[key]
-                self._by_set[set_idx].remove(row)
-                return InsertResult(accepted=True, fired=row)
+                self._remove(key, set_idx)
+                return InsertResult(accepted=True, fired=MatchRow(key, ports))
             return _ACCEPTED
 
         ways = self._by_set.setdefault(set_idx, [])
         evicted = None
-        miss = False
         if len(ways) >= self.associativity:
-            # Oldest-first priority under thrashing: rank instances by
-            # the total order (wave, thread, instruction); evict the
-            # youngest resident row, or deflect the incoming token to
-            # the overflow table if it is itself the youngest.  Because
-            # the order is total, the globally oldest pending instance
+            # Oldest-first priority under thrashing: evict the youngest
+            # resident row, or deflect the incoming token to the
+            # overflow table if it is itself the youngest.  Because the
+            # order is total, the globally oldest pending instance
             # always keeps its row, its partner operands join it on
             # arrival (lookup precedes allocation), and it eventually
             # fires -- guaranteeing forward progress however small the
             # table.
-            def priority(k: tuple[int, int, int]) -> tuple[int, int, int]:
-                return (k[1], k[0], k[2])
-
-            victim = max(ways, key=lambda r: priority(r.key))
-            if priority(key) >= priority(victim.key):
+            victim = max(ways, key=_priority)
+            if _priority(key) >= _priority(victim):
                 return _DEFLECTED
-            evicted = victim
-            self._remove(evicted, set_idx)
-            miss = True
-        row = MatchRow(key=key, ports={port: value}, last_use=cycle)
-        self._rows[key] = row
-        ways = self._by_set.setdefault(set_idx, [])
-        ways.append(row)
-        if len(row.ports) >= arity:  # single-operand instruction
-            self._remove(row, set_idx)
+            evicted = MatchRow(victim, rows[victim])
+            self._remove(victim, set_idx)
+        if arity <= 1:
             return InsertResult(
-                accepted=True, fired=row, evicted=evicted, miss=miss
+                accepted=True, fired=MatchRow(key, {port: value}),
+                evicted=evicted, miss=evicted is not None,
             )
-        if evicted is None and not miss:
+        rows[key] = {port: value}
+        ways.append(key)
+        if evicted is None:
             return _ACCEPTED
-        return InsertResult(accepted=True, evicted=evicted, miss=miss)
+        return InsertResult(accepted=True, evicted=evicted, miss=True)
 
     def has_free_way(self, slot: int, wave: int) -> bool:
         """Whether a token hashing to (slot, wave) could be accepted
@@ -198,25 +191,11 @@ class MatchingTable:
         set_idx = self.set_index(slot, wave)
         return len(self._by_set.get(set_idx, ())) < self.associativity
 
-    def drop(self, key: tuple[int, int, int]) -> Optional[MatchRow]:
-        """Remove and return a row (used when a PE migrates state)."""
-        row = self._rows.get(key)
-        if row is None:
-            return None
-        set_idx = None
-        for idx, ways in self._by_set.items():
-            if row in ways:
-                set_idx = idx
-                break
-        assert set_idx is not None
-        self._remove(row, set_idx)
-        return row
-
     def pending_rows(self) -> list[MatchRow]:
         """All partially filled rows (deadlock diagnostics)."""
-        return list(self._rows.values())
+        return [MatchRow(key, ports) for key, ports in self._rows.items()]
 
     # ------------------------------------------------------------------
-    def _remove(self, row: MatchRow, set_idx: int) -> None:
-        del self._rows[row.key]
-        self._by_set[set_idx].remove(row)
+    def _remove(self, key: tuple[int, int, int], set_idx: int) -> None:
+        del self._rows[key]
+        self._by_set[set_idx].remove(key)

@@ -81,10 +81,6 @@ class _PartialStoreQueue:
     waiting: MemOp | None = None
     captured: list[MemOp] = field(default_factory=list)
 
-    @property
-    def full(self) -> bool:
-        return False  # capacity enforced by the store buffer
-
 
 class StoreBuffer:
     """Wave-ordered store buffer for one cluster."""
@@ -203,7 +199,9 @@ class StoreBuffer:
         self, inst_id: int, thread: int, wave: int, cycle: int
     ) -> MemOp:
         seq, prev, nxt, is_load, is_store = self._memop_rows[inst_id]
-        ctx = self._contexts.setdefault((thread, wave), _WaveContext())
+        ctx = self._contexts.get((thread, wave))
+        if ctx is None:
+            ctx = self._contexts[(thread, wave)] = _WaveContext()
         op = ctx.pending.get(seq)
         if op is None:
             op = MemOp(
@@ -285,7 +283,7 @@ class StoreBuffer:
 
     def _next_orderable(self, ctx: _WaveContext) -> Optional[MemOp]:
         for seq, op in ctx.pending.items():
-            if not op.addr_ready:
+            if op.addr is None:
                 continue
             if ctx.last_issued == WAVE_START:
                 if op.prev == WAVE_START:

@@ -331,7 +331,9 @@ def rss_mb(pid: int) -> float:
                     reason="reads VmRSS from /proc")
 def test_child_memory_stays_flat_over_many_cells(supervisor):
     """Forty cells through one child, every other one failing (that
-    path leaves traceback <-> frame cycles to the collector)."""
+    path leaves traceback <-> frame cycles to the collector).  Only
+    growth is a leak: the allocator may hand pages back, so the
+    resident size can also fall between the readings."""
     starved = make_spec(max_cycles=50)
     cells = [make_spec(), starved] * 20
     readings = {}
@@ -339,7 +341,7 @@ def test_child_memory_stays_flat_over_many_cells(supervisor):
         assert supervisor.run(spec).ok == (spec != starved)
         if count in (4, 40):
             readings[count] = rss_mb(child_of(supervisor).pid)
-    assert abs(readings[40] - readings[4]) < 2.0, readings
+    assert readings[40] - readings[4] < 2.0, readings
 
 
 def test_spawned_child_is_reused_and_agrees_with_a_forked_one():
