@@ -111,7 +111,7 @@ class CompiledGraph:
         "latency",
         "uses_fpu",
         "alpha_equivalent",
-        "is_store",
+        "match_arity",
         "dests",
         "false_dests",
         "immediate",
@@ -130,27 +130,21 @@ class CompiledGraph:
         self.alpha_equivalent = tuple(
             i.opcode.alpha_equivalent for i in insts
         )
-        self.is_store = tuple(i.opcode is Opcode.STORE for i in insts)
+        # What a token arrival needs, in one read: None for a STORE
+        # (its operands bypass the matching table), else the arity.
+        self.match_arity = tuple(
+            None if i.opcode is Opcode.STORE else i.opcode.arity
+            for i in insts
+        )
         self.dests = tuple(i.dests for i in insts)
         self.false_dests = tuple(i.false_dests for i in insts)
         self.immediate = tuple(i.immediate for i in insts)
-        # Packed dispatch rows: everything _on_dispatch needs in one
-        # indexed load + tuple unpack (opcode, kind, arity, latency,
-        # uses_fpu, alpha_equivalent, immediate, dests, false_dests).
-        self.rows = tuple(
-            (
-                self.opcode[n],
-                self.kind[n],
-                self.arity[n],
-                self.latency[n],
-                self.uses_fpu[n],
-                self.alpha_equivalent[n],
-                self.immediate[n],
-                self.dests[n],
-                self.false_dests[n],
-            )
-            for n in range(len(insts))
-        )
+        # Packed dispatch rows: what every dispatch needs in one
+        # indexed load + tuple unpack (kind, latency, uses_fpu,
+        # alpha_equivalent); the rarer fields stay in their columns.
+        self.rows = tuple(zip(
+            self.kind, self.latency, self.uses_fpu, self.alpha_equivalent
+        ))
         # One resolved EXECUTE callable per instruction, so the
         # opcode's semantics are looked up once per graph instead of
         # once per dynamic instruction (or once per run).

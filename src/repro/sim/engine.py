@@ -24,7 +24,8 @@ when the run returns or raises, so a finished engine is freed by
 reference count.  Whatever the caller attached before ``run()`` --
 trace, sanitizer, :class:`~repro.obs.profile.PhaseProfile` -- is
 served from that same code through ``if hook is not None:`` tests on
-locals; nothing is installed, shadowed or selected.  The lockstep
+locals, behind one ``hooked`` test where several fire together;
+nothing is installed, shadowed or selected.  The lockstep
 backend (:mod:`repro.sim.batched`) calls the same ``_begin`` /
 ``_drain`` / ``_finish`` / ``_end`` with a cycle ceiling.
 
@@ -39,19 +40,24 @@ simulated result):
   .CompiledGraph` (flat tuples indexed by ``inst_id``, plus one
   resolved evaluator per instruction), built on demand or passed in
   pre-built so sweeps pay for decoding once per workload instead of
-  once per run.  The evaluator is the semantics table entry itself,
-  called on the operand tuple: EXECUTE is one call.
+  once per run.  A token arrival reads one column (``None`` for a
+  STORE, the arity otherwise); a dispatch unpacks one four-field
+  row.  The evaluator is the semantics table entry itself, called on
+  the operand tuple: EXECUTE is one call.
 * The matching probe reads each table's ``key -> ports`` dict and its
   per-set key lists; no row record is built per token.  A token's set
   is its instruction's precomputed set base plus its wave.  Bank
-  claims live in one dict per ``_drain`` call, keyed ``pe * banks +
-  bank`` and cleared when the cycle moves, so a rejected token touches
-  no table.  A single-operand instruction never holds a row, so its
-  token skips the row key and the probe.
+  claims are cycle stamps in one list per run, indexed ``pe * banks +
+  bank``: a bank is taken when its stamp is the current cycle, so
+  nothing is cleared and a rejected token touches no table.  A
+  single-operand instruction never holds a row, so its token skips
+  the row key and the probe.
 * Same-cycle token fan-outs post as one ``EV_TOKEN_BATCH`` calendar
   entry; the loop unpacks them token by token, charging the event
   budget per token, so heap traffic shrinks but ``events_processed``,
   budget-raise points, and failure diagnostics stay bit-identical.
+  The horizon moves once per bucket, whose entries all charge at its
+  cycle.
 * Routes are resolved once per run, not per token.  A consumer's PE
   and the network level to it are fixed by the placement, so OUTPUT
   reads a route table (:class:`_RouteTable`).  For each instruction,
@@ -223,13 +229,7 @@ class Engine:
         # attribute chains (the hardware analogue is the decoded
         # instruction store).  All but the placement-dependent slot
         # column come straight from the (shareable) CompiledGraph.
-        self._d_arity = compiled.arity
-        self._d_opcode = compiled.opcode
-        self._d_kind = compiled.kind
-        self._d_latency = compiled.latency
-        self._d_fpu = compiled.uses_fpu
-        self._d_alpha = compiled.alpha_equivalent
-        self._d_is_store = compiled.is_store
+        self._d_match = compiled.match_arity
         self._d_dests = compiled.dests
         self._d_false_dests = compiled.false_dests
         self._d_imm = compiled.immediate
@@ -391,6 +391,11 @@ class Engine:
             )
         if self.sanitizer is not None:
             self.sanitizer.note_entry(len(self.graph.entry_tokens))
+        # The cycle that last claimed each matching bank, indexed
+        # ``pe * banks + bank``.  Cycles never decrease and no cycle
+        # spans two ``_drain`` calls, so a stamp equal to the cycle
+        # being drained means the bank is taken this cycle.
+        self._claims = [-1] * (len(self.matching) * self.matching[0].banks)
         level_between = self.network.level_between
         self._routes = _RouteTable(self._d_dests, pe_of, level_between)
         self._false_routes = _RouteTable(
@@ -448,9 +453,13 @@ class Engine:
                           batch_index: int, processed: int,
                           horizon: int) -> EventBudgetExhausted:
         """The event-budget failure for the entry in flight, with the
-        bucket tail back on the calendar and ``horizon`` (the loop's
-        local running max) folded in so the diagnostics see it."""
+        bucket tail back on the calendar and the loop's running max
+        folded in so the diagnostics see it.  ``horizon`` is that max
+        from before the bucket: any charge of the bucket ahead of the
+        one in flight had moved it to ``cycle``."""
         self._note_time(horizon)
+        if index or batch_index:
+            self._note_time(cycle)
         self._requeue_bucket(cycle, bucket, index, batch_index)
         return EventBudgetExhausted(
             f"{self.graph.name}: exceeded {self.max_events} events at "
@@ -478,8 +487,8 @@ class Engine:
         uncharged (they were charged on arrival).  The matching probe
         is :meth:`MatchingTable.insert` inlined -- every table of one
         engine shares its hash geometry, hoisted below, and the bank
-        claims of all of them are one dict here -- and must stay
-        semantically identical to it.
+        claims of all of them are the run's one stamp list -- and must
+        stay semantically identical to it.
         """
         buckets = self._buckets
         cycle_heap = self._cycle_heap
@@ -498,14 +507,15 @@ class Engine:
         trace = self.trace
         sanitizer = self.sanitizer
         prof = self.profile
+        hooked = trace is not None or sanitizer is not None \
+            or prof is not None
 
         stats = self.stats
         istores = self.istores
         matching = self.matching
         ifetch = self._ifetch
         post_tokens = self._post_tokens
-        d_is_store = self._d_is_store
-        d_arity = self._d_arity
+        d_match = self._d_match
         set_base = self._d_set_base
         match_delay = self._match_delay
         spec_fire = self._spec_fire
@@ -516,7 +526,7 @@ class Engine:
         # are built from the one config), hoisted from table 0.
         t0 = matching[0]
         mt_k = t0.hash_k
-        mt_groups = t0._groups
+        grouped = t0._groups >= 1
         mt_sets = t0.sets
         mt_banks = t0.banks
         mt_assoc = t0.associativity
@@ -524,22 +534,19 @@ class Engine:
         # Each PE's rows (key -> ports) and sets (set -> resident keys).
         pe_rows = [t._rows for t in matching]
         pe_sets = [t._by_set for t in matching]
-        # The banks claimed this cycle, keyed ``pe * banks + bank``.
-        # Cycles never decrease and no cycle spans two calls, so the
-        # claims start empty here and are cleared when the cycle moves.
-        claims: dict[int, int] = {}
-        claims_cycle = -1
+        claims = self._claims
 
         # Per-PE over-subscription flags (fixed at construction) as one
         # flat list: the common case skips the InstructionStore object
         # entirely.
         istore_over = [s.over_subscribed for s in istores]
 
-        # The activity horizon as a local running max.  Dispatch and
-        # memory handlers keep writing ``self._horizon`` directly; the
-        # true horizon is the max of both, restored on every exit and
-        # -- because ``_budget_stop`` reads it -- before each budget
-        # raise.
+        # The activity horizon as a local running max, moved once per
+        # bucket: every entry of a bucket is charged at its cycle.
+        # Dispatch and memory handlers keep writing ``self._horizon``
+        # directly; the true horizon is the max of both, restored on
+        # every exit and -- because ``_budget_stop`` reads it -- before
+        # each budget raise.
         horizon = self._horizon
 
         istore_hits = istore_misses = input_rejects = 0
@@ -557,9 +564,6 @@ class Engine:
             while cycle_heap and cycle_heap[0] <= ceiling:
                 cycle = heap_pop(cycle_heap)
                 bucket = buckets.pop(cycle)
-                if cycle != claims_cycle:
-                    claims_cycle = cycle
-                    claims.clear()
                 if cycle > max_cycles:
                     self._note_time(horizon)
                     self._requeue_bucket(cycle, bucket, 0, 0)
@@ -567,6 +571,9 @@ class Engine:
                         f"{self.graph.name}: exceeded {max_cycles} cycles",
                         self._budget_stop(processed),
                     )
+                before = horizon
+                if cycle > horizon:
+                    horizon = cycle
                 for index, (tag, payload) in enumerate(bucket):
                     if tag == ev_token:
                         tokens = (payload,)
@@ -576,10 +583,8 @@ class Engine:
                         processed += 1
                         if processed > max_events:
                             raise self._events_exhausted(
-                                cycle, bucket, index, 0, processed, horizon
+                                cycle, bucket, index, 0, processed, before
                             )
-                        if cycle > horizon:
-                            horizon = cycle
                         if prof is not None:
                             prof.push(tag_phase[tag])
                         if tag != ev_ifetch:
@@ -609,10 +614,8 @@ class Engine:
                             if processed > max_events:
                                 raise self._events_exhausted(
                                     cycle, bucket, index, processed - first,
-                                    processed, horizon,
+                                    processed, before,
                                 )
-                            if cycle > horizon:
-                                horizon = cycle
                             if prof is not None:
                                 prof.push("input")
                         pe, thread, wave, inst_id, port, value, local = \
@@ -643,7 +646,8 @@ class Engine:
                         # Store decoupling: STORE operands go
                         # straight to DISPATCH, one message each,
                         # no matching rendezvous (Section 3.3.1).
-                        if d_is_store[inst_id]:
+                        arity = d_match[inst_id]
+                        if arity is None:
                             delay = 0 if (local and spec_fire) \
                                 else match_delay
                             at = cycle + delay
@@ -661,12 +665,12 @@ class Engine:
                         # --- MatchingTable.insert, inlined ---
                         if prof is not None:
                             prof.push("match")
-                        if mt_groups >= 1:
+                        if grouped:
                             set_idx = set_base[inst_id] + wave % mt_k
                         else:
                             set_idx = (set_base[inst_id] + wave) % mt_sets
                         claim = pe * mt_banks + set_idx % mt_banks
-                        if claim in claims:
+                        if claims[claim] == cycle:
                             # Bank conflict: the sender retries
                             # next cycle.
                             if prof is not None:
@@ -683,10 +687,9 @@ class Engine:
                             else:
                                 b.append((ev_token, payload))
                             continue
-                        claims[claim] = 1
+                        claims[claim] = cycle
                         matching_inserts += 1
                         rows = pe_rows[pe]
-                        arity = d_arity[inst_id]
                         # A single-operand instruction never holds a
                         # row, so only wider ones probe for one.
                         if arity > 1:
@@ -793,17 +796,18 @@ class Engine:
                                     sets[set_idx] = [tkey]
                                 else:
                                     ways.append(tkey)
-                        if prof is not None:
-                            prof.pop()
                         # --- end of the inlined insert ---
-                        if trace is not None:
-                            trace.emit(cycle, "input", pe, inst_id,
-                                       thread, wave,
-                                       f"port {port} = {value!r}")
-                        if sanitizer is not None:
-                            sanitizer.note_table_size(
-                                pe, len(rows), mt_entries
-                            )
+                        if hooked:
+                            if prof is not None:
+                                prof.pop()
+                            if trace is not None:
+                                trace.emit(cycle, "input", pe, inst_id,
+                                           thread, wave,
+                                           f"port {port} = {value!r}")
+                            if sanitizer is not None:
+                                sanitizer.note_table_size(
+                                    pe, len(rows), mt_entries
+                                )
                         if not fired:
                             continue
 
@@ -972,7 +976,8 @@ class Engine:
         interface's request sender; returns it with the function that
         flushes its counters into ``self.stats``."""
         d_row = self._d_row
-        d_eval = self.decoded.evaluators
+        decoded = self.decoded
+        d_eval = decoded.evaluators
         pes_per_domain = self._pes_per_domain
         stats = self.stats
         outputs = stats.outputs
@@ -985,6 +990,7 @@ class Engine:
         trace = self.trace
         sanitizer = self.sanitizer
         prof = self.profile
+        hooked = trace is not None or sanitizer is not None
         # Every PE dispatch port and per-domain FPU is a
         # ``BandwidthLedger(1)``; the inlined reserves below hard-code
         # that width (a slot is free exactly when its cycle is absent)
@@ -1003,8 +1009,7 @@ class Engine:
         def on_dispatch(cycle, payload):
             nonlocal n_dispatches, n_dynamic, n_alpha
             pe, thread, wave, inst_id, operands = payload
-            (opcode, kind, arity, latency, uses_fpu, alpha, imm, _,
-             _) = d_row[inst_id]
+            kind, latency, uses_fpu, alpha = d_row[inst_id]
             used = dispatch_used[pe]
             granted = cycle
             while granted in used:
@@ -1020,15 +1025,32 @@ class Engine:
             if done > self._horizon:
                 self._horizon = done
             n_dispatches += 1
-            if sanitizer is not None:
-                # STORE halves dispatch decoupled, one operand each;
-                # every other opcode consumes its full matched operand
-                # set.
-                sanitizer.note_consumed(1 if kind == K_STORE else arity)
-            if trace is not None:
-                trace.emit(granted, "dispatch", pe, inst_id, thread, wave,
-                           opcode.name)
-                trace.emit(done, "execute", pe, inst_id, thread, wave)
+            if hooked:
+                if sanitizer is not None:
+                    # STORE halves dispatch decoupled, one operand
+                    # each; every other opcode consumes its full
+                    # matched operand set.
+                    sanitizer.note_consumed(
+                        1 if kind == K_STORE else decoded.arity[inst_id]
+                    )
+                if trace is not None:
+                    trace.emit(granted, "dispatch", pe, inst_id, thread,
+                               wave, decoded.opcode[inst_id].name)
+                    trace.emit(done, "execute", pe, inst_id, thread, wave)
+
+            if kind == K_ALU:  # the hottest case: plain ALU evaluation
+                n_dynamic += 1
+                if alpha:
+                    n_alpha += 1
+                if prof is None:
+                    value = d_eval[inst_id](operands)
+                else:
+                    prof.push("execute")
+                    value = d_eval[inst_id](operands)
+                    prof.pop()
+                deliver(pe, routes[inst_id], thread, wave, value, done,
+                        granted)
+                return
 
             # STORE: a decoupled half-operation
             # (operands == (port, value)).
@@ -1047,17 +1069,6 @@ class Engine:
             n_dynamic += 1
             if alpha:
                 n_alpha += 1
-
-            if kind == K_ALU:  # the hottest case: plain ALU evaluation
-                if prof is None:
-                    value = d_eval[inst_id](operands)
-                else:
-                    prof.push("execute")
-                    value = d_eval[inst_id](operands)
-                    prof.pop()
-                deliver(pe, routes[inst_id], thread, wave, value, done,
-                        granted)
-                return
 
             if kind == K_MEMORY:  # LOAD / MEMORY_NOP
                 send_memory(pe, thread, wave, inst_id, operands[0], done,
@@ -1089,6 +1100,7 @@ class Engine:
                 return
 
             # K_SPAWN: retag into the thread named by the immediate.
+            imm = decoded.immediate[inst_id]
             assert imm is not None
             deliver(pe, routes[inst_id], int(imm), 0, value, done)
 
@@ -1116,6 +1128,7 @@ class Engine:
         trace = self.trace
         sanitizer = self.sanitizer
         prof = self.profile
+        hooked = trace is not None or sanitizer is not None
         # Interconnect.route, inlined for the hottest caller (operand
         # delivery) down to the cluster level: the width-1 result-bus
         # reserve and the message counters.  The level comes from the
@@ -1162,8 +1175,6 @@ class Engine:
             batch = None
             batch_cycle = -1
             for dst_pe, dst_inst, port, level in route:
-                if sanitizer is not None:
-                    sanitizer.note_created()
                 if not level:  # pod
                     pod_messages += 1
                     pod_local = True
@@ -1201,12 +1212,15 @@ class Engine:
                                 dst_pe // pes_per_domain
                             ].reserve(bus_granted + cluster_latency - 1) + 1
                         latency_sum += arrive - cycle
-                if trace is not None:
-                    trace.emit(
-                        cycle, "output", src_pe, dst_inst, thread, wave,
-                        f"{LEVELS[level]} -> pe{dst_pe} "
-                        f"(+{arrive - cycle})",
-                    )
+                if hooked:
+                    if sanitizer is not None:
+                        sanitizer.note_created()
+                    if trace is not None:
+                        trace.emit(
+                            cycle, "output", src_pe, dst_inst, thread,
+                            wave, f"{LEVELS[level]} -> pe{dst_pe} "
+                            f"(+{arrive - cycle})",
+                        )
                 token = (dst_pe, thread, wave, dst_inst, port, value,
                          pod_local)
                 if arrive == batch_cycle:
@@ -1262,10 +1276,12 @@ class Engine:
         if k is not None:
             needed = out_wave - int(k)
             if self._retired.get(thread, 0) < needed:
-                self._kbound_stalls.setdefault(thread, []).append(
-                    (needed, pe, inst_id, thread, out_wave, value,
-                     done)
-                )
+                stall = (needed, pe, inst_id, thread, out_wave, value, done)
+                stalls = self._kbound_stalls.get(thread)
+                if stalls is None:
+                    self._kbound_stalls[thread] = [stall]
+                else:
+                    stalls.append(stall)
                 return
         self._deliver(
             pe, self._routes[inst_id], thread, out_wave, value, done

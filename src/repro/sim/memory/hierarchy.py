@@ -116,6 +116,9 @@ class MemoryHierarchy:
             self.n_banks = max(4, config.clusters)
         self.directory: dict[int, DirectoryEntry] = {}
         self._line_busy: dict[int, int] = {}
+        # Config scalars every access reads, hoisted once.
+        self._line_words = config.line_words
+        self._l1_hit_latency = config.l1_hit_latency
         # Physical geometry: L2 banks sit on the perimeter of the
         # cluster array; their access latency is distance-dependent
         # (Section 3.3.2's 20-30 cycle band), a pure function of
@@ -152,21 +155,29 @@ class MemoryHierarchy:
         """Perform one L1 access from ``cluster`` starting at ``cycle``;
         returns the completion cycle.  Updates caches, directory and
         traffic statistics."""
-        cfg = self.config
-        line = self.line_of(word_addr)
+        line = int(word_addr) // self._line_words
         start = self._l1_ports[cluster].reserve(cycle)
-        start = max(start, self._line_busy.get(line, 0))
+        busy = self._line_busy.get(line, 0)
+        if busy > start:
+            start = busy
 
-        state = self.l1[cluster].lookup(line)
-        if state is not None and (not is_store or state in (MODIFIED,
-                                                            EXCLUSIVE)):
-            # L1 hit with sufficient permission.
-            self.stats.l1_hits += 1
-            if is_store and state == EXCLUSIVE:
-                self.l1[cluster].set_state(line, MODIFIED)
-            done = start + cfg.l1_hit_latency
-            self._line_busy[line] = done
-            return done
+        # CacheArray.lookup, inlined: an untouched set holds nothing,
+        # and the miss path below materialises it on its insert.
+        l1 = self.l1[cluster]
+        ways = l1._data.get(line % l1.sets)
+        state = None
+        if ways is not None:
+            state = ways.get(line)
+            if state is not None:
+                ways.move_to_end(line)
+                if not is_store or state in (MODIFIED, EXCLUSIVE):
+                    # L1 hit with sufficient permission.
+                    self.stats.l1_hits += 1
+                    if is_store and state == EXCLUSIVE:
+                        ways[line] = MODIFIED
+                    done = start + self._l1_hit_latency
+                    self._line_busy[line] = done
+                    return done
 
         # Miss (or store upgrade).  Consult the directory.
         self.stats.l1_misses += 1
@@ -182,7 +193,9 @@ class MemoryHierarchy:
     ) -> int:
         cfg = self.config
         home = self.bank_home(line)
-        entry = self.directory.setdefault(line, DirectoryEntry())
+        entry = self.directory.get(line)
+        if entry is None:
+            entry = self.directory[line] = DirectoryEntry()
         t = start + cfg.l1_hit_latency  # detect the miss
 
         # Request travels to the directory at the line's home bank.

@@ -50,14 +50,6 @@ class MemOp:
     data: Optional[Value] = None
     arrived: int = 0
 
-    @property
-    def data_ready(self) -> bool:
-        return not self.is_store or self.data is not None
-
-    @property
-    def addr_ready(self) -> bool:
-        return self.addr is not None
-
 
 @dataclass(slots=True)
 class _WaveContext:
@@ -110,6 +102,10 @@ class StoreBuffer:
         self._complete = complete_callback
         self._retire = retire_callback
         self._latency = config.storebuffer_latency
+        self._window = config.storebuffer_waves
+        # Operations a partial store queue captures behind its store.
+        self._psq_capture = config.psq_entries - 1
+        self._psq_limit = config.partial_store_queues
         self._contexts: dict[tuple[int, int], _WaveContext] = {}
         self._expected_wave: dict[int, int] = {}
         self._psqs: list[_PartialStoreQueue] = []
@@ -146,7 +142,7 @@ class StoreBuffer:
     def _window_open(self, thread: int, wave: int) -> bool:
         """Whether ``wave`` fits the per-thread ordering window."""
         expected = self._expected_wave.get(thread, 0)
-        return wave < expected + self.config.storebuffer_waves
+        return wave < expected + self._window
 
     def submit_address(
         self, inst_id: int, thread: int, wave: int, addr: Value, cycle: int
@@ -270,80 +266,66 @@ class StoreBuffer:
         self._overflow[thread] = still
 
     def _issue_ready(self, ctx: _WaveContext, cycle: int) -> bool:
+        """Issue the wave's orderable operations in chain order until
+        one must stall, none is orderable, or the wave is complete;
+        True if any issued."""
+        pending = ctx.pending
+        psqs = self._psqs
         progressed = False
         while True:
-            op = self._next_orderable(ctx)
-            if op is None:
+            # The next orderable op: its address has arrived and the
+            # chain reaches it (ripple resolution).
+            last = ctx.last_issued
+            for op in pending.values():
+                if op.addr is None:
+                    continue
+                if last == WAVE_START:
+                    if op.prev == WAVE_START:
+                        break
+                elif op.prev == last or ctx.last_next == op.seq:
+                    break
+            else:
                 return progressed
-            if not self._issue_op(ctx, op, cycle):
-                return progressed
+            if not (op.is_load or op.is_store):
+                # MEMORY_NOP: participates in ordering only; its
+                # "address" is an arbitrary trigger value, so it must
+                # never interact with the partial store queues.
+                self._perform(op, cycle)
+            else:
+                # Same-address capture: ops behind a parked store join
+                # its queue (the 2-entry associative table of Section
+                # 3.3.1: one lookup per parked address).
+                for psq in psqs:
+                    if psq.addr == op.addr:
+                        if len(psq.captured) >= self._psq_capture:
+                            self.stats.psq_stalls += 1
+                            return progressed
+                        psq.captured.append(op)
+                        self.stats.psq_captures += 1
+                        if op.is_store and op.data is None:
+                            self._parked[(op.inst_id, op.thread,
+                                          op.wave)] = op
+                        break
+                else:
+                    if op.is_store and op.data is None:
+                        # Store decoupling: park in a fresh partial
+                        # store queue.
+                        if len(psqs) >= self._psq_limit:
+                            self.stats.psq_stalls += 1
+                            return progressed
+                        psqs.append(_PartialStoreQueue(addr=op.addr,
+                                                       waiting=op))
+                        self._parked[(op.inst_id, op.thread, op.wave)] = op
+                    else:
+                        self._perform(op, cycle)
+            del pending[op.seq]
+            ctx.last_issued = op.seq
+            ctx.last_next = op.next
             progressed = True
+            if op.next == WAVE_END:
+                ctx.complete = True
             if ctx.complete:
                 return progressed
-
-    def _next_orderable(self, ctx: _WaveContext) -> Optional[MemOp]:
-        for seq, op in ctx.pending.items():
-            if op.addr is None:
-                continue
-            if ctx.last_issued == WAVE_START:
-                if op.prev == WAVE_START:
-                    return op
-            elif op.prev == ctx.last_issued or ctx.last_next == op.seq:
-                return op
-        return None
-
-    def _issue_op(self, ctx: _WaveContext, op: MemOp, cycle: int) -> bool:
-        """Try to issue one orderable op; False if it must stall."""
-        assert op.addr is not None
-        if not (op.is_load or op.is_store):
-            # MEMORY_NOP: participates in ordering only; its "address"
-            # is an arbitrary trigger value, so it must never interact
-            # with the partial store queues.
-            self._perform(op, cycle)
-            self._advance_chain(ctx, op)
-            return True
-        # Same-address capture: ops behind a parked store join its PSQ.
-        psq = self._psq_for(op.addr)
-        if psq is not None:
-            capacity = self.config.psq_entries - 1 - len(psq.captured)
-            if capacity <= 0:
-                self.stats.psq_stalls += 1
-                return False
-            psq.captured.append(op)
-            self.stats.psq_captures += 1
-            if op.is_store and op.data is None:
-                self._parked[(op.inst_id, op.thread, op.wave)] = op
-            self._advance_chain(ctx, op)
-            return True
-
-        if op.is_store and op.data is None:
-            # Store decoupling: park in a fresh partial store queue.
-            if len(self._psqs) >= self.config.partial_store_queues:
-                self.stats.psq_stalls += 1
-                return False
-            self._psqs.append(_PartialStoreQueue(addr=op.addr, waiting=op))
-            self._parked[(op.inst_id, op.thread, op.wave)] = op
-            self._advance_chain(ctx, op)
-            return True
-
-        self._perform(op, cycle)
-        self._advance_chain(ctx, op)
-        return True
-
-    def _advance_chain(self, ctx: _WaveContext, op: MemOp) -> None:
-        del ctx.pending[op.seq]
-        ctx.last_issued = op.seq
-        ctx.last_next = op.next
-        if op.next == WAVE_END:
-            ctx.complete = True
-
-    def _psq_for(self, addr: int) -> Optional[_PartialStoreQueue]:
-        # The 2-entry associative table of Section 3.3.1: one lookup per
-        # parked address.
-        for psq in self._psqs:
-            if psq.addr == addr:
-                return psq
-        return None
 
     def _drain_psq(self, psq: _PartialStoreQueue, cycle: int) -> None:
         """The missing data arrived; issue the whole queue in order.
@@ -411,8 +393,9 @@ class StoreBuffer:
             if not ctx.pending:
                 continue
             ops = ", ".join(
-                f"i{op.inst_id}<seq {seq}{'' if op.addr_ready else ' no-addr'}"
-                f"{'' if op.data_ready else ' no-data'}>"
+                f"i{op.inst_id}<seq {seq}"
+                f"{' no-addr' if op.addr is None else ''}"
+                f"{' no-data' if op.is_store and op.data is None else ''}>"
                 for seq, op in sorted(ctx.pending.items())
             )
             lines.append(

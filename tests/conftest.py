@@ -222,11 +222,11 @@ def broken_engine(monkeypatch):
         class BrokenEngine(Engine):
             def _make_dispatch(self, send_memory):
                 on_dispatch, flush = super()._make_dispatch(send_memory)
-                d_row = self._d_row
+                kind = self.decoded.kind
 
                 def broken(cycle, payload):
                     pe, thread, wave, inst_id, operands = payload
-                    if d_row[inst_id][1] == K_OUTPUT:
+                    if kind[inst_id] == K_OUTPUT:
                         value = corrupt(operands[0])
                         if value is None:
                             return

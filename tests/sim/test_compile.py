@@ -15,6 +15,7 @@ from repro.core import WaveScalarConfig, WaveScalarProcessor
 from repro.place.snake import place
 from repro.sim.compile import (
     CACHE_CAPACITY,
+    K_STORE,
     cache_info,
     clear_cache,
     compile_graph,
@@ -52,7 +53,7 @@ def _decode_view(compiled) -> tuple:
         decoded.latency,
         decoded.uses_fpu,
         decoded.alpha_equivalent,
-        decoded.is_store,
+        decoded.match_arity,
         decoded.immediate,
         tuple(
             tuple((d.inst, d.port) for d in dests)
@@ -182,8 +183,10 @@ def test_compiled_graph_rows_mirror_columns():
     assert len(compiled.rows) == len(compiled)
     for n, row in enumerate(compiled.rows):
         assert row == (
-            compiled.opcode[n], compiled.kind[n], compiled.arity[n],
-            compiled.latency[n], compiled.uses_fpu[n],
-            compiled.alpha_equivalent[n], compiled.immediate[n],
-            compiled.dests[n], compiled.false_dests[n],
+            compiled.kind[n], compiled.latency[n], compiled.uses_fpu[n],
+            compiled.alpha_equivalent[n],
+        )
+        store = compiled.kind[n] == K_STORE
+        assert compiled.match_arity[n] == (
+            None if store else compiled.arity[n]
         )

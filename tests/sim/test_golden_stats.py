@@ -25,6 +25,8 @@ from repro.sim.failures import SimulationDeadlock
 from repro.workloads import Scale
 from repro.workloads.registry import all_names, get
 
+from .test_fixed_point_jump import _observed
+
 CONFIG = WaveScalarConfig(
     clusters=4, virtualization=64, matching_entries=64, l2_mb=1
 )
@@ -105,6 +107,35 @@ def test_aipc_identical_to_seed_engine():
     new, old = _stats_pair("fft")
     assert new.aipc == old.aipc
     assert new.ipc == old.ipc
+
+
+#: A cell that finishes, cut by event budgets.  lu on one cluster with
+#: 16 instructions per PE and 64 matching rows: 9,244 events, 733
+#: instruction-store misses (so IFETCH replays) and 2,023 bank
+#: rejects, with multi-token ``EV_TOKEN_BATCH`` entries throughout --
+#: unlike a deflection fixed point, whose calendar holds single tokens
+#: only.  A budget can fall inside a batch, on a bucket's first entry,
+#: or on the fetch event in front of a replay.
+BUDGET_CONFIG = WaveScalarConfig(
+    clusters=1, virtualization=16, matching_entries=64, l2_mb=0
+)
+BUDGET_CELL_EVENTS = 9_244
+
+
+@pytest.mark.parametrize("stride", [
+    pytest.param(97, id="every-97th"),
+    pytest.param(7, id="every-7th", marks=pytest.mark.slow),
+])
+def test_every_event_budget_of_a_finishing_cell_matches_seed_engine(stride):
+    graph = get("lu").instantiate(scale=Scale.TINY, threads=4, seed=0)
+    cell = (graph, BUDGET_CONFIG, place(graph, BUDGET_CONFIG))
+    finished = _observed(Engine(*cell))
+    assert finished["verdict"][1]["events_processed"] == BUDGET_CELL_EVENTS
+    for max_events in range(1, BUDGET_CELL_EVENTS, stride):
+        new = _observed(Engine(*cell, max_events=max_events))
+        old = _observed(LegacyEngine(*cell, max_events=max_events))
+        assert new == old, max_events
+        assert new["verdict"][1] == "EventBudgetExhausted", max_events
 
 
 def _sweep_records(jobs: int, tmp_path, tag: str) -> dict:
