@@ -42,7 +42,6 @@ from .engine import (
     analyze_graph,
     register,
     rule,
-    rule_catalog,
 )
 from .lint import (
     LintResult,
@@ -71,7 +70,6 @@ __all__ = [
     "Rule",
     "rule",
     "register",
-    "rule_catalog",
     "GRAPH_RULES",
     "CONFIG_RULES",
     "analyze_graph",

@@ -101,7 +101,6 @@ __all__ = [
     "critical_path_cycles",
     "find_recurrence_cycles",
     "score_cycles",
-    "recurrence_cycles",
     "placed_edge_weight",
     "WorkloadStatics",
     "workload_statics",
@@ -710,21 +709,6 @@ def score_cycles(
         if bound > best:
             best = bound
     return best
-
-
-def recurrence_cycles(
-    graph: DataflowGraph,
-    fired: dict[int, int],
-    sent: dict[tuple[int, int, int], int],
-    budget: int = CYCLE_BUDGET,
-) -> int:
-    """Config-free recurrence roof: cycle delays are producer
-    execution latencies (see :func:`find_recurrence_cycles`)."""
-    latency = [i.opcode.latency for i in graph.instructions]
-    cycles = find_recurrence_cycles(graph, fired, sent, budget)
-    return score_cycles(
-        cycles, lambda src, dst: latency[src]  # noqa: ARG005
-    )
 
 
 # ----------------------------------------------------------------------

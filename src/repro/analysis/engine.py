@@ -204,12 +204,3 @@ def analyze_config(
     rules = _select(CONFIG_RULES, only, ignore)
     source = config.describe() if hasattr(config, "describe") else ""
     return _run_rules(rules, config, source)
-
-
-def rule_catalog() -> list[tuple[str, str, str]]:
-    """(id, target, title) for every registered rule, in run order."""
-    from . import config_rules, dataflow, graph_rules  # noqa: F401
-
-    out = [(r.rule_id, r.target, r.title) for r in GRAPH_RULES.values()]
-    out += [(r.rule_id, r.target, r.title) for r in CONFIG_RULES.values()]
-    return out

@@ -548,8 +548,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Differential fuzz campaign: seeded programs through every
-    oracle (interpreter, plain engine, batched backend, static bound,
-    linter); divergences are minimized and written to the corpus."""
+    oracle (interpreter, engine, seed engine, static bound, linter);
+    divergences are minimized and written to the corpus."""
     import json
 
     from .fuzz import run_campaign
@@ -709,14 +709,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "itself is always measured exactly; "
                               "forces serial execution)")
     p_sweep.add_argument("--backend", default="plain", choices=BACKENDS,
-                         help="engine backend; 'batched' lockstep-"
-                              "executes groups of same-workload cells "
-                              "for sweep-level throughput, with "
+                         help="engine backend; 'batched' runs "
+                              "groups of same-workload cells as one "
+                              "attempt each, with "
                               "records bit-identical to 'plain'")
     p_sweep.add_argument("--batch-width", type=_int_at_least(1),
                          default=DEFAULT_BATCH_WIDTH,
                          dest="batch_width", metavar="N",
-                         help="cells per lockstep batch group "
+                         help="cells per batch group "
                               "(batched backend only)")
 
     p_analyze = sub.add_parser(

@@ -1,12 +1,12 @@
 """Fuzzer-driven differential testing.
 
-Six oracles ship with this repo -- the reference interpreter, the
-engine, the seed engine it was derived from, the lockstep scheduler,
-the static A-rule bound, and the graph linter.  This package
-generates seeded, reproducible programs and holds every oracle to
-agreement on each one; any disagreement is shrunk to a minimal repro
-and recorded.  Nothing here can break an engine on purpose: the tests
-prove detection by putting a broken ``Engine`` subclass in place of
+Five oracles ship with this repo -- the reference interpreter, the
+engine, the seed engine it was derived from, the static A-rule bound,
+and the graph linter.  This package generates seeded, reproducible
+programs and holds every oracle to agreement on each one; any
+disagreement is shrunk to a minimal repro and recorded.  Nothing here
+can break an engine on purpose: the tests prove detection by putting a
+broken ``Engine`` subclass in place of
 ``repro.fuzz.differential.Engine`` (the ``broken_engine`` fixture in
 ``tests/conftest.py``).  See DESIGN.md §5j and ``repro fuzz --help``.
 """

@@ -1,4 +1,4 @@
-"""Differential execution: one program, six oracles, zero tolerance.
+"""Differential execution: one program, five oracles, zero tolerance.
 
 For each fuzz program the harness runs
 
@@ -8,16 +8,9 @@ For each fuzz program the harness runs
 * the frozen seed engine (``repro.sim._legacy``, the one independent
   SimStats implementation) on each probe config -- SimStats, or the
   failure's class, message and diagnostics, must equal the engine's
-  field for field;
-* one lockstep batch over all probe configs of the program, with a
-  quantum small enough that ceilings interrupt every cell mid-run --
-  each cell's verdict must equal its serial one.  The quantum (64) is
-  also shorter than the two quiet periods the engine needs to prove a
-  deflection fixed point (``Engine._fixed_point``; its detection state
-  lives in ``_drain`` locals), so a stuck program is jumped over in the
-  serial run and interpreted bounce by bounce in the batch: for the
-  programs that exhaust a budget this comparison is a second
-  jump-vs-no-jump oracle beside the seed engine;
+  field for field.  The seed engine has no deflection fixed-point
+  jump (``Engine._fixed_point``), so for the programs that exhaust a
+  budget this is also the jump-vs-no-jump oracle;
 * the A-rule static bound (:func:`repro.analysis.dataflow
   .graph_statics` + ``compute_bound``) -- measured AIPC must never
   exceed it;
@@ -43,7 +36,6 @@ from ..isa.graph import DataflowGraph
 from ..lang.interp import DeadlockError, interpret
 from ..place.snake import place
 from ..sim._legacy.engine import Engine as SeedEngine
-from ..sim.batched import BatchedEngine
 from ..sim.engine import Engine
 from ..sim.failures import (
     CycleBudgetExhausted,
@@ -64,11 +56,6 @@ PROBE_CONFIGS = (
 MAX_FIRINGS = 2_000_000
 MAX_CYCLES = 2_000_000
 MAX_EVENTS = 5_000_000
-
-#: Lockstep quantum of the batch oracle: recipe programs run for a few
-#: hundred to a few thousand cycles, so this cuts every cell into many
-#: ``_drain`` calls.
-LOCKSTEP_QUANTUM = 64
 
 #: A tiny slack on the bound comparison would hide real soundness
 #: bugs; the bound is computed in exact arithmetic, so none is given.
@@ -159,9 +146,8 @@ def _verdict_diff(serial: tuple, theirs: tuple, other: str
 def diff_graph(graph: DataflowGraph, configs=PROBE_CONFIGS) -> DiffReport:
     """Cross-check one graph against every oracle.
 
-    The serial runs and the lockstep batch use the module's ``Engine``,
-    looked up per call: a test proves detection by putting a broken
-    subclass there."""
+    The engine runs use the module's ``Engine``, looked up per call: a
+    test proves detection by putting a broken subclass there."""
     report = DiffReport(name=graph.name, graph_len=len(graph))
 
     lint = lint_graph(graph)
@@ -187,12 +173,10 @@ def diff_graph(graph: DataflowGraph, configs=PROBE_CONFIGS) -> DiffReport:
         return cls(graph, config, placement, max_cycles=MAX_CYCLES,
                    max_events=MAX_EVENTS)
 
-    placements = [place(graph, config) for config in configs]
-    serial = []  # one (stats, error) per config
-    for i, (config, placement) in enumerate(zip(configs, placements)):
+    for i, config in enumerate(configs):
         label = config.describe()
+        placement = place(graph, config)
         verdict = _run(engine(Engine, config, placement))
-        serial.append(verdict)
         delta = _verdict_diff(
             verdict, _run(engine(SeedEngine, config, placement)),
             "seed-engine",
@@ -207,9 +191,8 @@ def diff_graph(graph: DataflowGraph, configs=PROBE_CONFIGS) -> DiffReport:
             # Starved probe configs (index > 0) can genuinely livelock
             # in matching-table thrash -- the paper's non-viable
             # designs.  That is an explained outcome (the seed engine
-            # and the lockstep batch must reproduce the identical
-            # failure).  The roomy primary config must always complete
-            # a recipe program.
+            # must reproduce the identical failure).  The roomy primary
+            # config must always complete a recipe program.
             if i == 0:
                 report.divergences.append(Divergence(
                     "budget",
@@ -255,20 +238,5 @@ def diff_graph(graph: DataflowGraph, configs=PROBE_CONFIGS) -> DiffReport:
                 f"bound {bound.aipc_bound:.6f} "
                 f"(roof {bound.binding_roof})",
                 config=label,
-            ))
-
-    outcomes = BatchedEngine(
-        [engine(Engine, config, placement)
-         for config, placement in zip(configs, placements)],
-        quantum=LOCKSTEP_QUANTUM,
-    ).run(strict=True)
-    for config, verdict, outcome in zip(configs, serial, outcomes):
-        delta = _verdict_diff(
-            verdict, (outcome.stats, outcome.error), "lockstep"
-        )
-        if delta is not None:
-            report.divergences.append(Divergence(
-                "stats", f"serial/lockstep verdicts differ -- {delta}",
-                config=config.describe(),
             ))
     return report

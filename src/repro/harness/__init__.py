@@ -19,7 +19,7 @@ This package provides the pieces:
 * :mod:`repro.harness.scheduler` -- lane-based execution by one
   driver: independent ``(design, workload)`` lanes are dispatched to
   worker processes (``jobs=N``) or run by the driver itself
-  (``jobs=1``), one cell or one lockstep batch group at a time, while
+  (``jobs=1``), one cell or one batch group at a time, while
   the driver stays the single ledger writer, with a per-cell circuit
   breaker, jittered crash-retry backoff, and a campaign failure-rate
   budget;

@@ -194,16 +194,15 @@ def static_rejection(spec: CellSpec) -> Optional[list]:
 
 
 def _batch_group_key(spec: CellSpec) -> tuple:
-    """The lockstep grouping key: cells sharing it are built from the
+    """The batch grouping key: cells sharing it are built from the
     same compiled workload ``(workload, scale, threads, k, seed)``, so
-    one batch group compiles once and lockstep-executes many
-    configurations."""
+    one batch group compiles once and runs many configurations."""
     return (spec.workload, spec.scale, spec.threads, spec.k, spec.seed)
 
 
 def _group_width(supervisor) -> int:
     """Cells per dispatch: 1 unless this campaign groups cells into
-    lockstep batches."""
+    batches."""
     if getattr(supervisor, "backend", None) != "batched":
         return 1
     return getattr(supervisor, "batch_width", 1)
@@ -288,7 +287,7 @@ def _failed_result(spec: CellSpec, failure_class: str,
 
 
 def _run_dispatch(supervisor, specs: list[CellSpec]) -> list[dict]:
-    """One dispatch -- one cell, or one lockstep batch group --
+    """One dispatch -- one cell, or one batch group --
     through the supervisor's full policy, as ledger records.
 
     A single-cell list takes :meth:`RunSupervisor.run`, a longer one
@@ -382,7 +381,7 @@ class _Driver:
         #: The dispatch slot 0 runs next on this process (jobs == 1).
         self.local: Optional[list[CellSpec]] = None
         # slot id -> cell hashes of its in-flight dispatch (one for
-        # a plain cell, several for a lockstep batch group).
+        # a plain cell, several for a batch group).
         self.assigned: dict[int, list[str]] = {}
         self.inflight: dict[str, tuple[Lane, CellSpec]] = {}
         self.waiting: dict[str, list[Lane]] = {}  # duplicate-cell parks

@@ -21,7 +21,6 @@ protection) for fast tests and interactive use.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import time
@@ -41,14 +40,16 @@ from .spec import CellSpec
 DEFAULT_TIMEOUT_S = 300.0
 
 #: How a campaign runs its cells: ``plain`` runs each cell alone;
-#: ``batched`` runs cells of one compiled workload as a lockstep batch
-#: group (:mod:`repro.sim.batched`).  Records are identical either way
-#: apart from wall-clock fields and the ``backend`` annotation.
+#: ``batched`` runs cells of one compiled workload as a batch group,
+#: one after another in one attempt (:mod:`repro.sim.batched`).
+#: Records are identical either way apart from wall-clock fields and
+#: the ``backend`` annotation.
 BACKENDS = ("plain", "batched")
 
-#: Default cells per lockstep batch group.  Past ~16 the amortized
-#: per-cell overhead flattens while a single slow cell holds ever
-#: more siblings at the lockstep ceiling.  No test gates the value:
+#: Default cells per batch group.  Past ~16 the amortized per-cell
+#: overhead flattens while a group that fails as a whole (a crash,
+#: the watchdog) sends ever more cells back to the serial policy.
+#: No test gates the value:
 #: ``study_batched`` of ``bench/run.py`` measures the study at this
 #: width against ``study_exhaustive``.
 DEFAULT_BATCH_WIDTH = 16
@@ -135,7 +136,7 @@ def execute_cell(spec: CellSpec) -> dict:
 
 
 def execute_batch(specs: list[CellSpec]) -> list[dict]:
-    """Run one batch group of cells through the lockstep engine in the
+    """Run one batch group of cells through the batched engine in the
     current process, returning one payload per cell in order.
 
     Every spec must share the batched backend's *group key* -- the
@@ -163,11 +164,15 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
                 f"{spec.describe()} vs {first.describe()}"
             )
     started = time.perf_counter()
-    cache_before = cache_info()
-    compiled = _compiled(first)
     procs = []
     engines = []
+    cache_deltas = []
     for spec in specs:
+        # Looked up per cell, as execute_cell does: each cell's record
+        # carries its own compile-cache delta.
+        cache_before = cache_info()
+        compiled = _compiled(spec)
+        cache_deltas.append(_cache_delta(cache_before, cache_info()))
         proc = WaveScalarProcessor(
             spec.config, max_cycles=spec.max_cycles,
             max_events=spec.max_events,
@@ -181,10 +186,10 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
         procs.append(proc)
     outcomes = BatchedEngine(engines).run(strict=True)
     wall_s = (time.perf_counter() - started) / len(specs)
-    cache_delta = _cache_delta(cache_before, cache_info())
     expected = compiled.expected_outputs()
     payloads: list[dict] = []
-    for spec, proc, outcome in zip(specs, procs, outcomes):
+    for spec, proc, outcome, cache_delta in zip(
+            specs, procs, outcomes, cache_deltas):
         if not outcome.ok:
             payloads.append(_failure_payload(outcome.error))
             continue
@@ -231,7 +236,7 @@ def _child_main(spec: CellSpec) -> list[dict]:
 
 
 def _batch_child_main(specs: list[CellSpec]) -> list[dict]:
-    """One lockstep attempt over a batch group; per-cell payloads.
+    """One attempt over a batch group; per-cell payloads.
 
     A group-level failure (a broken placement, a refused engine)
     produces the same failure payload for every cell; the parent's
@@ -244,17 +249,12 @@ def _batch_child_main(specs: list[CellSpec]) -> list[dict]:
         return [dict(_failure_payload(exc)) for _ in specs]
 
 
-def _serve(conn, drivers_end, keep: bool) -> None:
+def _serve(conn, drivers_end) -> None:
     """The isolation child: answer each ``(child_main, args)`` job with
     its payload list until the driver hangs up.  The driver's end of
     the pipe came along through fork; with it closed here, ``recv``
-    reads end-of-file when the driver goes away, however it goes.
-    A child that serves one job (a batch group) disables the cyclic GC:
-    its state is dropped wholesale at process exit, and a collection
-    pause mid-drain would only add jitter to every cell of the group."""
+    reads end-of-file when the driver goes away, however it goes."""
     drivers_end.close()
-    if not keep:
-        gc.disable()
     try:
         while (job := conn.recv()) is not None:
             child_main, args = job
@@ -290,18 +290,6 @@ class CellResult:
     @property
     def aipc(self) -> float:
         return self.outcome.get("aipc", 0.0)
-
-    @property
-    def metrics(self) -> dict:
-        """The cell's observability block (wall time, event
-        throughput, deterministic simulation counters); empty for
-        failed cells."""
-        return self.outcome.get("metrics", {})
-
-    @property
-    def events_per_s(self) -> float:
-        """Simulation event throughput of the successful attempt."""
-        return self.metrics.get("events_per_s", 0.0)
 
 
 class RunSupervisor:
@@ -404,7 +392,7 @@ class RunSupervisor:
             )
 
     def run_batch(self, specs: list[CellSpec]) -> list[CellResult]:
-        """One batch group of cells through the lockstep backend,
+        """One batch group of cells through the batched backend,
         returning per-cell verdicts in order.
 
         The contract mirrors :meth:`run` cell for cell: a cell whose
@@ -424,14 +412,8 @@ class RunSupervisor:
         specs = list(specs)
         if not specs:
             return []
-        if self.isolation == "process" and self.mp_context == "fork":
-            self._warm_compile(specs[0])
         started = time.monotonic()
-        # The one dispatch whose child does not outlive it: sixteen
-        # engines are cyclic garbage nobody collects (see _serve).
-        payloads = self._dispatch(
-            _batch_child_main, (specs,), specs, keep=False
-        )
+        payloads = self._dispatch(_batch_child_main, (specs,), specs)
         wall_s = (time.monotonic() - started) / len(specs)
         results = []
         for spec, payload in zip(specs, payloads):
@@ -449,23 +431,10 @@ class RunSupervisor:
         return results
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _warm_compile(spec: CellSpec) -> None:
-        """Pre-build a batch group's compiled workload in *this*
-        process: the child forked for the group, and for the workload's
-        next group, inherits it copy-on-write.  (A single cell's child
-        outlives it and keeps its own cache.)  Build failures are
-        swallowed here: the attempt itself will hit the same error and
-        classify it properly."""
-        try:
-            _compiled(spec)
-        except Exception:  # noqa: BLE001 - deferred to the attempt
-            pass
-
-    def _start_child(self, keep: bool) -> tuple:
+    def _start_child(self) -> tuple:
         ours, theirs = self._ctx.Pipe()
         process = self._ctx.Process(
-            target=_serve, args=(theirs, ours, keep), daemon=True,
+            target=_serve, args=(theirs, ours), daemon=True,
         )
         process.start()
         theirs.close()  # the child holds the last copy: its death is our EOF
@@ -495,37 +464,32 @@ class RunSupervisor:
         if child is not None:
             self._hang_up(*child)
 
-    def _dispatch(self, child_main, args: tuple, specs: list[CellSpec],
-                  keep: bool = True) -> list[dict]:
+    def _dispatch(self, child_main, args: tuple,
+                  specs: list[CellSpec]) -> list[dict]:
         """One attempt of ``child_main(*args)`` over ``specs`` (one
         cell, or one batch group); one classified payload per cell.
-        Under process isolation the job goes down the pipe of an
-        isolation child -- the supervisor's own, left idle for the next
-        attempt (``keep``), or one that serves this job only -- and is
-        awaited under the watchdog: a silent child is killed
+        Under process isolation the job goes down the pipe of the
+        supervisor's isolation child, left idle for the next attempt,
+        and is awaited under the watchdog: a silent child is killed
         (``WatchdogTimeout`` for every cell), one that hangs up is
         reaped (``WorkerCrash``), and neither is kept."""
         if self.isolation == "inline":
             return child_main(*args)
-        process, conn = \
-            (keep and self._own_child()) or self._start_child(keep)
+        process, conn = self._own_child() or self._start_child()
         try:
             conn.send((child_main, args))
         except OSError:
             # It died idle.  A child that never took the job says
             # nothing about the cell: replace it and send once more.
             self._hang_up(process, conn)
-            process, conn = self._start_child(keep)
+            process, conn = self._start_child()
             conn.send((child_main, args))
         # None is no watchdog; a group gets len(specs) attempts' time.
         deadline = self.timeout_s and self.timeout_s * len(specs)
         try:
             if conn.poll(deadline):
                 payloads = conn.recv()
-                if keep:
-                    self._child = (os.getpid(), process, conn)
-                else:
-                    self._hang_up(process, conn)
+                self._child = (os.getpid(), process, conn)
                 return payloads
             process.kill()
             failure = WatchdogTimeout

@@ -881,8 +881,8 @@ def design_space_sweep(
     loop measures one lane at a time (``jobs`` is ignored) because
     each decision depends on the cells measured before it.
 
-    ``backend="batched"`` groups same-workload cells into lockstep
-    batch groups of up to ``batch_width`` (see
+    ``backend="batched"`` groups same-workload cells into batch
+    groups of up to ``batch_width`` (see
     :data:`~repro.harness.supervisor.BACKENDS`), composing with both
     ``jobs`` (each worker runs whole groups) and the skip loop (which
     dispatches lanes one at a time, so each cell runs alone).

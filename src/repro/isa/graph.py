@@ -88,12 +88,6 @@ class DataflowGraph:
     def memory_instructions(self) -> list[Instruction]:
         return [i for i in self.instructions if i.opcode.is_memory]
 
-    @property
-    def static_size(self) -> int:
-        """Number of static instructions (the working-set the
-        instruction stores must hold)."""
-        return len(self.instructions)
-
     def alpha_equivalent_ids(self) -> frozenset[int]:
         """Ids of instructions counted toward AIPC."""
         return frozenset(

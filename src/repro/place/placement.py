@@ -28,10 +28,6 @@ class Placement:
     thread_home: dict[int, int]
     assigned: dict[int, list[int]] = field(default_factory=dict)
 
-    def occupancy(self) -> dict[int, int]:
-        """Instructions per occupied PE."""
-        return {pe: len(ids) for pe, ids in self.assigned.items()}
-
     def max_occupancy(self) -> int:
         return max((len(ids) for ids in self.assigned.values()), default=0)
 

@@ -1,21 +1,15 @@
-"""The batched lockstep engine backend.
+"""The batched engine backend.
 
-Executes many cells of the same workload graph in one process,
-interleaved cycle-major over a shared frontier (see
-:mod:`repro.sim.batched.core`).  It is a scheduler over the engine's
-one hot path, so per-cell simulated results are those of a serial
-run; ``tests/sim/test_batched_backend.py`` holds that for every
-workload, with quanta that interrupt each cell mid-run.
+Executes many cells of the same workload graph in one process, one
+after another (see :mod:`repro.sim.batched.core`).  It is a loop over
+the engine's one hot path, so per-cell simulated results are those of
+a serial run; ``tests/sim/test_batched_backend.py`` holds that for
+every workload.
 """
 
-from .core import (
-    LOCKSTEP_QUANTUM,
-    BatchedEngine,
-    BatchOutcome,
-)
+from .core import BatchedEngine, BatchOutcome
 
 __all__ = [
     "BatchedEngine",
     "BatchOutcome",
-    "LOCKSTEP_QUANTUM",
 ]

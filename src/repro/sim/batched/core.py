@@ -1,37 +1,26 @@
-"""Lockstep multi-cell execution of the event-driven engine.
+"""Multi-cell execution of the event-driven engine.
 
 The sweep's unit of work is the *cell*: one (design, workload) pair
 simulated to completion.  Cells are mutually independent, so a batch
-of same-workload cells can interleave on one interpreter in any
-order without changing any per-cell result.  This module drives a
-batch *cycle-major*: a shared frontier tracks each cell's next
-calendar cycle in a numpy struct-of-arrays (one slot per cell), every
-round advances the cells sitting at the global minimum through one
-lockstep quantum of simulated cycles, and each cell finalizes exactly
-where the serial engine would have.
+of same-workload cells runs them one after another, in construction
+order, each to completion, and each cell finalizes exactly where the
+serial engine would have.
 
-This module is only that scheduler.  Every cell runs the engine's one
-hot path -- :meth:`Engine._begin`, :meth:`Engine._drain` with the
-round's cycle ceiling, :meth:`Engine._finish`, :meth:`Engine._end` --
+Every cell runs the engine's one hot path -- :meth:`Engine._begin`,
+:meth:`Engine._drain`, :meth:`Engine._finish`, :meth:`Engine._end` --
 so whatever a cell's engine has attached (trace, sanitizer, profile)
-behaves exactly as in a serial run, and per-event speed is the same
-as ``Engine.run``'s.  What a batch still adds, and why a sweep group is
-faster than one fork per cell:
+behaves exactly as in a serial run.  What a batch group shares:
 
 * **decode** -- every cell of a group indexes the same
   :class:`~repro.sim.compile.CompiledGraph` (flat per-instruction
   tuples and evaluators, built once per workload);
-* **process and interpreter state** -- one fork, one warm allocator,
-  one warm reference-output memo, one result channel, one ledger
-  append for the whole batch instead of per cell.
+* **one attempt** -- one job down the supervisor's isolation child,
+  one result message and one ledger append for the whole group.
 
 What is deliberately **not** shared: all per-cell mutable machine
 state (matching tables, reservation ledgers, store buffers, stats).
-Configurations differ across the batch, so timing differs, and
-bit-identity per cell is only achievable by keeping every cell's
-state private.  ``tests/sim/test_batched_backend.py`` holds every
-workload to ``SimStats`` (and failure) equality with the serial
-engine, with small quanta so ceilings interrupt cells mid-run.
+``tests/sim/test_batched_backend.py`` holds every workload to
+``SimStats`` (and failure) equality with the serial engine.
 """
 
 from __future__ import annotations
@@ -39,26 +28,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ..engine import Engine
 from ..stats import SimStats
 
-__all__ = ["BatchedEngine", "BatchOutcome", "LOCKSTEP_QUANTUM"]
-
-#: Simulated cycles each lockstep round advances past the global
-#: frontier minimum.  Large enough that round bookkeeping is noise,
-#: small enough that the batch genuinely interleaves (a stuck cell
-#: cannot starve the others of interpreter time for long).
-LOCKSTEP_QUANTUM = 4096
-
-#: Frontier value for a cell with an empty calendar (or a failed one).
-_IDLE = np.iinfo(np.int64).max
+__all__ = ["BatchedEngine", "BatchOutcome"]
 
 
 @dataclass
 class BatchOutcome:
-    """One cell's terminal state after a lockstep run."""
+    """One cell's terminal state after a batch run."""
 
     stats: Optional[SimStats] = None
     error: Optional[Exception] = None
@@ -70,70 +48,32 @@ class BatchOutcome:
 
 class BatchedEngine:
     """Runs a list of independently-constructed :class:`Engine`
-    instances to completion in lockstep."""
+    instances to completion, one after another."""
 
-    def __init__(self, engines: list[Engine],
-                 quantum: int = LOCKSTEP_QUANTUM) -> None:
+    def __init__(self, engines: list[Engine]) -> None:
         if not engines:
             raise ValueError("batch must contain at least one engine")
-        if quantum < 1:
-            raise ValueError("lockstep quantum must be positive")
         self.engines = engines
-        self.quantum = quantum
-        n = len(engines)
-        # Lockstep struct-of-arrays, one slot per cell: the next
-        # calendar cycle (the frontier), events processed so far, and
-        # liveness.  The scheduler below queries them vectorised
-        # (min / compare / flatnonzero) once per round.
-        self._frontier = np.full(n, _IDLE, dtype=np.int64)
-        self._processed = np.zeros(n, dtype=np.int64)
-        self._active = np.zeros(n, dtype=bool)
-        self.rounds = 0
 
-    # ------------------------------------------------------------------
     def run(self, strict: bool = True) -> list[BatchOutcome]:
         """Drive every cell to its terminal state; returns one
         :class:`BatchOutcome` per cell, in construction order.
 
         A cell that raises (budget exhaustion, deadlock) is recorded
-        and deactivated; the rest of the batch continues.  ``strict``
-        matches :meth:`Engine.run`: quiescence is audited per cell
-        after its calendar drains.
+        and the next cell runs.  ``strict`` matches :meth:`Engine.run`:
+        quiescence is audited per cell after its calendar drains.
         """
-        engines = self.engines
-        frontier = self._frontier
-        processed = self._processed
-        active = self._active
-        outcomes = [BatchOutcome() for _ in engines]
-
-        for i, engine in enumerate(engines):
+        outcomes = []
+        for engine in self.engines:
+            outcome = BatchOutcome()
             engine._begin()
-            frontier[i] = 0  # an empty calendar finishes in round one
-            active[i] = True
-
-        quantum = self.quantum
-        while True:
-            live = np.flatnonzero(active)
-            if live.size == 0:
-                break
-            ceiling = int(frontier[live].min()) + quantum
-            for i in np.flatnonzero(active & (frontier <= ceiling)):
-                engine = engines[i]
-                try:
-                    count = engine._drain(ceiling, int(processed[i]))
-                    heap = engine._cycle_heap
-                    if heap:
-                        processed[i] = count
-                        frontier[i] = heap[0]
-                        continue
-                    outcomes[i].stats = engine._finish(count, strict)
-                except Exception as exc:  # noqa: BLE001 - per-cell verdict
-                    # Kept without its traceback: the frames would tie
-                    # this one's ``outcomes`` -- and every engine --
-                    # into a reference cycle.
-                    outcomes[i].error = exc.with_traceback(None)
-                engine._end()
-                active[i] = False
-                frontier[i] = _IDLE
-            self.rounds += 1
+            try:
+                outcome.stats = engine._finish(engine._drain(), strict)
+            except Exception as exc:  # noqa: BLE001 - per-cell verdict
+                # Kept without its traceback: the frames would tie
+                # this one's ``outcomes`` -- and every engine --
+                # into a reference cycle.
+                outcome.error = exc.with_traceback(None)
+            engine._end()
+            outcomes.append(outcome)
         return outcomes

@@ -25,9 +25,9 @@ reference count.  Whatever the caller attached before ``run()`` --
 trace, sanitizer, :class:`~repro.obs.profile.PhaseProfile` -- is
 served from that same code through ``if hook is not None:`` tests on
 locals, behind one ``hooked`` test where several fire together;
-nothing is installed, shadowed or selected.  The lockstep
-backend (:mod:`repro.sim.batched`) calls the same ``_begin`` /
-``_drain`` / ``_finish`` / ``_end`` with a cycle ceiling.
+nothing is installed, shadowed or selected.  The batched backend
+(:mod:`repro.sim.batched`) calls the same ``_begin`` / ``_drain`` /
+``_finish`` / ``_end`` for each cell of a group.
 
 Hot-path engineering (the golden-stats suite proves against the frozen
 seed engine in ``repro.sim._legacy`` that none of it changes a
@@ -88,7 +88,6 @@ every workload.
 
 from __future__ import annotations
 
-import sys
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -131,9 +130,6 @@ from .pe.istore import InstructionStore
 from .pe.matching import MatchingTable
 from .stats import LEVELS, SimStats
 from .storebuffer.storebuffer import StoreBuffer
-
-#: ``_drain`` ceiling of a run that is not sharing the interpreter.
-NO_CEILING = sys.maxsize
 
 __all__ = [
     "Engine",
@@ -374,7 +370,7 @@ class Engine:
     def run(self, strict: bool = True) -> SimStats:
         self._begin()
         try:
-            return self._finish(self._drain(NO_CEILING, 0), strict)
+            return self._finish(self._drain(), strict)
         finally:
             self._end()
 
@@ -391,11 +387,6 @@ class Engine:
             )
         if self.sanitizer is not None:
             self.sanitizer.note_entry(len(self.graph.entry_tokens))
-        # The cycle that last claimed each matching bank, indexed
-        # ``pe * banks + bank``.  Cycles never decrease and no cycle
-        # spans two ``_drain`` calls, so a stamp equal to the cycle
-        # being drained means the bank is taken this cycle.
-        self._claims = [-1] * (len(self.matching) * self.matching[0].banks)
         level_between = self.network.level_between
         self._routes = _RouteTable(self._d_dests, pe_of, level_between)
         self._false_routes = _RouteTable(
@@ -467,11 +458,10 @@ class Engine:
             self._budget_stop(processed),
         )
 
-    def _drain(self, ceiling: int, processed: int) -> int:
-        """The event loop: process calendar buckets through cycle
-        ``ceiling`` and return the updated event count (``processed``
-        is the count so far; a lockstep batch drains one quantum at a
-        time and passes it back in).
+    def _drain(self) -> int:
+        """The event loop: process calendar buckets until the calendar
+        is empty and return the number of events processed.  It runs
+        once per run.
 
         Drains one cycle bucket at a time in insertion (= posting)
         order.  Same-cycle events posted meanwhile land in a fresh
@@ -534,7 +524,11 @@ class Engine:
         # Each PE's rows (key -> ports) and sets (set -> resident keys).
         pe_rows = [t._rows for t in matching]
         pe_sets = [t._by_set for t in matching]
-        claims = self._claims
+        # The cycle that last claimed each matching bank, indexed
+        # ``pe * banks + bank``.  Cycles never decrease, so a stamp
+        # equal to the cycle being drained means the bank is taken
+        # this cycle.
+        claims = [-1] * (len(matching) * mt_banks)
 
         # Per-PE over-subscription flags (fixed at construction) as one
         # flat list: the common case skips the InstructionStore object
@@ -549,6 +543,7 @@ class Engine:
         # each budget raise.
         horizon = self._horizon
 
+        processed = 0
         istore_hits = istore_misses = input_rejects = 0
         matching_inserts = matching_misses = matching_evictions = 0
         speculative_hits = 0
@@ -561,7 +556,7 @@ class Engine:
         fp_seen = (0, -1, None)
 
         try:
-            while cycle_heap and cycle_heap[0] <= ceiling:
+            while cycle_heap:
                 cycle = heap_pop(cycle_heap)
                 bucket = buckets.pop(cycle)
                 if cycle > max_cycles:

@@ -209,9 +209,9 @@ BREAKAGES = {
 def broken_engine(monkeypatch):
     """``install(name)`` puts an ``Engine`` subclass with the OUTPUT-stage
     bug :data:`BREAKAGES` names in place of the engine the differential
-    fuzzer runs (``repro.fuzz.differential.Engine``): every serial
-    probe and the lockstep batch run it, while the reference
-    interpreter and the seed engine stay correct."""
+    fuzzer runs (``repro.fuzz.differential.Engine``): every probe
+    runs it, while the reference interpreter and the seed engine stay
+    correct."""
     from repro.fuzz import differential
     from repro.sim.compile import K_OUTPUT
     from repro.sim.engine import Engine

@@ -41,7 +41,7 @@ def _run_batched():
 def test_finished_engine_is_freed_without_the_cycle_collector(backend):
     """Peak memory must not grow with the number of cells run: the
     engine of a finished run -- a single run, or every cell of a
-    lockstep batch group -- is released by reference count."""
+    batch group -- is released by reference count."""
     import gc
 
     from repro.sim.engine import Engine

@@ -17,8 +17,8 @@ N_SMOKE = 25
 
 
 def test_smoke_campaign_is_clean():
-    """No unexplained disagreement between interpreter, plain engine,
-    batched backend, bound, and linter on the smoke seed range."""
+    """No unexplained disagreement between interpreter, engine, seed
+    engine, bound, and linter on the smoke seed range."""
     result = run_campaign(seeds=N_SMOKE, minimize=False)
     assert result.seeds_run == N_SMOKE
     assert result.clean, [
@@ -110,15 +110,12 @@ def test_raw_random_graph_generator_still_available():
 
 
 def test_diff_graph_flags_engine_interpreter_split(broken_engine):
-    """A planted engine runs every serial probe and the lockstep batch
-    (guards against a harness that compares nothing): each probe
-    config reports exactly one output and one seed-engine divergence,
-    and the batch, running the same broken engine, agrees with the
-    serial runs."""
+    """A planted engine runs every probe (guards against a harness
+    that compares nothing): each probe config reports exactly one
+    output and one seed-engine divergence."""
     broken_engine("off-by-one")
     report = diff_graph(build_graph(random_recipe(2)))
     for config in PROBE_CONFIGS:
         kinds = sorted(d.kind for d in report.divergences
                        if d.config == config.describe())
         assert kinds == ["output", "stats"], report.divergences
-    assert not any("lockstep" in d.detail for d in report.divergences)

@@ -90,6 +90,30 @@ def test_inline_batched_sweep_matches_plain():
     assert block["batched_cells"] > 0
 
 
+@pytest.mark.parametrize("backend", ("plain", "batched"))
+def test_each_cell_records_its_own_compile_cache_lookup(backend):
+    """One compile for N same-workload cells is one miss on the first
+    cell's record and a hit on each of the others', on either
+    backend: a batch group does not copy its one lookup onto every
+    cell."""
+    specs = [
+        CellSpec(config=config, workload="gzip", scale="tiny",
+                 max_cycles=200_000)
+        for config in (GOOD, SMALL, FAILING)
+    ]
+    clear_cache()
+    records, _ = sweep_cells(
+        specs, supervisor=RunSupervisor(isolation="inline",
+                                        max_retries=1, backend=backend,
+                                        batch_width=len(specs)),
+    )
+    counts = [
+        (metrics["compile_cache_misses"], metrics["compile_cache_hits"])
+        for metrics in (records[s.cell_hash()]["metrics"] for s in specs)
+    ]
+    assert counts == [(1, 0), (0, 1), (0, 1)]
+
+
 @pytest.mark.slow
 def test_process_batched_sweep_identical_across_jobs(tmp_path):
     specs = [

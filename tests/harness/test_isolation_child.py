@@ -140,6 +140,51 @@ def test_death_mid_cell_is_a_crash_and_the_next_cell_gets_a_fresh_child(
         sup.close()
 
 
+def test_a_batch_group_goes_down_the_same_child(supervisor):
+    """A batch group is one more job for the supervisor's one child:
+    the single cell after it is served by the same process."""
+    group = [make_spec(), make_spec(config=WaveScalarConfig(clusters=2))]
+    assert all(r.ok for r in supervisor.run_batch(group))
+    first = child_of(supervisor)
+    assert supervisor.run(make_spec(workload="gzip")).ok
+    assert child_of(supervisor) is first
+
+
+@needs_fork
+def test_death_mid_group_replays_its_cells_in_a_fresh_child(monkeypatch):
+    """A child that exits in the middle of a group leaves no dead
+    child behind: every cell replays under the plain policy, uncharged
+    for the lost attempt, in a child started for the purpose."""
+    def die(specs):
+        os._exit(17)
+
+    group = [make_spec(), make_spec(config=WaveScalarConfig(clusters=2)),
+             make_spec(max_cycles=50)]
+    plain = [RunSupervisor(isolation="inline").run(s) for s in group]
+    sup = RunSupervisor(isolation="process", timeout_s=60,
+                        mp_context="fork", backend="batched",
+                        batch_width=len(group))
+    try:
+        with monkeypatch.context() as patch:
+            # Patched before the child forks, so the child inherits it.
+            patch.setattr(supervisor_mod, "execute_batch", die)
+            assert sup.run(make_spec()).ok
+            doomed = child_of(sup)
+            results = sup.run_batch(group)
+        assert doomed.exitcode == 17
+        assert child_of(sup).pid != doomed.pid
+        for got, want in zip(results, plain):
+            assert got.backend == "batched"
+            assert (got.status, got.attempts, got.retries,
+                    got.failure_class, got.failure_detail) \
+                == (want.status, want.attempts, want.retries,
+                    want.failure_class, want.failure_detail)
+            assert stripped(got.outcome) == stripped(want.outcome)
+        assert [r.status for r in results] == ["ok", "ok", "failed"]
+    finally:
+        sup.close()
+
+
 def test_watchdog_kill_is_followed_by_a_fresh_child(hang_cell):
     chosen = make_spec(seed=1)
     hang_cell(lambda spec: spec == chosen)

@@ -1,14 +1,14 @@
-"""Golden identity for the batched lockstep backend.
+"""Golden identity for the batched backend.
 
-The batched engine (``repro.sim.batched``) lockstep-executes many
-cells of the design space at once; its contract is that every cell's
-:class:`~repro.sim.stats.SimStats` -- and every *failure*, class and
-message -- is bit-identical to a serial run.  Both drive the engine's
-one hot path, so what these tests hold is the lockstep scheduler:
-quantum ceilings that interrupt a cell mid-run, per-cell failure
-isolation, and hooks attached to some cells of a batch and not
-others.  (The hot path itself is held to the frozen seed engine by
-``tests/sim/test_golden_stats.py`` on both configs below.)
+The batched engine (``repro.sim.batched``) runs many cells of the
+design space one after another in one call; its contract is that
+every cell's :class:`~repro.sim.stats.SimStats` -- and every
+*failure*, class and message -- is bit-identical to a serial run.
+Both drive the engine's one hot path, so what these tests hold is the
+batch loop: per-cell failure isolation, and hooks attached to some
+cells of a batch and not others.  (The hot path itself is held to the
+frozen seed engine by ``tests/sim/test_golden_stats.py`` on both
+configs below.)
 """
 
 from dataclasses import asdict
@@ -38,9 +38,6 @@ STARVED = WaveScalarConfig(
 )
 CONFIGS = (GOLDEN, STARVED)
 MAX_CYCLES = 200_000
-#: Small against every run length here, so each cell is cut into
-#: many ``_drain`` calls.
-QUANTUM = 256
 
 
 def _compiled(name: str):
@@ -78,8 +75,7 @@ def test_batched_bit_identical_to_plain_and_seed(name):
     compiled = _compiled(name)
     plain = [_run(_engine(compiled, config)) for config in CONFIGS]
     outcomes = BatchedEngine(
-        [_engine(compiled, config) for config in CONFIGS],
-        quantum=QUANTUM,
+        [_engine(compiled, config) for config in CONFIGS]
     ).run(strict=True)
     assert [_verdict(o.stats, o.error) for o in outcomes] == plain
     # Seed-engine oracle on the golden config (the legacy engine has
@@ -191,9 +187,7 @@ def test_hooks_compose_with_lockstep_execution(budgets):
     serial = _observed(serial_engines, serial_verdicts)
 
     batch_engines = _hooked_engines(compiled, budgets)
-    batch = BatchedEngine(batch_engines, quantum=QUANTUM)
-    outcomes = batch.run(strict=True)
-    assert batch.rounds > 3  # the ceilings did interrupt the cells
+    outcomes = BatchedEngine(batch_engines).run(strict=True)
     batched = _observed(
         batch_engines, [_verdict(o.stats, o.error) for o in outcomes]
     )

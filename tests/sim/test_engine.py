@@ -269,9 +269,12 @@ def test_engine_is_freed_by_reference_count(outcome):
         gc.enable()
 
 
-def test_lockstep_engines_are_freed_by_reference_count():
-    """The same for every cell of a lockstep batch, failed ones
-    included, once the batch and its outcomes are dropped."""
+def test_batch_engines_are_freed_by_reference_count():
+    """The same for every cell of a batch, failed ones included, once
+    the batch and its outcomes are dropped: the supervisor's reused
+    isolation child serves group after group with the cycle collector
+    on its ordinary schedule, so its memory stays flat only if each
+    group's engines go by reference count."""
     import gc
     import weakref
 

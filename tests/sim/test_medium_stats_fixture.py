@@ -6,8 +6,7 @@ cannot witness a change to any of them.  This fixture can: it holds
 the full ``SimStats`` of the benchmark's six ``cells_long`` cells,
 recorded at the commit *before* the ledger's cleanup scan was deleted,
 and the engine must reproduce it field for field -- run alone, and
-driven by the lockstep scheduler (``repro.sim.batched``), whose ceilings
-cut each of these long cells into many drains.
+driven by the batched backend (``repro.sim.batched``).
 
 To re-record after an intended change to a simulated statistic::
 
