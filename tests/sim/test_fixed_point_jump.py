@@ -244,19 +244,24 @@ def test_profile_keeps_the_jump_and_ends_balanced():
     assert 0 < engine.profile.calls["input"] < events // 4
 
 
-def test_batch_equals_serial_runs():
-    """One stuck cell between two finishing ones: the batch proves the
-    stuck cell's fixed point as a serial run does, and every cell ends
-    as its serial run ends."""
+@pytest.mark.parametrize("stuck_cycles", [4096, 64])
+def test_lockstep_batch_equals_serial_runs(stuck_cycles):
+    """One stuck cell between two finishing ones: every cell ends as
+    its serial run ends.  With 4096 cycles the stuck cell's budget
+    outlasts the two quiet periods the proof needs, and the batch
+    proves its fixed point as a serial run does; with 64 the budget
+    cuts the cell before it is stuck, and neither run proves one."""
     names = ("radix", "equake", "mcf")
+    budgets = (STUCK_CYCLES, stuck_cycles, STUCK_CYCLES)
     cells = [_cell(name, STARVED) for name in names]
-    serial = [_observed(Engine(*cell, max_cycles=STUCK_CYCLES))
-              for cell in cells]
+    serial = [_observed(Engine(*cell, max_cycles=budget))
+              for cell, budget in zip(cells, budgets)]
     assert [s["verdict"][0] for s in serial] == ["ok", "fail", "ok"]
 
-    engines = [Engine(*cell, max_cycles=STUCK_CYCLES) for cell in cells]
+    engines = [Engine(*cell, max_cycles=budget)
+               for cell, budget in zip(cells, budgets)]
     outcomes = BatchedEngine(engines).run(strict=True)
     for engine, outcome, expected in zip(engines, outcomes, serial):
         assert _observed(engine, outcome) == expected
     assert [e.fixed_point is not None for e in engines] \
-        == [False, True, False]
+        == [False, stuck_cycles == 4096, False]
