@@ -26,6 +26,7 @@ prints can be recomputed through :mod:`repro.core`.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -49,6 +50,20 @@ def _int_at_least(low: int):
         return value
 
     parse.__name__ = "int"  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+def _float_option(accept, message: str):
+    """argparse ``type=`` for a float option ``accept`` admits;
+    anything else is the parser's usual one-line error."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = "float"  # argparse: "invalid float value: 'x'"
     return parse
 
 
@@ -320,11 +335,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"{mode}) ..."
     )
     # Subprocess isolation (watchdog, kill protection) engages when a
-    # ledger or timeout asks for a supervised campaign; plain sweeps
-    # stay in-process for speed (with jobs>1 each cell already runs
-    # inside a worker process, so "inline" still isolates the driver).
-    isolation = "process" if (args.ledger or args.timeout_s is not None) \
-        else "inline"
+    # ledger or timeout asks for a supervised campaign, and for jobs>1,
+    # whose cells run side by side in isolation children; other sweeps
+    # stay in-process for speed.
+    isolation = "process" if (args.ledger or args.timeout_s is not None
+                              or jobs > 1) else "inline"
     progress = None
     if args.progress:
         from .obs import ThroughputMeter
@@ -672,21 +687,27 @@ def build_parser() -> argparse.ArgumentParser:
                               "cell is checkpointed here")
     p_sweep.add_argument("--resume", action="store_true",
                          help="skip cells already recorded in --ledger")
-    p_sweep.add_argument("--timeout-s", type=float, default=None,
+    p_sweep.add_argument("--timeout-s", default=None,
+                         type=_float_option(lambda s: 0 < s < math.inf,
+                                            "must be > 0"),
                          dest="timeout_s", metavar="S",
-                         help="wall-clock watchdog per cell; a hung "
-                              "run is killed and recorded")
+                         help="wall-clock watchdog per attempt (a batch "
+                              "group gets width x S); a hung attempt "
+                              "is killed and recorded")
     p_sweep.add_argument("--progress", action="store_true",
                          help="print one line per resolved cell with "
                               "running cells/s and ETA")
     p_sweep.add_argument("--jobs", "-j", type=_int_at_least(0), default=1,
                          metavar="N",
-                         help="worker processes for the sweep (1 = "
-                              "serial, 0 = one per core); lanes of "
-                              "independent (design, workload) pairs "
-                              "run concurrently, results are "
-                              "identical to a serial sweep")
-    p_sweep.add_argument("--failure-budget", type=float, default=None,
+                         help="cells in flight at once, each in its "
+                              "own isolation child (1 = serial, 0 = "
+                              "one per core); lanes of independent "
+                              "(design, workload) pairs run "
+                              "concurrently, results are identical "
+                              "to a serial sweep")
+    p_sweep.add_argument("--failure-budget", default=None,
+                         type=_float_option(lambda f: 0 <= f <= 1,
+                                            "must be within [0, 1]"),
                          dest="failure_budget", metavar="FRAC",
                          help="abort the campaign (exit 3, partial "
                               "report) when more than this fraction "

@@ -101,7 +101,7 @@ def evaluate_design_space(
     ledger_path=None,
     resume: bool = False,
     timeout_s: Optional[float] = None,
-    isolation: str = "inline",
+    isolation: Optional[str] = None,
     jobs: Optional[int] = 1,
 ) -> list[ParetoPoint]:
     """AIPC-vs-area points for a suite over a set of designs: one
@@ -117,9 +117,13 @@ def evaluate_design_space(
     that failed otherwise (a configuration the static rules reject, a
     wrong answer) would put a wrong point in the figure, and raises.
 
-    ``jobs`` (``None`` = one worker per core) never changes the points;
-    ``isolation="process"`` adds the per-cell ``timeout_s`` watchdog.
+    ``jobs`` (``None`` = one per core) never changes the points.
+    ``isolation`` defaults to ``"inline"`` at ``jobs=1`` and to
+    ``"process"`` otherwise, which ``jobs>1`` needs;
+    ``isolation="process"`` adds the per-attempt ``timeout_s`` watchdog.
     """
+    if isolation is None:
+        isolation = "inline" if jobs == 1 else "process"
     points, report = design_space_sweep(
         list(designs), names, scale=scale, threaded=threaded,
         candidates=candidates, ledger_path=ledger_path, resume=resume,

@@ -17,9 +17,9 @@ This package provides the pieces:
   checkpointing keyed by cell hash, with per-record checksums and
   ``verify``/``repair``/``compact`` self-healing, enabling ``resume``;
 * :mod:`repro.harness.scheduler` -- lane-based execution by one
-  driver: independent ``(design, workload)`` lanes are dispatched to
-  worker processes (``jobs=N``) or run by the driver itself
-  (``jobs=1``), one cell or one batch group at a time, while
+  driver: independent ``(design, workload)`` lanes are dispatched,
+  one cell or one batch group at a time, to ``jobs`` isolation
+  children the driver waits on at once (``jobs=1``: one), while
   the driver stays the single ledger writer, with a per-cell circuit
   breaker, jittered crash-retry backoff, and a campaign failure-rate
   budget;

@@ -31,8 +31,8 @@ a crash mid-maintenance leaves either the old file or the new one --
 never a half-written ledger.
 
 Concurrency contract: the ledger has exactly ONE writer -- the sweep
-driver.  Parallel workers (see :mod:`repro.harness.scheduler`) never
-touch the file; they ship verdicts back over a queue and the driver
+driver.  Isolation children (see :mod:`repro.harness.scheduler`) never
+touch the file; they send verdicts back over their pipes and the driver
 appends them, batched through :meth:`Ledger.append_many` so a drain of
 N results costs one write + one fsync instead of N.  An append whose
 ``fsync`` fails (disk full, dying device) is retried once by

@@ -12,64 +12,54 @@ duplicate park -> pre-validation -> dispatch -> circuit breaker ->
 account -> failure budget -> advance), :class:`_Driver`, and two
 things a campaign can vary about it:
 
-* ``jobs`` decides *where a dispatch runs*: in one of ``jobs``
-  long-lived worker processes, or -- ``jobs == 1`` -- in the driver's
-  own process, a single slot with no pool.  Both run the dispatch
-  through :func:`_run_dispatch` and commit its records through the
-  same ``_commit``.  The only scheduling difference is where a lane
-  with more cells to run re-enters the ready queue: at the back when
-  workers run cells (every lane gets a turn), at the front when the
-  driver does, which keeps ``jobs=1`` lane-major -- the ledger line
-  order of the historical serial loop.
+* ``jobs`` decides *how many dispatches are in flight*.  ``jobs == 1``
+  runs each dispatch to the end through :func:`_run_dispatch`
+  (:meth:`RunSupervisor.run` / ``run_batch``) before the next;
+  ``jobs > 1`` keeps one dispatch in flight on each of ``jobs``
+  supervisors -- the caller's and ``jobs - 1`` spares -- and waits on
+  their isolation children's pipes at once.  Either way the records
+  go through the same ``_commit``.  The only scheduling difference is
+  where a lane with more cells to run re-enters the ready queue: at
+  the back with several slots (every lane gets a turn), at the front
+  with one, which keeps ``jobs=1`` lane-major -- the ledger line order
+  of the historical serial loop.
 * ``width`` decides *how many cells a dispatch carries*: 1, or up to
   ``batch_width`` cells sharing :func:`_batch_group_key` when the
   supervisor's backend is ``batched``.
 
 Guarantees, for every ``jobs`` and ``width``:
 
-* **single-writer ledger** -- workers never open the ledger file.
-  Verdicts travel back over a result queue and only the driver
-  appends them (batched through :meth:`Ledger.append_many`, still
-  flushed + fsynced), so killing the driver loses at most the
-  in-flight cells.
+* **single-writer ledger** -- only the driver appends verdicts
+  (batched through :meth:`Ledger.append_many`, still flushed +
+  fsynced), so killing the driver loses at most the in-flight cells.
 * **per-lane policy** -- pre-validation (``invalid`` verdicts) runs
-  driver-side before a cell is ever dispatched, and the supervisor's
-  watchdog / budget-escalating retries run wherever the dispatch
-  does.
+  before a cell is ever dispatched, and the supervisor's watchdog /
+  budget-escalating retries run for every dispatch.
 * **order-independent aggregation** -- records are keyed by content
   hash; callers aggregate in canonical lane order after execution
   completes, so results are bit-identical regardless of completion
   order.
 
-A worker that dies without reporting (OOM killer, external SIGKILL)
-is detected by the driver: its in-flight cells go through the circuit
-breaker like any returned ``WorkerCrash`` verdict, a replacement
-worker is spawned, and the campaign continues.  Orphaned workers
-(driver SIGKILLed) notice their parent changed and exit instead of
-leaking.
+An isolation child that dies mid-cell (OOM killer, external SIGKILL)
+is a ``WorkerCrash`` verdict; it goes through the circuit breaker and
+the cell is dispatched again to a fresh child.  A child whose driver
+dies reads end-of-file on its pipe and exits.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue
 import random
 import time
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Callable, Iterable, Optional
 
 from ..sim.failures import PoisonedCell, WorkerCrash
 from .ledger import Ledger
 from .spec import CellSpec
 from .supervisor import CellResult
-
-#: How long the driver blocks on the result queue before checking
-#: worker health, and how long a worker blocks on its inbox before
-#: checking whether its driver is still alive.
-POLL_S = 0.2
-_ORPHAN_POLL_S = 1.0
 
 #: Consecutive worker crashes on one cell before the circuit breaker
 #: quarantines it as ``poisoned``.
@@ -116,7 +106,8 @@ class CircuitBreaker:
 
 
 class RespawnBackoff:
-    """Decorrelated-jitter exponential backoff for worker respawn.
+    """Decorrelated-jitter exponential backoff before crashed cells
+    are dispatched again.
 
     ``sleep()`` waits ``uniform(base, prev * 3)`` capped at ``cap`` --
     the decorrelated-jitter scheme, which avoids both the thundering
@@ -256,9 +247,8 @@ def _merge_scheduler_metrics(report, block: dict) -> None:
         report.metrics["scheduler"] = block
         return
     merged = dict(previous)
-    for key in ("workers_spawned", "workers_reaped", "dispatched",
-                "worker_respawns", "worker_crash_retries",
-                "breaker_trips", "batch_groups", "batched_cells"):
+    for key in ("dispatched", "worker_crash_retries", "breaker_trips",
+                "batch_groups", "batched_cells"):
         merged[key] = previous.get(key, 0) + block.get(key, 0)
     for key in ("busy_s", "wall_s", "backoff_s"):
         merged[key] = round(
@@ -276,83 +266,52 @@ def _merge_scheduler_metrics(report, block: dict) -> None:
 
 
 # ----------------------------------------------------------------------
-# Running a dispatch (worker process, or the driver itself at jobs=1)
+# Running a dispatch
 # ----------------------------------------------------------------------
-def _failed_result(spec: CellSpec, failure_class: str,
-                   detail: str) -> CellResult:
-    return CellResult(
-        spec=spec, status="failed", attempts=1, retries=0,
-        failure_class=failure_class, failure_detail=detail,
-    )
-
-
-def _run_dispatch(supervisor, specs: list[CellSpec]) -> list[dict]:
-    """One dispatch -- one cell, or one batch group --
-    through the supervisor's full policy, as ledger records.
-
-    A single-cell list takes :meth:`RunSupervisor.run`, a longer one
-    :meth:`RunSupervisor.run_batch`.  An exception out of the
-    supervisor is a verdict like any other: every cell of the dispatch
-    is recorded ``failed`` under the exception's class name, wherever
-    the dispatch ran.
-    """
-    try:
-        if len(specs) == 1:
-            verdicts = [supervisor.run(specs[0])]
-        else:
-            verdicts = supervisor.run_batch(specs)
-    except Exception as exc:  # noqa: BLE001 - classify, keep going
-        verdicts = [
-            _failed_result(spec, type(exc).__name__,
-                           f"{type(exc).__name__}: {exc}")
-            for spec in specs
-        ]
+def _raised(specs: list[CellSpec], exc: Exception) -> list[CellResult]:
+    """An exception out of the supervisor is a verdict like any other:
+    every cell of the dispatch is ``failed`` under its class name."""
     return [
-        Ledger.record_for(spec, result)
-        for spec, result in zip(specs, verdicts)
+        CellResult(spec=spec, status="failed", attempts=1, retries=0,
+                   failure_class=type(exc).__name__,
+                   failure_detail=f"{type(exc).__name__}: {exc}")
+        for spec in specs
     ]
 
 
-def _worker_main(worker_id: int, inbox, results, supervisor) -> None:
-    """Long-lived worker loop: pull a dispatch (``list[CellSpec]``),
-    run it, ship ``(worker_id, list[record])`` back in one put."""
-    driver_pid = os.getppid()
+def _records(specs: list[CellSpec], results) -> list[dict]:
+    return [
+        Ledger.record_for(spec, result)
+        for spec, result in zip(specs, results)
+    ]
+
+
+def _run_dispatch(supervisor, specs: list[CellSpec]) -> list[dict]:
+    """One dispatch -- one cell, or one batch group -- through the
+    supervisor's full policy, as ledger records: a single-cell list
+    takes :meth:`RunSupervisor.run`, a longer one
+    :meth:`RunSupervisor.run_batch`."""
     try:
-        while True:
-            try:
-                specs = inbox.get(timeout=_ORPHAN_POLL_S)
-            except queue.Empty:
-                if os.getppid() != driver_pid:
-                    return  # driver died; don't leak
-                continue
-            if specs is None:
-                return
-            results.put((worker_id, _run_dispatch(supervisor, specs)))
-    finally:
-        # A duck-typed supervisor need not keep a child to hang up on.
-        getattr(supervisor, "close", lambda: None)()
+        if len(specs) == 1:
+            results = [supervisor.run(specs[0])]
+        else:
+            results = supervisor.run_batch(specs)
+    except Exception as exc:  # noqa: BLE001 - classify, keep going
+        results = _raised(specs, exc)
+    return _records(specs, results)
 
 
 # ----------------------------------------------------------------------
-# Driver side
+# The driver
 # ----------------------------------------------------------------------
-@dataclass
-class _Worker:
-    process: object
-    inbox: object
-
-
 class _Driver:
     """Owns all mutable scheduling state -- ready queue, in-flight
-    cells, parked duplicates, circuit breaker -- and, with
-    ``jobs > 1``, the worker pool.  With ``jobs == 1`` there is no
-    pool: slot 0 is the driver's own process."""
+    cells, parked duplicates, circuit breaker -- and the dispatch
+    slots: ``jobs`` supervisors, the caller's first."""
 
     def __init__(self, lanes, jobs, supervisor, ledger, done, report,
-                 progress, prevalidate, mp_context, poll_s,
-                 failure_budget=None):
+                 progress, prevalidate, failure_budget=None):
         self.jobs = jobs
-        self.pool_size = jobs if jobs > 1 else 0
         self.width = _group_width(supervisor)
         self.supervisor = supervisor
         self.ledger = ledger
@@ -360,91 +319,40 @@ class _Driver:
         self.report = report
         self.progress = progress
         self.prevalidate = prevalidate
-        self.poll_s = poll_s
         self.failure_budget = failure_budget
         self.aborted = False
         self.breaker = CircuitBreaker()
         self.backoff = RespawnBackoff()
-        self.workers: dict[int, _Worker] = {}
-        self.idle: deque[int] = deque()
-        if self.pool_size:
-            if mp_context is None:
-                mp_context = (
-                    "fork"
-                    if "fork" in multiprocessing.get_all_start_methods()
-                    else "spawn"
-                )
-            self.ctx = multiprocessing.get_context(mp_context)
-            self.results = self.ctx.Queue()
-        else:
-            self.idle.append(0)
+        self.slots = [supervisor] + [
+            supervisor.spare() for _ in range(jobs - 1)
+        ]
+        self.idle: deque[int] = deque(range(jobs))
         #: The dispatch slot 0 runs next on this process (jobs == 1).
         self.local: Optional[list[CellSpec]] = None
-        # slot id -> cell hashes of its in-flight dispatch (one for
-        # a plain cell, several for a batch group).
-        self.assigned: dict[int, list[str]] = {}
+        #: slot -> (specs, Dispatch) in flight (jobs > 1).
+        self.running: dict[int, tuple] = {}
         self.inflight: dict[str, tuple[Lane, CellSpec]] = {}
         self.waiting: dict[str, list[Lane]] = {}  # duplicate-cell parks
         self.ready: deque[Lane] = deque(lanes)
-        self._next_wid = 0
         # Scheduler observability (see repro.obs): dispatch counts and
-        # busy spans per slot, pool churn, and queue-depth high
-        # water marks, folded into report.metrics["scheduler"].
+        # busy spans per slot, and queue-depth high water marks,
+        # folded into report.metrics["scheduler"].
         self._dispatched = 0
         self._batch_groups = 0
         self._batched_cells = 0
         self._busy_s = 0.0
         self._assigned_at: dict[int, float] = {}
-        self._spawned = 0
-        self._reaped = 0
         self._max_ready = len(self.ready)
         self._max_inflight = 0
         self._started = time.monotonic()
 
-    # -- pool -----------------------------------------------------------
-    def _spawn(self) -> None:
-        wid = self._next_wid
-        self._next_wid += 1
-        inbox = self.ctx.Queue()
-        process = self.ctx.Process(
-            target=_worker_main,
-            args=(wid, inbox, self.results, self.supervisor),
-            daemon=False,  # supervisors fork grandchildren
-            name=f"sweep-worker-{wid}",
-        )
-        process.start()
-        self.workers[wid] = _Worker(process, inbox)
-        self.idle.append(wid)
-        self._spawned += 1
-
-    def _shutdown(self) -> None:
-        if not self.pool_size:
-            return
-        for worker in self.workers.values():
-            try:
-                worker.inbox.put(None)
-            except (OSError, ValueError):
-                pass
-        deadline = time.monotonic() + 10.0
-        for worker in self.workers.values():
-            worker.process.join(max(0.1, deadline - time.monotonic()))
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(1.0)
-            worker.inbox.cancel_join_thread()
-            worker.inbox.close()
-        self.results.cancel_join_thread()
-        self.results.close()
-        self.workers.clear()
-
     # -- scheduling -----------------------------------------------------
     def _requeue(self, lane: Lane) -> None:
         """A lane with more to run re-enters the ready queue: at the
-        back when workers run cells, so every lane gets a turn; at the
-        front when the driver runs them itself, so ``jobs=1`` finishes
-        one lane before starting the next and the ledger stays
-        lane-major."""
-        if self.pool_size:
+        back with several slots, so every lane gets a turn; at the
+        front with one, so ``jobs=1`` finishes one lane before starting
+        the next and the ledger stays lane-major."""
+        if self.jobs > 1:
             self.ready.append(lane)
         else:
             self.ready.appendleft(lane)
@@ -520,38 +428,52 @@ class _Driver:
             group = self._next_group()
             if not group:
                 continue
-            wid = self.idle.popleft()
-            self.assigned[wid] = [cell for cell, _ in group]
+            slot = self.idle.popleft()
             specs = [spec for _, spec in group]
             self._dispatched += len(group)
             if len(group) > 1:
                 self._batch_groups += 1
                 self._batched_cells += len(group)
-            self._assigned_at[wid] = time.monotonic()
-            if not self.pool_size:
+            self._assigned_at[slot] = time.monotonic()
+            if self.jobs == 1:
                 self.local = specs  # _drain runs it
                 continue
-            self.workers[wid].inbox.put(specs)
+            try:
+                self.running[slot] = (specs, self.slots[slot].start(specs))
+            except Exception as exc:  # noqa: BLE001 - classify, keep going
+                self._commit([(slot, _records(specs, _raised(specs, exc)))])
         if len(self.inflight) > self._max_inflight:
             self._max_inflight = len(self.inflight)
 
-    def _drain(self, block: bool) -> list[tuple[int, list[dict]]]:
-        """Completed dispatches as ``(slot, records)``.  Without a
-        pool this is where the staged dispatch actually runs."""
-        if not self.pool_size:
+    def _drain(self) -> list[tuple[int, list[dict]]]:
+        """Completed dispatches as ``(slot, records)``.  With one slot
+        this is where the staged dispatch runs; with several, it waits
+        until an isolation child answers or hangs up, or the nearest
+        watchdog deadline passes, and advances those dispatches."""
+        if self.jobs == 1:
             specs, self.local = self.local, None
             return [(0, _run_dispatch(self.supervisor, specs))]
+        deadlines = [dispatch.deadline for _, dispatch in
+                     self.running.values() if dispatch.deadline is not None]
+        ready = wait(
+            [dispatch.conn for _, dispatch in self.running.values()],
+            max(0.0, min(deadlines) - time.monotonic()) if deadlines
+            else None,
+        )
+        now = time.monotonic()
         batch: list[tuple[int, list[dict]]] = []
-        if block:
+        for slot, (specs, dispatch) in list(self.running.items()):
+            if dispatch.conn not in ready and (
+                    dispatch.deadline is None or dispatch.deadline > now):
+                continue
             try:
-                batch.append(self.results.get(timeout=self.poll_s))
-            except queue.Empty:
-                return batch
-        while True:
-            try:
-                batch.append(self.results.get_nowait())
-            except queue.Empty:
-                return batch
+                results = dispatch.advance()
+            except Exception as exc:  # noqa: BLE001 - classify, keep going
+                results = _raised(specs, exc)
+            if results is not None:
+                del self.running[slot]
+                batch.append((slot, _records(specs, results)))
+        return batch
 
     def _resolve(self, cell: str, record: dict) -> None:
         """Feed one verdict into its lane (and any parked duplicates)."""
@@ -585,8 +507,7 @@ class _Driver:
 
     def _breaker_verdict(self, cell: str,
                          record: dict) -> tuple[dict, bool]:
-        """Route one verdict -- returned by a dispatch, or made up by
-        :meth:`_reap` for a dead worker -- through the circuit breaker.
+        """Route one verdict through the circuit breaker.
 
         Returns ``(record, retry)``.  A ``WorkerCrash`` below the
         breaker threshold is *intercepted*: the caller must requeue
@@ -611,20 +532,11 @@ class _Driver:
 
     def _commit(self, batch: list[tuple[int, list[dict]]]) -> None:
         staged: list[tuple[str, dict, bool]] = []
-        for wid, records in batch:
-            cells = self.assigned.pop(wid, None)
-            assigned_at = self._assigned_at.pop(wid, None)
-            if assigned_at is not None:
-                self._busy_s += time.monotonic() - assigned_at
-            if wid in self.workers or not self.pool_size:
-                self.idle.append(wid)
-            if cells is None:
-                continue  # late result from an already-reaped worker
-            expected = set(cells)
+        for slot, records in batch:
+            self._busy_s += time.monotonic() - self._assigned_at.pop(slot)
+            self.idle.append(slot)
             for record in records:
-                cell = record.get("hash")
-                if cell not in expected or cell not in self.inflight:
-                    continue  # late record from a reaped dispatch
+                cell = record["hash"]
                 record, retry = self._breaker_verdict(cell, record)
                 staged.append((cell, record, retry))
         durable = [record for _, record, retry in staged if not retry]
@@ -642,56 +554,16 @@ class _Driver:
             else:
                 self._resolve(cell, record)
 
-    def _reap(self) -> None:
-        """Detect dead workers; their in-flight cells are committed as
-        ``WorkerCrash`` verdicts (so: crash retry after a jittered
-        backoff, or ``poisoned`` at the threshold) and the pool is
-        refilled."""
-        dead = [wid for wid, worker in self.workers.items()
-                if not worker.process.is_alive()]
-        if not dead:
-            return
-        # A worker may have shipped its result just before dying:
-        # process anything already queued before declaring crashes.
-        batch = self._drain(block=False)
-        if batch:
-            self._commit(batch)
-        for wid in dead:
-            worker = self.workers.pop(wid, None)
-            if worker is None:
-                continue
-            self._reaped += 1
-            try:
-                self.idle.remove(wid)
-            except ValueError:
-                pass
-            crashed = []
-            for cell in self.assigned.get(wid, ()):
-                if cell not in self.inflight:
-                    continue
-                _, spec = self.inflight[cell]
-                crashed.append(Ledger.record_for(spec, _failed_result(
-                    spec, WorkerCrash.__name__,
-                    f"{spec.describe()}: scheduler worker {wid} (pid "
-                    f"{worker.process.pid}) died with exit code "
-                    f"{worker.process.exitcode}",
-                )))
-            self._commit([(wid, crashed)])
-            self._spawn()
-        self._pump()
-
     def _metrics(self) -> dict:
-        """The scheduler's observability block: slot utilization,
-        queue depths, pool churn.  Wall-clock derived, so explicitly
+        """The scheduler's observability block: slot utilization and
+        queue depths.  Wall-clock derived, so explicitly
         outside the bit-identical-for-any-jobs contract (which covers
         the per-cell ``metrics`` blocks on ledger records)."""
         elapsed = time.monotonic() - self._started
         capacity = self.jobs * elapsed
         return {
-            "mode": "parallel" if self.pool_size else "serial",
+            "mode": "parallel" if self.jobs > 1 else "serial",
             "workers": self.jobs,
-            "workers_spawned": self._spawned,
-            "workers_reaped": self._reaped,
             "dispatched": self._dispatched,
             "busy_s": round(self._busy_s, 3),
             "wall_s": round(elapsed, 3),
@@ -699,7 +571,6 @@ class _Driver:
             if capacity > 0 else 0.0,
             "max_ready_lanes": self._max_ready,
             "max_inflight": self._max_inflight,
-            "worker_respawns": max(0, self._spawned - self.pool_size),
             "worker_crash_retries": self.breaker.crash_retries,
             "breaker_trips": self.breaker.trips,
             "backoff_s": round(self.backoff.total_s, 3),
@@ -710,18 +581,15 @@ class _Driver:
     # -- main loop ------------------------------------------------------
     def run(self) -> None:
         try:
-            for _ in range(self.pool_size):
-                self._spawn()
             self._pump()
             while self.inflight:
-                batch = self._drain(block=True)
-                if batch:
-                    self._commit(batch)
-                    self._pump()
-                else:
-                    self._reap()
+                self._commit(self._drain())
+                self._pump()
         finally:
-            self._shutdown()
+            for _, dispatch in self.running.values():
+                dispatch.cancel()
+            for spare in self.slots[1:]:
+                spare.close()
             _merge_scheduler_metrics(self.report, self._metrics())
 
 
@@ -738,25 +606,38 @@ def execute_lanes(
     report=None,
     progress: Optional[Callable[[CellSpec, dict], None]] = None,
     prevalidate: bool = True,
-    mp_context: Optional[str] = None,
-    poll_s: float = POLL_S,
     failure_budget: Optional[float] = None,
 ) -> dict[str, dict]:
     """Run every lane to exhaustion; returns the records-by-hash map.
 
-    ``supervisor`` (a :class:`~repro.harness.supervisor.RunSupervisor`,
-    or anything with its ``run``/``run_batch``) runs each dispatch and
-    stays the caller's to close.  ``jobs=1`` runs every dispatch on the
-    calling process, one lane after the other.  ``jobs>1`` (or
-    ``jobs=None``/``0`` for
-    ``os.cpu_count()``) fans lanes out across worker processes;
-    completion order then varies but the produced record set does
-    not.  ``done`` (resumed records) is updated in place and returned.
+    ``supervisor`` (a :class:`~repro.harness.supervisor.RunSupervisor`;
+    at ``jobs=1``, anything with its ``run``/``run_batch``) runs each
+    dispatch and stays the caller's to close.  ``jobs=1`` runs every
+    dispatch to the end before the next, one lane after the other.
+    ``jobs>1`` (or ``jobs=None``/``0`` for ``os.cpu_count()``) keeps up
+    to that many dispatches in flight, one on the caller's supervisor
+    and one on each of its spares (closed on return), each in its own
+    isolation child; completion order then varies but the produced
+    record set does not.  An ``isolation="inline"`` supervisor runs
+    cells in the driver, one at a time, so with ``jobs != 1`` it is a
+    ``ValueError``.  ``done`` (resumed records) is updated in place
+    and returned.
 
-    ``failure_budget`` is the campaign failure-rate ceiling (e.g.
-    ``0.5``) past which the run aborts with ``report.aborted`` set
-    instead of grinding through a doomed campaign.
+    ``failure_budget`` is the campaign failure-rate ceiling, a share
+    in [0, 1] (e.g. ``0.5``), past which the run aborts with
+    ``report.aborted`` set instead of grinding through a doomed
+    campaign.
     """
+    if failure_budget is not None and not 0 <= failure_budget <= 1:
+        raise ValueError(
+            f"failure budget must be a share in [0, 1], "
+            f"not {failure_budget!r}"
+        )
+    if jobs != 1 and supervisor.isolation == "inline":
+        raise ValueError(
+            f"jobs={jobs!r} needs process isolation: an inline "
+            f"supervisor runs cells in the driver, one at a time"
+        )
     lanes = [lane for lane in lanes if not lane.exhausted]
     if done is None:
         done = {}
@@ -769,6 +650,6 @@ def execute_lanes(
     jobs = max(1, min(jobs, len(lanes)))
     _Driver(
         lanes, jobs, supervisor, ledger, done, report, progress,
-        prevalidate, mp_context, poll_s, failure_budget,
+        prevalidate, failure_budget,
     ).run()
     return done

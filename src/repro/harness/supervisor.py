@@ -14,6 +14,9 @@ One supervisor owns one child, started at its first attempt and sent
 one attempt after the other down a pipe; a child is replaced only when
 the watchdog killed it or it died, so what starting one costs (the
 fork, copy-on-write faults, cold caches) is paid once per campaign.
+At ``--jobs N`` the scheduler holds N supervisors and waits on their
+children's pipes itself (:class:`Dispatch`): the driver and N
+isolation children are every process a campaign runs.
 
 ``isolation="inline"`` runs cells in-process (no watchdog, no kill
 protection) for fast tests and interactive use.
@@ -21,9 +24,11 @@ protection) for fast tests and interactive use.
 
 from __future__ import annotations
 
+import copy
+import math
 import multiprocessing
-import os
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -249,12 +254,20 @@ def _batch_child_main(specs: list[CellSpec]) -> list[dict]:
         return [dict(_failure_payload(exc)) for _ in specs]
 
 
-def _serve(conn, drivers_end) -> None:
+#: The driver's end of the pipe of every isolation child it keeps.  A
+#: child forked later inherits a copy of each; it closes them all, so
+#: that every child reads end-of-file when the driver goes, however
+#: many children the driver keeps.
+_DRIVER_ENDS: weakref.WeakSet = weakref.WeakSet()
+
+
+def _serve(conn) -> None:
     """The isolation child: answer each ``(child_main, args)`` job with
-    its payload list until the driver hangs up.  The driver's end of
-    the pipe came along through fork; with it closed here, ``recv``
+    its payload list until the driver hangs up.  The driver's ends of
+    the pipes came along through fork; with them closed here, ``recv``
     reads end-of-file when the driver goes away, however it goes."""
-    drivers_end.close()
+    for end in _DRIVER_ENDS:
+        end.close()
     try:
         while (job := conn.recv()) is not None:
             child_main, args = job
@@ -295,13 +308,14 @@ class CellResult:
 class RunSupervisor:
     """Executes cells with isolation, a watchdog, and retry policy.
 
-    The one piece of state is the handle on the isolation child, so
-    an instance runs one attempt at a time.  The handle belongs to the
-    process that started the child: a copy that wakes up elsewhere --
-    forked into a scheduler worker, or unpickled -- forgets it and
-    starts a child of its own, which is what lets the parallel
-    scheduler hand the *same* policy object to every worker.  Whoever
-    runs a campaign calls :meth:`close` when it ends.
+    The policy is written once, as generators (:meth:`_cell`,
+    :meth:`_group`) that yield each attempt and receive its payloads.
+    :meth:`run` and :meth:`run_batch` drive one to the end;
+    :meth:`start` returns it as a :class:`Dispatch` for the scheduler to
+    wait on beside others.  The one piece of state is the handle on the
+    idle isolation child, so an instance runs one attempt at a time; a
+    ``--jobs`` slot is a :meth:`spare`.  Whoever runs a campaign calls
+    :meth:`close` when it ends.
     """
 
     def __init__(
@@ -320,6 +334,11 @@ class RunSupervisor:
             raise ValueError(
                 f"unknown backend {backend!r}; valid backends: "
                 + ", ".join(BACKENDS)
+            )
+        if timeout_s is not None and not 0 < timeout_s < math.inf:
+            raise ValueError(
+                f"timeout_s must be a positive number of seconds "
+                f"(None: no watchdog), not {timeout_s!r}"
             )
         if escalation <= 1.0:
             raise ValueError("escalation factor must exceed 1")
@@ -340,56 +359,20 @@ class RunSupervisor:
             )
         self.mp_context = mp_context
         self._ctx = multiprocessing.get_context(mp_context)
-        #: ``(owner pid, process, connection)`` of the idle child.
+        #: ``(process, connection)`` of the idle child.
         self._child: Optional[tuple] = None
 
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # Contexts are rebuilt by name; a child answers only its starter.
-        return dict(self.__dict__, _ctx=None, _child=None)
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._ctx = multiprocessing.get_context(self.mp_context)
+    def spare(self) -> "RunSupervisor":
+        """The same policy without a child of its own yet."""
+        spare = copy.copy(self)
+        spare._child = None
+        return spare
 
     # ------------------------------------------------------------------
     def run(self, spec: CellSpec) -> CellResult:
         """One cell through the full policy: attempt, classify, and
         retry transient budget failures with escalated budgets."""
-        started = time.monotonic()
-        attempts = 0
-        while True:
-            attempts += 1
-            payload = self._dispatch(_child_main, (spec,), [spec])[0]
-            if payload["status"] == "ok":
-                return CellResult(
-                    spec=spec, status="ok", attempts=attempts,
-                    retries=attempts - 1,
-                    wall_s=time.monotonic() - started, outcome=payload,
-                    backend=self.backend,
-                )
-            failure_class = payload.get("failure_class", "WorkerCrash")
-            if is_transient(failure_class) and \
-                    attempts <= self.max_retries:
-                # A bigger budget may complete; true deadlocks and
-                # watchdog kills are not retried (deterministic or
-                # already at the wall-clock limit).  A cell the engine
-                # proved to be in a deflection fixed point cannot
-                # complete either, but is retried all the same: the
-                # engine jumps to the escalated budget in milliseconds,
-                # and records keep their attempts, retries and
-                # diagnostics byte for byte.
-                spec = spec.escalated(self.escalation)
-                continue
-            return CellResult(
-                spec=spec, status="failed", attempts=attempts,
-                retries=attempts - 1,
-                wall_s=time.monotonic() - started,
-                failure_class=failure_class,
-                failure_detail=payload.get("failure_detail"),
-                diagnostics=payload.get("diagnostics"),
-                backend=self.backend,
-            )
+        return self._finish(self._cell(spec))[0]
 
     def run_batch(self, specs: list[CellSpec]) -> list[CellResult]:
         """One batch group of cells through the batched backend,
@@ -410,10 +393,65 @@ class RunSupervisor:
         degrades to the per-cell path.
         """
         specs = list(specs)
-        if not specs:
-            return []
+        return self._finish(self._group(specs)) if specs else []
+
+    def start(self, specs: list[CellSpec]) -> "Dispatch":
+        """One dispatch -- :meth:`run` for one cell, :meth:`run_batch`
+        for several -- with its first attempt sent and not awaited."""
+        specs = list(specs)
+        return Dispatch(self, self._cell(specs[0]) if len(specs) == 1
+                        else self._group(specs))
+
+    def _finish(self, policy) -> list[CellResult]:
+        dispatch = Dispatch(self, policy)
+        verdicts = dispatch.verdicts
+        while verdicts is None:
+            verdicts = dispatch.advance()
+        return verdicts
+
+    # -- the policy: yield (child_main, args, specs), receive payloads ---
+    def _cell(self, spec: CellSpec):
+        """One cell: attempt, classify, escalate, retry."""
         started = time.monotonic()
-        payloads = self._dispatch(_batch_child_main, (specs,), specs)
+        attempts = 0
+        while True:
+            attempts += 1
+            payload = (yield _child_main, (spec,), [spec])[0]
+            if payload["status"] == "ok":
+                return [CellResult(
+                    spec=spec, status="ok", attempts=attempts,
+                    retries=attempts - 1,
+                    wall_s=time.monotonic() - started, outcome=payload,
+                    backend=self.backend,
+                )]
+            failure_class = payload.get("failure_class", "WorkerCrash")
+            if is_transient(failure_class) and \
+                    attempts <= self.max_retries:
+                # A bigger budget may complete; true deadlocks and
+                # watchdog kills are not retried (deterministic or
+                # already at the wall-clock limit).  A cell the engine
+                # proved to be in a deflection fixed point cannot
+                # complete either, but is retried all the same: the
+                # engine jumps to the escalated budget in milliseconds,
+                # and records keep their attempts, retries and
+                # diagnostics byte for byte.
+                spec = spec.escalated(self.escalation)
+                continue
+            return [CellResult(
+                spec=spec, status="failed", attempts=attempts,
+                retries=attempts - 1,
+                wall_s=time.monotonic() - started,
+                failure_class=failure_class,
+                failure_detail=payload.get("failure_detail"),
+                diagnostics=payload.get("diagnostics"),
+                backend=self.backend,
+            )]
+
+    def _group(self, specs: list[CellSpec]):
+        """One attempt over the group, then :meth:`_cell` for each cell
+        it did not finish."""
+        started = time.monotonic()
+        payloads = yield _batch_child_main, (specs,), specs
         wall_s = (time.monotonic() - started) / len(specs)
         results = []
         for spec, payload in zip(specs, payloads):
@@ -425,26 +463,21 @@ class RunSupervisor:
             else:
                 # Per-cell degradation: the serial policy decides, so
                 # the verdict matches a plain-backend run.
-                result = self.run(spec)
+                (result,) = yield from self._cell(spec)
                 result.backend = "batched"
                 results.append(result)
         return results
 
-    # ------------------------------------------------------------------
+    # -- the isolation child --------------------------------------------
     def _start_child(self) -> tuple:
         ours, theirs = self._ctx.Pipe()
+        _DRIVER_ENDS.add(ours)
         process = self._ctx.Process(
-            target=_serve, args=(theirs, ours), daemon=True,
+            target=_serve, args=(theirs,), daemon=True,
         )
         process.start()
         theirs.close()  # the child holds the last copy: its death is our EOF
         return process, ours
-
-    def _own_child(self) -> Optional[tuple]:
-        """Take the idle child, if this process started it.  A handle
-        inherited through fork is dropped without touching the child."""
-        child, self._child = self._child, None
-        return child[1:] if child and child[0] == os.getpid() else None
 
     @staticmethod
     def _hang_up(process, conn) -> None:
@@ -453,6 +486,7 @@ class RunSupervisor:
             conn.send(None)
         except OSError:
             pass  # already gone
+        _DRIVER_ENDS.discard(conn)
         conn.close()
         process.join()
 
@@ -460,22 +494,17 @@ class RunSupervisor:
         """Hang up on the idle child and reap it, inside the caller's
         campaign so that the child's CPU time is counted with it.  The
         supervisor stays usable: the next attempt starts a fresh one."""
-        child = self._own_child()
+        child, self._child = self._child, None
         if child is not None:
             self._hang_up(*child)
 
-    def _dispatch(self, child_main, args: tuple,
-                  specs: list[CellSpec]) -> list[dict]:
-        """One attempt of ``child_main(*args)`` over ``specs`` (one
-        cell, or one batch group); one classified payload per cell.
-        Under process isolation the job goes down the pipe of the
-        supervisor's isolation child, left idle for the next attempt,
-        and is awaited under the watchdog: a silent child is killed
-        (``WatchdogTimeout`` for every cell), one that hangs up is
-        reaped (``WorkerCrash``), and neither is kept."""
-        if self.isolation == "inline":
-            return child_main(*args)
-        process, conn = self._own_child() or self._start_child()
+    def _send(self, child_main, args: tuple) -> tuple:
+        """The send half of one attempt: ``child_main(*args)`` goes
+        down the idle child's pipe (a child is started if there is
+        none), and the ``(process, connection)`` handle comes off the
+        supervisor until :meth:`_receive` takes a clean answer."""
+        process, conn = self._child or self._start_child()
+        self._child = None
         try:
             conn.send((child_main, args))
         except OSError:
@@ -484,12 +513,21 @@ class RunSupervisor:
             self._hang_up(process, conn)
             process, conn = self._start_child()
             conn.send((child_main, args))
-        # None is no watchdog; a group gets len(specs) attempts' time.
-        deadline = self.timeout_s and self.timeout_s * len(specs)
+        return process, conn
+
+    def _receive(self, process, conn, specs: list[CellSpec],
+                 deadline: Optional[float]) -> list[dict]:
+        """The receive half: one classified payload per cell of
+        ``specs``.  An answer by ``deadline`` (monotonic; ``None`` is
+        no watchdog) leaves the child idle for the next attempt; a
+        silent child is killed (``WatchdogTimeout`` for every cell), one
+        that hangs up is reaped (``WorkerCrash``), and neither is
+        kept."""
         try:
-            if conn.poll(deadline):
+            if conn.poll(None if deadline is None
+                         else max(0.0, deadline - time.monotonic())):
                 payloads = conn.recv()
-                self._child = (os.getpid(), process, conn)
+                self._child = (process, conn)
                 return payloads
             process.kill()
             failure = WatchdogTimeout
@@ -497,7 +535,8 @@ class RunSupervisor:
             failure = WorkerCrash
         self._hang_up(process, conn)
         if failure is WatchdogTimeout:
-            detail = f"no result within {deadline}s; worker killed"
+            detail = (f"no result within {self.timeout_s * len(specs)}s; "
+                      f"worker killed")
         else:
             detail = f"worker exited {process.exitcode} without a result"
         return [
@@ -506,3 +545,53 @@ class RunSupervisor:
              "diagnostics": None}
             for spec in specs
         ]
+
+
+class Dispatch:
+    """One dispatch in flight (:meth:`RunSupervisor.start`): its policy
+    and the attempt the policy waits on -- ``conn``, the isolation
+    child's pipe, and ``deadline``, when its watchdog fires (monotonic;
+    ``None`` for no watchdog).  Call :meth:`advance` once ``conn`` is
+    ready or the deadline has passed; ``verdicts`` is the
+    :class:`CellResult` list once the policy is done.  Under
+    ``isolation="inline"`` every attempt runs as it is made, so the
+    verdicts are there at once."""
+
+    def __init__(self, supervisor: RunSupervisor, policy) -> None:
+        self._supervisor = supervisor
+        self._policy = policy
+        self.verdicts: Optional[list[CellResult]] = None
+        self._step(None)
+
+    def _step(self, payloads: Optional[list[dict]]) -> None:
+        """Feed ``payloads`` to the policy (``None`` starts it) and make
+        its attempts until one is in a child or the policy is done."""
+        supervisor = self._supervisor
+        try:
+            while True:
+                child_main, args, self._specs = self._policy.send(payloads)
+                if supervisor.isolation == "inline":
+                    payloads = child_main(*args)
+                    continue
+                self._process, self.conn = supervisor._send(child_main, args)
+                self.deadline = None if supervisor.timeout_s is None else (
+                    time.monotonic()
+                    + supervisor.timeout_s * len(self._specs))
+                return
+        except StopIteration as done:
+            self.verdicts = done.value
+
+    def advance(self) -> Optional[list[CellResult]]:
+        """Take the attempt's answer (waiting for it, at most until the
+        deadline), send the next attempt, and return the verdicts once
+        there are no more, else ``None``."""
+        if self.verdicts is None:
+            self._step(self._supervisor._receive(
+                self._process, self.conn, self._specs, self.deadline))
+        return self.verdicts
+
+    def cancel(self) -> None:
+        """Kill the attempt in flight, if any, and reap its child."""
+        if self.verdicts is None:
+            self._process.kill()
+            self._supervisor._hang_up(self._process, self.conn)

@@ -10,7 +10,7 @@ re-simulates nothing that already has a record.
 
 Execution is organised into *lanes* (one per ``(design, workload)``
 pair, sequential within, independent across) so ``jobs=N`` fans the
-campaign out over N worker processes through
+campaign out over N isolation children through
 :mod:`repro.harness.scheduler` while the driver remains the single
 ledger writer.  Aggregation walks the lanes in canonical order over
 the content-hash-keyed record map, so the returned
@@ -93,7 +93,7 @@ class SweepReport:
     aborted: Optional[str] = None
     failures: list[CellFailure] = field(default_factory=list)
     #: Observability blocks keyed by subsystem: ``"scheduler"``
-    #: (worker utilization, queue depths, reap counts -- filled by
+    #: (slot utilization, queue depths, crash retries -- filled by
     #: :mod:`repro.harness.scheduler`) and ``"sweep"`` (wall time,
     #: cells per second -- filled by the sweep driver).  Wall-clock
     #: derived, so excluded from the jobs-independence contract.
@@ -147,8 +147,7 @@ class SweepReport:
             lines.append(
                 f"scheduler: {sched['workers']} worker(s) "
                 f"{sched['utilization']:.0%} busy, "
-                f"{sched['dispatched']} dispatched, "
-                f"{sched['workers_reaped']} reaped"
+                f"{sched['dispatched']} dispatched"
             )
         batched = self.metrics.get("batched")
         if batched:
@@ -854,8 +853,9 @@ def design_space_sweep(
 
     Every ``(design, workload, threads)`` cell runs supervised; the
     returned points -- one per design, in order -- are identical for
-    every ``jobs`` setting (``1`` = serial in-process, ``N>1`` = N
-    worker processes, ``None``/``0`` = one per core).
+    every ``jobs`` setting (``1`` = one cell at a time, ``N>1`` = N
+    cells in flight, each in its own isolation child, ``None``/``0`` =
+    one per core; ``jobs != 1`` needs process isolation).
 
     ``prune=True`` turns on static-bound pruning: cells whose AIPC
     upper bound cannot lift their design past an already-measured
@@ -884,7 +884,7 @@ def design_space_sweep(
     ``backend="batched"`` groups same-workload cells into batch
     groups of up to ``batch_width`` (see
     :data:`~repro.harness.supervisor.BACKENDS`), composing with both
-    ``jobs`` (each worker runs whole groups) and the skip loop (which
+    ``jobs`` (a group is one dispatch in flight) and the skip loop (which
     dispatches lanes one at a time, so each cell runs alone).
     Records are bit-identical across backends apart from wall-clock
     fields and the ``backend`` annotation.

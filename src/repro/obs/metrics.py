@@ -35,14 +35,13 @@ DETERMINISTIC_CELL_COUNTERS = (
 )
 
 #: The crash-recovery counter catalogue: what the production recovery
-#: machinery (ledger repair/compaction, the fsync retry, worker
-#: respawn, the circuit breaker) did to finish a campaign.
+#: machinery (ledger repair/compaction, the fsync retry, the circuit
+#: breaker) did to finish a campaign.
 RECOVERY_COUNTERS = (
     "ledger_lines_quarantined",
     "ledger_repairs",
     "ledger_compactions",
     "ledger_append_retries",
-    "worker_respawns",
     "worker_crash_retries",
     "breaker_trips",
     "cells_poisoned",
@@ -273,7 +272,7 @@ def aggregate_records(records: Iterable[dict]) -> MetricsRegistry:
                     "compile_cache_evictions"):
             if key in metrics:
                 # Histograms, NOT counters: cache activity attributed
-                # to a cell depends on which worker process ran it and
+                # to a cell depends on which isolation child ran it and
                 # in what order (the first cell of each workload in an
                 # isolation child records the miss), so folding these
                 # into the counter set would break the

@@ -241,11 +241,11 @@ def broken_engine(monkeypatch):
     return install
 
 
-#: Run by :func:`kill_mid_cell`: waits for the marker's ``"pid ppid"``
-#: line and SIGKILLs one of the two.
+#: Run by :func:`kill_mid_cell`: waits for the marker's pid line and
+#: SIGKILLs that process.
 KILLER = """
 import os, signal, sys, time
-marker, which = sys.argv[1], int(sys.argv[2])
+marker = sys.argv[1]
 deadline = time.monotonic() + 60
 while time.monotonic() < deadline:
     try:
@@ -254,7 +254,7 @@ while time.monotonic() < deadline:
     except FileNotFoundError:
         text = ""
     if text.endswith("\\n"):
-        os.kill(int(text.split()[which]), signal.SIGKILL)
+        os.kill(int(text), signal.SIGKILL)
         sys.exit(0)
     time.sleep(0.01)
 sys.exit(1)
@@ -263,14 +263,11 @@ sys.exit(1)
 
 @pytest.fixture
 def kill_mid_cell(monkeypatch, tmp_path):
-    """``install(chosen, which)`` holds the first attempt of the first
-    cell ``chosen(spec)`` picks in the process running it, and starts a
-    process that SIGKILLs the held process (``which=0``: the isolation
-    child, or a worker running cells inline) or its parent
-    (``which=1``: the scheduler worker above an isolation child).
-    Returns that process; it exits 0 once it has sent the signal.
-    Workers and isolation children forked after the call inherit the
-    hold; later attempts of the cell run normally."""
+    """``install(chosen)`` holds the first attempt of the first cell
+    ``chosen(spec)`` picks in the isolation child running it, and starts
+    a process that SIGKILLs that child.  Returns that process; it exits
+    0 once it has sent the signal.  Isolation children forked after the
+    call inherit the hold; later attempts of the cell run normally."""
     import multiprocessing
 
     from repro.harness import supervisor as supervisor_mod
@@ -281,7 +278,7 @@ def kill_mid_cell(monkeypatch, tmp_path):
     real = supervisor_mod.execute_cell
     killers = []
 
-    def install(chosen, which: int = 0):
+    def install(chosen):
         def execute_cell(spec):
             if not chosen(spec):
                 return real(spec)
@@ -289,17 +286,14 @@ def kill_mid_cell(monkeypatch, tmp_path):
                 fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             except FileExistsError:
                 return real(spec)  # held and killed once already
-            parent = os.getppid()
-            os.write(fd, f"{os.getpid()} {parent}\n".encode())
+            os.write(fd, f"{os.getpid()}\n".encode())
             os.close(fd)
-            deadline = time.monotonic() + 60
-            while os.getppid() == parent and time.monotonic() < deadline:
-                time.sleep(0.01)
-            os._exit(0)  # orphaned: the signal went to the parent
+            time.sleep(60)  # until the killer's SIGKILL
+            os._exit(0)
 
         monkeypatch.setattr(supervisor_mod, "execute_cell", execute_cell)
         killers.append(subprocess.Popen(
-            [sys.executable, "-c", KILLER, str(marker), str(which)]))
+            [sys.executable, "-c", KILLER, str(marker)]))
         return killers[-1]
 
     yield install

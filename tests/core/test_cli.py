@@ -263,6 +263,21 @@ def test_out_of_range_counts_rejected(capsys, argv, message):
     assert_usage_error(capsys, argv, message)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("sweep", "--timeout-s", "0"), "argument --timeout-s: must be > 0"),
+    (("sweep", "--timeout-s", "-3"), "argument --timeout-s: must be > 0"),
+    (("sweep", "--failure-budget", "-0.5"),
+     "argument --failure-budget: must be within [0, 1]"),
+    (("sweep", "--failure-budget", "1.5"),
+     "argument --failure-budget: must be within [0, 1]"),
+    (("sweep", "--timeout-s", "x"),
+     "argument --timeout-s: invalid float value: 'x'"),
+])
+def test_out_of_range_fractions_and_timeouts_rejected(capsys, argv,
+                                                      message):
+    assert_usage_error(capsys, argv, message)
+
+
 def test_jobs_zero_still_means_one_per_core():
     assert build_parser().parse_args(["sweep", "--jobs", "0"]).jobs == 0
 

@@ -9,7 +9,6 @@ starting children; these cover the lifetime of the child itself.
 
 import multiprocessing
 import os
-import pickle
 import signal
 import time
 
@@ -55,8 +54,7 @@ def supervisor():
 
 def child_of(sup):
     """The idle isolation child's process handle."""
-    owner, process, _ = sup._child
-    assert owner == os.getpid()
+    process, _ = sup._child
     return process
 
 
@@ -204,11 +202,35 @@ def test_watchdog_kill_is_followed_by_a_fresh_child(hang_cell):
 # ----------------------------------------------------------------------
 # No orphans, no shared children
 # ----------------------------------------------------------------------
-def _doomed_driver(report) -> None:
+def _doomed_driver(report, busy: int = 0) -> None:
+    """Keep one idle child, then ``busy`` more that hang in a cell (the
+    ``jobs>1`` slots forked after it), and wait to be killed."""
     sup = RunSupervisor(isolation="process", timeout_s=60)
     ok = sup.run(make_spec()).ok
-    report.send((ok, child_of(sup).pid))
+    hung = [RunSupervisor(isolation="process", timeout_s=60)
+            .start([make_spec(seed=1)]) for _ in range(busy)]
+    report.send((ok, child_of(sup).pid,
+                 [dispatch._process.pid for dispatch in hung]))
     time.sleep(60)  # killed long before
+
+
+def run_doomed_driver(busy: int = 0) -> tuple:
+    """Start :func:`_doomed_driver`, SIGKILL it once it has reported,
+    and return its report."""
+    ours, theirs = multiprocessing.Pipe(duplex=False)
+    driver = multiprocessing.get_context("fork").Process(
+        target=_doomed_driver, args=(theirs, busy)
+    )
+    driver.start()
+    try:
+        theirs.close()
+        assert ours.poll(60), "driver never reported"
+        report = ours.recv()
+    finally:
+        driver.kill()
+        driver.join(10)
+    assert not driver.is_alive()
+    return report
 
 
 @needs_fork
@@ -216,30 +238,34 @@ def test_child_does_not_outlive_a_killed_driver():
     """SIGKILL runs no handler in the driver: the child goes because
     its ``recv`` reads end-of-file, which takes the driver's end of
     the pipe being closed in the child."""
-    ours, theirs = multiprocessing.Pipe(duplex=False)
-    driver = multiprocessing.get_context("fork").Process(
-        target=_doomed_driver, args=(theirs,)
-    )
-    driver.start()
-    try:
-        theirs.close()
-        assert ours.poll(60), "driver never reported"
-        ok, child_pid = ours.recv()
-        assert ok and not gone(child_pid)
-    finally:
-        driver.kill()
-        driver.join(10)
-    assert not driver.is_alive()
+    ok, child_pid, _ = run_doomed_driver()
+    assert ok
     assert wait_gone(child_pid, within_s=2.0)
 
 
-def test_a_copy_in_another_process_starts_its_own_child(supervisor):
-    """The scheduler's workers get the driver's supervisor -- handle
-    included, when they are forked.  They must neither talk down the
-    driver's pipe nor hang up on its child."""
+@needs_fork
+def test_idle_child_does_not_wait_for_a_busy_sibling(hang_cell):
+    """A child forked later (another ``jobs`` slot) inherits the
+    driver's end of every earlier child's pipe.  It closes them, so an
+    idle child reads end-of-file as soon as the driver is killed, not
+    when a sibling still busy with a cell finally exits."""
+    hang_cell(lambda spec: spec.seed == 1)
+    ok, child_pid, busy_pids = run_doomed_driver(busy=1)
+    try:
+        assert ok and not gone(busy_pids[0])
+        assert wait_gone(child_pid, within_s=2.0)
+    finally:
+        for pid in busy_pids:
+            os.kill(pid, signal.SIGKILL)
+
+
+def test_a_jobs_slot_copy_starts_its_own_child(supervisor, closes):
+    """The ``jobs=2`` slots are the caller's supervisor and a spare
+    copy of it: the copy starts a child of its own and closes it at the
+    end, and the caller's keeps serving from its one child."""
     assert supervisor.run(make_spec()).ok
     mine = child_of(supervisor)
-    assert pickle.loads(pickle.dumps(supervisor))._child is None
+    assert supervisor.spare()._child is None
 
     names = ("mcf", "gzip", "ammp", "art")
     lanes = [Lane(key=(name,), specs=[make_spec(workload=name)])
@@ -247,6 +273,8 @@ def test_a_copy_in_another_process_starts_its_own_child(supervisor):
     records = execute_lanes(lanes, jobs=2, supervisor=supervisor)
     assert [r["status"] for r in records.values()] == ["ok"] * len(names)
 
+    [(_, spares)] = closes  # the spare's, hung up on and joined
+    assert spares is not mine and spares.exitcode == 0
     assert child_of(supervisor) is mine and mine.is_alive()
     assert supervisor.run(make_spec(workload="twolf")).ok
     assert child_of(supervisor) is mine
@@ -348,7 +376,7 @@ def closes(monkeypatch):
     close = RunSupervisor.close
 
     def counted(self):
-        log.append(("close", self._child and self._child[1]))
+        log.append(("close", self._child and self._child[0]))
         return close(self)
 
     monkeypatch.setattr(RunSupervisor, "close", counted)

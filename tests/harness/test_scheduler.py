@@ -5,8 +5,9 @@ The contract: for any ``jobs`` value the sweep produces identical
 only wall-clock changes.  These tests run the same campaigns at
 ``jobs=1`` and ``jobs=4`` and diff everything observable, then cover
 the failure semantics unique to the parallel driver: lane stop under
-concurrency, pre-validation before dispatch, dead-worker reaping, and
-SIGKILL of the driver mid-campaign (kill-and-resume).
+concurrency, pre-validation before dispatch, one process layer (every
+cell runs in an isolation child of the driver), and SIGKILL of the
+driver mid-campaign (kill-and-resume).
 """
 
 import json
@@ -34,9 +35,10 @@ from repro.harness import (
     execute_lanes,
     sweep_cells,
 )
-from repro.harness import scheduler as scheduler_mod
+from repro.harness import supervisor as supervisor_mod
 from repro.harness.supervisor import CellResult
 from repro.harness.sweep import SweepReport, lane_winner
+from repro.sim.failures import CycleBudgetExhausted
 from repro.workloads import Scale
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -74,10 +76,14 @@ def stripped(record: dict) -> dict:
     return out
 
 
+def isolated(jobs) -> RunSupervisor:
+    """In-process cells where one slot allows it; ``jobs>1`` runs each
+    in an isolation child."""
+    return RunSupervisor(isolation="inline" if jobs == 1 else "process")
+
+
 def run_sweep(jobs, ledger_path=None, **kw):
-    defaults = dict(
-        scale=Scale.TINY, supervisor=RunSupervisor(isolation="inline"),
-    )
+    defaults = dict(scale=Scale.TINY, supervisor=isolated(jobs))
     defaults.update(kw)
     return design_space_sweep(
         designs_for(*CONFIGS), NAMES, ledger_path=ledger_path,
@@ -124,13 +130,14 @@ def test_parallel_threaded_lane_stops_on_failure(tmp_path):
     kw = dict(
         scale=Scale.TINY, threaded=True, candidates=(1, 2, 4),
         max_cycles=50, prevalidate=False,
-        supervisor=RunSupervisor(isolation="inline"),
     )
     s_points, s_report = design_space_sweep(
-        design, ("fft",), ledger_path=tmp_path / "s.jsonl", jobs=1, **kw
+        design, ("fft",), ledger_path=tmp_path / "s.jsonl", jobs=1,
+        supervisor=isolated(1), **kw
     )
     p_points, p_report = design_space_sweep(
-        design, ("fft",), ledger_path=tmp_path / "p.jsonl", jobs=4, **kw
+        design, ("fft",), ledger_path=tmp_path / "p.jsonl", jobs=4,
+        supervisor=isolated(4), **kw
     )
     assert p_points == s_points
     par = Ledger(tmp_path / "p.jsonl").load()
@@ -184,7 +191,7 @@ def test_parallel_prevalidation_never_dispatches(tmp_path):
     points, report = design_space_sweep(
         designs_for(doomed, *CONFIGS[:1]), ("mcf", "gzip"),
         scale=Scale.TINY, ledger_path=tmp_path / "runs.jsonl", jobs=4,
-        supervisor=RunSupervisor(isolation="inline"),
+        supervisor=isolated(4),
     )
     assert report.invalid == 2 and report.completed == 2
     records = Ledger(tmp_path / "runs.jsonl").load()
@@ -201,7 +208,7 @@ def test_duplicate_cells_deduplicated_across_lanes(tmp_path):
     spec = CellSpec(config=CONFIGS[0], workload="mcf", scale="tiny")
     records, report = sweep_cells(
         [spec, spec, spec], ledger_path=tmp_path / "runs.jsonl",
-        supervisor=RunSupervisor(isolation="inline"), jobs=4,
+        supervisor=isolated(4), jobs=4,
     )
     assert report.completed == 1 and report.skipped == 2
     assert len(Ledger(tmp_path / "runs.jsonl").load()) == 1
@@ -265,42 +272,38 @@ def scripted_cell(tag: int, config=CONFIGS[0]) -> CellSpec:
                     max_cycles=1000 + tag)
 
 
-class ScriptedSupervisor:
-    """No simulation: a cell's verdict is scripted by its tag.  Forks
-    into the pool's workers like the real one; the crash-once cell
-    keeps its state in a file, the only memory they share."""
-
-    def __init__(self, width: int, marker) -> None:
-        self.backend = "batched" if width > 1 else "plain"
-        self.batch_width = width
-        self.marker = str(marker)
-
-    def run(self, spec: CellSpec) -> CellResult:
+def scripted_execute_cell(marker):
+    """An ``execute_cell`` that scripts a cell's verdict by its tag, in
+    the isolation child, without simulating: the failing cell's
+    escalated retry fails too, and the crash-once cell ends its child
+    the first time it runs (a file is the only memory the children
+    share)."""
+    def execute_cell(spec: CellSpec) -> dict:
         tag = spec.max_cycles - 1000
-        if tag == FAILS:
-            return CellResult(
-                spec=spec, status="failed", attempts=2, retries=1,
-                failure_class="CycleBudgetExhausted",
-                failure_detail="scripted",
-            )
+        if tag == FAILS or tag > 1000:  # FAILS, or its escalated retry
+            raise CycleBudgetExhausted("scripted")
         if tag == CRASHES_ONCE:
             try:
-                os.close(os.open(self.marker, os.O_CREAT | os.O_EXCL))
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
             except FileExistsError:
                 pass  # second dispatch: the crash was environmental
             else:
-                return CellResult(
-                    spec=spec, status="failed",
-                    failure_class="WorkerCrash",
-                    failure_detail="scripted",
-                )
-        return CellResult(
-            spec=spec, status="ok",
-            outcome={"status": "ok", "aipc": tag / 100.0},
-        )
+                os._exit(13)
+        return {"status": "ok", "aipc": tag / 100.0}
 
-    def run_batch(self, specs):
-        return [self.run(spec) for spec in specs]
+    return execute_cell
+
+
+def scripted_execute_batch(specs: list[CellSpec]) -> list[dict]:
+    """A group attempt finishes every cell but the failing and the
+    crash-once one, which go back to the serial policy."""
+    return [
+        {"status": "failed", "failure_class": "CycleBudgetExhausted",
+         "failure_detail": "scripted", "diagnostics": None}
+        if spec.max_cycles - 1000 in (FAILS, CRASHES_ONCE)
+        else {"status": "ok", "aipc": (spec.max_cycles - 1000) / 100.0}
+        for spec in specs
+    ]
 
 
 def scripted_lanes() -> list[Lane]:
@@ -320,20 +323,32 @@ def scripted_lanes() -> list[Lane]:
     ]
 
 
-def run_scripted(tmp_path, jobs: int, width: int):
+def run_scripted(tmp_path, monkeypatch, jobs: int, width: int):
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork to inherit the scripted verdicts")
     workdir = tmp_path / f"j{jobs}w{width}"
     workdir.mkdir()
+    monkeypatch.setattr(supervisor_mod, "execute_cell",
+                        scripted_execute_cell(workdir / "crashed-once"))
+    monkeypatch.setattr(supervisor_mod, "execute_batch",
+                        scripted_execute_batch)
     resumed = Ledger.record_for(scripted_cell(8), CellResult(
         spec=scripted_cell(8), status="ok",
         outcome={"status": "ok", "aipc": 0.08},
     ))
     report = SweepReport()
-    records = execute_lanes(
-        scripted_lanes(), jobs=jobs,
-        supervisor=ScriptedSupervisor(width, workdir / "crashed-once"),
-        ledger=Ledger(workdir / "runs.jsonl"),
-        done={resumed["hash"]: resumed}, report=report, poll_s=0.05,
+    supervisor = RunSupervisor(
+        isolation="process", max_retries=1, timeout_s=60,
+        backend="batched" if width > 1 else "plain", batch_width=width,
     )
+    try:
+        records = execute_lanes(
+            scripted_lanes(), jobs=jobs, supervisor=supervisor,
+            ledger=Ledger(workdir / "runs.jsonl"),
+            done={resumed["hash"]: resumed}, report=report,
+        )
+    finally:
+        supervisor.close()
     records = {cell: stripped(r) for cell, r in records.items()}
     counters = {
         name: getattr(report, name)
@@ -347,11 +362,13 @@ def run_scripted(tmp_path, jobs: int, width: int):
 
 @pytest.mark.parametrize("jobs,width", [(1, 4), (3, 1), (3, 4)])
 def test_lane_protocol_identical_for_every_jobs_and_width(
-        tmp_path, jobs, width):
-    """``jobs`` changes where a dispatch runs and ``width`` how many
-    cells it carries -- never what is recorded or counted."""
-    want_records, want_counters, _, _ = run_scripted(tmp_path, 1, 1)
-    records, counters, lines, report = run_scripted(tmp_path, jobs, width)
+        tmp_path, monkeypatch, jobs, width):
+    """``jobs`` changes how many dispatches are in flight and ``width``
+    how many cells one carries -- never what is recorded or counted."""
+    want_records, want_counters, _, _ = run_scripted(
+        tmp_path, monkeypatch, 1, 1)
+    records, counters, lines, report = run_scripted(
+        tmp_path, monkeypatch, jobs, width)
     assert records == want_records
     assert counters == want_counters
     # One line per cell that ran: the crash verdict never landed.
@@ -364,8 +381,10 @@ def test_lane_protocol_identical_for_every_jobs_and_width(
     assert (sched["batch_groups"] > 0) == (width > 1)
 
 
-def test_serial_lane_protocol_accounting_and_line_order(tmp_path):
-    records, counters, lines, report = run_scripted(tmp_path, 1, 1)
+def test_serial_lane_protocol_accounting_and_line_order(tmp_path,
+                                                        monkeypatch):
+    records, counters, lines, report = run_scripted(
+        tmp_path, monkeypatch, 1, 1)
     assert counters == {
         "completed": 6, "failed": 1, "invalid": 1, "poisoned": 0,
         "retried": 1,
@@ -415,24 +434,24 @@ def test_real_cells_identical_for_every_jobs_and_width(tmp_path):
 def test_raising_cell_is_a_failed_record_at_any_jobs_and_isolation():
     """A cell that raises (unknown workload: KeyError) ends in a named
     outcome and the sweep moves on -- the same record pair whether the
-    exception surfaced in the driver, a pool worker or a forked
-    child."""
+    exception surfaced in the driver or in an isolation child, with one
+    dispatch in flight or two."""
     specs = [
         CellSpec(config=CONFIGS[0], workload="nope", scale="tiny"),
         CellSpec(config=CONFIGS[0], workload="fft", scale="tiny"),
     ]
     pairs = []
-    for isolation in ("inline", "process"):
-        for jobs in (1, 2):
-            records, report = sweep_cells(
-                specs, jobs=jobs, supervisor=RunSupervisor(
-                    isolation=isolation, max_retries=0, timeout_s=60,
-                ),
-            )
-            assert (report.failed, report.completed) == (1, 1)
-            pairs.append([
-                stripped(records[spec.cell_hash()]) for spec in specs
-            ])
+    for isolation, jobs in (("inline", 1), ("process", 1),
+                            ("process", 2)):
+        records, report = sweep_cells(
+            specs, jobs=jobs, supervisor=RunSupervisor(
+                isolation=isolation, max_retries=0, timeout_s=60,
+            ),
+        )
+        assert (report.failed, report.completed) == (1, 1)
+        pairs.append([
+            stripped(records[spec.cell_hash()]) for spec in specs
+        ])
     raised, ran = pairs[0]
     assert raised["status"] == "failed"
     assert raised["failure_class"] == "KeyError"
@@ -444,9 +463,9 @@ def test_raising_cell_is_a_failed_record_at_any_jobs_and_isolation():
 # Failure semantics under concurrency
 # ----------------------------------------------------------------------
 def test_supervisor_policy_runs_inside_workers(tmp_path, hang_cell):
-    """Watchdog + retry policy execute per-lane inside the worker
-    exactly as they do serially: a hung cell is killed and recorded
-    while other lanes complete."""
+    """Watchdog + retry policy hold for every dispatch in flight
+    exactly as they do serially: a hung cell's child is killed at its
+    deadline and the cell recorded while the other lane completes."""
     specs = [
         CellSpec(config=CONFIGS[0], workload="mcf", scale="tiny"),
         CellSpec(config=CONFIGS[0], workload="gzip", scale="tiny"),
@@ -463,48 +482,52 @@ def test_supervisor_policy_runs_inside_workers(tmp_path, hang_cell):
     assert hung["failure_class"] == "WatchdogTimeout"
 
 
-def test_dead_worker_is_reaped_and_replaced(monkeypatch, tmp_path):
-    """A worker that dies without reporting (OOM-kill stand-in) is
-    retried through the circuit breaker -- crash verdicts never reach
-    the ledger -- and when every replacement dies too, the cell is
-    quarantined as terminal ``poisoned`` instead of burning retries
-    forever.  The pool refills and the campaign still terminates."""
+# ----------------------------------------------------------------------
+# One process layer: the driver and its isolation children
+# ----------------------------------------------------------------------
+def test_every_cell_runs_in_an_isolation_child_of_the_driver(
+        monkeypatch, tmp_path):
+    """At ``jobs=2`` the driver itself waits on two isolation children:
+    every cell runs in a direct child of the driver, and no more than
+    two such children run cells."""
     if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("needs fork to inherit the monkeypatched worker")
+        pytest.skip("needs fork to inherit the patched execute_cell")
+    log = tmp_path / "pids"
+    real = supervisor_mod.execute_cell
 
-    def dying_worker(worker_id, inbox, results, supervisor):
-        inbox.get()
-        os._exit(13)
+    def execute_cell(spec):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {os.getppid()}\n")
+        return real(spec)
 
-    monkeypatch.setattr(scheduler_mod, "_worker_main", dying_worker)
-    lanes = [
-        Lane(key=(i,), specs=[
-            CellSpec(config=CONFIGS[i], workload="mcf", scale="tiny")
-        ])
-        for i in range(2)
-    ]
-    ledger = Ledger(tmp_path / "runs.jsonl")
-    report = SweepReport()
-    records = execute_lanes(
-        lanes, jobs=2, supervisor=RunSupervisor(isolation="inline"),
-        ledger=ledger, report=report, mp_context="fork", poll_s=0.05,
-    )
-    assert report.failed == 0  # crashes are retried, not recorded
-    assert report.poisoned == 2
-    assert all(
-        r["status"] == "poisoned"
-        and r["failure_class"] == "PoisonedCell"
-        and "exit code 13" in r["failure_detail"]
-        for r in records.values()
-    )
-    sched = report.metrics["scheduler"]
-    # threshold crashes per cell: threshold-1 retries + 1 trip each.
-    assert sched["breaker_trips"] == 2
-    assert sched["worker_crash_retries"] == \
-        2 * (scheduler_mod.BREAKER_THRESHOLD - 1)
-    assert sched["worker_respawns"] >= 2
-    assert sched["backoff_s"] > 0
-    assert len(ledger.load()) == 2
+    monkeypatch.setattr(supervisor_mod, "execute_cell", execute_cell)
+    specs = [CellSpec(config=config, workload=name, scale="tiny")
+             for config in CONFIGS for name in ("mcf", "gzip")]
+    _, report = sweep_cells(specs, jobs=2,
+                            supervisor=RunSupervisor(isolation="process"))
+    assert report.completed == len(specs)
+    pairs = {tuple(map(int, line.split()))
+             for line in log.read_text().splitlines()}
+    assert {parent for _, parent in pairs} == {os.getpid()}
+    assert 1 <= len(pairs) <= 2
+
+
+@pytest.mark.parametrize("jobs", [2, 0, None])
+def test_inline_isolation_with_several_jobs_is_refused(jobs):
+    """Inline cells run in the driver, one at a time: asking for more
+    is an error, not a silently serial campaign."""
+    lanes = [Lane(key=(i,), specs=[scripted_cell(i)]) for i in range(3)]
+    with pytest.raises(ValueError, match="process isolation"):
+        execute_lanes(lanes, jobs=jobs,
+                      supervisor=RunSupervisor(isolation="inline"))
+
+
+@pytest.mark.parametrize("budget", [-0.5, 1.5])
+def test_failure_budget_outside_zero_to_one_is_refused(budget):
+    lanes = [Lane(key=(0,), specs=[scripted_cell(0)])]
+    with pytest.raises(ValueError, match="failure budget"):
+        execute_lanes(lanes, failure_budget=budget,
+                      supervisor=RunSupervisor(isolation="inline"))
 
 
 # ----------------------------------------------------------------------
@@ -573,15 +596,15 @@ designs = [DesignPoint(config=c, area_mm2=chip_area(c)) for c in configs]
 design_space_sweep(
     designs, ("mcf", "gzip", "ammp"), scale=Scale.TINY,
     ledger_path=sys.argv[1], resume=True, jobs=4,
-    supervisor=RunSupervisor(isolation="inline"),
+    supervisor=RunSupervisor(isolation="process"),
 )
 """
 
 
 def test_parallel_kill_and_resume(tmp_path):
-    """SIGKILL a jobs=4 driver (and its workers) mid-campaign: only
-    in-flight cells are lost, and the resumed jobs=4 sweep
-    re-simulates exactly those."""
+    """SIGKILL a jobs=4 driver (and its isolation children)
+    mid-campaign: only in-flight cells are lost, and the resumed jobs=4
+    sweep re-simulates exactly those."""
     path = tmp_path / "runs.jsonl"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
@@ -604,8 +627,8 @@ def test_parallel_kill_and_resume(tmp_path):
             pytest.fail("driver produced no ledger records in time")
     finally:
         if driver.poll() is None:
-            # The workers share the driver's session: kill the group
-            # so no orphaned worker outlives the test.
+            # The children share the driver's session: kill the
+            # group so no busy child outlives the test.
             os.killpg(driver.pid, signal.SIGKILL)
         driver.wait()
 
@@ -616,8 +639,7 @@ def test_parallel_kill_and_resume(tmp_path):
 
     points, report = design_space_sweep(
         designs_for(*CONFIGS), NAMES, scale=Scale.TINY,
-        ledger_path=path, resume=True, jobs=4,
-        supervisor=RunSupervisor(isolation="inline"),
+        ledger_path=path, resume=True, jobs=4, supervisor=isolated(4),
     )
     # At most the in-flight cells were lost; only those re-simulate.
     assert report.skipped == len(survived)

@@ -183,6 +183,15 @@ def test_supervisor_rejects_bad_arguments():
         RunSupervisor(escalation=1.0)
 
 
+@pytest.mark.parametrize("timeout_s", [0, -1.0, float("inf"),
+                                       float("nan")])
+def test_watchdog_allowance_must_be_a_positive_number(timeout_s):
+    """A zero allowance would kill every attempt the moment it is sent;
+    ``None`` is how to ask for no watchdog."""
+    with pytest.raises(ValueError, match="timeout_s"):
+        RunSupervisor(timeout_s=timeout_s)
+
+
 def test_cell_hash_covers_budgets_and_faults():
     base = make_spec()
     assert base.cell_hash() != make_spec(max_cycles=1).cell_hash()
