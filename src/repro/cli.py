@@ -894,7 +894,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_surr.add_argument("action", choices=("report",))
     p_surr.add_argument("ledger", metavar="LEDGER",
                         help="JSONL ledger written by sweep --ledger")
-    p_surr.add_argument("--holdout", type=float, default=0.25,
+    p_surr.add_argument("--holdout", default=0.25,
+                        type=_float_option(lambda f: 0 < f < 1,
+                                           "must be within (0, 1)"),
                         help="held-out fraction for calibration "
                              "(default 0.25)")
     p_surr.add_argument("--coverage", type=float, default=0.9,

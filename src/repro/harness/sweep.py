@@ -557,7 +557,7 @@ def _execute_skipping(
     """
     from ..analysis.dataflow import bound_for_cell
     from ..design.pareto import pareto_front
-    from ..surrogate.features import training_rows
+    from ..surrogate.features import cell_features, training_rows
     from ..surrogate.search import UNCERTAINTY_THRESHOLD, SurrogateModel
 
     n_names = len(names)
@@ -586,14 +586,39 @@ def _execute_skipping(
     # so its randomness cannot depend on the environment.
     model = SurrogateModel(seed=0)
     predictions: dict[str, object] = {}  # cell hash -> CellPrediction
+    # Cell hash -> feature vector: a function of spec and bound only,
+    # so it is computed once per sweep, not once per refit.
+    features: dict[str, list[float]] = {}
 
     def _predict(spec: CellSpec):
         cell = spec.cell_hash()
         prediction = predictions.get(cell)
         if prediction is None:
+            if model.fitted:
+                _predict_open()
+                return predictions[cell]
             prediction = model.predict_cell(spec, cell_bounds[cell])
             predictions[cell] = prediction
         return prediction
+
+    def _predict_open() -> None:
+        """The first miss after a refit answers every unmeasured cell
+        in one forest walk (bit-identical to asking one by one)."""
+        cells, pairs = [], []
+        for lane in lanes:
+            for spec in lane.specs:
+                cell = spec.cell_hash()
+                if cell not in done:
+                    cells.append(cell)
+                    pairs.append((spec, cell_bounds[cell]))
+                    if cell not in features:
+                        features[cell] = cell_features(
+                            spec, bound=cell_bounds[cell]
+                        )
+        answers = model.predict_cells(
+            pairs, rows=[features[cell] for cell in cells]
+        )
+        predictions.update(zip(cells, answers))
 
     def _retrain() -> None:
         if not train:
@@ -610,30 +635,46 @@ def _execute_skipping(
     def _dlanes(index: int) -> Sequence[Lane]:
         return lanes[index * n_names:(index + 1) * n_names]
 
-    def _resolved(index: int) -> bool:
-        return all(
-            _lane_score(lane, done).complete for lane in _dlanes(index)
-        )
+    # The design table: per design, its lanes' scores, whether every
+    # lane is complete, and its clean aggregate -- the fully-measured
+    # suite aggregate, or ``None`` when any lane is incomplete or
+    # scored by a bound/prediction (such a design cannot serve as a
+    # skip-test comparator).  A row changes only with its own design's
+    # records: a frozen design's row is rescored on the spot, and a
+    # round starts by rescoring the ``stale`` rows -- every design at
+    # first, then the one just measured or the exact-verify pass's
+    # offenders.
+    scores: list[list[LaneScore]] = [[] for _ in range(n_designs)]
+    resolved = [False] * n_designs
+    clean: list[Optional[float]] = [None] * n_designs
+    stale = set(range(n_designs))
 
-    def _clean_aggregate(index: int) -> Optional[float]:
-        """The design's fully-measured suite aggregate, or ``None``
-        when any lane is incomplete or scored by a bound/prediction
-        (such a design cannot serve as a skip-test comparator)."""
-        total = 0.0
-        for lane in _dlanes(index):
-            scored = _lane_score(lane, done)
-            if not scored.complete or scored.pruned:
-                return None
-            total += scored.score or 0.0
-        return total / n_names
+    def _rescore(index: int) -> None:
+        row = [_lane_score(lane, done) for lane in _dlanes(index)]
+        scores[index] = row
+        resolved[index] = all(scored.complete for scored in row)
+        clean[index] = None
+        if all(scored.complete and not scored.pruned for scored in row):
+            total = 0.0
+            for scored in row:
+                total += scored.score or 0.0
+            clean[index] = total / n_names
+
+    def _open_specs(index: int) -> list[CellSpec]:
+        """The design's unmeasured cells in lanes still open."""
+        return [
+            spec
+            for lane, scored in zip(_dlanes(index), scores[index])
+            if not scored.complete
+            for spec in lane.specs if spec.cell_hash() not in done
+        ]
 
     def _mixed(index: int, optimistic: bool) -> float:
         """Suite aggregate with unmeasured cells filled in by the
         model: the upper interval (``optimistic``, the skip test) or
         the point estimate (the acquisition rank)."""
         total = 0.0
-        for lane in _dlanes(index):
-            scored = _lane_score(lane, done)
+        for lane, scored in zip(_dlanes(index), scores[index]):
             if scored.complete:
                 total += scored.score or 0.0
                 continue
@@ -649,13 +690,11 @@ def _execute_skipping(
 
     def _max_width(index: int) -> float:
         width = 0.0
-        for lane in _dlanes(index):
-            if _lane_score(lane, done).complete:
-                continue
-            for spec in lane.specs:
-                if spec.cell_hash() not in done:
-                    width = max(width, _predict(spec).width)
+        for spec in _open_specs(index):
+            width = max(width, _predict(spec).width)
         return width
+
+    areas = [design.area_mm2 for design in designs]
 
     def _dominated(index: int, aggregate: float) -> bool:
         """Whether a fully-measured design of no larger area already
@@ -665,52 +704,39 @@ def _execute_skipping(
         and performance the earlier design takes the frontier slot, so
         an exact tie against an earlier design still means dominated.
         """
-        area = designs[index].area_mm2
-        for other in range(n_designs):
-            if other == index:
+        area = areas[index] + 1e-12
+        for other, other_clean in enumerate(clean):
+            if other_clean is None or other == index \
+                    or areas[other] > area:
                 continue
-            if designs[other].area_mm2 > area + 1e-12:
-                continue
-            clean = _clean_aggregate(other)
-            if clean is None:
-                continue
-            if clean > aggregate or (clean == aggregate
-                                     and other < index):
+            if other_clean > aggregate or (other_clean == aggregate
+                                           and other < index):
                 return True
         return False
 
     def _freeze(index: int) -> None:
-        for lane in _dlanes(index):
-            if _lane_score(lane, done).complete:
-                continue
-            for spec in lane.specs:
-                cell = spec.cell_hash()
-                if cell in done:
-                    continue
-                if train:
-                    record = Ledger.record_predicted(
-                        spec, cell_bounds[cell], _predict(spec)
-                    )
-                    report.predicted += 1
-                else:
-                    record = Ledger.record_pruned(
-                        spec, cell_bounds[cell]
-                    )
-                    report.pruned_static += 1
-                if ledger is not None:
-                    ledger.append(record)
-                done[cell] = record
-                progress(spec, record)
+        for spec in _open_specs(index):
+            cell = spec.cell_hash()
+            if train:
+                record = Ledger.record_predicted(
+                    spec, cell_bounds[cell], _predict(spec)
+                )
+                report.predicted += 1
+            else:
+                record = Ledger.record_pruned(spec, cell_bounds[cell])
+                report.pruned_static += 1
+            if ledger is not None:
+                ledger.append(record)
+            done[cell] = record
+            progress(spec, record)
+        _rescore(index)
 
     def _incumbent(index: int) -> float:
-        area = designs[index].area_mm2
+        area = areas[index] + 1e-12
         best = 0.0
-        for other in range(n_designs):
-            if designs[other].area_mm2 > area + 1e-12:
-                continue
-            clean = _clean_aggregate(other)
-            if clean is not None:
-                best = max(best, clean)
+        for other, other_clean in enumerate(clean):
+            if other_clean is not None and areas[other] <= area:
+                best = max(best, other_clean)
         return best
 
     def _predicted_on_frontier() -> list[int]:
@@ -723,8 +749,7 @@ def _execute_skipping(
             points.append(ParetoPoint(
                 label=label, area=design.area_mm2,
                 performance=sum(
-                    _lane_score(lane, done).score or 0.0
-                    for lane in _dlanes(index)
+                    scored.score or 0.0 for scored in scores[index]
                 ) / n_names,
             ))
             if any(
@@ -744,9 +769,12 @@ def _execute_skipping(
                           + report.poisoned)
     _retrain()  # resumed measurements train the model immediately
     while not report.aborted:
+        for index in stale:
+            _rescore(index)
+        stale.clear()
         if model.fitted or prior_skips:
             for index in range(n_designs):
-                if index in must_measure or _resolved(index):
+                if index in must_measure or resolved[index]:
                     continue
                 # The width gate only applies to the fitted model;
                 # the prior's [0, bound] interval is sound by
@@ -757,8 +785,7 @@ def _execute_skipping(
                 if _dominated(index, _mixed(index, optimistic=True)):
                     _freeze(index)
         remaining = [
-            index for index in range(n_designs)
-            if not _resolved(index)
+            index for index in range(n_designs) if not resolved[index]
         ]
         if not remaining:
             offenders = _predicted_on_frontier()
@@ -766,6 +793,7 @@ def _execute_skipping(
                 break
             for index in offenders:
                 must_measure.add(index)
+                stale.add(index)
                 for lane in _dlanes(index):
                     for spec in lane.specs:
                         cell = spec.cell_hash()
@@ -787,8 +815,8 @@ def _execute_skipping(
                 ),
             )
         open_lanes = [
-            lane for lane in _dlanes(pick)
-            if not _lane_score(lane, done).complete
+            lane for lane, scored in zip(_dlanes(pick), scores[pick])
+            if not scored.complete
         ]
 
         def _lane_width(lane: Lane) -> float:
@@ -807,6 +835,7 @@ def _execute_skipping(
                             ln.key),
         )
         execute([lane], jobs=1)
+        stale.add(pick)
         _retrain()
     if train:
         report.metrics["surrogate"] = {

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -80,69 +80,52 @@ class _Tree:
     right: list[int] = field(default_factory=list)
     value: list[float] = field(default_factory=list)
 
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def predict_into(self, rows: list[list], out: list) -> None:
-        """Append each row's leaf value to ``out``; rows and tree are
-        plain lists, so a level costs one Python float compare."""
-        feature, threshold = self.feature, self.threshold
-        left, right, value = self.left, self.right, self.value
-        for x in rows:
-            node = 0
-            while (feat := feature[node]) >= 0:
-                if x[feat] <= threshold[node]:
-                    node = left[node]
-                else:
-                    node = right[node]
-            out.append(value[node])
-
     def structure(self) -> list:
         """Canonical JSON-able form for hashing."""
         return [self.feature, self.threshold, self.left, self.right,
                 self.value]
 
 
-def _best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    rows: np.ndarray,
-    features: np.ndarray,
-    min_leaf: int,
-) -> Optional[tuple[int, float]]:
-    """Exact SSE-minimizing ``(feature, threshold)`` over the
-    candidate features, or ``None`` when no legal split improves.
+def _counts(n: int, min_leaf: int) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right row counts at every scored split position of an
+    ``n``-row node, as ``(positions, 1)`` float64 columns."""
+    left = np.arange(min_leaf, n - min_leaf + 1, dtype=np.float64)[:, None]
+    return left, n - left
 
-    All candidates are scored in one ``(rows, features)`` block whose
-    columns see exactly the 1-D arithmetic (DESIGN.md section 5k), so
-    a node costs the same numpy calls for any feature count.  Ties
-    break toward the lowest feature index, then the lowest threshold
-    (``features`` arrive sorted): bit-deterministic under a seed.
+
+def _best_split(
+    block: np.ndarray,
+    y_node: np.ndarray,
+    total: float,
+    min_leaf: int,
+    counts: tuple[np.ndarray, np.ndarray],
+    columns: np.ndarray,
+) -> Optional[tuple[int, float]]:
+    """Exact SSE-minimizing split of one node, as ``(column,
+    threshold)`` into its ``(rows, candidates)`` feature block, or
+    ``None`` when no legal split improves.  ``total`` is
+    ``add.reduce(y_node)``, ``counts`` is :func:`_counts` for the
+    node's size and ``columns`` is ``arange(candidates)``.
+
+    All candidates are scored in one block whose columns see exactly
+    the 1-D arithmetic (DESIGN.md section 5k), so a node costs the same
+    numpy calls for any feature count.  Ties break toward the lowest
+    column, then the lowest threshold (the candidates arrive sorted by
+    feature index): bit-deterministic under a seed.
     """
-    n = rows.shape[0]
-    if n < 2 * min_leaf:
-        return None
-    y_node = y[rows]
-    total = y_node.sum()
-    block = X[rows][:, features]
+    n = block.shape[0]
     order = block.argsort(axis=0, kind="stable")
-    columns = np.arange(features.shape[0])
     xs = block[order, columns]
     # A split after sorted position i is legal when x differs across
     # it; only positions leaving >= min_leaf rows a side are scored.
     lo, hi = min_leaf - 1, n - min_leaf
     left_sum = y_node[order].cumsum(axis=0)[lo:hi]
     right_sum = total - left_sum
-    counts = np.arange(lo + 1, hi + 1, dtype=np.float64)[:, None]
+    left_n, right_n = counts
     gains = np.where(
         xs[lo:hi] < xs[lo + 1:hi + 1],
-        left_sum * left_sum / counts
-        + right_sum * right_sum / (n - counts)
+        left_sum * left_sum / left_n
+        + right_sum * right_sum / right_n
         - total * total / n,
         -np.inf,
     )
@@ -157,7 +140,7 @@ def _best_split(
         return None
     pos = lo + int(at[best])
     threshold = (xs[pos, best] + xs[pos + 1, best]) / 2.0
-    return int(features[best]), float(threshold)
+    return best, float(threshold)
 
 
 def _fit_tree(
@@ -168,42 +151,92 @@ def _fit_tree(
     max_depth: int,
     min_leaf: int,
     n_sub: int,
+    counts: dict[int, tuple[np.ndarray, np.ndarray]],
 ) -> _Tree:
-    tree = _Tree()
+    """One tree on the bootstrap ``rows``.  ``counts`` caches
+    :func:`_counts` by node size across the trees of one fit."""
+    tree = _Tree([-1], [0.0], [-1], [-1], [0.0])
+    feature, threshold = tree.feature, tree.threshold
+    left, right, value = tree.left, tree.right, tree.value
+    n_features = X.shape[1]
+    size = min(n_sub, n_features)
+    columns = np.arange(size)
     # Explicit stack; children are created depth-first left-first, so
     # node numbering (and the model hash) is reproducible.
-    root = tree._new_node()
-    stack: list[tuple[int, np.ndarray, int]] = [(root, rows, 0)]
-    n_features = X.shape[1]
+    stack: list[tuple[int, np.ndarray, int]] = [(0, rows, 0)]
     while stack:
         node, node_rows, depth = stack.pop()
         y_node = y[node_rows]
         n = node_rows.shape[0]
-        # ``mean()``'s own sum and divide, minus its Python wrapper.
-        tree.value[node] = float(np.add.reduce(y_node) / n)
-        if (depth >= max_depth or n < 2 * min_leaf
-                or y_node.min() == y_node.max()):
+        # ``mean()``'s own sum and divide, minus its Python wrapper;
+        # the same total feeds the split search.
+        total = np.add.reduce(y_node)
+        value[node] = float(total / n)
+        if depth >= max_depth or n < 2 * min_leaf:
             continue
-        chosen = np.sort(rng.choice(
-            n_features, size=min(n_sub, n_features), replace=False
-        ))
-        split = _best_split(X, y, node_rows, chosen, min_leaf)
+        targets = y_node.tolist()
+        if min(targets) == max(targets):
+            continue
+        chosen = rng.choice(n_features, size=size, replace=False)
+        chosen.sort()
+        block = X[node_rows[:, None], chosen]
+        pair = counts.get(n)
+        if pair is None:
+            pair = counts[n] = _counts(n, min_leaf)
+        split = _best_split(block, y_node, total, min_leaf, pair,
+                            columns)
         if split is None:
             continue
-        feat, threshold = split
-        mask = X[node_rows, feat] <= threshold
-        left_rows = node_rows[mask]
-        right_rows = node_rows[~mask]
-        tree.feature[node] = feat
-        tree.threshold[node] = threshold
-        left = tree._new_node()
-        right = tree._new_node()
-        tree.left[node] = left
-        tree.right[node] = right
+        column, cut = split
+        mask = block[:, column] <= cut
+        child = len(feature)
+        feature[node] = int(chosen[column])
+        threshold[node] = cut
+        left[node] = child
+        right[node] = child + 1
+        feature += (-1, -1)
+        threshold += (0.0, 0.0)
+        left += (-1, -1)
+        right += (-1, -1)
+        value += (0.0, 0.0)
         # Push right first so left pops (and numbers) first.
-        stack.append((right, right_rows, depth + 1))
-        stack.append((left, left_rows, depth + 1))
+        stack.append((child + 1, node_rows[~mask], depth + 1))
+        stack.append((child, node_rows[mask], depth + 1))
     return tree
+
+
+class _Walk(NamedTuple):
+    """Every tree of a forest as one set of flat arrays, for walking
+    all trees over all rows level by level.  Trees are concatenated
+    with ``roots`` holding each tree's root index.  A leaf tests
+    column 0 and points both ways to itself, so rows that reached
+    their leaf stay put while deeper rows descend; ``children[i]`` is
+    ``(right, left)``, indexed by the ``x <= threshold`` outcome."""
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    children: np.ndarray
+    value: np.ndarray
+
+
+def _flatten(trees: Sequence[_Tree]) -> _Walk:
+    sizes = [len(tree.feature) for tree in trees]
+    starts = np.cumsum([0] + sizes[:-1])
+    offset = np.repeat(starts, sizes)
+    feature, threshold, left, right, value = (
+        np.concatenate(column)
+        for column in zip(*(tree.structure() for tree in trees))
+    )
+    leaf = feature < 0
+    own = np.arange(feature.shape[0])
+    return _Walk(
+        roots=starts, feature=np.where(leaf, 0, feature),
+        threshold=threshold,
+        children=np.stack([np.where(leaf, own, right + offset),
+                           np.where(leaf, own, left + offset)], axis=1),
+        value=value,
+    )
 
 
 class QuantileForest:
@@ -232,6 +265,16 @@ class QuantileForest:
     ) -> None:
         if not 0.5 <= coverage < 1.0:
             raise ValueError(f"coverage must be in [0.5, 1): {coverage}")
+        if not n_trees >= 1:
+            raise ValueError(f"n_trees must be >= 1: {n_trees}")
+        if not max_depth >= 0:
+            raise ValueError(f"max_depth must be >= 0: {max_depth}")
+        if not min_leaf >= 1:
+            raise ValueError(f"min_leaf must be >= 1: {min_leaf}")
+        if not 0.0 < feature_fraction <= 1.0:
+            raise ValueError(
+                f"feature_fraction must be in (0, 1]: {feature_fraction}"
+            )
         self.n_trees = int(n_trees)
         self.max_depth = int(max_depth)
         self.min_leaf = int(min_leaf)
@@ -239,6 +282,7 @@ class QuantileForest:
         self.coverage = float(coverage)
         self.seed = int(seed)
         self._trees: list[_Tree] = []
+        self._walk: Optional[_Walk] = None
         self._margin_lo = 0.0
         self._margin_hi = 0.0
         #: group -> (lo margin, hi margin)
@@ -331,12 +375,15 @@ class QuantileForest:
         self._hash = None
         self.train_rows = n
         in_bag = np.zeros((self.n_trees, n), dtype=bool)
+        counts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for t in range(self.n_trees):
             rows = rng.integers(0, n, size=n)
             in_bag[t, rows] = True
             self._trees.append(_fit_tree(
-                X, y, rows, rng, self.max_depth, self.min_leaf, n_sub
+                X, y, rows, rng, self.max_depth, self.min_leaf, n_sub,
+                counts,
             ))
+        self._walk = _flatten(self._trees)
         # Split-conformal margins over out-of-bag *signed* residuals:
         # for each row, the mean prediction of trees that never saw
         # it.  Upper and lower margins calibrate separately -- an
@@ -376,17 +423,32 @@ class QuantileForest:
 
     # ------------------------------------------------------------------
     def _tree_preds(self, X: np.ndarray) -> np.ndarray:
-        """``(trees, rows)`` leaf values, C-contiguous."""
+        """``(trees, rows)`` leaf values, C-contiguous: every tree over
+        every row at once, one level per step for ``max_depth`` steps
+        (no tree is deeper, and a row at its leaf stays there)."""
         if not self.fitted:
             raise RuntimeError("prediction before fit()")
-        rows = np.atleast_2d(np.asarray(X, dtype=np.float64)).tolist()
-        leaves: list[float] = []
-        for tree in self._trees:
-            tree.predict_into(rows, leaves)
-        return np.array(leaves).reshape(len(self._trees), len(rows))
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        walk = self._walk
+        rows = np.arange(X.shape[0])
+        nodes = np.repeat(walk.roots[:, None], X.shape[0], axis=1)
+        for _ in range(self.max_depth):
+            goes_left = (X[rows, walk.feature[nodes]]
+                         <= walk.threshold[nodes])
+            nodes = walk.children[nodes, goes_left.view(np.uint8)]
+        return walk.value[nodes]
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._tree_preds(X).mean(axis=0)
+    def predict(self, X: np.ndarray, *, per_row: bool = False
+                ) -> np.ndarray:
+        """The forest mean per row.  ``per_row`` sums each row's leaves
+        exactly as a one-row query does (a C-contiguous ``(rows,
+        trees)`` array reduced along axis 1); the default reduces the
+        ``(trees, rows)`` block tree by tree, which for several rows
+        differs from the one-row answer in the last bit."""
+        leaves = self._tree_preds(X)
+        if per_row:
+            return np.ascontiguousarray(leaves.T).mean(axis=1)
+        return leaves.mean(axis=0)
 
     def predict_interval(
         self,
@@ -400,15 +462,18 @@ class QuantileForest:
         self,
         X: np.ndarray,
         groups: Optional[Sequence[str]] = None,
+        *,
+        per_row: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(mean, lo, hi)`` arrays from one walk of the trees, the
         interval at the configured coverage.
 
         ``groups`` selects per-row Mondrian margins fitted for those
         labels; rows whose label has no fitted margin (or when
-        ``groups`` is omitted) use the global margin.
+        ``groups`` is omitted) use the global margin.  ``per_row`` as
+        in :meth:`predict`.
         """
-        mean = self.predict(X)
+        mean = self.predict(X, per_row=per_row)
         default = (self._margin_lo, self._margin_hi)
         if groups is None:
             pairs = [default] * mean.shape[0]

@@ -21,7 +21,7 @@ deterministic holdout split, MAE, and empirical interval coverage
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,12 +122,43 @@ class SurrogateModel:
             float(column[0]) for column in
             self._forest.predict_with_interval(x, [spec.workload])
         )
-        hi = min(hi, cap)
-        lo = max(0.0, min(lo, hi))
-        return CellPrediction(
-            aipc=max(0.0, min(mean, cap)), lo=lo, hi=hi,
-            model_hash=self.model_hash,
+        return _clipped(mean, lo, hi, cap, self.model_hash)
+
+    def predict_cells(
+        self,
+        pairs: Sequence[tuple[object, object]],
+        rows: Optional[Sequence[list[float]]] = None,
+    ) -> list[CellPrediction]:
+        """:meth:`predict_cell` for every ``(spec, bound)`` pair, equal
+        to it bit for bit, from one walk of the forest.  ``rows`` may
+        pass the pairs' :func:`cell_features` vectors (the sweep keeps
+        them, as they depend only on spec and bound)."""
+        if self._forest is None or not pairs:
+            return [self.predict_cell(*pair) for pair in pairs]
+        if rows is None:
+            rows = [cell_features(spec, bound=bound)
+                    for spec, bound in pairs]
+        mean, lo, hi = self._forest.predict_with_interval(
+            np.asarray(rows, dtype=np.float64),
+            [spec.workload for spec, _ in pairs], per_row=True,
         )
+        model_hash = self.model_hash
+        return [
+            _clipped(m, low, high, float(bound.aipc_bound), model_hash)
+            for (_, bound), m, low, high
+            in zip(pairs, mean.tolist(), lo.tolist(), hi.tolist())
+        ]
+
+
+def _clipped(mean: float, lo: float, hi: float, cap: float,
+             model_hash: str) -> CellPrediction:
+    """A forest answer clipped to ``[0, cap]``, the sound bound."""
+    hi = min(hi, cap)
+    lo = max(0.0, min(lo, hi))
+    return CellPrediction(
+        aipc=max(0.0, min(mean, cap)), lo=lo, hi=hi,
+        model_hash=model_hash,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -203,6 +234,8 @@ def calibration_report(
     predictions are bound-clipped exactly as the sweep driver clips
     them, so the reported MAE/coverage measure the deployed model.
     """
+    if not 0.0 < holdout < 1.0:
+        raise ValueError(f"holdout must be within (0, 1): {holdout}")
     n = training.rows
     if n < max(8, 2 * MIN_TRAIN_ROWS // 3):
         raise ValueError(

@@ -311,3 +311,21 @@ def counted_sum():
 @pytest.fixture
 def array_sum():
     return build_array_sum([3, 1, 4, 1, 5, 9, 2, 6])
+
+
+@pytest.fixture(scope="session")
+def paper_report():
+    """Build the simulated sections of the full paper report once per
+    session: ``generate_report`` then reuses each section for the same
+    arguments, while its header, the ``repro report`` command around it
+    and the ledger section still run on every call."""
+    import functools
+
+    from repro.report import fullreport
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_area_section", "_workload_section",
+                     "_pareto_section", "_traffic_section"):
+            patch.setattr(fullreport, name,
+                          functools.cache(getattr(fullreport, name)))
+        yield

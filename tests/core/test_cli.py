@@ -332,7 +332,7 @@ def test_characterize_tensor_suite(capsys):
         assert name in out
 
 
-def test_report_command(capsys, tmp_path):
+def test_report_command(capsys, tmp_path, paper_report):
     out_file = tmp_path / "report.md"
     code, out = run_cli(
         capsys, "report", "--sample", "40", "-o", str(out_file)
@@ -346,7 +346,7 @@ def test_report_command(capsys, tmp_path):
     assert "Campaign observability" not in text  # no ledger given
 
 
-def test_report_with_ledger_section(capsys, tmp_path):
+def test_report_with_ledger_section(capsys, tmp_path, paper_report):
     ledger = tmp_path / "runs.jsonl"
     run_cli(
         capsys, "sweep", "--suite", "spec", "--sample", "40",
@@ -420,6 +420,25 @@ def test_surrogate_report_json(capsys, tmp_path):
     doc = json.loads(out)
     assert set(doc) >= {"coverage", "mae", "calibrated", "rows"}
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize("holdout", ["-0.5", "0", "1", "1.5"])
+def test_surrogate_report_holdout_outside_zero_to_one_refused(
+        capsys, tmp_path, holdout):
+    """A holdout of 0 or less still held out one row and passed the
+    gate on it; 1.5 trained on two rows.  Both ends are open."""
+    from repro.harness import Ledger
+    from repro.surrogate import calibration_report, extract_training_set
+
+    path = tmp_path / "ledger.jsonl"
+    _write_training_ledger(path)
+    assert_usage_error(
+        capsys, ("surrogate", "report", str(path), "--holdout", holdout),
+        "argument --holdout: must be within (0, 1)",
+    )
+    with pytest.raises(ValueError, match="holdout"):
+        calibration_report(extract_training_set(Ledger(path)),
+                           holdout=float(holdout))
 
 
 def test_surrogate_report_missing_ledger(tmp_path):

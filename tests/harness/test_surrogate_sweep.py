@@ -241,6 +241,43 @@ def test_prune_composes_as_prior_skips(designs, areas, tmp_path):
     assert front_view(points) == front_view(exhaustive)
 
 
+@pytest.mark.parametrize("policy", [
+    dict(prune=True), dict(surrogate=True), dict(surrogate=True,
+                                                 prune=True),
+], ids=["prune", "surrogate", "both"])
+@pytest.mark.parametrize("n_designs", [8, 16])
+def test_lane_scorings_per_round_scale_with_the_lane_count(
+        monkeypatch, tmp_path, n_designs, policy):
+    """The skip loop scores each lane about once per round (its
+    design table), not once per pair of designs: the count per round
+    stays a small multiple of designs x workloads as designs grow."""
+    import repro.design.pareto as pareto
+    import repro.harness.sweep as sweep
+
+    calls = {"score": 0, "round": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sweep, "_lane_score",
+                        counted("score", sweep._lane_score))
+    # A round ends in one lane's measurement or, with nothing left
+    # open, in the exact-verify pass over the frontier.
+    monkeypatch.setattr(sweep, "execute_lanes",
+                        counted("round", sweep.execute_lanes))
+    monkeypatch.setattr(pareto, "pareto_front",
+                        counted("round", pareto.pareto_front))
+    designs = viable_designs()[:n_designs]
+    areas = {d.config.describe(): d.area_mm2 for d in designs}
+    run_sweep(designs, areas, tmp_path, "count.jsonl", **policy)
+    lanes = n_designs * len(NAMES)
+    assert calls["round"] > 1
+    assert calls["score"] <= 2 * lanes * (calls["round"] + 1), calls
+
+
 # ----------------------------------------------------------------------
 # Real-simulation composition with the batched engine backend
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ from repro.report import generate_report
 from repro.workloads import Scale, WORKLOADS
 
 
-def test_report_sections_present():
+def test_report_sections_present(paper_report):
     text = generate_report(scale=Scale.TINY, sample=40,
                            timestamp="TESTSTAMP")
     assert "TESTSTAMP" in text

@@ -8,6 +8,7 @@ from repro.surrogate.model import (
     MIN_GROUP_RESIDUALS,
     QuantileForest,
     _best_split,
+    _counts,
 )
 
 
@@ -126,8 +127,22 @@ def test_input_validation():
         forest.predict_interval(X)
 
 
+@pytest.mark.parametrize("param,value", [
+    ("n_trees", 0),
+    ("max_depth", -1),
+    ("min_leaf", 0),
+    ("feature_fraction", 0.0),
+    ("feature_fraction", 2.0),
+])
+def test_unfittable_hyperparameters_are_refused(param, value):
+    """Each of these was accepted and then failed inside ``fit`` (or
+    fitted something other than asked) instead of naming itself."""
+    with pytest.raises(ValueError, match=param):
+        QuantileForest(**{param: value})
+
+
 # ----------------------------------------------------------------------
-# The batched split search and the list-based tree walk against their
+# The batched split search and the all-trees walk against their
 # one-at-a-time forms
 # ----------------------------------------------------------------------
 def reference_best_split(X, y, rows, features, min_leaf):
@@ -168,6 +183,23 @@ def reference_best_split(X, y, rows, features, min_leaf):
     return best
 
 
+def block_best_split(X, y, rows, features, min_leaf):
+    """``_best_split`` on the node's candidate block, with the fit's
+    own guard and the winning column mapped back to its feature."""
+    n = rows.shape[0]
+    if n < 2 * min_leaf:
+        return None
+    y_node = y[rows]
+    split = _best_split(
+        X[rows[:, None], features], y_node, np.add.reduce(y_node),
+        min_leaf, _counts(n, min_leaf), np.arange(features.shape[0]),
+    )
+    if split is None:
+        return None
+    column, threshold = split
+    return int(features[column]), threshold
+
+
 def random_node(seed):
     """One tree node's split problem, built to tie: few distinct x
     values, a duplicated column (equal gains on two features), a
@@ -197,7 +229,7 @@ def test_best_split_matches_per_feature_reference():
     for seed in range(200):
         X, y, rows, features, min_leaf = random_node(seed)
         want = reference_best_split(X, y, rows, features, min_leaf)
-        got = _best_split(X, y, rows, features, min_leaf)
+        got = block_best_split(X, y, rows, features, min_leaf)
         assert got == want, seed
         outcomes["none" if want is None else "split"] += 1
         outcomes["too_small"] += rows.shape[0] < 2 * min_leaf
@@ -209,11 +241,12 @@ def test_best_split_matches_per_feature_reference():
 
 def test_single_row_predict_equals_batch_predict():
     """Row by row, every tree reaches the leaf it reaches in one
-    call, bit for bit.  The forest mean over those leaves is only
-    equal to rounding: numpy sums a ``(trees, 1)`` block pairwise and
-    a ``(trees, rows)`` block tree by tree.  (Which is why the sweep,
-    whose ledger bytes are pinned, must keep asking one cell at a
-    time.)"""
+    call, bit for bit.  The default forest mean over those leaves is
+    only equal to rounding: numpy sums a ``(trees, 1)`` block pairwise
+    and a ``(trees, rows)`` block tree by tree.  ``per_row=True`` sums
+    each row as the one-row call does, which is what the sweep's
+    batched predictions rely on (``tests/surrogate/test_search.py``
+    holds them to ``predict_cell`` bit for bit)."""
     X, y = synthetic(80, seed=12)
     groups = ["a" if i % 3 else "b" for i in range(len(y))]
     forest = QuantileForest(seed=3).fit(X, y, groups=groups)
@@ -221,11 +254,13 @@ def test_single_row_predict_equals_batch_predict():
     query_groups = ["a", "b", "?"] * 8 + ["a"]
     leaves = forest._tree_preds(Xq)
     mean = forest.predict(Xq)
+    per_row = forest.predict(Xq, per_row=True)
     lo, hi = forest.predict_interval(Xq, groups=query_groups)
     for i, label in enumerate(query_groups):
         assert np.array_equal(
             forest._tree_preds(Xq[i])[:, 0], leaves[:, i]
         )
+        assert forest.predict(Xq[i])[0].hex() == per_row[i].hex()
         lo_i, hi_i = forest.predict_interval(
             Xq[i:i + 1], groups=[label]
         )
