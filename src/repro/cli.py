@@ -647,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p_run)
     p_run.add_argument("--workload", "-w", required=True,
                        choices=sorted(WORKLOADS))
-    p_run.add_argument("--threads", "-t", type=int, default=4)
+    p_run.add_argument("--threads", "-t", type=_int_at_least(1), default=4)
     p_run.add_argument("--scale", default="small",
                        choices=[s.value for s in Scale])
     p_run.add_argument("--k", type=int, default=None,
@@ -751,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--suite", choices=sorted(SUITES))
     p_analyze.add_argument("--scale", default="tiny",
                            choices=[s.value for s in Scale])
-    p_analyze.add_argument("--threads", "-t", type=int, default=None,
+    p_analyze.add_argument("--threads", "-t", type=_int_at_least(1),
                            help="thread count for multithreaded "
                                 "workloads")
     p_analyze.add_argument("--json", action="store_true",
@@ -772,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--scale", default="tiny",
                         choices=[s.value for s in Scale],
                         help="scale at which workloads are instantiated")
-    p_lint.add_argument("--threads", "-t", type=int, default=None,
+    p_lint.add_argument("--threads", "-t", type=_int_at_least(1),
                         help="thread count for multithreaded workloads")
     p_lint.add_argument("--check-config", action="store_true",
                         dest="check_config",
@@ -797,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_char = sub.add_parser("characterize",
                             help="workload shape table (Section 2.2)")
     p_char.add_argument("--suite", default="all", choices=sorted(SUITES))
-    p_char.add_argument("--threads", "-t", type=int, default=4)
+    p_char.add_argument("--threads", "-t", type=_int_at_least(1), default=4)
     p_char.add_argument("--scale", default="tiny",
                         choices=[s.value for s in Scale])
 
@@ -805,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="Table 4 matching-table tuning row")
     p_tune.add_argument("--workload", "-w", required=True,
                         choices=sorted(WORKLOADS))
-    p_tune.add_argument("--threads", "-t", type=int, default=4)
+    p_tune.add_argument("--threads", "-t", type=_int_at_least(1), default=4)
     p_tune.add_argument("--scale", default="tiny",
                         choices=[s.value for s in Scale])
 
@@ -827,12 +827,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p_trace)
     p_trace.add_argument("--workload", "-w", required=True,
                          choices=sorted(WORKLOADS))
-    p_trace.add_argument("--threads", "-t", type=int, default=2)
+    p_trace.add_argument("--threads", "-t", type=_int_at_least(1), default=2)
     p_trace.add_argument("--scale", default="tiny",
                          choices=[s.value for s in Scale])
-    p_trace.add_argument("--events", type=int, default=60)
+    p_trace.add_argument("--events", type=_int_at_least(0), default=60)
     p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--limit", type=int, default=100_000,
+    p_trace.add_argument("--limit", type=_int_at_least(1), default=100_000,
                          help="trace capacity; events beyond it are "
                               "dropped per --policy and reported")
     p_trace.add_argument("--policy", default="drop-newest",
@@ -872,9 +872,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential fuzz campaign: seeded programs cross-"
              "checked across interpreter, engines, and static bounds",
     )
-    p_fuzz.add_argument("--seeds", type=int, default=100, metavar="N",
+    p_fuzz.add_argument("--seeds", type=_int_at_least(1), default=100,
+                        metavar="N",
                         help="number of seeds to fuzz (default 100)")
-    p_fuzz.add_argument("--start", type=int, default=0, metavar="SEED",
+    p_fuzz.add_argument("--start", type=_int_at_least(0), default=0,
+                        metavar="SEED",
                         help="first seed (default 0)")
     p_fuzz.add_argument("--corpus", default=None, metavar="DIR",
                         help="write minimized repro cases to this "

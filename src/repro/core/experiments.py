@@ -24,9 +24,9 @@ from ..harness.spec import CellSpec
 from ..harness.supervisor import RunSupervisor, simulate_cell
 from ..harness.sweep import (
     THREAD_CANDIDATES,
+    _lane_score,
     build_lanes,
     design_space_sweep,
-    lane_winner,
 )
 from ..sim.failures import FAILURE_CLASSES, SimulationDeadlock
 from ..workloads.base import Scale
@@ -91,6 +91,13 @@ def run_cached(
 # ----------------------------------------------------------------------
 # Suite-level evaluation (Figures 6 and 7 and Table 5)
 # ----------------------------------------------------------------------
+def _may_score_zero(failure_class) -> bool:
+    """Only a simulation that could not finish may score zero: any
+    other failure (a rejected configuration, a wrong answer) would put
+    a wrong point in a figure."""
+    return failure_class in FAILURE_CLASSES
+
+
 def evaluate_design_space(
     designs: Iterable[DesignPoint],
     names: Sequence[str],
@@ -113,9 +120,7 @@ def evaluate_design_space(
     scores zero and is not retried under a larger one -- such designs
     are dominated by construction and the paper's analysis would
     discard them the same way.  Every zero is logged with its cell.
-    Only a simulation that could not finish may score zero: a cell
-    that failed otherwise (a configuration the static rules reject, a
-    wrong answer) would put a wrong point in the figure, and raises.
+    A cell that failed otherwise raises (see :func:`_may_score_zero`).
 
     ``jobs`` (``None`` = one per core) never changes the points.
     ``isolation`` defaults to ``"inline"`` at ``jobs=1`` and to
@@ -134,7 +139,7 @@ def evaluate_design_space(
         logger.warning("%s", failure.render())
     unmeasured = [
         failure.render() for failure in report.failures
-        if failure.failure_class not in FAILURE_CLASSES
+        if not _may_score_zero(failure.failure_class)
     ]
     if unmeasured:
         raise RuntimeError(
@@ -271,9 +276,10 @@ def suite_results(
     )
     results = []
     for lane in lanes:
-        spec, stopped = lane_winner(lane, _RECORDS)
-        if stopped and (spec is None or stopped[1]["failure_class"]
-                        not in FAILURE_CLASSES):
+        scored = _lane_score(lane, _RECORDS)
+        spec, stopped = scored.winner, scored.failure
+        if stopped and (spec is None or not _may_score_zero(
+                stopped[1]["failure_class"])):
             # Nothing measured, or stopped by more than a budget:
             # re-opening the cell that stopped the lane raises it.
             spec = stopped[0]

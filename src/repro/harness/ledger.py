@@ -96,6 +96,30 @@ def checksum_ok(record: dict) -> bool:
     return crc == record_checksum(record)
 
 
+# The six record statuses, written only by the builders below, and the
+# rules every reader applies to them (DESIGN.md section 5l).  Plain
+# strings, not an Enum: a ``(str, Enum)`` member formats as its
+# qualified name in an f-string on 3.11+ (the ``cells_<status>`` names).
+OK = "ok"  # simulated, outputs checked: a measurement
+FAILED = "failed"  # simulated to a classified failure, retries spent
+POISONED = "poisoned"  # crashed its worker past the circuit breaker
+INVALID = "invalid"  # rejected by the static config rules, never run
+PRUNED_STATIC = "pruned_static"  # skipped on its static AIPC bound
+PREDICTED = "predicted"  # skipped on the surrogate's upper interval
+#: Could not finish: zero, as a lane's last cell and a training target.
+ZERO_SCORED = (FAILED, POISONED)
+#: Skips, scored optimistically: the lane's score is an upper bound.
+SKIPPED = (PRUNED_STATIC, PREDICTED)
+
+
+def training_target(status, aipc) -> Optional[float]:
+    """What a record trains the surrogate on: its AIPC when ``ok``,
+    zero when zero-scored, no row (``None``) otherwise."""
+    if status == OK:
+        return float(aipc or 0.0)
+    return 0.0 if status in ZERO_SCORED else None
+
+
 def _record_header(spec: CellSpec, status: str, attempts: int = 0,
                    retries: int = 0, wall_s: float = 0.0) -> dict:
     """The fields every record builder starts from.  The defaults are
@@ -487,9 +511,8 @@ class Ledger:
             spec, result.status, result.attempts, result.retries,
             round(result.wall_s, 3),
         )
-        if result.status == "ok":
-            record.update(result.outcome)
-            record["status"] = "ok"  # outcome dict also carries status
+        if result.status == OK:
+            record.update(result.outcome)  # its status is OK too
         else:
             record["failure_class"] = result.failure_class
             record["failure_detail"] = result.failure_detail
@@ -518,7 +541,7 @@ class Ledger:
         ever ran (``attempts == 0``).  ``diagnostics`` is a list of
         :class:`~repro.analysis.Diagnostic` objects."""
         first = diagnostics[0] if diagnostics else None
-        return _record_header(spec, "invalid") | {
+        return _record_header(spec, INVALID) | {
             "failure_class": "ConfigRuleViolation",
             "failure_detail": first.message if first else "",
             "diagnostics": [d.to_dict() for d in diagnostics],
@@ -537,7 +560,7 @@ class Ledger:
         stays an upper bound on the true one, which is the pruning
         soundness argument -- see DESIGN.md section 5h).
         """
-        return _record_header(spec, "pruned_static") | {
+        return _record_header(spec, PRUNED_STATIC) | {
             "aipc_bound": round(bound.aipc_bound, 6),
             "cycles_lower_bound": bound.cycles_lower_bound,
             "binding_roof": bound.binding_roof,
@@ -571,7 +594,7 @@ class Ledger:
         ``--surrogate`` re-runs these cells (the superseding
         measurement wins by ``seq``).
         """
-        return _record_header(spec, "predicted") | {
+        return _record_header(spec, PREDICTED) | {
             "aipc_bound": round(bound.aipc_bound, 6),
             "cycles_lower_bound": bound.cycles_lower_bound,
             "binding_roof": bound.binding_roof,

@@ -57,7 +57,7 @@ from multiprocessing.connection import wait
 from typing import Callable, Iterable, Optional
 
 from ..sim.failures import PoisonedCell, WorkerCrash
-from .ledger import Ledger
+from .ledger import FAILED, OK, POISONED, Ledger
 from .spec import CellSpec
 from .supervisor import CellResult
 
@@ -141,7 +141,7 @@ class RespawnBackoff:
 def _poisoned_result(spec: CellSpec, threshold: int,
                      detail: str) -> CellResult:
     return CellResult(
-        spec=spec, status="poisoned", attempts=threshold, retries=0,
+        spec=spec, status=POISONED, attempts=threshold, retries=0,
         failure_class=PoisonedCell.__name__,
         failure_detail=(
             f"{spec.describe()}: circuit breaker opened after "
@@ -222,7 +222,7 @@ class Lane:
 
     def advance(self, record: dict) -> None:
         self.cursor += 1
-        if self.stop_on_failure and record.get("status") != "ok":
+        if self.stop_on_failure and record.get("status") != OK:
             self.stopped = True
 
     @property
@@ -272,7 +272,7 @@ def _raised(specs: list[CellSpec], exc: Exception) -> list[CellResult]:
     """An exception out of the supervisor is a verdict like any other:
     every cell of the dispatch is ``failed`` under its class name."""
     return [
-        CellResult(spec=spec, status="failed", attempts=1, retries=0,
+        CellResult(spec=spec, status=FAILED, attempts=1, retries=0,
                    failure_class=type(exc).__name__,
                    failure_detail=f"{type(exc).__name__}: {exc}")
         for spec in specs
@@ -480,9 +480,9 @@ class _Driver:
         lane, spec = self.inflight.pop(cell)
         self.done[cell] = record
         status = record.get("status")
-        if status == "ok":
+        if status == OK:
             self.report.completed += 1
-        elif status == "poisoned":
+        elif status == POISONED:
             self.report.poisoned += 1
         else:
             self.report.failed += 1
@@ -517,7 +517,7 @@ class _Driver:
         rewritten to a terminal ``poisoned`` record.
         """
         lane, spec = self.inflight[cell]
-        if (record.get("status") == "ok"
+        if (record.get("status") == OK
                 or record.get("failure_class") != WorkerCrash.__name__):
             self.breaker.reset(spec.identity_hash())
             self.backoff.reset()

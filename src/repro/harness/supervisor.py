@@ -38,6 +38,7 @@ from ..sim.failures import (
     WorkerCrash,
     is_transient,
 )
+from .ledger import FAILED, OK
 from .spec import CellSpec
 
 #: Default wall-clock allowance per attempt, chosen far above any
@@ -84,7 +85,7 @@ def _success_payload(result, wall_s: float, cache_delta: dict) -> dict:
     metrics = cell_metrics(result.stats, wall_s)
     metrics.update(cache_delta)
     return {
-        "status": "ok",
+        "status": OK,
         "aipc": result.aipc,
         "ipc": result.ipc,
         "cycles": result.cycles,
@@ -215,19 +216,17 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
 def _failure_payload(exc: BaseException) -> dict:
     """The classified failure dict for ``exc``, whichever process and
     isolation mode caught it."""
+    name, text = type(exc).__name__, str(exc)
     if isinstance(exc, SimulationDeadlock):
+        detail = text.splitlines()[0] if text else ""
         diagnostics = getattr(exc, "diagnostics", None)
-        return {
-            "status": "failed",
-            "failure_class": type(exc).__name__,
-            "failure_detail": str(exc).splitlines()[0] if str(exc) else "",
-            "diagnostics": diagnostics.to_dict() if diagnostics else None,
-        }
+    else:
+        detail, diagnostics = f"{name}: {text}", None
     return {
-        "status": "failed",
-        "failure_class": type(exc).__name__,
-        "failure_detail": f"{type(exc).__name__}: {exc}",
-        "diagnostics": None,
+        "status": FAILED,
+        "failure_class": name,
+        "failure_detail": detail,
+        "diagnostics": diagnostics.to_dict() if diagnostics else None,
     }
 
 
@@ -281,7 +280,7 @@ class CellResult:
     """The supervisor's verdict on one cell (after retries)."""
 
     spec: CellSpec  # the final spec attempted (post-escalation)
-    status: str  # "ok" | "failed" | "poisoned"
+    status: str  # OK | FAILED | POISONED (see repro.harness.ledger)
     attempts: int = 1
     retries: int = 0
     wall_s: float = 0.0
@@ -298,7 +297,7 @@ class CellResult:
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.status == OK
 
     @property
     def aipc(self) -> float:
@@ -417,9 +416,9 @@ class RunSupervisor:
         while True:
             attempts += 1
             payload = (yield _child_main, (spec,), [spec])[0]
-            if payload["status"] == "ok":
+            if payload["status"] == OK:
                 return [CellResult(
-                    spec=spec, status="ok", attempts=attempts,
+                    spec=spec, status=OK, attempts=attempts,
                     retries=attempts - 1,
                     wall_s=time.monotonic() - started, outcome=payload,
                     backend=self.backend,
@@ -438,7 +437,7 @@ class RunSupervisor:
                 spec = spec.escalated(self.escalation)
                 continue
             return [CellResult(
-                spec=spec, status="failed", attempts=attempts,
+                spec=spec, status=FAILED, attempts=attempts,
                 retries=attempts - 1,
                 wall_s=time.monotonic() - started,
                 failure_class=failure_class,
@@ -455,9 +454,9 @@ class RunSupervisor:
         wall_s = (time.monotonic() - started) / len(specs)
         results = []
         for spec, payload in zip(specs, payloads):
-            if payload.get("status") == "ok":
+            if payload.get("status") == OK:
                 results.append(CellResult(
-                    spec=spec, status="ok", attempts=1, retries=0,
+                    spec=spec, status=OK, attempts=1, retries=0,
                     wall_s=wall_s, outcome=payload, backend="batched",
                 ))
             else:
@@ -540,7 +539,7 @@ class RunSupervisor:
         else:
             detail = f"worker exited {process.exitcode} without a result"
         return [
-            {"status": "failed", "failure_class": failure.__name__,
+            {"status": FAILED, "failure_class": failure.__name__,
              "failure_detail": f"{spec.describe()}: {detail}",
              "diagnostics": None}
             for spec in specs

@@ -41,7 +41,7 @@ from ..design.space import DesignPoint
 from ..obs.metrics import ThroughputMeter
 from ..workloads.base import Scale, Workload
 from ..workloads.registry import get
-from .ledger import Ledger
+from .ledger import OK, PREDICTED, SKIPPED, Ledger
 from .scheduler import Lane, execute_lanes, static_rejection
 from .spec import SWEEP_MAX_CYCLES, SWEEP_MAX_EVENTS, CellSpec
 from .supervisor import RunSupervisor
@@ -244,7 +244,7 @@ def _open_campaign(ledger_path, resume: bool, surrogate: bool = False):
     if not surrogate:
         done = {
             cell: record for cell, record in done.items()
-            if record.get("status") != "predicted"
+            if record.get("status") != PREDICTED
         }
     report = SweepReport()
     if ledger is not None:
@@ -377,7 +377,7 @@ def _optimistic_score(record: dict) -> float:
     so re-deriving it from a later (possibly wider) model could lift a
     dominated design onto the frontier.
     """
-    if record["status"] == "predicted":
+    if record["status"] == PREDICTED:
         interval = record.get("aipc_interval")
         if interval:
             return float(interval[1])
@@ -391,6 +391,7 @@ class LaneScore(NamedTuple):
     complete: bool  # the lane needs no further simulation
     pruned: bool  # the score leans on a bound or a prediction
     failure: Optional[tuple[CellSpec, dict]] = None  # what stopped it
+    winner: Optional[CellSpec] = None  # the best ``ok`` cell
 
 
 def _lane_score(lane: Lane, records: dict[str, dict]) -> LaneScore:
@@ -407,46 +408,30 @@ def _lane_score(lane: Lane, records: dict[str, dict]) -> LaneScore:
     so the lane's score is an upper bound, not a measurement, and the
     design is disqualified as a skip-test comparator.  The skip test
     fires only when a design is dominated even at that optimistic
-    score, so the Pareto frontier is unchanged.
+    score, so the Pareto frontier is unchanged.  ``winner`` (highest
+    AIPC, lowest thread count on a tie) is for callers that re-open it.
     """
     best: Optional[float] = None
+    winner: Optional[CellSpec] = None
+    measured = 0.0
     pruned = False
     for spec in lane.specs:
         record = records.get(spec.cell_hash())
         if record is None:
             # Never ran (yet): nothing stopped the lane, it is open.
-            return LaneScore(best, False, pruned)
-        if record["status"] == "ok":
+            return LaneScore(best, False, pruned, winner=winner)
+        if record["status"] == OK:
             score = record.get("aipc", 0.0)
-        elif record["status"] in ("pruned_static", "predicted"):
+            if winner is None or score > measured:
+                winner, measured = spec, score
+        elif record["status"] in SKIPPED:
             pruned = True
             score = _optimistic_score(record)
         else:
-            return LaneScore(best or 0.0, True, pruned, (spec, record))
+            return LaneScore(best or 0.0, True, pruned, (spec, record),
+                             winner)
         best = score if best is None else max(best, score)
-    return LaneScore(best or 0.0, True, pruned)
-
-
-def lane_winner(
-    lane: Lane, records: dict[str, dict],
-) -> tuple[Optional[CellSpec], Optional[tuple[CellSpec, dict]]]:
-    """``(winner, stopped)``: the cell whose ``ok`` record is the
-    lane's score (highest AIPC, the lowest thread count on a tie;
-    ``None`` when the lane measured nothing) and the non-``ok`` cell
-    that ended the lane with its record (``None`` when none did).  For
-    callers that re-open cells; :func:`_lane_score` only needs the
-    number, and is the one the skip loop calls."""
-    winner: Optional[CellSpec] = None
-    best = 0.0
-    for spec in lane.specs:
-        record = records.get(spec.cell_hash())
-        if record is None:
-            break
-        if record["status"] != "ok":
-            return winner, (spec, record)
-        if winner is None or record["aipc"] > best:
-            winner, best = spec, record["aipc"]
-    return winner, None
+    return LaneScore(best or 0.0, True, pruned, winner=winner)
 
 
 def _aggregate(
@@ -739,6 +724,14 @@ def _execute_skipping(
                 best = max(best, other_clean)
         return best
 
+    def _predicted(index: int) -> list[str]:
+        """The design's cells recorded ``predicted``, by hash."""
+        return [
+            spec.cell_hash() for lane in _dlanes(index)
+            for spec in lane.specs
+            if done.get(spec.cell_hash(), {}).get("status") == PREDICTED
+        ]
+
     def _predicted_on_frontier() -> list[int]:
         """Indices of frontier designs still carrying ``predicted``
         records -- the exact-verify offenders."""
@@ -752,11 +745,7 @@ def _execute_skipping(
                     scored.score or 0.0 for scored in scores[index]
                 ) / n_names,
             ))
-            if any(
-                done.get(spec.cell_hash(), {}).get("status")
-                == "predicted"
-                for lane in _dlanes(index) for spec in lane.specs
-            ):
+            if _predicted(index):
                 carries[label] = index
         return sorted(
             carries[point.label]
@@ -794,14 +783,9 @@ def _execute_skipping(
             for index in offenders:
                 must_measure.add(index)
                 stale.add(index)
-                for lane in _dlanes(index):
-                    for spec in lane.specs:
-                        cell = spec.cell_hash()
-                        record = done.get(cell)
-                        if (record is not None and record.get("status")
-                                == "predicted"):
-                            del done[cell]
-                            report.predicted -= 1
+                for cell in _predicted(index):
+                    if done.pop(cell, None) is not None:  # once per cell
+                        report.predicted -= 1
             continue
         if not model.fitted:
             pick = remaining[0]  # in order: build the incumbent

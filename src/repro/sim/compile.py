@@ -248,10 +248,10 @@ def get_compiled(
 
     The key is the complete build signature, so a different thread
     count (or scale, k, seed) can never be served a stale graph.  The
-    expensive build runs outside the lock; a racing duplicate build is
-    possible but harmless (last writer wins, both results are
-    equivalent), and the lock itself protects the map for the
-    supervisor's run-cells-from-several-threads contract.
+    lock guards the map and its counters for a caller that shares the
+    cache between threads; the expensive build runs outside it, so a
+    racing duplicate build is possible but harmless (last writer wins,
+    both results are equivalent).
     """
     global _hits, _misses, _evictions
     key = _key(name, scale, threads, k, seed)

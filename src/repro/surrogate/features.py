@@ -16,12 +16,13 @@ The training-set extractor streams ledger records through
 :meth:`repro.harness.ledger.Ledger.iter_fields`, so multi-gigabyte
 campaign ledgers never materialize full record dicts just to train.
 
-Outcome handling is explicit: ``ok`` rows train on measured AIPC;
-``failed``/``poisoned`` rows train on 0.0 (exactly the score the
-sweep aggregation assigns them); ``invalid``, ``pruned_static`` and
-``predicted`` rows are *excluded* -- the first was never a
-simulatable cell, the other two carry no measurement (training on a
-model's own prior outputs would self-reinforce).
+Outcome handling is one rule, :func:`repro.harness.ledger
+.training_target`, shared by both extractors: ``ok`` rows train on
+measured AIPC; ``failed``/``poisoned`` rows train on 0.0 (exactly the
+score the sweep aggregation assigns them); ``invalid``,
+``pruned_static`` and ``predicted`` rows are *excluded* -- the first
+was never a simulatable cell, the other two carry no measurement
+(training on a model's own prior outputs would self-reinforce).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from ..harness.ledger import training_target
 
 #: Column order of every feature vector (stable across releases; the
 #: model hash covers fitted structure, not this schema, so keep
@@ -126,12 +129,6 @@ def cell_features(spec, bound=None) -> list[float]:
     ]
 
 
-#: Ledger statuses that train on measured AIPC.
-_MEASURED = ("ok",)
-#: Statuses that train on the 0.0 score the aggregation assigns them.
-_ZERO_SCORE = ("failed", "poisoned")
-
-
 @dataclass
 class TrainingSet:
     """Feature matrix + targets extracted from one ledger."""
@@ -168,33 +165,25 @@ def extract_training_set(ledger) -> TrainingSet:
     for status, aipc, spec_dict in ledger.iter_fields(
         "status", "aipc", "spec"
     ):
-        if status in _MEASURED:
-            target = float(aipc or 0.0)
-        elif status in _ZERO_SCORE:
-            target = 0.0
-        else:
+        target = training_target(status, aipc)
+        if target is None:
             key = status if isinstance(status, str) else "<malformed>"
             excluded[key] = excluded.get(key, 0) + 1
-            continue
-        if not isinstance(spec_dict, dict):
-            excluded["<malformed>"] = excluded.get("<malformed>", 0) + 1
             continue
         try:
             spec = CellSpec.from_dict(spec_dict)
             row = cell_features(spec)
         except Exception:
-            # A spec this build can no longer instantiate (renamed
-            # workload, stale schema) is excluded, not fatal: old
-            # campaign ledgers must stay usable as training corpora.
+            # A spec this build can no longer instantiate (not a dict,
+            # renamed workload, stale schema) is excluded, not fatal:
+            # old campaign ledgers must stay usable as training corpora.
             excluded["<malformed>"] = excluded.get("<malformed>", 0) + 1
             continue
         features.append(row)
         targets.append(target)
         groups.append(spec.workload)
         hashes.append(spec.cell_hash())
-    width = len(FEATURE_NAMES)
-    X = (np.asarray(features, dtype=np.float64)
-         if features else np.empty((0, width), dtype=np.float64))
+    X = np.asarray(features, dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
     y = np.asarray(targets, dtype=np.float64)
     return TrainingSet(X=X, y=y, groups=groups, cell_hashes=hashes,
                        excluded=excluded)
@@ -211,20 +200,15 @@ def training_rows(
     targets: list[float] = []
     groups: list[str] = []
     for spec, record in specs_and_records:
-        status = record.get("status")
-        if status in _MEASURED:
-            target = float(record.get("aipc", 0.0) or 0.0)
-        elif status in _ZERO_SCORE:
-            target = 0.0
-        else:
+        target = training_target(record.get("status"),
+                                 record.get("aipc"))
+        if target is None:
             continue
         bound = (bounds or {}).get(spec.cell_hash())
         features.append(cell_features(spec, bound=bound))
         targets.append(target)
         groups.append(spec.workload)
-    width = len(FEATURE_NAMES)
-    X = (np.asarray(features, dtype=np.float64)
-         if features else np.empty((0, width), dtype=np.float64))
+    X = np.asarray(features, dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
     return X, np.asarray(targets, dtype=np.float64), groups
 
 

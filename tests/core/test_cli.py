@@ -251,6 +251,9 @@ def test_sample_stride_must_be_positive(capsys, command, value):
                        "argument --sample: must be >= 1")
 
 
+THREADS_FLOOR = "argument --threads/-t: must be >= 1"
+
+
 @pytest.mark.parametrize("argv,message", [
     (("sweep", "--jobs", "-2"), "argument --jobs/-j: must be >= 0"),
     (("sweep", "-j", "-2"), "argument --jobs/-j: must be >= 0"),
@@ -258,6 +261,23 @@ def test_sample_stride_must_be_positive(capsys, command, value):
      "argument --batch-width: must be >= 1"),
     (("sweep", "--sample", "x"),
      "argument --sample: invalid int value: 'x'"),
+    # Below the floor these end in a traceback (threads), a trace
+    # silently shortened from its end (events) or emptied (limit), a
+    # campaign of no programs, or seeds that alias their absolute value
+    # (``random.Random`` seeds from ``abs``).
+    (("run", "-w", "mcf", "-t", "0"), THREADS_FLOOR),
+    (("run", "-w", "mcf", "--threads", "-2"), THREADS_FLOOR),
+    (("analyze", "-w", "mcf", "-t", "0"), THREADS_FLOOR),
+    (("lint", "mcf", "-t", "-2"), THREADS_FLOOR),
+    (("characterize", "-t", "0"), THREADS_FLOOR),
+    (("tune", "-w", "mcf", "-t", "0"), THREADS_FLOOR),
+    (("trace", "-w", "mcf", "-t", "0"), THREADS_FLOOR),
+    (("trace", "-w", "mcf", "--events", "-1"),
+     "argument --events: must be >= 0"),
+    (("trace", "-w", "mcf", "--limit", "0"),
+     "argument --limit: must be >= 1"),
+    (("fuzz", "--seeds", "0"), "argument --seeds: must be >= 1"),
+    (("fuzz", "--start", "-5"), "argument --start: must be >= 0"),
 ])
 def test_out_of_range_counts_rejected(capsys, argv, message):
     assert_usage_error(capsys, argv, message)

@@ -37,7 +37,7 @@ from repro.harness import (
 )
 from repro.harness import supervisor as supervisor_mod
 from repro.harness.supervisor import CellResult
-from repro.harness.sweep import SweepReport, lane_winner
+from repro.harness.sweep import SweepReport, _lane_score
 from repro.sim.failures import CycleBudgetExhausted
 from repro.workloads import Scale
 
@@ -165,14 +165,17 @@ def test_lane_winner_is_best_ok_cell_before_first_failure():
             for spec, outcome in zip(specs, outcomes)
         }
 
+    def lane_winner(records):
+        scored = _lane_score(lane, records)
+        return scored.winner, scored.failure
+
     failed = {"status": "failed"}
-    assert lane_winner(lane, records(1.0, 3.0, 2.0, 2.5)) == \
-        (specs[1], None)
-    assert lane_winner(lane, records(1.0, 2.0, None)) == \
+    assert lane_winner(records(1.0, 3.0, 2.0, 2.5)) == (specs[1], None)
+    assert lane_winner(records(1.0, 2.0, None)) == \
         (specs[1], (specs[2], failed))
-    assert lane_winner(lane, records(2.0, 2.0))[0] is specs[0]  # first max
-    assert lane_winner(lane, records(None)) == (None, (specs[0], failed))
-    assert lane_winner(lane, {}) == (None, None)
+    assert lane_winner(records(2.0, 2.0))[0] is specs[0]  # first max
+    assert lane_winner(records(None)) == (None, (specs[0], failed))
+    assert lane_winner({}) == (None, None)
 
 
 def test_parallel_resume_skips_finished_cells(tmp_path):

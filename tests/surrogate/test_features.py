@@ -4,6 +4,15 @@ vector schema, outcome rules, and malformed-record tolerance."""
 import numpy as np
 
 from repro.core import WaveScalarConfig
+from repro.harness.ledger import (
+    FAILED,
+    INVALID,
+    OK,
+    POISONED,
+    PREDICTED,
+    PRUNED_STATIC,
+    Ledger,
+)
 from repro.harness.spec import CellSpec
 from repro.surrogate.features import (
     FEATURE_NAMES,
@@ -112,3 +121,31 @@ def test_training_rows_matches_extractor_rules():
     X2, _, _ = training_rows(pairs,
                              bounds={ok.cell_hash(): bound_for_cell(ok)})
     assert np.array_equal(X2[0], X[0])
+
+
+def test_both_extractors_apply_one_training_rule(tmp_path):
+    """A ledger holding every status plus one unparseable spec gives
+    the same rows streamed through :func:`extract_training_set` and
+    passed through :func:`training_rows` as the (spec, record) pairs
+    the sweep driver holds."""
+    statuses = (OK, FAILED, POISONED, INVALID, PRUNED_STATIC, PREDICTED)
+    specs = [spec_for(name) for name in
+             ("gzip", "mcf", "twolf", "equake", "ammp", "art")]
+    ledger = Ledger(tmp_path / "runs.jsonl")
+    for index, (status, spec) in enumerate(zip(statuses, specs)):
+        ledger.append({"hash": spec.cell_hash(), "status": status,
+                       "aipc": 0.125 * (index + 1), "spec": spec.as_dict()})
+    ledger.append({"hash": "stale", "status": OK, "aipc": 0.5,
+                   "spec": {"workload": "gzip"}})
+
+    training = extract_training_set(ledger)
+    pairs = [(CellSpec.from_dict(record["spec"]), record)
+             for record in ledger.load().values()
+             if record["hash"] != "stale"]
+    X, y, groups = training_rows(pairs)
+    assert np.array_equal(training.X, X)
+    assert list(training.y) == list(y) == [0.125, 0.0, 0.0]
+    assert training.groups == groups == ["gzip", "mcf", "twolf"]
+    assert training.excluded == {
+        INVALID: 1, PRUNED_STATIC: 1, PREDICTED: 1, "<malformed>": 1,
+    }
