@@ -650,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--threads", "-t", type=_int_at_least(1), default=4)
     p_run.add_argument("--scale", default="small",
                        choices=[s.value for s in Scale])
-    p_run.add_argument("--k", type=int, default=None,
+    p_run.add_argument("--k", type=_int_at_least(1), default=None,
                        help="k-loop bound override")
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--sanitize", action="store_true",
@@ -672,7 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="render the ASCII floorplan")
 
     p_designs = sub.add_parser("designs", help="list viable designs")
-    p_designs.add_argument("--ratio", type=float, default=1.0)
+    p_designs.add_argument("--ratio", default=1.0,
+                           type=_float_option(lambda r: 0 < r < math.inf,
+                                              "must be > 0"))
 
     p_sweep = sub.add_parser("sweep", help="mini Pareto sweep")
     p_sweep.add_argument("--suite", default="spec", choices=sorted(SUITES))

@@ -17,6 +17,10 @@ fork, copy-on-write faults, cold caches) is paid once per campaign.
 At ``--jobs N`` the scheduler holds N supervisors and waits on their
 children's pipes itself (:class:`Dispatch`): the driver and N
 isolation children are every process a campaign runs.
+A serial caller with driver work of its own between cells (the
+sweep's skip loop) can :meth:`RunSupervisor.prefetch` the cell it
+expects to ask for next, so that the cell simulates in the child
+meanwhile.
 
 ``isolation="inline"`` runs cells in-process (no watchdog, no kill
 protection) for fast tests and interactive use.
@@ -311,10 +315,12 @@ class RunSupervisor:
     :meth:`_group`) that yield each attempt and receive its payloads.
     :meth:`run` and :meth:`run_batch` drive one to the end;
     :meth:`start` returns it as a :class:`Dispatch` for the scheduler to
-    wait on beside others.  The one piece of state is the handle on the
-    idle isolation child, so an instance runs one attempt at a time; a
-    ``--jobs`` slot is a :meth:`spare`.  Whoever runs a campaign calls
-    :meth:`close` when it ends.
+    wait on beside others.  The state is the handle on the idle
+    isolation child, at most one :meth:`prefetch` in flight in that
+    child, and the settled prefetch verdicts not yet asked for, so an
+    instance runs one attempt at a time; a ``--jobs`` slot is a
+    :meth:`spare`.  Whoever runs a campaign calls :meth:`close` when it
+    ends.
     """
 
     def __init__(
@@ -360,18 +366,82 @@ class RunSupervisor:
         self._ctx = multiprocessing.get_context(mp_context)
         #: ``(process, connection)`` of the idle child.
         self._child: Optional[tuple] = None
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop every prefetch: none in flight, none settled, none
+        counted."""
+        #: ``(cell hash, Dispatch)`` of the prefetch in flight.
+        self._prefetch: Optional[tuple[str, Dispatch]] = None
+        #: Settled prefetch verdicts no :meth:`run` has asked for yet.
+        self._memo: dict[str, CellResult] = {}
+        #: Since the last :meth:`close`: cells :meth:`prefetch` started,
+        #: and :meth:`run` calls served by the prefetch that was in
+        #: flight (``prefetch_hits``) or by an earlier one
+        #: (``prefetch_reused``).
+        self.prefetched = self.prefetch_hits = self.prefetch_reused = 0
 
     def spare(self) -> "RunSupervisor":
-        """The same policy without a child of its own yet."""
+        """The same policy without a child or a prefetch of its own
+        yet."""
         spare = copy.copy(self)
         spare._child = None
+        spare._forget()
         return spare
 
     # ------------------------------------------------------------------
     def run(self, spec: CellSpec) -> CellResult:
         """One cell through the full policy: attempt, classify, and
-        retry transient budget failures with escalated budgets."""
+        retry transient budget failures with escalated budgets.  A
+        cell :meth:`prefetch` already ran is answered from its verdict,
+        which is the one this call would have reached (only ``wall_s``
+        differs)."""
+        if self._prefetch is not None or self._memo:
+            latest = self._settle()
+            cell = spec.cell_hash()
+            result = self._memo.pop(cell, None)
+            if result is not None:
+                if cell == latest:
+                    self.prefetch_hits += 1
+                else:
+                    self.prefetch_reused += 1
+                return result
         return self._finish(self._cell(spec))[0]
+
+    def prefetch(self, spec: CellSpec) -> None:
+        """Start ``spec`` through the full policy in the idle isolation
+        child and return at once; a later :meth:`run` of the same cell
+        takes its verdict.  For a serial caller with work of its own
+        before its next :meth:`run`: that work overlaps the cell.
+
+        Nothing reaches a ledger from here -- only a :meth:`run` that
+        asks for the cell hands the verdict on.  Every entry point
+        first waits for the prefetch in flight, and :meth:`close`
+        kills it, so the supervisor still keeps one child running one
+        attempt at a time.  A no-op under inline isolation (there is
+        no child to overlap with), while another prefetch is in
+        flight, and for a cell already prefetched.
+        """
+        if self.isolation == "inline" or self._prefetch is not None:
+            return
+        cell = spec.cell_hash()
+        if cell in self._memo:
+            return
+        try:
+            self._prefetch = cell, Dispatch(self, self._cell(spec))
+        except OSError:
+            return  # no child to be had: run() meets it and classifies it
+        self.prefetched += 1
+
+    def _settle(self) -> Optional[str]:
+        """Wait for the prefetch in flight, if any, and keep its
+        verdict for :meth:`run`; return its cell hash (else
+        ``None``).  Called before every attempt that needs the child."""
+        if self._prefetch is None:
+            return None
+        (cell, dispatch), self._prefetch = self._prefetch, None
+        self._memo[cell] = dispatch.wait()[0]
+        return cell
 
     def run_batch(self, specs: list[CellSpec]) -> list[CellResult]:
         """One batch group of cells through the batched backend,
@@ -392,21 +462,19 @@ class RunSupervisor:
         degrades to the per-cell path.
         """
         specs = list(specs)
+        self._settle()
         return self._finish(self._group(specs)) if specs else []
 
     def start(self, specs: list[CellSpec]) -> "Dispatch":
         """One dispatch -- :meth:`run` for one cell, :meth:`run_batch`
         for several -- with its first attempt sent and not awaited."""
         specs = list(specs)
+        self._settle()
         return Dispatch(self, self._cell(specs[0]) if len(specs) == 1
                         else self._group(specs))
 
     def _finish(self, policy) -> list[CellResult]:
-        dispatch = Dispatch(self, policy)
-        verdicts = dispatch.verdicts
-        while verdicts is None:
-            verdicts = dispatch.advance()
-        return verdicts
+        return Dispatch(self, policy).wait()
 
     # -- the policy: yield (child_main, args, specs), receive payloads ---
     def _cell(self, spec: CellSpec):
@@ -490,9 +558,14 @@ class RunSupervisor:
         process.join()
 
     def close(self) -> None:
-        """Hang up on the idle child and reap it, inside the caller's
-        campaign so that the child's CPU time is counted with it.  The
-        supervisor stays usable: the next attempt starts a fresh one."""
+        """Kill a prefetch still in flight, forget the verdicts nobody
+        asked for and the prefetch counts, and hang up on the idle
+        child and reap it, inside the caller's campaign so that the
+        child's CPU time is counted with it.  The supervisor stays
+        usable: the next attempt starts a fresh child."""
+        if self._prefetch is not None:
+            self._prefetch[1].cancel()
+        self._forget()
         child, self._child = self._child, None
         if child is not None:
             self._hang_up(*child)
@@ -588,6 +661,13 @@ class Dispatch:
             self._step(self._supervisor._receive(
                 self._process, self.conn, self._specs, self.deadline))
         return self.verdicts
+
+    def wait(self) -> list[CellResult]:
+        """:meth:`advance` until the policy is done; its verdicts."""
+        verdicts = self.verdicts
+        while verdicts is None:
+            verdicts = self.advance()
+        return verdicts
 
     def cancel(self) -> None:
         """Kill the attempt in flight, if any, and reap its child."""

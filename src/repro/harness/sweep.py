@@ -169,7 +169,10 @@ class SweepReport:
                 f"surrogate: {surrogate['simulated_cells']} simulated "
                 f"/ {surrogate['predicted_cells']} predicted, "
                 f"{surrogate['refits']} refit(s), "
-                f"model {surrogate['model_hash']}"
+                f"model {surrogate['model_hash']}; "
+                f"{surrogate['prefetched']} prefetched, "
+                f"{surrogate['prefetch_hits']} hit(s), "
+                f"{surrogate['prefetch_reused']} reused"
             )
         return "\n".join(lines)
 
@@ -484,6 +487,7 @@ def _execute_skipping(
     progress: Callable[[CellSpec, dict], None],
     train: bool,
     prior_skips: bool,
+    supervisor: RunSupervisor,
 ) -> None:
     """The skip loop: measure one lane at a time, and skip designs that
     cannot reach the frontier even at an optimistic score.
@@ -535,10 +539,17 @@ def _execute_skipping(
     is what *guarantees* the returned frontier is bit-identical to the
     exhaustive sweep's, independent of model quality.
 
-    Execution is serial (``execute`` is called with one lane and
+    Decisions are serial (``execute`` is called with one lane and
     ``jobs=1``): every decision depends on the measurements before it,
     and determinism across ``--jobs`` values is part of the sweep
-    contract.
+    contract.  Simulation overlaps the driver by one cell: when the
+    model trains, each measured lane is followed by the acquisition
+    step under the pre-refit model (the *guess*), whose lane's first
+    unmeasured cell ``supervisor.prefetch`` (``supervisor`` is the one
+    ``execute`` runs cells on) starts in the idle isolation child
+    before the refit.  The supervisor keeps that
+    verdict until the loop acquires the cell, so the ledger sees what
+    a serial run writes, in the same order (DESIGN.md section 5k).
     """
     from ..analysis.dataflow import bound_for_cell
     from ..design.pareto import pareto_front
@@ -753,6 +764,61 @@ def _execute_skipping(
             if point.label in carries
         )
 
+    def _acquire(remaining: list[int]) -> tuple[int, Lane]:
+        """The acquisition step: the design to measure next and its
+        lane.  Used by the round and by the guess alike."""
+        if not model.fitted:
+            pick = remaining[0]  # in order: build the incumbent
+        else:
+            pick = max(
+                remaining,
+                key=lambda index: (
+                    _mixed(index, optimistic=False)
+                    - _incumbent(index),
+                    -index,
+                ),
+            )
+        open_lanes = [
+            lane for lane, scored in zip(_dlanes(pick), scores[pick])
+            if not scored.complete
+        ]
+
+        def _lane_width(lane: Lane) -> float:
+            return max(
+                (_predict(spec).width for spec in lane.specs
+                 if spec.cell_hash() not in done),
+                default=0.0,
+            )
+
+        # Widest interval first (the measurement the model learns the
+        # most from), then highest bound, then lane key -- all
+        # deterministic.
+        return pick, min(
+            open_lanes,
+            key=lambda ln: (-_lane_width(ln), -lane_bounds[ln.key],
+                            ln.key),
+        )
+
+    # Only a training loop has a refit to hide.  ``execute_lanes``
+    # takes any supervisor with ``run``; one without ``prefetch`` just
+    # gets no overlap.
+    prefetch = getattr(supervisor, "prefetch", None) if train else None
+
+    def _guess() -> None:
+        """Prefetch the cell the next round most likely measures: the
+        acquisition as it stands before the refit, ignoring the skip
+        scan.  A wrong guess costs the child's time, never a record."""
+        for index in stale:
+            _rescore(index)
+        stale.clear()
+        remaining = [
+            index for index in range(n_designs) if not resolved[index]
+        ]
+        if remaining:
+            _, lane = _acquire(remaining)
+            prefetch(next(spec for spec in lane.specs
+                          if spec.cell_hash() not in done))
+
     must_measure: set[int] = set()
     simulated_at_start = (report.completed + report.failed
                           + report.poisoned)
@@ -787,39 +853,11 @@ def _execute_skipping(
                     if done.pop(cell, None) is not None:  # once per cell
                         report.predicted -= 1
             continue
-        if not model.fitted:
-            pick = remaining[0]  # in order: build the incumbent
-        else:
-            pick = max(
-                remaining,
-                key=lambda index: (
-                    _mixed(index, optimistic=False)
-                    - _incumbent(index),
-                    -index,
-                ),
-            )
-        open_lanes = [
-            lane for lane, scored in zip(_dlanes(pick), scores[pick])
-            if not scored.complete
-        ]
-
-        def _lane_width(lane: Lane) -> float:
-            return max(
-                (_predict(spec).width for spec in lane.specs
-                 if spec.cell_hash() not in done),
-                default=0.0,
-            )
-
-        # Widest interval first (the measurement the model learns the
-        # most from), then highest bound, then lane key -- all
-        # deterministic.
-        lane = min(
-            open_lanes,
-            key=lambda ln: (-_lane_width(ln), -lane_bounds[ln.key],
-                            ln.key),
-        )
+        pick, lane = _acquire(remaining)
         execute([lane], jobs=1)
         stale.add(pick)
+        if prefetch is not None and not report.aborted:
+            _guess()
         _retrain()
     if train:
         report.metrics["surrogate"] = {
@@ -834,6 +872,9 @@ def _execute_skipping(
                 for index in must_measure
             ),
             "prior_skips": bool(prior_skips),
+            "prefetched": getattr(supervisor, "prefetched", 0),
+            "prefetch_hits": getattr(supervisor, "prefetch_hits", 0),
+            "prefetch_reused": getattr(supervisor, "prefetch_reused", 0),
         }
 
 
@@ -891,8 +932,11 @@ def design_space_sweep(
     Both are the one skip loop (:func:`_execute_skipping`): ``prune``
     alone is the surrogate whose model never trains, and the two
     together let the surrogate skip while it is still its prior.  The
-    loop measures one lane at a time (``jobs`` is ignored) because
-    each decision depends on the cells measured before it.
+    loop decides one lane at a time (``jobs`` is ignored) because
+    each decision depends on the cells measured before it; under
+    process isolation a training loop still overlaps each refit with
+    the cell it expects to measure next (``RunSupervisor.prefetch``),
+    which changes no record.
 
     ``backend="batched"`` groups same-workload cells into batch
     groups of up to ``batch_width`` (see
@@ -925,7 +969,7 @@ def design_space_sweep(
             _execute_skipping(
                 designs, names, lanes, execute, ledger=ledger, done=done,
                 report=report, progress=noted, train=surrogate,
-                prior_skips=prune,
+                prior_skips=prune, supervisor=supervisor,
             )
         else:
             execute(lanes, jobs=jobs)

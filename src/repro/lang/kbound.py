@@ -66,14 +66,21 @@ def backedge_ids(graph: DataflowGraph) -> list[int]:
     return result
 
 
+def check_k_bound(k: Optional[int]) -> None:
+    """Raise ``ValueError`` unless ``k`` is a legal loop bound: ``None``
+    (unbounded) or >= 1 (at least one iteration must be allowed in
+    flight)."""
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def set_k_bound(graph: DataflowGraph, k: Optional[int]) -> DataflowGraph:
     """Return a copy of ``graph`` with every loop bounded to ``k``.
 
-    ``k=None`` removes all bounds.  ``k`` must be >= 1 (at least one
-    iteration must be allowed in flight).
+    ``k=None`` removes all bounds; otherwise ``k`` must be >= 1
+    (:func:`check_k_bound`).
     """
-    if k is not None and k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_k_bound(k)
     targets = set(backedge_ids(graph))
     instructions = []
     for inst in graph.instructions:

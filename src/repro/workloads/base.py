@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..isa.graph import DataflowGraph
+from ..lang.kbound import check_k_bound
 
 
 class Suite(enum.Enum):
@@ -84,6 +85,7 @@ class Workload:
     ) -> DataflowGraph:
         if threads is not None and not self.multithreaded:
             raise ValueError(f"{self.name} is single-threaded")
+        check_k_bound(k)
         kwargs = {"scale": scale, "seed": seed}
         kwargs["k"] = k if k is not None else self.default_k
         if self.multithreaded:

@@ -278,6 +278,10 @@ THREADS_FLOOR = "argument --threads/-t: must be >= 1"
      "argument --limit: must be >= 1"),
     (("fuzz", "--seeds", "0"), "argument --seeds: must be >= 1"),
     (("fuzz", "--start", "-5"), "argument --start: must be >= 0"),
+    # A negative bound deadlocks the run; k=0 simulates a bound
+    # set_k_bound calls illegal.
+    (("run", "-w", "gzip", "--k", "-3"), "argument --k: must be >= 1"),
+    (("run", "-w", "gzip", "--k", "0"), "argument --k: must be >= 1"),
 ])
 def test_out_of_range_counts_rejected(capsys, argv, message):
     assert_usage_error(capsys, argv, message)
@@ -292,6 +296,11 @@ def test_out_of_range_counts_rejected(capsys, argv, message):
      "argument --failure-budget: must be within [0, 1]"),
     (("sweep", "--timeout-s", "x"),
      "argument --timeout-s: invalid float value: 'x'"),
+    # These printed "0 viable designs" and exited 0.
+    (("designs", "--ratio", "-1"), "argument --ratio: must be > 0"),
+    (("designs", "--ratio", "0"), "argument --ratio: must be > 0"),
+    (("designs", "--ratio", "inf"), "argument --ratio: must be > 0"),
+    (("designs", "--ratio", "nan"), "argument --ratio: must be > 0"),
 ])
 def test_out_of_range_fractions_and_timeouts_rejected(capsys, argv,
                                                       message):

@@ -132,6 +132,13 @@ def test_too_many_threads_rejected(name):
         w.instantiate(Scale.TINY, threads=10_000)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_k_below_one_rejected(k):
+    # set_k_bound's rule: k=0 built a graph no legal bound describes.
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        get("gzip").instantiate(Scale.TINY, k=k)
+
+
 def test_k_bound_present_on_all_loops():
     from repro.lang import k_bound_of
 
