@@ -230,41 +230,6 @@ class Lane:
         return self.stopped or self.cursor >= len(self.specs)
 
 
-def _merge_scheduler_metrics(report, block: dict) -> None:
-    """Fold one execution's scheduler block into ``report.metrics``.
-
-    The sweep's skip loop calls :func:`execute_lanes` once per lane;
-    naively assigning the block would leave only the *last* lane's
-    counters in the report.  Counters accumulate, high-water marks
-    take the max, and utilization is recomputed from the merged
-    busy/wall totals.  Wall-clock derived throughout, so (like the
-    individual blocks) outside the determinism contract.
-    """
-    if not hasattr(report, "metrics"):
-        return
-    previous = report.metrics.get("scheduler")
-    if not previous:
-        report.metrics["scheduler"] = block
-        return
-    merged = dict(previous)
-    for key in ("dispatched", "worker_crash_retries", "breaker_trips",
-                "batch_groups", "batched_cells"):
-        merged[key] = previous.get(key, 0) + block.get(key, 0)
-    for key in ("busy_s", "wall_s", "backoff_s"):
-        merged[key] = round(
-            previous.get(key, 0.0) + block.get(key, 0.0), 3
-        )
-    for key in ("workers", "max_ready_lanes", "max_inflight"):
-        merged[key] = max(previous.get(key, 0), block.get(key, 0))
-    if block.get("mode") != previous.get("mode"):
-        merged["mode"] = "mixed"
-    capacity = merged["workers"] * merged["wall_s"]
-    merged["utilization"] = (
-        round(merged["busy_s"] / capacity, 4) if capacity > 0 else 0.0
-    )
-    report.metrics["scheduler"] = merged
-
-
 # ----------------------------------------------------------------------
 # Running a dispatch
 # ----------------------------------------------------------------------
@@ -334,16 +299,13 @@ class _Driver:
         self.inflight: dict[str, tuple[Lane, CellSpec]] = {}
         self.waiting: dict[str, list[Lane]] = {}  # duplicate-cell parks
         self.ready: deque[Lane] = deque(lanes)
-        # Scheduler observability (see repro.obs): dispatch counts and
-        # busy spans per slot, and queue-depth high water marks,
-        # folded into report.metrics["scheduler"].
+        # Scheduler observability: dispatch counts and busy spans per
+        # slot, added into report.metrics["scheduler"] (_add_metrics).
         self._dispatched = 0
         self._batch_groups = 0
         self._batched_cells = 0
         self._busy_s = 0.0
         self._assigned_at: dict[int, float] = {}
-        self._max_ready = len(self.ready)
-        self._max_inflight = 0
         self._started = time.monotonic()
 
     # -- scheduling -----------------------------------------------------
@@ -422,8 +384,6 @@ class _Driver:
 
     def _pump(self) -> None:
         """Keep every idle slot fed while ready lanes remain."""
-        if len(self.ready) > self._max_ready:
-            self._max_ready = len(self.ready)
         while self.idle and self.ready and not self.aborted:
             group = self._next_group()
             if not group:
@@ -442,8 +402,6 @@ class _Driver:
                 self.running[slot] = (specs, self.slots[slot].start(specs))
             except Exception as exc:  # noqa: BLE001 - classify, keep going
                 self._commit([(slot, _records(specs, _raised(specs, exc)))])
-        if len(self.inflight) > self._max_inflight:
-            self._max_inflight = len(self.inflight)
 
     def _drain(self) -> list[tuple[int, list[dict]]]:
         """Completed dispatches as ``(slot, records)``.  With one slot
@@ -554,29 +512,32 @@ class _Driver:
             else:
                 self._resolve(cell, record)
 
-    def _metrics(self) -> dict:
-        """The scheduler's observability block: slot utilization and
-        queue depths.  Wall-clock derived, so explicitly
-        outside the bit-identical-for-any-jobs contract (which covers
-        the per-cell ``metrics`` blocks on ledger records)."""
-        elapsed = time.monotonic() - self._started
-        capacity = self.jobs * elapsed
-        return {
+    def _add_metrics(self) -> None:
+        """Add this execution's counts into the report's one
+        ``scheduler`` block.  The skip loop runs one driver per lane,
+        each at ``jobs=1``, into one report, so counts accumulate and
+        utilization is recomputed from the summed busy and wall time.
+        Wall-clock derived, so outside the bit-identical-for-any-jobs
+        contract (which covers the per-cell ``metrics`` blocks on
+        ledger records)."""
+        block = self.report.metrics.setdefault("scheduler", {
             "mode": "parallel" if self.jobs > 1 else "serial",
             "workers": self.jobs,
-            "dispatched": self._dispatched,
-            "busy_s": round(self._busy_s, 3),
-            "wall_s": round(elapsed, 3),
-            "utilization": round(self._busy_s / capacity, 4)
-            if capacity > 0 else 0.0,
-            "max_ready_lanes": self._max_ready,
-            "max_inflight": self._max_inflight,
-            "worker_crash_retries": self.breaker.crash_retries,
-            "breaker_trips": self.breaker.trips,
-            "backoff_s": round(self.backoff.total_s, 3),
-            "batch_groups": self._batch_groups,
-            "batched_cells": self._batched_cells,
-        }
+        })
+        for key, value in (
+                ("dispatched", self._dispatched),
+                ("busy_s", self._busy_s),
+                ("wall_s", time.monotonic() - self._started),
+                ("worker_crash_retries", self.breaker.crash_retries),
+                ("breaker_trips", self.breaker.trips),
+                ("backoff_s", self.backoff.total_s),
+                ("batch_groups", self._batch_groups),
+                ("batched_cells", self._batched_cells)):
+            block[key] = block.get(key, 0) + value
+        capacity = block["workers"] * block["wall_s"]
+        block["utilization"] = (
+            round(block["busy_s"] / capacity, 4) if capacity > 0 else 0.0
+        )
 
     # -- main loop ------------------------------------------------------
     def run(self) -> None:
@@ -590,7 +551,7 @@ class _Driver:
                 dispatch.cancel()
             for spare in self.slots[1:]:
                 spare.close()
-            _merge_scheduler_metrics(self.report, self._metrics())
+            self._add_metrics()
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ..design.pareto import ParetoPoint
 from ..design.space import DesignPoint
-from ..obs.metrics import ThroughputMeter
+from ..obs.metrics import ThroughputMeter, aggregate_records
 from ..workloads.base import Scale, Workload
 from ..workloads.registry import get
 from .ledger import OK, PREDICTED, SKIPPED, Ledger
@@ -92,11 +92,14 @@ class SweepReport:
     #: report is then partial by design.
     aborted: Optional[str] = None
     failures: list[CellFailure] = field(default_factory=list)
-    #: Observability blocks keyed by subsystem: ``"scheduler"``
-    #: (slot utilization, queue depths, crash retries -- filled by
-    #: :mod:`repro.harness.scheduler`) and ``"sweep"`` (wall time,
-    #: cells per second -- filled by the sweep driver).  Wall-clock
-    #: derived, so excluded from the jobs-independence contract.
+    #: Observability blocks keyed by subsystem.  What only the driver
+    #: knows: ``"scheduler"`` (jobs, slot utilization, dispatches,
+    #: crash retries -- filled by :mod:`repro.harness.scheduler`),
+    #: ``"sweep"`` (wall time, cells per second), ``"batched"`` and
+    #: ``"surrogate"``.  What the records know is folded from them:
+    #: ``"compile_cache"`` (see :func:`_finish_backend_metrics`).
+    #: All of it may differ between ``jobs`` values, so none of it is
+    #: under the jobs-independence contract.
     metrics: dict = field(default_factory=dict)
 
     @property
@@ -145,7 +148,7 @@ class SweepReport:
         sched = self.metrics.get("scheduler")
         if sched:
             lines.append(
-                f"scheduler: {sched['workers']} worker(s) "
+                f"scheduler: {sched['workers']} job(s), "
                 f"{sched['utilization']:.0%} busy, "
                 f"{sched['dispatched']} dispatched"
             )
@@ -205,16 +208,20 @@ def _finish_sweep_metrics(report: SweepReport,
     }
 
 
-def _finish_backend_metrics(report: SweepReport, supervisor) -> None:
-    """Driver-side observability for the engine backend: the compile
-    cache's cumulative counters, and -- for the batched backend -- the
-    achieved grouping.  All wall-clock-adjacent
-    scheduling dynamics, deliberately kept out of the ledger records
-    (which must stay identical across jobs values and interleavings).
+def _finish_backend_metrics(report: SweepReport, supervisor,
+                            done: dict[str, dict]) -> None:
+    """The engine backend's observability: the compile cache's
+    hits, misses and evictions summed over the campaign's records
+    ``done`` (the :func:`~repro.obs.metrics.aggregate_records` fold
+    that ``repro stats`` reads, whichever process ran each cell), and
+    -- for the batched backend -- the grouping the scheduler achieved,
+    which only the driver knows.
     """
-    from ..sim.compile import cache_info
-
-    report.metrics["compile_cache"] = cache_info()
+    fold = aggregate_records(done.values())
+    report.metrics["compile_cache"] = {
+        kind: int(fold.histogram(f"compile_cache_{kind}").total)
+        for kind in ("hits", "misses", "evictions")
+    }
     if getattr(supervisor, "backend", None) != "batched":
         return
     sched = report.metrics.get("scheduler", {})
@@ -298,7 +305,7 @@ def sweep_cells(
         spec.cell_hash(): done[spec.cell_hash()]
         for spec in specs if spec.cell_hash() in done
     }
-    _finish_backend_metrics(report, supervisor)
+    _finish_backend_metrics(report, supervisor, done)
     return records, report
 
 
@@ -977,6 +984,6 @@ def design_space_sweep(
         # Once, around every execute_lanes call of the skip loop.
         getattr(supervisor, "close", lambda: None)()
     _finish_sweep_metrics(report, meter)
-    _finish_backend_metrics(report, supervisor)
+    _finish_backend_metrics(report, supervisor, done)
     points = _aggregate(designs, names, lanes, done, report)
     return points, report

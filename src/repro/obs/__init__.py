@@ -6,8 +6,8 @@ Figure 9 pipeline walk-through), and the harness's campaign health is
 read off scheduler instrumentation.  This package is the one place
 both live:
 
-* :mod:`repro.obs.metrics` -- a counter/gauge/histogram registry,
-  aggregation of per-cell ledger ``metrics`` blocks, and the
+* :mod:`repro.obs.metrics` -- a counter/histogram registry, the
+  fold of per-cell ledger ``metrics`` blocks, and the
   :class:`~repro.obs.metrics.ThroughputMeter` behind the sweep
   driver's cells-per-second / ETA reporting;
 * :mod:`repro.obs.chrome` -- Chrome trace-event JSON export of a
@@ -22,20 +22,17 @@ from .chrome import chrome_trace_events, write_chrome_trace
 from .metrics import (
     DETERMINISTIC_CELL_COUNTERS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     ThroughputMeter,
     aggregate_records,
     cell_metrics,
-    deterministic_counters,
 )
 from .profile import PHASES, PhaseProfile
 
 __all__ = [
     "Counter",
     "DETERMINISTIC_CELL_COUNTERS",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "PHASES",
@@ -44,6 +41,5 @@ __all__ = [
     "aggregate_records",
     "cell_metrics",
     "chrome_trace_events",
-    "deterministic_counters",
     "write_chrome_trace",
 ]

@@ -1,4 +1,4 @@
-"""Metrics: counters, gauges, histograms, and sweep aggregation.
+"""Metrics: counters, histograms, and sweep aggregation.
 
 Two layers use this module:
 
@@ -9,21 +9,20 @@ Two layers use this module:
   event throughput);
 * the **campaign layer** -- :func:`aggregate_records` folds a loaded
   ledger into one :class:`MetricsRegistry` for ``repro stats``,
-  :class:`~repro.harness.sweep.SweepReport`, and the full report.
+  :class:`~repro.harness.sweep.SweepReport`'s compile-cache line,
+  and the full report.
 
-Determinism contract: everything under
-:data:`DETERMINISTIC_CELL_COUNTERS` is a pure function of the cell
-spec, so aggregated counts are bit-identical for any ``jobs`` value
-and any completion order (asserted by
-``tests/harness/test_scheduler.py``).  Wall-clock series are
-explicitly excluded from that contract and kept in histograms.
+Determinism contract: a fold's :attr:`MetricsRegistry.counters` are
+bit-identical for any ``jobs`` value and any completion order
+(asserted by ``tests/harness/test_scheduler.py``); wall-clock and
+compile-cache series are kept in histograms, outside it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 #: Per-cell counters that are pure functions of the cell spec --
 #: identical for any scheduler parallelism or completion order.
@@ -34,18 +33,10 @@ DETERMINISTIC_CELL_COUNTERS = (
     "messages",
 )
 
-#: The crash-recovery counter catalogue: what the production recovery
-#: machinery (ledger repair/compaction, the fsync retry, the circuit
-#: breaker) did to finish a campaign.
-RECOVERY_COUNTERS = (
-    "ledger_lines_quarantined",
-    "ledger_repairs",
-    "ledger_compactions",
-    "ledger_append_retries",
-    "worker_crash_retries",
-    "breaker_trips",
-    "cells_poisoned",
-)
+#: The fold's counters that describe how a campaign recovered rather
+#: than what it measured: a poisoned cell is the circuit breaker's
+#: verdict on a crash loop.
+RECOVERY_COUNTERS = ("cells_poisoned",)
 
 
 @dataclass
@@ -59,22 +50,11 @@ class Counter:
 
 
 @dataclass
-class Gauge:
-    """A point-in-time measurement (last write wins)."""
-
-    value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-@dataclass
 class Histogram:
     """Streaming summary of a value distribution (count/sum/min/max).
 
     Deliberately bucket-free: the sweep's distributions (cell wall
-    time, event throughput) are summarised, not plotted, and a
-    four-scalar summary merges exactly under any sharding.
+    time, event throughput) are summarised, not plotted.
     """
 
     count: int = 0
@@ -94,12 +74,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
 
     def to_dict(self) -> dict:
         if not self.count:
@@ -122,20 +96,13 @@ class Histogram:
         )
 
 
-Metric = Union[Counter, Gauge, Histogram]
-
-
 class MetricsRegistry:
-    """A named collection of metrics with get-or-create accessors.
-
-    JSON round-trip (:meth:`to_dict` / :meth:`from_dict`) is what lets
-    the ledger persist a ``metrics`` block and ``repro stats`` rebuild
-    it; :meth:`merge` is what makes aggregation shard-independent.
-    """
+    """A named collection of counters and histograms with
+    get-or-create accessors; :meth:`to_dict` is ``repro stats
+    --json``'s document."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- accessors ------------------------------------------------------
@@ -143,12 +110,6 @@ class MetricsRegistry:
         metric = self._counters.get(name)
         if metric is None:
             metric = self._counters[name] = Counter()
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self._gauges.get(name)
-        if metric is None:
-            metric = self._gauges[name] = Gauge()
         return metric
 
     def histogram(self, name: str) -> Histogram:
@@ -159,63 +120,32 @@ class MetricsRegistry:
 
     @property
     def counters(self) -> dict[str, int]:
+        """Every counter by name.  For an :func:`aggregate_records`
+        fold -- cell statuses, retries, failure classes and
+        :data:`DETERMINISTIC_CELL_COUNTERS` -- each is a pure function
+        of the cell specs, so bit-identical for any scheduler
+        parallelism; wall-clock and compile-cache series are
+        histograms, excluded by construction."""
         return {name: c.value for name, c in sorted(self._counters.items())}
-
-    @property
-    def gauges(self) -> dict[str, float]:
-        return {name: g.value for name, g in sorted(self._gauges.items())}
 
     @property
     def histograms(self) -> dict[str, Histogram]:
         return dict(sorted(self._histograms.items()))
 
-    def __len__(self) -> int:
-        return (len(self._counters) + len(self._gauges)
-                + len(self._histograms))
-
     # -- serialisation --------------------------------------------------
     def to_dict(self) -> dict:
         return {
             "counters": self.counters,
-            "gauges": self.gauges,
             "histograms": {
                 name: h.to_dict() for name, h in self.histograms.items()
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsRegistry":
-        reg = cls()
-        for name, value in (data.get("counters") or {}).items():
-            reg.counter(name).inc(int(value))
-        for name, value in (data.get("gauges") or {}).items():
-            reg.gauge(name).set(value)
-        for name, h in (data.get("histograms") or {}).items():
-            if h.get("count"):
-                reg._histograms[name] = Histogram(
-                    count=h["count"], total=h["total"],
-                    min=h["min"], max=h["max"],
-                )
-            else:
-                reg.histogram(name)
-        return reg
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        for name, counter in other._counters.items():
-            self.counter(name).inc(counter.value)
-        for name, gauge in other._gauges.items():
-            self.gauge(name).set(gauge.value)
-        for name, hist in other._histograms.items():
-            self.histogram(name).merge(hist)
-        return self
 
     # -- rendering ------------------------------------------------------
     def render(self, title: Optional[str] = None) -> str:
         lines = [title] if title else []
         for name, value in self.counters.items():
             lines.append(f"  {name:<28}{value:>14,}")
-        for name, value in self.gauges.items():
-            lines.append(f"  {name:<28}{value:>14.4g}")
         for name, hist in self.histograms.items():
             lines.append(f"  {name:<28}{hist.render()}")
         return "\n".join(lines)
@@ -276,18 +206,9 @@ def aggregate_records(records: Iterable[dict]) -> MetricsRegistry:
                 # in what order (the first cell of each workload in an
                 # isolation child records the miss), so folding these
                 # into the counter set would break the
-                # jobs-independence contract that
-                # deterministic_counters() asserts.
+                # jobs-independence contract of ``reg.counters``.
                 reg.histogram(key).observe(metrics[key])
     return reg
-
-
-def deterministic_counters(reg: MetricsRegistry) -> dict[str, int]:
-    """The subset of aggregated counters guaranteed bit-identical for
-    any scheduler parallelism: cell statuses, retries, failure
-    classes, and the deterministic simulation counters.  Wall-clock
-    histograms are excluded by construction."""
-    return reg.counters
 
 
 # ----------------------------------------------------------------------

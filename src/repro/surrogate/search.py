@@ -230,9 +230,12 @@ def calibration_report(
 ) -> CalibrationReport:
     """Deterministic holdout calibration of the forest on one corpus.
 
-    The split is a seeded permutation (no wall-clock, no global RNG);
-    predictions are bound-clipped exactly as the sweep driver clips
-    them, so the reported MAE/coverage measure the deployed model.
+    The split is a seeded permutation (no wall-clock, no global RNG)
+    of the rows in cell-hash order, so the report is a function of the
+    record set, not of ledger line order (which is completion order
+    at ``jobs > 1``); predictions are bound-clipped exactly as the
+    sweep driver clips them, so the reported MAE/coverage measure the
+    deployed model.
     """
     if not 0.0 < holdout < 1.0:
         raise ValueError(f"holdout must be within (0, 1): {holdout}")
@@ -243,7 +246,8 @@ def calibration_report(
             f"(excluded: {training.excluded or 'none'})"
         )
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+    perm = np.argsort(training.cell_hashes, kind="stable")[
+        rng.permutation(n)]
     n_hold = max(1, int(round(n * holdout)))
     if n - n_hold < 2:
         n_hold = n - 2

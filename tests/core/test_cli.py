@@ -201,7 +201,7 @@ def test_sweep_banner_says_what_runs(capsys):
     banner = out.splitlines()[0]
     assert "serial: skip decisions are sequential" in banner
     assert "4 jobs" not in banner
-    assert "scheduler: 1 worker(s)" in out
+    assert "scheduler: 1 job(s)" in out
 
 
 def test_run_has_no_backend_option(capsys):

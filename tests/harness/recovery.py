@@ -15,11 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from repro.harness import Ledger
-from repro.obs.metrics import (
-    RECOVERY_COUNTERS,
-    aggregate_records,
-    deterministic_counters,
-)
+from repro.obs.metrics import RECOVERY_COUNTERS, aggregate_records
 
 
 def verdict(record: dict) -> tuple:
@@ -33,8 +29,7 @@ def counters(records: Iterable[dict]) -> dict[str, int]:
     counters that describe the disturbance rather than the result."""
     return {
         name: value
-        for name, value in deterministic_counters(
-            aggregate_records(records)).items()
+        for name, value in aggregate_records(records).counters.items()
         if name not in RECOVERY_COUNTERS
     }
 

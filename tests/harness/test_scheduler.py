@@ -222,7 +222,7 @@ def test_parallel_matches_serial_observability(tmp_path):
     deterministic metric counts from a jobs=4 campaign are
     bit-identical to jobs=1.  Wall-clock series (histograms) are
     exempt by construction."""
-    from repro.obs.metrics import aggregate_records, deterministic_counters
+    from repro.obs.metrics import aggregate_records
 
     _, serial_report = run_sweep(1, tmp_path / "serial.jsonl")
     _, par_report = run_sweep(4, tmp_path / "par.jsonl")
@@ -233,8 +233,8 @@ def test_parallel_matches_serial_observability(tmp_path):
     par_reg = aggregate_records(
         Ledger(tmp_path / "par.jsonl").load().values()
     )
-    serial_counts = deterministic_counters(serial_reg)
-    par_counts = deterministic_counters(par_reg)
+    serial_counts = serial_reg.counters
+    par_counts = par_reg.counters
     assert par_counts == serial_counts
     # The simulation counters actually accumulated something.
     for key in ("events", "sim_cycles", "dispatches", "messages"):
@@ -259,6 +259,30 @@ def test_parallel_matches_serial_observability(tmp_path):
         assert sweep_block["cells"] == 9
         assert sweep_block["cells_per_s"] > 0
         assert report.metrics_summary()  # renders non-empty
+
+
+@pytest.mark.parametrize("jobs, isolation", [
+    (1, "process"), (2, "process"), (1, "inline"),
+])
+def test_summary_compile_cache_is_the_records_fold(tmp_path, jobs,
+                                                    isolation):
+    """The summary's compile-cache line is what ``repro stats`` folds
+    from the ledger, whichever process ran each cell -- not the
+    driver's own cache, which an isolated campaign's cells never
+    touch."""
+    from repro.obs.metrics import aggregate_records
+
+    _, report = run_sweep(jobs, tmp_path / "runs.jsonl",
+                          supervisor=RunSupervisor(isolation=isolation))
+    histograms = aggregate_records(
+        Ledger(tmp_path / "runs.jsonl").load().values()).histograms
+    want = {kind: int(histograms[f"compile_cache_{kind}"].total)
+            for kind in ("hits", "misses", "evictions")}
+    assert report.metrics["compile_cache"] == want
+    assert want["hits"] + want["misses"] == 9  # one lookup per cell
+    assert (f"compile cache: {want['hits']} hit(s) / {want['misses']} "
+            f"miss(es) / {want['evictions']} eviction(s)"
+            in report.metrics_summary())
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""SurrogateModel's batch answer against its one-cell answer.
+"""SurrogateModel's batch answer against its one-cell answer, and the
+calibration report against ledger line order.
 
 The skip loop asks the fitted model about every open cell in one
 forest walk (``predict_cells``) and freezes those answers into
@@ -7,9 +8,10 @@ forest walk (``predict_cells``) and freezes those answers into
 
 from repro.analysis.dataflow import bound_for_cell
 from repro.design.space import viable_designs
+from repro.harness.ledger import Ledger
 from repro.harness.spec import CellSpec
-from repro.surrogate.features import training_rows
-from repro.surrogate.search import SurrogateModel
+from repro.surrogate.features import extract_training_set, training_rows
+from repro.surrogate.search import SurrogateModel, calibration_report
 
 NAMES = ("gzip", "mcf", "twolf", "ammp", "art", "equake")
 
@@ -58,3 +60,21 @@ def test_batch_predictions_equal_per_cell_predictions():
     batch = model.predict_cells(pairs)
     single = [model.predict_cell(*pair) for pair in pairs]
     assert [_hexes(p) for p in batch] == [_hexes(p) for p in single]
+
+
+def test_calibration_report_ignores_ledger_line_order(tmp_path):
+    """A ``jobs > 1`` campaign writes its records in completion order:
+    the same record set in another line order is the same report."""
+    pairs, targets = _cells()
+    records = [
+        {"hash": spec.cell_hash(), "status": "ok", "aipc": aipc,
+         "spec": spec.as_dict()}
+        for (spec, _), aipc in zip(pairs[:36], targets)
+    ]
+    reports = []
+    for name, order in (("forward", records), ("reversed", records[::-1])):
+        ledger = Ledger(tmp_path / f"{name}.jsonl")
+        ledger.append_many(order)
+        reports.append(calibration_report(extract_training_set(ledger)))
+    assert reports[0].rows == 36
+    assert reports[0].to_dict() == reports[1].to_dict()
