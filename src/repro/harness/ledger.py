@@ -518,13 +518,12 @@ class Ledger:
             record["failure_detail"] = result.failure_detail
             if result.diagnostics is not None:
                 record["diagnostics"] = result.diagnostics
-        backend = getattr(result, "backend", None)
-        if backend is not None:
+        if result.backend is not None:
             # The backend *requested* for the campaign: a pure
             # function of the campaign arguments -- never a scheduling
             # dynamic -- so records stay identical across jobs values
             # and batch interleavings.
-            record["backend"] = backend
+            record["backend"] = result.backend
         # Every record carries a metrics block (see repro.obs.metrics):
         # successful cells get theirs from the outcome payload; failed
         # cells still record the wall time they burned, so campaign

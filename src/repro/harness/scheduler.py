@@ -12,17 +12,16 @@ duplicate park -> pre-validation -> dispatch -> circuit breaker ->
 account -> failure budget -> advance), :class:`_Driver`, and two
 things a campaign can vary about it:
 
-* ``jobs`` decides *how many dispatches are in flight*.  ``jobs == 1``
-  runs each dispatch to the end through :func:`_run_dispatch`
-  (:meth:`RunSupervisor.run` / ``run_batch``) before the next;
-  ``jobs > 1`` keeps one dispatch in flight on each of ``jobs``
-  supervisors -- the caller's and ``jobs - 1`` spares -- and waits on
-  their isolation children's pipes at once.  Either way the records
-  go through the same ``_commit``.  The only scheduling difference is
-  where a lane with more cells to run re-enters the ready queue: at
-  the back with several slots (every lane gets a turn), at the front
-  with one, which keeps ``jobs=1`` lane-major -- the ledger line order
-  of the historical serial loop.
+* ``jobs`` decides *how many dispatches are in flight*: one on each
+  of ``jobs`` supervisors -- the caller's and ``jobs - 1`` spares --
+  each a :class:`~repro.harness.supervisor.Dispatch` from
+  :meth:`RunSupervisor.start`, waited on through the isolation
+  children's pipes at once (an inline dispatch, or a prefetch that
+  already settled, is done when it is handed over).  The only
+  scheduling difference is where a lane with more cells to run
+  re-enters the ready queue: at the back with several slots (every
+  lane gets a turn), at the front with one, which keeps ``jobs=1``
+  lane-major -- the ledger line order of the historical serial loop.
 * ``width`` decides *how many cells a dispatch carries*: 1, or up to
   ``batch_width`` cells sharing :func:`_batch_group_key` when the
   supervisor's backend is ``batched``.
@@ -59,7 +58,7 @@ from typing import Callable, Iterable, Optional
 from ..sim.failures import PoisonedCell, WorkerCrash
 from .ledger import FAILED, OK, POISONED, Ledger
 from .spec import CellSpec
-from .supervisor import CellResult
+from .supervisor import CellResult, RunSupervisor
 
 #: Consecutive worker crashes on one cell before the circuit breaker
 #: quarantines it as ``poisoned``.
@@ -156,10 +155,9 @@ def _over_budget(report, budget: Optional[float]) -> Optional[str]:
     budget, else ``None``."""
     if budget is None:
         return None
-    poisoned = getattr(report, "poisoned", 0)
     resolved = (report.completed + report.failed + report.invalid
-                + poisoned)
-    bad = report.failed + poisoned
+                + report.poisoned)
+    bad = report.failed + report.poisoned
     if resolved >= MIN_BUDGET_CELLS and bad > budget * resolved:
         return (
             f"failure rate {bad}/{resolved} "
@@ -189,14 +187,6 @@ def _batch_group_key(spec: CellSpec) -> tuple:
     same compiled workload ``(workload, scale, threads, k, seed)``, so
     one batch group compiles once and runs many configurations."""
     return (spec.workload, spec.scale, spec.threads, spec.k, spec.seed)
-
-
-def _group_width(supervisor) -> int:
-    """Cells per dispatch: 1 unless this campaign groups cells into
-    batches."""
-    if getattr(supervisor, "backend", None) != "batched":
-        return 1
-    return getattr(supervisor, "batch_width", 1)
 
 
 @dataclass
@@ -231,7 +221,7 @@ class Lane:
 
 
 # ----------------------------------------------------------------------
-# Running a dispatch
+# Verdicts as records
 # ----------------------------------------------------------------------
 def _raised(specs: list[CellSpec], exc: Exception) -> list[CellResult]:
     """An exception out of the supervisor is a verdict like any other:
@@ -251,21 +241,6 @@ def _records(specs: list[CellSpec], results) -> list[dict]:
     ]
 
 
-def _run_dispatch(supervisor, specs: list[CellSpec]) -> list[dict]:
-    """One dispatch -- one cell, or one batch group -- through the
-    supervisor's full policy, as ledger records: a single-cell list
-    takes :meth:`RunSupervisor.run`, a longer one
-    :meth:`RunSupervisor.run_batch`."""
-    try:
-        if len(specs) == 1:
-            results = [supervisor.run(specs[0])]
-        else:
-            results = supervisor.run_batch(specs)
-    except Exception as exc:  # noqa: BLE001 - classify, keep going
-        results = _raised(specs, exc)
-    return _records(specs, results)
-
-
 # ----------------------------------------------------------------------
 # The driver
 # ----------------------------------------------------------------------
@@ -274,11 +249,12 @@ class _Driver:
     cells, parked duplicates, circuit breaker -- and the dispatch
     slots: ``jobs`` supervisors, the caller's first."""
 
-    def __init__(self, lanes, jobs, supervisor, ledger, done, report,
-                 progress, prevalidate, failure_budget=None):
+    def __init__(self, lanes, jobs, supervisor: RunSupervisor, ledger,
+                 done, report, progress, prevalidate, failure_budget=None):
         self.jobs = jobs
-        self.width = _group_width(supervisor)
-        self.supervisor = supervisor
+        #: Cells per dispatch: 1 unless the campaign batches cells.
+        self.width = (supervisor.batch_width
+                      if supervisor.backend == "batched" else 1)
         self.ledger = ledger
         self.done = done
         self.report = report
@@ -292,9 +268,7 @@ class _Driver:
             supervisor.spare() for _ in range(jobs - 1)
         ]
         self.idle: deque[int] = deque(range(jobs))
-        #: The dispatch slot 0 runs next on this process (jobs == 1).
-        self.local: Optional[list[CellSpec]] = None
-        #: slot -> (specs, Dispatch) in flight (jobs > 1).
+        #: slot -> (specs, Dispatch) in flight.
         self.running: dict[int, tuple] = {}
         self.inflight: dict[str, tuple[Lane, CellSpec]] = {}
         self.waiting: dict[str, list[Lane]] = {}  # duplicate-cell parks
@@ -395,34 +369,33 @@ class _Driver:
                 self._batch_groups += 1
                 self._batched_cells += len(group)
             self._assigned_at[slot] = time.monotonic()
-            if self.jobs == 1:
-                self.local = specs  # _drain runs it
-                continue
             try:
                 self.running[slot] = (specs, self.slots[slot].start(specs))
             except Exception as exc:  # noqa: BLE001 - classify, keep going
                 self._commit([(slot, _records(specs, _raised(specs, exc)))])
 
     def _drain(self) -> list[tuple[int, list[dict]]]:
-        """Completed dispatches as ``(slot, records)``.  With one slot
-        this is where the staged dispatch runs; with several, it waits
-        until an isolation child answers or hangs up, or the nearest
-        watchdog deadline passes, and advances those dispatches."""
-        if self.jobs == 1:
-            specs, self.local = self.local, None
-            return [(0, _run_dispatch(self.supervisor, specs))]
-        deadlines = [dispatch.deadline for _, dispatch in
-                     self.running.values() if dispatch.deadline is not None]
-        ready = wait(
-            [dispatch.conn for _, dispatch in self.running.values()],
-            max(0.0, min(deadlines) - time.monotonic()) if deadlines
-            else None,
-        )
+        """Completed dispatches as ``(slot, records)``: those already
+        done (an inline dispatch, a settled prefetch) at once; else it
+        waits until an isolation child answers or hangs up, or the
+        nearest watchdog deadline passes, and advances those
+        dispatches."""
+        dispatches = [dispatch for _, dispatch in self.running.values()]
+        ready: list = []
+        if all(dispatch.verdicts is None for dispatch in dispatches):
+            deadlines = [dispatch.deadline for dispatch in dispatches
+                         if dispatch.deadline is not None]
+            ready = wait(
+                [dispatch.conn for dispatch in dispatches],
+                max(0.0, min(deadlines) - time.monotonic()) if deadlines
+                else None,
+            )
         now = time.monotonic()
         batch: list[tuple[int, list[dict]]] = []
         for slot, (specs, dispatch) in list(self.running.items()):
-            if dispatch.conn not in ready and (
-                    dispatch.deadline is None or dispatch.deadline > now):
+            if dispatch.verdicts is None and dispatch.conn not in ready \
+                    and (dispatch.deadline is None
+                         or dispatch.deadline > now):
                 continue
             try:
                 results = dispatch.advance()
@@ -560,7 +533,7 @@ class _Driver:
 def execute_lanes(
     lanes: Iterable[Lane],
     *,
-    supervisor,
+    supervisor: RunSupervisor,
     jobs: Optional[int] = 1,
     ledger: Optional[Ledger] = None,
     done: Optional[dict[str, dict]] = None,
@@ -571,10 +544,9 @@ def execute_lanes(
 ) -> dict[str, dict]:
     """Run every lane to exhaustion; returns the records-by-hash map.
 
-    ``supervisor`` (a :class:`~repro.harness.supervisor.RunSupervisor`;
-    at ``jobs=1``, anything with its ``run``/``run_batch``) runs each
-    dispatch and stays the caller's to close.  ``jobs=1`` runs every
-    dispatch to the end before the next, one lane after the other.
+    ``supervisor`` starts each dispatch (:meth:`RunSupervisor.start`)
+    and stays the caller's to close.  ``jobs=1`` runs every dispatch
+    to the end before the next, one lane after the other.
     ``jobs>1`` (or ``jobs=None``/``0`` for ``os.cpu_count()``) keeps up
     to that many dispatches in flight, one on the caller's supervisor
     and one on each of its spares (closed on return), each in its own

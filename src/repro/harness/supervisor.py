@@ -14,13 +14,14 @@ One supervisor owns one child, started at its first attempt and sent
 one attempt after the other down a pipe; a child is replaced only when
 the watchdog killed it or it died, so what starting one costs (the
 fork, copy-on-write faults, cold caches) is paid once per campaign.
-At ``--jobs N`` the scheduler holds N supervisors and waits on their
-children's pipes itself (:class:`Dispatch`): the driver and N
-isolation children are every process a campaign runs.
-A serial caller with driver work of its own between cells (the
-sweep's skip loop) can :meth:`RunSupervisor.prefetch` the cell it
-expects to ask for next, so that the cell simulates in the child
-meanwhile.
+Every cell runs as a :class:`Dispatch` (:meth:`RunSupervisor.start`);
+at any ``--jobs N`` the scheduler holds N supervisors and waits on
+their children's pipes itself: the driver and N isolation children are
+every process a campaign runs.  A serial caller with driver work of
+its own between cells (the sweep's skip loop) can
+:meth:`RunSupervisor.prefetch` the cell it expects to ask for next, so
+that the cell simulates in the child meanwhile; the next ``start`` of
+that cell hands the very same dispatch over.
 
 ``isolation="inline"`` runs cells in-process (no watchdog, no kill
 protection) for fast tests and interactive use.
@@ -312,15 +313,15 @@ class RunSupervisor:
     """Executes cells with isolation, a watchdog, and retry policy.
 
     The policy is written once, as generators (:meth:`_cell`,
-    :meth:`_group`) that yield each attempt and receive its payloads.
-    :meth:`run` and :meth:`run_batch` drive one to the end;
-    :meth:`start` returns it as a :class:`Dispatch` for the scheduler to
-    wait on beside others.  The state is the handle on the idle
-    isolation child, at most one :meth:`prefetch` in flight in that
-    child, and the settled prefetch verdicts not yet asked for, so an
+    :meth:`_group`) that yield each attempt and receive its payloads;
+    a :class:`Dispatch` drives one.  :meth:`start` returns it for the
+    scheduler to wait on beside others, and :meth:`run` and
+    :meth:`run_batch` wait on it to the end.  The state is the handle
+    on the idle isolation child and the dispatches :meth:`prefetch`
+    started, by cell hash and at most one of them in flight, so an
     instance runs one attempt at a time; a ``--jobs`` slot is a
-    :meth:`spare`.  Whoever runs a campaign calls :meth:`close` when it
-    ends.
+    :meth:`spare`.  Whoever runs a campaign calls :meth:`close` when
+    it ends.
     """
 
     def __init__(
@@ -369,15 +370,13 @@ class RunSupervisor:
         self._forget()
 
     def _forget(self) -> None:
-        """Drop every prefetch: none in flight, none settled, none
-        counted."""
-        #: ``(cell hash, Dispatch)`` of the prefetch in flight.
-        self._prefetch: Optional[tuple[str, Dispatch]] = None
-        #: Settled prefetch verdicts no :meth:`run` has asked for yet.
-        self._memo: dict[str, CellResult] = {}
+        """Drop every prefetch, in flight or settled, and its counts."""
+        #: Cell hash -> the :meth:`prefetch` dispatch no :meth:`start`
+        #: has taken yet.
+        self._prefetched: dict[str, Dispatch] = {}
         #: Since the last :meth:`close`: cells :meth:`prefetch` started,
-        #: and :meth:`run` calls served by the prefetch that was in
-        #: flight (``prefetch_hits``) or by an earlier one
+        #: and :meth:`start` calls handed a prefetch still in flight
+        #: (``prefetch_hits``) or one already settled
         #: (``prefetch_reused``).
         self.prefetched = self.prefetch_hits = self.prefetch_reused = 0
 
@@ -392,56 +391,34 @@ class RunSupervisor:
     # ------------------------------------------------------------------
     def run(self, spec: CellSpec) -> CellResult:
         """One cell through the full policy: attempt, classify, and
-        retry transient budget failures with escalated budgets.  A
-        cell :meth:`prefetch` already ran is answered from its verdict,
-        which is the one this call would have reached (only ``wall_s``
-        differs)."""
-        if self._prefetch is not None or self._memo:
-            latest = self._settle()
-            cell = spec.cell_hash()
-            result = self._memo.pop(cell, None)
-            if result is not None:
-                if cell == latest:
-                    self.prefetch_hits += 1
-                else:
-                    self.prefetch_reused += 1
-                return result
-        return self._finish(self._cell(spec))[0]
+        retry transient budget failures with escalated budgets."""
+        return self.start([spec]).wait()[0]
 
     def prefetch(self, spec: CellSpec) -> None:
         """Start ``spec`` through the full policy in the idle isolation
-        child and return at once; a later :meth:`run` of the same cell
-        takes its verdict.  For a serial caller with work of its own
-        before its next :meth:`run`: that work overlaps the cell.
+        child and return at once; the next :meth:`start` of the same
+        cell is handed this dispatch.  For a serial caller with work of
+        its own before its next :meth:`start`: that work overlaps the
+        cell.
 
-        Nothing reaches a ledger from here -- only a :meth:`run` that
-        asks for the cell hands the verdict on.  Every entry point
-        first waits for the prefetch in flight, and :meth:`close`
+        Nothing reaches a ledger from here -- only the caller that is
+        handed the dispatch passes its verdict on.  Every other entry
+        point first waits for the prefetch in flight, and :meth:`close`
         kills it, so the supervisor still keeps one child running one
         attempt at a time.  A no-op under inline isolation (there is
         no child to overlap with), while another prefetch is in
         flight, and for a cell already prefetched.
         """
-        if self.isolation == "inline" or self._prefetch is not None:
-            return
         cell = spec.cell_hash()
-        if cell in self._memo:
+        if self.isolation == "inline" or cell in self._prefetched or any(
+                dispatch.verdicts is None
+                for dispatch in self._prefetched.values()):
             return
         try:
-            self._prefetch = cell, Dispatch(self, self._cell(spec))
+            self._prefetched[cell] = Dispatch(self, self._cell(spec))
         except OSError:
-            return  # no child to be had: run() meets it and classifies it
+            return  # no child to be had: start() meets it and classifies it
         self.prefetched += 1
-
-    def _settle(self) -> Optional[str]:
-        """Wait for the prefetch in flight, if any, and keep its
-        verdict for :meth:`run`; return its cell hash (else
-        ``None``).  Called before every attempt that needs the child."""
-        if self._prefetch is None:
-            return None
-        (cell, dispatch), self._prefetch = self._prefetch, None
-        self._memo[cell] = dispatch.wait()[0]
-        return cell
 
     def run_batch(self, specs: list[CellSpec]) -> list[CellResult]:
         """One batch group of cells through the batched backend,
@@ -462,19 +439,32 @@ class RunSupervisor:
         degrades to the per-cell path.
         """
         specs = list(specs)
-        self._settle()
-        return self._finish(self._group(specs)) if specs else []
+        if not specs:
+            return []
+        for prefetched in self._prefetched.values():
+            prefetched.wait()
+        return Dispatch(self, self._group(specs)).wait()
 
     def start(self, specs: list[CellSpec]) -> "Dispatch":
         """One dispatch -- :meth:`run` for one cell, :meth:`run_batch`
-        for several -- with its first attempt sent and not awaited."""
+        for several -- with its first attempt sent and not awaited.  A
+        cell :meth:`prefetch` started is handed that dispatch, whose
+        verdict is the one a fresh dispatch would reach (only
+        ``wall_s`` differs); anything else first waits for the
+        prefetch in flight, which keeps its verdict for later."""
         specs = list(specs)
-        self._settle()
+        if len(specs) == 1 and self._prefetched:
+            dispatch = self._prefetched.pop(specs[0].cell_hash(), None)
+            if dispatch is not None:
+                if dispatch.verdicts is None:
+                    self.prefetch_hits += 1
+                else:
+                    self.prefetch_reused += 1
+                return dispatch
+        for prefetched in self._prefetched.values():
+            prefetched.wait()
         return Dispatch(self, self._cell(specs[0]) if len(specs) == 1
                         else self._group(specs))
-
-    def _finish(self, policy) -> list[CellResult]:
-        return Dispatch(self, policy).wait()
 
     # -- the policy: yield (child_main, args, specs), receive payloads ---
     def _cell(self, spec: CellSpec):
@@ -558,13 +548,13 @@ class RunSupervisor:
         process.join()
 
     def close(self) -> None:
-        """Kill a prefetch still in flight, forget the verdicts nobody
+        """Kill a prefetch still in flight, forget the ones nobody
         asked for and the prefetch counts, and hang up on the idle
         child and reap it, inside the caller's campaign so that the
         child's CPU time is counted with it.  The supervisor stays
         usable: the next attempt starts a fresh child."""
-        if self._prefetch is not None:
-            self._prefetch[1].cancel()
+        for prefetched in self._prefetched.values():
+            prefetched.cancel()
         self._forget()
         child, self._child = self._child, None
         if child is not None:

@@ -95,9 +95,11 @@ class SweepReport:
     #: Observability blocks keyed by subsystem.  What only the driver
     #: knows: ``"scheduler"`` (jobs, slot utilization, dispatches,
     #: crash retries -- filled by :mod:`repro.harness.scheduler`),
-    #: ``"sweep"`` (wall time, cells per second), ``"batched"`` and
-    #: ``"surrogate"``.  What the records know is folded from them:
-    #: ``"compile_cache"`` (see :func:`_finish_backend_metrics`).
+    #: ``"sweep"`` (wall time, cells per second), ``"batched"``,
+    #: ``"surrogate"`` and ``"driver_compile_cache"`` (the skip loop's
+    #: static bounds compile in the driver).  What the records know is
+    #: folded from them: ``"compile_cache"`` (see
+    #: :func:`_finish_backend_metrics`).
     #: All of it may differ between ``jobs`` values, so none of it is
     #: under the jobs-independence contract.
     metrics: dict = field(default_factory=dict)
@@ -159,13 +161,13 @@ class SweepReport:
                 f"{batched['batch_groups']} group(s) covering "
                 f"{batched['batched_cells']} cell(s)"
             )
+        counts = "{hits} hit(s) / {misses} miss(es) / {evictions} eviction(s)"
         cache = self.metrics.get("compile_cache")
         if cache:
-            lines.append(
-                f"compile cache: {cache['hits']} hit(s) / "
-                f"{cache['misses']} miss(es) / "
-                f"{cache['evictions']} eviction(s)"
-            )
+            driver = self.metrics.get("driver_compile_cache")
+            lines.append("compile cache: " + counts.format(**cache) + (
+                "; driver: " + counts.format(**driver) if driver else ""
+            ))
         surrogate = self.metrics.get("surrogate")
         if surrogate:
             lines.append(
@@ -208,7 +210,8 @@ def _finish_sweep_metrics(report: SweepReport,
     }
 
 
-def _finish_backend_metrics(report: SweepReport, supervisor,
+def _finish_backend_metrics(report: SweepReport,
+                            supervisor: RunSupervisor,
                             done: dict[str, dict]) -> None:
     """The engine backend's observability: the compile cache's
     hits, misses and evictions summed over the campaign's records
@@ -222,7 +225,7 @@ def _finish_backend_metrics(report: SweepReport, supervisor,
         kind: int(fold.histogram(f"compile_cache_{kind}").total)
         for kind in ("hits", "misses", "evictions")
     }
-    if getattr(supervisor, "backend", None) != "batched":
+    if supervisor.backend != "batched":
         return
     sched = report.metrics.get("scheduler", {})
     report.metrics["batched"] = {
@@ -297,7 +300,7 @@ def sweep_cells(
             prevalidate=prevalidate, failure_budget=failure_budget,
         )
     finally:
-        getattr(supervisor, "close", lambda: None)()
+        supervisor.close()
     _finish_sweep_metrics(report, meter)
     # ``.get``: an aborted (failure-budget) run leaves later cells
     # without records; the partial map is the point.
@@ -554,12 +557,13 @@ def _execute_skipping(
     step under the pre-refit model (the *guess*), whose lane's first
     unmeasured cell ``supervisor.prefetch`` (``supervisor`` is the one
     ``execute`` runs cells on) starts in the idle isolation child
-    before the refit.  The supervisor keeps that
-    verdict until the loop acquires the cell, so the ledger sees what
-    a serial run writes, in the same order (DESIGN.md section 5k).
+    before the refit.  The supervisor hands that dispatch to the driver
+    when the loop acquires the cell, so the ledger sees what a serial
+    run writes, in the same order (DESIGN.md section 5k).
     """
     from ..analysis.dataflow import bound_for_cell
     from ..design.pareto import pareto_front
+    from ..sim.compile import cache_info
     from ..surrogate.features import cell_features, training_rows
     from ..surrogate.search import UNCERTAINTY_THRESHOLD, SurrogateModel
 
@@ -567,6 +571,10 @@ def _execute_skipping(
     n_designs = len(designs)
     lane_bounds: dict[tuple, float] = {}
     cell_bounds: dict[str, object] = {}
+    # The bounds compile every workload here, in the driver, before any
+    # cell runs: its compiles are the campaign's too (an isolation
+    # child inherits the cache, so the records show only hits).
+    cache_before = cache_info()
     for lane in lanes:
         best = 0.0
         for spec in lane.specs:
@@ -574,6 +582,11 @@ def _execute_skipping(
             cell_bounds[spec.cell_hash()] = bound
             best = max(best, bound.aipc_bound)
         lane_bounds[lane.key] = best
+    cache_after = cache_info()
+    report.metrics["driver_compile_cache"] = {
+        kind: cache_after[kind] - cache_before[kind]
+        for kind in ("hits", "misses", "evictions")
+    }
 
     # Resume accounting: lanes already complete never reach
     # execute_lanes, so count their resumed records here (partially
@@ -806,11 +819,6 @@ def _execute_skipping(
                             ln.key),
         )
 
-    # Only a training loop has a refit to hide.  ``execute_lanes``
-    # takes any supervisor with ``run``; one without ``prefetch`` just
-    # gets no overlap.
-    prefetch = getattr(supervisor, "prefetch", None) if train else None
-
     def _guess() -> None:
         """Prefetch the cell the next round most likely measures: the
         acquisition as it stands before the refit, ignoring the skip
@@ -823,8 +831,8 @@ def _execute_skipping(
         ]
         if remaining:
             _, lane = _acquire(remaining)
-            prefetch(next(spec for spec in lane.specs
-                          if spec.cell_hash() not in done))
+            supervisor.prefetch(next(spec for spec in lane.specs
+                                     if spec.cell_hash() not in done))
 
     must_measure: set[int] = set()
     simulated_at_start = (report.completed + report.failed
@@ -863,8 +871,8 @@ def _execute_skipping(
         pick, lane = _acquire(remaining)
         execute([lane], jobs=1)
         stale.add(pick)
-        if prefetch is not None and not report.aborted:
-            _guess()
+        if train and not report.aborted:
+            _guess()  # only a training loop has a refit to hide
         _retrain()
     if train:
         report.metrics["surrogate"] = {
@@ -879,9 +887,9 @@ def _execute_skipping(
                 for index in must_measure
             ),
             "prior_skips": bool(prior_skips),
-            "prefetched": getattr(supervisor, "prefetched", 0),
-            "prefetch_hits": getattr(supervisor, "prefetch_hits", 0),
-            "prefetch_reused": getattr(supervisor, "prefetch_reused", 0),
+            "prefetched": supervisor.prefetched,
+            "prefetch_hits": supervisor.prefetch_hits,
+            "prefetch_reused": supervisor.prefetch_reused,
         }
 
 
@@ -982,7 +990,7 @@ def design_space_sweep(
             execute(lanes, jobs=jobs)
     finally:
         # Once, around every execute_lanes call of the skip loop.
-        getattr(supervisor, "close", lambda: None)()
+        supervisor.close()
     _finish_sweep_metrics(report, meter)
     _finish_backend_metrics(report, supervisor, done)
     points = _aggregate(designs, names, lanes, done, report)

@@ -23,8 +23,10 @@ from repro.harness import (
     design_space_sweep,
     execute_lanes,
 )
+from repro.harness.supervisor import Dispatch
 from repro.workloads import Scale
 
+from .test_scheduler import refuse  # a run/run_batch that raises
 from .test_scheduler import stripped  # minus wall clock, seq, cache counters
 
 NAMES = ("gzip", "mcf", "twolf")
@@ -63,10 +65,15 @@ def sweep(path, isolation: str, policy: str):
 
 
 @pytest.fixture(scope="module", params=sorted(POLICIES))
-def sweeps(request, tmp_path_factory):
-    tmp = tmp_path_factory.mktemp(request.param.replace("+", "_"))
-    return (sweep(tmp / "inline.jsonl", "inline", request.param),
-            sweep(tmp / "process.jsonl", "process", request.param))
+def policy(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def sweeps(policy, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp(policy.replace("+", "_"))
+    return (sweep(tmp / "inline.jsonl", "inline", policy),
+            sweep(tmp / "process.jsonl", "process", policy))
 
 
 def test_process_ledger_equals_the_inline_ledger(sweeps):
@@ -86,6 +93,53 @@ def test_at_most_one_isolation_child_at_any_callback(sweeps):
     (_, _, inline_children), (_, _, children) = sweeps
     assert inline_children == 0
     assert children == 1
+
+
+PREFETCH_COUNTS = ("model_hash", "prefetched", "prefetch_hits",
+                   "prefetch_reused")
+
+
+def test_the_skip_loop_never_enters_run_or_run_batch(
+        sweeps, policy, tmp_path, monkeypatch):
+    """A prefetch is a dispatch the driver is handed, not a side
+    channel that only ``run`` reads: with ``run`` and ``run_batch``
+    refusing, the process sweep still writes the same ledger and
+    counts the same prefetches."""
+    _, (want, want_block, _) = sweeps
+    monkeypatch.setattr(RunSupervisor, "run", refuse)
+    monkeypatch.setattr(RunSupervisor, "run_batch", refuse)
+    ledger, block, _ = sweep(tmp_path / "refused.jsonl", "process", policy)
+    assert ledger == want
+    assert {key: block[key] for key in PREFETCH_COUNTS} == \
+        {key: want_block[key] for key in PREFETCH_COUNTS}
+
+
+@needs_fork
+def test_start_is_handed_the_prefetched_dispatch(monkeypatch):
+    sent, made = [], []
+    send, init = RunSupervisor._send, Dispatch.__init__
+
+    def counted(self, child_main, args):
+        sent.append(args)
+        return send(self, child_main, args)
+
+    def recorded(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(RunSupervisor, "_send", counted)
+    monkeypatch.setattr(Dispatch, "__init__", recorded)
+    spec = make_spec()
+    supervisor = RunSupervisor(isolation="process", timeout_s=60)
+    try:
+        supervisor.prefetch(spec)
+        (prefetched,) = made
+        assert supervisor.start([spec]) is prefetched
+        assert prefetched.wait()[0].ok
+        assert (supervisor.prefetched, supervisor.prefetch_hits) == (1, 1)
+    finally:
+        supervisor.close()
+    assert len(made) == len(sent) == 1
 
 
 @needs_fork
@@ -165,7 +219,7 @@ def test_prefetch_is_a_no_op_inline():
     supervisor = RunSupervisor(isolation="inline")
     supervisor.prefetch(make_spec())
     assert supervisor.prefetched == 0
-    assert supervisor._prefetch is None and supervisor._child is None
+    assert supervisor._child is None
     assert multiprocessing.active_children() == []
     assert supervisor.run(make_spec()).ok
-    assert supervisor.prefetch_hits == 0
+    assert (supervisor.prefetch_hits, supervisor.prefetch_reused) == (0, 0)

@@ -3,7 +3,10 @@
 from repro.core.config import WaveScalarConfig
 from repro.harness.ledger import Ledger, summarize
 from repro.harness.spec import CellSpec
+from repro.harness.supervisor import CellResult
 from repro.harness.sweep import static_rejection, sweep_cells
+
+from .canned import CannedRunSupervisor
 
 GOOD = WaveScalarConfig()
 #: Legal object, unrealizable processor: a 256-entry matching table
@@ -11,10 +14,10 @@ GOOD = WaveScalarConfig()
 DOOMED = WaveScalarConfig(matching_entries=256)
 
 
-class ForbiddenSupervisor:
+class ForbiddenSupervisor(CannedRunSupervisor):
     """Fails the test if the sweep ever tries to simulate a cell."""
 
-    def run(self, spec):
+    def verdict(self, spec):
         raise AssertionError(
             f"supervisor forked for statically rejected cell "
             f"{spec.workload} on {spec.config.describe()}"
@@ -83,14 +86,13 @@ def test_resume_skips_previously_rejected_cells(tmp_path):
 
 
 def test_prevalidation_can_be_disabled(tmp_path):
-    class Recorder:
+    class Recorder(CannedRunSupervisor):
         def __init__(self):
+            super().__init__()
             self.specs = []
 
-        def run(self, spec):
+        def verdict(self, spec):
             self.specs.append(spec)
-            from repro.harness.supervisor import CellResult
-
             return CellResult(
                 spec=spec, status="failed",
                 failure_class="Simulated", failure_detail="",

@@ -21,18 +21,21 @@ from repro.harness.supervisor import CellResult
 from repro.harness.sweep import design_space_sweep
 from repro.workloads.base import Scale
 
+from .canned import CannedRunSupervisor
+
 NAMES = ["gzip", "mcf"]
 
 
-class CannedSupervisor:
+class CannedSupervisor(CannedRunSupervisor):
     """design 0 scores high on every workload; later designs score
     low, so the prune driver can dominate them after one measured
     cell.  Records every spec it was asked to run."""
 
     def __init__(self):
+        super().__init__()
         self.ran = []
 
-    def run(self, spec) -> CellResult:
+    def verdict(self, spec) -> CellResult:
         design_index = DESIGNS_BY_LABEL[spec.config.describe()]
         aipc = 0.2 if design_index == 0 else 0.05
         self.ran.append((spec.workload, design_index))
@@ -160,8 +163,8 @@ def test_unsorted_design_list_keeps_the_frontier_measured(designs, tmp_path):
     areas = {d.config.describe(): rank for rank, d in enumerate(designs)}
 
     class ByAscendingArea(CannedSupervisor):
-        def run(self, spec):
-            result = super().run(spec)
+        def verdict(self, spec):
+            result = super().verdict(spec)
             rank = areas[spec.config.describe()]
             result.outcome["aipc"] = (0.05, 0.06, 0.07, 0.2)[rank]
             return result
@@ -200,13 +203,13 @@ _COUNTERS = ("completed", "failed", "invalid", "poisoned",
              "pruned_static", "predicted", "retried", "skipped")
 
 
-class BoundFractionSupervisor:
+class BoundFractionSupervisor(CannedRunSupervisor):
     """No simulation: a cell scores a fixed fraction of its static
     bound (so soundness holds by construction), the fraction growing
     with die area plus a draw from the cell's identity hash; one cell
     in ~16 exhausts its budget instead."""
 
-    def run(self, spec) -> CellResult:
+    def verdict(self, spec) -> CellResult:
         draw = int(spec.identity_hash()[:8], 16) / 2.0 ** 32
         if draw < 0.06:
             return CellResult(

@@ -285,6 +285,32 @@ def test_summary_compile_cache_is_the_records_fold(tmp_path, jobs,
             in report.metrics_summary())
 
 
+@pytest.mark.parametrize("isolation", ["process", "inline"])
+def test_a_pruned_summary_counts_the_compiles_of_the_exhaustive_one(
+        isolation):
+    """The skip loop's static bounds compile every workload in the
+    driver before any cell runs, so the cells' records show only
+    hits; the summary reports the driver's share beside them, and a
+    pruned sweep accounts for as many compiles as the exhaustive one."""
+    from repro.analysis.dataflow import clear_statics_cache
+    from repro.sim.compile import clear_cache
+
+    def misses(**kw) -> tuple[int, str]:
+        clear_cache()
+        clear_statics_cache()
+        _, report = run_sweep(
+            1, supervisor=RunSupervisor(isolation=isolation), **kw)
+        return sum(
+            report.metrics.get(block, {}).get("misses", 0)
+            for block in ("compile_cache", "driver_compile_cache")
+        ), report.metrics_summary()
+
+    exhaustive, _ = misses()
+    pruned, summary = misses(prune=True)
+    assert exhaustive == pruned == len(NAMES)
+    assert "/ 0 eviction(s); driver: " in summary
+
+
 # ----------------------------------------------------------------------
 # One driver: the lane protocol at every (jobs, width)
 # ----------------------------------------------------------------------
@@ -484,6 +510,52 @@ def test_raising_cell_is_a_failed_record_at_any_jobs_and_isolation():
     assert raised["failure_class"] == "KeyError"
     assert ran["status"] == "ok"
     assert all(pair == pairs[0] for pair in pairs[1:])
+
+
+def refuse(self, *args):
+    raise AssertionError("the driver entered run or run_batch")
+
+
+@pytest.mark.parametrize("isolation, width", [
+    ("inline", 1), ("process", 1), ("process", 4),
+])
+def test_the_driver_never_enters_run_or_run_batch(monkeypatch, isolation,
+                                                  width):
+    """One dispatch path at every ``jobs``: the driver starts every
+    dispatch (``RunSupervisor.start``) and waits on it, so with ``run``
+    and ``run_batch`` refusing, ``jobs=1`` still records each cell as
+    they would -- one cell at a time or as one batch group."""
+    specs = [CellSpec(config=config, workload="mcf", scale="tiny")
+             for config in CONFIGS + [WaveScalarConfig(clusters=1)]]
+
+    def supervisor() -> RunSupervisor:
+        return RunSupervisor(
+            isolation=isolation, timeout_s=60, batch_width=width,
+            backend="batched" if width > 1 else "plain",
+        )
+
+    reference = supervisor()
+    try:
+        results = (reference.run_batch(specs) if width > 1
+                   else [reference.run(spec) for spec in specs])
+    finally:
+        reference.close()
+    want = {spec.cell_hash(): stripped(Ledger.record_for(spec, result))
+            for spec, result in zip(specs, results)}
+    monkeypatch.setattr(RunSupervisor, "run", refuse)
+    monkeypatch.setattr(RunSupervisor, "run_batch", refuse)
+    report = SweepReport()
+    driven = supervisor()
+    try:
+        records = execute_lanes(
+            [Lane(key=(index,), specs=[spec])
+             for index, spec in enumerate(specs)],
+            supervisor=driven, report=report,
+        )
+    finally:
+        driven.close()
+    assert {cell: stripped(r) for cell, r in records.items()} == want
+    assert report.metrics["scheduler"]["batch_groups"] == (width > 1)
 
 
 # ----------------------------------------------------------------------

@@ -21,24 +21,27 @@ from repro.harness.supervisor import CellResult, RunSupervisor
 from repro.harness.sweep import design_space_sweep
 from repro.workloads.base import Scale
 
+from .canned import CannedRunSupervisor
+
 FIXTURE = Path(__file__).with_name("surrogate_sweep_predicted.json")
 
 NAMES = ["gzip", "mcf", "twolf"]
 BASE_AIPC = {"gzip": 0.18, "mcf": 0.12, "twolf": 0.15}
 
 
-class CannedSupervisor:
+class CannedSupervisor(CannedRunSupervisor):
     """AIPC decreases linearly with area, so the smallest design's
     clean aggregate dominates every later design once the model is
     confident.  Records every spec it was asked to simulate."""
 
     def __init__(self, areas: dict[str, float]):
+        super().__init__()
         self.ran = []
         self._areas = areas
         self._lo = min(areas.values())
         self._hi = max(areas.values())
 
-    def run(self, spec) -> CellResult:
+    def verdict(self, spec) -> CellResult:
         area = self._areas[spec.config.describe()]
         scale = (area - self._lo) / (self._hi - self._lo)
         aipc = BASE_AIPC[spec.workload] * (1.0 - 0.8 * scale)
