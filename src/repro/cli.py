@@ -601,8 +601,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_surrogate(args: argparse.Namespace) -> int:
     """Surrogate model tooling over a sweep ledger.
 
-    ``report``: extract the training set (streaming selective-field
-    decode), fit on a deterministic holdout split, and print the
+    ``report``: extract the training set from the ledger's winning
+    records, fit on a deterministic holdout split, and print the
     exact-vs-predicted calibration (MAE, empirical interval coverage).
     Exits non-zero when coverage misses the target -- the CI gate that
     keeps ``--surrogate`` sweeps honest.

@@ -8,8 +8,11 @@ For each fuzz program the harness runs
 * the frozen seed engine (``repro.sim._legacy``, the one independent
   SimStats implementation) on each probe config -- SimStats, or the
   failure's class, message and diagnostics, must equal the engine's
-  field for field.  The seed engine has no deflection fixed-point
-  jump (``Engine._fixed_point``), so for the programs that exhaust a
+  field for field.  The seed engine calls the live
+  :meth:`~repro.sim.pe.matching.MatchingTable.insert` that the
+  engine inlines, so this also checks the inlined matching probe
+  against it.  The seed engine has no deflection fixed-point jump
+  (``Engine._fixed_point``), so for the programs that exhaust a
   budget this is also the jump-vs-no-jump oracle;
 * the A-rule static bound (:func:`repro.analysis.dataflow
   .graph_statics` + ``compute_bound``) -- measured AIPC must never

@@ -18,9 +18,9 @@ for humans only (see :meth:`record_for`).
 
 Reading: the file is read one way.  One line reader classifies every
 line and one winner rule picks the record per cell hash; ``load``,
-``iter_fields``, ``verify``, ``repair``/``compact`` and the first
-``append`` (which recovers the next ``seq``) are all consumers of it,
-so no two of them can disagree about what the ledger says.
+``verify``, ``repair``/``compact`` and the first ``append`` (which
+recovers the next ``seq``) are all consumers of it, so no two of
+them can disagree about what the ledger says.
 
 Maintenance: :meth:`verify` audits the file line by line,
 :meth:`repair` rewrites it with corrupt lines moved to a
@@ -66,17 +66,6 @@ def _canonical(record: dict) -> bytes:
     return json.dumps(
         body, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-
-
-def _pluck(record: dict, name: str):
-    """Resolve a (possibly dotted) field path against one record;
-    ``None`` when any step is missing or not a dict."""
-    value = record
-    for part in name.split("."):
-        if not isinstance(value, dict):
-            return None
-        value = value.get(part)
-    return value
 
 
 def record_checksum(record: dict) -> int:
@@ -383,29 +372,6 @@ class Ledger:
             ))
             fh.flush()
             os.fsync(fh.fileno())
-
-    # ------------------------------------------------------------------
-    def iter_fields(self, *names: str):
-        """Stream selected fields of every winning record as tuples.
-
-        The training-set extractor (:mod:`repro.surrogate`) walks
-        campaign ledgers that can hold orders of magnitude more lines
-        than :meth:`load` was designed for; materializing every full
-        record dict just to read three fields of each is the cost this
-        method avoids.  Lines are decoded one at a time and only the
-        *requested* fields are retained, so peak memory is
-        ``O(records x len(names))`` regardless of record size.
-
-        Field ``names`` may be dotted paths (``"spec.config.clusters"``
-        descends into nested dicts); a missing field yields ``None``.
-        Winners, skipped lines and the counts they leave are those of
-        :meth:`load`.  Tuples come out in first-seen hash order --
-        deterministic for a given file.
-        """
-        _, winners = self._tally(self._lines(), lambda _, record: tuple(
-            _pluck(record, name) for name in names
-        ))
-        yield from winners.values()
 
     # ------------------------------------------------------------------
     # Integrity: verify / repair / compact

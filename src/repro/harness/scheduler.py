@@ -3,9 +3,9 @@
 The sweep's unit of scheduling is the *lane*: the ordered cells of
 one ``(design, workload)`` pair.  Within a lane, execution is strictly
 sequential -- thread-count escalation dispatches the next cell only
-after the previous verdict, and a failure stops the lane (more
-threads only add pressure on a design that already failed).  Lanes
-themselves are independent.
+after the previous verdict, and every verdict but ``ok`` stops the
+lane (more threads only add pressure on a design that already
+failed).  Lanes themselves are independent.
 
 There is one implementation of the lane protocol (resume hit ->
 duplicate park -> pre-validation -> dispatch -> circuit breaker ->
@@ -195,13 +195,11 @@ class Lane:
 
     ``next_spec``/``advance`` form the scheduling protocol: a lane
     yields its next cell only after the previous cell's record has
-    been fed back, and -- with ``stop_on_failure`` -- a non-``ok``
-    verdict retires the lane early.
+    been fed back, and a non-``ok`` verdict retires the lane early.
     """
 
     key: tuple
     specs: list[CellSpec]
-    stop_on_failure: bool = True
     cursor: int = 0
     stopped: bool = False
 
@@ -212,7 +210,7 @@ class Lane:
 
     def advance(self, record: dict) -> None:
         self.cursor += 1
-        if self.stop_on_failure and record.get("status") != OK:
+        if record.get("status") != OK:
             self.stopped = True
 
     @property

@@ -5,7 +5,11 @@ This is the engine as it stood before the hot-path overhaul
 paths).  Its reachable code is frozen: every line a comparison runs
 is as it was.  The dead hooks (a fault-injection filter and an
 instrumented twin of the event loop, switched on by attributes that
-nothing sets) are gone.  It exists for two consumers:
+nothing sets) are gone, and so is its private copy of the matching
+table: its PEs hold the live :class:`~repro.sim.pe.matching
+.MatchingTable` and call its ``insert`` for every operand, which is
+the rule the production engine's ``_drain`` inlines.  It exists for
+two consumers:
 
 * ``tests/sim/test_golden_stats.py`` asserts the production engine's
   ``SimStats``/AIPC are bit-identical to this reference across the
@@ -14,9 +18,9 @@ nothing sets) are gone.  It exists for two consumers:
   one of the oracles the production engine must agree with.
 
 Do not optimise or "fix" this module; it shares the unchanged
-memory/network/store-buffer models with the production engine and
-must keep producing the historical results.  The original docstring
-follows.
+matching-table/memory/network/store-buffer models with the
+production engine and must keep producing the historical results.
+The original docstring follows.
 
 The cycle-level simulation engine.
 
@@ -59,7 +63,7 @@ from ..failures import (
 from ..memory.hierarchy import MemoryHierarchy
 from ..network.topology import BandwidthLedger, Interconnect
 from .istore import InstructionStore
-from .matching import MatchingTable
+from ..pe.matching import MatchingTable
 from ..stats import SimStats
 from ..storebuffer.storebuffer import MemOp, StoreBuffer
 
@@ -70,7 +74,6 @@ __all__ = [
     "CycleBudgetExhausted",
     "EventBudgetExhausted",
     "FailureDiagnostics",
-    "simulate",
 ]
 
 
@@ -670,23 +673,3 @@ class Engine:
                  False),
             )
 
-
-def simulate(
-    graph: DataflowGraph,
-    config: WaveScalarConfig,
-    placement: Optional[Placement] = None,
-    max_cycles: int = 20_000_000,
-    strict: bool = True,
-    warm_caches: bool = True,
-    max_events: int = 200_000_000,
-) -> SimStats:
-    """Convenience wrapper: place (if needed) and run ``graph``."""
-    if placement is None:
-        from ...place.snake import place
-
-        placement = place(graph, config)
-    engine = Engine(
-        graph, config, placement, max_cycles=max_cycles,
-        warm_caches=warm_caches, max_events=max_events,
-    )
-    return engine.run(strict=strict)

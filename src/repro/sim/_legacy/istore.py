@@ -33,20 +33,6 @@ class InstructionStore:
     def over_subscribed(self) -> bool:
         return len(self.assigned) > self.capacity
 
-    def is_resident(self, inst_id: int) -> bool:
-        return inst_id in self._resident
-
-    def touch(self, inst_id: int) -> bool:
-        """Access ``inst_id``; returns True on hit.
-
-        On a miss the instruction becomes resident (evicting LRU) and
-        False is returned -- the caller charges the fetch penalty.
-        """
-        if self.hit(inst_id):
-            return True
-        self.fill(inst_id)
-        return False
-
     def hit(self, inst_id: int) -> bool:
         """Probe for residency; refreshes LRU and counts on a hit."""
         if inst_id in self._resident:
@@ -61,6 +47,3 @@ class InstructionStore:
         if len(self._resident) >= self.capacity:
             self._resident.popitem(last=False)
         self._resident[inst_id] = None
-
-    def resident_count(self) -> int:
-        return len(self._resident)

@@ -31,7 +31,9 @@ nothing is installed, shadowed or selected.  The batched backend
 
 Hot-path engineering (the golden-stats suite proves against the frozen
 seed engine in ``repro.sim._legacy`` that none of it changes a
-simulated result):
+simulated result; that engine calls :meth:`MatchingTable.insert` for
+every operand, so the same comparison checks the inlined probe
+against the table it copies):
 
 * Calendar entries carry the integer tags of :mod:`repro.sim.events`;
   the loop handles token tags inline and dispatches the rest through
@@ -478,7 +480,9 @@ class Engine:
         is :meth:`MatchingTable.insert` inlined -- every table of one
         engine shares its hash geometry, hoisted below, and the bank
         claims of all of them are the run's one stamp list -- and must
-        stay semantically identical to it.
+        stay semantically identical to it: the seed engine in
+        ``repro.sim._legacy`` calls that ``insert``, so every golden
+        and differential comparison checks this copy against it.
         """
         buckets = self._buckets
         cycle_heap = self._cycle_heap

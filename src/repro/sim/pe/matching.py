@@ -185,12 +185,6 @@ class MatchingTable:
             return _ACCEPTED
         return InsertResult(accepted=True, evicted=evicted, miss=True)
 
-    def has_free_way(self, slot: int, wave: int) -> bool:
-        """Whether a token hashing to (slot, wave) could be accepted
-        without an eviction (used to pace overflow returns)."""
-        set_idx = self.set_index(slot, wave)
-        return len(self._by_set.get(set_idx, ())) < self.associativity
-
     def pending_rows(self) -> list[MatchRow]:
         """All partially filled rows (deadlock diagnostics)."""
         return [MatchRow(key, ports) for key, ports in self._rows.items()]

@@ -3,7 +3,7 @@
 Public surface:
 
 * :mod:`repro.surrogate.features` -- cell feature vectors and the
-  streaming ledger training-set extractor;
+  ledger training-set extractor;
 * :mod:`repro.surrogate.model` -- the seeded numpy-only
   :class:`QuantileForest` with conformal intervals;
 * :mod:`repro.surrogate.search` -- the bound-clipped

@@ -12,9 +12,9 @@ sources, all config- or statics-derived (never from simulation):
   the learned model can only tighten (predictions are later clipped
   to the bound, which is sound; the model is not).
 
-The training-set extractor streams ledger records through
-:meth:`repro.harness.ledger.Ledger.iter_fields`, so multi-gigabyte
-campaign ledgers never materialize full record dicts just to train.
+The training-set extractor reads a ledger through
+:meth:`repro.harness.ledger.Ledger.load`, the one reader every other
+ledger consumer uses.
 
 Outcome handling is one rule, :func:`repro.harness.ledger
 .training_target`, shared by both extractors: ``ok`` rows train on
@@ -148,12 +148,11 @@ class TrainingSet:
 
 
 def extract_training_set(ledger) -> TrainingSet:
-    """Stream one ledger into a :class:`TrainingSet`.
+    """Read one ledger into a :class:`TrainingSet`.
 
     ``ledger`` is a :class:`~repro.harness.ledger.Ledger` (or any
-    object with a compatible ``iter_fields``).  Uses selective-field
-    decode, so only ``status``/``aipc``/``spec`` are materialized per
-    record.
+    object with a compatible ``load``); rows come out in the order of
+    its winning records.
     """
     from ..harness.spec import CellSpec
 
@@ -162,16 +161,15 @@ def extract_training_set(ledger) -> TrainingSet:
     groups: list[str] = []
     hashes: list[str] = []
     excluded: dict[str, int] = {}
-    for status, aipc, spec_dict in ledger.iter_fields(
-        "status", "aipc", "spec"
-    ):
-        target = training_target(status, aipc)
+    for record in ledger.load().values():
+        status = record.get("status")
+        target = training_target(status, record.get("aipc"))
         if target is None:
             key = status if isinstance(status, str) else "<malformed>"
             excluded[key] = excluded.get(key, 0) + 1
             continue
         try:
-            spec = CellSpec.from_dict(spec_dict)
+            spec = CellSpec.from_dict(record.get("spec"))
             row = cell_features(spec)
         except Exception:
             # A spec this build can no longer instantiate (not a dict,

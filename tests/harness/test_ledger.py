@@ -54,6 +54,16 @@ def test_last_record_wins(tmp_path):
     assert ledger.load()["aaa"]["status"] == "ok"
 
 
+def test_load_keeps_first_seen_hash_order(tmp_path):
+    ledger = Ledger(tmp_path / "runs.jsonl")
+    ledger.append({"hash": "aaa", "status": "failed"})
+    ledger.append({"hash": "bbb", "status": "ok", "aipc": 1.5})
+    ledger.append({"hash": "aaa", "status": "ok", "aipc": 2.0})
+    # First-seen hash order, supersession by seq: aaa's retry wins.
+    assert [(r["status"], r["aipc"]) for r in ledger.load().values()] \
+        == [("ok", 2.0), ("ok", 1.5)]
+
+
 def test_torn_trailing_line_tolerated(tmp_path):
     """A SIGKILL mid-append leaves a truncated line; load skips it."""
     path = tmp_path / "runs.jsonl"
@@ -66,7 +76,9 @@ def test_torn_trailing_line_tolerated(tmp_path):
 
 
 def test_missing_file_loads_empty(tmp_path):
-    assert Ledger(tmp_path / "nope.jsonl").load() == {}
+    ledger = Ledger(tmp_path / "nope.jsonl")
+    assert ledger.load() == {}
+    assert (ledger.torn_lines, ledger.corrupt_lines) == (0, 0)
 
 
 def test_append_many_batches_records(tmp_path):
@@ -242,71 +254,3 @@ def test_kill_and_resume(tmp_path):
             pass
     assert len(lines) == 9
     assert len({record["hash"] for record in lines}) == 9
-
-
-# ----------------------------------------------------------------------
-# Selective-field streaming (iter_fields)
-# ----------------------------------------------------------------------
-def test_iter_fields_streams_winning_records(tmp_path):
-    ledger = Ledger(tmp_path / "runs.jsonl")
-    ledger.append({"hash": "aaa", "status": "failed"})
-    ledger.append({"hash": "bbb", "status": "ok", "aipc": 1.5})
-    ledger.append({"hash": "aaa", "status": "ok", "aipc": 2.0})
-    # First-seen hash order, supersession by seq: aaa's retry wins.
-    assert list(ledger.iter_fields("status", "aipc")) == [
-        ("ok", 2.0), ("ok", 1.5),
-    ]
-
-
-def test_iter_fields_dotted_paths_and_missing(tmp_path):
-    ledger = Ledger(tmp_path / "runs.jsonl")
-    ledger.append({"hash": "aaa", "status": "ok",
-                   "spec": {"config": {"clusters": 4}}})
-    rows = list(ledger.iter_fields(
-        "spec.config.clusters", "spec.config.l2_mb", "nope.deep"
-    ))
-    assert rows == [(4, None, None)]
-
-
-def test_iter_fields_handles_unsealed_v1_lines(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    # Hand-written v1 records: no seq, no crc -- file order wins.
-    with path.open("w") as fh:
-        fh.write('{"hash": "aaa", "status": "failed"}\n')
-        fh.write('{"hash": "aaa", "status": "ok", "aipc": 0.5}\n')
-    assert list(Ledger(path).iter_fields("status", "aipc")) \
-        == [("ok", 0.5)]
-
-
-def test_iter_fields_counts_torn_and_corrupt_lines(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    ledger = Ledger(path)
-    ledger.append({"hash": "aaa", "status": "ok", "aipc": 1.0})
-    ledger.append({"hash": "bbb", "status": "ok", "aipc": 2.0})
-    # Corrupt bbb's sealed line (crc no longer matches) and add a
-    # torn tail, as a SIGKILL mid-append would.
-    lines = path.read_text().splitlines()
-    with path.open("w") as fh:
-        fh.write(lines[0] + "\n")
-        fh.write(lines[1].replace('"aipc": 2.0', '"aipc": 9.9') + "\n")
-        fh.write("[1, 2]\n")  # parseable but not a record
-        fh.write('{"hash": "ccc", "status": "o')  # torn tail
-    rows = list(ledger.iter_fields("status", "aipc"))
-    assert rows == [("ok", 1.0)]
-    assert ledger.torn_lines == 2
-    assert ledger.corrupt_lines == 1
-
-
-def test_iter_fields_missing_file(tmp_path):
-    ledger = Ledger(tmp_path / "nope.jsonl")
-    assert list(ledger.iter_fields("status")) == []
-    assert ledger.torn_lines == 0
-    assert ledger.corrupt_lines == 0
-
-
-def test_iter_fields_skips_hashless_records(tmp_path):
-    path = tmp_path / "runs.jsonl"
-    with path.open("w") as fh:
-        fh.write('{"status": "ok", "aipc": 1.0}\n')
-        fh.write('{"hash": "aaa", "status": "ok", "aipc": 2.0}\n')
-    assert list(Ledger(path).iter_fields("aipc")) == [(2.0,)]

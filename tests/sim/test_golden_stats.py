@@ -7,9 +7,12 @@ counter, latency histogram, message tally, and the AIPC derived from
 them -- on the golden config and on a starved one that drives the
 eviction, deflection, bank-conflict and budget-exhaustion paths (there
 a cell that does not finish must fail with the seed engine's class,
-message and diagnostics).  The sweep harness on top must likewise be
-invisible: the same campaign at ``jobs=1`` and ``jobs=4`` (and with
-the compile cache warm or cold) yields identical ledger records.
+message and diagnostics).  The seed engine calls the live
+:meth:`MatchingTable.insert` for every operand, so each comparison
+also checks the engine's inlined copy of that probe against it.  The
+sweep harness on top must likewise be invisible: the same campaign at
+``jobs=1`` and ``jobs=4`` (and with the compile cache warm or cold)
+yields identical ledger records.
 """
 
 from dataclasses import asdict
@@ -22,6 +25,7 @@ from repro.place.snake import place
 from repro.sim._legacy.engine import Engine as LegacyEngine
 from repro.sim.engine import Engine
 from repro.sim.failures import SimulationDeadlock
+from repro.sim.pe.matching import MatchingTable
 from repro.workloads import Scale
 from repro.workloads.registry import all_names, get
 
@@ -84,6 +88,37 @@ def test_starved_verdict_identical_to_seed_engine(name):
         for cls in (Engine, LegacyEngine)
     )
     assert new == old
+
+
+@pytest.mark.parametrize("name", ("art", "djpeg"))
+def test_seed_engine_runs_every_branch_of_the_live_insert(
+    name, monkeypatch
+):
+    """The oracle is not vacuous: the seed engine's tables are the live
+    :class:`MatchingTable` that ``Engine._drain`` inlines, and one
+    starved cell (art finishes, djpeg exhausts its budget) takes every
+    branch of its ``insert`` -- bank reject, fire, eviction and
+    deflection -- so the comparisons above check each of them."""
+    outcomes = dict.fromkeys(("reject", "fire", "evict", "deflect"), 0)
+    live_insert = MatchingTable.insert
+
+    def tallied(self, *args, **kwargs):
+        result = live_insert(self, *args, **kwargs)
+        outcomes["reject"] += not result.accepted
+        outcomes["fire"] += result.fired is not None
+        outcomes["evict"] += result.evicted is not None
+        outcomes["deflect"] += result.deflected
+        return result
+
+    monkeypatch.setattr(MatchingTable, "insert", tallied)
+    workload = get(name)
+    threads = 4 if workload.multithreaded else None
+    graph = workload.instantiate(scale=Scale.TINY, threads=threads, seed=0)
+    seed = LegacyEngine(graph, STARVED, place(graph, STARVED),
+                        max_cycles=STARVED_MAX_CYCLES)
+    assert type(seed.matching[0]) is MatchingTable
+    _verdict(seed)
+    assert all(outcomes.values()), outcomes
 
 
 @pytest.mark.parametrize("name", (

@@ -116,19 +116,18 @@ def test_shared_results_carry_no_row_state():
 
 def test_inlined_insert_hash_matches_set_index():
     """insert's inlined hash and the public set_index must agree --
-    in the tuned-hash regime and in the small-table fallback."""
+    in the tuned-hash regime and in the small-table fallback: both
+    rows land in the set set_index names."""
     tuned = MatchingTable(entries=8, associativity=2, banks=1, hash_k=2)
-    assert tuned.has_free_way(3, 1)
     tuned.insert((0, 1, 1), 0, 1, slot=3, arity=2, cycle=0)
     tuned.insert((0, 3, 2), 0, 1, slot=3, arity=2, cycle=1)
-    assert not tuned.has_free_way(3, 1)
+    assert tuned._by_set == {tuned.set_index(3, 1): [(0, 1, 1), (0, 3, 2)]}
 
     # sets (=2) < hash_k (=8): the fallback (slot + wave) % sets hash.
     small = MatchingTable(entries=4, associativity=2, banks=1, hash_k=8)
-    assert small.has_free_way(1, 1)
     small.insert((0, 1, 1), 0, 1, slot=1, arity=2, cycle=0)
     small.insert((0, 2, 2), 0, 1, slot=0, arity=2, cycle=1)
-    assert not small.has_free_way(1, 1)
+    assert small._by_set == {small.set_index(1, 1): [(0, 1, 1), (0, 2, 2)]}
 
 
 @settings(max_examples=40, deadline=None)

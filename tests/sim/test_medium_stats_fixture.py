@@ -2,7 +2,10 @@
 
 ``sim/_legacy/engine.py`` imports the live ``BandwidthLedger`` (and the
 live network and memory models), so the seed-engine golden suite
-cannot witness a change to any of them.  This fixture can: it holds
+cannot witness a change to any of them.  (It imports the live
+``MatchingTable`` too, but the engine inlines that table's ``insert``
+rather than calling it, so there the suite compares two
+implementations.)  This fixture can: it holds
 the full ``SimStats`` of the benchmark's six ``cells_long`` cells,
 recorded at the commit *before* the ledger's cleanup scan was deleted,
 and the engine must reproduce it field for field -- run alone, and

@@ -1,4 +1,4 @@
-"""Feature extraction and the streaming training-set extractor:
+"""Feature extraction and the ledger training-set extractor:
 vector schema, outcome rules, and malformed-record tolerance."""
 
 import numpy as np
@@ -31,15 +31,21 @@ def spec_for(workload="gzip"):
 
 
 class FakeLedger:
-    """Duck-typed stand-in yielding (status, aipc, spec) triples the
-    way ``Ledger.iter_fields("status", "aipc", "spec")`` would."""
+    """Duck-typed stand-in whose ``load`` holds one record per
+    (status, aipc, spec) row, a ``None`` field left out of it."""
 
     def __init__(self, rows):
         self.rows = rows
 
-    def iter_fields(self, *names):
-        assert names == ("status", "aipc", "spec")
-        yield from self.rows
+    def load(self):
+        return {
+            f"h{index}": {
+                name: value
+                for name, value in zip(("status", "aipc", "spec"), row)
+                if value is not None
+            }
+            for index, row in enumerate(self.rows)
+        }
 
 
 def test_cell_features_schema():
@@ -70,7 +76,7 @@ def test_extract_outcome_rules():
         ("invalid", None, ok.as_dict()),
         ("pruned_static", None, ok.as_dict()),
         ("predicted", 0.2, ok.as_dict()),
-        (None, None, None),  # torn line surfaced as malformed
+        (None, None, None),  # a record without a status
     ]
     training = extract_training_set(FakeLedger(rows))
     assert training.rows == 3
@@ -125,7 +131,7 @@ def test_training_rows_matches_extractor_rules():
 
 def test_both_extractors_apply_one_training_rule(tmp_path):
     """A ledger holding every status plus one unparseable spec gives
-    the same rows streamed through :func:`extract_training_set` and
+    the same rows read through :func:`extract_training_set` and
     passed through :func:`training_rows` as the (spec, record) pairs
     the sweep driver holds."""
     statuses = (OK, FAILED, POISONED, INVALID, PRUNED_STATIC, PREDICTED)
