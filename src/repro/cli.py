@@ -563,8 +563,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     """Differential fuzz campaign: seeded programs through every
-    oracle (interpreter, engine, seed engine, static bound, linter);
-    divergences are minimized and written to the corpus."""
+    oracle (interpreter, engine with and without its fixed-point
+    jump, static bound, linter); divergences are minimized and
+    written to the corpus."""
     import json
 
     from .fuzz import run_campaign
@@ -872,7 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzz campaign: seeded programs cross-"
-             "checked across interpreter, engines, and static bounds",
+             "checked across interpreter, engine (with and without its "
+             "fixed-point jump), and static bounds",
     )
     p_fuzz.add_argument("--seeds", type=_int_at_least(1), default=100,
                         metavar="N",

@@ -1,8 +1,8 @@
 """Fuzzer-driven differential testing.
 
 Five oracles ship with this repo -- the reference interpreter, the
-engine, the seed engine it was derived from, the static A-rule bound,
-and the graph linter.  This package generates seeded, reproducible
+engine, the engine again with its fixed-point jump stood down, the
+static A-rule bound, and the graph linter.  This package generates seeded, reproducible
 programs and holds every oracle to agreement on each one; any
 disagreement is shrunk to a minimal repro and recorded.  Nothing here
 can break an engine on purpose: the tests prove detection by putting a

@@ -5,15 +5,12 @@ For each fuzz program the harness runs
 * the reference interpreter (:mod:`repro.lang.interp`) -- golden
   outputs;
 * the engine, serially, on each probe config -- outputs and SimStats;
-* the frozen seed engine (``repro.sim._legacy``, the one independent
-  SimStats implementation) on each probe config -- SimStats, or the
-  failure's class, message and diagnostics, must equal the engine's
-  field for field.  The seed engine calls the live
-  :meth:`~repro.sim.pe.matching.MatchingTable.insert` that the
-  engine inlines, so this also checks the inlined matching probe
-  against it.  The seed engine has no deflection fixed-point jump
-  (``Engine._fixed_point``), so for the programs that exhaust a
-  budget this is also the jump-vs-no-jump oracle;
+* the engine again on each probe config, with a per-event observer
+  attached so it cannot take the deflection fixed-point jump
+  (``Engine._fixed_point``) -- SimStats, or the failure's class,
+  message and diagnostics, must equal the serial run's field for
+  field: for the programs that exhaust a budget, the jump-vs-no-jump
+  oracle;
 * the A-rule static bound (:func:`repro.analysis.dataflow
   .graph_statics` + ``compute_bound``) -- measured AIPC must never
   exceed it;
@@ -38,13 +35,13 @@ from ..core.config import WaveScalarConfig
 from ..isa.graph import DataflowGraph
 from ..lang.interp import DeadlockError, interpret
 from ..place.snake import place
-from ..sim._legacy.engine import Engine as SeedEngine
 from ..sim.engine import Engine
 from ..sim.failures import (
     CycleBudgetExhausted,
     EventBudgetExhausted,
     SimulationDeadlock,
 )
+from ..sim.trace import Trace
 
 #: Probe configs: the roomy default plus a starved design (1 cluster,
 #: tiny matching table, no L2) that forces eviction/retry paths.
@@ -172,28 +169,30 @@ def diff_graph(graph: DataflowGraph, configs=PROBE_CONFIGS) -> DiffReport:
         ref_outputs = ref.output_values()
         statics = graph_statics(graph, name=graph.name)
 
-    def engine(cls, config, placement):
-        return cls(graph, config, placement, max_cycles=MAX_CYCLES,
-                   max_events=MAX_EVENTS)
+    def engine(config, placement, trace=None):
+        run = Engine(graph, config, placement, max_cycles=MAX_CYCLES,
+                     max_events=MAX_EVENTS)
+        run.trace = trace
+        return run
 
     for i, config in enumerate(configs):
         label = config.describe()
         placement = place(graph, config)
-        verdict = _run(engine(Engine, config, placement))
+        verdict = _run(engine(config, placement))
         delta = _verdict_diff(
-            verdict, _run(engine(SeedEngine, config, placement)),
-            "seed-engine",
+            verdict, _run(engine(config, placement, Trace(limit=0))),
+            "no-jump",
         )
         if delta is not None:
             report.divergences.append(Divergence(
-                "stats", f"serial/seed-engine verdicts differ -- {delta}",
+                "stats", f"serial/no-jump verdicts differ -- {delta}",
                 config=label,
             ))
         stats, exc = verdict
         if isinstance(exc, (CycleBudgetExhausted, EventBudgetExhausted)):
             # Starved probe configs (index > 0) can genuinely livelock
             # in matching-table thrash -- the paper's non-viable
-            # designs.  That is an explained outcome (the seed engine
+            # designs.  That is an explained outcome (the no-jump run
             # must reproduce the identical failure).  The roomy primary
             # config must always complete a recipe program.
             if i == 0:

@@ -29,11 +29,11 @@ nothing is installed, shadowed or selected.  The batched backend
 (:mod:`repro.sim.batched`) calls the same ``_begin`` / ``_drain`` /
 ``_finish`` / ``_end`` for each cell of a group.
 
-Hot-path engineering (the golden-stats suite proves against the frozen
-seed engine in ``repro.sim._legacy`` that none of it changes a
-simulated result; that engine calls :meth:`MatchingTable.insert` for
-every operand, so the same comparison checks the inlined probe
-against the table it copies):
+Hot-path engineering (the golden-stats suite proves against verdicts
+recorded from runs without the fixed-point jump that none of it
+changes a simulated result, and a replay of the trace through
+:meth:`MatchingTable.insert` proves the inlined probe is that
+table's rule):
 
 * Calendar entries carry the integer tags of :mod:`repro.sim.events`;
   the loop handles token tags inline and dispatches the rest through
@@ -480,9 +480,8 @@ class Engine:
         is :meth:`MatchingTable.insert` inlined -- every table of one
         engine shares its hash geometry, hoisted below, and the bank
         claims of all of them are the run's one stamp list -- and must
-        stay semantically identical to it: the seed engine in
-        ``repro.sim._legacy`` calls that ``insert``, so every golden
-        and differential comparison checks this copy against it.
+        stay semantically identical to it: ``tests/sim/test_matching.py``
+        replays a traced run's probes through that ``insert``.
         """
         buckets = self._buckets
         cycle_heap = self._cycle_heap

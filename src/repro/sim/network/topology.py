@@ -34,9 +34,9 @@ level between two PEs is fixed once the instructions are placed, so
 the engine asks :meth:`Interconnect.level_between` once per producer
 and consumer pair, when it fills its route table, and then makes the
 reservations inline.  Those are the PE result bus and the NET inject;
-a grid message goes through ``_route_grid``.  ``route`` itself now
-serves only the frozen seed engine in ``repro.sim._legacy`` and the
-unit tests.
+a grid message goes through ``_route_grid``.  ``route`` itself serves
+``tests/sim/test_network.py`` and the benchmark's tracer
+(``bench/tracing.py`` wraps it).
 """
 
 from __future__ import annotations
@@ -214,8 +214,9 @@ class Interconnect:
         ``cycle``; returns level/latency/hops.
 
         The caller delivers the message at ``cycle + route.latency``.
-        The engine inlines this per token; the frozen seed engine in
-        ``repro.sim._legacy`` is the one caller left.
+        The engine inlines this per token; its callers are
+        ``tests/sim/test_network.py`` and ``bench/tracing.py``, which
+        wraps it.
         """
         cfg = self.config
         level = self.level_between(src_pe, dst_pe)

@@ -210,8 +210,8 @@ def broken_engine(monkeypatch):
     """``install(name)`` puts an ``Engine`` subclass with the OUTPUT-stage
     bug :data:`BREAKAGES` names in place of the engine the differential
     fuzzer runs (``repro.fuzz.differential.Engine``): every probe
-    runs it, while the reference interpreter and the seed engine stay
-    correct."""
+    runs it, the serial run and the no-jump run alike, while the
+    reference interpreter stays correct."""
     from repro.fuzz import differential
     from repro.sim.compile import K_OUTPUT
     from repro.sim.engine import Engine

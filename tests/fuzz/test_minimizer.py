@@ -45,18 +45,17 @@ def test_seeded_defect_minimized_to_ten_instructions(broken_engine,
     result = run_campaign(seeds=1, start=0, minimize=True)
     assert len(result.cases) == 1
     case = result.cases[0]
-    # The seed-engine SimStats comparison runs first, so it is the
-    # divergence the campaign records and shrinks.
-    assert case.kind == "stats"
+    # Its no-jump run is the same broken engine, so the output
+    # comparison is the divergence the campaign records and shrinks.
+    assert case.kind == "output"
     assert case.minimized_len is not None
     assert case.minimized_len <= 10, (
         f"shrinker left {case.minimized_len} instructions"
     )
     assert case.minimized_len < case.graph_len
-    # The minimized repro still shows both divergences on the broken
+    # The minimized repro still shows the divergence on the broken
     # engine...
     minimized = case.best_recipe()
-    assert divergence_persists(minimized, "stats")
     assert divergence_persists(minimized, "output")
     # ...and is clean on the real one.
     monkeypatch.undo()

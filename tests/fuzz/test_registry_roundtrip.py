@@ -3,8 +3,8 @@
 Every registered workload -- including the tensor family this PR
 adds -- must build, lint clean, and match its pure-Python reference
 at two scales; the single-threaded ones must additionally survive the
-full differential harness (interpreter vs engine vs seed engine vs
-static bound) unchanged.
+full differential harness (interpreter vs engine, with and without
+its fixed-point jump, vs static bound) unchanged.
 """
 
 import pytest

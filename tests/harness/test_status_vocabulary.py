@@ -50,8 +50,7 @@ def test_status_rules_are_declared_only_in_the_ledger():
     sites = [
         f"{path.relative_to(SRC)}:{line}"
         for path in sorted(SRC.rglob("*.py"))
-        if "_legacy" not in path.relative_to(SRC).parts
-        and path != Path(ledger.__file__)
+        if path != Path(ledger.__file__)
         for line in status_rule_lines(path.read_text())
     ]
     assert sites == [], (

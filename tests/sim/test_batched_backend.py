@@ -7,17 +7,15 @@ every cell's :class:`~repro.sim.stats.SimStats` -- and every
 Both drive the engine's one hot path, so what these tests hold is the
 batch loop: per-cell failure isolation, and hooks attached to some
 cells of a batch and not others.  (The hot path itself is held to the
-frozen seed engine by ``tests/sim/test_golden_stats.py`` on both
-configs below.)
+recorded no-jump verdicts of ``tests/sim/verdicts.json``, here and in
+``tests/sim/test_golden_stats.py``, on both configs below.)
 """
 
 from dataclasses import asdict
 
 import pytest
 
-from repro.core import WaveScalarConfig
 from repro.place.snake import place
-from repro.sim._legacy.engine import Engine as LegacyEngine
 from repro.sim.batched import BatchedEngine
 from repro.sim.compile import get_compiled
 from repro.sim.engine import Engine
@@ -25,19 +23,14 @@ from repro.sim.failures import SimulationDeadlock
 from repro.workloads import Scale
 from repro.workloads.registry import all_names, get
 
+from .verdicts import GOLDEN, STARVED, STARVED_BUDGETS, recorded, verdict
+
 #: The golden sweep config, plus a deliberately starved design that
 #: drives several workloads into the failure taxonomy (conflict
 #: pressure, budget exhaustion) -- the batched backend must reproduce
 #: those failures bit-for-bit too.
-GOLDEN = WaveScalarConfig(
-    clusters=4, virtualization=64, matching_entries=64, l2_mb=1
-)
-STARVED = WaveScalarConfig(
-    clusters=1, virtualization=16, matching_entries=16,
-    matching_banks=2, matching_associativity=2, l2_mb=0,
-)
 CONFIGS = (GOLDEN, STARVED)
-MAX_CYCLES = 200_000
+MAX_CYCLES = STARVED_BUDGETS["200k-cycles"]["max_cycles"]
 
 
 def _compiled(name: str):
@@ -54,20 +47,11 @@ def _engine(compiled, config, max_cycles=MAX_CYCLES, **budgets) -> Engine:
     )
 
 
-def _verdict(stats, error):
-    """``("ok", stats-dict)`` or ``("fail", class, message,
-    diagnostics)`` -- the full comparable surface of one engine run."""
-    if error is None:
-        return ("ok", asdict(stats))
-    return ("fail", type(error).__name__, str(error),
-            error.diagnostics.to_dict())
-
-
 def _run(engine):
     try:
-        return _verdict(engine.run(), None)
+        return verdict(engine.run(), None)
     except SimulationDeadlock as exc:
-        return _verdict(None, exc)
+        return verdict(None, exc)
 
 
 @pytest.mark.parametrize("name", all_names())
@@ -77,18 +61,13 @@ def test_batched_bit_identical_to_plain_and_seed(name):
     outcomes = BatchedEngine(
         [_engine(compiled, config) for config in CONFIGS]
     ).run(strict=True)
-    assert [_verdict(o.stats, o.error) for o in outcomes] == plain
-    # Seed-engine oracle on the golden config (the legacy engine has
-    # no compiled-decode path, so it takes the graph directly).
-    workload = get(name)
-    threads = 4 if workload.multithreaded else None
-    graph = workload.instantiate(scale=Scale.TINY, threads=threads,
-                                 seed=0)
-    placement = place(graph, GOLDEN)
-    legacy = _run(
-        LegacyEngine(graph, GOLDEN, placement, max_cycles=MAX_CYCLES)
-    )
-    assert plain[0] == legacy
+    assert [verdict(o.stats, o.error) for o in outcomes] == plain
+    # The recorded no-jump verdicts: every golden cell finishes well
+    # inside the budget, and the starved one is recorded at it.
+    assert plain == [
+        recorded()[f"golden/{name}"]["verdict"],
+        recorded()[f"starved/200k-cycles/{name}"]["verdict"],
+    ]
 
 
 def test_width_one_batch_matches_plain():
@@ -189,7 +168,7 @@ def test_hooks_compose_with_lockstep_execution(budgets):
     batch_engines = _hooked_engines(compiled, budgets)
     outcomes = BatchedEngine(batch_engines).run(strict=True)
     batched = _observed(
-        batch_engines, [_verdict(o.stats, o.error) for o in outcomes]
+        batch_engines, [verdict(o.stats, o.error) for o in outcomes]
     )
 
     assert batched == serial

@@ -1,9 +1,18 @@
-"""Unit and property tests for the matching table."""
+"""Unit and property tests for the matching table, and the proof that
+``Engine._drain``'s inlined probe is this table's ``insert``."""
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim.engine import Engine
+from repro.sim.failures import SimulationDeadlock
 from repro.sim.pe.matching import MatchingTable
+from repro.sim.trace import Trace
+
+from .verdicts import GOLDEN, STARVED, STARVED_BUDGETS, cell
 
 
 def table(entries=16, assoc=2, banks=4, k=4) -> MatchingTable:
@@ -114,20 +123,108 @@ def test_shared_results_carry_no_row_state():
     assert not r2.miss and not r2.deflected
 
 
-def test_inlined_insert_hash_matches_set_index():
-    """insert's inlined hash and the public set_index must agree --
-    in the tuned-hash regime and in the small-table fallback: both
-    rows land in the set set_index names."""
-    tuned = MatchingTable(entries=8, associativity=2, banks=1, hash_k=2)
-    tuned.insert((0, 1, 1), 0, 1, slot=3, arity=2, cycle=0)
-    tuned.insert((0, 3, 2), 0, 1, slot=3, arity=2, cycle=1)
-    assert tuned._by_set == {tuned.set_index(3, 1): [(0, 1, 1), (0, 3, 2)]}
+#: One config per regime of the hash: 32 sets in groups of k=4 wave
+#: slots (tuned), and 2 sets, fewer than one group (fallback).
+HASH_REGIMES = {
+    "tuned": GOLDEN,
+    "fallback": replace(STARVED, matching_entries=4),
+}
 
-    # sets (=2) < hash_k (=8): the fallback (slot + wave) % sets hash.
-    small = MatchingTable(entries=4, associativity=2, banks=1, hash_k=8)
-    small.insert((0, 1, 1), 0, 1, slot=1, arity=2, cycle=0)
-    small.insert((0, 2, 2), 0, 1, slot=0, arity=2, cycle=1)
-    assert small._by_set == {small.set_index(1, 1): [(0, 1, 1), (0, 2, 2)]}
+
+def test_inlined_insert_hash_matches_set_index():
+    """``Engine._drain`` picks a token's set as its instruction's
+    ``_d_set_base`` plus its wave (mod k when tuned, mod sets in the
+    fallback); that must be the set :meth:`MatchingTable.set_index`
+    names, for every instruction of a placed graph and every wave."""
+    for regime, config in HASH_REGIMES.items():
+        engine = Engine(*cell("fft", config))
+        t0 = engine.matching[0]
+        k, sets = t0.hash_k, t0.sets
+        assert (t0._groups >= 1) == (regime == "tuned")
+        for inst_id, base in enumerate(engine._d_set_base):
+            table = engine.matching[engine._pe_of[inst_id]]
+            slot = engine._d_slot[inst_id]
+            for wave in range(2 * k):
+                inlined = base + wave % k if regime == "tuned" \
+                    else (base + wave) % sets
+                assert inlined == table.set_index(slot, wave), \
+                    (regime, inst_id, wave)
+
+
+class _Replay(Trace):
+    """Replays one engine's matching events through fresh live tables.
+
+    Every ``reject`` and ``input`` event is one probe of the engine's
+    inlined insert; each goes, in order, through its PE's own
+    :meth:`MatchingTable.insert`, whose outcome must be the engine's:
+    rejected (``reject``), deflected (the next event is the token's
+    ``overflow``), fired (the next event is its ``match``) or stored
+    (neither).  The engine posts no event for an eviction, so those
+    are tallied here for the caller to hold to ``SimStats``."""
+
+    def __init__(self, engine):
+        super().__init__(limit=0)
+        self.slot = engine._d_slot
+        self.arity = engine._d_match
+        self.tables = [
+            MatchingTable(t.entries, t.associativity, t.banks, t.hash_k)
+            for t in engine.matching
+        ]
+        self.expect = None
+        self.outcomes = dict.fromkeys(
+            ("reject", "store", "fire", "evict", "deflect"), 0)
+
+    def emit(self, cycle, kind, pe, inst, thread, wave, detail=""):
+        event = (cycle, kind, pe, inst, thread, wave)
+        if self.expect is not None:
+            assert event == self.expect, (event, self.expect)
+            self.expect = None
+            return
+        assert kind not in ("match", "overflow"), event
+        if kind not in ("reject", "input"):
+            return
+        port = int(detail.split()[1]) if kind == "input" else 0
+        result = self.tables[pe].insert(
+            (thread, wave, inst), port, detail, slot=self.slot[inst],
+            arity=self.arity[inst], cycle=cycle,
+        )
+        assert result.accepted == (kind == "input"), event
+        outcomes = self.outcomes
+        if not result.accepted:
+            outcomes["reject"] += 1
+        elif result.deflected:
+            outcomes["deflect"] += 1
+            self.expect = (cycle, "overflow", pe, inst, thread, wave)
+        else:
+            outcomes["evict"] += result.evicted is not None
+            if result.fired is None:
+                outcomes["store"] += 1
+            else:
+                outcomes["fire"] += 1
+                self.expect = (cycle, "match", pe, inst, thread, wave)
+
+
+@pytest.mark.parametrize("name", ("art", "djpeg"))
+def test_engine_trace_replays_through_the_live_insert(name):
+    """The engine's inlined probe is :meth:`MatchingTable.insert`: its
+    trace, streamed through the live table, agrees at every operand.
+    One starved cell (art finishes, djpeg exhausts its budget) takes
+    every branch -- bank reject, store, fire, eviction, deflection."""
+    engine = Engine(*cell(name, STARVED),
+                    **STARVED_BUDGETS["200k-cycles"])
+    replay = engine.trace = _Replay(engine)
+    try:
+        engine.run()
+    except SimulationDeadlock:
+        pass
+    assert replay.expect is None
+    outcomes, stats = replay.outcomes, engine.stats
+    assert all(outcomes.values()), outcomes
+    assert outcomes["reject"] == stats.input_rejects
+    assert outcomes["evict"] == stats.matching_evictions
+    assert outcomes["evict"] + outcomes["deflect"] == stats.matching_misses
+    assert outcomes["store"] + outcomes["fire"] + outcomes["deflect"] \
+        == stats.matching_inserts
 
 
 @settings(max_examples=40, deadline=None)

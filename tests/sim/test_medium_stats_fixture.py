@@ -1,15 +1,13 @@
 """Data oracle: medium-scale ``SimStats`` pinned as a JSON fixture.
 
-``sim/_legacy/engine.py`` imports the live ``BandwidthLedger`` (and the
-live network and memory models), so the seed-engine golden suite
-cannot witness a change to any of them.  (It imports the live
-``MatchingTable`` too, but the engine inlines that table's ``insert``
-rather than calling it, so there the suite compares two
-implementations.)  This fixture can: it holds
-the full ``SimStats`` of the benchmark's six ``cells_long`` cells,
-recorded at the commit *before* the ledger's cleanup scan was deleted,
-and the engine must reproduce it field for field -- run alone, and
-driven by the batched backend (``repro.sim.batched``).
+The recorded verdicts of ``tests/sim/verdicts.json`` are tiny cells,
+whose ``BandwidthLedger`` reservation dicts stay small.  This fixture
+holds the full ``SimStats`` of the benchmark's six ``cells_long``
+cells at medium scale, where ammp, mcf and gzip grow them past the
+4096 entries at which the ledger's deleted cleanup scan used to run.
+It was recorded at the commit *before* that scan was deleted, and the
+engine must reproduce it field for field -- run alone, and driven by
+the batched backend (``repro.sim.batched``).
 
 To re-record after an intended change to a simulated statistic::
 
