@@ -258,6 +258,10 @@ class _Driver:
         self.report = report
         self.progress = progress
         self.prevalidate = prevalidate
+        #: The config lint's verdict per distinct config: the rules
+        #: read the config alone, and a campaign runs each config once
+        #: per workload.
+        self.rejections: dict = {}
         self.failure_budget = failure_budget
         self.aborted = False
         self.breaker = CircuitBreaker()
@@ -312,7 +316,9 @@ class _Driver:
                 self.waiting.setdefault(cell, []).append(lane)
                 return None
             if self.prevalidate:
-                rejected = static_rejection(spec)
+                if spec.config not in self.rejections:
+                    self.rejections[spec.config] = static_rejection(spec)
+                rejected = self.rejections[spec.config]
                 if rejected is not None:
                     record = Ledger.record_invalid(spec, rejected)
                     self.report.invalid += 1

@@ -8,9 +8,13 @@ store buffers, and the coherent cache hierarchy.
 The engine is event-driven with exact bandwidth accounting: every
 serialised resource (dispatch ports, result buses, NET pseudo-PEs,
 mesh links, L1 ports, FPUs) is a reservation ledger, so work is
-proportional to tokens in flight rather than cycles times PEs -- the
-idle tiles of a 512-PE configuration cost nothing.  All latencies and
-bandwidths come from :class:`~repro.core.config.WaveScalarConfig`
+proportional to tokens in flight rather than cycles times PEs.  Per-PE
+state is built only for the PEs the placement occupies (a token only
+ever reaches its instruction's PE): an idle PE's matching table and
+instruction store are one shared empty pair that nothing writes, and
+it gets no dispatch port, FPU or result bus, so the idle tiles of a
+512-PE configuration cost nothing to build or to run.  All latencies
+and bandwidths come from :class:`~repro.core.config.WaveScalarConfig`
 (paper Table 1).
 
 There is one hot path.  :meth:`Engine._drain` is the only event
@@ -55,11 +59,16 @@ table's rule):
   single-operand instruction never holds a row, so its token skips
   the row key and the probe.
 * Same-cycle token fan-outs post as one ``EV_TOKEN_BATCH`` calendar
-  entry; the loop unpacks them token by token, charging the event
-  budget per token, so heap traffic shrinks but ``events_processed``,
+  entry: a delivery's next consumer arriving in the same cycle turns
+  the entry just posted, still its bucket's last, into a batch.  The
+  loop charges each token entry to the event budget once, up front,
+  with one event per token, and splits a batch the budget ends
+  inside, so heap traffic shrinks but ``events_processed``,
   budget-raise points, and failure diagnostics stay bit-identical.
-  The horizon moves once per bucket, whose entries all charge at its
-  cycle.
+  The loop's horizon is the cycle of the bucket it drains (cycles
+  come off the calendar in order), and a budget raise finds its entry
+  from the events its bucket charged, so a bucket's entries carry no
+  index.
 * Routes are resolved once per run, not per token.  A consumer's PE
   and the network level to it are fixed by the placement, so OUTPUT
   reads a route table (:class:`_RouteTable`).  For each instruction,
@@ -187,11 +196,8 @@ class Engine:
         self.memory = MemoryHierarchy(
             config, self.network, self.stats, graph.initial_memory
         )
-        if warm_caches and self.memory.l2 is not None:
-            from .memory.hierarchy import SHARED
-
-            for word in graph.initial_memory:
-                self.memory.l2.insert(self.memory.line_of(word), SHARED)
+        if warm_caches:
+            self.memory.warm_l2(graph.initial_memory)
         self.storebuffers = [
             StoreBuffer(
                 cluster=c,
@@ -203,24 +209,38 @@ class Engine:
             for c in range(config.clusters)
         ]
 
+        # Per-PE state exists for the PEs the placement occupies: a
+        # token only ever reaches the PE of its instruction, so an idle
+        # PE never matches, fetches, dispatches or drives its result
+        # bus.  Its entries in ``matching`` and ``istores`` are one
+        # shared empty table and store that nothing writes, and it has
+        # no dispatch port, FPU or result bus at all.  Construction
+        # then follows the program, not the machine.
         n_pes = config.total_pes
         assigned = placement.assigned
-        self.matching = [
-            MatchingTable(
+        occupied = sorted(pe for pe, ids in assigned.items() if ids)
+        self._occupied = occupied
+
+        def table() -> MatchingTable:
+            return MatchingTable(
                 config.matching_entries,
                 config.matching_associativity,
                 config.matching_banks,
                 config.matching_hash_k,
             )
-            for _ in range(n_pes)
-        ]
-        self.istores = [
-            InstructionStore(config.virtualization, assigned.get(pe, []))
-            for pe in range(n_pes)
-        ]
-        self._dispatch = [BandwidthLedger(1) for _ in range(n_pes)]
-        n_domains = config.clusters * config.domains_per_cluster
-        self._fpu = [BandwidthLedger(1) for _ in range(n_domains)]
+
+        self.matching = [table()] * n_pes
+        self.istores = [InstructionStore(config.virtualization, [])] * n_pes
+        for pe in occupied:
+            self.matching[pe] = table()
+            self.istores[pe] = InstructionStore(
+                config.virtualization, assigned[pe]
+            )
+        self._dispatch = {pe: BandwidthLedger(1) for pe in occupied}
+        self._fpu = {
+            domain: BandwidthLedger(1)
+            for domain in {pe // config.pes_per_domain for pe in occupied}
+        }
 
         # Decoded-instruction arrays: the per-firing hot path reads
         # these flat tuples instead of chasing Instruction/Opcode
@@ -442,23 +462,41 @@ class Engine:
         self.stats.events_processed = processed
         return self.failure_diagnostics()
 
-    def _events_exhausted(self, cycle: int, bucket: list, index: int,
-                          batch_index: int, processed: int,
-                          horizon: int) -> EventBudgetExhausted:
-        """The event-budget failure for the entry in flight, with the
-        bucket tail back on the calendar and the loop's running max
-        folded in so the diagnostics see it.  ``horizon`` is that max
-        from before the bucket: any charge of the bucket ahead of the
-        one in flight had moved it to ``cycle``."""
+    def _events_exhausted(
+        self, cycle: int, bucket: list, charges: int, processed: int,
+        horizon: int,
+    ) -> EventBudgetExhausted:
+        """The event-budget failure for the event in flight, the
+        ``charges``-th the bucket charged, with the bucket tail back on
+        the calendar and the loop's running max folded in so the
+        diagnostics see it.  ``horizon`` is that max from before the
+        bucket: any charge of the bucket ahead of the one in flight had
+        moved it to ``cycle``."""
         self._note_time(horizon)
-        if index or batch_index:
+        if charges > 1:
             self._note_time(cycle)
-        self._requeue_bucket(cycle, bucket, index, batch_index)
+        self._requeue_bucket(cycle, bucket, *_charged_entry(bucket, charges))
         return EventBudgetExhausted(
             f"{self.graph.name}: exceeded {self.max_events} events at "
             f"cycle {cycle} (thrashing)",
             self._budget_stop(processed),
         )
+
+    @staticmethod
+    def _split_batch(bucket: list, charges: int, covered: int) -> tuple:
+        """Cut the token batch that follows the bucket's first
+        ``charges`` charged events after its ``covered``-th token, the
+        last one the event budget covers.  The head replaces the batch
+        and the tail goes in right after it, so the loop runs the head
+        and raises on the tail's first token.  Returns the head."""
+        index = _charged_entry(bucket, charges + 1)[0]
+        payload = bucket[index][1]
+        head, tail = payload[:covered], payload[covered:]
+        bucket[index:index + 1] = [
+            (EV_TOKEN, part[0]) if len(part) == 1 else (EV_TOKEN_BATCH, part)
+            for part in (head, tail)
+        ]
+        return head
 
     def _drain(self) -> int:
         """The event loop: process calendar buckets until the calendar
@@ -473,10 +511,12 @@ class Engine:
 
         The INPUT and MATCH stages are inlined here, once: an
         ``EV_TOKEN`` entry is a batch of one, an ``EV_TOKEN_BATCH``
-        entry unpacks with the event budget charged per token exactly
-        as if each token were its own calendar entry, and a completed
-        ``EV_IFETCH`` replays its parked tokens through the same body
-        uncharged (they were charged on arrival).  The matching probe
+        entry is charged one event per token exactly as if each token
+        were its own calendar entry (a batch the event budget ends
+        inside runs the tokens it covers, see :meth:`_split_batch`),
+        and a completed ``EV_IFETCH`` replays its parked tokens
+        through the same body uncharged (they were charged on
+        arrival).  The matching probe
         is :meth:`MatchingTable.insert` inlined -- every table of one
         engine shares its hash geometry, hoisted below, and the bank
         claims of all of them are the run's one stamp list -- and must
@@ -524,27 +564,32 @@ class Engine:
         mt_banks = t0.banks
         mt_assoc = t0.associativity
         mt_entries = t0.entries
-        # Each PE's rows (key -> ports) and sets (set -> resident keys).
-        pe_rows = [t._rows for t in matching]
-        pe_sets = [t._by_set for t in matching]
+        # Each occupied PE's rows (key -> ports), sets (set -> resident
+        # keys) and over-subscription flag (fixed at construction: the
+        # common case skips the InstructionStore object entirely), in
+        # flat lists filled at the occupied indices only.
+        n_pes = len(matching)
+        pe_rows = [None] * n_pes
+        pe_sets = [None] * n_pes
+        istore_over = [False] * n_pes
+        for pe in self._occupied:
+            pe_rows[pe] = matching[pe]._rows
+            pe_sets[pe] = matching[pe]._by_set
+            istore_over[pe] = istores[pe].over_subscribed
         # The cycle that last claimed each matching bank, indexed
         # ``pe * banks + bank``.  Cycles never decrease, so a stamp
         # equal to the cycle being drained means the bank is taken
         # this cycle.
-        claims = [-1] * (len(matching) * mt_banks)
+        claims = [-1] * (n_pes * mt_banks)
 
-        # Per-PE over-subscription flags (fixed at construction) as one
-        # flat list: the common case skips the InstructionStore object
-        # entirely.
-        istore_over = [s.over_subscribed for s in istores]
-
-        # The activity horizon as a local running max, moved once per
-        # bucket: every entry of a bucket is charged at its cycle.
+        # The activity horizon as the loop sees it: cycles come off the
+        # calendar in order, so it is the cycle of the bucket being
+        # drained, and ``before`` is the one it was before that bucket.
         # Dispatch and memory handlers keep writing ``self._horizon``
         # directly; the true horizon is the max of both, restored on
         # every exit and -- because ``_budget_stop`` reads it -- before
         # each budget raise.
-        horizon = self._horizon
+        cycle = self._horizon
 
         processed = 0
         istore_hits = istore_misses = input_rejects = 0
@@ -560,61 +605,88 @@ class Engine:
 
         try:
             while cycle_heap:
+                before = cycle
                 cycle = heap_pop(cycle_heap)
                 bucket = buckets.pop(cycle)
                 if cycle > max_cycles:
-                    self._note_time(horizon)
+                    self._note_time(before)
                     self._requeue_bucket(cycle, bucket, 0, 0)
+                    # The bucket never started: the horizon stays put.
+                    cycle = before
                     raise CycleBudgetExhausted(
                         f"{self.graph.name}: exceeded {max_cycles} cycles",
                         self._budget_stop(processed),
                     )
-                before = horizon
-                if cycle > horizon:
-                    horizon = cycle
-                for index, (tag, payload) in enumerate(bucket):
+                # The events the bucket charged before this entry are
+                # ``processed - start``; a budget raise finds its entry
+                # from that count.
+                start = processed
+                for tag, payload in bucket:
+                    # Each token entry charges the event budget per
+                    # token up front, exactly as if each token were its
+                    # own calendar entry.
                     if tag == ev_token:
+                        processed += 1
+                        if processed > max_events:
+                            raise self._events_exhausted(
+                                cycle, bucket, processed - start,
+                                processed, before,
+                            )
                         tokens = (payload,)
                     elif tag == token_batch:
                         tokens = payload
+                        processed += len(payload)
+                        if processed > max_events:
+                            # The budget ends inside the batch: run the
+                            # tokens it covers, then raise on the next.
+                            processed -= len(payload)
+                            if processed == max_events:
+                                processed += 1
+                                raise self._events_exhausted(
+                                    cycle, bucket, processed - start,
+                                    processed, before,
+                                )
+                            tokens = self._split_batch(
+                                bucket, processed - start,
+                                max_events - processed,
+                            )
+                            processed = max_events
                     else:
                         processed += 1
                         if processed > max_events:
                             raise self._events_exhausted(
-                                cycle, bucket, index, 0, processed, before
+                                cycle, bucket, processed - start,
+                                processed, before,
                             )
-                        if prof is not None:
-                            prof.push(tag_phase[tag])
                         if tag != ev_ifetch:
-                            handlers[tag](cycle, payload)
-                            if prof is not None:
+                            if prof is None:
+                                handlers[tag](cycle, payload)
+                            else:
+                                prof.push(tag_phase[tag])
+                                handlers[tag](cycle, payload)
                                 prof.pop()
                             continue
                         # An instruction fetch completed: bind it and
-                        # replay the tokens that were waiting on it.
+                        # replay the tokens that were waiting on it,
+                        # uncharged (they were charged on arrival).
                         # The instruction cannot be evicted before
                         # they are processed: eviction only happens on
                         # a fill, and fills happen in later events.
+                        if prof is not None:
+                            prof.push(tag_phase[tag])
                         pe, inst_id = payload
                         istores[pe].fill(inst_id)
                         if trace is not None:
                             trace.emit(cycle, "ifetch", pe, inst_id, -1, -1)
                         tokens = ifetch.pop(payload, ())
-                    charged = tag != ev_ifetch
-                    first = processed + 1
                     for payload in tokens:
-                        if charged:
-                            # One "input" span per charged token: close
-                            # the previous token's, open this one's.
-                            if prof is not None and processed >= first:
-                                prof.pop()
-                            processed += 1
-                            if processed > max_events:
-                                raise self._events_exhausted(
-                                    cycle, bucket, index, processed - first,
-                                    processed, before,
-                                )
-                            if prof is not None:
+                        if hooked:
+                            if prof is not None and tag != ev_ifetch:
+                                # One "input" span per charged token:
+                                # close the previous token's, open
+                                # this one's.
+                                if payload is not tokens[0]:
+                                    prof.pop()
                                 prof.push("input")
                         pe, thread, wave, inst_id, port, value, local = \
                             payload
@@ -646,9 +718,8 @@ class Engine:
                         # no matching rendezvous (Section 3.3.1).
                         arity = d_match[inst_id]
                         if arity is None:
-                            delay = 0 if (local and spec_fire) \
-                                else match_delay
-                            at = cycle + delay
+                            at = cycle if local and spec_fire \
+                                else cycle + match_delay
                             item = (ev_dispatch,
                                     (pe, thread, wave, inst_id,
                                      (port, value)))
@@ -755,11 +826,14 @@ class Engine:
                                         heap_push(cycle_heap, at)
                                     else:
                                         b.append(item)
-                                    deflections += charged
+                                    deflections += tag != ev_ifetch
                                     if cycle >= fp_at and tag == ev_token \
-                                            and index + 1 == len(bucket):
-                                        # The bucket is spent, so the
-                                        # calendar is whole: look for
+                                            and bucket[-1][1] is payload:
+                                        # The entry is the bucket's last
+                                        # (a token is in one place at a
+                                        # time, so no other entry holds
+                                        # it): the bucket is spent and
+                                        # the calendar whole.  Look for
                                         # the fixed point, once a period.
                                         fp_seen, skipped = self._fixed_point(
                                             cycle, processed, deflections,
@@ -806,19 +880,19 @@ class Engine:
                                 sanitizer.note_table_size(
                                     pe, len(rows), mt_entries
                                 )
+                            if fired and trace is not None:
+                                trace.emit(
+                                    cycle, "match", pe, inst_id, thread,
+                                    wave,
+                                    "speculative" if local and spec_fire
+                                    or not match_delay else "",
+                                )
                         if not fired:
                             continue
-
-                        delay = 0 if (local and spec_fire) \
-                            else match_delay
-                        if delay == 0:
+                        at = cycle if local and spec_fire \
+                            else cycle + match_delay
+                        if at == cycle:
                             speculative_hits += 1
-                        if trace is not None:
-                            trace.emit(
-                                cycle, "match", pe, inst_id, thread, wave,
-                                "speculative" if delay == 0 else "",
-                            )
-                        at = cycle + delay
                         item = (ev_dispatch,
                                 (pe, thread, wave, inst_id, operands))
                         b = buckets.get(at)
@@ -831,7 +905,7 @@ class Engine:
                         # The last token's span, or the fetch event's.
                         prof.pop()
         finally:
-            self._note_time(horizon)
+            self._note_time(cycle)
             stats.istore_hits += istore_hits
             stats.istore_misses += istore_misses
             stats.input_rejects += input_rejects
@@ -911,7 +985,7 @@ class Engine:
         """A structured snapshot of buffered work, attached to every
         engine-raised failure (and cheap enough to call ad hoc)."""
         matching_rows = sum(
-            len(table.pending_rows()) for table in self.matching
+            len(self.matching[pe]) for pe in self._occupied
         )
         ifetch_queued = sum(len(q) for q in self._ifetch.values())
         kbound = sum(len(s) for s in self._kbound_stalls.values())
@@ -941,8 +1015,8 @@ class Engine:
 
     def _check_quiescent(self) -> None:
         problems = []
-        for pe, table in enumerate(self.matching):
-            rows = table.pending_rows()
+        for pe in self._occupied:
+            rows = self.matching[pe].pending_rows()
             if rows:
                 sample = ", ".join(
                     f"{r.key}(ports {sorted(r.ports)})" for r in rows[:4]
@@ -992,20 +1066,24 @@ class Engine:
         # Every PE dispatch port and per-domain FPU is a
         # ``BandwidthLedger(1)``; the inlined reserves below hard-code
         # that width (a slot is free exactly when its cycle is absent)
-        # and read each PE's two reservation dicts straight from lists.
-        assert all(ledger.per_cycle == 1 for ledger in self._dispatch)
-        assert all(ledger.per_cycle == 1 for ledger in self._fpu)
-        dispatch_used = [ledger._used for ledger in self._dispatch]
-        fpu_used = [
-            self._fpu[pe // pes_per_domain]._used
-            for pe in range(len(dispatch_used))
-        ]
+        # and read each occupied PE's two reservation dicts straight
+        # from lists.
+        dispatch_used = [None] * len(self.matching)
+        fpu_used = [None] * len(self.matching)
+        for pe, ledger in self._dispatch.items():
+            fpu = self._fpu[pe // pes_per_domain]
+            assert ledger.per_cycle == fpu.per_cycle == 1
+            dispatch_used[pe] = ledger._used
+            fpu_used[pe] = fpu._used
+        # Every dispatch is a dynamic instruction except a STORE's data
+        # half (the address half counts the STORE), so only those are
+        # counted apart.
         n_dispatches = 0
-        n_dynamic = 0
+        n_store_data = 0
         n_alpha = 0
 
         def on_dispatch(cycle, payload):
-            nonlocal n_dispatches, n_dynamic, n_alpha
+            nonlocal n_dispatches, n_store_data, n_alpha
             pe, thread, wave, inst_id, operands = payload
             kind, latency, uses_fpu, alpha = d_row[inst_id]
             used = dispatch_used[pe]
@@ -1037,7 +1115,6 @@ class Engine:
                     trace.emit(done, "execute", pe, inst_id, thread, wave)
 
             if kind == K_ALU:  # the hottest case: plain ALU evaluation
-                n_dynamic += 1
                 if alpha:
                     n_alpha += 1
                 if prof is None:
@@ -1055,16 +1132,15 @@ class Engine:
             if kind == K_STORE:
                 port, value = operands
                 if port == 0:
-                    n_dynamic += 1
                     n_alpha += 1
                     send_memory(pe, thread, wave, inst_id, value, done,
                                 ev_sbaddr)
                 else:
+                    n_store_data += 1
                     send_memory(pe, thread, wave, inst_id, value, done,
                                 ev_sbdata)
                 return
 
-            n_dynamic += 1
             if alpha:
                 n_alpha += 1
 
@@ -1103,11 +1179,11 @@ class Engine:
             deliver(pe, routes[inst_id], int(imm), 0, value, done)
 
         def flush():
-            nonlocal n_dispatches, n_dynamic, n_alpha
+            nonlocal n_dispatches, n_store_data, n_alpha
             stats.dispatches += n_dispatches
-            stats.dynamic_instructions += n_dynamic
+            stats.dynamic_instructions += n_dispatches - n_store_data
             stats.alpha_instructions += n_alpha
-            n_dispatches = n_dynamic = n_alpha = 0
+            n_dispatches = n_store_data = n_alpha = 0
 
         return on_dispatch, flush
 
@@ -1134,8 +1210,11 @@ class Engine:
         # call -- it is both the rarest and the most stateful.
         net = self.network
         pod_latency = net._pod_route.latency
-        assert all(ledger.per_cycle == 1 for ledger in net._pe_bus)
-        bus_used = [ledger._used for ledger in net._pe_bus]
+        bus_used = [None] * len(self.matching)
+        for pe in self._occupied:
+            bus = net.result_bus(pe)
+            assert bus.per_cycle == 1
+            bus_used[pe] = bus._used
         net_in = net._net_in
         route_grid = net._route_grid
         pes_per_domain = self._pes_per_domain
@@ -1163,20 +1242,21 @@ class Engine:
             delivered a cycle before the result formally completes.
 
             Consecutive deliveries landing on the same arrival cycle
-            fuse into one calendar entry, as in :meth:`_post_tokens`.
+            fuse into one calendar entry, as in :meth:`_post_tokens`:
+            nothing posts between them, so the first one's entry is
+            still the last of its bucket when the next arrives, and
+            grows into a batch there.
             """
             nonlocal pod_messages, domain_messages, cluster_messages
             nonlocal latency_sum
             if prof is not None:
                 prof.push("deliver")
-            spec_pod = bypass_from is not None and spec_fire
-            batch = None
-            batch_cycle = -1
+            last = -1
             for dst_pe, dst_inst, port, level in route:
                 if not level:  # pod
                     pod_messages += 1
                     pod_local = True
-                    if spec_pod:
+                    if bypass_from is not None and spec_fire:
                         arrive = bypass_from + 1
                         if cycle - 1 > arrive:
                             arrive = cycle - 1
@@ -1221,29 +1301,18 @@ class Engine:
                         )
                 token = (dst_pe, thread, wave, dst_inst, port, value,
                          pod_local)
-                if arrive == batch_cycle:
-                    batch.append(token)
+                if arrive == last:
+                    tag, held = b[-1]
+                    b[-1] = (token_batch, (held, token) if tag == ev_token
+                             else held + (token,))
                     continue
-                if batch is not None:
-                    entry = (ev_token, batch[0]) if len(batch) == 1 \
-                        else (token_batch, tuple(batch))
-                    b = buckets.get(batch_cycle)
-                    if b is None:
-                        buckets[batch_cycle] = [entry]
-                        heap_push(cycle_heap, batch_cycle)
-                    else:
-                        b.append(entry)
-                batch = [token]
-                batch_cycle = arrive
-            if batch is not None:
-                entry = (ev_token, batch[0]) if len(batch) == 1 \
-                    else (token_batch, tuple(batch))
-                b = buckets.get(batch_cycle)
+                last = arrive
+                b = buckets.get(arrive)
                 if b is None:
-                    buckets[batch_cycle] = [entry]
-                    heap_push(cycle_heap, batch_cycle)
+                    b = buckets[arrive] = [(ev_token, token)]
+                    heap_push(cycle_heap, arrive)
                 else:
-                    b.append(entry)
+                    b.append((ev_token, token))
             if prof is not None:
                 prof.pop()
 
@@ -1332,11 +1401,12 @@ class Engine:
         route (``Interconnect.route_clusters``, which counts it); one
         inside a cluster is counted here.  A completion's consumers
         come from the run's route table; same-cycle arrivals fuse as
-        in :meth:`_post_tokens`."""
+        in OUTPUT's ``deliver``."""
         buckets = self._buckets
         cycle_heap = self._cycle_heap
         heap_push = heappush
-        post_tokens = self._post_tokens
+        ev_token = EV_TOKEN
+        token_batch = EV_TOKEN_BATCH
         ev_sbdata = EV_SBDATA
         thread_home = self.placement.thread_home
         storebuffers = self.storebuffers
@@ -1389,8 +1459,7 @@ class Engine:
                 trace.emit(cycle, "mem_done", -1, inst_id, thread, wave,
                            f"= {value!r}")
             home = thread_home.get(thread, 0)
-            batch = None
-            batch_cycle = -1
+            last = -1
             for dst_pe, dst_inst, port, _ in routes[inst_id]:
                 if sanitizer is not None:
                     sanitizer.note_created()
@@ -1403,15 +1472,18 @@ class Engine:
                         home, dst_cluster, cycle
                     ) + domain_latency
                 token = (dst_pe, thread, wave, dst_inst, port, value, False)
-                if arrive == batch_cycle:
-                    batch.append(token)
+                if arrive == last:
+                    tag, held = b[-1]
+                    b[-1] = (token_batch, (held, token) if tag == ev_token
+                             else held + (token,))
+                    continue
+                last = arrive
+                b = buckets.get(arrive)
+                if b is None:
+                    b = buckets[arrive] = [(ev_token, token)]
+                    heap_push(cycle_heap, arrive)
                 else:
-                    if batch is not None:
-                        post_tokens(batch_cycle, batch)
-                    batch = [token]
-                    batch_cycle = arrive
-            if batch is not None:
-                post_tokens(batch_cycle, batch)
+                    b.append((ev_token, token))
 
         def flush():
             nonlocal local_messages
@@ -1421,6 +1493,19 @@ class Engine:
             local_messages = 0
 
         return send_memory, memory_complete, flush
+
+
+def _charged_entry(bucket: list, charges: int) -> tuple[int, int]:
+    """Where a bucket's ``charges``-th charged event sits: the index of
+    its entry, and its token's index if the entry is a token batch
+    (0 otherwise).  A token batch charges one event per token, every
+    other entry one."""
+    for index, (tag, payload) in enumerate(bucket):
+        width = len(payload) if tag == EV_TOKEN_BATCH else 1
+        if charges <= width:
+            return index, charges - 1
+        charges -= width
+    raise ValueError("the bucket charged fewer events")
 
 
 class _RouteTable(dict):

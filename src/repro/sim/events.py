@@ -9,9 +9,9 @@ constants below, and ``TAG_NAMES``/``TAG_PHASES`` are parallel tuples.
 
 ``EV_TOKEN_BATCH`` carries a tuple of same-cycle token payloads posted
 back-to-back by one delivery fan-out; the loop unpacks it token by
-token, charging the event budget per token, so batching changes heap
-traffic but never ``SimStats`` (``events_processed`` counts tokens,
-exactly as when each travelled alone).
+token and charges the event budget one event per token, so batching
+changes heap traffic but never ``SimStats`` (``events_processed``
+counts tokens, exactly as when each travelled alone).
 
 Humans never see the integers: :func:`tag_name` and :func:`tag_phase`
 map them back for :mod:`repro.obs.profile` output, the Chrome trace

@@ -132,6 +132,22 @@ class MemoryHierarchy:
     def line_of(self, word_addr: int) -> int:
         return int(word_addr) // self.config.line_words
 
+    def warm_l2(self, words) -> None:
+        """Pre-load the lines of ``words`` into the L2 (if there is
+        one), in order, as SHARED.  Inserting the line that was just
+        inserted again, in the same state, leaves the array as it was,
+        so a run of words on one line inserts that line once."""
+        l2 = self.l2
+        if l2 is None:
+            return
+        line_words = self._line_words
+        last = None
+        for word in words:
+            line = int(word) // line_words
+            if line != last:
+                l2.insert(line, SHARED)
+                last = line
+
     def bank_home(self, line: int) -> int:
         """Cluster adjacent to the L2 bank/directory slice for ``line``."""
         return (line % self.n_banks) % self.config.clusters

@@ -100,10 +100,10 @@ class Interconnect:
         self.config = config
         self.stats = stats
         p = config
-        # One result bus per PE (1 result/cycle onto the domain bus).
-        self._pe_bus = [
-            BandwidthLedger(1) for _ in range(p.total_pes)
-        ]
+        # One result bus per PE (1 result/cycle onto the domain bus),
+        # made on first use like the mesh links: only a PE that sends
+        # results ever has one.
+        self._pe_bus: dict[int, BandwidthLedger] = {}
         # One NET pseudo-PE per domain: 1 operand/cycle injected into
         # the domain from outside.
         n_domains = p.clusters * p.domains_per_cluster
@@ -155,6 +155,14 @@ class Interconnect:
         if self.cluster_of(src_pe) == self.cluster_of(dst_pe):
             return "cluster"
         return "grid"
+
+    def result_bus(self, pe: int) -> BandwidthLedger:
+        """The result bus of ``pe``: the ledger every non-pod message
+        it sends reserves first."""
+        bus = self._pe_bus.get(pe)
+        if bus is None:
+            bus = self._pe_bus[pe] = BandwidthLedger(1)
+        return bus
 
     def _mesh_link(self, cluster: int, direction: int) -> BandwidthLedger:
         key = (cluster, direction)
@@ -227,7 +235,7 @@ class Interconnect:
             return route
 
         # All other levels leave the PE on its result bus.
-        bus_granted = self._pe_bus[src_pe].reserve(cycle)
+        bus_granted = self.result_bus(src_pe).reserve(cycle)
         wait = bus_granted - cycle
 
         if level == "domain":

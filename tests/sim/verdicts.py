@@ -258,10 +258,29 @@ def check(case: str) -> dict:
     """Run ``case`` on the engine (fixed-point jump included) and hold
     it to its recorded entry; returns what the run let a caller see."""
     name, config, threads, budgets = CASES[case]
-    seen = observe(Engine(*cell(name, config, threads), **budgets))
+    engine = Engine(*cell(name, config, threads), **budgets)
+    seen = observe(engine)
     want = recorded()[case]
     assert (digest(seen) if isinstance(want, str) else seen) == want, case
+    assert idle_state_written(engine) == [], case
     return seen
+
+
+def idle_state_written(engine) -> list:
+    """The PEs the placement left idle whose per-PE state the run
+    wrote -- matching rows, instruction-store residency or counts, a
+    dispatch port or a result bus -- which must be none: a token only
+    ever reaches the PE of its instruction."""
+    occupied = {pe for pe, ids in engine.placement.assigned.items() if ids}
+    return [
+        pe for pe in range(engine.config.total_pes)
+        if pe not in occupied and (
+            engine.matching[pe]._rows or engine.matching[pe]._by_set
+            or engine.istores[pe].resident_count()
+            or engine.istores[pe].hits or engine.istores[pe].misses
+            or pe in engine._dispatch or pe in engine.network._pe_bus
+        )
+    ]
 
 
 def record() -> dict:
