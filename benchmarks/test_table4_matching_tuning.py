@@ -7,7 +7,8 @@ virtualization ratio and the processor-wide choice.
 
 The paper reports k_opt in 2..4, u_opt in 4..32, ratios 0.13..1 with
 maximum 1 -- we check those *shapes*: saturating k, tolerant u, and a
-processor ratio of at most 1.
+processor ratio of at most 1 -- after checking that every row is an
+answer, not a sweep whose every candidate scored zero.
 """
 
 from repro.core.experiments import tune_workload
@@ -47,6 +48,12 @@ def render(results) -> str:
 def test_table4_tuning(record, benchmark):
     # cache shared across benches: keys fully identify runs
     results = benchmark.pedantic(run_table4, rounds=1, iterations=1)
+    # A sweep in which no candidate scored above zero has no row to
+    # show (its k_opt or u_opt would be a default, not a finding).
+    unanswered = [r for r in results if not r.answered]
+    assert not unanswered, [
+        f"{r.application}: {r.failure}" for r in unanswered
+    ]
     record("table4_matching_tuning", render(results))
 
     by_name = {r.application: r for r in results}

@@ -161,7 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"events; open in https://ui.perfetto.dev)")
     if profile is not None:
         print()
-        print("hot-loop phase profile:")
+        print("hot-loop phase profile (sampled):")
         print(profile.render())
     if sanitizer is not None:
         print()
@@ -450,12 +450,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
     result = tune_workload(
         args.workload, Scale[args.scale.upper()], threads=threads
     )
-    print(
-        f"{result.application}: k_opt={result.k_opt} "
-        f"u_opt={result.u_opt} virtualization ratio "
-        f"{result.virtualization_ratio:.3f}"
-    )
-    return 0
+    found = (f"virtualization ratio {result.virtualization_ratio:.3f}"
+             if result.answered else f"no answer ({result.failure})")
+    print(f"{result.application}: k_opt={result.k_opt} "
+          f"u_opt={result.u_opt} {found}")
+    return 0 if result.answered else 1
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -663,9 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record a pipeline trace and export it as "
                             "Chrome trace-event JSON (open in Perfetto)")
     p_run.add_argument("--profile", action="store_true",
-                       help="attribute hot-loop time to pipeline "
+                       help="sample hot-loop time into pipeline "
                             "phases (input/match/dispatch/execute/"
-                            "deliver) and print the table")
+                            "deliver/memory) and print the table")
 
     p_area = sub.add_parser("area", help="area/timing breakdown")
     _add_config_args(p_area)

@@ -193,6 +193,7 @@ def tune_workload(
     static_size = len(workload.instantiate(scale=scale, threads=threads))
     pes = -(-static_size // 256)  # smallest PE count that fits at V=256
     pes += pes % 2  # pods need pairs
+    failures = []
 
     def evaluate(k: int, matching_entries: int) -> float:
         config = tuning_config(k, matching_entries, pes=pes)
@@ -201,14 +202,18 @@ def tune_workload(
                 config, workload_name, scale, threads=threads, k=k,
                 max_cycles=3_000_000, max_events=5_000_000,
             )
-        except SimulationDeadlock:
+        except SimulationDeadlock as exc:
             # Pathological over-subscription thrashes so hard the run
             # exceeds its cycle budget; the paper's sweep stops at a
             # "significant decrease" -- score it as one.
+            failures.append(type(exc).__name__)
             return 0.0
         return result.aipc
 
-    return tune_application(workload_name, evaluate, v=256)
+    result = tune_application(workload_name, evaluate, v=256)
+    if not result.answered and failures:  # the last run ended the sweep
+        result = replace(result, failure=failures[-1])
+    return result
 
 
 # ----------------------------------------------------------------------

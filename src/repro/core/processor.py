@@ -101,8 +101,10 @@ class WaveScalarProcessor:
         violations instead of raising on deadlock); ``trace`` attaches
         a :class:`~repro.sim.trace.Trace` recording pipeline events
         (export with ``trace.to_chrome(path)``); ``profile`` attaches
-        a :class:`~repro.obs.PhaseProfile` attributing hot-loop time
-        to pipeline phases; ``compiled`` passes the graph's pre-built
+        a :class:`~repro.obs.PhaseProfile` that samples the run's
+        host time into pipeline phases (main thread only; the results
+        are those of an unprofiled run); ``compiled`` passes the
+        graph's pre-built
         :class:`~repro.sim.compile.CompiledGraph` decode straight to
         the engine (it must belong to ``graph``, so it cannot be
         combined with ``k`` rebinding, which derives a new graph).

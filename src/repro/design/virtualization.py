@@ -23,7 +23,7 @@ harness plugs in the real simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 #: "Infinite" matching table stand-in for the k sweep.
 INFINITE_MATCHING = 1 << 20
@@ -38,14 +38,23 @@ U_DROP_THRESHOLD = 0.05
 
 @dataclass(frozen=True)
 class TuningResult:
-    """Per-application Table 4 row."""
+    """Per-application Table 4 row.  A sweep in which no candidate
+    scored above zero has no answer: ``failure`` says why (the failure
+    class its runs ended in), and what it could not find is None."""
 
     application: str
-    k_opt: int
-    u_opt: int
-    virtualization_ratio: float
+    k_opt: Optional[int]
+    u_opt: Optional[int]
+    virtualization_ratio: Optional[float]
+    failure: Optional[str] = None
+
+    @property
+    def answered(self) -> bool:
+        return self.failure is None
 
     def ratio_str(self) -> str:
+        if self.failure:
+            return f"no answer ({self.failure})"
         return f"{self.virtualization_ratio:.2f}"
 
 
@@ -53,8 +62,9 @@ def find_k_opt(
     evaluate: Callable[[int, int], float],
     k_candidates: Sequence[int] = (1, 2, 3, 4, 6, 8),
     threshold: float = K_IMPROVEMENT_THRESHOLD,
-) -> int:
-    """Smallest k whose successor yields < ``threshold`` improvement.
+) -> Optional[int]:
+    """Smallest k whose successor yields < ``threshold`` improvement,
+    or None if no candidate scores above zero.
 
     ``evaluate(k, matching_entries)`` returns performance (higher is
     better); the sweep runs with an effectively infinite matching
@@ -67,7 +77,7 @@ def find_k_opt(
         if best_perf > 0 and (perf - best_perf) / best_perf < threshold:
             return best_k
         best_k, best_perf = k, perf
-    return best_k
+    return best_k if best_perf > 0 else None  # every candidate scored 0
 
 
 def find_u_opt(
@@ -76,12 +86,12 @@ def find_u_opt(
     v: int = 256,
     u_candidates: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
     threshold: float = U_DROP_THRESHOLD,
-) -> int:
+) -> Optional[int]:
     """Largest u before performance drops by > ``threshold`` relative
-    to the unsubscribed (u=1) baseline."""
+    to the unsubscribed (u=1) baseline, or None if that scores zero."""
     baseline = evaluate(k_opt, max(1, v * k_opt))
     if baseline <= 0:
-        return u_candidates[0]
+        return None
     best_u = u_candidates[0]
     for u in u_candidates:
         entries = max(1, (v * k_opt) // u)
@@ -99,9 +109,15 @@ def tune_application(
     k_candidates: Sequence[int] = (1, 2, 3, 4, 6, 8),
     u_candidates: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
 ) -> TuningResult:
-    """Full Table 4 row for one application."""
+    """Full Table 4 row for one application (one without an answer if
+    either sweep found none)."""
     k_opt = find_k_opt(evaluate, k_candidates)
-    u_opt = find_u_opt(evaluate, k_opt, v=v, u_candidates=u_candidates)
+    u_opt = None if k_opt is None else find_u_opt(
+        evaluate, k_opt, v=v, u_candidates=u_candidates
+    )
+    if u_opt is None:
+        return TuningResult(name, k_opt, None, None,
+                            failure="every candidate scored 0")
     return TuningResult(
         application=name,
         k_opt=k_opt,
@@ -114,9 +130,15 @@ def processor_ratio(results: Sequence[TuningResult]) -> float:
     """The processor-wide virtualization ratio: the maximum
     per-application ratio, rounded up to a power of two (the paper's
     conservative choice -- instruction misses cost ~3x matching
-    misses, so err toward instruction capacity)."""
+    misses, so err toward instruction capacity).  Rows without an
+    answer are refused by name."""
     if not results:
         raise ValueError("no tuning results")
+    unanswered = [r for r in results if not r.answered]
+    if unanswered:
+        raise ValueError("no Table 4 answer for " + ", ".join(
+            f"{r.application} ({r.failure})" for r in unanswered
+        ))
     worst = max(r.virtualization_ratio for r in results)
     ratio = 1.0 / 8.0
     while ratio < worst:

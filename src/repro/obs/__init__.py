@@ -13,9 +13,9 @@ both live:
 * :mod:`repro.obs.chrome` -- Chrome trace-event JSON export of a
   :class:`~repro.sim.trace.Trace` (one track per PE; open the file in
   Perfetto or ``chrome://tracing``);
-* :mod:`repro.obs.profile` -- opt-in per-phase cycle attribution of
-  the engine hot loop (INPUT/MATCH/DISPATCH/EXECUTE/DELIVER); a run
-  with no profile attached makes no call into it.
+* :mod:`repro.obs.profile` -- opt-in per-phase time attribution of
+  the engine hot loop (INPUT/MATCH/DISPATCH/EXECUTE/DELIVER), sampled
+  from an interval timer; the loop carries no profiling code.
 """
 
 from .chrome import chrome_trace_events, write_chrome_trace

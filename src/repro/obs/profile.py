@@ -1,4 +1,4 @@
-"""Opt-in per-phase cycle attribution of the engine hot loop.
+"""Opt-in per-phase time attribution of the engine hot loop, by sampling.
 
 Attach a :class:`PhaseProfile` to an engine before running::
 
@@ -6,32 +6,33 @@ Attach a :class:`PhaseProfile` to an engine before running::
     engine.run()
     print(engine.profile.render())
 
-The engine brackets each hot-loop region with :meth:`PhaseProfile.push`
-/ :meth:`PhaseProfile.pop`; nested regions attribute *self time* (a
-push inside an open region subtracts its span from the parent), so the
-reported nanoseconds sum to the loop's wall time without double
-counting.  Phases mirror the paper's pipeline stages:
-
-=========  ======================================================
-input      token arrival: istore residency, store decoupling
-match      matching-table insert / fire decision
-dispatch   bandwidth reservation + result steering
-execute    ALU/FPU evaluation (:func:`repro.isa.semantics.evaluate`)
-deliver    operand routing and token posting
-memory     store-buffer submit and completion fan-out
-other      ifetch fills, wave retirement bookkeeping
-=========  ======================================================
-
-Cost contract: profiling is **opt-in**.  The engine has one hot path
-and every push/pop site on it is an ``if prof is not None:`` test on a
-local, so a run with no profile attached makes no call into this
-module; what those tests cost is tracked in absolute seconds by every
-workload of ``bench/run.py``.
+The loop carries no profiling code.  ``Engine._begin`` arms a 2 ms
+``ITIMER_REAL`` and ``Engine._end`` disarms it, putting back the
+``SIGALRM`` handler and timer it found, so a run and each cell of a
+batch are covered alike.  Each sample walks out from the interrupted
+frame (an evaluator, a store buffer, a wrapper) to the innermost frame
+of ``repro/sim/engine.py`` and charges the process CPU time since the
+previous sample -- measured, not the nominal interval -- to the phase
+of that frame's line: the nearest ``# phase: <name>`` comment line at
+or above it.  The phases (:data:`PHASES`) mirror the paper's pipeline
+stages plus ``other`` (calendar bookkeeping, ifetch fills, wave
+retirement), and sum to the run's CPU time less the time after the
+last sample.  A sample lands where CPython next checks for signals (a
+call, a function entry or a loop's back edge), so time spent just
+before a phase boundary with no call in between goes to the phase
+after it.  A signal costs the run ~10-40 us in delivery, so 2 ms (~500
+samples/s) costs ~2%, where 1 ms cost ~4% (``ITIMER_PROF`` is held to
+the kernel tick, ~250/s).  Signal handlers run on the main thread
+only: a profiled run elsewhere raises ``ValueError`` before the engine
+changes any state.
 """
 
 from __future__ import annotations
 
-from time import perf_counter_ns
+import re
+import signal
+from functools import cache
+from time import perf_counter, process_time_ns
 
 #: Phase names in pipeline order (render order).
 PHASES = (
@@ -44,43 +45,74 @@ PHASES = (
     "other",
 )
 
+#: Sampling interval of the ``ITIMER_REAL`` timer, in seconds.
+INTERVAL_S = 0.002
 
-def phase_of_tag(tag: int) -> str:
-    """The pipeline phase charged for one integer calendar tag.
 
-    The engine's calendar carries the integer tags of
-    :mod:`repro.sim.events`; this is the human-facing mapping back to
-    a :data:`PHASES` name (unknown tags land in ``"other"``, so
-    reporting code never raises on a foreign tag).  Imported lazily so
-    this module stays loadable without the simulator package.
-    """
-    from ..sim.events import tag_phase
+@cache
+def _engine_lines() -> tuple[str, tuple[str, ...]]:
+    """The engine's source file and the phase of each of its lines
+    (index 0: none), read once."""
+    from ..sim import engine
 
-    return tag_phase(tag)
+    markers = re.compile(r"^\s*# phase: (%s)\s*$" % "|".join(PHASES))
+    phase, phases = "other", ["other"]
+    with open(engine.__file__, encoding="utf-8") as fh:
+        for line in fh:
+            marker = markers.match(line)
+            phase = marker.group(1) if marker else phase
+            phases.append(phase)
+    return engine.__file__, tuple(phases)
 
 
 class PhaseProfile:
-    """Self-time attribution over the engine's pipeline phases."""
+    """Sampled time attribution over the engine's pipeline phases."""
 
-    __slots__ = ("ns", "calls", "_stack")
+    __slots__ = ("ns", "samples", "_last", "_saved")
 
     def __init__(self) -> None:
         self.ns: dict[str, int] = {phase: 0 for phase in PHASES}
-        self.calls: dict[str, int] = {phase: 0 for phase in PHASES}
-        # Open regions: [phase, start_ns, child_ns].
-        self._stack: list[list] = []
+        self.samples = 0
+        self._last = 0
+        # (handler, (delay, interval), armed at) from before start().
+        self._saved = None
 
-    # -- recording (hot path) ------------------------------------------
-    def push(self, phase: str) -> None:
-        self._stack.append([phase, perf_counter_ns(), 0])
+    # -- sampling (armed by Engine._begin, disarmed by Engine._end) ----
+    def start(self) -> None:
+        """Install the handler and arm the timer, keeping what was
+        there for :meth:`stop`.  Off the main thread ``signal.signal``
+        raises ``ValueError`` before anything is installed."""
+        _engine_lines()
+        self._last = process_time_ns()
+        handler = signal.signal(signal.SIGALRM, self._sample)
+        timer = signal.setitimer(signal.ITIMER_REAL, INTERVAL_S, INTERVAL_S)
+        self._saved = (handler, timer, perf_counter())
 
-    def pop(self) -> None:
-        phase, started, child_ns = self._stack.pop()
-        span = perf_counter_ns() - started
-        self.ns[phase] = self.ns.get(phase, 0) + span - child_ns
-        self.calls[phase] = self.calls.get(phase, 0) + 1
-        if self._stack:
-            self._stack[-1][2] += span
+    def stop(self) -> None:
+        """Disarm the timer and put back the handler and timer that
+        :meth:`start` found; a no-op when not started."""
+        if self._saved is None:
+            return
+        handler, (delay, interval), armed_at = self._saved
+        self._saved = None
+        left = delay and max(delay - (perf_counter() - armed_at), 1e-6)
+        # Disarm first: a sample already due is taken by this handler
+        # as the call returns, before the old one is back.  None is a
+        # handler installed outside Python; the default stands in.
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler or signal.SIG_DFL)
+        signal.setitimer(signal.ITIMER_REAL, left, interval)
+
+    def _sample(self, signum, frame) -> None:
+        now = process_time_ns()
+        elapsed, self._last = now - self._last, now
+        engine_file, phases = _engine_lines()
+        while frame is not None and frame.f_code.co_filename != engine_file:
+            frame = frame.f_back
+        # f_lineno is None on a line-less instruction: index 0, "other".
+        phase = "other" if frame is None else phases[frame.f_lineno or 0]
+        self.ns[phase] += elapsed
+        self.samples += 1
 
     # -- reading -------------------------------------------------------
     @property
@@ -96,25 +128,17 @@ class PhaseProfile:
     def to_dict(self) -> dict:
         return {
             "ns": dict(self.ns),
-            "calls": dict(self.calls),
+            "samples": self.samples,
             "total_ns": self.total_ns,
         }
 
     def render(self) -> str:
         total = self.total_ns
-        lines = [
-            f"{'phase':<10}{'calls':>12}{'time':>12}{'share':>8}"
-        ]
-        order = list(PHASES) + sorted(
-            set(self.ns) - set(PHASES)
-        )
-        for phase in order:
-            ns = self.ns.get(phase, 0)
-            calls = self.calls.get(phase, 0)
+        lines = [f"{'phase':<10}{'time':>12}{'share':>8}"]
+        for phase in PHASES:
+            ns = self.ns[phase]
             share = ns / total if total else 0.0
-            lines.append(
-                f"{phase:<10}{calls:>12,}{ns / 1e6:>10.2f}ms"
-                f"{share:>8.1%}"
-            )
-        lines.append(f"{'total':<10}{'':>12}{total / 1e6:>10.2f}ms")
+            lines.append(f"{phase:<10}{ns / 1e6:>10.2f}ms{share:>8.1%}")
+        lines.append(f"{'total':<10}{total / 1e6:>10.2f}ms"
+                     f"  ({self.samples:,} samples)")
         return "\n".join(lines)

@@ -25,11 +25,14 @@ an instruction fetch); :meth:`Engine._make_dispatch`,
 run's DISPATCH/EXECUTE, OUTPUT and memory-interface stages as closures
 over state hoisted once per run, and :meth:`Engine._end` drops them
 when the run returns or raises, so a finished engine is freed by
-reference count.  Whatever the caller attached before ``run()`` --
-trace, sanitizer, :class:`~repro.obs.profile.PhaseProfile` -- is
+reference count.  A trace or sanitizer attached before ``run()`` is
 served from that same code through ``if hook is not None:`` tests on
-locals, behind one ``hooked`` test where several fire together;
-nothing is installed, shadowed or selected.  The batched backend
+locals, behind one ``hooked`` test where both fire together; nothing
+is installed, shadowed or selected.  A
+:class:`~repro.obs.profile.PhaseProfile` adds no code to the loop:
+it samples it from a timer ``_begin`` arms and ``_end`` disarms, and
+charges each sample to the phase that the ``# phase: <name>`` comment
+lines of this file give the line it landed on.  The batched backend
 (:mod:`repro.sim.batched`) calls the same ``_begin`` / ``_drain`` /
 ``_finish`` / ``_end`` for each cell of a group.
 
@@ -126,7 +129,6 @@ from .events import (
     EV_TOKEN,
     EV_TOKEN_BATCH,
 )
-from .events import TAG_PHASES as _TAG_PHASE
 from .failures import (
     CycleBudgetExhausted,
     EventBudgetExhausted,
@@ -305,9 +307,8 @@ class Engine:
         self.trace = None
 
         #: Optional hot-loop profiler (repro.obs.profile.PhaseProfile);
-        #: attach before run() for per-phase cycle attribution
-        #: (input/match/dispatch/execute/deliver/memory).  None costs
-        #: one local ``is not None`` test per hook site.
+        #: attach before run().  _begin arms its sampling timer and
+        #: _end disarms it; the loop itself never reads it.
         self.profile = None
 
         #: Optional runtime sanitizer (repro.analysis.sanitize
@@ -390,8 +391,8 @@ class Engine:
     # Main loop
     # ==================================================================
     def run(self, strict: bool = True) -> SimStats:
-        self._begin()
         try:
+            self._begin()
             return self._finish(self._drain(), strict)
         finally:
             self._end()
@@ -400,6 +401,8 @@ class Engine:
         """Start the run: seed the calendar with the entry tokens, and
         build this run's route tables and its DISPATCH, OUTPUT and
         memory stages around whatever hooks the caller attached."""
+        if self.profile is not None:
+            self.profile.start()  # first: it may raise off the main thread
         pe_of = self._pe_of
         for token in self.graph.entry_tokens:
             self._post(
@@ -440,7 +443,10 @@ class Engine:
         closures, the store buffers' callbacks -- so a finished engine
         is freed by reference count instead of waiting for the cycle
         collector.  ``stats``, ``fixed_point`` and
-        :meth:`failure_diagnostics` stay readable."""
+        :meth:`failure_diagnostics` stay readable, and a profile's
+        timer and signal handler are as they were before ``_begin``."""
+        if self.profile is not None:
+            self.profile.stop()
         self._handlers = self._flushes = self._deliver = None
         for sb in self.storebuffers:
             sb._complete = sb._retire = None
@@ -534,14 +540,11 @@ class Engine:
         token_batch = EV_TOKEN_BATCH
         ev_dispatch = EV_DISPATCH
         ev_ifetch = EV_IFETCH
-        tag_phase = _TAG_PHASE
 
         # Whatever the caller attached; None for each that is absent.
         trace = self.trace
         sanitizer = self.sanitizer
-        prof = self.profile
-        hooked = trace is not None or sanitizer is not None \
-            or prof is not None
+        hooked = trace is not None or sanitizer is not None
 
         stats = self.stats
         istores = self.istores
@@ -659,12 +662,7 @@ class Engine:
                                 processed, before,
                             )
                         if tag != ev_ifetch:
-                            if prof is None:
-                                handlers[tag](cycle, payload)
-                            else:
-                                prof.push(tag_phase[tag])
-                                handlers[tag](cycle, payload)
-                                prof.pop()
+                            handlers[tag](cycle, payload)
                             continue
                         # An instruction fetch completed: bind it and
                         # replay the tokens that were waiting on it,
@@ -672,22 +670,13 @@ class Engine:
                         # The instruction cannot be evicted before
                         # they are processed: eviction only happens on
                         # a fill, and fills happen in later events.
-                        if prof is not None:
-                            prof.push(tag_phase[tag])
                         pe, inst_id = payload
                         istores[pe].fill(inst_id)
                         if trace is not None:
                             trace.emit(cycle, "ifetch", pe, inst_id, -1, -1)
                         tokens = ifetch.pop(payload, ())
+                    # phase: input
                     for payload in tokens:
-                        if hooked:
-                            if prof is not None and tag != ev_ifetch:
-                                # One "input" span per charged token:
-                                # close the previous token's, open
-                                # this one's.
-                                if payload is not tokens[0]:
-                                    prof.pop()
-                                prof.push("input")
                         pe, thread, wave, inst_id, port, value, local = \
                             payload
                         # Instruction-store residency check
@@ -731,9 +720,8 @@ class Engine:
                                 b.append(item)
                             continue
 
+                        # phase: match
                         # --- MatchingTable.insert, inlined ---
-                        if prof is not None:
-                            prof.push("match")
                         if grouped:
                             set_idx = set_base[inst_id] + wave % mt_k
                         else:
@@ -742,8 +730,6 @@ class Engine:
                         if claims[claim] == cycle:
                             # Bank conflict: the sender retries
                             # next cycle.
-                            if prof is not None:
-                                prof.pop()
                             input_rejects += 1
                             if trace is not None:
                                 trace.emit(cycle, "reject", pe,
@@ -799,8 +785,6 @@ class Engine:
                                 if (wave, thread, inst_id) >= vbest:
                                     # The token itself takes the
                                     # overflow round trip.
-                                    if prof is not None:
-                                        prof.pop()
                                     if trace is not None:
                                         trace.emit(
                                             cycle, "input", pe, inst_id,
@@ -869,9 +853,8 @@ class Engine:
                                 else:
                                     ways.append(tkey)
                         # --- end of the inlined insert ---
+                        # phase: input
                         if hooked:
-                            if prof is not None:
-                                prof.pop()
                             if trace is not None:
                                 trace.emit(cycle, "input", pe, inst_id,
                                            thread, wave,
@@ -901,9 +884,7 @@ class Engine:
                             heap_push(cycle_heap, at)
                         else:
                             b.append(item)
-                    if prof is not None:
-                        # The last token's span, or the fetch event's.
-                        prof.pop()
+                    # phase: other
         finally:
             self._note_time(cycle)
             stats.istore_hits += istore_hits
@@ -1043,6 +1024,7 @@ class Engine:
     # ==================================================================
     # DISPATCH + EXECUTE
     # ==================================================================
+    # phase: dispatch
     def _make_dispatch(self, send_memory):
         """Build this run's ``EV_DISPATCH`` handler around the memory
         interface's request sender; returns it with the function that
@@ -1061,7 +1043,6 @@ class Engine:
         ev_sbdata = EV_SBDATA
         trace = self.trace
         sanitizer = self.sanitizer
-        prof = self.profile
         hooked = trace is not None or sanitizer is not None
         # Every PE dispatch port and per-domain FPU is a
         # ``BandwidthLedger(1)``; the inlined reserves below hard-code
@@ -1117,12 +1098,9 @@ class Engine:
             if kind == K_ALU:  # the hottest case: plain ALU evaluation
                 if alpha:
                     n_alpha += 1
-                if prof is None:
-                    value = d_eval[inst_id](operands)
-                else:
-                    prof.push("execute")
-                    value = d_eval[inst_id](operands)
-                    prof.pop()
+                # phase: execute
+                value = d_eval[inst_id](operands)
+                # phase: dispatch
                 deliver(pe, routes[inst_id], thread, wave, value, done,
                         granted)
                 return
@@ -1156,12 +1134,9 @@ class Engine:
             if kind == K_HALT:
                 return
 
-            if prof is None:
-                value = d_eval[inst_id](operands)
-            else:
-                prof.push("execute")
-                value = d_eval[inst_id](operands)
-                prof.pop()
+            # phase: execute
+            value = d_eval[inst_id](operands)
+            # phase: dispatch
 
             if kind == K_STEER:
                 arm = routes if operands[1] else false_routes
@@ -1190,6 +1165,7 @@ class Engine:
     # ==================================================================
     # OUTPUT: operand delivery
     # ==================================================================
+    # phase: deliver
     def _make_deliver(self):
         """Build this run's operand delivery; returns it with the
         function that flushes its counters into ``self.stats``."""
@@ -1201,7 +1177,6 @@ class Engine:
         token_batch = EV_TOKEN_BATCH
         trace = self.trace
         sanitizer = self.sanitizer
-        prof = self.profile
         hooked = trace is not None or sanitizer is not None
         # Interconnect.route, inlined for the hottest caller (operand
         # delivery) down to the cluster level: the width-1 result-bus
@@ -1212,7 +1187,7 @@ class Engine:
         pod_latency = net._pod_route.latency
         bus_used = [None] * len(self.matching)
         for pe in self._occupied:
-            bus = net.result_bus(pe)
+            bus = net._pe_bus[pe]
             assert bus.per_cycle == 1
             bus_used[pe] = bus._used
         net_in = net._net_in
@@ -1249,8 +1224,6 @@ class Engine:
             """
             nonlocal pod_messages, domain_messages, cluster_messages
             nonlocal latency_sum
-            if prof is not None:
-                prof.push("deliver")
             last = -1
             for dst_pe, dst_inst, port, level in route:
                 if not level:  # pod
@@ -1313,8 +1286,6 @@ class Engine:
                     heap_push(cycle_heap, arrive)
                 else:
                     b.append((ev_token, token))
-            if prof is not None:
-                prof.pop()
 
         def flush():
             nonlocal pod_messages, domain_messages, cluster_messages
@@ -1334,6 +1305,7 @@ class Engine:
     # ==================================================================
     # Wave advance with k-loop bounding
     # ==================================================================
+    # phase: dispatch
     def _advance_wave(
         self, pe: int, inst_id: int, thread: int, wave: int, value: Value,
         done: int,
@@ -1354,6 +1326,7 @@ class Engine:
             pe, self._routes[inst_id], thread, out_wave, value, done
         )
 
+    # phase: other
     def _wave_retired(self, thread: int, wave: int, cycle: int) -> None:
         """Store-buffer callback: the wave completes at ``cycle``
         (possibly in the future -- retirement awaits the slowest memory
@@ -1383,6 +1356,7 @@ class Engine:
     # ==================================================================
     # Memory interface (MEM pseudo-PE <-> store buffer)
     # ==================================================================
+    # phase: memory
     def _on_sbaddr(self, cycle: int, payload: tuple) -> None:
         sb, inst_id, thread, wave, value = payload
         sb.submit_address(inst_id, thread, wave, value, cycle)
@@ -1495,6 +1469,7 @@ class Engine:
         return send_memory, memory_complete, flush
 
 
+# phase: other
 def _charged_entry(bucket: list, charges: int) -> tuple[int, int]:
     """Where a bucket's ``charges``-th charged event sits: the index of
     its entry, and its token's index if the entry is a token batch

@@ -4,8 +4,8 @@ The event loop (``Engine._drain``) handles the token tags and
 ``EV_IFETCH`` inline and dispatches the rest through a handler table
 built once per run and indexed by these tags (an integer index beats
 the historical string-compare chain), so the tag values are
-*positional*: ``Engine._handlers[tag]`` must line up with the
-constants below, and ``TAG_NAMES``/``TAG_PHASES`` are parallel tuples.
+*positional*: ``Engine._handlers[tag]`` and ``TAG_NAMES`` must line
+up with the constants below.
 
 ``EV_TOKEN_BATCH`` carries a tuple of same-cycle token payloads posted
 back-to-back by one delivery fan-out; the loop unpacks it token by
@@ -13,9 +13,10 @@ token and charges the event budget one event per token, so batching
 changes heap traffic but never ``SimStats`` (``events_processed``
 counts tokens, exactly as when each travelled alone).
 
-Humans never see the integers: :func:`tag_name` and :func:`tag_phase`
-map them back for :mod:`repro.obs.profile` output, the Chrome trace
-exporter, and error messages.
+Humans never see the integers: :func:`tag_name` maps them back for
+the Chrome trace exporter and error messages.  The profile's phases
+are not a property of a tag: :mod:`repro.obs.profile` reads them off
+the engine's source lines.
 """
 
 from __future__ import annotations
@@ -40,20 +41,6 @@ TAG_NAMES = (
     "token_batch",
 )
 
-#: Profile phase charged per tag (repro.obs.profile.PHASES).  The
-#: finer stages (match, execute, deliver) are attributed by inner
-#: push/pop sites on the hot path; stack-based self-time accounting
-#: in PhaseProfile keeps the phases disjoint.
-TAG_PHASES = (
-    "input",    # token
-    "dispatch",  # dispatch
-    "memory",   # sbaddr
-    "memory",   # sbdata
-    "other",    # ifetch
-    "other",    # retire
-    "input",    # token_batch
-)
-
 
 def tag_name(tag: int) -> str:
     """Human-readable name of a calendar tag (``"tag<n>"`` for
@@ -61,10 +48,3 @@ def tag_name(tag: int) -> str:
     if 0 <= tag < len(TAG_NAMES):
         return TAG_NAMES[tag]
     return f"tag{tag}"
-
-
-def tag_phase(tag: int) -> str:
-    """Profile phase a calendar tag is charged to."""
-    if 0 <= tag < len(TAG_PHASES):
-        return TAG_PHASES[tag]
-    return "other"

@@ -41,7 +41,9 @@ a grid message goes through ``_route_grid``.  ``route`` itself serves
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 
 from ...core.config import WaveScalarConfig
 from ..stats import SimStats
@@ -100,19 +102,20 @@ class Interconnect:
         self.config = config
         self.stats = stats
         p = config
-        # One result bus per PE (1 result/cycle onto the domain bus),
-        # made on first use like the mesh links: only a PE that sends
-        # results ever has one.
-        self._pe_bus: dict[int, BandwidthLedger] = {}
-        # One NET pseudo-PE per domain: 1 operand/cycle injected into
-        # the domain from outside.
-        n_domains = p.clusters * p.domains_per_cluster
-        self._net_in = [
-            BandwidthLedger(p.net_pe_bandwidth) for _ in range(n_domains)
-        ]
+        # Every ledger is made on first use, so only a resource some
+        # message reaches ever has one.  One result bus per PE (1
+        # result/cycle onto the domain bus).
+        self._pe_bus = defaultdict(partial(BandwidthLedger, 1))
+        # One NET pseudo-PE per domain: `net_pe_bandwidth` operands per
+        # cycle injected into the domain from outside.
+        self._net_in = defaultdict(
+            partial(BandwidthLedger, p.net_pe_bandwidth)
+        )
         # Mesh links: per (cluster, direction) with `mesh_bandwidth`
         # ops/cycle.  Directions: 0=E 1=W 2=N 3=S.
-        self._mesh_links: dict[tuple[int, int], BandwidthLedger] = {}
+        self._mesh_links = defaultdict(
+            partial(BandwidthLedger, p.mesh_bandwidth)
+        )
         # Static-topology memos (pure functions of the endpoints).
         self._total_pes = p.total_pes
         self._pes_per_domain = p.pes_per_domain
@@ -156,22 +159,6 @@ class Interconnect:
             return "cluster"
         return "grid"
 
-    def result_bus(self, pe: int) -> BandwidthLedger:
-        """The result bus of ``pe``: the ledger every non-pod message
-        it sends reserves first."""
-        bus = self._pe_bus.get(pe)
-        if bus is None:
-            bus = self._pe_bus[pe] = BandwidthLedger(1)
-        return bus
-
-    def _mesh_link(self, cluster: int, direction: int) -> BandwidthLedger:
-        key = (cluster, direction)
-        ledger = self._mesh_links.get(key)
-        if ledger is None:
-            ledger = BandwidthLedger(self.config.mesh_bandwidth)
-            self._mesh_links[key] = ledger
-        return ledger
-
     def _mesh_path(
         self, src_cluster: int, dst_cluster: int
     ) -> tuple[tuple[BandwidthLedger, ...], int]:
@@ -189,11 +176,11 @@ class Interconnect:
         cx, cy = x0, y0
         while cx != x1:
             direction = 0 if x1 > cx else 1
-            links.append(self._mesh_link(cy * cols + cx, direction))
+            links.append(self._mesh_links[cy * cols + cx, direction])
             cx += 1 if x1 > cx else -1
         while cy != y1:
             direction = 3 if y1 > cy else 2
-            links.append(self._mesh_link(cy * cols + cx, direction))
+            links.append(self._mesh_links[cy * cols + cx, direction])
             cy += 1 if y1 > cy else -1
         cached = (tuple(links), len(links))
         self._mesh_paths[key] = cached
@@ -235,7 +222,7 @@ class Interconnect:
             return route
 
         # All other levels leave the PE on its result bus.
-        bus_granted = self.result_bus(src_pe).reserve(cycle)
+        bus_granted = self._pe_bus[src_pe].reserve(cycle)
         wait = bus_granted - cycle
 
         if level == "domain":

@@ -129,9 +129,10 @@ def test_run_profile_renders_phase_table(capsys):
         capsys, "run", "-w", "mcf", "--scale", "tiny", "--profile",
     )
     assert code == 0
-    assert "hot-loop phase profile:" in out
+    assert "hot-loop phase profile (sampled):" in out
     for phase in ("input", "match", "dispatch", "execute", "deliver"):
         assert phase in out
+    assert " samples)" in out
 
 
 def test_stats_command(capsys, tmp_path):

@@ -85,3 +85,47 @@ def test_matching_entries_for_clamps_to_rtl_limits():
     assert matching_entries_for(8, 1.0) == 16  # RTL min array size
     assert matching_entries_for(64, 1.0) == 64
     assert matching_entries_for(128, 0.5) == 64
+
+
+def test_all_zero_sweep_is_a_named_non_answer():
+    """Every candidate scoring 0 (every run hit its budget) is no
+    finding: no k_opt, no u_opt, no ratio, and processor_ratio refuses
+    the row by name instead of reading the last candidate's 8."""
+    assert find_k_opt(lambda k, e: 0.0) is None
+    assert find_u_opt(lambda k, e: 0.0, k_opt=2) is None
+    row = tune_application("raytrace", lambda k, e: 0.0)
+    assert (row.k_opt, row.u_opt, row.virtualization_ratio) == \
+        (None, None, None)
+    assert not row.answered
+    failed = TuningResult("raytrace", None, None, None,
+                          failure="EventBudgetExhausted")
+    assert failed.ratio_str() == "no answer (EventBudgetExhausted)"
+    good = TuningResult("b", 4, 4, 1.0)
+    with pytest.raises(ValueError, match=r"raytrace \(EventBudgetExhausted\)"):
+        processor_ratio([good, failed])
+    with pytest.raises(ValueError, match="every candidate scored 0"):
+        processor_ratio([good, row])
+
+
+def test_zero_baseline_keeps_k_and_has_no_u():
+    """k found, but the unsubscribed baseline scores 0: no u_opt."""
+    row = tune_application(
+        "toy", lambda k, e: float(min(k, 2)) if e == INFINITE_MATCHING
+        else 0.0,
+    )
+    assert (row.k_opt, row.u_opt, row.answered) == (2, None, False)
+
+
+def test_tune_workload_carries_the_failure_class(monkeypatch):
+    """The failure that left the sweep without an answer rides on the
+    row."""
+    import repro.core.experiments as experiments
+    from repro.sim.failures import EventBudgetExhausted
+
+    def exhausted(*args, **kwargs):
+        raise EventBudgetExhausted("starved", None)
+
+    monkeypatch.setattr(experiments, "run_cached", exhausted)
+    row = experiments.tune_workload("fft")
+    assert not row.answered
+    assert row.failure == "EventBudgetExhausted"

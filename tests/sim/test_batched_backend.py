@@ -11,10 +11,12 @@ recorded no-jump verdicts of ``tests/sim/verdicts.json``, here and in
 ``tests/sim/test_golden_stats.py``, on both configs below.)
 """
 
+import signal
 from dataclasses import asdict
 
 import pytest
 
+from repro.obs.profile import PHASES
 from repro.place.snake import place
 from repro.sim.batched import BatchedEngine
 from repro.sim.compile import get_compiled
@@ -142,8 +144,9 @@ def _observed(engines, verdicts):
         "verdicts": verdicts,
         "trace": list(traced.trace.events),
         "sanitizer": [str(d) for d in traced.sanitizer.report().diagnostics],
-        "profile_calls": dict(profiled.profile.calls),
-        "profile_stack": list(profiled.profile._stack),
+        "profile_phases": tuple(profiled.profile.ns),
+        "alarm": (signal.getsignal(signal.SIGALRM),
+                  signal.getitimer(signal.ITIMER_REAL)),
     }
 
 
@@ -155,12 +158,14 @@ def test_hooks_compose_with_lockstep_execution(budgets):
     """A batch whose cells carry a trace + sanitizer, a budget too
     small to finish and a profile gives, per cell, what three serial
     runs give: the same SimStats or failure (with diagnostics), the
-    same trace events, the same sanitizer verdict, the same
-    ``PhaseProfile.calls``."""
+    same trace events, the same sanitizer verdict, and the profile's
+    sampling timer disarmed and its handler gone after each."""
     # radix finishes on the starved design through every slow path:
     # evictions, deflections, bank conflicts, instruction-fetch replays.
     # It needs ~32k events and ~2.9k cycles on the golden one.
     compiled = _compiled("radix")
+    alarm = (signal.getsignal(signal.SIGALRM),
+             signal.getitimer(signal.ITIMER_REAL))
     serial_engines = _hooked_engines(compiled, budgets)
     serial_verdicts = [_run(engine) for engine in serial_engines]
     serial = _observed(serial_engines, serial_verdicts)
@@ -176,5 +181,5 @@ def test_hooks_compose_with_lockstep_execution(budgets):
     assert serial_verdicts[1][0] == "fail"
     assert serial_verdicts[2][0] == "ok"
     assert len(serial["trace"]) > 1000
-    assert serial["profile_calls"]["match"] > 0
-    assert serial["profile_stack"] == []
+    assert serial["profile_phases"] == PHASES
+    assert serial["alarm"] == alarm

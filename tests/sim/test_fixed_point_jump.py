@@ -15,6 +15,8 @@ Everything up to the composition tests is an identity at an engine
 that does not jump, and was green there before the jump was written.
 """
 
+import signal
+
 import pytest
 
 from repro.obs import PhaseProfile
@@ -135,12 +137,12 @@ def test_profile_keeps_the_jump_and_ends_balanced():
     plain = observe(Engine(*stuck, max_cycles=STUCK_CYCLES))
     engine = Engine(*stuck, max_cycles=STUCK_CYCLES)
     engine.profile = PhaseProfile()
+    handler = signal.getsignal(signal.SIGALRM)
     assert observe(engine) == plain
-    assert engine.profile._stack == []
-    # Spans were opened for the events interpreted, not for those
-    # jumped over.
-    events = plain["verdict"][3]["events_processed"]
-    assert 0 < engine.profile.calls["input"] < events // 4
+    assert engine.fixed_point is not None
+    # The sampling timer is disarmed and the handler put back.
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is handler
 
 
 @pytest.mark.parametrize("stuck_cycles", [4096, 64])

@@ -16,6 +16,7 @@ from repro.sim.engine import Engine
 from repro.sim.failures import CycleBudgetExhausted, TrueDeadlock
 from repro.sim.pe.istore import InstructionStore
 from repro.sim.pe.matching import MatchingTable
+from repro.sim.trace import Trace
 
 from .verdicts import C16, cell, idle_state_written
 
@@ -107,3 +108,23 @@ def test_cut_run_reads_as_before(gzip_c16):
         "(0, 6, 59)(ports [0])"
     )
     assert idle_state_written(engine) == []
+
+
+@pytest.mark.parametrize("name", ["gzip", "fft"])
+def test_net_inject_ledgers_follow_the_traffic(name):
+    """A domain's NET-inject ledger exists only once a cluster- or
+    grid-level operand has entered that domain: none for gzip, whose
+    six PEs share domain 0, and one per receiving domain for fft,
+    whose 16 threads spread over several clusters."""
+    engine = Engine(*cell(name, C16))
+    engine.trace = Trace(limit=10_000_000)
+    engine.run()
+    pes_per_domain = engine.config.pes_per_domain
+    received = set()
+    for event in engine.trace.events:
+        if event.kind == "output":
+            level, _, target = event.detail.split()[:3]
+            if level in ("cluster", "grid"):
+                received.add(int(target[len("pe"):]) // pes_per_domain)
+    assert set(engine.network._net_in) == received
+    assert bool(received) == (name == "fft")
