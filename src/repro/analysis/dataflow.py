@@ -89,7 +89,7 @@ from typing import Callable, Iterator, Optional
 from ..isa.graph import DataflowGraph
 from ..isa.opcodes import Opcode
 from .diagnostics import Diagnostic, Report, Severity
-from .engine import TARGET_GRAPH, rule
+from .engine import TARGET_GRAPH, PortTable, rule
 
 __all__ = [
     "INF",
@@ -141,7 +141,13 @@ class Interval:
 
 @dataclass
 class TokenFlow:
-    """Result of one fixed-point token-flow analysis."""
+    """Result of one fixed-point token-flow analysis.
+
+    A flow from :func:`analyze_tokens` builds ``arrivals``,
+    ``firings``, ``must_fire`` and ``never_fire`` from the fixed point
+    the first time each is read: the rules read only ``deadlocks``,
+    ``converged`` and ``rounds``.
+    """
 
     #: Per ``(inst, port)`` arrival-count interval.
     arrivals: dict[tuple[int, int], Interval]
@@ -167,6 +173,44 @@ class TokenFlow:
     def proven_deadlock(self) -> bool:
         return bool(self.deadlocks)
 
+    @classmethod
+    def _on_read(cls, fixed: tuple, **fields) -> "TokenFlow":
+        """A flow given ``deadlocks``, ``converged`` and ``rounds``
+        that builds the other fields from ``fixed``, the fixed point's
+        ``(base, lo, hi, fire_lo, fire_hi)``, when they are read."""
+        flow = cls.__new__(cls)
+        vars(flow).update(fields, _fixed=fixed)
+        return flow
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set yet: a field a flow
+        # from ``_on_read`` builds from its fixed point on first read.
+        fixed = self.__dict__.get("_fixed")
+        if fixed is None or name not in _BUILT_ON_READ:
+            raise AttributeError(name)
+        base, lo, hi, fire_lo, fire_hi = fixed
+        n = len(fire_lo)
+        value: object
+        if name == "arrivals":
+            # A port is recorded once its interval has left [0, 0].
+            value = {
+                (inst_id, slot - base[inst_id]): Interval(lo[slot], hi[slot])
+                for inst_id in range(n)
+                for slot in range(base[inst_id], base[inst_id + 1])
+                if lo[slot] or hi[slot]
+            }
+        elif name == "firings":
+            value = {i: Interval(fire_lo[i], fire_hi[i]) for i in range(n)}
+        elif name == "must_fire":
+            value = frozenset(i for i in range(n) if fire_lo[i] >= 1)
+        else:
+            value = frozenset(i for i in range(n) if fire_hi[i] == 0)
+        setattr(self, name, value)
+        return value
+
+
+_BUILT_ON_READ = frozenset({"arrivals", "firings", "must_fire", "never_fire"})
+
 
 def _entry_counts(graph: DataflowGraph) -> dict[tuple[int, int], int]:
     counts: dict[tuple[int, int], int] = {}
@@ -188,34 +232,6 @@ def _send_targets(inst) -> Iterator[tuple[int, int, bool]]:
         yield dest.inst, dest.port, conditional
     for dest in inst.false_dests:
         yield dest.inst, dest.port, True
-
-
-def _flatten(graph: DataflowGraph):
-    """The port table both fixed points run on: ``(base, entry,
-    feeders, consumers)``.
-
-    Ports are numbered densely in ``(inst, port)`` order: instruction
-    ``i`` owns slots ``base[i] .. base[i + 1] - 1``.  ``entry[slot]``
-    counts the port's entry tokens, ``feeders[slot]`` lists its
-    ``(src_inst, conditional)`` producers, and ``consumers[i]`` lists
-    the instructions ``i`` sends to (the ones to revisit when ``i``
-    changes).  Expects a graph that passes ``graph.validate()``.
-    """
-    base = [0]
-    for inst in graph.instructions:
-        base.append(base[-1] + inst.arity)
-    entry = [0] * base[-1]
-    for token in graph.entry_tokens:
-        entry[base[token.inst] + token.port] += 1
-    feeders: list[list[tuple[int, bool]]] = [[] for _ in entry]
-    consumers: list[list[int]] = [[] for _ in graph.instructions]
-    for inst in graph.instructions:
-        if inst.opcode in (Opcode.OUTPUT, Opcode.THREAD_HALT):
-            continue  # sinks: consume tokens, send nothing
-        for dst, port, conditional in _send_targets(inst):
-            feeders[base[dst] + port].append((inst.inst_id, conditional))
-            consumers[inst.inst_id].append(dst)
-    return base, entry, feeders, consumers
 
 
 def _scc_partition(adj: list[list[int]]) -> list[int]:
@@ -357,10 +373,21 @@ def analyze_tokens(
 
     Sound for *any* round count: transfer functions are monotone and
     iteration ascends from bottom, so ``lo`` never exceeds the real
-    count and (after widening) ``hi`` never undercuts it.
+    count and (after widening) ``hi`` never undercuts it.  Expects a
+    graph that passes ``graph.validate()``.
     """
-    n = len(graph)
-    base, entry, feeders, consumers = _flatten(graph)
+    return _token_flow(PortTable(graph), widen_after, max_rounds)
+
+
+def _token_flow(
+    table: PortTable,
+    widen_after: int = WIDEN_AFTER,
+    max_rounds: int = MAX_ROUNDS,
+) -> TokenFlow:
+    """:func:`analyze_tokens` over a graph's :class:`PortTable`."""
+    base, entry = table.base, table.entry
+    feeders, consumers = table.token_edges
+    n = len(consumers)
     # Per-port arrival bounds and growth counts, per-instruction
     # firing bounds; everything starts at bottom, [0, 0].
     lo: list[int] = [0] * len(entry)
@@ -411,33 +438,21 @@ def analyze_tokens(
 
     rounds, converged = _sweep(consumers, evaluate, max_rounds)
 
-    # A port is recorded once its interval has left [0, 0].
-    arrivals = {
-        (inst_id, slot - base[inst_id]): Interval(lo[slot], hi[slot])
-        for inst_id in range(n)
-        for slot in range(base[inst_id], base[inst_id + 1])
-        if lo[slot] or hi[slot]
-    }
     # A proof needs the fixed point: a truncated iterate has dry ports
-    # that a few more passes would still fill.
+    # that a few more passes would still fill.  A lone port cannot be
+    # both dry and fed, so only rendezvous can deadlock.
     deadlocks: list[tuple[int, int, int]] = []
-    for inst_id in range(n if converged else 0):
+    for inst_id in table.rendezvous if converged else ():
         first = base[inst_id]
         ports = range(first, base[inst_id + 1])
         starved = [slot - first for slot in ports if hi[slot] == 0]
-        fed = [slot - first for slot in ports if lo[slot] >= 1]
-        if starved and fed:
-            deadlocks.append((inst_id, starved[0], fed[0]))
-    return TokenFlow(
-        arrivals=arrivals,
-        firings={
-            i: Interval(fire_lo[i], fire_hi[i]) for i in range(n)
-        },
-        must_fire=frozenset(i for i in range(n) if fire_lo[i] >= 1),
-        never_fire=frozenset(i for i in range(n) if fire_hi[i] == 0),
-        deadlocks=deadlocks,
-        converged=converged,
-        rounds=rounds,
+        if starved:
+            fed = [slot - first for slot in ports if lo[slot] >= 1]
+            if fed:
+                deadlocks.append((inst_id, starved[0], fed[0]))
+    return TokenFlow._on_read(
+        (base, lo, hi, fire_lo, fire_hi),
+        deadlocks=deadlocks, converged=converged, rounds=rounds,
     )
 
 
@@ -502,13 +517,15 @@ def _check_proven_deadlock(graph: DataflowGraph, facts) -> list[Diagnostic]:
     if not facts.sound:
         return []
     flow = facts.flow
-    wired = facts.entry_ports | facts.feeders.keys()
+    # A starved port holds no entry token: it is wired iff an edge
+    # reaches it.
+    base, feeders = facts.ports.base, facts.ports.feeders
     return [
         diag
         for diag, (inst_id, starved, _) in zip(
             deadlock_proofs(graph, flow), flow.deadlocks
         )
-        if (inst_id, starved) in wired
+        if feeders[base[inst_id] + starved]
     ]
 
 
@@ -543,7 +560,9 @@ def critical_path_cycles(
     """
     if not must_fire:
         return 0
-    base, entry, feeders, consumers = _flatten(graph)
+    table = PortTable(graph)
+    base, entry = table.base, table.entry
+    feeders, consumers = table.token_edges
     latency = [i.opcode.latency for i in graph.instructions]
     if edge_weight is None:
         def edge_weight(src: int, dst: int) -> int:  # noqa: ARG001

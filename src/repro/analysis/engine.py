@@ -19,15 +19,18 @@ Design points:
 * Third-party checks plug in by calling :func:`register` (or the
   decorator) with a fresh rule id; nothing else needs to change --
   ``repro lint`` and the sweep pre-validator pick them up.
-* What several graph rules need -- the structural scan, the feeder
-  map, the token flow -- is computed at most once per pass, in a
-  :class:`GraphFacts` that lives exactly as long as the pass.
+* What several graph rules need -- the structural scan, the port
+  table, the reach levels, the token flow -- is computed at most once
+  per pass, in a :class:`GraphFacts` that lives exactly as long as
+  the pass.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional
 
 from .diagnostics import Diagnostic, Report, Severity
@@ -35,6 +38,80 @@ from .diagnostics import Diagnostic, Report, Severity
 #: Target kinds a rule may declare.
 TARGET_GRAPH = "graph"
 TARGET_CONFIG = "config"
+
+
+class PortTable:
+    """Every input port of one sound graph in one flat numbering: who
+    feeds each port and whom each instruction sends to.
+
+    Instruction ``i`` owns port slots ``base[i] .. base[i + 1] - 1``,
+    so its arity is ``base[i + 1] - base[i]``.  ``entry[slot]`` counts
+    the port's entry tokens and ``feeders[slot]`` lists one
+    ``(src_inst, conditional)`` per edge into it; ``conditional``
+    marks an edge that may carry anywhere from none to every firing's
+    token (a STEER's taken edge, any not-taken edge).  ``consumers[i]``
+    lists the instructions ``i`` sends to, one per edge, taken
+    destinations first.  ``rendezvous`` lists the instructions with
+    two or more ports, the only ones that can wait on a partner.
+
+    The table is the graph as written, so a sink (OUTPUT, THREAD_HALT)
+    given destinations keeps its edges here; :attr:`token_edges` is
+    the view the token flow runs on, in which sinks send nothing.
+    Expects a graph that passes ``graph.validate()``.
+    """
+
+    def __init__(self, graph) -> None:
+        from ..isa.opcodes import Opcode
+
+        steer = Opcode.STEER
+        sinks = (Opcode.OUTPUT, Opcode.THREAD_HALT)
+        insts = graph.instructions
+        base = [0, *accumulate(inst.opcode.arity for inst in insts)]
+        entry = [0] * base[-1]
+        for token in graph.entry_tokens:
+            entry[base[token.inst] + token.port] += 1
+        feeders: list[list[tuple[int, bool]]] = [[] for _ in entry]
+        consumers: list[list[int]] = []
+        self._mute: list[int] = []  # sinks with destinations
+        for src, inst in enumerate(insts):
+            out: list[int] = []
+            edge = (src, inst.opcode is steer)  # one tuple per side
+            for dest in inst.dests:
+                feeders[base[dest.inst] + dest.port].append(edge)
+                out.append(dest.inst)
+            edge = (src, True)
+            for dest in inst.false_dests:
+                feeders[base[dest.inst] + dest.port].append(edge)
+                out.append(dest.inst)
+            if out and inst.opcode in sinks:
+                self._mute.append(src)
+            consumers.append(out)
+        self.base = base
+        self.entry = entry
+        self.feeders = feeders
+        self.consumers = consumers
+        self.rendezvous = [
+            i for i in range(len(insts)) if base[i + 1] - base[i] >= 2
+        ]
+
+    def port_of(self, slot: int) -> tuple[int, int]:
+        """``(inst, port)`` of a slot."""
+        inst = bisect_right(self.base, slot) - 1
+        return inst, slot - self.base[inst]
+
+    @cached_property
+    def token_edges(self) -> tuple[list, list]:
+        """``(feeders, consumers)`` as tokens travel: a sink's edges
+        carry nothing, so they are dropped (the table's own lists when
+        no sink has any)."""
+        if not self._mute:
+            return self.feeders, self.consumers
+        mute = set(self._mute)
+        return (
+            [[f for f in fed if f[0] not in mute] for fed in self.feeders],
+            [[] if i in mute else out
+             for i, out in enumerate(self.consumers)],
+        )
 
 
 class GraphFacts:
@@ -62,24 +139,37 @@ class GraphFacts:
         return self.structure_error is None
 
     @cached_property
-    def feeders(self) -> dict[tuple[int, int], list[int]]:
-        """(inst, port) -> producer instruction ids."""
-        fed: dict[tuple[int, int], list[int]] = {}
-        for src, dest in self.graph.edges():
-            fed.setdefault((dest.inst, dest.port), []).append(src)
-        return fed
+    def ports(self) -> PortTable:
+        """The graph's :class:`PortTable` (sound graphs only)."""
+        return PortTable(self.graph)
 
     @cached_property
-    def entry_ports(self) -> set[tuple[int, int]]:
-        return {(t.inst, t.port) for t in self.graph.entry_tokens}
+    def levels(self) -> list[int]:
+        """Per instruction, the fewest edges from an instruction an
+        entry token lands on (0 for those), or -1 if no entry token
+        reaches it.  Sound graphs only."""
+        consumers = self.ports.consumers
+        level = [-1] * len(consumers)
+        queue: list[int] = []
+        for token in self.graph.entry_tokens:
+            if level[token.inst] < 0:
+                level[token.inst] = 0
+                queue.append(token.inst)
+        for node in queue:  # breadth first: the list grows behind us
+            nxt = level[node] + 1
+            for dst in consumers[node]:
+                if level[dst] < 0:
+                    level[dst] = nxt
+                    queue.append(dst)
+        return level
 
     @cached_property
     def flow(self):
         """The :class:`~repro.analysis.dataflow.TokenFlow` (sound
-        graphs only)."""
-        from .dataflow import analyze_tokens
+        graphs only), run on :attr:`ports`."""
+        from .dataflow import _token_flow
 
-        return analyze_tokens(self.graph)
+        return _token_flow(self.ports)
 
 
 @dataclass(frozen=True)

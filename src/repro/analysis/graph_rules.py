@@ -20,7 +20,7 @@ from ..isa.graph import DataflowGraph
 from ..isa.opcodes import Opcode
 from ..isa.waves import UNKNOWN, WAVE_END, WAVE_START
 from .diagnostics import Diagnostic, Severity
-from .engine import TARGET_GRAPH, GraphFacts, rule
+from .engine import TARGET_GRAPH, GraphFacts, PortTable, rule
 
 # ----------------------------------------------------------------------
 # Shared helpers
@@ -70,20 +70,21 @@ def check_port_coverage(graph: DataflowGraph, facts: GraphFacts):
     the instruction can never fire and the program deadlocks."""
     if not facts.sound:
         return
-    fed = facts.feeders.keys() | facts.entry_ports
-    for inst in graph.instructions:
-        for port in range(inst.arity):
-            if (inst.inst_id, port) not in fed:
-                yield Diagnostic(
-                    rule="G001", severity=Severity.ERROR,
-                    message=(
-                        f"port {port} of {inst!r} has no producer and no "
-                        "entry token; instruction can never fire"
-                    ),
-                    source=graph.name, location=f"i{inst.inst_id}",
-                    hint="connect a producer to the port or inject an "
-                         "entry token",
-                )
+    table = facts.ports
+    entry = table.entry
+    for slot, fed in enumerate(table.feeders):
+        if not fed and not entry[slot]:
+            inst_id, port = table.port_of(slot)
+            yield Diagnostic(
+                rule="G001", severity=Severity.ERROR,
+                message=(
+                    f"port {port} of {graph[inst_id]!r} has no producer "
+                    "and no entry token; instruction can never fire"
+                ),
+                source=graph.name, location=f"i{inst_id}",
+                hint="connect a producer to the port or inject an "
+                     "entry token",
+            )
 
 
 # ----------------------------------------------------------------------
@@ -97,18 +98,10 @@ def check_reachability(graph: DataflowGraph, facts: GraphFacts):
     but can never fire."""
     if not facts.sound or not graph.entry_tokens:
         return
-    succ: dict[int, set[int]] = defaultdict(set)
-    for src, dest in graph.edges():
-        succ[src].add(dest.inst)
-    seen: set[int] = set()
-    work = deque(t.inst for t in graph.entry_tokens)
-    while work:
-        node = work.popleft()
-        if node in seen:
-            continue
-        seen.add(node)
-        work.extend(succ[node] - seen)
-    dead = [i for i in graph.instructions if i.inst_id not in seen]
+    dead = [
+        inst for inst, level in zip(graph.instructions, facts.levels)
+        if level < 0
+    ]
     for inst in dead[:16]:
         yield Diagnostic(
             rule="G002", severity=Severity.WARNING,
@@ -140,20 +133,20 @@ def check_dangling_results(graph: DataflowGraph, facts: GraphFacts):
     discard sink (loop landing pads for unused exit values)."""
     if not facts.sound:
         return
-    for inst in graph.instructions:
-        if inst.opcode in _SINK_OPCODES or inst.opcode is Opcode.NOP:
+    for inst, out in zip(graph.instructions, facts.ports.consumers):
+        if out or inst.opcode in _SINK_OPCODES or \
+                inst.opcode is Opcode.NOP:
             continue
-        if inst.fanout == 0:
-            yield Diagnostic(
-                rule="G003", severity=Severity.WARNING,
-                message=(
-                    f"{inst!r} produces a value but has no destinations; "
-                    "its result is silently discarded"
-                ),
-                source=graph.name, location=f"i{inst.inst_id}",
-                hint="route the result to a consumer or an OUTPUT, or "
-                     "remove the instruction",
-            )
+        yield Diagnostic(
+            rule="G003", severity=Severity.WARNING,
+            message=(
+                f"{inst!r} produces a value but has no destinations; "
+                "its result is silently discarded"
+            ),
+            source=graph.name, location=f"i{inst.inst_id}",
+            hint="route the result to a consumer or an OUTPUT, or "
+                 "remove the instruction",
+        )
 
 
 # ----------------------------------------------------------------------
@@ -273,13 +266,10 @@ def check_wave_terminable(graph: DataflowGraph, facts: GraphFacts):
 # G008: STEER/MERGE predicate provenance
 # ----------------------------------------------------------------------
 def _predicate_origin_suspect(
-    graph: DataflowGraph,
-    feeders: dict[tuple[int, int], list[int]],
-    entry_ports: set[tuple[int, int]],
-    inst_id: int,
-    port: int,
+    graph: DataflowGraph, table: PortTable, start: int
 ) -> list[int]:
-    """Trace the predicate operand back through value-preserving ops.
+    """Trace the predicate operand at slot ``start`` of ``table`` back
+    through value-preserving ops.
 
     Returns the producer ids whose values reach the predicate port
     without being predicate-shaped.  Constants and comparisons routed
@@ -288,16 +278,16 @@ def _predicate_origin_suspect(
     known false positive.
     """
     suspects: list[int] = []
-    seen: set[tuple[int, int]] = set()
-    work: deque[tuple[int, int]] = deque([(inst_id, port)])
+    seen: set[int] = set()
+    work: deque[int] = deque([start])
     while work:
-        key = work.popleft()
-        if key in seen:
+        slot = work.popleft()
+        if slot in seen:
             continue
-        seen.add(key)
-        if key in entry_ports:
+        seen.add(slot)
+        if table.entry[slot]:
             continue  # runtime-provided value: assume well-formed
-        for producer in feeders.get(key, ()):  # noqa: B020
+        for producer, _ in table.feeders[slot]:
             opcode = graph[producer].opcode
             if opcode in _PREDICATE_PRODUCERS:
                 continue
@@ -307,7 +297,7 @@ def _predicate_origin_suspect(
                 # MERGE (either side may be selected).
                 data_ports = (0, 1) if opcode is Opcode.MERGE else (0,)
                 for p in data_ports:
-                    work.append((producer, p))
+                    work.append(table.base[producer] + p)
                 continue
             suspects.append(producer)
     return suspects
@@ -326,8 +316,7 @@ def check_steer_predicates(graph: DataflowGraph, facts: GraphFacts):
             continue
         pred_port = 1 if inst.opcode is Opcode.STEER else 2
         suspects = _predicate_origin_suspect(
-            graph, facts.feeders, facts.entry_ports, inst.inst_id,
-            pred_port,
+            graph, facts.ports, facts.ports.base[inst.inst_id] + pred_port
         )
         for producer in suspects[:4]:
             yield Diagnostic(
@@ -358,7 +347,10 @@ def check_fanout(graph: DataflowGraph, facts: GraphFacts):
 
     if not facts.sound:
         return
-    for inst in graph.instructions:
+    for inst_id, out in enumerate(facts.ports.consumers):
+        if len(out) <= MAX_FANOUT:
+            continue  # neither side can be over the limit
+        inst = graph[inst_id]
         for kind, dests in (("taken", inst.dests),
                             ("not-taken", inst.false_dests)):
             if len(dests) > MAX_FANOUT:
@@ -394,28 +386,21 @@ def check_rendezvous_balance(graph: DataflowGraph, facts: GraphFacts):
     forward skeleton (loop back-edges ignored)."""
     if not facts.sound or not graph.entry_tokens:
         return
-    # Earliest arrival depth per (inst, port): BFS from entry tokens,
-    # counting instructions on the path.  Each (inst, port) is visited
-    # at its minimum depth only, so back-edges never loop.
-    depth: dict[tuple[int, int], int] = {}
-    work: deque[tuple[int, int, int]] = deque(
-        (t.inst, t.port, 0) for t in graph.entry_tokens
-    )
-    while work:
-        inst_id, port, d = work.popleft()
-        key = (inst_id, port)
-        if key in depth:
-            continue
-        depth[key] = d
-        for dest in graph[inst_id].all_dests:
-            if (dest.inst, dest.port) not in depth:
-                work.append((dest.inst, dest.port, d + 1))
-    for inst in graph.instructions:
-        if inst.arity < 2:
-            continue
-        depths = [depth.get((inst.inst_id, p))
-                  for p in range(inst.arity)]
-        known = [d for d in depths if d is not None]
+    # A port's earliest arrival depth, counting instructions on the
+    # path: 0 under an entry token, else one more than the shallowest
+    # reached producer's breadth-first level.
+    table, level = facts.ports, facts.levels
+    base, entry, feeders = table.base, table.entry, table.feeders
+    for inst_id in table.rendezvous:
+        known = []
+        for slot in range(base[inst_id], base[inst_id + 1]):
+            if entry[slot]:
+                known.append(0)
+                continue
+            reached = [level[src] for src, _ in feeders[slot]
+                       if level[src] >= 0]
+            if reached:
+                known.append(1 + min(reached))
         if len(known) < 2:
             continue
         skew = max(known) - min(known)
@@ -423,12 +408,12 @@ def check_rendezvous_balance(graph: DataflowGraph, facts: GraphFacts):
             yield Diagnostic(
                 rule="G010", severity=Severity.WARNING,
                 message=(
-                    f"i{inst.inst_id} ({inst.opcode.name}) operands "
+                    f"i{inst_id} ({graph[inst_id].opcode.name}) operands "
                     f"arrive {skew} instruction levels apart; the early "
                     "operand occupies a matching-table row for the "
                     "whole skew"
                 ),
-                source=graph.name, location=f"i{inst.inst_id}",
+                source=graph.name, location=f"i{inst_id}",
                 hint="rebalance the operand paths or expect "
                      "matching-table overflow on small-M configurations",
             )

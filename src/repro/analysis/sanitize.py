@@ -142,7 +142,7 @@ class RuntimeSanitizer:
                 ),
                 source=source, location="kbound",
             ))
-        for sb in engine.storebuffers:
+        for sb in engine.storebuffers.values():
             stuck = sb.stuck_report()
             if stuck:
                 diags.append(Diagnostic(

@@ -528,7 +528,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .harness.ledger import Ledger, summarize
+    from .harness.ledger import Ledger, content_digest, summarize
     from .obs import aggregate_records
 
     ledger = Ledger(args.ledger)
@@ -547,6 +547,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         document["statuses"] = summarize(
             records, ledger.torn_lines, ledger.corrupt_lines
         )
+        document["content_digest"] = content_digest(records.values())
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     print(f"ledger: {args.ledger} ({len(records)} cells)")
@@ -855,7 +856,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("ledger", metavar="LEDGER",
                          help="JSONL ledger written by sweep --ledger")
     p_stats.add_argument("--json", action="store_true",
-                         help="emit the aggregated registry as JSON")
+                         help="emit the aggregated registry, the "
+                              "status counts and the records' "
+                              "content digest as JSON")
 
     p_ledger = sub.add_parser(
         "ledger", help="ledger maintenance: verify integrity, repair "

@@ -26,9 +26,10 @@ Maintenance: :meth:`verify` audits the file line by line,
 :meth:`repair` rewrites it with corrupt lines moved to a
 ``.quarantine`` sidecar (reason attached), and :meth:`compact`
 additionally collapses superseded records (every record of a hash
-but its winner).  Both rewrites go through an atomic temp-file rename, so
-a crash mid-maintenance leaves either the old file or the new one --
-never a half-written ledger.
+but its winner) and writes the survivors in cell-hash order.  Both
+rewrites go through an atomic temp-file rename, so a crash
+mid-maintenance leaves either the old file or the new one -- never a
+half-written ledger.
 
 Concurrency contract: the ledger has exactly ONE writer -- the sweep
 driver.  Isolation children (see :mod:`repro.harness.scheduler`) never
@@ -43,6 +44,7 @@ at-least-once delivery is idempotent.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -365,11 +367,18 @@ class Ledger:
             self._write_batch(records)
 
     def _write_batch(self, records: list[dict]) -> None:
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write("".join(
-                json.dumps(record, sort_keys=True) + "\n"
-                for record in records
-            ))
+        text = "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in records
+        )
+        with self.path.open("a+b") as fh:
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    # A killed append (or a failed write) left the last
+                    # line unterminated: end it, or this batch's first
+                    # record would be glued to it and lost with it.
+                    text = "\n" + text
+            fh.write(text.encode("utf-8"))
             fh.flush()
             os.fsync(fh.fileno())
 
@@ -391,9 +400,11 @@ class Ledger:
     def compact(self) -> MaintenanceReport:
         """Repair plus collapse: every record but its hash's winner is
         dropped, leaving exactly one line per cell -- the very record
-        :meth:`load` returned before.  Crash-consistent: the new file
-        is written beside the old one, fsynced, and renamed over it in
-        one atomic step."""
+        :meth:`load` returned before -- in cell-hash order, so one
+        record set compacts to the same bytes whatever order it was
+        written in.  Crash-consistent: the new file is written beside
+        the old one, fsynced, and renamed over it in one atomic
+        step."""
         return self._rewrite(collapse=True)
 
     def _rewrite(self, collapse: bool) -> MaintenanceReport:
@@ -401,14 +412,19 @@ class Ledger:
             action="compact" if collapse else "repair")
         lines = list(self._lines())
         audit, winners = self._tally(lines, lambda line_no, _: line_no)
-        if audit.clean and not (collapse and audit.superseded):
-            report.kept = audit.lines
-            return report
         winning = set(winners.values())
         kept = [
-            text for line_no, text, _, problem in lines
+            (record["hash"], text) for line_no, text, record, problem in lines
             if problem is None and (not collapse or line_no in winning)
         ]
+        # Compacted lines go in cell-hash order (one line per hash: a
+        # total order); repair keeps the file's.
+        ordered = sorted(kept) if collapse else kept
+        if audit.clean and ordered == kept and \
+                not (collapse and audit.superseded):
+            report.kept = audit.lines
+            return report
+        kept = [text for _, text in ordered]
         if collapse:
             report.collapsed = audit.superseded
         # Quarantine sidecar first (so a crash between the two writes
@@ -569,6 +585,36 @@ class Ledger:
             ],
             "model_hash": prediction.model_hash,
         }
+
+
+#: Record fields that differ between two runs of the same cells: the
+#: wall clocks, and the writer's sealing (``seq``, ``crc``).
+_RUN_FIELDS = frozenset({"ts", "seq", "crc", "wall_s"})
+#: Metrics of that kind: wall time, and compile-cache activity, which
+#: follows which process ran a cell and in what order.
+_RUN_METRICS = frozenset({"wall_s", "events_per_s"})
+
+
+def content_digest(records: Iterable[dict]) -> str:
+    """sha256 of what a record set says about its cells: the records
+    in cell-hash order, each without the fields that vary between
+    runs of the same cells (``ts``, ``seq``, ``crc``, ``wall_s``, and
+    in ``metrics`` ``wall_s``, ``events_per_s`` and every
+    ``compile_cache_*``).  Two ledgers of one campaign -- at any
+    ``--jobs``, in any write order -- share it."""
+    digest = hashlib.sha256()
+    for record in sorted(records, key=lambda r: r["hash"]):
+        body = {k: v for k, v in record.items() if k not in _RUN_FIELDS}
+        if isinstance(body.get("metrics"), dict):
+            body["metrics"] = {
+                k: v for k, v in body["metrics"].items()
+                if k not in _RUN_METRICS
+                and not k.startswith("compile_cache_")
+            }
+        digest.update(json.dumps(
+            body, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8") + b"\n")
+    return digest.hexdigest()
 
 
 def summarize(

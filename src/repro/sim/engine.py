@@ -200,16 +200,19 @@ class Engine:
         )
         if warm_caches:
             self.memory.warm_l2(graph.initial_memory)
-        self.storebuffers = [
-            StoreBuffer(
+        # A thread's memory requests go to its home cluster's store
+        # buffer, cluster 0's for a thread the placement homes nowhere:
+        # only those clusters get one.
+        self.storebuffers = {
+            c: StoreBuffer(
                 cluster=c,
                 config=config,
                 graph=graph,
                 memory=self.memory,
                 stats=self.stats,
             )
-            for c in range(config.clusters)
-        ]
+            for c in sorted({0, *placement.thread_home.values()})
+        }
 
         # Per-PE state exists for the PEs the placement occupies: a
         # token only ever reaches the PE of its instruction, so an idle
@@ -423,7 +426,7 @@ class Engine:
         send_memory, memory_complete, flush_memory = self._make_memory()
         on_dispatch, flush_dispatch = self._make_dispatch(send_memory)
         self._flushes = (flush_deliver, flush_memory, flush_dispatch)
-        for sb in self.storebuffers:
+        for sb in self.storebuffers.values():
             sb._complete = memory_complete
             sb._retire = self._wave_retired
         # Indexed by event tag.  Token tags and EV_IFETCH (which
@@ -448,7 +451,7 @@ class Engine:
         if self.profile is not None:
             self.profile.stop()
         self._handlers = self._flushes = self._deliver = None
-        for sb in self.storebuffers:
+        for sb in self.storebuffers.values():
             sb._complete = sb._retire = None
 
     def _finish(self, processed: int, strict: bool) -> SimStats:
@@ -1004,7 +1007,7 @@ class Engine:
                 )
                 problems.append(f"  pe{pe}: {len(rows)} partial rows: "
                                 f"{sample}")
-        for sb in self.storebuffers:
+        for sb in self.storebuffers.values():
             report = sb.stuck_report()
             if report:
                 problems.append(report)

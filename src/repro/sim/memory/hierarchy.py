@@ -15,8 +15,9 @@ each seeing the directory state the previous one left behind.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 from ...area.floorplan import Floorplan
 from ...core.config import WaveScalarConfig
@@ -98,13 +99,16 @@ class MemoryHierarchy:
         self.network = network
         self.stats = stats
         self.data: dict[int, int | float] = dict(backing or {})
-        self.l1 = [
-            CacheArray(config.l1_sets, config.l1_associativity)
-            for _ in range(config.clusters)
-        ]
-        self._l1_ports = [
-            _PortLedger(config.l1_ports) for _ in range(config.clusters)
-        ]
+        # A cluster's L1 and its port ledger come into being with its
+        # first access (a hit stays one dict lookup): most cells touch
+        # memory from one or two clusters of sixteen, and an untouched
+        # L1 holds nothing.
+        self.l1: defaultdict[int, CacheArray] = defaultdict(
+            partial(CacheArray, config.l1_sets, config.l1_associativity)
+        )
+        self._l1_ports: defaultdict[int, _PortLedger] = defaultdict(
+            partial(_PortLedger, config.l1_ports)
+        )
         if config.l2_mb > 0:
             l2_ways = 8
             self.l2: CacheArray | None = CacheArray(
@@ -119,12 +123,17 @@ class MemoryHierarchy:
         # Config scalars every access reads, hoisted once.
         self._line_words = config.line_words
         self._l1_hit_latency = config.l1_hit_latency
-        # Physical geometry: L2 banks sit on the perimeter of the
-        # cluster array; their access latency is distance-dependent
-        # (Section 3.3.2's 20-30 cycle band), a pure function of
-        # (cluster, bank) that each miss would otherwise recompute.
-        self.floorplan = Floorplan(config)
         self._l2_latencies: dict[int, int] = {}
+
+    @cached_property
+    def floorplan(self) -> Floorplan:
+        """Physical geometry: L2 banks sit on the perimeter of the
+        cluster array; their access latency is distance-dependent
+        (Section 3.3.2's 20-30 cycle band), a pure function of
+        (cluster, bank) that :meth:`_l2_latency` memoises.  Built on
+        the first L2 access, which a cell without misses never
+        makes."""
+        return Floorplan(self.config)
 
     # ------------------------------------------------------------------
     # Addressing
@@ -317,7 +326,7 @@ class MemoryHierarchy:
     def _l2_latency(self, cluster: int, line: int) -> int:
         """Distance-dependent bank access (floorplan geometry),
         memoised per (cluster, bank)."""
-        n_banks = self.floorplan.n_banks
+        n_banks = self.n_banks  # the floorplan's too: max(4, clusters)
         bank = line % n_banks
         key = cluster * n_banks + bank
         latency = self._l2_latencies.get(key)

@@ -2,7 +2,6 @@
 
 import math
 from collections import Counter
-from functools import partial
 
 from repro.analysis import (
     BoundReport,
@@ -14,12 +13,13 @@ from repro.analysis import (
     dataflow,
     workload_statics,
 )
+from repro.analysis.engine import PortTable
 from repro.analysis.dataflow import (
     _FIRED,
     _SAME,
     INF,
     MAX_ROUNDS,
-    _flatten,
+    WIDEN_AFTER,
     _sweep,
     critical_path_cycles,
     deadlock_proofs,
@@ -158,8 +158,12 @@ def test_truncated_flow_proves_no_deadlock(monkeypatch):
     assert cut.deadlocks == [] and not cut.proven_deadlock
     assert deadlock_proofs(graph, cut) == []
     assert analyze_tokens(graph).converged
-    monkeypatch.setattr(dataflow, "analyze_tokens",
-                        partial(analyze_tokens, max_rounds=1))
+    token_flow = dataflow._token_flow
+    monkeypatch.setattr(
+        dataflow, "_token_flow",
+        lambda table, widen_after=WIDEN_AFTER, max_rounds=MAX_ROUNDS:
+            token_flow(table, widen_after, 1),
+    )
     assert rule_ids(analyze_graph(graph)) == ["A002"]
     assert not dataflow.graph_statics(graph).proven_deadlock
 
@@ -184,7 +188,7 @@ def sweep_counting(consumers, moves=None, max_rounds=MAX_ROUNDS):
 
 def test_acyclic_graph_is_visited_once_per_instruction():
     for seed in range(5):
-        _, _, _, consumers = _flatten(random_graph(seed))
+        _, consumers = PortTable(random_graph(seed)).token_edges
         visits, rounds, converged = sweep_counting(consumers)
         assert visits == Counter(range(len(consumers)))
         assert (rounds, converged) == (1, True)

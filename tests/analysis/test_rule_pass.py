@@ -51,7 +51,7 @@ def calls(monkeypatch):
     """Counts of ``validate()`` and token-flow computations."""
     counts = Counter()
     validate = DataflowGraph.validate
-    analyze_tokens = dataflow.analyze_tokens
+    token_flow = dataflow._token_flow
 
     def counting_validate(self):
         counts["validate"] += 1
@@ -59,10 +59,10 @@ def calls(monkeypatch):
 
     def counting_tokens(*args, **kwargs):
         counts["flow"] += 1
-        return analyze_tokens(*args, **kwargs)
+        return token_flow(*args, **kwargs)
 
     monkeypatch.setattr(DataflowGraph, "validate", counting_validate)
-    monkeypatch.setattr(dataflow, "analyze_tokens", counting_tokens)
+    monkeypatch.setattr(dataflow, "_token_flow", counting_tokens)
     return counts
 
 

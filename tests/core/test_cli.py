@@ -163,6 +163,7 @@ def test_stats_json_mode(capsys, tmp_path):
     document = json.loads(out)
     assert document["counters"]["cells_total"] > 0
     assert "ok" in document["statuses"]
+    assert len(document["content_digest"]) == 64
 
 
 def test_stats_missing_ledger_fails(capsys, tmp_path):

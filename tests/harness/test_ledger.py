@@ -75,6 +75,21 @@ def test_torn_trailing_line_tolerated(tmp_path):
     assert set(records) == {"aaa"}
 
 
+def test_append_after_a_torn_line_starts_a_line_of_its_own(tmp_path):
+    """Resuming after a SIGKILL mid-append: the next record must not be
+    glued to the cut line, or it is lost with it."""
+    path = tmp_path / "runs.jsonl"
+    ledger = Ledger(path)
+    ledger.append({"hash": "aaa", "status": "ok"})
+    with path.open("a") as fh:
+        fh.write('{"hash": "bbb", "status": "o')  # torn write
+    resumed = Ledger(path)
+    resumed.append({"hash": "bbb", "status": "ok"})
+    assert set(resumed.load()) == {"aaa", "bbb"}
+    audit = resumed.verify()
+    assert (audit.corrupt_json, audit.records) == (1, 2)
+
+
 def test_missing_file_loads_empty(tmp_path):
     ledger = Ledger(tmp_path / "nope.jsonl")
     assert ledger.load() == {}

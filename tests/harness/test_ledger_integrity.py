@@ -18,6 +18,7 @@ from repro.harness import Ledger, summarize
 from repro.harness.ledger import (
     LEDGER_VERSION,
     checksum_ok,
+    content_digest,
     record_checksum,
 )
 
@@ -393,3 +394,56 @@ def test_nan_and_inf_aipc_round_trip(tmp_path):
     assert not report.rewritten  # nothing was mistaken for corruption
     ledger.compact()
     assert math.isnan(Ledger(path).load()["nan"]["aipc"])
+
+
+# ----------------------------------------------------------------------
+# Record-set invariance: compact order and the content digest
+# ----------------------------------------------------------------------
+def cell_record(cell, aipc, seq, wall):
+    """A sealed ok record as one run of a campaign might write it."""
+    record = {
+        "hash": cell, "status": "ok", "aipc": aipc, "seq": seq,
+        "ts": 1000.0 + wall, "wall_s": wall, "version": LEDGER_VERSION,
+        "metrics": {"events": 10, "wall_s": wall,
+                    "events_per_s": 10 / wall,
+                    "compile_cache_hits": seq % 2,
+                    "compile_cache_misses": 1 - seq % 2},
+    }
+    record["crc"] = record_checksum(record)
+    return record
+
+
+def test_compact_writes_one_record_set_in_cell_hash_order(tmp_path):
+    records = [cell_record(cell, 1.0 + i, i, 0.5)
+               for i, cell in enumerate(["ccc", "aaa", "ddd", "bbb"])]
+    orders = [records, records[::-1]]
+    paths = []
+    for n, order in enumerate(orders):
+        path = tmp_path / f"runs-{n}.jsonl"
+        Ledger(path).append_many(dict(r) for r in order)
+        Ledger(path).compact()
+        paths.append(path)
+    first, second = (path.read_bytes() for path in paths)
+    assert first == second
+    assert [r["hash"] for r in raw_lines(paths[0])] == \
+        ["aaa", "bbb", "ccc", "ddd"]
+    assert Ledger(paths[0]).verify().clean  # lines moved, not re-sealed
+    assert not Ledger(paths[0]).compact().rewritten  # already in order
+
+
+def test_content_digest_ignores_only_what_varies_between_runs():
+    one = [cell_record("aaa", 1.0, 0, 0.5), cell_record("bbb", 2.0, 1, 0.7)]
+    # Another run of the same cells: other clocks, other seq and
+    # cache attribution, other write order.
+    two = [cell_record("bbb", 2.0, 0, 0.1), cell_record("aaa", 1.0, 1, 0.9)]
+    assert one != two
+    assert content_digest(one) == content_digest(two)
+    changed = [cell_record("aaa", 1.0, 0, 0.5),
+               cell_record("bbb", 2.5, 1, 0.7)]
+    assert content_digest(changed) != content_digest(one)
+    failed = [dict(one[0]), one[1]]
+    failed[0]["status"] = "failed"
+    assert content_digest(failed) != content_digest(one)
+    counted = [dict(one[0], metrics=dict(one[0]["metrics"], events=11)),
+               one[1]]
+    assert content_digest(counted) != content_digest(one)

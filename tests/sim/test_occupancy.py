@@ -12,10 +12,13 @@ read off the engine that still built all 512.
 import pytest
 
 from repro.analysis import RuntimeSanitizer
+from repro.area.floorplan import Floorplan
 from repro.sim.engine import Engine
 from repro.sim.failures import CycleBudgetExhausted, TrueDeadlock
+from repro.sim.memory.hierarchy import CacheArray
 from repro.sim.pe.istore import InstructionStore
 from repro.sim.pe.matching import MatchingTable
+from repro.sim.storebuffer.storebuffer import StoreBuffer
 from repro.sim.trace import Trace
 
 from .verdicts import C16, cell, idle_state_written
@@ -128,3 +131,39 @@ def test_net_inject_ledgers_follow_the_traffic(name):
                 received.add(int(target[len("pe"):]) // pes_per_domain)
     assert set(engine.network._net_in) == received
     assert bool(received) == (name == "fft")
+
+
+def test_memory_state_is_built_where_memory_is_used(gzip_c16, monkeypatch):
+    """gzip's one thread is homed on cluster 0: of sixteen clusters,
+    only cluster 0 gets a store buffer, and only the clusters a run
+    accesses get an L1 -- the L2 alone exists before the run.  The
+    floorplan waits for the first L2 access."""
+    graph, config, placement = gzip_c16
+    assert set(placement.thread_home.values()) <= {0}
+    buffers = _count_constructions(monkeypatch, StoreBuffer)
+    arrays = _count_constructions(monkeypatch, CacheArray)
+    plans = _count_constructions(monkeypatch, Floorplan)
+    engine = Engine(graph, config, placement)
+    assert [sb.cluster for sb in buffers] == [0]
+    assert list(engine.storebuffers) == [0]
+    assert arrays == [engine.memory.l2] and plans == []
+    stats = engine.run()
+    assert stats.l1_hits + stats.l1_misses > 0
+    assert sorted(engine.memory.l1) == [0]
+    assert sorted(engine.memory._l1_ports) == [0]
+    assert len(arrays) == 2 and len(plans) == (stats.l1_misses > 0)
+
+
+def test_every_thread_home_has_its_store_buffer():
+    """fft's sixteen threads spread over the clusters: each home
+    cluster (and cluster 0) has a store buffer, and every one of them
+    is what the quiescence check and the sanitizer walk."""
+    engine = Engine(*cell("fft", C16, threads=16))
+    homes = set(engine.placement.thread_home.values())
+    assert len(homes) > 1
+    assert sorted(engine.storebuffers) == sorted(homes | {0})
+    engine.sanitizer = RuntimeSanitizer()
+    engine.run()
+    assert engine.stats.memory_ops > 0
+    engine._check_quiescent()
+    assert not engine.sanitizer.report().has_errors
