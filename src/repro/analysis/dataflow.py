@@ -88,7 +88,7 @@ from typing import Callable, Iterator, Optional
 
 from ..isa.graph import DataflowGraph
 from ..isa.opcodes import Opcode
-from .diagnostics import Diagnostic, Report, Severity
+from .diagnostics import Diagnostic, Severity
 from .engine import TARGET_GRAPH, PortTable, rule
 
 __all__ = [
@@ -542,7 +542,7 @@ def _check_convergence(graph: DataflowGraph, facts) -> list[Diagnostic]:
 # Critical path (first-firing lower bounds)
 # ----------------------------------------------------------------------
 def critical_path_cycles(
-    graph: DataflowGraph,
+    table: PortTable,
     must_fire: frozenset[int],
     max_rounds: int = MAX_ROUNDS,
     edge_weight: Optional[Callable[[int, int], int]] = None,
@@ -556,11 +556,12 @@ def critical_path_cycles(
     latency has elapsed); ``edge_weight(src, dst)`` substitutes a
     placement-aware floor.  Iterated ascending from zero, so any round
     count is sound; only instructions known to fire (``must_fire``)
-    contribute to the result.
+    contribute to the result.  ``table`` is the graph's
+    :class:`PortTable`.
     """
     if not must_fire:
         return 0
-    table = PortTable(graph)
+    graph = table.graph
     base, entry = table.base, table.entry
     feeders, consumers = table.token_edges
     latency = [i.opcode.latency for i in graph.instructions]
@@ -833,9 +834,10 @@ class WorkloadStatics:
     #: many operand sends one firing can fan out to.  A surrogate
     #: feature (network-pressure proxy), not a bound ingredient.
     fanout_pressure: int = 0
-    #: The compiled graph (shared with the simulator's LRU cache) --
-    #: needed to re-score the roofs against a concrete placement.
-    graph: Optional[DataflowGraph] = None
+    #: The compiled graph's port table (``ports.graph`` is the graph,
+    #: shared with the simulator's LRU cache) -- needed to re-score the
+    #: roofs against a concrete placement.
+    ports: Optional[PortTable] = None
     #: Instructions proven to fire (exact, from the profile).
     must_fire: frozenset[int] = frozenset()
     #: Exact per-instruction firing counts, sorted by id.
@@ -877,11 +879,20 @@ def graph_statics(
     The registry-independent core of :func:`workload_statics`: the
     fuzzer (and any programmatic caller with a hand-built graph) uses
     this to get bound ingredients for programs that have no registry
-    name."""
-    from ..lang.interp import interpret
+    name.
 
-    flow = analyze_tokens(graph)
-    if flow.proven_deadlock:
+    The token flow runs only when the interpreter deadlocks: a graph
+    it proves stuck gets zero statics, any other deadlock re-raises.
+    A built graph passed verification, which rejects a proven deadlock
+    (A001), so it never pays for a flow here."""
+    from ..lang.interp import DeadlockError, interpret
+
+    ports = PortTable(graph)
+    try:
+        result = interpret(graph)
+    except DeadlockError:
+        if not _token_flow(ports).proven_deadlock:
+            raise
         return WorkloadStatics(
             workload=name, scale=scale, threads=threads,
             static_alpha=len(graph.alpha_equivalent_ids()),
@@ -889,7 +900,6 @@ def graph_statics(
             memory_by_thread=(), critical_path=0, recurrence=0,
             proven_deadlock=True,
         )
-    result = interpret(graph)
     fired = result.fired_by_inst
     stores = result.fired_by_opcode.get(Opcode.STORE.name, 0)
     loads = result.fired_by_opcode.get(Opcode.LOAD.name, 0)
@@ -926,7 +936,7 @@ def graph_statics(
         memory_work=loads + stores,
         fpu_work=fpu_work,
         memory_by_thread=tuple(sorted(by_thread.items())),
-        critical_path=critical_path_cycles(graph, must_fire),
+        critical_path=critical_path_cycles(ports, must_fire),
         recurrence=score_cycles(
             list(kept), lambda src, dst: latency[src]  # noqa: ARG005
         ),
@@ -937,7 +947,7 @@ def graph_statics(
              if inst.inst_id in must_fire),
             default=0,
         ),
-        graph=graph,
+        ports=ports,
         must_fire=must_fire,
         fired_by_inst=tuple(sorted(fired.items())),
         cycles=kept,
@@ -1059,10 +1069,10 @@ def compute_bound(
     }
     if statics.fpu_work:
         components["fpu"] = math.ceil(statics.fpu_work / n_domains)
-    graph = statics.graph
-    if graph is not None:
+    if statics.ports is not None:
         from ..place.snake import place
 
+        graph = statics.ports.graph
         placement = place(graph, config)
         weight = placed_edge_weight(graph, config, placement)
         # Busiest-PE dispatch roof: placement pins each instruction to
@@ -1079,7 +1089,7 @@ def compute_bound(
             components["dispatch_pe"] = float(max(per_pe.values()))
         components["critical_path_placed"] = float(
             critical_path_cycles(
-                graph, statics.must_fire, edge_weight=weight
+                statics.ports, statics.must_fire, edge_weight=weight
             )
         )
         if statics.cycles:
@@ -1125,13 +1135,3 @@ def bound_for_cell(spec) -> BoundReport:
         spec.workload, spec.scale, spec.threads, spec.k, spec.seed
     )
     return compute_bound(statics, spec.config)
-
-
-def analyze_dataflow(graph: DataflowGraph) -> Report:
-    """Run just the token-flow rules over a graph (library entry
-    point mirroring :func:`repro.analysis.analyze_graph`)."""
-    report = Report()
-    flow = analyze_tokens(graph)
-    report.extend(deadlock_proofs(graph, flow))
-    report.extend(_backstop_warnings(graph, flow))
-    return report

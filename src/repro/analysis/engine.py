@@ -66,6 +66,7 @@ class PortTable:
         steer = Opcode.STEER
         sinks = (Opcode.OUTPUT, Opcode.THREAD_HALT)
         insts = graph.instructions
+        self.graph = graph
         base = [0, *accumulate(inst.opcode.arity for inst in insts)]
         entry = [0] * base[-1]
         for token in graph.entry_tokens:

@@ -14,7 +14,7 @@ from .budget import (
     pe_total_mm2,
     sram_fraction,
 )
-from .estimator import estimate_chip_mm2, estimate_constants
+from .estimator import estimate_constants
 from .floorplan import Floorplan
 from .model import (
     MAX_DIE_MM2,
@@ -24,7 +24,6 @@ from .model import (
     chip_area,
     cluster_area,
     domain_area,
-    fits_die,
     pe_area,
 )
 from .timing import (
@@ -32,7 +31,6 @@ from .timing import (
     TARGET_CYCLE_FO4,
     TimingReport,
     cycle_time_fo4,
-    cycles_to_seconds,
     meets_clock_target,
     timing_report,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "format_budget_table",
     "pe_total_mm2",
     "sram_fraction",
-    "estimate_chip_mm2",
     "Floorplan",
     "estimate_constants",
     "MAX_DIE_MM2",
@@ -54,13 +51,11 @@ __all__ = [
     "chip_area",
     "cluster_area",
     "domain_area",
-    "fits_die",
     "pe_area",
     "FO4_PS",
     "TARGET_CYCLE_FO4",
     "TimingReport",
     "cycle_time_fo4",
-    "cycles_to_seconds",
     "meets_clock_target",
     "timing_report",
 ]

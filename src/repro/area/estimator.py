@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.config import WaveScalarConfig
-
 FLOP_UM2_PER_BIT = 18.0
 SRAM_UM2_PER_BIT = 1.0
 GATES_PER_MM2 = 250_000.0
@@ -112,10 +110,6 @@ def network_switch_mm2() -> float:
     return queues + logic_mm2(40_000)
 
 
-def fpu_mm2() -> float:
-    return logic_mm2(120_000)
-
-
 def pseudo_pe_mm2() -> float:
     """MEM/NET pseudo-PEs: interface queues and arbitration."""
     return flop_array_mm2(16 * 72) + logic_mm2(20_000)
@@ -150,27 +144,4 @@ def estimate_constants() -> EstimatedConstants:
         l1_mm2_per_kb=l1_mm2_per_kb(),
         network_switch_mm2=network_switch_mm2(),
         l2_mm2_per_mb=l2_mm2_per_mb(),
-    )
-
-
-def estimate_chip_mm2(config: WaveScalarConfig) -> float:
-    """Bottom-up chip area under the estimated constants."""
-    consts = estimate_constants()
-    pe = (
-        config.matching_entries * consts.matching_mm2_per_entry
-        + config.virtualization * consts.istore_mm2_per_instruction
-        + consts.pe_other_mm2
-    )
-    domain = 2 * consts.pseudo_pe_mm2 + config.pes_per_domain * pe + fpu_mm2()
-    cluster = (
-        config.domains_per_cluster * domain
-        + consts.store_buffer_mm2
-        + config.l1_kb * consts.l1_mm2_per_kb
-        + consts.network_switch_mm2
-    )
-    from .model import UTILIZATION
-
-    return (
-        config.clusters * cluster / UTILIZATION
-        + config.l2_mb * consts.l2_mm2_per_mb
     )

@@ -147,8 +147,3 @@ def breakdown(config: WaveScalarConfig) -> AreaBreakdown:
         l2=config.l2_mb * L2_MM2_PER_MB,
         wiring_overhead=wiring,
     )
-
-
-def fits_die(config: WaveScalarConfig, budget_mm2: float = MAX_DIE_MM2) -> bool:
-    """Whether the configuration fits the paper's 400 mm^2 cap."""
-    return chip_area(config) <= budget_mm2

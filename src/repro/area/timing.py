@@ -91,9 +91,3 @@ def meets_clock_target(config: WaveScalarConfig) -> bool:
         and config.pes_per_domain <= MAX_PES_PER_DOMAIN
         and config.domains_per_cluster <= MAX_DOMAINS_PER_CLUSTER
     )
-
-
-def cycles_to_seconds(cycles: int, config: WaveScalarConfig) -> float:
-    """Wall-clock time of a run at this configuration's clock."""
-    fo4, _ = cycle_time_fo4(config)
-    return cycles * fo4 * FO4_PS * 1e-12

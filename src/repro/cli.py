@@ -276,8 +276,9 @@ def cmd_designs(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis import analyze_graph, bound_for_cell, workload_statics
+    from .analysis import analyze_graph, bound_for_cell
     from .harness.spec import CellSpec
+    from .sim.compile import get_compiled
 
     config = _config_from(args)
     names = SUITES[args.suite] if args.suite else [args.workload]
@@ -301,12 +302,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(bound.render())
         print(f"  binding roof       {bound.binding_roof}")
         if args.verbose:
-            statics = workload_statics(
+            graph = get_compiled(
                 bound.workload, scale=args.scale, threads=args.threads
-            )
-            if statics.graph is not None:
-                for diag in analyze_graph(statics.graph).sorted():
-                    print(f"  {diag.render()}")
+            ).graph
+            for diag in analyze_graph(graph).sorted():
+                print(f"  {diag.render()}")
         print()
     return exit_code
 

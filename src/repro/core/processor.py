@@ -17,7 +17,6 @@ from typing import Optional
 from ..area.model import breakdown
 from ..area.timing import timing_report
 from ..isa.graph import DataflowGraph
-from ..lang.kbound import set_k_bound
 from ..place.placement import Placement
 from ..place.snake import place
 from ..sim.engine import Engine
@@ -82,7 +81,6 @@ class WaveScalarProcessor:
         self,
         graph: DataflowGraph,
         placement: Optional[Placement] = None,
-        k: Optional[int] = None,
         strict: bool = True,
         threads: Optional[int] = None,
         sanitizer=None,
@@ -92,8 +90,7 @@ class WaveScalarProcessor:
     ) -> SimulationResult:
         """Execute ``graph`` and return the full result bundle.
 
-        ``k`` rebinds every loop's k-loop bound before execution
-        (Table 4 tuning); ``strict`` raises on deadlock rather than
+        ``strict`` raises on deadlock rather than
         returning a partial result; ``sanitizer`` attaches a
         :class:`~repro.analysis.RuntimeSanitizer` that audits token
         conservation, matching-table leaks, and queue bounds (query it
@@ -106,11 +103,10 @@ class WaveScalarProcessor:
         are those of an unprofiled run); ``compiled`` passes the
         graph's pre-built
         :class:`~repro.sim.compile.CompiledGraph` decode straight to
-        the engine (it must belong to ``graph``, so it cannot be
-        combined with ``k`` rebinding, which derives a new graph).
+        the engine (it must belong to ``graph``).  A loop's k bound is
+        part of the graph, set when it is built
+        (``Workload.instantiate(k=)``).
         """
-        if k is not None:
-            graph = set_k_bound(graph, k)
         if placement is None:
             placement = self.place(graph)
         engine = Engine(

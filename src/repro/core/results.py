@@ -46,10 +46,6 @@ class SimulationResult:
         return self.area.total
 
     @property
-    def aipc_per_mm2(self) -> float:
-        return self.aipc / self.area_mm2 if self.area_mm2 else 0.0
-
-    @property
     def runtime_seconds(self) -> float:
         """Wall-clock time at the configuration's 20 FO4 clock."""
         return self.cycles * self.timing.cycle_ps * 1e-12

@@ -1,7 +1,7 @@
 """Design-space exploration: enumeration, pruning, Pareto analysis,
 matching-table tuning, and the tile-scaling study (Section 4.2)."""
 
-from .export import diff_points, dump_points, load_points
+from .export import dump_points
 from .pareto import (
     FrontierRow,
     ParetoPoint,
@@ -26,7 +26,6 @@ from .space import (
     is_balanced,
     matches_ratio,
     prune,
-    raw_design_count,
     viable_designs,
 )
 from .virtualization import (
@@ -34,16 +33,13 @@ from .virtualization import (
     TuningResult,
     find_k_opt,
     find_u_opt,
-    matching_entries_for,
     processor_ratio,
     tune_application,
 )
 
 __all__ = [
     "FrontierRow",
-    "diff_points",
     "dump_points",
-    "load_points",
     "ParetoPoint",
     "best_performance_per_area",
     "frontier_rows",
@@ -65,13 +61,11 @@ __all__ = [
     "is_balanced",
     "matches_ratio",
     "prune",
-    "raw_design_count",
     "viable_designs",
     "INFINITE_MATCHING",
     "TuningResult",
     "find_k_opt",
     "find_u_opt",
-    "matching_entries_for",
     "processor_ratio",
     "tune_application",
 ]

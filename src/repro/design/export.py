@@ -1,8 +1,9 @@
-"""Saving and loading design-space evaluations.
+"""Saving design-space evaluations.
 
-Pareto sweeps are the expensive part of the study; this module
-serialises evaluated points to JSON so a sweep can be archived,
-diffed against a later run, or re-plotted without re-simulating.
+Pareto sweeps are the expensive part of the study; ``repro sweep
+--save`` writes its evaluated points (each with its full configuration)
+to JSON through :func:`dump_points`, so a sweep can be archived and
+re-plotted without re-simulating.
 """
 
 from __future__ import annotations
@@ -21,10 +22,6 @@ FORMAT = 1
 
 def _config_to_dict(config: WaveScalarConfig) -> dict:
     return dataclasses.asdict(config)
-
-
-def _config_from_dict(data: dict) -> WaveScalarConfig:
-    return WaveScalarConfig(**data)
 
 
 def dump_points(
@@ -49,56 +46,3 @@ def dump_points(
         ],
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def load_points(path: str | Path) -> tuple[list[ParetoPoint], dict]:
-    """Read points back; returns (points, metadata)."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != FORMAT:
-        raise ValueError(
-            f"unsupported sweep format {payload.get('format')!r} "
-            f"(expected {FORMAT})"
-        )
-    points = []
-    for entry in payload["points"]:
-        config = (
-            _config_from_dict(entry["config"])
-            if entry.get("config") is not None
-            else None
-        )
-        points.append(
-            ParetoPoint(
-                label=entry["label"],
-                area=entry["area_mm2"],
-                performance=entry["performance"],
-                payload=config,
-            )
-        )
-    return points, payload.get("metadata", {})
-
-
-def diff_points(
-    old: Sequence[ParetoPoint], new: Sequence[ParetoPoint],
-    tolerance: float = 0.02,
-) -> list[str]:
-    """Human-readable performance differences between two sweeps of the
-    same design set (matched by label)."""
-    old_by_label = {p.label: p for p in old}
-    lines = []
-    for point in new:
-        prev = old_by_label.get(point.label)
-        if prev is None:
-            lines.append(f"new point: {point.label}")
-            continue
-        if prev.performance == 0:
-            continue
-        change = point.performance / prev.performance - 1.0
-        if abs(change) > tolerance:
-            lines.append(
-                f"{point.label}: {prev.performance:.3f} -> "
-                f"{point.performance:.3f} ({change:+.1%})"
-            )
-    for label in old_by_label:
-        if label not in {p.label for p in new}:
-            lines.append(f"removed point: {label}")
-    return lines

@@ -79,18 +79,6 @@ def enumerate_raw() -> Iterator[WaveScalarConfig]:
                                 )
 
 
-def raw_design_count() -> int:
-    return (
-        len(CLUSTER_CHOICES)
-        * len(DOMAIN_CHOICES)
-        * len(PE_CHOICES)
-        * len(VIRT_CHOICES)
-        * len(MATCHING_CHOICES)
-        * len(L1_CHOICES)
-        * len(L2_CHOICES)
-    )
-
-
 def is_balanced(config: WaveScalarConfig) -> bool:
     """The paper's structural sanity rules.
 

@@ -52,11 +52,6 @@ class TuningResult:
     def answered(self) -> bool:
         return self.failure is None
 
-    def ratio_str(self) -> str:
-        if self.failure:
-            return f"no answer ({self.failure})"
-        return f"{self.virtualization_ratio:.2f}"
-
 
 def find_k_opt(
     evaluate: Callable[[int, int], float],
@@ -144,11 +139,3 @@ def processor_ratio(results: Sequence[TuningResult]) -> float:
     while ratio < worst:
         ratio *= 2.0
     return ratio
-
-
-def matching_entries_for(
-    v: int, ratio: float, minimum: int = 16, maximum: int = 128
-) -> int:
-    """M implied by the matching-table equation, clamped to the RTL
-    structure-size limits."""
-    return max(minimum, min(maximum, int(v * ratio)))

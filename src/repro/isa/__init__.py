@@ -17,7 +17,6 @@ from .waves import (
     WAVE_END,
     WAVE_START,
     WaveAnnotation,
-    WaveSequencer,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "WAVE_END",
     "WAVE_START",
     "WaveAnnotation",
-    "WaveSequencer",
 ]

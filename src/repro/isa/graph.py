@@ -68,16 +68,6 @@ class DataflowGraph:
     # ------------------------------------------------------------------
     # Derived structure
     # ------------------------------------------------------------------
-    def producers_of(self, inst_id: int) -> list[int]:
-        """Static ids of instructions that feed ``inst_id`` (any port)."""
-        result = []
-        for inst in self.instructions:
-            for dest in inst.all_dests:
-                if dest.inst == inst_id:
-                    result.append(inst.inst_id)
-                    break
-        return result
-
     def edges(self) -> Iterable[tuple[int, Dest]]:
         """All (producer_id, destination) pairs in the program."""
         for inst in self.instructions:

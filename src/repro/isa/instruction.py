@@ -12,7 +12,7 @@ instructions have two destination lists (taken / not-taken).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .opcodes import Opcode
@@ -111,17 +111,3 @@ class Instruction:
         if self.label:
             parts.append(f"({self.label})")
         return " ".join(parts)
-
-
-@dataclass(slots=True)
-class InputSpec:
-    """Declares a program entry point: tokens injected before cycle 0.
-
-    ``values`` holds one value per thread launch; each is delivered to
-    ``(inst, port)`` with the given thread id and wave 0.
-    """
-
-    inst: int
-    port: int
-    thread: int = 0
-    values: tuple[int | float, ...] = field(default=(0,))

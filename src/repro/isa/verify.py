@@ -14,8 +14,6 @@ diagnostics (including warnings) instead of failing fast.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from .graph import DataflowGraph
 
 
@@ -23,18 +21,13 @@ class GraphVerificationError(ValueError):
     """Raised when a dataflow graph fails semantic verification."""
 
 
-def verify_graph(graph: DataflowGraph, require_outputs: bool = False) -> None:
+def verify_graph(graph: DataflowGraph) -> None:
     """Run all semantic checks; raise :class:`GraphVerificationError`.
 
-    Parameters
-    ----------
-    graph:
-        The program to verify.  Structural validation
-        (``graph.validate()``) runs first, as rule ``G000``.
-    require_outputs:
-        When true, insist the program contains at least one OUTPUT
-        instruction so results are observable (escalates the ``G011``
-        observability warning to an error).
+    Structural validation (``graph.validate()``) runs first, as rule
+    ``G000``.  A program without OUTPUT instructions passes (``G011``
+    is a warning); a caller that needs observable results checks
+    ``graph.output_instruction_ids()``.
     """
     from ..analysis import analyze_graph
 
@@ -44,30 +37,3 @@ def verify_graph(graph: DataflowGraph, require_outputs: bool = False) -> None:
         first = errors[0]
         prefix = f"{first.source}: " if first.source else ""
         raise GraphVerificationError(f"{prefix}{first.message}")
-    if require_outputs and not graph.output_instruction_ids():
-        raise GraphVerificationError(
-            f"{graph.name}: no OUTPUT instructions; results unobservable"
-        )
-
-
-def count_by_opclass(graph: DataflowGraph) -> dict[str, int]:
-    """Histogram of static instructions by opcode class (diagnostics)."""
-    hist: dict[str, int] = defaultdict(int)
-    for inst in graph.instructions:
-        hist[inst.opcode.value.opclass.value] += 1
-    return dict(hist)
-
-
-def steer_fraction(graph: DataflowGraph) -> float:
-    """Fraction of static instructions that are dataflow overhead.
-
-    The paper reports AIPC rather than IPC precisely because this
-    overhead is significant; workload tests use this to check that our
-    kernels have realistic overhead ratios.
-    """
-    if not graph.instructions:
-        return 0.0
-    overhead = sum(
-        1 for inst in graph.instructions if not inst.opcode.alpha_equivalent
-    )
-    return overhead / len(graph.instructions)

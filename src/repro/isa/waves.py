@@ -17,9 +17,11 @@ predecessor link is resolved, either directly (``prev`` matches the last
 issued operation) or through a *ripple* (the previous operation named
 this one in its ``next`` field).
 
-Compilers must guarantee that along every control path the chain of
-annotations is gap-free; MEMORY_NOP instructions are inserted on branch
-paths that contain no memory operations.
+Along every control path the chain of annotations must be gap-free.
+:class:`repro.lang.GraphBuilder` assigns the triples itself when it
+finalizes a graph, inserting MEMORY_NOP instructions on branch paths
+that contain no memory operations; the assembler
+(:mod:`repro.lang.assembler`) reads them from the program text.
 """
 
 from __future__ import annotations
@@ -65,16 +67,6 @@ class WaveAnnotation:
                 f"next ({self.next}) must follow this ({self.this})"
             )
 
-    @property
-    def is_first(self) -> bool:
-        """True if this is statically known to start its wave."""
-        return self.prev == WAVE_START
-
-    @property
-    def is_last(self) -> bool:
-        """True if this is statically known to end its wave."""
-        return self.next == WAVE_END
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         def show(x: int) -> str:
             if x == UNKNOWN:
@@ -86,68 +78,3 @@ class WaveAnnotation:
             return str(x)
 
         return f"<{show(self.prev)},{show(self.this)},{show(self.next)}>"
-
-
-class WaveSequencer:
-    """Assigns gap-free wave annotations while a graph is being built.
-
-    The builder calls :meth:`next_annotation` for every memory operation
-    it emits, in program order.  Straight-line code produces fully
-    resolved chains.  For branches the builder brackets the divergent
-    region with :meth:`fork`/:meth:`join`; operations on the two arms
-    receive ``UNKNOWN`` links that the store buffer resolves dynamically
-    through ripples.
-    """
-
-    def __init__(self) -> None:
-        self._counter = 0
-        self._prev: int = WAVE_START
-        self._prev_unknown = False
-
-    @property
-    def count(self) -> int:
-        """Number of sequence slots handed out so far."""
-        return self._counter
-
-    def next_annotation(self) -> WaveAnnotation:
-        """Annotation for the next memory op in straight-line order.
-
-        The returned annotation has ``next = UNKNOWN``; callers patch the
-        successor link via :func:`patch_next` once the successor is
-        known.  The builder wrapper handles this automatically.
-        """
-        this = self._counter
-        self._counter += 1
-        prev = UNKNOWN if self._prev_unknown else self._prev
-        self._prev = this
-        self._prev_unknown = False
-        return WaveAnnotation(prev=prev, this=this, next=UNKNOWN)
-
-    def mark_divergent(self) -> None:
-        """Record that the next op's predecessor is control-dependent.
-
-        After a fork, the first memory operation on each arm cannot name
-        its predecessor statically, so its ``prev`` becomes UNKNOWN and
-        ordering relies on the predecessor's ``next`` ripple.
-        """
-        self._prev_unknown = True
-
-    def reserve(self) -> int:
-        """Reserve a sequence number without emitting an annotation."""
-        this = self._counter
-        self._counter += 1
-        return this
-
-
-def patch_next(ann: WaveAnnotation, next_seq: int) -> WaveAnnotation:
-    """Return ``ann`` with its successor link filled in."""
-    return WaveAnnotation(
-        prev=ann.prev, this=ann.this, next=next_seq, region=ann.region
-    )
-
-
-def close_wave(ann: WaveAnnotation) -> WaveAnnotation:
-    """Return ``ann`` marked as the final operation of its wave."""
-    return WaveAnnotation(
-        prev=ann.prev, this=ann.this, next=WAVE_END, region=ann.region
-    )

@@ -7,7 +7,6 @@ plus static quality metrics.
 
 from .metrics import (
     EdgeLocality,
-    average_edge_distance,
     classify_edge,
     edge_locality,
 )
@@ -15,11 +14,10 @@ from .anneal import AnnealResult, anneal_place, placement_cost
 from .placement import Placement
 from .policies import POLICIES, place_with_policy
 from .snake import chunk_size_for, dfs_order, place
-from .threads import assign_threads_to_clusters, cluster_loads
+from .threads import assign_threads_to_clusters
 
 __all__ = [
     "EdgeLocality",
-    "average_edge_distance",
     "classify_edge",
     "edge_locality",
     "Placement",
@@ -32,5 +30,4 @@ __all__ = [
     "dfs_order",
     "place",
     "assign_threads_to_clusters",
-    "cluster_loads",
 ]

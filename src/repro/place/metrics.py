@@ -65,17 +65,3 @@ def edge_locality(
         )
         counts[level] += 1
     return EdgeLocality(**counts)
-
-
-def average_edge_distance(
-    graph: DataflowGraph, placement: Placement, config: WaveScalarConfig
-) -> float:
-    """Mean cluster-grid hop distance over all static edges."""
-    total = 0
-    count = 0
-    for src, dest in graph.edges():
-        a = placement.pe_of[src] // config.pes_per_cluster
-        b = placement.pe_of[dest.inst] // config.pes_per_cluster
-        total += config.cluster_distance(a, b)
-        count += 1
-    return total / count if count else 0.0

@@ -38,13 +38,3 @@ def assign_threads_to_clusters(
         home[thread] = cluster
         load[cluster] += thread_sizes[thread]
     return home
-
-
-def cluster_loads(
-    thread_sizes: dict[int, int], home: dict[int, int], clusters: int
-) -> list[int]:
-    """Instruction count per cluster under an assignment (diagnostics)."""
-    load = [0] * clusters
-    for thread, size in thread_sizes.items():
-        load[home[thread]] += size
-    return load

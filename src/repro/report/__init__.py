@@ -1,9 +1,8 @@
 """Text-mode renderings of the paper's figures (scatter plots,
-traffic bars, comparison tables)."""
+traffic bars, Pareto tables)."""
 
 from .fullreport import generate_report
 from .plots import (
-    comparison_table,
     pareto_table,
     scatter,
     stacked_bar,
@@ -11,7 +10,6 @@ from .plots import (
 )
 
 __all__ = [
-    "comparison_table",
     "generate_report",
     "pareto_table",
     "scatter",

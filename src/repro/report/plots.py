@@ -120,20 +120,3 @@ def pareto_table(points: Sequence[ParetoPoint]) -> str:
             f"{row.point.performance:>6.2f} {da:>6} {dp:>7}"
         )
     return "\n".join(lines)
-
-
-def comparison_table(
-    rows: Sequence[tuple[str, float, float]],
-    headers: tuple[str, str, str] = ("metric", "paper", "measured"),
-) -> str:
-    """Paper-vs-measured table used by EXPERIMENTS.md tooling."""
-    name_w = max(len(headers[0]), *(len(r[0]) for r in rows)) + 2
-    lines = [
-        f"{headers[0]:<{name_w}}{headers[1]:>12}{headers[2]:>12}{'ratio':>9}"
-    ]
-    for name, paper, measured in rows:
-        ratio = measured / paper if paper else float("nan")
-        lines.append(
-            f"{name:<{name_w}}{paper:>12.3g}{measured:>12.3g}{ratio:>9.2f}"
-        )
-    return "\n".join(lines)

@@ -164,12 +164,11 @@ class Engine:
         config: WaveScalarConfig,
         placement: Placement,
         max_cycles: int = 20_000_000,
-        warm_caches: bool = True,
         max_events: int = 200_000_000,
         compiled: Optional[CompiledGraph] = None,
     ) -> None:
-        """``warm_caches`` pre-loads the program's initial data image
-        into the L2 (when one exists), modelling the steady state the
+        """The program's initial data image is pre-loaded into the L2
+        (when one exists), modelling the steady state the
         paper measures over long runs -- cold DRAM misses then occur
         only on configurations without an L2, reproducing the paper's
         large L2 effect (Table 5, configurations 1 vs 4).
@@ -198,8 +197,7 @@ class Engine:
         self.memory = MemoryHierarchy(
             config, self.network, self.stats, graph.initial_memory
         )
-        if warm_caches:
-            self.memory.warm_l2(graph.initial_memory)
+        self.memory.warm_l2(graph.initial_memory)
         # A thread's memory requests go to its home cluster's store
         # buffer, cluster 0's for a thread the placement homes nowhere:
         # only those clusters get one.
@@ -1525,7 +1523,6 @@ def simulate(
     placement: Optional[Placement] = None,
     max_cycles: int = 20_000_000,
     strict: bool = True,
-    warm_caches: bool = True,
     max_events: int = 200_000_000,
     compiled: Optional[CompiledGraph] = None,
 ) -> SimStats:
@@ -1536,6 +1533,6 @@ def simulate(
         placement = place(graph, config)
     engine = Engine(
         graph, config, placement, max_cycles=max_cycles,
-        warm_caches=warm_caches, max_events=max_events, compiled=compiled,
+        max_events=max_events, compiled=compiled,
     )
     return engine.run(strict=strict)

@@ -116,15 +116,6 @@ class SimStats:
             for lv in LEVELS
         }
 
-    def kind_fractions(self) -> dict[str, float]:
-        """Operand vs memory share of all messages (Figure 8)."""
-        total = sum(sum(per.values()) for per in self.messages.values())
-        if total == 0:
-            return {k: 0.0 for k in KINDS}
-        return {
-            k: sum(self.messages[k].values()) / total for k in KINDS
-        }
-
     def within_cluster_fraction(self) -> float:
         fr = self.traffic_fractions()
         return fr["pod"] + fr["domain"] + fr["cluster"]
@@ -140,14 +131,6 @@ class SimStats:
         if not self.message_count:
             return 0.0
         return self.message_hops_sum / self.message_count
-
-    @property
-    def average_mesh_queue_wait(self) -> float:
-        """Mean cycles an inter-cluster message waited for link slots --
-        the congestion proxy used in Section 4.3."""
-        if not self.mesh_messages:
-            return 0.0
-        return self.mesh_queue_wait_sum / self.mesh_messages
 
     @property
     def matching_miss_rate(self) -> float:

@@ -165,11 +165,6 @@ class Trace:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    def instruction_timeline(self, inst: int) -> list[TraceEvent]:
-        """The life of one static instruction across all its dynamic
-        firings."""
-        return self.filter(inst=inst)
-
     def dispatch_gaps(
         self, pe: Optional[int] = None, pod: Optional[int] = None
     ) -> list[int]:
@@ -195,10 +190,6 @@ class Trace:
     def pods(self) -> set[int]:
         """Pods that dispatched at least once."""
         return {e.pe // 2 for e in self.filter(kind="dispatch")}
-
-    def kinds_seen(self) -> set[str]:
-        """Every event kind recorded in this trace."""
-        return {e.kind for e in self.events}
 
     # ------------------------------------------------------------------
     def to_chrome(self, path) -> int:

@@ -28,7 +28,7 @@ was never a simulatable cell, the other two carry no measurement
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -208,13 +208,3 @@ def training_rows(
         groups.append(spec.workload)
     X = np.asarray(features, dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
     return X, np.asarray(targets, dtype=np.float64), groups
-
-
-def feature_frame(
-    X: np.ndarray, names: Sequence[str] = FEATURE_NAMES
-) -> list[dict]:
-    """Rows as dicts (debug/report helper)."""
-    return [
-        {name: float(value) for name, value in zip(names, row)}
-        for row in X
-    ]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..isa.graph import DataflowGraph
-from ..lang.kbound import check_k_bound
 
 
 class Suite(enum.Enum):
@@ -85,7 +84,10 @@ class Workload:
     ) -> DataflowGraph:
         if threads is not None and not self.multithreaded:
             raise ValueError(f"{self.name} is single-threaded")
-        check_k_bound(k)
+        # A legal loop bound is None (unbounded) or >= 1: at least one
+        # iteration must be allowed in flight.
+        if k is not None and k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         kwargs = {"scale": scale, "seed": seed}
         kwargs["k"] = k if k is not None else self.default_k
         if self.multithreaded:

@@ -269,14 +269,14 @@ def test_critical_path_sums_latencies_down_the_chain():
     lat = Opcode.NEG.latency
     # i0 fires at 0, i1 at lat, OUTPUT at 2*lat, plus its own latency.
     expected = 2 * lat + Opcode.OUTPUT.latency
-    assert critical_path_cycles(graph, flow.must_fire) == expected
+    assert critical_path_cycles(PortTable(graph), flow.must_fire) == expected
 
 
 def test_critical_path_respects_custom_edge_weight():
     graph = chain_graph()
     flow = analyze_tokens(graph)
     got = critical_path_cycles(
-        graph, flow.must_fire, edge_weight=lambda s, d: 10
+        PortTable(graph), flow.must_fire, edge_weight=lambda s, d: 10
     )
     assert got == 20 + Opcode.OUTPUT.latency
 
@@ -390,6 +390,50 @@ def test_bound_for_cell_matches_compute_bound():
     statics = workload_statics("gzip", scale="tiny")
     assert bound.aipc_bound == \
         compute_bound(statics, spec.config).aipc_bound
+
+
+def test_statics_build_one_port_table(monkeypatch):
+    """The port table depends only on the graph: the statics build it
+    once and every config's bound reuses it."""
+    built = Counter()
+
+    class CountingTable(PortTable):
+        def __init__(self, graph):
+            built[graph.name] += 1
+            super().__init__(graph)
+
+    monkeypatch.setattr(dataflow, "PortTable", CountingTable)
+    statics = workload_statics("gzip", scale="tiny")
+    for config in (WaveScalarConfig(), WaveScalarConfig(clusters=4),
+                   WaveScalarConfig(virtualization=32)):
+        compute_bound(statics, config)
+    assert sum(built.values()) == 1
+
+
+def test_built_graph_statics_run_no_token_flow(monkeypatch):
+    """A built graph passed verification, which rejects a proven
+    deadlock, so its statics never consult the token flow; a starved
+    graph still proves its deadlock through it."""
+    from repro.sim.compile import get_compiled
+
+    get_compiled("gzip", scale="tiny")  # build (and verify) first
+    flows = Counter()
+    token_flow = dataflow._token_flow
+
+    def counting_flow(*args, **kwargs):
+        flows["flow"] += 1
+        return token_flow(*args, **kwargs)
+
+    monkeypatch.setattr(dataflow, "_token_flow", counting_flow)
+    assert not workload_statics("gzip", scale="tiny").proven_deadlock
+    assert flows["flow"] == 0
+    from .test_rule_pass import island_graph
+
+    for graph in (starved_graph(), island_graph()):
+        statics = dataflow.graph_statics(graph)
+        assert statics.proven_deadlock, graph.name
+        assert compute_bound(statics, WaveScalarConfig()).aipc_bound == 0.0
+    assert flows["flow"] == 2
 
 
 def test_placed_roofs_separate_designs():

@@ -35,6 +35,7 @@ from repro.analysis.dataflow import (
     critical_path_cycles,
     placed_edge_weight,
 )
+from repro.analysis.engine import PortTable
 from repro.core.config import WaveScalarConfig
 from repro.fuzz import build_graph, random_graph, random_recipe
 from repro.isa import DataflowGraph, Dest, Instruction, make_token
@@ -285,15 +286,16 @@ def assert_truncated_ascend(graph):
 
 
 def assert_same_critical_path(graph, must_fire):
-    converged = critical_path_cycles(graph, must_fire)
+    table = PortTable(graph)
+    converged = critical_path_cycles(table, must_fire)
     assert converged == reference_critical_path(graph, must_fire)
     for max_rounds in (1, 3):  # truncated: still below the fixed point
-        assert critical_path_cycles(graph, must_fire, max_rounds) <= \
+        assert critical_path_cycles(table, must_fire, max_rounds) <= \
             converged
     for config in CONFIGS:
         weight = placed_edge_weight(graph, config, place(graph, config))
         assert critical_path_cycles(
-            graph, must_fire, edge_weight=weight
+            table, must_fire, edge_weight=weight
         ) == reference_critical_path(graph, must_fire, edge_weight=weight)
 
 

@@ -137,7 +137,9 @@ def test_a_pass_never_serves_facts_from_an_earlier_one():
 def test_backstop_warning_names_the_limit_that_was_hit(calls):
     graph = WORKLOADS["gzip"].instantiate(scale=Scale.TINY)
     calls.clear()
-    assert dataflow.analyze_dataflow(graph).diagnostics == []
+    flow = dataflow.analyze_tokens(graph)
+    assert dataflow.deadlock_proofs(graph, flow) == []
+    assert dataflow._backstop_warnings(graph, flow) == []
     assert calls["flow"] == 1
     cut_short = dataflow.analyze_tokens(graph, max_rounds=3)
     (diag,) = dataflow._backstop_warnings(graph, cut_short)

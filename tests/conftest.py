@@ -83,7 +83,8 @@ def build_store_loop(n: int = 6, k: int | None = None):
     return b.finalize(), {base + i: i * i for i in range(n) if i * i != 0}, base
 
 
-def build_threaded_sums(n_threads: int = 4, n: int = 6):
+def build_threaded_sums(n_threads: int = 4, n: int = 6,
+                        k: int | None = None):
     """Each thread sums range(n) offset by its id; master adds results."""
     b = GraphBuilder(f"threads_{n_threads}x{n}")
     t = b.entry(0)
@@ -93,6 +94,7 @@ def build_threaded_sums(n_threads: int = 4, n: int = 6):
         lp = b.loop(
             [b.const(0, seed), b.nop(seed)],
             invariants=[b.const(n, seed)],
+            k=k,
         )
         i, acc = lp.state
         (limit,) = lp.invariants

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -281,7 +283,7 @@ THREADS_FLOOR = "argument --threads/-t: must be >= 1"
     (("fuzz", "--seeds", "0"), "argument --seeds: must be >= 1"),
     (("fuzz", "--start", "-5"), "argument --start: must be >= 0"),
     # A negative bound deadlocks the run; k=0 simulates a bound
-    # set_k_bound calls illegal.
+    # Workload.instantiate calls illegal.
     (("run", "-w", "gzip", "--k", "-3"), "argument --k: must be >= 1"),
     (("run", "-w", "gzip", "--k", "0"), "argument --k: must be >= 1"),
 ])
@@ -344,10 +346,8 @@ def test_sweep_save(capsys, tmp_path):
         "--scale", "tiny", "--save", str(out_file),
     )
     assert code == 0
-    from repro.design import load_points
-
-    points, meta = load_points(out_file)
-    assert points and meta["suite"] == "spec"
+    payload = json.loads(out_file.read_text())
+    assert payload["points"] and payload["metadata"]["suite"] == "spec"
 
 
 def test_run_tensor_workload(capsys):

@@ -71,10 +71,10 @@ def test_run_workload_threads():
 
 
 def test_run_rebinds_k():
-    graph, expected = build_counted_sum(12)
     proc = WaveScalarProcessor(BASELINE)
-    tight = proc.run(graph, k=1)
-    loose = proc.run(graph, k=8)
+    graph, expected = build_counted_sum(12, k=1)
+    tight = proc.run(graph)
+    loose = proc.run(build_counted_sum(12, k=8)[0])
     assert tight.outputs() == loose.outputs() == [expected]
     assert tight.cycles >= loose.cycles
 
@@ -84,9 +84,6 @@ def test_result_derived_metrics():
     proc = WaveScalarProcessor(BASELINE)
     result = proc.run(graph)
     assert result.ipc >= result.aipc
-    assert result.aipc_per_mm2 == pytest.approx(
-        result.aipc / result.area_mm2
-    )
     assert result.runtime_seconds > 0
     assert graph.name in result.summary()
 

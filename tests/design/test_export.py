@@ -1,14 +1,9 @@
 """Tests for sweep serialisation."""
 
-import pytest
+import json
 
 from repro.core.config import WaveScalarConfig
-from repro.design import (
-    ParetoPoint,
-    diff_points,
-    dump_points,
-    load_points,
-)
+from repro.design import ParetoPoint, dump_points
 
 
 def make_points():
@@ -28,36 +23,13 @@ def test_roundtrip(tmp_path):
     points = make_points()
     path = tmp_path / "sweep.json"
     dump_points(points, path, metadata={"suite": "splash", "scale": "tiny"})
-    loaded, meta = load_points(path)
-    assert meta["suite"] == "splash"
-    assert len(loaded) == len(points)
-    for a, b in zip(points, loaded):
-        assert a.label == b.label
-        assert a.area == b.area
-        assert a.performance == b.performance
-        assert a.payload == b.payload  # full config reconstruction
-
-
-def test_unknown_format_rejected(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": 99, "points": []}')
-    with pytest.raises(ValueError, match="unsupported sweep format"):
-        load_points(path)
-
-
-def test_diff_points_reports_changes():
-    old = make_points()
-    new = [
-        ParetoPoint(old[0].label, old[0].area, old[0].performance * 1.5,
-                    old[0].payload),
-        ParetoPoint("brand-new", 99.0, 1.0),
-    ]
-    lines = diff_points(old, new)
-    assert any("+50.0%" in line for line in lines)
-    assert any("new point: brand-new" in line for line in lines)
-    assert any("removed point" in line for line in lines)
-
-
-def test_diff_points_quiet_within_tolerance():
-    old = make_points()
-    assert diff_points(old, old) == []
+    payload = json.loads(path.read_text())
+    assert payload["format"] == 1
+    assert payload["metadata"]["suite"] == "splash"
+    assert len(payload["points"]) == len(points)
+    for a, b in zip(points, payload["points"]):
+        assert a.label == b["label"]
+        assert a.area == b["area_mm2"]
+        assert a.performance == b["performance"]
+        # full config reconstruction
+        assert a.payload == WaveScalarConfig(**b["config"])

@@ -12,7 +12,6 @@ from repro.isa import (
     make_token,
     verify_graph,
 )
-from repro.isa.verify import count_by_opclass, steer_fraction
 from repro.isa.waves import WAVE_END, WAVE_START
 
 
@@ -111,17 +110,22 @@ def test_verify_detects_unterminated_wave_region():
 
 
 def test_verify_requires_outputs_when_asked():
+    # A program without OUTPUT verifies (G011 is a warning); a caller
+    # that needs observable results asks the graph for its outputs.
+    from repro.analysis import analyze_graph
+
     graph = DataflowGraph(
         instructions=[Instruction(0, Opcode.NOP)],
         entry_tokens=[make_token(0, 0, 0, 0, 1)],
     )
-    with pytest.raises(GraphVerificationError, match="OUTPUT"):
-        verify_graph(graph, require_outputs=True)
+    verify_graph(graph)
+    assert graph.output_instruction_ids() == []
+    assert [d.rule for d in analyze_graph(graph)] == ["G011"]
 
 
 def test_producers_and_edges():
     graph = two_inst_graph()
-    assert graph.producers_of(1) == [0]
+    assert [src for src, dest in graph.edges() if dest.inst == 1] == [0]
     assert list(graph.edges()) == [(0, Dest(1, 0))]
 
 
@@ -134,10 +138,3 @@ def test_alpha_equivalent_ids():
         entry_tokens=[make_token(0, 0, 0, 0, 1)],
     )
     assert graph.alpha_equivalent_ids() == frozenset({1})
-
-
-def test_opclass_histogram_and_steer_fraction():
-    graph = two_inst_graph()
-    hist = count_by_opclass(graph)
-    assert hist["misc"] == 2
-    assert steer_fraction(graph) == 1.0  # NOP + OUTPUT are both overhead

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.isa import UNKNOWN, WAVE_END, WAVE_START, WaveAnnotation, WaveSequencer
-from repro.isa.waves import close_wave, patch_next
+from repro.isa import UNKNOWN, WAVE_END, WAVE_START, WaveAnnotation
+from repro.lang import GraphBuilder
 
 
 def test_annotation_validation_rejects_backward_prev():
@@ -21,48 +21,44 @@ def test_annotation_rejects_negative_this():
         WaveAnnotation(prev=WAVE_START, this=-1, next=UNKNOWN)
 
 
-def test_first_and_last_properties():
-    first = WaveAnnotation(prev=WAVE_START, this=0, next=1)
-    last = WaveAnnotation(prev=0, this=1, next=WAVE_END)
-    assert first.is_first and not first.is_last
-    assert last.is_last and not last.is_first
-
-
 def test_repr_uses_compact_symbols():
     ann = WaveAnnotation(prev=WAVE_START, this=0, next=UNKNOWN)
     assert repr(ann) == "<^,0,?>"
-    assert repr(close_wave(ann)) == "<^,0,$>"
-
-
-def test_patch_next_preserves_region():
-    ann = WaveAnnotation(prev=WAVE_START, this=0, next=UNKNOWN, region=7)
-    patched = patch_next(ann, 3)
-    assert patched.next == 3
-    assert patched.region == 7
+    last = WaveAnnotation(prev=WAVE_START, this=0, next=WAVE_END)
+    assert repr(last) == "<^,0,$>"
 
 
 def test_sequencer_straight_line_chain():
-    seq = WaveSequencer()
-    a = seq.next_annotation()
-    b = seq.next_annotation()
-    c = seq.next_annotation()
-    assert a.prev == WAVE_START and a.this == 0
-    assert b.prev == 0 and b.this == 1
-    assert c.prev == 1 and c.this == 2
-    assert seq.count == 3
+    # The builder sequences a straight-line region's memory operations
+    # into one fully resolved chain.
+    b = GraphBuilder("chain")
+    t = b.entry(0)
+    base = b.alloc("cells", 3)
+    for i in range(3):
+        b.store(b.const(base + i, t), t)
+    b.output(t)
+    graph = b.finalize()
+    chain = sorted(
+        (ann.this, ann.prev, ann.next)
+        for ann in (inst.wave_annotation for inst in graph.memory_instructions)
+    )
+    assert chain == [(0, WAVE_START, 1), (1, 0, 2), (2, 1, WAVE_END)]
 
 
 def test_sequencer_divergence_marks_unknown_prev():
-    seq = WaveSequencer()
-    seq.next_annotation()
-    seq.mark_divergent()
-    second = seq.next_annotation()
-    assert second.prev == UNKNOWN
-
-
-def test_sequencer_reserve_skips_numbers():
-    seq = WaveSequencer()
-    reserved = seq.reserve()
-    following = seq.next_annotation()
-    assert reserved == 0
-    assert following.this == 1
+    # After a fork the builder cannot name the join's predecessor
+    # statically: the first memory operation past it gets '?'.
+    b = GraphBuilder("fork")
+    base = b.alloc("cell", 1)
+    t = b.entry(1)
+    br = b.if_else(b.gt(t, b.const(0, t)), [t])
+    (tv,) = br.then_values()
+    b.store(b.const(base, tv), tv)
+    br.then_result([tv])
+    (fv,) = br.else_values()
+    br.else_result([fv])
+    (merged,) = br.end()
+    b.output(b.load(b.const(base, merged)))
+    graph = b.finalize()
+    (load,) = [i for i in graph.memory_instructions if i.opcode.is_load]
+    assert load.wave_annotation.prev == UNKNOWN

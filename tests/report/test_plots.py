@@ -2,7 +2,6 @@
 
 from repro.design.pareto import ParetoPoint
 from repro.report import (
-    comparison_table,
     scatter,
     stacked_bar,
     traffic_chart,
@@ -57,13 +56,3 @@ def test_traffic_chart_shape():
     assert "Spec" in chart and "Splash2" in chart
     assert "grid 2.0%" in chart
     assert "#" in chart and "=" in chart and "+" in chart
-
-
-def test_comparison_table():
-    text = comparison_table([
-        ("within-cluster traffic", 0.98, 0.96),
-        ("operand share", 0.80, 0.83),
-    ])
-    assert "within-cluster traffic" in text
-    assert "0.98" in text
-    assert "ratio" in text

@@ -172,7 +172,6 @@ def test_stats_traffic_fractions_sum_to_one():
     graph, _ = build_threaded_sums(4, 6)
     st = simulate(graph, WaveScalarConfig(clusters=4))
     assert abs(sum(st.traffic_fractions().values()) - 1.0) < 1e-9
-    assert abs(sum(st.kind_fractions().values()) - 1.0) < 1e-9
 
 
 ROUTE_CONFIGS = {

@@ -13,7 +13,6 @@ def test_empty_stats_are_zero():
     assert stats.l1_miss_rate == 0.0
     assert stats.average_message_latency == 0.0
     assert stats.traffic_fractions() == {lv: 0.0 for lv in LEVELS}
-    assert stats.kind_fractions() == {k: 0.0 for k in KINDS}
 
 
 def test_record_message_accumulates():
@@ -27,8 +26,7 @@ def test_record_message_accumulates():
     fr = stats.traffic_fractions()
     assert fr["pod"] == pytest.approx(1 / 3)
     assert fr["grid"] == pytest.approx(1 / 3)
-    kinds = stats.kind_fractions()
-    assert kinds["operand"] == pytest.approx(2 / 3)
+    assert sum(stats.messages["operand"].values()) == 2
     assert stats.within_cluster_fraction() == pytest.approx(2 / 3)
 
 
@@ -50,13 +48,6 @@ def test_rates():
     stats.l1_misses = 20
     assert stats.matching_miss_rate == pytest.approx(0.07)
     assert stats.l1_miss_rate == pytest.approx(0.2)
-
-
-def test_mesh_congestion_metric():
-    stats = SimStats()
-    stats.mesh_queue_wait_sum = 30
-    stats.mesh_messages = 10
-    assert stats.average_mesh_queue_wait == pytest.approx(3.0)
 
 
 def test_output_values_flatten_in_order():
@@ -96,7 +87,6 @@ def test_record_message_error_leaves_counts_untouched():
 def test_fraction_edges_with_zero_messages():
     stats = SimStats()
     assert stats.traffic_fractions() == {lv: 0.0 for lv in LEVELS}
-    assert stats.kind_fractions() == {k: 0.0 for k in KINDS}
     assert stats.within_cluster_fraction() == 0.0
     assert stats.average_message_latency == 0.0
     assert stats.average_message_hops == 0.0

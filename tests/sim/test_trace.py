@@ -103,7 +103,7 @@ def test_trace_event_render():
 def test_instruction_timeline_ordered():
     trace, _ = run_traced(chain_graph())
     inst = trace.filter(kind="dispatch")[0].inst
-    timeline = trace.instruction_timeline(inst)
+    timeline = trace.filter(inst=inst)
     cycles = [e.cycle for e in timeline]
     assert cycles == sorted(cycles)
 
@@ -173,7 +173,7 @@ def test_unknown_policy_rejected():
 
 def test_kinds_seen_reports_recorded_kinds():
     trace, _ = run_traced(chain_graph())
-    seen = trace.kinds_seen()
+    seen = {e.kind for e in trace.events}
     assert {"input", "dispatch", "execute"} <= seen
     assert seen <= set(KINDS)
 

@@ -18,7 +18,6 @@ from repro.surrogate.features import (
     FEATURE_NAMES,
     cell_features,
     extract_training_set,
-    feature_frame,
     training_rows,
 )
 
@@ -52,7 +51,7 @@ def test_cell_features_schema():
     row = cell_features(spec_for())
     assert len(row) == len(FEATURE_NAMES)
     assert all(isinstance(v, float) and np.isfinite(v) for v in row)
-    named = feature_frame(np.asarray([row]))[0]
+    named = dict(zip(FEATURE_NAMES, row))
     assert named["clusters"] == 2.0
     assert named["area_mm2"] > 0.0
     assert named["aipc_bound"] > 0.0

@@ -3,7 +3,7 @@ the functional interpreter and (spot-checked) the cycle simulator."""
 
 import pytest
 
-from repro.isa.verify import steer_fraction, verify_graph
+from repro.isa.verify import verify_graph
 from repro.lang.interp import interpret
 from repro.workloads import (
     MEDIA_NAMES,
@@ -32,7 +32,8 @@ def test_interpreter_matches_reference(name):
 def test_graphs_verify(name):
     w = get(name)
     graph = w.instantiate(Scale.TINY)
-    verify_graph(graph, require_outputs=True)
+    verify_graph(graph)
+    assert graph.output_instruction_ids()
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -112,7 +113,7 @@ def test_dataflow_overhead_realistic(name):
     """Steers/wave management are a real but bounded fraction of the
     static code (the reason the paper reports AIPC, not IPC)."""
     graph = get(name).instantiate(Scale.TINY)
-    frac = steer_fraction(graph)
+    frac = 1 - len(graph.alpha_equivalent_ids()) / len(graph)
     # Control-heavy kernels (gzip, mcf) run up to ~0.86; dense compute
     # kernels sit near 0.45.
     assert 0.2 < frac < 0.9, frac
@@ -134,17 +135,22 @@ def test_too_many_threads_rejected(name):
 
 @pytest.mark.parametrize("k", [0, -3])
 def test_k_below_one_rejected(k):
-    # set_k_bound's rule: k=0 built a graph no legal bound describes.
+    # k=0 would build a graph no legal bound describes.
     with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
         get("gzip").instantiate(Scale.TINY, k=k)
 
 
 def test_k_bound_present_on_all_loops():
-    from repro.lang import k_bound_of
+    from repro.isa import Opcode
 
     for name in ALL_NAMES:
         graph = get(name).instantiate(Scale.TINY, k=2)
-        assert k_bound_of(graph) == 2, name
+        bounds = {True: set(), False: set()}
+        for inst in graph.instructions:
+            if inst.opcode is Opcode.WAVE_ADVANCE:
+                bounds[".back." in inst.label].add(inst.immediate)
+        # Every back edge carries k; entry and exit advances none.
+        assert bounds == {True: {2}, False: {None}}, name
 
 
 def test_fft_multi_pass_reference_match():
