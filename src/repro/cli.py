@@ -529,7 +529,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from .harness.ledger import Ledger, content_digest, summarize
-    from .obs import aggregate_records
+    from .obs import aggregate_records, reuse_totals
 
     ledger = Ledger(args.ledger)
     if not ledger.path.exists():
@@ -540,6 +540,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(f"error: {args.ledger} holds no records", file=sys.stderr)
         return 2
     registry = aggregate_records(records.values())
+    reuse = reuse_totals(records)
     if args.json:
         import json
 
@@ -548,6 +549,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             records, ledger.torn_lines, ledger.corrupt_lines
         )
         document["content_digest"] = content_digest(records.values())
+        document["reuse"] = reuse
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     print(f"ledger: {args.ledger} ({len(records)} cells)")
@@ -558,6 +560,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
               f"line(s) skipped (run `repro ledger repair "
               f"{args.ledger}`)")
     print(registry.render("sweep metrics:"))
+    print(f"reused: {reuse['cells']} cell(s), certifiers spent "
+          f"{reuse['certifier_wall_s']:.2f}s")
     return 0
 
 

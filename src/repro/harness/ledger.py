@@ -586,10 +586,40 @@ class Ledger:
             "model_hash": prediction.model_hash,
         }
 
+    @staticmethod
+    def record_reused(spec: CellSpec, certifier: dict, area_mm2: float,
+                      backend: str, wall_s: float) -> dict:
+        """Serialise a cell whose run an ``ok`` sibling's certified
+        (:func:`~repro.sim.memory.hierarchy.certifies`): the record
+        simulating ``spec`` would write, copied from ``certifier``'s.
+        Its own are ``hash``, ``spec``, ``config`` and ``area_mm2``,
+        the campaign's requested ``backend``, ``wall_s`` and
+        ``metrics.wall_s`` (the copy's time), and no compile-cache
+        activity.  ``attempts`` and ``retries`` are the certifier's:
+        budget escalation is deterministic, so a run of ``spec``
+        would take as many.  ``reused_from`` names the cell that was
+        simulated, through any chain of reuses."""
+        record = {key: value for key, value in certifier.items()
+                  if key not in ("seq", "crc")}
+        record.update(_record_header(
+            spec, OK, certifier["attempts"], certifier["retries"],
+            round(wall_s, 3),
+        ))
+        record["area_mm2"] = area_mm2
+        record["reused_from"] = certifier.get("reused_from",
+                                              certifier["hash"])
+        record["backend"] = backend
+        record["metrics"] = {
+            key: 0 if key.startswith("compile_cache_") else value
+            for key, value in certifier["metrics"].items()
+        } | {"wall_s": round(wall_s, 6)}
+        return record
+
 
 #: Record fields that differ between two runs of the same cells: the
-#: wall clocks, and the writer's sealing (``seq``, ``crc``).
-_RUN_FIELDS = frozenset({"ts", "seq", "crc", "wall_s"})
+#: wall clocks, the writer's sealing (``seq``, ``crc``), and which
+#: simulated cell a reused record copies (a matter of scheduling).
+_RUN_FIELDS = frozenset({"ts", "seq", "crc", "wall_s", "reused_from"})
 #: Metrics of that kind: wall time, and compile-cache activity, which
 #: follows which process ran a cell and in what order.
 _RUN_METRICS = frozenset({"wall_s", "events_per_s"})

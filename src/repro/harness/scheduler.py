@@ -8,9 +8,9 @@ lane (more threads only add pressure on a design that already
 failed).  Lanes themselves are independent.
 
 There is one implementation of the lane protocol (resume hit ->
-duplicate park -> pre-validation -> dispatch -> circuit breaker ->
-account -> failure budget -> advance), :class:`_Driver`, and two
-things a campaign can vary about it:
+duplicate park -> pre-validation -> exact reuse -> dispatch -> circuit
+breaker -> account -> failure budget -> advance), :class:`_Driver`,
+and two things a campaign can vary about it:
 
 * ``jobs`` decides *how many dispatches are in flight*: one on each
   of ``jobs`` supervisors -- the caller's and ``jobs - 1`` spares --
@@ -39,6 +39,16 @@ Guarantees, for every ``jobs`` and ``width``:
   completes, so results are bit-identical regardless of completion
   order.
 
+Exact reuse: a cell whose configuration differs from an ``ok``
+sibling's only in larger caches, where the sibling's run evicted no
+line from the level that differs, is that run cycle for cycle
+(:func:`~repro.sim.memory.hierarchy.certifies`).  It is not
+dispatched: its record is the sibling's, copied
+(:meth:`Ledger.record_reused`).  A cell whose possible certifier is in
+flight parks behind it and is looked at again when it resolves.  The
+reused set depends on completion order at ``jobs > 1``; the records
+do not, apart from ``reused_from``, a run field like ``wall_s``.
+
 An isolation child that dies mid-cell (OOM killer, external SIGKILL)
 is a ``WorkerCrash`` verdict; it goes through the circuit breaker and
 the cell is dispatched again to a fresh child.  A child whose driver
@@ -51,11 +61,14 @@ import os
 import random
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing.connection import wait
 from typing import Callable, Iterable, Optional
 
+from ..area.model import breakdown
+from ..core.config import WaveScalarConfig
 from ..sim.failures import PoisonedCell, WorkerCrash
+from ..sim.memory.hierarchy import certifies
 from .ledger import FAILED, OK, POISONED, Ledger
 from .spec import CellSpec
 from .supervisor import CellResult, RunSupervisor
@@ -156,7 +169,7 @@ def _over_budget(report, budget: Optional[float]) -> Optional[str]:
     if budget is None:
         return None
     resolved = (report.completed + report.failed + report.invalid
-                + report.poisoned)
+                + report.poisoned + report.reused)
     bad = report.failed + report.poisoned
     if resolved >= MIN_BUDGET_CELLS and bad > budget * resolved:
         return (
@@ -219,6 +232,68 @@ class Lane:
 
 
 # ----------------------------------------------------------------------
+# Exact reuse
+# ----------------------------------------------------------------------
+def _reuse_class(spec: CellSpec) -> CellSpec:
+    """The spec with both cache sizes set aside: cells sharing it
+    differ at most in ``l1_kb`` and ``l2_mb``."""
+    return replace(spec, config=replace(spec.config, l1_kb=1, l2_mb=0))
+
+
+def _certificate(record: dict) -> Optional[tuple[int, int]]:
+    """``(l1_evictions, l2_evictions)`` of an ``ok`` record, or
+    ``None``: other verdicts, and records written before runs counted
+    evictions, certify nothing."""
+    metrics = record.get("metrics") or {}
+    if record.get("status") != OK or "l1_evictions" not in metrics \
+            or "l2_evictions" not in metrics:
+        return None
+    return metrics["l1_evictions"], metrics["l2_evictions"]
+
+
+class ReuseIndex:
+    """A campaign's possible certifiers by reuse class: the cells with
+    an ``ok`` record that carries both eviction counts, and the cells
+    dispatched (a dispatch may end in one).  The driver checks which
+    is which against its records and in-flight cells when it looks.
+    One index can serve several :func:`execute_lanes` calls over one
+    record map (the sweep's skip loop makes one per lane)."""
+
+    def __init__(self, done: dict[str, dict]) -> None:
+        self._classes: dict[CellSpec, dict[str, WaveScalarConfig]] = {}
+        for cell, record in done.items():
+            if _certificate(record) is not None and "spec" in record:
+                self.add(cell, CellSpec.from_dict(record["spec"]))
+
+    def add(self, cell: str, spec: CellSpec) -> None:
+        self._classes.setdefault(_reuse_class(spec), {})[cell] = \
+            spec.config
+
+    def certifier(self, spec: CellSpec, done: dict[str, dict],
+                  inflight=()) -> tuple[Optional[dict], Optional[str]]:
+        """``(record, None)`` for an ``ok`` sibling in ``done`` whose
+        run certifies ``spec``'s; else ``(None, hash)`` for a sibling
+        in ``inflight`` whose run could; else ``(None, None)``:
+        ``spec`` must be simulated."""
+        cell = spec.cell_hash()
+        behind = None
+        for other, config in self._classes.get(_reuse_class(spec),
+                                               {}).items():
+            if other == cell:
+                continue
+            record = done.get(other)
+            if record is not None:
+                counts = _certificate(record)
+                if counts is not None and certifies(config, spec.config,
+                                                    *counts):
+                    return record, None
+            elif behind is None and other in inflight \
+                    and certifies(config, spec.config, 0, 0):
+                behind = other
+        return None, behind
+
+
+# ----------------------------------------------------------------------
 # Verdicts as records
 # ----------------------------------------------------------------------
 def _raised(specs: list[CellSpec], exc: Exception) -> list[CellResult]:
@@ -244,12 +319,14 @@ def _records(specs: list[CellSpec], results) -> list[dict]:
 # ----------------------------------------------------------------------
 class _Driver:
     """Owns all mutable scheduling state -- ready queue, in-flight
-    cells, parked duplicates, circuit breaker -- and the dispatch
+    cells, parked lanes, circuit breaker -- and the dispatch
     slots: ``jobs`` supervisors, the caller's first."""
 
     def __init__(self, lanes, jobs, supervisor: RunSupervisor, ledger,
-                 done, report, progress, prevalidate, failure_budget=None):
+                 done, report, progress, prevalidate, failure_budget=None,
+                 reuse: Optional[ReuseIndex] = None):
         self.jobs = jobs
+        self.backend = supervisor.backend
         #: Cells per dispatch: 1 unless the campaign batches cells.
         self.width = (supervisor.batch_width
                       if supervisor.backend == "batched" else 1)
@@ -273,7 +350,11 @@ class _Driver:
         #: slot -> (specs, Dispatch) in flight.
         self.running: dict[int, tuple] = {}
         self.inflight: dict[str, tuple[Lane, CellSpec]] = {}
-        self.waiting: dict[str, list[Lane]] = {}  # duplicate-cell parks
+        #: Lanes whose next cell waits on an in-flight cell -- its
+        #: duplicate, or a sibling that may certify it -- by that
+        #: cell's hash.
+        self.parked: dict[str, list[Lane]] = {}
+        self.reuse = reuse if reuse is not None else ReuseIndex(done)
         self.ready: deque[Lane] = deque(lanes)
         # Scheduler observability: dispatch counts and busy spans per
         # slot, added into report.metrics["scheduler"] (_add_metrics).
@@ -297,9 +378,10 @@ class _Driver:
 
     def _next_dispatch(self, lane: Lane) -> Optional[tuple[str, CellSpec]]:
         """Advance ``lane`` through every cell the driver can resolve
-        itself (resume hits, duplicates, pre-validation rejects);
-        return the first cell needing a dispatch, or ``None`` when the
-        lane is exhausted or parked behind an in-flight duplicate."""
+        itself (resume hits, duplicates, pre-validation rejects,
+        certified reuses); return the first cell needing a dispatch,
+        or ``None`` when the lane is exhausted or parked behind an
+        in-flight duplicate or possible certifier."""
         while True:
             spec = lane.next_spec()
             if spec is None:
@@ -313,7 +395,7 @@ class _Driver:
                 lane.advance(record)
                 continue
             if cell in self.inflight:
-                self.waiting.setdefault(cell, []).append(lane)
+                self.parked.setdefault(cell, []).append(lane)
                 return None
             if self.prevalidate:
                 if spec.config not in self.rejections:
@@ -329,7 +411,32 @@ class _Driver:
                         self.progress(spec, record)
                     lane.advance(record)
                     continue
+            certifier, behind = self.reuse.certifier(spec, self.done,
+                                                     self.inflight)
+            if certifier is not None:
+                self._reuse(cell, spec, lane, certifier)
+                continue
+            if behind is not None:
+                self.parked.setdefault(behind, []).append(lane)
+                return None
             return cell, spec
+
+    def _reuse(self, cell: str, spec: CellSpec, lane: Lane,
+               certifier: dict) -> None:
+        """Record ``spec`` as its certifier's run, without one."""
+        started = time.perf_counter()
+        record = Ledger.record_reused(
+            spec, certifier, breakdown(spec.config).total, self.backend,
+            time.perf_counter() - started,
+        )
+        self.report.reused += 1
+        if self.ledger is not None:
+            self.ledger.append(record)
+        self.done[cell] = record
+        self.reuse.add(cell, spec)
+        if self.progress is not None:
+            self.progress(spec, record)
+        lane.advance(record)
 
     def _next_group(self) -> list[tuple[str, CellSpec]]:
         """Pop ready lanes into one dispatch: up to ``width`` cells
@@ -339,7 +446,7 @@ class _Driver:
         group (put back *after* the group is built, so a mixed ready
         queue can never spin the pump).  Cells are staged into
         ``inflight`` as they join, so a duplicate cell later in the
-        same pump parks in ``waiting``."""
+        same pump parks in ``parked``."""
         group: list[tuple[str, CellSpec]] = []
         deferred: list[Lane] = []
         key = None
@@ -356,6 +463,7 @@ class _Driver:
                 deferred.append(lane)
                 continue
             self.inflight[cell] = (lane, spec)
+            self.reuse.add(cell, spec)
             group.append((cell, spec))
         self.ready.extendleft(reversed(deferred))
         return group
@@ -411,7 +519,8 @@ class _Driver:
         return batch
 
     def _resolve(self, cell: str, record: dict) -> None:
-        """Feed one verdict into its lane (and any parked duplicates)."""
+        """Feed one verdict into its lane (and look again at the lanes
+        parked behind it)."""
         lane, spec = self.inflight.pop(cell)
         self.done[cell] = record
         status = record.get("status")
@@ -427,13 +536,10 @@ class _Driver:
         lane.advance(record)
         if not lane.exhausted:
             self._requeue(lane)
-        for parked in self.waiting.pop(cell, ()):
-            self.report.skipped += 1
-            if self.progress is not None:
-                self.progress(parked.next_spec(), record)
-            parked.advance(record)
-            if not parked.exhausted:
-                self._requeue(parked)
+        for parked in self.parked.pop(cell, ()):
+            # Looked at again: a duplicate is a resume hit now, a
+            # sibling is reused or simulated.
+            self._requeue(parked)
         abort = _over_budget(self.report, self.failure_budget)
         if abort is not None and not self.aborted:
             self.aborted = True
@@ -545,6 +651,7 @@ def execute_lanes(
     progress: Optional[Callable[[CellSpec, dict], None]] = None,
     prevalidate: bool = True,
     failure_budget: Optional[float] = None,
+    reuse: Optional[ReuseIndex] = None,
 ) -> dict[str, dict]:
     """Run every lane to exhaustion; returns the records-by-hash map.
 
@@ -564,6 +671,9 @@ def execute_lanes(
     in [0, 1] (e.g. ``0.5``), past which the run aborts with
     ``report.aborted`` set instead of grinding through a doomed
     campaign.
+
+    ``reuse`` is the :class:`ReuseIndex` over ``done`` when the caller
+    keeps one across calls; by default one is built from ``done``.
     """
     if failure_budget is not None and not 0 <= failure_budget <= 1:
         raise ValueError(
@@ -587,6 +697,6 @@ def execute_lanes(
     jobs = max(1, min(jobs, len(lanes)))
     _Driver(
         lanes, jobs, supervisor, ledger, done, report, progress,
-        prevalidate, failure_budget,
+        prevalidate, failure_budget, reuse,
     ).run()
     return done

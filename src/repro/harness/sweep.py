@@ -42,7 +42,7 @@ from ..obs.metrics import ThroughputMeter, aggregate_records
 from ..workloads.base import Scale, Workload
 from ..workloads.registry import get
 from .ledger import OK, PREDICTED, SKIPPED, Ledger
-from .scheduler import Lane, execute_lanes, static_rejection
+from .scheduler import Lane, ReuseIndex, execute_lanes, static_rejection
 from .spec import SWEEP_MAX_CYCLES, SWEEP_MAX_EVENTS, CellSpec
 from .supervisor import RunSupervisor
 
@@ -79,6 +79,7 @@ class SweepReport:
     """Cell accounting for one sweep invocation."""
 
     completed: int = 0  # cells simulated to success this run
+    reused: int = 0  # ok cells recorded from a certifying sibling's run
     failed: int = 0  # cells recorded as failed this run
     invalid: int = 0  # cells statically rejected, never simulated
     poisoned: int = 0  # cells quarantined by the circuit breaker
@@ -106,14 +107,16 @@ class SweepReport:
 
     @property
     def total(self) -> int:
-        return (self.completed + self.failed + self.invalid
-                + self.poisoned + self.pruned_static + self.predicted
-                + self.skipped)
+        return (self.completed + self.reused + self.failed
+                + self.invalid + self.poisoned + self.pruned_static
+                + self.predicted + self.skipped)
 
     def summary(self) -> str:
         poisoned = (
             f" / {self.poisoned} poisoned" if self.poisoned else ""
         )
+        if self.reused:
+            poisoned += f" / {self.reused} reused"
         if self.pruned_static:
             poisoned += f" / {self.pruned_static} pruned"
         if self.predicted:
@@ -498,6 +501,7 @@ def _execute_skipping(
     train: bool,
     prior_skips: bool,
     supervisor: RunSupervisor,
+    reuse: ReuseIndex,
 ) -> None:
     """The skip loop: measure one lane at a time, and skip designs that
     cannot reach the frontier even at an optimistic score.
@@ -555,9 +559,10 @@ def _execute_skipping(
     contract.  Simulation overlaps the driver by one cell: when the
     model trains, each measured lane is followed by the acquisition
     step under the pre-refit model (the *guess*), whose lane's first
-    unmeasured cell ``supervisor.prefetch`` (``supervisor`` is the one
-    ``execute`` runs cells on) starts in the idle isolation child
-    before the refit.  The supervisor hands that dispatch to the driver
+    unmeasured cell that ``reuse`` does not certify
+    ``supervisor.prefetch`` (``supervisor`` is the one ``execute``
+    runs cells on) starts in the idle isolation child before the
+    refit.  The supervisor hands that dispatch to the driver
     when the loop acquires the cell, so the ledger sees what a serial
     run writes, in the same order (DESIGN.md section 5k).
     """
@@ -831,8 +836,14 @@ def _execute_skipping(
         ]
         if remaining:
             _, lane = _acquire(remaining)
-            supervisor.prefetch(next(spec for spec in lane.specs
-                                     if spec.cell_hash() not in done))
+            # The lane's first cell to simulate: the driver records a
+            # certified one as its sibling's run and goes on.
+            spec = next((spec for spec in lane.specs
+                         if spec.cell_hash() not in done
+                         and reuse.certifier(spec, done)[0] is None),
+                        None)
+            if spec is not None:
+                supervisor.prefetch(spec)
 
     must_measure: set[int] = set()
     simulated_at_start = (report.completed + report.failed
@@ -974,17 +985,20 @@ def design_space_sweep(
         max_events,
     )
     meter, noted = _metered(lanes, progress)
+    # One reuse index for the campaign: the skip loop calls
+    # execute_lanes once per lane.
+    reuse = ReuseIndex(done)
     execute = partial(
         execute_lanes, supervisor=supervisor, ledger=ledger, done=done,
         report=report, progress=noted, prevalidate=prevalidate,
-        failure_budget=failure_budget,
+        failure_budget=failure_budget, reuse=reuse,
     )
     try:
         if prune or surrogate:
             _execute_skipping(
                 designs, names, lanes, execute, ledger=ledger, done=done,
                 report=report, progress=noted, train=surrogate,
-                prior_skips=prune, supervisor=supervisor,
+                prior_skips=prune, supervisor=supervisor, reuse=reuse,
             )
         else:
             execute(lanes, jobs=jobs)

@@ -27,6 +27,7 @@ from .metrics import (
     ThroughputMeter,
     aggregate_records,
     cell_metrics,
+    reuse_totals,
 )
 from .profile import PHASES, PhaseProfile
 
@@ -40,6 +41,7 @@ __all__ = [
     "ThroughputMeter",
     "aggregate_records",
     "cell_metrics",
+    "reuse_totals",
     "chrome_trace_events",
     "write_chrome_trace",
 ]

@@ -31,6 +31,8 @@ DETERMINISTIC_CELL_COUNTERS = (
     "sim_cycles",
     "dispatches",
     "messages",
+    "l1_evictions",
+    "l2_evictions",
 )
 
 #: The fold's counters that describe how a campaign recovered rather
@@ -168,6 +170,11 @@ def cell_metrics(stats, wall_s: float) -> dict:
         "sim_cycles": stats.cycles,
         "dispatches": stats.dispatches,
         "messages": stats.message_count,
+        # The exact-reuse certificate (repro.sim.memory.hierarchy
+        # .certifies): a sibling with larger caches needs no run of
+        # its own when these are zero.
+        "l1_evictions": stats.l1_evictions,
+        "l2_evictions": stats.l2_evictions,
     }
 
 
@@ -209,6 +216,23 @@ def aggregate_records(records: Iterable[dict]) -> MetricsRegistry:
                 # jobs-independence contract of ``reg.counters``.
                 reg.histogram(key).observe(metrics[key])
     return reg
+
+
+def reuse_totals(records: dict[str, dict]) -> dict:
+    """Exact reuse over a hash-keyed record map: how many cells were
+    recorded from a certifier's run (``reused_from``), and the wall
+    those certifiers spent simulating, once per reused cell -- the
+    time the reuse saved.  Which cells were reused follows scheduling,
+    so neither belongs in the fold's counters."""
+    cells, wall_s = 0, 0.0
+    for record in records.values():
+        source = record.get("reused_from")
+        if source is None:
+            continue
+        cells += 1
+        certifier = records.get(source) or {}
+        wall_s += (certifier.get("metrics") or {}).get("wall_s", 0.0)
+    return {"cells": cells, "certifier_wall_s": round(wall_s, 6)}
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,8 @@ each seeing the directory state the previous one left behind.
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property, partial
 
 from ...area.floorplan import Floorplan
 from ...core.config import WaveScalarConfig
@@ -27,6 +27,9 @@ from ..stats import SimStats
 
 #: MESI stable states tracked per L1 line.
 MODIFIED, EXCLUSIVE, SHARED = "M", "E", "S"
+
+#: L2 associativity, the same at every L2 size.
+L2_WAYS = 8
 
 
 class CacheArray:
@@ -77,6 +80,101 @@ class CacheArray:
         return line in self._set_of(line)
 
 
+def l2_sets(config: WaveScalarConfig) -> int:
+    """Sets of the L2 a :class:`MemoryHierarchy` builds for ``config``
+    (``l2_mb > 0``)."""
+    return max(1, config.l2_lines // L2_WAYS)
+
+
+def certifies(
+    certifier: WaveScalarConfig, sibling: WaveScalarConfig,
+    l1_evictions: int, l2_evictions: int,
+) -> bool:
+    """Whether a run on ``certifier`` that evicted ``l1_evictions`` L1
+    lines and ``l2_evictions`` L2 lines is, cycle for cycle, the run on
+    ``sibling``: every ``SimStats`` field equal, so the sibling's cell
+    need not be simulated.
+
+    The configs must be equal in every field but ``l1_kb`` and
+    ``l2_mb``, and the certifier's value of each no larger.  Then a
+    level whose size differs must satisfy:
+
+    * L2 (``l2_mb``): both sizes nonzero, ``l2_evictions == 0``, and
+      the larger set count a multiple of the smaller;
+    * L1 (``l1_kb``): ``l1_evictions == 0``, the set counts nested the
+      same way, and -- when there is an L2 -- every (cluster, bank) L2
+      latency equal under both floorplans.
+
+    Proof.  This is the simplest form of the LRU inclusion property
+    (Mattson et al., IBM Systems Journal, 1970): a set that never
+    evicts holds every line ever put in it and not since removed.
+
+    *Nesting.*  When the small array's set count ``s`` divides the
+    large one's ``S``, the lines of one large set (``line % S == i``)
+    all fall in one small set (``line % s == i % s``).
+
+    *One level.*  Suppose both runs have made the same accesses at
+    the same cycles so far, so each array of the level has seen the
+    same inserts, removes and state changes.  The small array never
+    displaced a victim, so each of its sets holds exactly the lines
+    inserted into it and not removed since, at most ``ways`` of them.
+    Each large set holds a subset of one small set's lines (nesting)
+    and has as many ways, so it never displaces a victim either, and
+    the two arrays hold the same lines in the same states.  LRU order
+    -- all they differ in -- is read only to choose a victim, which
+    never happens.  So every lookup answers the same.  What makes the
+    premise hold in this module:
+
+    * the L2 has :data:`L2_WAYS` ways at every size, L1s
+      ``l1_associativity`` (a field both configs share);
+    * only ``lookup(...) is not None`` is read from the L2, never a
+      line's state, and an L2 line leaves only by eviction;
+    * with ``l2_mb == 0`` there is no L2 array and no L2 latency, so
+      that size cannot pair with a nonzero one;
+    * :meth:`MemoryHierarchy._l2_latency` reads the floorplan, never
+      ``l2_mb``; the floorplan reads ``l1_kb`` through the cluster
+      area (``cluster_side``), which is why the L1 rule compares the
+      latencies;
+    * nothing else the simulator reads -- placement, network, engine,
+      store buffer -- depends on ``l1_kb`` or ``l2_mb``.
+
+    So the next access costs the same cycles in both runs, and by
+    induction the runs are equal.  Each level that differs counted 0
+    evictions in both; every other count is the same run's.  When both
+    sizes differ, the config with the certifier's L1 and the sibling's
+    L2 sits between them: the L2 rule makes its run the certifier's
+    (so it too evicts no L1 line), and the L1 rule takes it to the
+    sibling, its floorplan being the certifier's.
+    """
+    if certifier.l1_kb > sibling.l1_kb or certifier.l2_mb > sibling.l2_mb:
+        return False
+    if replace(certifier, l1_kb=sibling.l1_kb,
+               l2_mb=sibling.l2_mb) != sibling:
+        return False
+    if certifier.l2_mb != sibling.l2_mb and (
+            certifier.l2_mb == 0 or l2_evictions
+            or l2_sets(sibling) % l2_sets(certifier)):
+        return False
+    if certifier.l1_kb != sibling.l1_kb and (
+            l1_evictions or sibling.l1_sets % certifier.l1_sets
+            or sibling.l2_mb and not _l2_latencies_agree(certifier,
+                                                         sibling)):
+        return False
+    return True
+
+
+@cache
+def _l2_latencies_agree(a: WaveScalarConfig, b: WaveScalarConfig) -> bool:
+    """Whether every (cluster, bank) L2 latency is the same under the
+    floorplans of ``a`` and ``b`` (same cluster count), per pair."""
+    plan_a, plan_b = Floorplan(a), Floorplan(b)
+    return all(
+        plan_a.l2_latency(cluster, bank) == plan_b.l2_latency(cluster, bank)
+        for cluster in range(a.clusters)
+        for bank in range(plan_a.n_banks)
+    )
+
+
 @dataclass(slots=True)
 class DirectoryEntry:
     """Directory knowledge about one line's L1 copies."""
@@ -110,9 +208,8 @@ class MemoryHierarchy:
             partial(_PortLedger, config.l1_ports)
         )
         if config.l2_mb > 0:
-            l2_ways = 8
             self.l2: CacheArray | None = CacheArray(
-                max(1, config.l2_lines // l2_ways), l2_ways
+                l2_sets(config), L2_WAYS
             )
             self.n_banks = max(4, config.clusters)
         else:
@@ -151,11 +248,14 @@ class MemoryHierarchy:
             return
         line_words = self._line_words
         last = None
+        evictions = 0
         for word in words:
             line = int(word) // line_words
             if line != last:
-                l2.insert(line, SHARED)
+                if l2.insert(line, SHARED) is not None:
+                    evictions += 1
                 last = line
+        self.stats.l2_evictions += evictions
 
     def bank_home(self, line: int) -> int:
         """Cluster adjacent to the L2 bank/directory slice for ``line``."""
@@ -242,8 +342,7 @@ class MemoryHierarchy:
                 self.l1[owner].set_state(line, SHARED)
                 entry.owner = None
                 entry.sharers.add(owner)
-            if self.l2 is not None:
-                self.l2.insert(line, MODIFIED)
+            self._l2_insert(line, MODIFIED)
             # Data forwarded owner -> requester.
             t = self._coherence_hop(owner, cluster, t)
         else:
@@ -268,9 +367,9 @@ class MemoryHierarchy:
                 self.stats.l2_misses += 1
                 if self.l2 is not None:
                     t += self._l2_latency(cluster, line)
-                    victim = self.l2.insert(line, SHARED)
-                    if victim is not None:
-                        pass  # L2 writeback to DRAM, off the critical path
+                    # A victim's writeback to DRAM is off the critical
+                    # path.
+                    self._l2_insert(line, SHARED)
                 t += cfg.dram_latency
             # Data reply home -> requester.
             t = self._coherence_hop(home, cluster, t)
@@ -281,6 +380,7 @@ class MemoryHierarchy:
         )
         victim = self.l1[cluster].insert(line, new_state)
         if victim is not None:
+            self.stats.l1_evictions += 1
             self._evict(cluster, *victim)
         if new_state in (MODIFIED, EXCLUSIVE):
             entry.owner = cluster
@@ -304,8 +404,13 @@ class MemoryHierarchy:
             home = self.bank_home(line)
             if cluster != home:
                 self.stats.coherence_messages += 1
-            if self.l2 is not None:
-                self.l2.insert(line, MODIFIED)
+            self._l2_insert(line, MODIFIED)
+
+    def _l2_insert(self, line: int, state: str) -> None:
+        """Insert ``line`` into the L2, if there is one, counting the
+        victim it displaces."""
+        if self.l2 is not None and self.l2.insert(line, state) is not None:
+            self.stats.l2_evictions += 1
 
     # ------------------------------------------------------------------
     def _coherence_latency(self, a: int, b: int) -> int:

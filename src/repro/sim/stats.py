@@ -64,6 +64,8 @@ class SimStats:
     l1_misses: int = 0
     l2_hits: int = 0
     l2_misses: int = 0
+    l1_evictions: int = 0  # lines an L1 insert displaced (capacity)
+    l2_evictions: int = 0  # lines an L2 insert displaced, warm-up included
     coherence_messages: int = 0
     invalidations: int = 0
 

@@ -256,7 +256,7 @@ def test_kill_and_resume(tmp_path):
     )
     assert report.skipped == len(survived)
     assert report.total == 9  # 3 designs x 3 workloads
-    assert report.completed == 9 - len(survived)
+    assert report.completed + report.reused == 9 - len(survived)
     assert len(points) == 3
     assert all(p.performance > 0 for p in points)
     # Every cell now has exactly one complete record; nothing was

@@ -65,9 +65,11 @@ def verdicts(path) -> dict[str, tuple]:
 
 def stripped(record: dict) -> dict:
     """A record minus what legitimately differs between runs: wall
-    clock, ledger sequencing, the requested-backend annotation."""
+    clock, ledger sequencing, the requested-backend annotation, and
+    which simulated cell a reused record copies."""
     out = {k: v for k, v in record.items()
-           if k not in ("ts", "seq", "crc", "wall_s", "backend")}
+           if k not in ("ts", "seq", "crc", "wall_s", "backend",
+                        "reused_from")}
     out["metrics"] = {
         k: v for k, v in record.get("metrics", {}).items()
         if k not in ("wall_s", "events_per_s")
@@ -181,7 +183,7 @@ def test_lane_winner_is_best_ok_cell_before_first_failure():
 def test_parallel_resume_skips_finished_cells(tmp_path):
     path = tmp_path / "runs.jsonl"
     _, first = run_sweep(4, path)
-    assert first.completed == 9
+    assert first.completed + first.reused == 9
     points, resumed = run_sweep(4, path, resume=True)
     assert resumed.completed == 0 and resumed.skipped == 9
     assert all(p.performance > 0 for p in points)
@@ -252,7 +254,8 @@ def test_parallel_matches_serial_observability(tmp_path):
     assert serial_report.metrics["scheduler"]["mode"] == "serial"
     assert par_report.metrics["scheduler"]["mode"] == "parallel"
     assert par_report.metrics["scheduler"]["workers"] == 4
-    assert par_report.metrics["scheduler"]["dispatched"] == 9
+    assert par_report.metrics["scheduler"]["dispatched"] == \
+        9 - par_report.reused
     assert 0.0 < par_report.metrics["scheduler"]["utilization"] <= 1.0
     for report in (serial_report, par_report):
         sweep_block = report.metrics["sweep"]
@@ -279,7 +282,9 @@ def test_summary_compile_cache_is_the_records_fold(tmp_path, jobs,
     want = {kind: int(histograms[f"compile_cache_{kind}"].total)
             for kind in ("hits", "misses", "evictions")}
     assert report.metrics["compile_cache"] == want
-    assert want["hits"] + want["misses"] == 9  # one lookup per cell
+    # One lookup per simulated cell; a reused record compiles nothing.
+    assert want["hits"] + want["misses"] == report.completed
+    assert report.completed + report.reused == 9
     assert (f"compile cache: {want['hits']} hit(s) / {want['misses']} "
             f"miss(es) / {want['evictions']} eviction(s)"
             in report.metrics_summary())
@@ -555,7 +560,12 @@ def test_the_driver_never_enters_run_or_run_batch(monkeypatch, isolation,
     finally:
         driven.close()
     assert {cell: stripped(r) for cell, r in records.items()} == want
-    assert report.metrics["scheduler"]["batch_groups"] == (width > 1)
+    # mcf evicts L1 lines at 8 KB, so no cell certifies a sibling.  In
+    # a batch, the 32 KB cells park behind their 8 KB siblings in the
+    # first group, then run as a second one.
+    assert report.reused == 0
+    assert report.metrics["scheduler"]["batch_groups"] == \
+        (2 if width > 1 else 0)
 
 
 # ----------------------------------------------------------------------
@@ -604,7 +614,7 @@ def test_every_cell_runs_in_an_isolation_child_of_the_driver(
              for config in CONFIGS for name in ("mcf", "gzip")]
     _, report = sweep_cells(specs, jobs=2,
                             supervisor=RunSupervisor(isolation="process"))
-    assert report.completed == len(specs)
+    assert report.completed + report.reused == len(specs)
     pairs = {tuple(map(int, line.split()))
              for line in log.read_text().splitlines()}
     assert {parent for _, parent in pairs} == {os.getpid()}
@@ -743,7 +753,7 @@ def test_parallel_kill_and_resume(tmp_path):
     # At most the in-flight cells were lost; only those re-simulate.
     assert report.skipped == len(survived)
     assert report.total == 9
-    assert report.completed == 9 - len(survived)
+    assert report.completed + report.reused == 9 - len(survived)
     assert len(points) == 3
     assert all(p.performance > 0 for p in points)
     # Every cell has exactly one complete record (a torn line at the

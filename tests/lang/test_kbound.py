@@ -7,7 +7,6 @@ from repro.isa import Opcode
 from repro.lang.interp import interpret
 
 from ..conftest import build_counted_sum, build_threaded_sums
-from .test_interp import test_nested_loops  # noqa: F401  (reuse builder below)
 
 
 def bounded_advances(graph):

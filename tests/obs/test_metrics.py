@@ -123,6 +123,7 @@ def test_deterministic_counters_exclude_wall_clock():
     reg = aggregate_records([fake_record(metrics={
         "wall_s": 0.5, "events": 10, "events_per_s": 20.0,
         "sim_cycles": 5, "dispatches": 2, "messages": 3,
+        "l1_evictions": 1, "l2_evictions": 0,
     })])
     det = reg.counters
     for key in DETERMINISTIC_CELL_COUNTERS:
