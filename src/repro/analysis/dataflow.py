@@ -166,7 +166,7 @@ class TokenFlow:
     #: MAX_ROUNDS backstop fired; bounds remain sound either way).
     converged: bool
     #: The most passes any one strongly connected component took (1
-    #: on an acyclic graph; ``max_rounds`` when the backstop fired).
+    #: on an acyclic graph; ``MAX_ROUNDS`` when the backstop fired).
     rounds: int
 
     @property
@@ -364,11 +364,7 @@ def _sweep(
     return rounds, converged
 
 
-def analyze_tokens(
-    graph: DataflowGraph,
-    widen_after: int = WIDEN_AFTER,
-    max_rounds: int = MAX_ROUNDS,
-) -> TokenFlow:
+def analyze_tokens(graph: DataflowGraph) -> TokenFlow:
     """Iterate arrival-count intervals to a (widened) fixed point.
 
     Sound for *any* round count: transfer functions are monotone and
@@ -376,15 +372,12 @@ def analyze_tokens(
     count and (after widening) ``hi`` never undercuts it.  Expects a
     graph that passes ``graph.validate()``.
     """
-    return _token_flow(PortTable(graph), widen_after, max_rounds)
+    return _token_flow(PortTable(graph))
 
 
-def _token_flow(
-    table: PortTable,
-    widen_after: int = WIDEN_AFTER,
-    max_rounds: int = MAX_ROUNDS,
-) -> TokenFlow:
+def _token_flow(table: PortTable) -> TokenFlow:
     """:func:`analyze_tokens` over a graph's :class:`PortTable`."""
+    widen_after = WIDEN_AFTER
     base, entry = table.base, table.entry
     feeders, consumers = table.token_edges
     n = len(consumers)
@@ -436,7 +429,7 @@ def _token_flow(
             status = _FIRED
         return status
 
-    rounds, converged = _sweep(consumers, evaluate, max_rounds)
+    rounds, converged = _sweep(consumers, evaluate, MAX_ROUNDS)
 
     # A proof needs the fixed point: a truncated iterate has dry ports
     # that a few more passes would still fill.  A lone port cannot be
@@ -488,7 +481,7 @@ def _backstop_warnings(
     graph: DataflowGraph, flow: TokenFlow
 ) -> list[Diagnostic]:
     """The A002 diagnostic when ``flow`` stopped at its round limit
-    (``flow.rounds`` is then the ``max_rounds`` it was given)."""
+    (``flow.rounds`` is then ``MAX_ROUNDS``)."""
     if flow.converged:
         return []
     return [Diagnostic(
@@ -544,7 +537,6 @@ def _check_convergence(graph: DataflowGraph, facts) -> list[Diagnostic]:
 def critical_path_cycles(
     table: PortTable,
     must_fire: frozenset[int],
-    max_rounds: int = MAX_ROUNDS,
     edge_weight: Optional[Callable[[int, int], int]] = None,
 ) -> int:
     """A lower bound on total cycles from first-firing times.
@@ -589,7 +581,7 @@ def critical_path_cycles(
             return _FIRED
         return _SAME
 
-    _sweep(consumers, evaluate, max_rounds)
+    _sweep(consumers, evaluate, MAX_ROUNDS)
     # The last must-fire instruction still executes after it fires.
     return max(first[i] + latency[i] for i in must_fire)
 
@@ -615,7 +607,6 @@ def find_recurrence_cycles(
     graph: DataflowGraph,
     fired: dict[int, int],
     sent: dict[tuple[int, int, int], int],
-    budget: int = CYCLE_BUDGET,
 ) -> list[tuple[tuple[int, ...], int, int]]:
     """Enumerate loop-carried dependence cycles: ``(path, slack, peak)``.
 
@@ -678,14 +669,14 @@ def find_recurrence_cycles(
         # DFS simple cycles within the SCC, Johnson-style: each cycle
         # is discovered exactly once from its smallest member.
         for start in comp:
-            if steps >= budget:
+            if steps >= CYCLE_BUDGET:
                 break
             path = [start]
             on_path = {start}
             frames = [iter(adj[start])]
             slacks = [0]
             while frames:
-                if steps >= budget:
+                if steps >= CYCLE_BUDGET:
                     break
                 advanced = False
                 for nxt in frames[-1]:

@@ -14,8 +14,7 @@ Design points:
 * Rules never abort the pass: a rule that raises is itself reported as
   an ``X000`` internal-error diagnostic and the remaining rules run.
 * Registries are ordered dicts keyed by rule id, so reports are
-  deterministic and callers can enable/disable individual rules
-  (``only=`` / ``ignore=``).
+  deterministic.
 * Third-party checks plug in by calling :func:`register` (or the
   decorator) with a fresh rule id; nothing else needs to change --
   ``repro lint`` and the sweep pre-validator pick them up.
@@ -31,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .diagnostics import Diagnostic, Report, Severity
 
@@ -231,21 +230,6 @@ def rule(
     return decorate
 
 
-def _select(
-    registry: dict[str, Rule],
-    only: Optional[Iterable[str]],
-    ignore: Iterable[str],
-) -> list[Rule]:
-    ignored = set(ignore)
-    if only is not None:
-        wanted = list(only)
-        unknown = [r for r in wanted if r not in registry]
-        if unknown:
-            raise KeyError(f"unknown rule id(s): {unknown}")
-        return [registry[r] for r in wanted if r not in ignored]
-    return [r for rid, r in registry.items() if rid not in ignored]
-
-
 def _run_rules(
     rules: list[Rule], subject, source: str, facts=None
 ) -> Report:
@@ -270,28 +254,20 @@ def _run_rules(
     return report
 
 
-def analyze_graph(
-    graph,
-    only: Optional[Iterable[str]] = None,
-    ignore: Iterable[str] = (),
-) -> Report:
+def analyze_graph(graph) -> Report:
     """Run the graph registry over a dataflow program."""
     from . import dataflow, graph_rules  # noqa: F401 - rules register
 
-    rules = _select(GRAPH_RULES, only, ignore)
     return _run_rules(
-        rules, graph, getattr(graph, "name", ""), GraphFacts(graph)
+        list(GRAPH_RULES.values()), graph, getattr(graph, "name", ""),
+        GraphFacts(graph),
     )
 
 
-def analyze_config(
-    config,
-    only: Optional[Iterable[str]] = None,
-    ignore: Iterable[str] = (),
-) -> Report:
+def analyze_config(config) -> Report:
     """Run the config registry over a processor configuration."""
     from . import config_rules  # noqa: F401 - ensure rules registered
 
-    rules = _select(CONFIG_RULES, only, ignore)
+    rules = list(CONFIG_RULES.values())
     source = config.describe() if hasattr(config, "describe") else ""
     return _run_rules(rules, config, source)

@@ -51,14 +51,13 @@ def lint_workload(
     name: str,
     scale=None,
     threads: Optional[int] = None,
-    seed: int = 0,
 ) -> LintResult:
-    """Instantiate one registered workload and lint its graph."""
+    """Instantiate one registered workload (seed 0) and lint its graph."""
     from ..workloads import Scale, get
 
     workload = get(name)
     scale = scale or Scale.TINY
-    kwargs = {"scale": scale, "seed": seed}
+    kwargs = {"scale": scale}
     if workload.multithreaded:
         kwargs["threads"] = threads
     graph = workload.instantiate(**kwargs)

@@ -59,8 +59,8 @@ class RuntimeSanitizer:
     def note_entry(self, count: int) -> None:
         self.entry_tokens += count
 
-    def note_created(self, count: int = 1) -> None:
-        self.tokens_created += count
+    def note_created(self) -> None:
+        self.tokens_created += 1
 
     def note_consumed(self, count: int) -> None:
         self.tokens_consumed += count

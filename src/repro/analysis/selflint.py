@@ -224,12 +224,10 @@ def lint_source(text: str, relpath: str) -> list[Diagnostic]:
     return diags
 
 
-def lint_self(root=None) -> Report:
-    """Run the D-rules over the installed ``repro`` source tree (or
-    an explicit directory), one deterministic pass."""
-    if root is None:
-        root = Path(__file__).resolve().parents[1]
-    root = Path(root)
+def lint_self() -> Report:
+    """Run the D-rules over the installed ``repro`` source tree, one
+    deterministic pass."""
+    root = Path(__file__).resolve().parents[1]
     report = Report()
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root.parent).as_posix()

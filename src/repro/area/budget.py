@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.config import WaveScalarConfig
 
 #: Measured component areas for one PE (mm^2, Table 2).
 PE_COMPONENTS_MM2 = {
@@ -57,16 +56,12 @@ def pe_total_mm2() -> float:
     return sum(PE_COMPONENTS_MM2.values())
 
 
-def domain_total_mm2(config: WaveScalarConfig | None = None) -> float:
-    pes = config.pes_per_domain if config else 8
-    return pes * pe_total_mm2() + sum(DOMAIN_COMPONENTS_MM2.values())
+def domain_total_mm2() -> float:
+    return 8 * pe_total_mm2() + sum(DOMAIN_COMPONENTS_MM2.values())
 
 
-def cluster_total_mm2(config: WaveScalarConfig | None = None) -> float:
-    domains = config.domains_per_cluster if config else 4
-    return domains * domain_total_mm2(config) + sum(
-        CLUSTER_COMPONENTS_MM2.values()
-    )
+def cluster_total_mm2() -> float:
+    return 4 * domain_total_mm2() + sum(CLUSTER_COMPONENTS_MM2.values())
 
 
 def sram_fraction() -> float:

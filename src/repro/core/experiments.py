@@ -28,6 +28,7 @@ from ..harness.sweep import (
     build_lanes,
     design_space_sweep,
 )
+from ..sim.engine import RUN_MAX_CYCLES, RUN_MAX_EVENTS
 from ..sim.failures import FAILURE_CLASSES, SimulationDeadlock
 from ..workloads.base import Scale
 from ..workloads.registry import SPLASH_NAMES, get
@@ -35,10 +36,6 @@ from .config import WaveScalarConfig
 from .results import SimulationResult
 
 logger = logging.getLogger("repro.harness")
-
-#: Budgets of a cell looked at on its own: the processor's defaults.
-RUN_MAX_CYCLES = 20_000_000
-RUN_MAX_EVENTS = 200_000_000
 
 #: Memoised verdicts: cell -> (True, result) or (False, failure).  The
 #: cell includes the cycle/event budgets -- a deadlock verdict (or a
@@ -61,7 +58,6 @@ def run_cached(
     scale: Scale = Scale.SMALL,
     threads: Optional[int] = None,
     k: Optional[int] = None,
-    seed: int = 0,
     max_cycles: int = RUN_MAX_CYCLES,
     max_events: int = RUN_MAX_EVENTS,
 ) -> SimulationResult:
@@ -70,7 +66,7 @@ def run_cached(
     keeps a summary."""
     spec = CellSpec(
         config=config, workload=workload_name, scale=scale.value,
-        threads=threads, k=k, seed=seed, max_cycles=max_cycles,
+        threads=threads, k=k, max_cycles=max_cycles,
         max_events=max_events,
     )
     hit = _CACHE.get(spec)
@@ -103,12 +99,9 @@ def evaluate_design_space(
     names: Sequence[str],
     scale: Scale = Scale.SMALL,
     threaded: bool = False,
-    candidates: Sequence[int] = THREAD_CANDIDATES,
     *,
     ledger_path=None,
     resume: bool = False,
-    timeout_s: Optional[float] = None,
-    isolation: Optional[str] = None,
     jobs: Optional[int] = 1,
 ) -> list[ParetoPoint]:
     """AIPC-vs-area points for a suite over a set of designs: one
@@ -123,17 +116,14 @@ def evaluate_design_space(
     A cell that failed otherwise raises (see :func:`_may_score_zero`).
 
     ``jobs`` (``None`` = one per core) never changes the points.
-    ``isolation`` defaults to ``"inline"`` at ``jobs=1`` and to
-    ``"process"`` otherwise, which ``jobs>1`` needs;
-    ``isolation="process"`` adds the per-attempt ``timeout_s`` watchdog.
+    Cells run inline at ``jobs=1``, in isolation children otherwise,
+    which ``jobs>1`` needs.
     """
-    if isolation is None:
-        isolation = "inline" if jobs == 1 else "process"
     points, report = design_space_sweep(
         list(designs), names, scale=scale, threaded=threaded,
-        candidates=candidates, ledger_path=ledger_path, resume=resume,
-        timeout_s=timeout_s, isolation=isolation, jobs=jobs,
-        max_retries=0,
+        candidates=THREAD_CANDIDATES, ledger_path=ledger_path,
+        resume=resume, isolation="inline" if jobs == 1 else "process",
+        jobs=jobs, max_retries=0,
     )
     for failure in report.failures:
         logger.warning("%s", failure.render())
@@ -157,7 +147,6 @@ def tuning_config(
     k: int,
     matching_entries: int,
     pes: int = 2,
-    base: Optional[WaveScalarConfig] = None,
 ) -> WaveScalarConfig:
     """The tuning testbed: V=256 with a variable matching table.
 
@@ -168,7 +157,7 @@ def tuning_config(
     full cluster every PE would hold a handful of instructions and no
     over-subscription would ever bind.
     """
-    base = base or WaveScalarConfig(
+    base = WaveScalarConfig(
         clusters=1, domains_per_cluster=1,
         pes_per_domain=max(2, min(8, pes)),
         virtualization=256, l1_kb=32, l2_mb=1,

@@ -19,7 +19,7 @@ from ..area.timing import timing_report
 from ..isa.graph import DataflowGraph
 from ..place.placement import Placement
 from ..place.snake import place
-from ..sim.engine import Engine
+from ..sim.engine import RUN_MAX_CYCLES, RUN_MAX_EVENTS, Engine
 from ..sim.failures import FixedPoint
 from ..workloads.base import Scale, Workload
 from .config import WaveScalarConfig
@@ -44,8 +44,8 @@ class WaveScalarProcessor:
     def __init__(
         self,
         config: WaveScalarConfig,
-        max_cycles: int = 20_000_000,
-        max_events: int = 200_000_000,
+        max_cycles: int = RUN_MAX_CYCLES,
+        max_events: int = RUN_MAX_EVENTS,
     ) -> None:
         self.config = config
         self.max_cycles = max_cycles
@@ -139,7 +139,6 @@ class WaveScalarProcessor:
         threads: Optional[int] = None,
         k: Optional[int] = None,
         seed: int = 0,
-        check: bool = True,
         sanitizer=None,
         strict: bool = True,
         trace=None,
@@ -147,11 +146,11 @@ class WaveScalarProcessor:
     ) -> SimulationResult:
         """Instantiate and execute one registry workload.
 
-        With ``check`` (default) the architectural outputs are compared
-        against the workload's pure-Python reference; a mismatch raises
-        ``AssertionError`` -- a simulator correctness bug, never a
-        performance matter.  ``sanitizer``, ``strict``, ``trace``, and
-        ``profile`` pass through to :meth:`run`.
+        The architectural outputs are compared against the workload's
+        pure-Python reference; a mismatch raises ``AssertionError`` --
+        a simulator correctness bug, never a performance matter.
+        ``sanitizer``, ``strict``, ``trace``, and ``profile`` pass
+        through to :meth:`run`.
         """
         graph = workload.instantiate(
             scale=scale, threads=threads, k=k, seed=seed
@@ -160,20 +159,15 @@ class WaveScalarProcessor:
             graph, threads=threads, sanitizer=sanitizer, strict=strict,
             trace=trace, profile=profile,
         )
-        if check:
-            check_outputs(workload.name, result, workload.expected(
-                scale=scale, threads=threads, seed=seed
-            ))
+        check_outputs(workload.name, result, workload.expected(
+            scale=scale, threads=threads, seed=seed
+        ))
         return result
 
     def run_compiled(
         self,
         compiled,
         check: bool = True,
-        sanitizer=None,
-        strict: bool = True,
-        trace=None,
-        profile=None,
     ) -> SimulationResult:
         """Execute a pre-built :class:`~repro.sim.compile
         .CompiledWorkload` (typically served by
@@ -189,8 +183,7 @@ class WaveScalarProcessor:
         does.
         """
         result = self.run(
-            compiled.graph, threads=compiled.threads, sanitizer=sanitizer,
-            strict=strict, trace=trace, profile=profile,
+            compiled.graph, threads=compiled.threads,
             compiled=compiled.decoded,
         )
         if check:

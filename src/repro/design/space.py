@@ -138,10 +138,8 @@ def _admitted(ratio: float | None) -> Iterator[WaveScalarConfig]:
 
 def prune(
     configs: Iterable[WaveScalarConfig],
-    max_area: float = MAX_DIE_MM2,
     ratio: float | None = 1.0,
     min_capacity: int = MIN_CAPACITY,
-    require_clock: bool = True,
 ) -> list[DesignPoint]:
     """Apply the Section 4.2 funnel; returns surviving design points."""
     result = []
@@ -152,10 +150,10 @@ def prune(
             continue
         if config.total_instruction_capacity < min_capacity:
             continue
-        if require_clock and not meets_clock_target(config):
+        if not meets_clock_target(config):
             continue
         area = chip_area(config)
-        if area > max_area:
+        if area > MAX_DIE_MM2:
             continue
         result.append(DesignPoint(config=config, area_mm2=area))
     result.sort(key=lambda d: (d.area_mm2, d.config.describe()))

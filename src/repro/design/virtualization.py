@@ -35,6 +35,10 @@ K_IMPROVEMENT_THRESHOLD = 0.02
 #: significantly" for the u sweep.
 U_DROP_THRESHOLD = 0.05
 
+#: The k values the k sweep tries, and the u values the u sweep tries.
+K_CANDIDATES = (1, 2, 3, 4, 6, 8)
+U_CANDIDATES = (1, 2, 4, 8, 16, 32, 64)
+
 
 @dataclass(frozen=True)
 class TuningResult:
@@ -53,23 +57,20 @@ class TuningResult:
         return self.failure is None
 
 
-def find_k_opt(
-    evaluate: Callable[[int, int], float],
-    k_candidates: Sequence[int] = (1, 2, 3, 4, 6, 8),
-    threshold: float = K_IMPROVEMENT_THRESHOLD,
-) -> Optional[int]:
-    """Smallest k whose successor yields < ``threshold`` improvement,
-    or None if no candidate scores above zero.
+def find_k_opt(evaluate: Callable[[int, int], float]) -> Optional[int]:
+    """Smallest k whose successor yields < ``K_IMPROVEMENT_THRESHOLD``
+    improvement, or None if no candidate scores above zero.
 
     ``evaluate(k, matching_entries)`` returns performance (higher is
     better); the sweep runs with an effectively infinite matching
     table.
     """
-    best_k = k_candidates[0]
-    best_perf = evaluate(k_candidates[0], INFINITE_MATCHING)
-    for k in k_candidates[1:]:
+    best_k = K_CANDIDATES[0]
+    best_perf = evaluate(K_CANDIDATES[0], INFINITE_MATCHING)
+    for k in K_CANDIDATES[1:]:
         perf = evaluate(k, INFINITE_MATCHING)
-        if best_perf > 0 and (perf - best_perf) / best_perf < threshold:
+        if (best_perf > 0 and (perf - best_perf) / best_perf
+                < K_IMPROVEMENT_THRESHOLD):
             return best_k
         best_k, best_perf = k, perf
     return best_k if best_perf > 0 else None  # every candidate scored 0
@@ -79,19 +80,18 @@ def find_u_opt(
     evaluate: Callable[[int, int], float],
     k_opt: int,
     v: int = 256,
-    u_candidates: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
-    threshold: float = U_DROP_THRESHOLD,
 ) -> Optional[int]:
-    """Largest u before performance drops by > ``threshold`` relative
-    to the unsubscribed (u=1) baseline, or None if that scores zero."""
+    """Largest u before performance drops by > ``U_DROP_THRESHOLD``
+    relative to the unsubscribed (u=1) baseline, or None if that scores
+    zero."""
     baseline = evaluate(k_opt, max(1, v * k_opt))
     if baseline <= 0:
         return None
-    best_u = u_candidates[0]
-    for u in u_candidates:
+    best_u = U_CANDIDATES[0]
+    for u in U_CANDIDATES:
         entries = max(1, (v * k_opt) // u)
         perf = evaluate(k_opt, entries)
-        if (baseline - perf) / baseline > threshold:
+        if (baseline - perf) / baseline > U_DROP_THRESHOLD:
             break
         best_u = u
     return best_u
@@ -101,15 +101,11 @@ def tune_application(
     name: str,
     evaluate: Callable[[int, int], float],
     v: int = 256,
-    k_candidates: Sequence[int] = (1, 2, 3, 4, 6, 8),
-    u_candidates: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
 ) -> TuningResult:
     """Full Table 4 row for one application (one without an answer if
     either sweep found none)."""
-    k_opt = find_k_opt(evaluate, k_candidates)
-    u_opt = None if k_opt is None else find_u_opt(
-        evaluate, k_opt, v=v, u_candidates=u_candidates
-    )
+    k_opt = find_k_opt(evaluate)
+    u_opt = None if k_opt is None else find_u_opt(evaluate, k_opt, v=v)
     if u_opt is None:
         return TuningResult(name, k_opt, None, None,
                             failure="every candidate scored 0")

@@ -149,8 +149,9 @@ def _verdict_diff(serial: tuple, theirs: tuple, other: str
     return None
 
 
-def diff_graph(graph: DataflowGraph, configs=PROBE_CONFIGS) -> DiffReport:
-    """Cross-check one graph against every oracle.
+def diff_graph(graph: DataflowGraph) -> DiffReport:
+    """Cross-check one graph against every oracle, on every probe
+    config.
 
     The engine runs use the module's ``Engine``, looked up per call: a
     test proves detection by putting a broken subclass there."""
@@ -181,7 +182,7 @@ def diff_graph(graph: DataflowGraph, configs=PROBE_CONFIGS) -> DiffReport:
         run.trace = trace
         return run
 
-    for i, config in enumerate(configs):
+    for i, config in enumerate(PROBE_CONFIGS):
         label = config.describe()
         placement = place(graph, config)
         verdict = _run(engine(config, placement))

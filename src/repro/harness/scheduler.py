@@ -89,15 +89,14 @@ class CircuitBreaker:
     A cell whose worker crashes is *retried*, not recorded: crash
     verdicts never reach the ledger, so a resumed campaign re-runs
     them instead of trusting a possibly-environmental failure.  But a
-    cell that kills its worker ``threshold`` times in a row is
+    cell that kills its worker ``BREAKER_THRESHOLD`` times in a row is
     deterministic poison -- further retries only burn wall clock -- so
     the breaker trips and the cell is recorded terminally as
     ``poisoned``.  Keys are :meth:`CellSpec.identity_hash`, so a crash
     streak follows the cell across budget escalations.
     """
 
-    def __init__(self, threshold: int = BREAKER_THRESHOLD) -> None:
-        self.threshold = threshold
+    def __init__(self) -> None:
         self.streaks: dict[str, int] = {}
         self.trips = 0
         self.crash_retries = 0
@@ -105,7 +104,7 @@ class CircuitBreaker:
     def record_crash(self, identity: str) -> bool:
         """Count one crash; True when the streak trips the breaker."""
         streak = self.streaks.get(identity, 0) + 1
-        if streak >= self.threshold:
+        if streak >= BREAKER_THRESHOLD:
             self.streaks.pop(identity, None)
             self.trips += 1
             return True
@@ -121,7 +120,7 @@ class RespawnBackoff:
     """Decorrelated-jitter exponential backoff before crashed cells
     are dispatched again.
 
-    ``sleep()`` waits ``uniform(base, prev * 3)`` capped at ``cap`` --
+    ``sleep()`` waits ``uniform(BASE, prev * 3)`` capped at ``CAP`` --
     the decorrelated-jitter scheme, which avoids both the thundering
     herd of fixed exponential backoff and the lockstep of full jitter.
     The jitter stream has a fixed seed, so a campaign backs off the
@@ -129,16 +128,18 @@ class RespawnBackoff:
     returns to the base delay.
     """
 
-    def __init__(self, base: float = 0.05, cap: float = 1.0) -> None:
-        self.base = base
-        self.cap = cap
+    #: The first delay and the ceiling, in seconds.
+    BASE = 0.05
+    CAP = 1.0
+
+    def __init__(self) -> None:
         self._rng = random.Random(0)
-        self._prev = base
+        self._prev = self.BASE
         self.total_s = 0.0
 
     def next_delay(self) -> float:
-        self._prev = min(self.cap,
-                         self._rng.uniform(self.base, self._prev * 3))
+        self._prev = min(self.CAP,
+                         self._rng.uniform(self.BASE, self._prev * 3))
         return self._prev
 
     def sleep(self) -> None:
@@ -147,7 +148,7 @@ class RespawnBackoff:
         time.sleep(delay)
 
     def reset(self) -> None:
-        self._prev = self.base
+        self._prev = self.BASE
 
 
 def _poisoned_result(spec: CellSpec, threshold: int,
@@ -565,7 +566,7 @@ class _Driver:
             return record, False
         if self.breaker.record_crash(spec.identity_hash()):
             poisoned = Ledger.record_for(spec, _poisoned_result(
-                spec, self.breaker.threshold,
+                spec, BREAKER_THRESHOLD,
                 record.get("failure_detail") or "",
             ))
             return poisoned, False

@@ -50,6 +50,9 @@ from .spec import CellSpec
 #: budgeted tiny/small-scale cell (seconds).
 DEFAULT_TIMEOUT_S = 300.0
 
+#: Factor a retried budget failure's cycle and event budgets grow by.
+ESCALATION = 4.0
+
 #: How a campaign runs its cells: ``plain`` runs each cell alone;
 #: ``batched`` runs cells of one compiled workload as a batch group,
 #: one after another in one attempt (:mod:`repro.sim.batched`).
@@ -328,7 +331,6 @@ class RunSupervisor:
         self,
         timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
         max_retries: int = 2,
-        escalation: float = 4.0,
         isolation: str = "process",
         mp_context: Optional[str] = None,
         backend: str = "plain",
@@ -346,15 +348,12 @@ class RunSupervisor:
                 f"timeout_s must be a positive number of seconds "
                 f"(None: no watchdog), not {timeout_s!r}"
             )
-        if escalation <= 1.0:
-            raise ValueError("escalation factor must exceed 1")
         if batch_width < 1:
             raise ValueError("batch width must be at least 1")
         self.backend = backend
         self.batch_width = batch_width
         self.timeout_s = timeout_s
         self.max_retries = max_retries
-        self.escalation = escalation
         self.isolation = isolation
         if mp_context is None:
             # fork is near-free on Linux; fall back where unavailable.
@@ -492,7 +491,7 @@ class RunSupervisor:
                 # engine jumps to the escalated budget in milliseconds,
                 # and records keep their attempts, retries and
                 # diagnostics byte for byte.
-                spec = spec.escalated(self.escalation)
+                spec = spec.escalated(ESCALATION)
                 continue
             return [CellResult(
                 spec=spec, status=FAILED, attempts=attempts,

@@ -538,7 +538,7 @@ def _execute_skipping(
       cells are recorded ``pruned_static`` with their bound (proof of
       frontier identity in DESIGN.md section 5h).
     * ``train=True, prior_skips=False`` (``surrogate``): a conformal
-      quantile forest replaces the prior after ``min_train`` measured
+      quantile forest replaces the prior after ``MIN_TRAIN_ROWS`` measured
       rows, and only the fitted model may skip; skipped cells are
       recorded ``predicted`` with the frozen interval.
     * both: the surrogate additionally skips while it is still the
@@ -916,12 +916,9 @@ def design_space_sweep(
     timeout_s: Optional[float] = None,
     isolation: str = "process",
     max_retries: int = 2,
-    escalation: float = 4.0,
     max_cycles: int = SWEEP_MAX_CYCLES,
-    max_events: int = SWEEP_MAX_EVENTS,
     supervisor: Optional[RunSupervisor] = None,
     progress: Optional[Callable[[CellSpec, dict], None]] = None,
-    prevalidate: bool = True,
     jobs: Optional[int] = 1,
     failure_budget: Optional[float] = None,
     prune: bool = False,
@@ -974,15 +971,14 @@ def design_space_sweep(
     """
     if supervisor is None:
         supervisor = RunSupervisor(
-            max_retries=max_retries, escalation=escalation,
-            isolation=isolation,
+            max_retries=max_retries, isolation=isolation,
             **_given(timeout_s=timeout_s, backend=backend,
                      batch_width=batch_width),
         )
     ledger, done, report = _open_campaign(ledger_path, resume, surrogate)
     lanes = build_lanes(
         designs, names, scale, threaded, candidates, max_cycles,
-        max_events,
+        SWEEP_MAX_EVENTS,
     )
     meter, noted = _metered(lanes, progress)
     # One reuse index for the campaign: the skip loop calls
@@ -990,8 +986,8 @@ def design_space_sweep(
     reuse = ReuseIndex(done)
     execute = partial(
         execute_lanes, supervisor=supervisor, ledger=ledger, done=done,
-        report=report, progress=noted, prevalidate=prevalidate,
-        failure_budget=failure_budget, reuse=reuse,
+        report=report, progress=noted, failure_budget=failure_budget,
+        reuse=reuse,
     )
     try:
         if prune or surrogate:

@@ -292,7 +292,6 @@ class GraphBuilder:
         self,
         name: str,
         size: int,
-        fill: int | float = 0,
         init: Optional[Sequence[int | float]] = None,
         stride: int = 1,
     ) -> int:
@@ -305,7 +304,7 @@ class GraphBuilder:
         if stride < 1:
             raise BuildError(f"stride must be >= 1, got {stride}")
         base = self._heap_top
-        values = init if init is not None else [fill] * size
+        values = init if init is not None else [0] * size
         if len(values) != size:
             raise BuildError(
                 f"init for {name!r} has {len(values)} values, expected {size}"
@@ -327,12 +326,13 @@ class GraphBuilder:
     # ==================================================================
     # Entry points and constants
     # ==================================================================
-    def entry(self, value: int | float = 0, label: str = "entry") -> Node:
+    def entry(self, value: int | float = 0) -> Node:
         """Declare a program input delivered at cycle 0 (wave 0)."""
         if self._current.thread != 0 or self._current.region_id != 0:
             raise BuildError("entries may only be created in the master region")
         node = self._emit(
-            Opcode.NOP, [], label=label, check_inputs=False, allow_underfed=True
+            Opcode.NOP, [], label="entry", check_inputs=False,
+            allow_underfed=True,
         )
         # NOP has arity 1; feed its single port from an entry token.
         self._entry_tokens.append(
@@ -341,7 +341,7 @@ class GraphBuilder:
         return node
 
     def const(
-        self, value: int | float, trigger: Optional[Node] = None, label: str = ""
+        self, value: int | float, trigger: Optional[Node] = None
     ) -> Node:
         """Produce ``value`` each time ``trigger`` delivers a token.
 
@@ -353,7 +353,7 @@ class GraphBuilder:
         if trigger is None:
             raise BuildError("const needs a trigger in an empty region")
         return self._emit(
-            Opcode.CONST, [trigger], immediate=value, label=label or f"#{value}"
+            Opcode.CONST, [trigger], immediate=value, label=f"#{value}"
         )
 
     def nop(self, value: Node, label: str = "") -> Node:
@@ -363,11 +363,11 @@ class GraphBuilder:
     # ==================================================================
     # Arithmetic (generated helpers)
     # ==================================================================
-    def _binop(self, opcode: Opcode, a: Node, b: Node, label: str = "") -> Node:
-        return self._emit(opcode, [a, b], label=label)
+    def _binop(self, opcode: Opcode, a: Node, b: Node) -> Node:
+        return self._emit(opcode, [a, b])
 
-    def _unop(self, opcode: Opcode, a: Node, label: str = "") -> Node:
-        return self._emit(opcode, [a], label=label)
+    def _unop(self, opcode: Opcode, a: Node) -> Node:
+        return self._emit(opcode, [a])
 
     def add(self, a: Node, b: Node) -> Node:
         return self._binop(Opcode.ADD, a, b)
@@ -474,13 +474,13 @@ class GraphBuilder:
     # ==================================================================
     # Memory
     # ==================================================================
-    def load(self, addr: Node, label: str = "") -> Node:
-        return self._emit(Opcode.LOAD, [addr], label=label)
+    def load(self, addr: Node) -> Node:
+        return self._emit(Opcode.LOAD, [addr])
 
-    def store(self, addr: Node, value: Node, label: str = "") -> Node:
+    def store(self, addr: Node, value: Node) -> Node:
         """Emit a store; the returned node is the store's acknowledgement
         value (the stored data), usable for explicit ordering chains."""
-        return self._emit(Opcode.STORE, [addr, value], label=label)
+        return self._emit(Opcode.STORE, [addr, value])
 
     def memory_nop(self, trigger: Node, label: str = "mnop") -> Node:
         return self._emit(Opcode.MEMORY_NOP, [trigger], label=label)
@@ -547,7 +547,7 @@ class GraphBuilder:
     # Threads
     # ==================================================================
     def spawn_thread(
-        self, thread_id: int, values: Sequence[Node], label: str = ""
+        self, thread_id: int, values: Sequence[Node]
     ) -> list[Node]:
         """Retag ``values`` into thread ``thread_id`` (wave 0) and switch
         the builder into that thread's entry region.
@@ -568,7 +568,7 @@ class GraphBuilder:
                 Opcode.THREAD_SPAWN,
                 [value],
                 immediate=thread_id,
-                label=label or f"spawn.t{thread_id}.{i}",
+                label=f"spawn.t{thread_id}.{i}",
                 new_region=region,
             )
             spawned.append(node)
@@ -577,7 +577,7 @@ class GraphBuilder:
         self._thread_parents[thread_id] = parent
         return spawned
 
-    def end_thread(self, result: Node, label: str = "") -> Node:
+    def end_thread(self, result: Node) -> Node:
         """Close the current thread, retagging ``result`` back to the
         parent (master) context; returns the master-side node."""
         region = self._current
@@ -590,7 +590,7 @@ class GraphBuilder:
             Opcode.THREAD_SPAWN,
             [result],
             immediate=parent.thread,
-            label=label or f"join.t{region.thread}",
+            label=f"join.t{region.thread}",
             check_inputs=False,
             new_region=parent,
         )
@@ -933,19 +933,14 @@ class Loop:
         """Header outputs for the invariant values."""
         return self._headers[self._n_carried :]
 
-    def next_iteration(
-        self,
-        pred: Node,
-        next_values: Sequence[Node],
-        next_invariants: Optional[Sequence[Node]] = None,
-    ) -> None:
+    def next_iteration(self, pred: Node, next_values: Sequence[Node]) -> None:
         """Close the body: continue with ``next_values`` while ``pred``.
 
         ``next_values`` rebind the carried state.  Invariants are routed
-        automatically when the iteration tail is still the loop body
-        region; if the body contained an inner loop (which advances
-        waves), the caller must thread the invariants through it and
-        hand the post-inner versions back via ``next_invariants``.
+        automatically from the loop header, so the iteration tail must
+        still be the loop body region; a loop whose body contains an
+        inner loop (which advances waves) carries what the inner loop
+        needs as state instead, threaded through the inner loop.
         """
         if self._state != "body":
             raise BuildError(f"next_iteration in state {self._state}")
@@ -963,25 +958,13 @@ class Loop:
         routed = []
         for value in next_values:
             routed.append(b._use(value))
-        if next_invariants is None:
-            if (
-                self._n_invariant
-                and tail.region_id != self._body_region.region_id
-            ):
-                raise BuildError(
-                    f"loop {self._label!r}: body contains an inner loop; "
-                    "thread the invariants through it and pass them to "
-                    "next_iteration(next_invariants=...)"
-                )
-            routed.extend(self._headers[self._n_carried :])
-        else:
-            if len(next_invariants) != self._n_invariant:
-                raise BuildError(
-                    f"loop has {self._n_invariant} invariants, got "
-                    f"{len(next_invariants)}"
-                )
-            for value in next_invariants:
-                routed.append(b._use(value))
+        if self._n_invariant and tail.region_id != self._body_region.region_id:
+            raise BuildError(
+                f"loop {self._label!r}: body contains an inner loop; "
+                "carry the invariants as loop state and thread them "
+                "through it"
+            )
+        routed.extend(self._headers[self._n_carried :])
         b._close_region(tail)
 
         for idx, value in enumerate(routed):

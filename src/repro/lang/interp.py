@@ -169,13 +169,11 @@ class _OrderedMemory:
 def interpret(
     graph: DataflowGraph,
     max_firings: int = 50_000_000,
-    strict: bool = True,
 ) -> InterpResult:
     """Execute ``graph`` to completion under ideal dataflow semantics.
 
     Raises :class:`DeadlockError` if execution stops while operands or
-    memory operations remain buffered (``strict=False`` returns the
-    partial result instead, for diagnostic use).
+    memory operations remain buffered.
     """
     matching: dict[tuple[int, int, int], dict[int, Value]] = {}
     worklist: deque[Token] = deque(graph.entry_tokens)
@@ -262,22 +260,21 @@ def interpret(
         else:
             send(inst.inst_id, thread, wave, value, taken=True)
 
-    if strict:
-        leftovers = {
-            key: sorted(slot) for key, slot in matching.items() if slot
-        }
-        stuck_mem = memory.stuck_report()
-        if leftovers or stuck_mem:
-            detail = ""
-            if leftovers:
-                sample = list(leftovers.items())[:8]
-                pretty = ", ".join(
-                    f"t{t}.w{w}.i{i}(ports {p})" for (t, w, i), p in sample
-                )
-                detail += f"\n  partial matches: {pretty}"
-            if stuck_mem:
-                detail += f"\n  stuck memory ops:\n{stuck_mem}"
-            raise DeadlockError(f"{graph.name}: deadlocked{detail}")
+    leftovers = {
+        key: sorted(slot) for key, slot in matching.items() if slot
+    }
+    stuck_mem = memory.stuck_report()
+    if leftovers or stuck_mem:
+        detail = ""
+        if leftovers:
+            sample = list(leftovers.items())[:8]
+            pretty = ", ".join(
+                f"t{t}.w{w}.i{i}(ports {p})" for (t, w, i), p in sample
+            )
+            detail += f"\n  partial matches: {pretty}"
+        if stuck_mem:
+            detail += f"\n  stuck memory ops:\n{stuck_mem}"
+        raise DeadlockError(f"{graph.name}: deadlocked{detail}")
 
     return InterpResult(
         outputs=dict(outputs),

@@ -43,8 +43,11 @@ from .snake import place as snake_place
 #: Interconnect-level costs used by the objective (Table 1 latencies).
 LEVEL_COST = {"pod": 1.0, "domain": 5.0, "cluster": 9.0, "grid": 12.0}
 
-#: Default weight of the quadratic load-balance term.
+#: Weight of the quadratic load-balance term.
 BALANCE_WEIGHT = 0.02
+
+#: Moves one annealing run tries.
+MOVES = 20_000
 
 
 @dataclass
@@ -97,17 +100,13 @@ def anneal_place(
     graph: DataflowGraph,
     config: WaveScalarConfig,
     firing_counts: dict[int, int] | None = None,
-    moves: int = 20_000,
-    seed: int = 0,
-    balance_weight: float = BALANCE_WEIGHT,
-    initial_temperature: float | None = None,
 ) -> AnnealResult:
     """Optimise a placement of ``graph`` onto ``config``.
 
     ``firing_counts`` comes from
     :attr:`repro.lang.interp.InterpResult.fired_by_inst`; without it the
     objective treats every edge as equally hot (static annealing).
-    Deterministic given ``seed``.
+    Deterministic: the move sequence comes from one seed-0 generator.
     """
     base = snake_place(graph, config)
     pe_of = dict(base.pe_of)
@@ -143,10 +142,10 @@ def anneal_place(
         return total
 
     initial_cost = placement_cost(edges, pe_of, config)
-    if initial_temperature is None:
-        initial_temperature = max(1.0, initial_cost / max(1, len(edges)))
+    initial_temperature = max(1.0, initial_cost / max(1, len(edges)))
+    moves, balance_weight = MOVES, BALANCE_WEIGHT
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     inst_ids = [i.inst_id for i in graph.instructions]
     accepted = 0
     for step in range(moves):

@@ -40,9 +40,9 @@ def place_with_policy(
     graph: DataflowGraph,
     config: WaveScalarConfig,
     policy: str = "snake",
-    seed: int = 0,
 ) -> Placement:
-    """Place ``graph`` using a named policy."""
+    """Place ``graph`` using a named policy (the randomised ones with
+    seed 0)."""
     if policy == "snake":
         return snake_place(graph, config)
     if policy == "dense":
@@ -54,13 +54,11 @@ def place_with_policy(
         from .anneal import anneal_place
 
         profile = interpret(graph).fired_by_inst
-        return anneal_place(
-            graph, config, firing_counts=profile, seed=seed
-        ).placement
+        return anneal_place(graph, config, firing_counts=profile).placement
     if policy == "random":
-        return _place_random(graph, config, seed, isolate_threads=True)
+        return _place_random(graph, config, 0, isolate_threads=True)
     if policy == "whole_chip_random":
-        return _place_random(graph, config, seed, isolate_threads=False)
+        return _place_random(graph, config, 0, isolate_threads=False)
     raise ValueError(f"unknown placement policy {policy!r}; "
                      f"have {POLICIES}")
 

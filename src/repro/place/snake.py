@@ -84,14 +84,13 @@ MIN_CHUNK = 16
 
 def chunk_size_for(
     thread_size: int, pes_available: int, virtualization: int,
-    min_chunk: int = MIN_CHUNK,
 ) -> int:
     """Chunk size balancing locality (big chunks) vs parallelism
     (spreading over all available PEs)."""
     if thread_size <= 0:
         return 1
     spread = -(-thread_size // pes_available)  # ceil division
-    return min(virtualization, max(min_chunk, spread))
+    return min(virtualization, max(MIN_CHUNK, spread))
 
 
 def place(graph: DataflowGraph, config: WaveScalarConfig) -> Placement:

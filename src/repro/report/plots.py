@@ -14,12 +14,7 @@ from typing import Mapping, Sequence
 from ..design.pareto import ParetoPoint, frontier_rows, pareto_front
 
 
-def scatter(
-    points: Sequence[ParetoPoint],
-    width: int = 68,
-    height: int = 18,
-    title: str = "",
-) -> str:
+def scatter(points: Sequence[ParetoPoint], title: str = "") -> str:
     """An area-vs-performance scatter with the Pareto front marked.
 
     ``*`` marks Pareto-optimal points, ``.`` the dominated ones; axes
@@ -27,6 +22,7 @@ def scatter(
     """
     if not points:
         return "(no points)"
+    width, height = 68, 18
     xs = [p.area for p in points]
     ys = [p.performance for p in points]
     x0, x1 = min(xs), max(xs)
@@ -79,10 +75,7 @@ def stacked_bar(
     return text.ljust(width, " ")
 
 
-def traffic_chart(
-    profiles: Mapping[str, Mapping[str, float]],
-    width: int = 56,
-) -> str:
+def traffic_chart(profiles: Mapping[str, Mapping[str, float]]) -> str:
     """Figure 8: one stacked bar per workload group.
 
     Levels are drawn innermost-first, so locality reads left to right:
@@ -96,7 +89,7 @@ def traffic_chart(
         + "# pod   = domain   + cluster   ! inter-cluster"
     ]
     for name, profile in profiles.items():
-        bar = stacked_bar(profile, order, width, glyphs)
+        bar = stacked_bar(profile, order, 56, glyphs)
         grid_pct = profile.get("grid", 0.0)
         lines.append(
             f"{name:<{label_width}}|{bar}| grid {grid_pct:.1%}"

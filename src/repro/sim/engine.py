@@ -154,6 +154,11 @@ __all__ = [
     "simulate",
 ]
 
+#: Budgets of a run looked at on its own (a sweep cell has the smaller
+#: ``harness.spec.SWEEP_MAX_*``).
+RUN_MAX_CYCLES = 20_000_000
+RUN_MAX_EVENTS = 200_000_000
+
 
 class Engine:
     """One simulation run; construct and call :meth:`run`."""
@@ -163,8 +168,8 @@ class Engine:
         graph: DataflowGraph,
         config: WaveScalarConfig,
         placement: Placement,
-        max_cycles: int = 20_000_000,
-        max_events: int = 200_000_000,
+        max_cycles: int = RUN_MAX_CYCLES,
+        max_events: int = RUN_MAX_EVENTS,
         compiled: Optional[CompiledGraph] = None,
     ) -> None:
         """The program's initial data image is pre-loaded into the L2
@@ -1520,19 +1525,10 @@ class _RouteTable(dict):
 def simulate(
     graph: DataflowGraph,
     config: WaveScalarConfig,
-    placement: Optional[Placement] = None,
-    max_cycles: int = 20_000_000,
-    strict: bool = True,
-    max_events: int = 200_000_000,
-    compiled: Optional[CompiledGraph] = None,
+    max_cycles: int = RUN_MAX_CYCLES,
 ) -> SimStats:
-    """Convenience wrapper: place (if needed) and run ``graph``."""
-    if placement is None:
-        from ..place.snake import place
+    """Convenience wrapper: place and run ``graph``."""
+    from ..place.snake import place
 
-        placement = place(graph, config)
-    engine = Engine(
-        graph, config, placement, max_cycles=max_cycles,
-        max_events=max_events, compiled=compiled,
-    )
-    return engine.run(strict=strict)
+    return Engine(graph, config, place(graph, config),
+                  max_cycles=max_cycles).run()

@@ -10,7 +10,7 @@ running; afterwards filter and render it::
 
     engine.trace = Trace()
     engine.run()
-    print(engine.trace.render(pe=3))
+    print(engine.trace.render())
 """
 
 from __future__ import annotations
@@ -120,40 +120,18 @@ class Trace:
         )
 
     # ------------------------------------------------------------------
-    def filter(
-        self,
-        kind: Optional[str] = None,
-        pe: Optional[int] = None,
-        inst: Optional[int] = None,
-        thread: Optional[int] = None,
-        since: int = 0,
-        until: Optional[int] = None,
-    ) -> list[TraceEvent]:
-        """Events matching every given criterion, in time order."""
-        out = []
-        for e in self.events:
-            if kind is not None and e.kind != kind:
-                continue
-            if pe is not None and e.pe != pe:
-                continue
-            if inst is not None and e.inst != inst:
-                continue
-            if thread is not None and e.thread != thread:
-                continue
-            if e.cycle < since:
-                continue
-            if until is not None and e.cycle > until:
-                continue
-            out.append(e)
+    def filter(self, kind: Optional[str] = None) -> list[TraceEvent]:
+        """Events (of one ``kind``, if given), in time order."""
+        out = [e for e in self.events if kind is None or e.kind == kind]
         out.sort(
             key=lambda e: (e.cycle,
                            _KIND_ORDER.get(e.kind, _UNKNOWN_ORDER))
         )
         return out
 
-    def render(self, **criteria) -> str:
-        """Human-readable rendering of :meth:`filter`'s result."""
-        events = self.filter(**criteria)
+    def render(self) -> str:
+        """Human-readable rendering of every event, in time order."""
+        events = self.filter()
         header = (
             f"{'cycle':>8}  {'event':<9} {'PE':<6} {'inst':<6} "
             f"{'tag':<8} detail"
@@ -165,26 +143,22 @@ class Trace:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    def dispatch_gaps(
-        self, pe: Optional[int] = None, pod: Optional[int] = None
-    ) -> list[int]:
-        """Cycles between consecutive dispatches at one PE -- or, with
-        ``pod``, across a PE pair sharing a bypass network (pipeline
+    def dispatch_gaps(self, pod: Optional[int] = None) -> list[int]:
+        """Cycles between consecutive dispatches -- with ``pod``,
+        across a PE pair sharing a bypass network (pipeline
         utilisation diagnostics; a gap of 1 is back-to-back)."""
-        events = self.filter(kind="dispatch", pe=pe)
+        events = self.filter(kind="dispatch")
         if pod is not None:
             events = [e for e in events if e.pe // 2 == pod]
         times = sorted(e.cycle for e in events)
         return [b - a for a, b in zip(times, times[1:])]
 
-    def back_to_back_pairs(
-        self, pe: Optional[int] = None, pod: Optional[int] = None
-    ) -> int:
+    def back_to_back_pairs(self, pod: Optional[int] = None) -> int:
         """How many dependent dispatches ran on consecutive cycles --
         the speculative-fire/bypass behaviour of the appendix's
         Figure 9."""
         return sum(
-            1 for gap in self.dispatch_gaps(pe=pe, pod=pod) if gap == 1
+            1 for gap in self.dispatch_gaps(pod=pod) if gap == 1
         )
 
     def pods(self) -> set[int]:

@@ -1,6 +1,6 @@
 """Dependency-light bagged-trees AIPC regressor (numpy only).
 
-A deliberately small quantile-forest: ``n_trees`` regression trees,
+A deliberately small quantile-forest: ``DEFAULT_TREES`` regression trees,
 each fit on a bootstrap resample with per-node feature subsampling,
 split by exact SSE reduction (vectorized with prefix sums).  The
 ensemble mean is the point prediction; out-of-bag *split-conformal*
@@ -253,32 +253,13 @@ class QuantileForest:
     is non-negative.
     """
 
-    def __init__(
-        self,
-        *,
-        n_trees: int = DEFAULT_TREES,
-        max_depth: int = DEFAULT_MAX_DEPTH,
-        min_leaf: int = DEFAULT_MIN_LEAF,
-        feature_fraction: float = DEFAULT_FEATURE_FRACTION,
-        coverage: float = 0.9,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, *, coverage: float = 0.9, seed: int = 0) -> None:
         if not 0.5 <= coverage < 1.0:
             raise ValueError(f"coverage must be in [0.5, 1): {coverage}")
-        if not n_trees >= 1:
-            raise ValueError(f"n_trees must be >= 1: {n_trees}")
-        if not max_depth >= 0:
-            raise ValueError(f"max_depth must be >= 0: {max_depth}")
-        if not min_leaf >= 1:
-            raise ValueError(f"min_leaf must be >= 1: {min_leaf}")
-        if not 0.0 < feature_fraction <= 1.0:
-            raise ValueError(
-                f"feature_fraction must be in (0, 1]: {feature_fraction}"
-            )
-        self.n_trees = int(n_trees)
-        self.max_depth = int(max_depth)
-        self.min_leaf = int(min_leaf)
-        self.feature_fraction = float(feature_fraction)
+        self.n_trees = DEFAULT_TREES
+        self.max_depth = DEFAULT_MAX_DEPTH
+        self.min_leaf = DEFAULT_MIN_LEAF
+        self.feature_fraction = DEFAULT_FEATURE_FRACTION
         self.coverage = float(coverage)
         self.seed = int(seed)
         self._trees: list[_Tree] = []

@@ -7,7 +7,7 @@ with the two policies the soundness argument needs (DESIGN.md §5k):
 
 * predictions are **clipped to the static AIPC bound** -- the upper
   interval can never exceed what the PR 7 analysis proves impossible;
-* before ``min_train`` measured rows exist the model answers with the
+* before ``MIN_TRAIN_ROWS`` measured rows exist the model answers with the
   **prior** ``(aipc=bound, lo=0, hi=bound)`` under model hash
   ``"prior"`` -- the surrogate skip test then degenerates exactly to
   the sound static-bound prune test, so a cold-start campaign can
@@ -53,18 +53,8 @@ class CellPrediction:
 class SurrogateModel:
     """Bound-clipped forest with a prior fallback (see module doc)."""
 
-    def __init__(
-        self,
-        *,
-        seed: int = 0,
-        coverage: float = 0.9,
-        min_train: int = MIN_TRAIN_ROWS,
-        **forest_params,
-    ) -> None:
+    def __init__(self, *, seed: int = 0) -> None:
         self.seed = seed
-        self.coverage = coverage
-        self.min_train = min_train
-        self.forest_params = forest_params
         self._forest: Optional[QuantileForest] = None
         self.refits = 0
 
@@ -90,12 +80,9 @@ class SurrogateModel:
         """Fit when enough measured rows exist; returns whether the
         forest (vs the prior) now answers predictions.  ``groups``
         (workload names) turns on Mondrian per-workload margins."""
-        if X.shape[0] < self.min_train:
+        if X.shape[0] < MIN_TRAIN_ROWS:
             return False
-        forest = QuantileForest(
-            seed=self.seed, coverage=self.coverage,
-            **self.forest_params,
-        )
+        forest = QuantileForest(seed=self.seed)
         forest.fit(X, y, groups=groups)
         self._forest = forest
         self.refits += 1
@@ -226,7 +213,6 @@ def calibration_report(
     holdout: float = 0.25,
     seed: int = 0,
     coverage: float = 0.9,
-    **forest_params,
 ) -> CalibrationReport:
     """Deterministic holdout calibration of the forest on one corpus.
 
@@ -253,9 +239,7 @@ def calibration_report(
         n_hold = n - 2
     hold = perm[:n_hold]
     train = perm[n_hold:]
-    forest = QuantileForest(
-        seed=seed, coverage=coverage, **forest_params
-    )
+    forest = QuantileForest(seed=seed, coverage=coverage)
     groups = training.groups or None
     forest.fit(
         training.X[train], training.y[train],

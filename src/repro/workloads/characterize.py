@@ -83,9 +83,8 @@ def profile_workload(
     workload: Workload,
     scale: Scale = Scale.TINY,
     threads: Optional[int] = None,
-    seed: int = 0,
 ) -> Profile:
-    graph = workload.instantiate(scale=scale, threads=threads, seed=seed)
+    graph = workload.instantiate(scale=scale, threads=threads)
     return profile_graph(graph, name=workload.name)
 
 

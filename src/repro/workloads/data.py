@@ -23,11 +23,11 @@ def int_array(seed: int, salt: str, n: int, lo: int = 0,
 
 
 def float_array(seed: int, salt: str, n: int, lo: float = -1.0,
-                hi: float = 1.0, decimals: int = 3) -> list[float]:
-    """Floats rounded to a few decimals so reference computations in
+                hi: float = 1.0) -> list[float]:
+    """Floats rounded to three decimals so reference computations in
     Python match the simulator bit-for-bit (both use binary64)."""
     values = rng(seed, salt).uniform(lo, hi, size=n)
-    return [float(round(x, decimals)) for x in values]
+    return [float(round(x, 3)) for x in values]
 
 
 def permutation(seed: int, salt: str, n: int) -> list[int]:

@@ -7,7 +7,8 @@ from repro.core.config import BASELINE, WaveScalarConfig
 
 
 def rules_fired(config, *rule_ids):
-    return analyze_config(config, only=list(rule_ids)).diagnostics
+    return [d for d in analyze_config(config).diagnostics
+            if d.rule in rule_ids]
 
 
 def test_baseline_is_error_free():

@@ -42,6 +42,8 @@ from repro.isa.waves import WAVE_END, WAVE_START
 from repro.place.snake import place
 from repro.workloads import WORKLOADS, Scale
 
+from ..conftest import token_flow_at
+
 
 def rule_ids(report):
     return sorted({d.rule for d in report.diagnostics})
@@ -132,7 +134,7 @@ def test_fixed_point_is_monotone_in_rounds():
     prev_lo: dict = {}
     prev_hi: dict = {}
     for rounds in range(1, 6):
-        flow = analyze_tokens(graph, max_rounds=rounds)
+        flow = token_flow_at(graph, WIDEN_AFTER, rounds)
         for key, interval in flow.arrivals.items():
             assert interval.lo >= prev_lo.get(key, 0)
             assert interval.hi >= prev_hi.get(key, 0)
@@ -145,7 +147,7 @@ def test_truncated_flow_proves_no_deadlock(monkeypatch):
     converged flow proves deadlock, so A001 and the statics stay
     silent and A002 alone reports the cut."""
     graph = WORKLOADS["gzip"].instantiate(scale=Scale.TINY)
-    cut = analyze_tokens(graph, max_rounds=1)
+    cut = token_flow_at(graph, WIDEN_AFTER, 1)
     assert not cut.converged  # gzip's loops need more than one pass
     # The iterate has a fed port next to a dry one: what a proof
     # would read if it did not check convergence.
@@ -158,12 +160,7 @@ def test_truncated_flow_proves_no_deadlock(monkeypatch):
     assert cut.deadlocks == [] and not cut.proven_deadlock
     assert deadlock_proofs(graph, cut) == []
     assert analyze_tokens(graph).converged
-    token_flow = dataflow._token_flow
-    monkeypatch.setattr(
-        dataflow, "_token_flow",
-        lambda table, widen_after=WIDEN_AFTER, max_rounds=MAX_ROUNDS:
-            token_flow(table, widen_after, 1),
-    )
+    monkeypatch.setattr(dataflow, "MAX_ROUNDS", 1)
     assert rule_ids(analyze_graph(graph)) == ["A002"]
     assert not dataflow.graph_statics(graph).proven_deadlock
 

@@ -23,6 +23,7 @@ import dataclasses
 
 import pytest
 
+from repro.analysis import dataflow
 from repro.analysis.dataflow import (
     INF,
     MAX_ROUNDS,
@@ -31,7 +32,6 @@ from repro.analysis.dataflow import (
     TokenFlow,
     _entry_counts,
     _send_targets,
-    analyze_tokens,
     critical_path_cycles,
     placed_edge_weight,
 )
@@ -42,6 +42,8 @@ from repro.isa import DataflowGraph, Dest, Instruction, make_token
 from repro.isa.opcodes import Opcode
 from repro.place.snake import place
 from repro.workloads import WORKLOADS, Scale
+
+from ..conftest import token_flow_at
 
 #: ``(widen_after, max_rounds)`` that converge: the defaults and
 #: thresholds that freeze/widen at once or early.
@@ -243,7 +245,7 @@ def reference_critical_path(
 def assert_same_flow(graph, widen_after, max_rounds):
     """Every field but ``rounds`` equals the reference's."""
     want = reference_tokens(graph, widen_after, max_rounds)
-    got = analyze_tokens(graph, widen_after, max_rounds)
+    got = token_flow_at(graph, widen_after, max_rounds)
     for field in dataclasses.fields(TokenFlow):
         if field.name == "rounds":
             continue
@@ -275,8 +277,8 @@ def assert_truncated_ascend(graph):
     an ascending chain that ends at the converged flow."""
     for widen_after in sorted({w for w, _ in TRUNCATED}):
         limits = sorted(r for w, r in TRUNCATED if w == widen_after)
-        chain = [analyze_tokens(graph, widen_after, r) for r in limits]
-        chain.append(analyze_tokens(graph, widen_after, MAX_ROUNDS))
+        chain = [token_flow_at(graph, widen_after, r) for r in limits]
+        chain.append(token_flow_at(graph, widen_after, MAX_ROUNDS))
         assert chain[-1].converged
         for r, low, high in zip(limits, chain, chain[1:]):
             what = f"{graph.name} widen_after={widen_after} max_rounds={r}"
@@ -290,8 +292,9 @@ def assert_same_critical_path(graph, must_fire):
     converged = critical_path_cycles(table, must_fire)
     assert converged == reference_critical_path(graph, must_fire)
     for max_rounds in (1, 3):  # truncated: still below the fixed point
-        assert critical_path_cycles(table, must_fire, max_rounds) <= \
-            converged
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataflow, "MAX_ROUNDS", max_rounds)
+            assert critical_path_cycles(table, must_fire) <= converged
     for config in CONFIGS:
         weight = placed_edge_weight(graph, config, place(graph, config))
         assert critical_path_cycles(
@@ -362,14 +365,14 @@ def test_round_that_moves_only_an_arrival_still_counts():
                       entry(4, 0)],
         name="arrival-only",
     )
-    flow = analyze_tokens(graph, 1, MAX_ROUNDS)
+    flow = token_flow_at(graph, 1, MAX_ROUNDS)
     assert (flow.rounds, flow.converged) == (1, True)
     assert flow.arrivals[(1, 0)] == Interval(1, 3)
     want = reference_tokens(graph, 1, MAX_ROUNDS)
     assert (want.rounds, want.converged) == (4, True)
     assert want.arrivals[(1, 0)] == Interval(1, INF)
     for widen_after, max_rounds in [*CONVERGED, *TRUNCATED]:
-        flow = analyze_tokens(graph, widen_after, max_rounds)
+        flow = token_flow_at(graph, widen_after, max_rounds)
         assert flow.converged  # one pass finishes an acyclic graph
         assert_inside(flow, reference_tokens(graph, widen_after))
     # And a hi that moves on a back edge: the steer behind i0.
@@ -398,4 +401,4 @@ def test_round_that_moves_only_an_arrival_still_counts():
     flow = assert_same_flow(graph, WIDEN_AFTER, MAX_ROUNDS)
     assert (flow.rounds, flow.converged) == (2, True)
     assert flow.arrivals[(1, 0)] == Interval(1, 1)
-    assert analyze_tokens(graph, WIDEN_AFTER, 1).converged is False
+    assert token_flow_at(graph, WIDEN_AFTER, 1).converged is False

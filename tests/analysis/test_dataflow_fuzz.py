@@ -21,10 +21,13 @@ import pytest
 
 from repro.analysis.dataflow import (
     MAX_ROUNDS,
+    WIDEN_AFTER,
     analyze_tokens,
 )
 from repro.fuzz import random_graph
 from repro.lang.interp import DeadlockError, interpret
+
+from ..conftest import token_flow_at
 
 N_GRAPHS = 200
 ENGINE_EVERY = 25  # cycle-engine cross-check cadence (it is slower)
@@ -42,7 +45,7 @@ def test_fuzzed_graph_properties(seed):
     # Monotonicity: partial iterates never exceed later ones.
     prev = {}
     for rounds in (1, 2, 4, 8):
-        partial = analyze_tokens(graph, max_rounds=rounds)
+        partial = token_flow_at(graph, WIDEN_AFTER, rounds)
         for key, interval in partial.arrivals.items():
             lo0, hi0 = prev.get(key, (0, 0))
             assert interval.lo >= lo0 and interval.hi >= hi0, (

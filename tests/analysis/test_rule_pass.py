@@ -20,6 +20,7 @@ from repro.analysis import (
     lint_graph,
     register,
 )
+from repro.analysis import engine
 from repro.isa import (
     DataflowGraph,
     Dest,
@@ -28,6 +29,8 @@ from repro.isa import (
     make_token,
 )
 from repro.workloads import WORKLOADS, Scale
+
+from ..conftest import token_flow_at
 
 
 def island_graph():
@@ -70,6 +73,12 @@ def rule_ids(report):
     return sorted({d.rule for d in report.diagnostics})
 
 
+def narrow_registry(monkeypatch, *ids):
+    """Leave only the rules ``ids`` in the graph registry a pass runs."""
+    monkeypatch.setattr(engine, "GRAPH_RULES",
+                        {rid: GRAPH_RULES[rid] for rid in ids})
+
+
 def test_one_pass_scans_once_and_flows_once(calls):
     report = analyze_graph(island_graph())
     assert calls == {"validate": 1, "flow": 1}
@@ -84,20 +93,24 @@ def test_building_a_workload_flows_once(calls):
     assert calls == {"validate": 1, "flow": 1}
 
 
-def test_rule_selection_still_works(calls):
+def test_rule_selection_still_works(calls, monkeypatch):
     graph = island_graph()
-    assert analyze_graph(graph, only=["A002"]).diagnostics == []
+    narrow_registry(monkeypatch, "A002")
+    assert analyze_graph(graph).diagnostics == []
     assert calls == {"validate": 1, "flow": 1}
     calls.clear()
-    assert "A001" not in rule_ids(analyze_graph(graph, ignore=["A001"]))
+    narrow_registry(monkeypatch, *(r for r in GRAPH_RULES if r != "A001"))
+    assert "A001" not in rule_ids(analyze_graph(graph))
     assert calls == {"validate": 1, "flow": 1}  # A002 still asks
     calls.clear()
-    assert rule_ids(analyze_graph(graph, only=["A001"])) == ["A001"]
-    analyze_graph(graph, only=["G003"])
+    narrow_registry(monkeypatch, "A001")
+    assert rule_ids(analyze_graph(graph)) == ["A001"]
+    narrow_registry(monkeypatch, "G003")
+    analyze_graph(graph)
     assert calls == {"validate": 2, "flow": 1}  # nobody asked the 2nd time
 
 
-def test_third_party_rule_with_the_plain_signature_runs(calls):
+def test_third_party_rule_with_the_plain_signature_runs(calls, monkeypatch):
     seen = []
 
     def check(graph):
@@ -110,7 +123,8 @@ def test_third_party_rule_with_the_plain_signature_runs(calls):
     try:
         graph = island_graph()
         assert "T001" in rule_ids(analyze_graph(graph))
-        assert rule_ids(analyze_graph(graph, only=["T001"])) == ["T001"]
+        narrow_registry(monkeypatch, "T001")
+        assert rule_ids(analyze_graph(graph)) == ["T001"]
     finally:
         del GRAPH_RULES["T001"]
     assert seen == [graph, graph]
@@ -141,7 +155,7 @@ def test_backstop_warning_names_the_limit_that_was_hit(calls):
     assert dataflow.deadlock_proofs(graph, flow) == []
     assert dataflow._backstop_warnings(graph, flow) == []
     assert calls["flow"] == 1
-    cut_short = dataflow.analyze_tokens(graph, max_rounds=3)
+    cut_short = token_flow_at(graph, dataflow.WIDEN_AFTER, 3)
     (diag,) = dataflow._backstop_warnings(graph, cut_short)
     assert diag.rule == "A002"
     assert "hit the 3-round backstop" in diag.message

@@ -9,7 +9,17 @@ import time
 
 import pytest
 
+from repro.analysis import dataflow
 from repro.lang import GraphBuilder
+
+
+def token_flow_at(graph, widen_after: int, max_rounds: int):
+    """``analyze_tokens(graph)`` under another widening threshold and
+    round cap: the module constants, patched for the one call."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataflow, "WIDEN_AFTER", widen_after)
+        patch.setattr(dataflow, "MAX_ROUNDS", max_rounds)
+        return dataflow.analyze_tokens(graph)
 
 
 def build_counted_sum(n: int = 8, k: int | None = None):

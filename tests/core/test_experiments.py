@@ -60,11 +60,11 @@ def test_feasible_thread_counts_respect_problem_size():
     assert max(counts) <= max(THREAD_CANDIDATES)
 
 
-def test_best_thread_count_wins():
+def test_best_thread_count_wins(monkeypatch):
     aipcs = [sweep_cell(CFG, "radix", threads=t).aipc for t in (1, 4)]
+    monkeypatch.setattr(experiments, "THREAD_CANDIDATES", (1, 4))
     (point,) = evaluate_design_space(
         [design_of(CFG)], ("radix",), Scale.TINY, threaded=True,
-        candidates=(1, 4),
     )
     assert point.performance == max(aipcs)
 

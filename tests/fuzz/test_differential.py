@@ -140,10 +140,11 @@ def test_skipping_fixed_point_is_a_no_jump_divergence(monkeypatch):
             return look, skipped + (skipped > 0)
 
     monkeypatch.setattr(differential, "MAX_CYCLES", 20_000)
+    monkeypatch.setattr(differential, "PROBE_CONFIGS", (PROBE_CONFIGS[1],))
     graph = get("lu").instantiate(scale=Scale.TINY, threads=4, seed=0)
 
     def stats_divergences():
-        report = diff_graph(graph, configs=(PROBE_CONFIGS[1],))
+        report = diff_graph(graph)
         return [d.detail.split(" -- ")[0] for d in report.divergences
                 if d.kind == "stats"]
 

@@ -4,7 +4,8 @@ carries structured diagnostics."""
 import pytest
 
 from repro.core.config import BASELINE
-from repro.sim import simulate
+from repro.place.snake import place
+from repro.sim import Engine, simulate
 from repro.sim.failures import (
     FAILURE_CLASSES,
     CycleBudgetExhausted,
@@ -37,7 +38,7 @@ def test_cycle_budget_exhaustion_class():
 def test_event_budget_exhaustion_class():
     graph, _ = build_counted_sum(30, k=4)
     with pytest.raises(EventBudgetExhausted) as info:
-        simulate(graph, BASELINE, max_events=10)
+        Engine(graph, BASELINE, place(graph, BASELINE), max_events=10).run()
     diag = info.value.diagnostics
     assert diag is not None
     assert diag.events_processed == 11  # the tripping event

@@ -35,6 +35,7 @@ from repro.harness import (
     execute_lanes,
     sweep_cells,
 )
+from repro.harness import scheduler
 from repro.harness import supervisor as supervisor_mod
 from repro.harness.supervisor import CellResult
 from repro.harness.sweep import SweepReport, _lane_score
@@ -108,10 +109,16 @@ def test_parallel_matches_serial(tmp_path):
     assert par_report.failures == serial_report.failures
 
 
-def test_parallel_matches_serial_with_failures(tmp_path):
+def skip_prevalidation(monkeypatch):
+    """Every config passes the sweep's pre-validation."""
+    monkeypatch.setattr(scheduler, "static_rejection", lambda spec: None)
+
+
+def test_parallel_matches_serial_with_failures(tmp_path, monkeypatch):
     """Budget-starved cells fail identically under concurrency, and
     the failure list comes out in canonical (serial) order."""
-    kw = dict(max_cycles=50, prevalidate=False)
+    skip_prevalidation(monkeypatch)
+    kw = dict(max_cycles=50)
     serial_points, serial_report = run_sweep(
         1, tmp_path / "serial.jsonl", **kw
     )
@@ -125,13 +132,14 @@ def test_parallel_matches_serial_with_failures(tmp_path):
         verdicts(tmp_path / "serial.jsonl")
 
 
-def test_parallel_threaded_lane_stops_on_failure(tmp_path):
+def test_parallel_threaded_lane_stops_on_failure(tmp_path, monkeypatch):
     """Thread escalation within a lane stays sequential: after a
     failed thread count, higher counts are never simulated."""
+    skip_prevalidation(monkeypatch)
     design = designs_for(WaveScalarConfig(clusters=1, l2_mb=1))
     kw = dict(
         scale=Scale.TINY, threaded=True, candidates=(1, 2, 4),
-        max_cycles=50, prevalidate=False,
+        max_cycles=50,
     )
     s_points, s_report = design_space_sweep(
         design, ("fft",), ledger_path=tmp_path / "s.jsonl", jobs=1,
@@ -464,14 +472,17 @@ def test_serial_lane_protocol_accounting_and_line_order(tmp_path,
 
 
 @pytest.mark.slow
-def test_real_cells_identical_for_every_jobs_and_width(tmp_path):
+def test_real_cells_identical_for_every_jobs_and_width(tmp_path,
+                                                      monkeypatch):
     """The same matrix with the real supervisor forking real cells
     (some starved into budget failures): records differ only in wall
     clock and the requested-backend annotation."""
+    skip_prevalidation(monkeypatch)
+
     def run(jobs: int, width: int):
         path = tmp_path / f"j{jobs}w{width}.jsonl"
         points, report = run_sweep(
-            jobs, path, max_cycles=5_000, prevalidate=False,
+            jobs, path, max_cycles=5_000,
             supervisor=RunSupervisor(
                 isolation="process", max_retries=1, timeout_s=120,
                 backend="batched" if width > 1 else "plain",
@@ -642,8 +653,9 @@ def test_failure_budget_outside_zero_to_one_is_refused(budget):
 # ----------------------------------------------------------------------
 # The recovery primitives: circuit breaker, respawn backoff, budget
 # ----------------------------------------------------------------------
-def test_circuit_breaker_trips_at_threshold():
-    breaker = CircuitBreaker(threshold=3)
+def test_circuit_breaker_trips_at_threshold(monkeypatch):
+    monkeypatch.setattr(scheduler, "BREAKER_THRESHOLD", 3)
+    breaker = CircuitBreaker()
     assert not breaker.record_crash("cell")
     assert not breaker.record_crash("cell")
     assert breaker.record_crash("cell")  # third consecutive -> trip
@@ -655,8 +667,8 @@ def test_circuit_breaker_trips_at_threshold():
 
 
 def test_respawn_backoff_is_seeded_and_bounded():
-    a = RespawnBackoff(base=0.05, cap=1.0)
-    b = RespawnBackoff(base=0.05, cap=1.0)
+    a = RespawnBackoff()
+    b = RespawnBackoff()
     delays = [a.next_delay() for _ in range(8)]
     assert delays == [b.next_delay() for _ in range(8)]
     assert all(0.05 <= d <= 1.0 for d in delays)

@@ -52,7 +52,7 @@ def test_budget_failure_retries_with_escalation(reference_outcome):
         max_cycles=max(2, reference_outcome["cycles"] // 2)
     )
     result = RunSupervisor(
-        isolation="inline", max_retries=2, escalation=4.0
+        isolation="inline", max_retries=2
     ).run(starved)
     assert result.ok
     assert result.retries >= 1
@@ -66,7 +66,7 @@ def test_persistent_starvation_exhausts_retries():
     the last, escalated attempt."""
     spec = make_spec(max_cycles=50)  # the cell needs ~8k cycles
     result = RunSupervisor(
-        isolation="inline", max_retries=2, escalation=4.0
+        isolation="inline", max_retries=2
     ).run(spec)
     assert not result.ok
     assert result.failure_class == "CycleBudgetExhausted"
@@ -78,7 +78,7 @@ def test_persistent_starvation_exhausts_retries():
 def test_event_starvation_classified():
     spec = make_spec(max_events=25)
     result = RunSupervisor(
-        isolation="inline", max_retries=1, escalation=4.0
+        isolation="inline", max_retries=1
     ).run(spec)
     assert not result.ok
     assert result.failure_class == "EventBudgetExhausted"
@@ -179,8 +179,6 @@ def test_inline_reference_mismatch_is_a_failed_verdict(monkeypatch):
 def test_supervisor_rejects_bad_arguments():
     with pytest.raises(ValueError):
         RunSupervisor(isolation="container")
-    with pytest.raises(ValueError):
-        RunSupervisor(escalation=1.0)
 
 
 @pytest.mark.parametrize("timeout_s", [0, -1.0, float("inf"),

@@ -31,7 +31,7 @@ def memory_chain(graph, region):
 def build_one_armed(value):
     """store on the then-arm only; a trailing load after the join."""
     b = GraphBuilder("one_armed")
-    base = b.alloc("cell", 1, fill=5)
+    base = b.data("cell", [5])
     t = b.entry(value)
     pred = b.gt(t, b.const(0, t))
     br = b.if_else(pred, [t])

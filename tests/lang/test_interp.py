@@ -74,12 +74,12 @@ def test_nested_loops():
     n, m = 4, 3
     b = GraphBuilder("nested")
     t = b.entry(0)
+    # The body holds an inner loop, so the outer loop carries n and m
+    # as state, threaded through the inner loop's invariants.
     outer = b.loop(
-        [b.const(0, t), b.const(0, t)],
-        invariants=[b.const(n, t), b.const(m, t)],
+        [b.const(0, t), b.const(0, t), b.const(n, t), b.const(m, t)],
     )
-    i, acc = outer.state
-    n_in, m_in = outer.invariants
+    i, acc, n_in, m_in = outer.state
     inner = b.loop(
         [b.const(0, i), b.nop(acc)],
         invariants=[b.nop(i), b.nop(m_in), b.nop(n_in)],
@@ -91,9 +91,7 @@ def test_nested_loops():
     inner.next_iteration(b.lt(j2, m_inner), [j2, b.add(acc_in, term)])
     j_f, acc_f, i_f, m_f, n_f = inner.end()
     i2 = b.add(i_f, b.const(1, i_f))
-    outer.next_iteration(
-        b.lt(i2, n_f), [i2, acc_f], next_invariants=[n_f, m_f]
-    )
+    outer.next_iteration(b.lt(i2, n_f), [i2, acc_f, n_f, m_f])
     exits = outer.end()
     b.output(exits[1])
     graph = b.finalize()
@@ -133,7 +131,7 @@ def test_store_to_load_across_waves():
     """Iteration i stores, iteration i+1 loads the value back."""
     n = 5
     b = GraphBuilder("cross_wave")
-    base = b.alloc("cell", 1, fill=0)
+    base = b.alloc("cell", 1)
     t = b.entry(0)
     lp = b.loop([b.const(0, t)], invariants=[b.const(n, t), b.const(base, t)])
     (i,) = lp.state

@@ -4,7 +4,7 @@ import pytest
 
 from repro.isa import Opcode
 from repro.lang import GraphBuilder
-from repro.lang.interp import DeadlockError, InterpResult, interpret
+from repro.lang.interp import DeadlockError, interpret
 
 
 def test_merge_select_semantics():
@@ -35,19 +35,6 @@ def test_deadlock_reports_partial_matches():
     graph = b.finalize(verify=False)
     with pytest.raises(DeadlockError, match="partial matches"):
         interpret(graph)
-
-
-def test_non_strict_returns_partial_result():
-    b = GraphBuilder("stuck2")
-    t = b.entry(1)
-    dangling = b._emit(Opcode.ADD, [t], check_inputs=False,
-                       allow_underfed=True)
-    b.output(dangling)
-    graph = b.finalize(verify=False)
-    result = interpret(graph, strict=False)
-    assert isinstance(result, InterpResult)
-    assert result.output_values() == []
-    assert result.dynamic_instructions >= 1  # the entry NOP fired
 
 
 def test_thread_halt_consumes_token():

@@ -126,7 +126,10 @@ def test_engine_attributes_hot_loop_phases():
     prof = PhaseProfile()
     started = time.process_time_ns()
     for _ in range(3):
-        assert processor.run_compiled(compiled, profile=prof).stats == plain
+        assert processor.run(
+            compiled.graph, threads=compiled.threads,
+            compiled=compiled.decoded, profile=prof,
+        ).stats == plain
     cpu_ns = time.process_time_ns() - started
     assert tuple(prof.ns) == PHASES
     assert prof.samples > 60

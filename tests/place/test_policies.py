@@ -8,6 +8,7 @@ from repro.place import (
     edge_locality,
     place_with_policy,
 )
+from repro.place.policies import _place_random
 from repro.sim.engine import Engine
 
 from ..conftest import build_counted_sum, build_threaded_sums
@@ -17,7 +18,7 @@ from ..conftest import build_counted_sum, build_threaded_sums
 def test_every_policy_produces_complete_placement(policy):
     graph, _ = build_threaded_sums(3, 4)
     config = WaveScalarConfig(clusters=4)
-    placement = place_with_policy(graph, config, policy, seed=1)
+    placement = place_with_policy(graph, config, policy)
     assert set(placement.pe_of) == {i.inst_id for i in graph.instructions}
     for pe, ids in placement.assigned.items():
         assert 0 <= pe < config.total_pes
@@ -29,7 +30,7 @@ def test_every_policy_produces_complete_placement(policy):
 def test_every_policy_executes_correctly(policy):
     graph, expected = build_threaded_sums(2, 4)
     config = WaveScalarConfig(clusters=2, domains_per_cluster=4)
-    placement = place_with_policy(graph, config, policy, seed=2)
+    placement = place_with_policy(graph, config, policy)
     stats = Engine(graph, config, placement).run()
     assert stats.output_values() == [expected]
 
@@ -60,9 +61,8 @@ def test_dense_uses_fewer_pes_than_snake():
 def test_whole_chip_random_destroys_isolation():
     graph, _ = build_threaded_sums(4, 4)
     config = WaveScalarConfig(clusters=4)
-    isolated = place_with_policy(graph, config, "random", seed=3)
-    scattered = place_with_policy(graph, config, "whole_chip_random",
-                                  seed=3)
+    isolated = _place_random(graph, config, 3, isolate_threads=True)
+    scattered = _place_random(graph, config, 3, isolate_threads=False)
     loc_iso = edge_locality(graph, isolated, config)
     loc_scat = edge_locality(graph, scattered, config)
     assert loc_iso.within_cluster_fraction() > 0.9
@@ -71,8 +71,8 @@ def test_whole_chip_random_destroys_isolation():
 
 def test_random_is_seed_deterministic():
     graph, _ = build_counted_sum(8)
-    a = place_with_policy(graph, BASELINE, "random", seed=7)
-    b = place_with_policy(graph, BASELINE, "random", seed=7)
-    c = place_with_policy(graph, BASELINE, "random", seed=8)
+    a = _place_random(graph, BASELINE, 7, isolate_threads=True)
+    b = _place_random(graph, BASELINE, 7, isolate_threads=True)
+    c = _place_random(graph, BASELINE, 8, isolate_threads=True)
     assert a.pe_of == b.pe_of
     assert a.pe_of != c.pe_of

@@ -5,7 +5,8 @@ import pytest
 from repro.core.config import BASELINE, WaveScalarConfig
 from repro.lang import GraphBuilder
 from repro.lang.interp import interpret
-from repro.sim import SimulationDeadlock, simulate
+from repro.place.snake import place
+from repro.sim import Engine, SimulationDeadlock, simulate
 
 from ..conftest import (
     build_array_sum,
@@ -105,7 +106,7 @@ def test_non_strict_returns_partial_stats():
     )
     b.output(dangling)
     graph = b.finalize(verify=False)
-    st = simulate(graph, BASELINE, strict=False)
+    st = Engine(graph, BASELINE, place(graph, BASELINE)).run(strict=False)
     assert st.cycles >= 0
 
 

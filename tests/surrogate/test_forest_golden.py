@@ -80,9 +80,9 @@ def _fitted(name: str) -> dict:
     X, y, groups = knob_data(n, seed)
     if constant:
         y = np.full(n, 0.25)
-    forest = QuantileForest(seed=seed, min_leaf=min_leaf).fit(
-        X, y, groups=groups if grouped else None
-    )
+    forest = QuantileForest(seed=seed)
+    forest.min_leaf = min_leaf
+    forest.fit(X, y, groups=groups if grouped else None)
     Xq, _, query_groups = knob_data(QUERIES, 1000 + seed)
     mean = forest.predict(Xq)
     lo, hi = forest.predict_interval(

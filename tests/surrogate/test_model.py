@@ -127,20 +127,6 @@ def test_input_validation():
         forest.predict_interval(X)
 
 
-@pytest.mark.parametrize("param,value", [
-    ("n_trees", 0),
-    ("max_depth", -1),
-    ("min_leaf", 0),
-    ("feature_fraction", 0.0),
-    ("feature_fraction", 2.0),
-])
-def test_unfittable_hyperparameters_are_refused(param, value):
-    """Each of these was accepted and then failed inside ``fit`` (or
-    fitted something other than asked) instead of naming itself."""
-    with pytest.raises(ValueError, match=param):
-        QuantileForest(**{param: value})
-
-
 # ----------------------------------------------------------------------
 # The batched split search and the all-trees walk against their
 # one-at-a-time forms

@@ -4,12 +4,16 @@ Every ``repro ...`` / ``python -m repro ...`` command in a fenced block
 of the user-facing documents must parse under the real CLI parser, and
 every ``repro.x.y`` name and every ``src/...`` / ``tests/...`` path
 those documents mention must exist.  A command, module or test file
-that is deleted without its prose fails here.
+that is deleted without its prose fails here.  Beside the module map
+sits the parameter census: every defaulted parameter of a ``src/repro``
+function is set by some caller outside ``tests/``.
 """
 
+import ast
 import importlib
 import re
 import shlex
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -131,3 +135,132 @@ def test_module_map_names_every_module():
         and f"`{path.relative_to(REPO_ROOT)}`" not in section
     ]
     assert not missing, f"DESIGN §3 does not map: {missing}"
+
+
+# ----------------------------------------------------------------------
+# The parameter census
+# ----------------------------------------------------------------------
+#: Where the callers that are not tests live.
+CALLER_DIRS = ("src", "benchmarks", "examples", "bench")
+
+#: Defaulted parameters that no caller outside ``tests/`` sets, each
+#: kept for one reason: *entry* (set from outside the program, as
+#: ``argv``), *fake: <test>* (the named test substitutes a fake through
+#: it) or *protocol* (a dispatcher calls the signature uniformly).
+#: Keys are ``<module under src/repro>::<function>(<parameter>)``, a
+#: constructor under its class name.
+UNSET_ALLOWED = {
+    "cli.py::main(argv)": "entry",
+    "obs/metrics.py::ThroughputMeter(clock)":
+        "fake: tests/obs/test_metrics.py::test_throughput_meter_rate_and_eta",
+    "report/fullreport.py::generate_report(timestamp)":
+        "fake: tests/report/test_fullreport.py::test_report_sections_present",
+    "sim/storebuffer/storebuffer.py::StoreBuffer(complete_callback)":
+        "fake: tests/sim/test_storebuffer.py::Harness",
+    "sim/storebuffer/storebuffer.py::StoreBuffer(retire_callback)":
+        "fake: tests/sim/test_storebuffer.py::Harness",
+}
+
+
+def _callee(node: ast.Call):
+    """``(name, positional args)`` of a call, matched by name bare or
+    attribute; ``functools.partial(f, ...)`` is a call of ``f``."""
+    func, args = node.func, node.args
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name == "partial" and args:
+        inner = args[0]
+        name = getattr(inner, "id", None) or getattr(inner, "attr", None)
+        args = args[1:]
+    return name, args
+
+
+def _call_sites() -> dict:
+    """Name -> ``(positional count, keyword names, spread)`` per call
+    outside ``tests/``; a ``*args``/``**mapping`` call (``spread``)
+    counts as passing every parameter."""
+    sites = defaultdict(list)
+    for top in CALLER_DIRS:
+        for path in (REPO_ROOT / top).rglob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name, args = _callee(node)
+                if name is None:
+                    continue
+                spread = (any(isinstance(a, ast.Starred) for a in args)
+                          or any(k.arg is None for k in node.keywords))
+                sites[name].append((len(args),
+                                    {k.arg for k in node.keywords if k.arg},
+                                    spread))
+    return sites
+
+
+def unset_parameters() -> list[str]:
+    """Every defaulted parameter (and ``**kwargs``) of a ``src/repro``
+    function that code outside ``tests/`` calls, but never sets."""
+    sites = _call_sites()
+    src = REPO_ROOT / "src" / "repro"
+    unset = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = parent.get(node)
+            method = isinstance(owner, ast.ClassDef) and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in node.decorator_list)
+            name = node.name
+            if method and name == "__init__":
+                name = owner.name
+            calls = sites.get(name)
+            if not calls:
+                continue  # called by tests or by nothing: not counted
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            params = [(index - method, p.arg) for index, p in
+                      enumerate(positional) if index >= first]
+            params += [(None, p.arg) for p, default in
+                       zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+            where = f"{path.relative_to(src).as_posix()}::{name}"
+            for index, param in params:
+                if not any(spread or param in keywords
+                           or (index is not None and index < count)
+                           for count, keywords, spread in calls):
+                    unset.append(f"{where}({param})")
+            if a.kwarg is not None:
+                named = {p.arg for p in positional + a.kwonlyargs}
+                if not any(spread or keywords - named
+                           for _, keywords, spread in calls):
+                    unset.append(f"{where}(**{a.kwarg.arg})")
+    return unset
+
+
+def test_every_parameter_has_a_setter():
+    """A default no caller outside ``tests/`` changes is a constant: it
+    belongs in the body (or in the module constant it names), not in
+    the signature.  A new unset parameter fails here, and so does an
+    allowlist entry that is set by now or gone."""
+    unset = unset_parameters()
+    new = [key for key in unset if key not in UNSET_ALLOWED]
+    assert not new, (
+        "parameters no caller outside tests/ sets (make each a constant, "
+        f"or allowlist it with its reason): {new}"
+    )
+    stale = sorted(set(UNSET_ALLOWED) - set(unset))
+    assert not stale, f"allowlisted but set by now, or gone: {stale}"
+
+
+def test_every_allowlisted_parameter_names_its_reason():
+    for key, reason in UNSET_ALLOWED.items():
+        if reason in ("entry", "protocol"):
+            continue
+        assert reason.startswith("fake: tests/"), (key, reason)
+        path, _, test = reason[len("fake: "):].partition("::")
+        assert test and re.search(rf"\b{test}\b", doc_text(path)), (
+            f"{key}: {reason} names no test that exists"
+        )
