@@ -560,7 +560,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
               f"line(s) skipped (run `repro ledger repair "
               f"{args.ledger}`)")
     print(registry.render("sweep metrics:"))
-    print(f"reused: {reuse['cells']} cell(s), certifiers spent "
+    print(f"reused: {reuse['cells']} cell(s), {reuse['from_larger']} "
+          f"from larger caches; certifiers spent "
           f"{reuse['certifier_wall_s']:.2f}s")
     return 0
 

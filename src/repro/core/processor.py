@@ -123,6 +123,7 @@ class WaveScalarProcessor:
             stats = engine.run(strict=strict)
         finally:
             self.last_fixed_point = engine.fixed_point
+        l1_fit_sets, l2_fit_sets = engine.memory.fit()
         return SimulationResult(
             program=graph.name,
             config=self.config,
@@ -130,6 +131,8 @@ class WaveScalarProcessor:
             area=self._area,
             timing=self._timing,
             threads=threads,
+            l1_fit_sets=l1_fit_sets,
+            l2_fit_sets=l2_fit_sets,
         )
 
     def run_workload(

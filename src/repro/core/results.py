@@ -26,6 +26,11 @@ class SimulationResult:
     area: AreaBreakdown
     timing: TimingReport
     threads: Optional[int] = None
+    #: The run's footprint fit per cache level, beside ``stats``
+    #: rather than in it (:meth:`~repro.sim.memory.hierarchy
+    #: .MemoryHierarchy.fit`): the exact-reuse certificate.
+    l1_fit_sets: int = 0
+    l2_fit_sets: int = 0
 
     # -- headline metrics ----------------------------------------------
     @property

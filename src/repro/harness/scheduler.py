@@ -40,14 +40,16 @@ Guarantees, for every ``jobs`` and ``width``:
   order.
 
 Exact reuse: a cell whose configuration differs from an ``ok``
-sibling's only in larger caches, where the sibling's run evicted no
-line from the level that differs, is that run cycle for cycle
+sibling's only in cache sizes, larger or smaller, where the sibling's
+run footprint fits the cell's caches at each level that differs, is
+that run cycle for cycle
 (:func:`~repro.sim.memory.hierarchy.certifies`).  It is not
 dispatched: its record is the sibling's, copied
-(:meth:`Ledger.record_reused`).  A cell whose possible certifier is in
-flight parks behind it and is looked at again when it resolves.  The
-reused set depends on completion order at ``jobs > 1``; the records
-do not, apart from ``reused_from``, a run field like ``wall_s``.
+(:meth:`Ledger.record_reused`).  A cell whose possible certifier with
+smaller caches is in flight parks behind it and is looked at again
+when it resolves.  The reused set depends on completion order at
+``jobs > 1``; the records do not, apart from ``reused_from``, a run
+field like ``wall_s``.
 
 An isolation child that dies mid-cell (OOM killer, external SIGKILL)
 is a ``WorkerCrash`` verdict; it goes through the circuit breaker and
@@ -68,7 +70,7 @@ from typing import Callable, Iterable, Optional
 from ..area.model import breakdown
 from ..core.config import WaveScalarConfig
 from ..sim.failures import PoisonedCell, WorkerCrash
-from ..sim.memory.hierarchy import certifies
+from ..sim.memory.hierarchy import certifies, upward_fit
 from .ledger import FAILED, OK, POISONED, Ledger
 from .spec import CellSpec
 from .supervisor import CellResult, RunSupervisor
@@ -241,20 +243,27 @@ def _reuse_class(spec: CellSpec) -> CellSpec:
     return replace(spec, config=replace(spec.config, l1_kb=1, l2_mb=0))
 
 
-def _certificate(record: dict) -> Optional[tuple[int, int]]:
-    """``(l1_evictions, l2_evictions)`` of an ``ok`` record, or
-    ``None``: other verdicts, and records written before runs counted
-    evictions, certify nothing."""
+def _certificate(record: dict,
+                 config: WaveScalarConfig) -> Optional[tuple[int, int]]:
+    """``(l1_fit_sets, l2_fit_sets)`` of an ``ok`` record on
+    ``config``, or ``None``: other verdicts, and records written
+    before runs counted evictions, certify nothing.  A record with
+    eviction counts but no fits certifies larger caches only
+    (:func:`upward_fit`)."""
     metrics = record.get("metrics") or {}
-    if record.get("status") != OK or "l1_evictions" not in metrics \
-            or "l2_evictions" not in metrics:
+    if record.get("status") != OK:
         return None
-    return metrics["l1_evictions"], metrics["l2_evictions"]
+    if "l1_fit_sets" in metrics and "l2_fit_sets" in metrics:
+        return metrics["l1_fit_sets"], metrics["l2_fit_sets"]
+    if "l1_evictions" in metrics and "l2_evictions" in metrics:
+        return upward_fit(config, metrics["l1_evictions"],
+                          metrics["l2_evictions"])
+    return None
 
 
 class ReuseIndex:
     """A campaign's possible certifiers by reuse class: the cells with
-    an ``ok`` record that carries both eviction counts, and the cells
+    an ``ok`` record that carries a certificate, and the cells
     dispatched (a dispatch may end in one).  The driver checks which
     is which against its records and in-flight cells when it looks.
     One index can serve several :func:`execute_lanes` calls over one
@@ -263,8 +272,10 @@ class ReuseIndex:
     def __init__(self, done: dict[str, dict]) -> None:
         self._classes: dict[CellSpec, dict[str, WaveScalarConfig]] = {}
         for cell, record in done.items():
-            if _certificate(record) is not None and "spec" in record:
-                self.add(cell, CellSpec.from_dict(record["spec"]))
+            if "spec" in record:
+                spec = CellSpec.from_dict(record["spec"])
+                if _certificate(record, spec.config) is not None:
+                    self.add(cell, spec)
 
     def add(self, cell: str, spec: CellSpec) -> None:
         self._classes.setdefault(_reuse_class(spec), {})[cell] = \
@@ -274,8 +285,12 @@ class ReuseIndex:
                   inflight=()) -> tuple[Optional[dict], Optional[str]]:
         """``(record, None)`` for an ``ok`` sibling in ``done`` whose
         run certifies ``spec``'s; else ``(None, hash)`` for a sibling
-        in ``inflight`` whose run could; else ``(None, None)``:
-        ``spec`` must be simulated."""
+        in ``inflight`` with caches no larger, whose run could; else
+        ``(None, None)``: ``spec`` must be simulated.  A larger sibling
+        in flight is not waited for: it certifies ``spec`` only if its
+        footprint turns out to fit, and under the batched backend a
+        parked cell that is not certified runs later in a narrower
+        group of its own."""
         cell = spec.cell_hash()
         behind = None
         for other, config in self._classes.get(_reuse_class(spec),
@@ -284,12 +299,13 @@ class ReuseIndex:
                 continue
             record = done.get(other)
             if record is not None:
-                counts = _certificate(record)
-                if counts is not None and certifies(config, spec.config,
-                                                    *counts):
+                fit = _certificate(record, config)
+                if fit is not None and certifies(config, spec.config,
+                                                 *fit):
                     return record, None
             elif behind is None and other in inflight \
-                    and certifies(config, spec.config, 0, 0):
+                    and certifies(config, spec.config,
+                                  *upward_fit(config, 0, 0)):
                 behind = other
         return None, behind
 

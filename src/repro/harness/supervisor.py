@@ -90,7 +90,8 @@ def _success_payload(result, wall_s: float, cache_delta: dict) -> dict:
     """
     from ..obs.metrics import cell_metrics
 
-    metrics = cell_metrics(result.stats, wall_s)
+    metrics = cell_metrics(result.stats, wall_s, result.l1_fit_sets,
+                           result.l2_fit_sets)
     metrics.update(cache_delta)
     return {
         "status": OK,
@@ -202,15 +203,17 @@ def execute_batch(specs: list[CellSpec]) -> list[dict]:
     wall_s = (time.perf_counter() - started) / len(specs)
     expected = compiled.expected_outputs()
     payloads: list[dict] = []
-    for spec, proc, outcome, cache_delta in zip(
-            specs, procs, outcomes, cache_deltas):
+    for spec, proc, engine, outcome, cache_delta in zip(
+            specs, procs, engines, outcomes, cache_deltas):
         if not outcome.ok:
             payloads.append(_failure_payload(outcome.error))
             continue
+        l1_fit_sets, l2_fit_sets = engine.memory.fit()
         result = SimulationResult(
             program=compiled.graph.name, config=spec.config,
             stats=outcome.stats, area=proc._area, timing=proc._timing,
-            threads=compiled.threads,
+            threads=compiled.threads, l1_fit_sets=l1_fit_sets,
+            l2_fit_sets=l2_fit_sets,
         )
         try:
             check_outputs(compiled.name, result, expected)

@@ -156,11 +156,15 @@ class MetricsRegistry:
 # ----------------------------------------------------------------------
 # Cell-level metrics (what the ledger persists per record)
 # ----------------------------------------------------------------------
-def cell_metrics(stats, wall_s: float) -> dict:
+def cell_metrics(stats, wall_s: float, l1_fit_sets: int,
+                 l2_fit_sets: int) -> dict:
     """The ``metrics`` block for one successful cell record.
 
-    ``stats`` is a :class:`~repro.sim.stats.SimStats`; only scalars go
-    in (the block must survive a JSON round-trip through the ledger).
+    ``stats`` is a :class:`~repro.sim.stats.SimStats`;
+    ``l1_fit_sets``/``l2_fit_sets`` are the run's footprint fit, which
+    :class:`~repro.core.results.SimulationResult` carries beside it.
+    Only scalars go in (the block must survive a JSON round-trip
+    through the ledger).
     """
     events = getattr(stats, "events_processed", 0)
     return {
@@ -170,11 +174,13 @@ def cell_metrics(stats, wall_s: float) -> dict:
         "sim_cycles": stats.cycles,
         "dispatches": stats.dispatches,
         "messages": stats.message_count,
-        # The exact-reuse certificate (repro.sim.memory.hierarchy
-        # .certifies): a sibling with larger caches needs no run of
-        # its own when these are zero.
         "l1_evictions": stats.l1_evictions,
         "l2_evictions": stats.l2_evictions,
+        # The exact-reuse certificate (repro.sim.memory.hierarchy
+        # .certifies): a sibling whose set counts are multiples of
+        # these needs no run of its own.
+        "l1_fit_sets": l1_fit_sets,
+        "l2_fit_sets": l2_fit_sets,
     }
 
 
@@ -220,11 +226,14 @@ def aggregate_records(records: Iterable[dict]) -> MetricsRegistry:
 
 def reuse_totals(records: dict[str, dict]) -> dict:
     """Exact reuse over a hash-keyed record map: how many cells were
-    recorded from a certifier's run (``reused_from``), and the wall
-    those certifiers spent simulating, once per reused cell -- the
-    time the reuse saved.  Which cells were reused follows scheduling,
-    so neither belongs in the fold's counters."""
-    cells, wall_s = 0, 0.0
+    recorded from a certifier's run (``reused_from``), how many of
+    those a certifier with a larger cache at some level certified
+    (``from_larger``), and the wall those certifiers spent
+    simulating, once per reused cell -- the time the reuse saved.
+    Which cells were reused follows scheduling, so none of these
+    belongs in the fold's counters."""
+    cells = from_larger = 0
+    wall_s = 0.0
     for record in records.values():
         source = record.get("reused_from")
         if source is None:
@@ -232,7 +241,13 @@ def reuse_totals(records: dict[str, dict]) -> dict:
         cells += 1
         certifier = records.get(source) or {}
         wall_s += (certifier.get("metrics") or {}).get("wall_s", 0.0)
-    return {"cells": cells, "certifier_wall_s": round(wall_s, 6)}
+        if "spec" in certifier and "spec" in record:
+            mine = record["spec"]["config"]
+            theirs = certifier["spec"]["config"]
+            from_larger += any(theirs[size] > mine[size]
+                               for size in ("l1_kb", "l2_mb"))
+    return {"cells": cells, "from_larger": from_larger,
+            "certifier_wall_s": round(wall_s, 6)}
 
 
 # ----------------------------------------------------------------------

@@ -79,6 +79,10 @@ class CacheArray:
     def __contains__(self, line: int) -> bool:
         return line in self._set_of(line)
 
+    def lines(self) -> set[int]:
+        """Every line the array holds."""
+        return {line for ways in self._data.values() for line in ways}
+
 
 def l2_sets(config: WaveScalarConfig) -> int:
     """Sets of the L2 a :class:`MemoryHierarchy` builds for ``config``
@@ -86,44 +90,77 @@ def l2_sets(config: WaveScalarConfig) -> int:
     return max(1, config.l2_lines // L2_WAYS)
 
 
+def fit_sets(counts: dict[int, int], sets: int, ways: int) -> int:
+    """The fewest sets, halving from ``sets``, at which no set holds
+    more than ``ways`` lines, given ``counts``: how many lines fall in
+    each set of ``sets`` (an index absent holds none).  Set ``i`` of
+    ``sets // 2`` holds the lines of sets ``i`` and ``i + sets // 2``,
+    so each halving folds the counts; it stops at an odd set count or
+    at the first count that would overflow.  ``sets`` itself is
+    returned without a look: the caller vouches that it fits."""
+    while sets % 2 == 0:
+        half = sets // 2
+        folded: dict[int, int] = {}
+        for index, count in counts.items():
+            folded[index % half] = folded.get(index % half, 0) + count
+        if max(folded.values(), default=0) > ways:
+            break
+        counts, sets = folded, half
+    return sets
+
+
 def certifies(
     certifier: WaveScalarConfig, sibling: WaveScalarConfig,
-    l1_evictions: int, l2_evictions: int,
+    l1_fit_sets: int, l2_fit_sets: int,
 ) -> bool:
-    """Whether a run on ``certifier`` that evicted ``l1_evictions`` L1
-    lines and ``l2_evictions`` L2 lines is, cycle for cycle, the run on
-    ``sibling``: every ``SimStats`` field equal, so the sibling's cell
-    need not be simulated.
+    """Whether a run on ``certifier`` whose footprint fits
+    ``l1_fit_sets`` L1 sets and ``l2_fit_sets`` L2 sets
+    (:meth:`MemoryHierarchy.fit`; 0 for a level that evicted) is,
+    cycle for cycle, the run on ``sibling``: every ``SimStats`` field
+    equal, so the sibling's cell need not be simulated.
 
     The configs must be equal in every field but ``l1_kb`` and
-    ``l2_mb``, and the certifier's value of each no larger.  Then a
-    level whose size differs must satisfy:
+    ``l2_mb``.  Then a level whose size differs, in either direction,
+    must satisfy:
 
-    * L2 (``l2_mb``): both sizes nonzero, ``l2_evictions == 0``, and
-      the larger set count a multiple of the smaller;
-    * L1 (``l1_kb``): ``l1_evictions == 0``, the set counts nested the
-      same way, and -- when there is an L2 -- every (cluster, bank) L2
-      latency equal under both floorplans.
+    * L2 (``l2_mb``): both sizes nonzero, and the sibling's L2 set
+      count a multiple of ``l2_fit_sets``;
+    * L1 (``l1_kb``): the sibling's L1 set count a multiple of
+      ``l1_fit_sets``, and -- when the sibling has an L2 -- every
+      (cluster, bank) L2 latency equal under both floorplans.
+
+    A fit of 0 refuses every sibling that differs at that level.
 
     Proof.  This is the simplest form of the LRU inclusion property
     (Mattson et al., IBM Systems Journal, 1970): a set that never
     evicts holds every line ever put in it and not since removed.
 
-    *Nesting.*  When the small array's set count ``s`` divides the
-    large one's ``S``, the lines of one large set (``line % S == i``)
-    all fall in one small set (``line % s == i % s``).
+    *The fit.*  A fit ``f`` of a run says: an array of ``m * f`` sets,
+    for any ``m >= 1``, evicts nothing in that run.  The certifier's
+    own set count ``S`` is such a fit when its run evicted nothing.
+    *Nesting:* the lines of one set of the larger array (``line %
+    (m * S) == i``) all fall in one set of the smaller (``line % S ==
+    i % S``), so with as many ways a larger set never holds more than
+    a smaller one ever did.  Halving goes below ``S`` only while the
+    lines the level ever held -- every line an L1 inserted, which
+    outlive invalidation in the count, and every line resident in the
+    L2 at the end, which are all it ever held when nothing was evicted
+    -- put no more than ``ways`` in any set of ``f``; by the same
+    nesting they put no more in any set of a multiple of ``f``, and an
+    array whose every set is ever offered at most ``ways`` lines never
+    displaces a victim.  The fit is a fact about the run, not the
+    config: a reused record carries its certifier's, and certifies
+    as that run would.
 
     *One level.*  Suppose both runs have made the same accesses at
     the same cycles so far, so each array of the level has seen the
-    same inserts, removes and state changes.  The small array never
-    displaced a victim, so each of its sets holds exactly the lines
-    inserted into it and not removed since, at most ``ways`` of them.
-    Each large set holds a subset of one small set's lines (nesting)
-    and has as many ways, so it never displaces a victim either, and
-    the two arrays hold the same lines in the same states.  LRU order
-    -- all they differ in -- is read only to choose a victim, which
-    never happens.  So every lookup answers the same.  What makes the
-    premise hold in this module:
+    same inserts, removes and state changes -- a prefix of the
+    certifier's run.  Both set counts are multiples of the fit, so
+    neither array has displaced a victim, and each holds exactly the
+    lines inserted into it and not removed since, in the same states.
+    LRU order -- all they differ in -- is read only to choose a
+    victim, which never happens.  So every lookup answers the same.
+    What makes the premise hold in this module:
 
     * the L2 has :data:`L2_WAYS` ways at every size, L1s
       ``l1_associativity`` (a field both configs share);
@@ -139,28 +176,52 @@ def certifies(
       store buffer -- depends on ``l1_kb`` or ``l2_mb``.
 
     So the next access costs the same cycles in both runs, and by
-    induction the runs are equal.  Each level that differs counted 0
-    evictions in both; every other count is the same run's.  When both
-    sizes differ, the config with the certifier's L1 and the sibling's
-    L2 sits between them: the L2 rule makes its run the certifier's
-    (so it too evicts no L1 line), and the L1 rule takes it to the
-    sibling, its floorplan being the certifier's.
+    induction the runs are equal.  Neither run evicts at a level that
+    differs; every other count is the same run's.  When both sizes
+    differ, the config with the certifier's L1 and the sibling's L2
+    sits between them: the L2 rule makes its run the certifier's (so
+    its L1 fit is the certifier's too), and the L1 rule takes it to
+    the sibling, its floorplan being the certifier's.
     """
-    if certifier.l1_kb > sibling.l1_kb or certifier.l2_mb > sibling.l2_mb:
-        return False
     if replace(certifier, l1_kb=sibling.l1_kb,
                l2_mb=sibling.l2_mb) != sibling:
         return False
     if certifier.l2_mb != sibling.l2_mb and (
-            certifier.l2_mb == 0 or l2_evictions
-            or l2_sets(sibling) % l2_sets(certifier)):
+            certifier.l2_mb == 0 or sibling.l2_mb == 0
+            or not _holds(l2_fit_sets, l2_sets(sibling))):
         return False
     if certifier.l1_kb != sibling.l1_kb and (
-            l1_evictions or sibling.l1_sets % certifier.l1_sets
+            not _holds(l1_fit_sets, sibling.l1_sets)
             or sibling.l2_mb and not _l2_latencies_agree(certifier,
                                                          sibling)):
         return False
     return True
+
+
+def _set_counts(lines, sets: int) -> dict[int, int]:
+    """How many of ``lines`` fall in each set of ``sets``."""
+    counts: dict[int, int] = {}
+    for line in lines:
+        counts[line % sets] = counts.get(line % sets, 0) + 1
+    return counts
+
+
+def upward_fit(config: WaveScalarConfig, l1_evictions: int,
+               l2_evictions: int) -> tuple[int, int]:
+    """The fit a run on ``config`` certifies from its eviction counts
+    alone: a level's own set count if it evicted nothing, else 0.
+    Under :func:`certifies` it reaches only siblings whose caches are
+    larger (multiples of the run's own set counts)."""
+    return (
+        0 if l1_evictions else config.l1_sets,
+        0 if l2_evictions or config.l2_mb == 0 else l2_sets(config),
+    )
+
+
+def _holds(fit: int, sets: int) -> bool:
+    """Whether an array of ``sets`` sets evicts nothing in a run of
+    fit ``fit``."""
+    return fit > 0 and sets % fit == 0
 
 
 @cache
@@ -204,6 +265,10 @@ class MemoryHierarchy:
         self.l1: defaultdict[int, CacheArray] = defaultdict(
             partial(CacheArray, config.l1_sets, config.l1_associativity)
         )
+        #: Per cluster, the lines invalidation took out of its L1: with
+        #: the lines it holds, every line it ever held unless it
+        #: evicted (:meth:`fit`).
+        self._l1_removed: defaultdict[int, set[int]] = defaultdict(set)
         self._l1_ports: defaultdict[int, _PortLedger] = defaultdict(
             partial(_PortLedger, config.l1_ports)
         )
@@ -334,7 +399,7 @@ class MemoryHierarchy:
             t += cfg.l1_hit_latency  # owner L1 probe
             self.stats.coherence_messages += 1
             if is_store:
-                self.l1[owner].remove(line)
+                self._l1_remove(owner, line)
                 self.stats.invalidations += 1
                 entry.owner = None
                 entry.sharers.discard(owner)
@@ -351,7 +416,7 @@ class MemoryHierarchy:
                 # round trip to the farthest sharer).
                 worst = 0
                 for sharer in sorted(entry.sharers - {cluster}):
-                    self.l1[sharer].remove(line)
+                    self._l1_remove(sharer, line)
                     self.stats.invalidations += 1
                     self.stats.coherence_messages += 1
                     hop = self._coherence_latency(home, sharer)
@@ -391,6 +456,39 @@ class MemoryHierarchy:
             # The stale S copy is subsumed by the refreshed M line.
             entry.sharers.discard(cluster)
         return t
+
+    def _l1_remove(self, cluster: int, line: int) -> None:
+        """Invalidate ``line`` in ``cluster``'s L1, keeping it among
+        the lines that L1 held."""
+        if self.l1[cluster].remove(line) is not None:
+            self._l1_removed[cluster].add(line)
+
+    def fit(self) -> tuple[int, int]:
+        """The run's footprint fit so far, ``(l1_fit_sets,
+        l2_fit_sets)``: per level, the fewest sets, halving from the
+        array's own count, at which no set would hold more than its
+        ways of the lines the level ever held (:func:`fit_sets`); 0
+        for a level that evicted or has no array.  For an L1 that is
+        each cluster's held and invalidated lines, and the largest
+        fit of any cluster; for the L2, the lines it holds, since an
+        L2 line leaves only by eviction.  :func:`certifies` reads
+        it."""
+        cfg = self.config
+        l1_fit = l2_fit = 0
+        if not self.stats.l1_evictions:
+            sets, ways = cfg.l1_sets, cfg.l1_associativity
+            l1_fit = max((
+                fit_sets(_set_counts(array.lines()
+                                     | self._l1_removed.get(cluster, set()),
+                                     sets), sets, ways)
+                for cluster, array in self.l1.items()
+            ), default=fit_sets({}, sets, ways))
+        if self.l2 is not None and not self.stats.l2_evictions:
+            l2_fit = fit_sets(
+                {index: len(ways) for index, ways in self.l2._data.items()},
+                self.l2.sets, L2_WAYS,
+            )
+        return l1_fit, l2_fit
 
     def _evict(self, cluster: int, line: int, state: str) -> None:
         """Handle an L1 victim: update directory, write back if dirty."""

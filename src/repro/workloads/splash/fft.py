@@ -29,17 +29,10 @@ def _inputs(seed: int, scale: Scale) -> tuple[list[float], list[float], int]:
 
 
 def build(scale: Scale = Scale.SMALL, threads: int = 4,
-          k: int | None = 4, seed: int = 0,
-          passes: int = 1) -> DataflowGraph:
-    """``passes`` applies the butterfly stage repeatedly (each pass
-    re-reads the previous pass's stores through the wave-ordered
-    memory), deepening per-thread memory reuse for larger studies;
-    the default of 1 is the configuration the benchmarks use."""
+          k: int | None = 4, seed: int = 0) -> DataflowGraph:
     signal, twiddle, half = _inputs(seed, scale)
     if threads > half:
         raise ValueError(f"fft: {threads} threads exceed {half} butterflies")
-    if passes < 1:
-        raise ValueError("fft: passes must be >= 1")
     b = GraphBuilder("fft")
     sig_b = b.data("signal", signal, stride=STRIDE)
     tw_b = b.data("twiddle", twiddle)
@@ -48,46 +41,10 @@ def build(scale: Scale = Scale.SMALL, threads: int = 4,
 
     def worker(tid: int, seed_node):
         start, stop = parts[tid]
-        seg = stop - start
-
-        if passes == 1:
-            # The benchmarks' configuration: direct single-pass loop
-            # (kept structurally identical to the published results).
-            lp = b.loop(
-                [b.const(start, seed_node), b.const(0.0, seed_node)],
-                invariants=[
-                    b.const(stop, seed_node),
-                    b.const(sig_b, seed_node),
-                    b.const(tw_b, seed_node),
-                    b.const(half, seed_node),
-                ],
-                k=k,
-                label=f"fft.t{tid}",
-            )
-            j, acc = lp.state
-            stop_c, sig_base, tw_base, half_c = lp.invariants
-            off = b.mul(j, b.const(STRIDE, j))
-            off_hi = b.mul(b.add(j, half_c), b.const(STRIDE, j))
-            a = b.load(b.add(sig_base, off))
-            bb = b.load(b.add(sig_base, off_hi))
-            w = b.load(b.add(tw_base, j))
-            wb = b.fmul(w, bb)
-            hi = b.fadd(a, wb)
-            lo = b.fsub(a, wb)
-            b.store(b.add(sig_base, off), hi)
-            b.store(b.add(sig_base, off_hi), lo)
-            acc2 = b.fadd(acc, hi)
-            j2 = b.add(j, b.const(1, j))
-            lp.next_iteration(b.lt(j2, stop_c), [j2, acc2])
-            exits = lp.end()
-            return exits[1]
-
         lp = b.loop(
-            [b.const(0, seed_node), b.const(0.0, seed_node)],
+            [b.const(start, seed_node), b.const(0.0, seed_node)],
             invariants=[
-                b.const(passes * seg, seed_node),
-                b.const(seg, seed_node),
-                b.const(start, seed_node),
+                b.const(stop, seed_node),
                 b.const(sig_b, seed_node),
                 b.const(tw_b, seed_node),
                 b.const(half, seed_node),
@@ -95,9 +52,8 @@ def build(scale: Scale = Scale.SMALL, threads: int = 4,
             k=k,
             label=f"fft.t{tid}",
         )
-        cnt, acc = lp.state
-        limit, seg_c, start_c, sig_base, tw_base, half_c = lp.invariants
-        j = b.add(start_c, b.mod(cnt, seg_c))
+        j, acc = lp.state
+        stop_c, sig_base, tw_base, half_c = lp.invariants
         off = b.mul(j, b.const(STRIDE, j))
         off_hi = b.mul(b.add(j, half_c), b.const(STRIDE, j))
         a = b.load(b.add(sig_base, off))
@@ -109,8 +65,8 @@ def build(scale: Scale = Scale.SMALL, threads: int = 4,
         b.store(b.add(sig_base, off), hi)
         b.store(b.add(sig_base, off_hi), lo)
         acc2 = b.fadd(acc, hi)
-        cnt2 = b.add(cnt, b.const(1, cnt))
-        lp.next_iteration(b.lt(cnt2, limit), [cnt2, acc2])
+        j2 = b.add(j, b.const(1, j))
+        lp.next_iteration(b.lt(j2, stop_c), [j2, acc2])
         exits = lp.end()
         return exits[1]
 
@@ -120,19 +76,14 @@ def build(scale: Scale = Scale.SMALL, threads: int = 4,
 
 
 def reference(scale: Scale = Scale.SMALL, threads: int = 4,
-              seed: int = 0, passes: int = 1) -> list:
+              seed: int = 0) -> list:
     signal, twiddle, half = _inputs(seed, scale)
-    sig = list(signal)
     parts = partition(half, threads)
     partials = []
     for start, stop in parts:
         acc = 0.0
-        for _ in range(passes):
-            for j in range(start, stop):
-                a, bb, w = sig[j], sig[j + half], twiddle[j]
-                wb = w * bb
-                hi, lo = a + wb, a - wb
-                sig[j], sig[j + half] = hi, lo
-                acc = acc + hi
+        for j in range(start, stop):
+            a, bb, w = signal[j], signal[j + half], twiddle[j]
+            acc = acc + (a + w * bb)
         partials.append(acc)
     return [reduce_values(partials, lambda x, y: x + y)]

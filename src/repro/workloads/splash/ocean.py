@@ -26,66 +26,28 @@ def _inputs(seed: int, scale: Scale) -> tuple[list[float], int]:
 
 
 def build(scale: Scale = Scale.SMALL, threads: int = 4,
-          k: int | None = 4, seed: int = 0,
-          iterations: int = 1) -> DataflowGraph:
-    """``iterations`` repeats the relaxation sweep (reading the grid
-    written by the previous sweep, as the real multigrid solver does);
-    the default of 1 is the benchmarks' configuration."""
+          k: int | None = 4, seed: int = 0) -> DataflowGraph:
     grid, rows = _inputs(seed, scale)
     interior = rows - 2
     if threads > interior:
         raise ValueError(f"ocean: {threads} threads exceed {interior} rows")
-    if iterations < 1:
-        raise ValueError("ocean: iterations must be >= 1")
     b = GraphBuilder("ocean")
     g_b = b.data("grid", grid)
-    # With multiple sweeps each thread relaxes into its own private
-    # output grid (as the reference does): later sweeps read back only
-    # the thread's own writes, keeping the computation deterministic
-    # without modelling barriers.
-    out_copies = threads if iterations > 1 else 1
-    o_b = b.alloc("out", out_copies * rows * WIDTH)
+    o_b = b.alloc("out", rows * WIDTH)
     t = b.entry(0)
     parts = partition(interior, threads)
 
     def worker(tid: int, seed_node):
         start, stop = parts[tid]
-        span = stop - start
-        my_out = o_b + (tid * rows * WIDTH if iterations > 1 else 0)
         lp = b.loop(
-            [b.const(0, seed_node), b.const(0.0, seed_node)],
-            invariants=[b.const(iterations * span, seed_node),
-                        b.const(span, seed_node),
-                        b.const(start + 1, seed_node),
-                        b.const(g_b, seed_node),
-                        b.const(my_out, seed_node)],
-            k=k,
-            label=f"ocean.t{tid}",
-        ) if iterations > 1 else b.loop(
             [b.const(start + 1, seed_node), b.const(0.0, seed_node)],
             invariants=[b.const(stop + 1, seed_node),
                         b.const(g_b, seed_node), b.const(o_b, seed_node)],
             k=k,
             label=f"ocean.t{tid}",
         )
-        if iterations > 1:
-            cnt, acc = lp.state
-            limit, span_c, base_row, g_base, o_base = lp.invariants
-            r = b.add(base_row, b.mod(cnt, span_c))
-            # Odd sweeps read `grid` and write `out`; even sweeps read
-            # back what was written (ping-pong folded onto `out` for
-            # sweeps > 1: sweep i>0 reads out).
-            sweep = b.div(cnt, span_c)
-            first = b.eq(sweep, b.const(0, sweep))
-            # source base: grid on sweep 0, out afterwards
-            src_base = b.add(
-                b.mul(first, g_base),
-                b.mul(b.sub(b.const(1, first), first), o_base),
-            )
-        else:
-            r, acc = lp.state
-            stop_c, g_base, o_base = lp.invariants
-            src_base = g_base
+        r, acc = lp.state
+        stop_c, g_base, o_base = lp.invariants
 
         row = b.mul(r, b.const(WIDTH, r))
         up = b.sub(row, b.const(WIDTH, row))
@@ -93,20 +55,16 @@ def build(scale: Scale = Scale.SMALL, threads: int = 4,
         acc2 = acc
         quarter = b.const(0.25, r)
         for c in range(1, WIDTH - 1):
-            n_ = b.load(b.add(src_base, b.add(up, b.const(c, row))))
-            s_ = b.load(b.add(src_base, b.add(down, b.const(c, row))))
-            w_ = b.load(b.add(src_base, b.add(row, b.const(c - 1, row))))
-            e_ = b.load(b.add(src_base, b.add(row, b.const(c + 1, row))))
+            n_ = b.load(b.add(g_base, b.add(up, b.const(c, row))))
+            s_ = b.load(b.add(g_base, b.add(down, b.const(c, row))))
+            w_ = b.load(b.add(g_base, b.add(row, b.const(c - 1, row))))
+            e_ = b.load(b.add(g_base, b.add(row, b.const(c + 1, row))))
             new = b.fmul(quarter, b.fadd(b.fadd(n_, s_), b.fadd(w_, e_)))
             b.store(b.add(o_base, b.add(row, b.const(c, row))), new)
             acc2 = b.fadd(acc2, new)
 
-        if iterations > 1:
-            cnt2 = b.add(cnt, b.const(1, cnt))
-            lp.next_iteration(b.lt(cnt2, limit), [cnt2, acc2])
-        else:
-            r2 = b.add(r, b.const(1, r))
-            lp.next_iteration(b.lt(r2, stop_c), [r2, acc2])
+        r2 = b.add(r, b.const(1, r))
+        lp.next_iteration(b.lt(r2, stop_c), [r2, acc2])
         exits = lp.end()
         return exits[1]
 
@@ -116,24 +74,20 @@ def build(scale: Scale = Scale.SMALL, threads: int = 4,
 
 
 def reference(scale: Scale = Scale.SMALL, threads: int = 4,
-              seed: int = 0, iterations: int = 1) -> list:
+              seed: int = 0) -> list:
     grid, rows = _inputs(seed, scale)
     interior = rows - 2
     parts = partition(interior, threads)
     partials = []
     for start, stop in parts:
-        out = [0.0] * (rows * WIDTH)
         acc = 0.0
-        for sweep in range(iterations):
-            src = grid if sweep == 0 else out
-            for r in range(start + 1, stop + 1):
-                row = r * WIDTH
-                for c in range(1, WIDTH - 1):
-                    new = 0.25 * (
-                        (src[row - WIDTH + c] + src[row + WIDTH + c])
-                        + (src[row + c - 1] + src[row + c + 1])
-                    )
-                    out[row + c] = new
-                    acc = acc + new
+        for r in range(start + 1, stop + 1):
+            row = r * WIDTH
+            for c in range(1, WIDTH - 1):
+                new = 0.25 * (
+                    (grid[row - WIDTH + c] + grid[row + WIDTH + c])
+                    + (grid[row + c - 1] + grid[row + c + 1])
+                )
+                acc = acc + new
         partials.append(acc)
     return [reduce_values(partials, lambda x, y: x + y)]

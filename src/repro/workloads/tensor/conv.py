@@ -2,10 +2,9 @@
 
 The nine filter taps load exactly once, before the loop, and ride as
 loop invariants -- the dataflow analogue of pinning weights in a PE
-register file.  ``tile_w`` controls how many output columns each
-iteration produces (the unroll factor of the column walk), so the
-tiling sweep can trade per-iteration instruction count against trip
-count on the same arithmetic.
+register file.  :data:`TILE_W` is how many output columns each
+iteration produces (the unroll factor of the column walk): per-iteration
+instruction count traded against trip count on the same arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +19,8 @@ from .gemm import _checksum_loop
 #: shrinks each dimension by two.
 BASE_H = 4
 W = 6
+#: Output columns per loop iteration; it must divide the output width.
+TILE_W = 2
 
 
 def _dims(scale: Scale) -> tuple[int, int, int, int]:
@@ -34,9 +35,10 @@ def _inputs(seed: int, scale: Scale):
     return image, taps, h, w, h_out, w_out
 
 
-def build(scale: Scale = Scale.SMALL, k: int | None = 3, seed: int = 0,
-          tile_w: int = 2) -> DataflowGraph:
+def build(scale: Scale = Scale.SMALL, k: int | None = 3,
+          seed: int = 0) -> DataflowGraph:
     image, taps, h, w, h_out, w_out = _inputs(seed, scale)
+    tile_w = TILE_W
     if tile_w < 1 or w_out % tile_w:
         raise ValueError(
             f"conv: tile_w={tile_w} must be >= 1 and divide {w_out}"

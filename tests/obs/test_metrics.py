@@ -9,6 +9,7 @@ from repro.obs.metrics import (
     ThroughputMeter,
     aggregate_records,
     cell_metrics,
+    reuse_totals,
 )
 from repro.sim.stats import SimStats
 
@@ -59,17 +60,18 @@ def test_cell_metrics_block_shape():
     stats.dispatches = 40
     stats.events_processed = 500
     stats.record_message("operand", "pod", 1)
-    block = cell_metrics(stats, wall_s=0.5)
+    block = cell_metrics(stats, 0.5, 16, 1024)
     assert block["events"] == 500
     assert block["events_per_s"] == pytest.approx(1000.0)
     assert block["sim_cycles"] == 100
     assert block["dispatches"] == 40
     assert block["messages"] == 1
     assert block["wall_s"] == pytest.approx(0.5)
+    assert (block["l1_fit_sets"], block["l2_fit_sets"]) == (16, 1024)
 
 
 def test_cell_metrics_zero_wall_clock():
-    block = cell_metrics(SimStats(), wall_s=0.0)
+    block = cell_metrics(SimStats(), 0.0, 0, 0)
     assert block["events_per_s"] == 0.0
 
 
@@ -131,6 +133,29 @@ def test_deterministic_counters_exclude_wall_clock():
     assert "wall_s" not in det
     assert "events_per_s" not in det
     assert all(isinstance(v, int) for v in det.values())
+
+
+def test_reuse_totals_count_certifiers_with_larger_caches():
+    """``from_larger`` reads each reused record's config against its
+    ``reused_from`` record's: larger at either level counts."""
+    def record(l1_kb, l2_mb, source=None, wall_s=0.0):
+        rec = {"status": "ok", "metrics": {"wall_s": wall_s},
+               "spec": {"config": {"l1_kb": l1_kb, "l2_mb": l2_mb}}}
+        if source is not None:
+            rec["reused_from"] = source
+        return rec
+
+    records = {
+        "a": record(8, 1, wall_s=0.25),
+        "b": record(16, 4, wall_s=0.5),
+        "up": record(8, 2, source="a"),
+        "l1_down": record(8, 4, source="b"),
+        "l2_down": record(16, 2, source="b"),
+        "mixed": record(32, 2, source="b"),
+    }
+    assert reuse_totals(records) == {
+        "cells": 4, "from_larger": 3, "certifier_wall_s": 1.75,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -151,45 +151,3 @@ def test_k_bound_present_on_all_loops():
                 bounds[".back." in inst.label].add(inst.immediate)
         # Every back edge carries k; entry and exit advances none.
         assert bounds == {True: {2}, False: {None}}, name
-
-
-def test_fft_multi_pass_reference_match():
-    """fft's opt-in multi-pass mode (memory reuse for deeper studies)
-    matches its reference at every depth; passes=1 is the benchmark
-    configuration."""
-    from repro.lang.interp import interpret
-    from repro.workloads.splash import fft
-
-    for passes in (1, 2, 3):
-        graph = fft.build(Scale.TINY, threads=4, passes=passes)
-        assert interpret(graph).output_values() == fft.reference(
-            Scale.TINY, threads=4, passes=passes
-        )
-
-
-def test_fft_rejects_zero_passes():
-    from repro.workloads.splash import fft
-
-    with pytest.raises(ValueError, match="passes"):
-        fft.build(Scale.TINY, threads=2, passes=0)
-
-
-def test_ocean_multi_iteration_reference_match():
-    """ocean's opt-in multi-sweep relaxation (private per-thread output
-    strips keep it deterministic) matches its reference; iterations=1
-    is the benchmark configuration."""
-    from repro.lang.interp import interpret
-    from repro.workloads.splash import ocean
-
-    for iterations in (1, 2, 3):
-        graph = ocean.build(Scale.TINY, threads=4, iterations=iterations)
-        assert interpret(graph).output_values() == ocean.reference(
-            Scale.TINY, threads=4, iterations=iterations
-        )
-
-
-def test_ocean_rejects_zero_iterations():
-    from repro.workloads.splash import ocean
-
-    with pytest.raises(ValueError, match="iterations"):
-        ocean.build(Scale.TINY, threads=2, iterations=0)

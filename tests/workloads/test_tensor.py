@@ -56,15 +56,17 @@ def test_gemm_rejects_unknown_dataflow():
 
 
 @pytest.mark.parametrize("tile_w", [1, 2, 4])
-def test_conv_tile_w_preserves_answer(tile_w):
-    graph = conv.build(Scale.TINY, tile_w=tile_w)
+def test_conv_tile_w_preserves_answer(monkeypatch, tile_w):
+    monkeypatch.setattr(conv, "TILE_W", tile_w)
+    graph = conv.build(Scale.TINY)
     assert _run(graph) == conv.reference(Scale.TINY)
 
 
 @pytest.mark.parametrize("tile_w", [0, 3, 5])
-def test_conv_rejects_bad_tile_w(tile_w):
+def test_conv_rejects_bad_tile_w(monkeypatch, tile_w):
+    monkeypatch.setattr(conv, "TILE_W", tile_w)
     with pytest.raises(ValueError, match="tile_w"):
-        conv.build(Scale.TINY, tile_w=tile_w)
+        conv.build(Scale.TINY)
 
 
 def test_gemm_seeded_data_flows_to_checksum():
